@@ -1,31 +1,26 @@
 (** The workload table, the trial scheduler, and the reduction of a run
-    to its metrics. *)
+    to the metrics [BENCHMARK.json] names. *)
 
 open Common
-module Workload = Klsm_harness.Workload
 module J = Klsm_harness.Report
-
-type runner = { trial : index:int -> traced:bool -> float; finish : unit -> unit }
 
 type workload = {
   name : string;
-  start : params -> acc -> runner;  (** one-off set-up, then the trials *)
+  start : params -> acc -> index:int -> traced:bool -> float;
+      (** one-off set-up; returns the trial, which returns the seconds it measured *)
   min_trials : int;
   twin : seed:int -> scratch:string -> scale:float -> (Twin.result, string) result;
       (** the simulator twin; [Error] on a wrong answer *)
 }
 
 let mix_twin ?(reps = 1) cfg ~seed ~scratch ~scale =
-  Twin.pooled ~seed ~reps (fun ~seed -> Ok (Twin.run ~seed ~scratch ~scale cfg))
-
-let mix shape p acc =
-  { trial = (fun ~index ~traced -> Mix.trial shape p acc ~index ~traced); finish = ignore }
+  Twin.pooled ~seed ~reps (fun ~seed -> Twin.run_mix ~seed ~scratch ~scale cfg)
 
 let workloads =
   [
     {
       name = "uniform-mix";
-      start = mix Mix.uniform;
+      start = Mix.trial Mix.uniform;
       min_trials = 4;
       twin =
         mix_twin
@@ -37,18 +32,11 @@ let workloads =
             universe = 1 lsl 20;
             prefill = 20_000;
             ops_per_thread = 30_000;
-            pop_batch = 1;
           };
     };
     {
       name = "sssp-grid";
-      start =
-        (fun p acc ->
-          let st = Sssp_grid.init p acc in
-          {
-            trial = (fun ~index ~traced -> Sssp_grid.trial st p acc ~index ~traced);
-            finish = (fun () -> Sssp_grid.finish st acc);
-          });
+      start = (fun p acc -> Sssp_grid.trial (Sssp_grid.init p acc) p acc);
       min_trials = 6;
       twin =
         (fun ~seed ~scratch:_ ~scale ->
@@ -57,26 +45,15 @@ let workloads =
     };
     {
       name = "sched-fibers";
-      start =
-        (fun p acc ->
-          { trial = (fun ~index ~traced -> Sched_fibers.trial p acc ~index ~traced); finish = ignore });
+      start = Sched_fibers.trial;
       min_trials = 4;
       twin =
-        mix_twin
-          {
-            Twin.spec = "klsm-sharded:256:4";
-            store = false;
-            k = 256;
-            keys = Workload.Uniform (1 lsl 20);
-            universe = 1 lsl 20;
-            prefill = 64;
-            ops_per_thread = 30_000;
-            pop_batch = Sched_fibers.pull_batch;
-          };
+        (fun ~seed ~scratch:_ ~scale ->
+          Twin.pooled ~seed ~reps:2 (fun ~seed -> Twin.run_sched ~seed ~scale ~roots:300));
     };
     {
       name = "spill-descending";
-      start = mix Mix.spill;
+      start = Mix.trial Mix.spill;
       min_trials = 4;
       twin =
         mix_twin ~reps:4
@@ -85,10 +62,9 @@ let workloads =
             store = true;
             k = 4096;
             keys = Workload.Descending (1 lsl 20);
-            universe = (1 lsl 20) + 8;
+            universe = 1 lsl 20;
             prefill = 20_000;
             ops_per_thread = 30_000;
-            pop_batch = 1;
           };
     };
   ]
@@ -105,35 +81,48 @@ type result = {
   workload : string;
   e2e : (string * value) list;  (** empty when traced *)
   real : (string * value) list;
-      (** the real-backend timings, the per-layer metrics [real.*] *)
+      (** the wall-clock numbers a shared host moves too far to bound:
+          per-layer metrics [real.*], reported by every run *)
   layers : (string * float) list;  (** empty unless traced *)
   attempted : int;
   failed : int;
   violations : string list;
   trials : int;
-  stolen_trials : int;
+  samples : (string * int) list;  (** timed calls and requests behind the percentiles *)
 }
 
 let summarize xs =
   let a = Array.of_list xs in
-  {
-    v = Stats.median a;
-    n = Array.length a;
-    q1 = Stats.percentile a 25.;
-    q3 = Stats.percentile a 75.;
-  }
+  if a = [||] then { v = nan; n = 0; q1 = nan; q3 = nan }
+  else
+    { v = Stats.median a; n = Array.length a; q1 = Stats.percentile a 25.; q3 = Stats.percentile a 75. }
 
+let exact v = { v; n = 1; q1 = v; q3 = v }
 let ratio a b = if b > 0. then a /. b else 0.
 
-let layer_metrics acc =
+(** Every end-to-end metric the run measured: the median of the set-ups,
+    and the twin's. *)
+let e2e_values acc (twin : Twin.result option) =
+  let sim f = exact (match twin with Some tw -> f tw | None -> nan) in
+  let pct pick p = sim (fun tw -> Hist.percentile (pick tw) p) in
+  let ins tw = tw.Twin.insert and del tw = tw.Twin.delete in
+  [
+    ("setup_s", summarize (values acc "setup_s"));
+    ("sim8_ops_per_s", sim (fun tw -> tw.Twin.ops_per_s));
+    ("sim8_insert_p50_ns", pct ins 50.);
+    ("sim8_insert_p99_ns", pct ins 99.);
+    ("sim8_delete_p50_ns", pct del 50.);
+    ("sim8_delete_p99_ns", pct del 99.);
+    ("rank_err_mean", sim (fun tw -> tw.Twin.rank_err_mean));
+  ]
+
+let layer_values acc =
   let s = sum acc in
   let kops = s "ops" /. 1e3 in
   let ktasks = s "tasks" /. 1e3 in
   let span name = ratio (s (name ^ "#ns")) (s (name ^ "#count")) in
   let med traced =
-    match values ~traced acc "ops_per_s" with
-    | [] -> 0.
-    | l -> Stats.median (Array.of_list l)
+    match values ~traced acc "real.ops_per_s" with [] -> 0. | l -> Stats.median (Array.of_list l)
   in
   let untraced = med false and traced = med true in
   [
@@ -167,12 +156,35 @@ let layer_metrics acc =
     ("obs.overhead", if untraced > 0. then 1. -. (traced /. untraced) else 0.);
   ]
 
+(** [pick names values missing]: the values of [names], in that order;
+    [missing] (a [nan]) for a name the run did not measure, which makes
+    the result incorrect. *)
+let pick names values missing =
+  List.map (fun name -> (name, Option.value ~default:missing (List.assoc_opt name values))) names
+
+(** The [real.*] metrics: the median over untraced trials, 0 for one the
+    workload does not measure. *)
+let real_values acc =
+  List.map
+    (fun n -> (n, match values acc n with [] -> exact 0. | xs -> summarize xs))
+    [
+      "real.ops_per_s";
+      "real.wall_ops_per_s";
+      "real.insert_p50_ns";
+      "real.insert_p99_ns";
+      "real.delete_p50_ns";
+      "real.delete_p99_ns";
+      "real.sojourn_p50_us";
+      "real.sojourn_p99_us";
+    ]
+
 (** Run [selected] workloads, their trials rotating round-robin so that a
     slow spell of a shared host hits every workload, each until it has
     measured [p.seconds] and run its minimum number of trials.  With
     [trace], every other trial runs with Obs enabled, and the per-layer
-    kernels run at the end. *)
-let run ?(log = prerr_endline) p ~trace selected =
+    kernels run at the end.  The result holds the metrics [spec] names. *)
+let run ?(log = prerr_endline) (spec : Spec.t) p ~trace selected =
+  size_minor_heaps ();
   let states =
     List.map
       (fun w ->
@@ -184,10 +196,10 @@ let run ?(log = prerr_endline) p ~trace selected =
   let rec loop active =
     if active <> [] then begin
       List.iter
-        (fun (w, (acc : acc), r) ->
+        (fun (w, (acc : acc), trial) ->
           let index = acc.trials in
           let traced = trace && index land 1 = 1 in
-          let secs = r.trial ~index ~traced in
+          let secs = trial ~index ~traced in
           acc.measured <- acc.measured +. secs;
           acc.trials <- acc.trials + 1;
           if acc.trials mod 5 = 0 then
@@ -198,18 +210,9 @@ let run ?(log = prerr_endline) p ~trace selected =
   in
   loop states;
   let kernels = if trace then Kernels.all p else [] in
+  let names l = List.map (fun (m : Spec.metric) -> m.name) l in
   List.map
-    (fun (w, (acc : acc), r) ->
-      r.finish ();
-      let exact v = { v; n = 1; q1 = v; q3 = v } in
-      let of_samples name =
-        match Hashtbl.find_opt acc.finals name with
-        | Some v -> { v; n = int_of_float (sum acc "latency.samples"); q1 = nan; q3 = nan }
-        | None -> (
-            match values acc name with
-            | [] -> { v = nan; n = 0; q1 = nan; q3 = nan }
-            | xs -> summarize xs)
-      in
+    (fun (w, (acc : acc), _) ->
       let e2e =
         if trace then []
         else begin
@@ -224,39 +227,16 @@ let run ?(log = prerr_endline) p ~trace selected =
                 violation acc "%s twin: %s" w.name e;
                 None
           in
-          let sim f = exact (match twin with Some tw -> f tw | None -> nan) in
-          let pct pick q tw = Hist.percentile (pick tw) q /. 64. in
-          List.map
-            (fun name ->
-              ( name,
-                match name with
-                | "setup_s" -> of_samples name
-                | "sim8_ops_per_s" -> sim (fun tw -> tw.Twin.ops_per_s)
-                | "sim8_insert_p50_ns" -> sim (pct (fun tw -> tw.Twin.insert) 50.)
-                | "sim8_insert_p99_ns" -> sim (pct (fun tw -> tw.Twin.insert) 99.)
-                | "sim8_delete_p50_ns" -> sim (pct (fun tw -> tw.Twin.delete) 50.)
-                | "sim8_delete_p99_ns" -> sim (pct (fun tw -> tw.Twin.delete) 99.)
-                | "rank_err_mean" -> sim (fun tw -> tw.Twin.rank_err_mean)
-                | _ -> invalid_arg name ))
-            Catalog.e2e_names
+          pick (names spec.e2e) (e2e_values acc twin) (exact nan)
         end
       in
-      let real =
-        List.filter_map
-          (fun name ->
-            if String.starts_with ~prefix:"real." name then
-              Some (name, of_samples (String.sub name 5 (String.length name - 5)))
-            else None)
-          Catalog.layer_names
-      in
+      let real = real_values acc in
       let layers =
-        if not trace then []
-        else
-          let all =
-            List.map (fun (k, v) -> (k, v.v)) real @ kernels @ layer_metrics acc
-          in
-          List.map (fun name -> (name, Option.value ~default:nan (List.assoc_opt name all)))
-            Catalog.layer_names
+        if trace then
+          pick (names spec.layers)
+            (List.map (fun (n, v) -> (n, v.v)) real @ kernels @ layer_values acc)
+            nan
+        else []
       in
       {
         workload = w.name;
@@ -267,7 +247,10 @@ let run ?(log = prerr_endline) p ~trace selected =
         failed = acc.failed;
         violations = List.rev acc.violations;
         trials = acc.trials;
-        stolen_trials = acc.stolen_trials;
+        samples =
+          List.map
+            (fun k -> (k, int_of_float (sum acc (k ^ ".samples"))))
+            [ "insert"; "delete"; "sojourn" ];
       })
     states
 
@@ -284,10 +267,12 @@ let correct r = r.violations = [] && r.failed = 0 && finite r
 (** The one-line result: every end-to-end metric (untraced) or every
     per-layer metric (traced).  Several workloads are keyed
     ["workload:metric"]. *)
-let result_json results =
+let result_json spec results =
   let several = List.length results > 1 in
   let key r name = if several then r.workload ^ ":" ^ name else name in
-  let metric r name v = (key r name, J.Obj [ ("value", J.Float v); ("unit", J.String (Catalog.unit_of name)) ]) in
+  let metric r name v =
+    (key r name, J.Obj [ ("value", J.Float v); ("unit", J.String (Spec.unit_of spec name)) ])
+  in
   J.Obj
     [
       ("correct", J.Bool (List.for_all correct results));
@@ -311,12 +296,8 @@ let file_json ~seed ~seconds ~trace results =
          (fun (n, v) ->
            ( n,
              J.Obj
-               [
-                 ("value", J.Float v.v);
-                 ("n", J.Int v.n);
-                 ("q1", J.Float v.q1);
-                 ("q3", J.Float v.q3);
-               ] ))
+               [ ("value", J.Float v.v); ("n", J.Int v.n); ("q1", J.Float v.q1); ("q3", J.Float v.q3) ]
+           ))
          l)
   in
   J.Obj
@@ -337,26 +318,26 @@ let file_json ~seed ~seconds ~trace results =
                      ("attempted", J.Int r.attempted);
                      ("failed", J.Int r.failed);
                      ("trials", J.Int r.trials);
-                     ("stolen_trials", J.Int r.stolen_trials);
                      ("violations", J.List (List.map (fun s -> J.String s) r.violations));
                    ] ))
              results) );
     ]
 
-let print_lines oc results =
+let print_lines spec oc results =
   List.iter
     (fun r ->
       List.iter
         (fun (n, v) ->
           Printf.fprintf oc "%s %s %.6g %s n=%d q1=%.6g q3=%.6g\n" r.workload n v.v
-            (Catalog.unit_of n) v.n v.q1 v.q3)
+            (Spec.unit_of spec n) v.n v.q1 v.q3)
         (r.e2e @ r.real);
       List.iter
         (fun (n, v) ->
           if not (String.starts_with ~prefix:"real." n) then
-            Printf.fprintf oc "%s %s %.6g %s\n" r.workload n v (Catalog.unit_of n))
+            Printf.fprintf oc "%s %s %.6g %s\n" r.workload n v (Spec.unit_of spec n))
         r.layers;
-      Printf.fprintf oc "%s trials=%d stolen=%d attempted=%d failed=%d\n" r.workload r.trials
-        r.stolen_trials r.attempted r.failed;
+      Printf.fprintf oc "%s trials=%d %s attempted=%d failed=%d\n" r.workload r.trials
+        (String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%s_samples=%d" k n) r.samples))
+        r.attempted r.failed;
       List.iter (fun v -> Printf.fprintf oc "%s VIOLATION %s\n" r.workload v) r.violations)
     results

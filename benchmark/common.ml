@@ -5,6 +5,7 @@
 module Pb = Pool_backend
 module R = Klsm_harness.Registry.Make (Pb)
 module Obs = Klsm_obs.Obs
+module Workload = Klsm_harness.Workload
 module Xoshiro = Klsm_primitives.Xoshiro
 module Stats = Klsm_primitives.Stats
 module Padded = Klsm_primitives.Padded
@@ -36,29 +37,25 @@ let minor_words () = (Gc.quick_stat ()).Gc.minor_words
 
 let major_collections () = (Gc.quick_stat ()).Gc.major_collections
 
-(** A phase whose threads never sleep by design is {e clean} when the
-    process got at least 90% of [threads] cores during it.  On a shared
-    virtual machine the host sometimes takes a core away for seconds at a
-    time; OCaml's stop-the-world minor collections then stall the other
-    domain too, and throughput halves for reasons outside the program.
-    Samples from such phases are kept apart and used only when too few
-    clean ones exist (see {!sample}). *)
-let clean ~cpu ~wall = cpu >= 0.9 *. float_of_int threads *. wall
+(** One key source per thread.  A descending shape shares one counter
+    among the threads, so every key drawn is below every key drawn before
+    it, by whichever thread: each insert is a new global minimum. *)
+let key_sources keys ~seed ~threads =
+  match keys with
+  | Workload.Descending start ->
+      let next = Atomic.make start in
+      Array.make threads (fun () -> Atomic.fetch_and_add next (-1) - 1)
+  | _ ->
+      Array.init threads (fun tid ->
+          Workload.generator keys (Xoshiro.create ~seed:(seed + (7919 * tid))))
 
 (* ------------------------------------------------------------------ *)
 (* Accumulator                                                         *)
 (* ------------------------------------------------------------------ *)
 
 type acc = {
-  samples : (string, float list) Hashtbl.t;
-      (** per-trial values of end-to-end metrics from clean phases *)
-  stolen : (string, float list) Hashtbl.t;
-      (** the same from phases the host took a core away from *)
-  traced : (string, float list) Hashtbl.t;
-      (** per-trial values from clean traced trials (Obs enabled) *)
-  traced_stolen : (string, float list) Hashtbl.t;
-  finals : (string, float) Hashtbl.t;
-      (** metrics a workload computes over all its trials at once *)
+  samples : (string, float list) Hashtbl.t;  (** per-trial values, untraced trials *)
+  traced : (string, float list) Hashtbl.t;  (** per-trial values, traced trials *)
   sums : (string, float) Hashtbl.t;
       (** raw totals the per-layer metrics are ratios of: Obs counters,
           span counts and nanoseconds, op and task counts *)
@@ -66,46 +63,29 @@ type acc = {
   mutable failed : int;
   mutable violations : string list;
   mutable trials : int;
-  mutable stolen_trials : int;
   mutable measured : float;  (** seconds of measured work so far *)
 }
 
 let create_acc () =
   {
     samples = Hashtbl.create 16;
-    stolen = Hashtbl.create 16;
     traced = Hashtbl.create 16;
-    traced_stolen = Hashtbl.create 16;
-    finals = Hashtbl.create 4;
     sums = Hashtbl.create 64;
     attempted = 0;
     failed = 0;
     violations = [];
     trials = 0;
-    stolen_trials = 0;
     measured = 0.;
   }
 
-let push tbl name v =
+(** Record one trial's value of a metric. *)
+let sample acc ~traced name v =
+  let tbl = if traced then acc.traced else acc.samples in
   Hashtbl.replace tbl name (v :: Option.value ~default:[] (Hashtbl.find_opt tbl name))
 
-(** Record one trial's value of a metric. *)
-let sample acc ~traced ?(clean = true) name v =
-  push
-    (match (traced, clean) with
-    | false, true -> acc.samples
-    | false, false -> acc.stolen
-    | true, true -> acc.traced
-    | true, false -> acc.traced_stolen)
-    name v
-
-(** The values a summary uses, of the untraced trials or of the traced
-    ones: the clean values when there are at least three, otherwise every
-    value. *)
+(** The values recorded for a metric by the untraced or the traced trials. *)
 let values ?(traced = false) acc name =
-  let get tbl = Option.value ~default:[] (Hashtbl.find_opt tbl name) in
-  let c = get (if traced then acc.traced else acc.samples) in
-  if List.length c >= 3 then c else c @ get (if traced then acc.traced_stolen else acc.stolen)
+  Option.value ~default:[] (Hashtbl.find_opt (if traced then acc.traced else acc.samples) name)
 
 let add acc name v =
   Hashtbl.replace acc.sums name (v +. Option.value ~default:0. (Hashtbl.find_opt acc.sums name))
@@ -167,7 +147,7 @@ let delta (before : Obs.snapshot) (after : Obs.snapshot) =
 type tstate = {
   ins : Hist.t;  (** insert-call latency, ns *)
   del : Hist.t;  (** delete-call latency, ns *)
-  req : Hist.t;  (** request latency, ns, where a request is not one call *)
+  req : Hist.t;  (** open-loop root, due time to completion, ns *)
   mutable inserts : int;  (** items inserted *)
   mutable deletes : int;  (** items deleted *)
   mutable fails : int;  (** empty deletes while >= 1e4 items were queued *)
@@ -190,9 +170,10 @@ let fresh_tstate () =
       late = 0;
     }
 
+(** The records of the Real workloads' {!threads} threads. *)
 let tstates = Array.init threads (fun _ -> fresh_tstate ())
 
-let reset_tstates () =
+let reset ts =
   Array.iter
     (fun s ->
       Hist.clear s.ins;
@@ -204,9 +185,9 @@ let reset_tstates () =
       s.key_sum <- 0;
       s.roots <- 0;
       s.late <- 0)
-    tstates
+    ts
 
-let total f = Array.fold_left (fun a s -> a + f s) 0 tstates
+let total ts f = Array.fold_left (fun a s -> a + f s) 0 ts
 let merged = Hist.create ()
 
 let merge picks =
@@ -215,38 +196,59 @@ let merge picks =
   merged
 
 (** Record the threads' merged insert and delete histograms as
-    [insert_p50_ns] ... [delete_p99_ns]; nothing for a kind with no timed
-    call. *)
-let sample_calls acc ~traced ~clean =
+    [real.insert_p50_ns] ... [real.delete_p99_ns]; nothing for a kind with
+    no timed call. *)
+let sample_calls acc ~traced =
   List.iter
-    (fun (prefix, pick) ->
+    (fun (kind, pick) ->
       let h = merge [ pick ] in
       if Hist.count h > 0 then begin
-        sample acc ~traced ~clean (prefix ^ "_p50_ns") (Hist.percentile h 50.);
-        sample acc ~traced ~clean (prefix ^ "_p99_ns") (Hist.percentile h 99.);
-        add acc (prefix ^ ".samples") (float_of_int (Hist.count h))
+        sample acc ~traced ("real." ^ kind ^ "_p50_ns") (Hist.percentile h 50.);
+        sample acc ~traced ("real." ^ kind ^ "_p99_ns") (Hist.percentile h 99.);
+        if not traced then add acc (kind ^ ".samples") (float_of_int (Hist.count h))
       end)
     [ ("insert", fun s -> s.ins); ("delete", fun s -> s.del) ]
 
-(** Record [latency_p50_us] / [latency_p99_us] from the merged histograms
-    [picks] (nanoseconds). *)
-let sample_latency acc ~traced ~clean picks =
-  let h = merge picks in
+(** Record the threads' merged open-loop request times as
+    [real.sojourn_p50_us] / [real.sojourn_p99_us]. *)
+let sample_sojourn acc ~traced =
+  let h = merge [ (fun s -> s.req) ] in
   if Hist.count h > 0 then begin
-    sample acc ~traced ~clean "latency_p50_us" (Hist.percentile h 50. /. 1e3);
-    sample acc ~traced ~clean "latency_p99_us" (Hist.percentile h 99. /. 1e3);
-    add acc "latency.samples" (float_of_int (Hist.count h))
+    sample acc ~traced "real.sojourn_p50_us" (Hist.percentile h 50. /. 1e3);
+    sample acc ~traced "real.sojourn_p99_us" (Hist.percentile h 99. /. 1e3);
+    if not traced then add acc "sojourn.samples" (float_of_int (Hist.count h))
   end
+
+(** Record [ops] done in a phase as [real.ops_per_s], per second of CPU
+    time the {!threads} client threads were given ([cpu], process-wide,
+    over [threads]), and as [real.wall_ops_per_s], per wall second.  The
+    guest's CPU time leaves out the time the hypervisor runs other guests
+    on its cores, which on a shared host moves wall-clock rates by a
+    factor of up to 5 between runs. *)
+let sample_rate acc ~traced ~ops ~cpu ~wall =
+  sample acc ~traced "real.ops_per_s" (float_of_int ops /. (cpu /. float_of_int threads));
+  sample acc ~traced "real.wall_ops_per_s" (float_of_int ops /. wall)
 
 (* ------------------------------------------------------------------ *)
 (* Phases                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (** Every trial compacts before its set-up and again before its timed
-    phase, so one trial's garbage does not bill the next one.  Fresh
-    compacted trials are what keeps the medians of separate processes
-    close on a shared host. *)
+    phase, so one trial's garbage does not bill the next one. *)
 let compact () = Gc.compact ()
+
+(** Minor-heap words of each domain that runs a workload.  A minor
+    collection stops every domain, and waits for one asleep in [yield] to
+    wake.  With the default 256k words it fell in about 1% of
+    [sched-fibers]' queue calls, so their p99 was the collector's pause
+    and the host's wake-up latency, not the queue's; with 2M words it
+    falls in under 0.3%. *)
+let minor_heap_words = 1 lsl 21
+
+(** Give the calling domain and every pool domain {!minor_heap_words}. *)
+let size_minor_heaps () =
+  Pb.parallel_run ~num_threads:threads (fun _ ->
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words })
 
 (** A start barrier for the threads of one [parallel_run], with an abort
     flag: a thread that raises sets it, so its peers stop waiting. *)

@@ -105,45 +105,58 @@ let make_queue shape ~seed ~dir =
     }
   end
 
-(** The key source of thread [tid] in the trial seeded [seed]. *)
-let generator shape ~seed ~tid =
-  Workload.generator shape.keys (Xoshiro.create ~seed:(seed + (7919 * tid)))
+(** An untraced trial builds its queue this many times, each on a fresh
+    queue (and store) after a compaction, and records each set-up's CPU
+    time; the last queue runs the trial. *)
+let setup_reps = 3
 
-(** One trial; returns the seconds it measured. *)
-let trial shape p acc ~index ~traced =
-  let seed = p.seed + (1_000_003 * index) in
-  let dir = Filename.concat p.scratch (Printf.sprintf "%s-%d" shape.name index) in
-  reset_tstates ();
+(** Set-up, as a user pays it: queue creation and the prefill, which one
+    thread performs (only the per-thread component, < k items, would
+    differ had both threads shared it).  One key source per thread for the
+    whole trial, so descending keys keep descending from the prefill into
+    the windows. *)
+let build shape p ~seed ~dir ~traced =
   compact ();
-  (* Set-up, as a user pays it: queue creation and the prefill, which one
-     thread performs (only the per-thread component, < k items, would
-     differ had both threads shared it). *)
-  let c_setup = cpu_time () in
+  let c0 = cpu_time () in
   Obs.set_enabled traced;
   let q = make_queue shape ~seed ~dir in
   Obs.set_enabled false;
   let handles = Array.init threads q.inst.R.register in
-  (* One key source per thread for the whole trial, so descending keys
-     keep descending from the prefill into the windows. *)
-  let gens = Array.init threads (fun tid -> generator shape ~seed ~tid) in
-  let coins = Array.init threads (fun tid -> Xoshiro.create ~seed:(seed + 13 + (104729 * tid))) in
-  let prefill = sized p shape.prefill in
+  let gens = key_sources shape.keys ~seed ~threads in
   let prefill_sum = ref 0 in
-  for _ = 1 to prefill do
+  for _ = 1 to sized p shape.prefill do
     let k = gens.(0) () in
     handles.(0).R.insert k 0;
     prefill_sum := !prefill_sum + k
   done;
-  let setup = cpu_time () -. c_setup in
+  (q, handles, gens, !prefill_sum, cpu_time () -. c0)
+
+(** One trial; returns the seconds it measured. *)
+let trial shape p acc ~index ~traced =
+  let seed = p.seed + (1_000_003 * index) in
+  let dir r = Filename.concat p.scratch (Printf.sprintf "%s-%d-%d" shape.name index r) in
+  reset tstates;
+  let rec setups r =
+    let ((q, _, _, _, setup) as built) = build shape p ~seed ~dir:(dir r) ~traced in
+    if not traced then sample acc ~traced "setup_s" setup;
+    if traced || r = setup_reps then built
+    else begin
+      q.close ();
+      setups (r + 1)
+    end
+  in
+  let q, handles, gens, prefill_sum, _ = setups 1 in
+  let coins = Array.init threads (fun tid -> Xoshiro.create ~seed:(seed + 13 + (104729 * tid))) in
+  let prefill = sized p shape.prefill in
   let before = (q.inst.R.stats (), q.store_stats ()) in
   compact ();
   let nwin = 1 + shape.windows in
   let arrive = Array.init nwin (fun _ -> Atomic.make 0) in
   let stop = Array.init nwin (fun _ -> Atomic.make false) in
   let abort = Atomic.make false in
-  let elapsed = Array.make nwin 0. in
+  let elapsed = Array.make nwin 0. and cpu = Array.make nwin 0. in
   let ops = Array.make_matrix nwin threads 0 in
-  let cpu = ref 0. and words = ref 0. and majors = ref 0 in
+  let words = ref 0. and majors = ref 0 in
   let queued () = Array.fold_left (fun a s -> a + s.inserts - s.deletes) prefill tstates in
   let body tid =
     let h = handles.(tid) and s = tstates.(tid) in
@@ -153,9 +166,8 @@ let trial shape p acc ~index ~traced =
       let timed = w > 0 in
       let len = duration p (if timed then shape.window else shape.warmup) in
       let len_ns = int_of_float (1e9 *. len) in
-      let t_start = Pb.now_ns () in
+      let t_start = Pb.now_ns () and c_start = if tid = 0 then cpu_time () else 0. in
       if tid = 0 && w = 1 then begin
-        cpu := cpu_time ();
         words := minor_words ();
         majors := major_collections ()
       end;
@@ -186,6 +198,7 @@ let trial shape p acc ~index ~traced =
           let now = Pb.now_ns () in
           if now - t_start >= len_ns then begin
             elapsed.(w) <- float_of_int (now - t_start) *. 1e-9;
+            cpu.(w) <- cpu_time () -. c_start;
             Atomic.set stop.(w) true
           end
         end
@@ -193,7 +206,6 @@ let trial shape p acc ~index ~traced =
       ops.(w).(tid) <- !n
     done;
     if tid = 0 then begin
-      cpu := cpu_time () -. !cpu;
       words := minor_words () -. !words;
       majors := major_collections () - !majors
     end
@@ -209,7 +221,7 @@ let trial shape p acc ~index ~traced =
      thread's local component) and compare count and key sum. *)
   let drained, drained_sum = drain handles.(0).R.try_delete_min 0 0 in
   let expect_n = queued () in
-  let expect_sum = !prefill_sum + total (fun s -> s.key_sum) in
+  let expect_sum = prefill_sum + total tstates (fun s -> s.key_sum) in
   if drained <> expect_n || drained_sum <> expect_sum then
     violation acc "%s trial %d: drained %d items (key sum %d), expected %d (key sum %d)"
       shape.name index drained drained_sum expect_n expect_sum;
@@ -217,20 +229,17 @@ let trial shape p acc ~index ~traced =
   if lost + io > 0 then
     violation acc "%s trial %d: store.lost = %d, store.io_error = %d" shape.name index lost io;
   q.close ();
-  let timed_ops = ref 0 and wall = ref 0. in
+  let timed_ops = ref 0 and wall = ref 0. and timed_cpu = ref 0. in
   for w = 1 to nwin - 1 do
     timed_ops := !timed_ops + Array.fold_left ( + ) 0 ops.(w);
-    wall := !wall +. elapsed.(w)
+    wall := !wall +. elapsed.(w);
+    timed_cpu := !timed_cpu +. cpu.(w)
   done;
   let all_ops = Array.fold_left (fun a row -> a + Array.fold_left ( + ) 0 row) 0 ops in
   acc.attempted <- acc.attempted + all_ops;
-  acc.failed <- acc.failed + total (fun s -> s.fails) + lost + io;
-  let clean = clean ~cpu:!cpu ~wall:!wall in
-  if not clean then acc.stolen_trials <- acc.stolen_trials + 1;
-  if not traced then sample acc ~traced "setup_s" setup;
-  sample acc ~traced ~clean "ops_per_s" (float_of_int !timed_ops /. !wall);
-  sample_calls acc ~traced ~clean;
-  sample_latency acc ~traced ~clean [ (fun s -> s.ins); (fun s -> s.del) ];
+  acc.failed <- acc.failed + total tstates (fun s -> s.fails) + lost + io;
+  sample_rate acc ~traced ~ops:!timed_ops ~cpu:!timed_cpu ~wall:!wall;
+  sample_calls acc ~traced;
   if traced then begin
     add_snapshot acc (delta (fst before) (fst after));
     add_snapshot acc (delta (snd before) (snd after));

@@ -1,7 +1,7 @@
 (* The benchmark's command line (README.md in this directory).
 
      run.exe [--workload W]... [--seed N] [--seconds S] [--trace 0|1]
-             [--json PATH]
+             [--json PATH] [--spec BENCHMARK.json]
      run.exe --smoke [--spec BENCHMARK.json]
      run.exe --compare BASE.json NEW.json [--spec BENCHMARK.json]
 
@@ -15,6 +15,7 @@ module J = Klsm_harness.Report
 let usage () =
   prerr_endline
     "usage: run.exe [--workload W]... [--seed N] [--seconds S] [--trace 0|1] [--json PATH]\n\
+    \                [--spec BENCHMARK.json]\n\
     \       run.exe --smoke [--spec BENCHMARK.json]\n\
     \       run.exe --compare BASE.json NEW.json [--spec BENCHMARK.json]\n\
      workloads: uniform-mix sssp-grid sched-fibers spill-descending (default: all)";
@@ -92,55 +93,57 @@ let selected o =
   | [] -> Bench.workloads
   | names -> List.map (fun n -> Option.get (Bench.find n)) names
 
-let load_spec path =
-  match Json_in.read_file path with
-  | spec -> spec
+let load path read =
+  match read path with
+  | v -> v
   | exception (Sys_error m | Json_in.Error m) ->
       Printf.eprintf "cannot read %s: %s\n" path m;
       exit 2
 
+let load_spec o = load o.spec Spec.load
+
 (* ------------------------------------------------------------------ *)
 
 let measure o =
+  let spec = load_spec o in
   let p = { Common.seed = o.seed; seconds = o.seconds; scale = 1.0; scratch = scratch () } in
-  let results = Bench.run p ~trace:o.trace (selected o) in
-  Bench.print_lines stdout results;
+  let results = Bench.run spec p ~trace:o.trace (selected o) in
+  Bench.print_lines spec stdout results;
   Option.iter
     (fun path ->
       J.write_json ~path (Bench.file_json ~seed:o.seed ~seconds:o.seconds ~trace:o.trace results))
     o.json;
-  print_endline (J.json_to_string (Bench.result_json results));
+  print_endline (J.json_to_string (Bench.result_json spec results));
   exit (if List.for_all Bench.correct results then 0 else 1)
 
 (* Every workload at 1/50 scale, untraced and traced: every oracle, and
    the shape of the result line against BENCHMARK.json.  No timing is
    checked. *)
 let smoke o =
+  let spec = load_spec o in
   let fails = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  List.iter (fail "BENCHMARK.json: %s") (Catalog.check_spec (load_spec o.spec));
-  if List.map (fun (w : Bench.workload) -> w.name) Bench.workloads <> Catalog.workload_names then
-    fail "the workload table and the catalog name different workloads";
+  if List.map (fun (w : Bench.workload) -> w.name) Bench.workloads <> spec.Spec.workloads then
+    fail "BENCHMARK.json and the workload table name different workloads";
   let p = { Common.seed = o.seed; seconds = 0.01; scale = 0.02; scratch = scratch () } in
   let check ~trace =
-    let results = Bench.run ~log:ignore p ~trace Bench.workloads in
+    let results = Bench.run ~log:ignore spec p ~trace Bench.workloads in
     List.iter
       (fun (r : Bench.result) ->
         List.iter (fail "%s: %s" r.workload) r.violations;
         if r.failed > 0 then fail "%s: %d failed operations" r.workload r.failed;
-        let line = Json_in.parse (J.json_to_string (Bench.result_json [ r ])) in
+        let line = Json_in.parse (J.json_to_string (Bench.result_json spec [ r ])) in
         let keys = List.map fst (Json_in.to_obj line) in
         if keys <> [ "correct"; "attempted"; "failed"; "metrics" ] then
           fail "%s: result keys %s" r.workload (String.concat "," keys);
         let metrics = Json_in.to_obj (Json_in.member "metrics" line) in
-        let want = if trace then Catalog.layer_names else Catalog.e2e_names in
+        let want = List.map (fun (m : Spec.metric) -> m.name) (if trace then spec.layers else spec.e2e) in
         if List.map fst metrics <> want then fail "%s: metric names differ" r.workload;
         List.iter
           (fun (name, m) ->
             match Json_in.member "value" m with
             | J.Float v when Float.is_finite v ->
-                if Json_in.member "unit" m <> J.String (Catalog.unit_of name) then
-                  fail "%s: %s has the wrong unit" r.workload name
+                if (not trace) && v = 0. then fail "%s: %s is 0" r.workload name
             | _ -> fail "%s: %s is not a finite number" r.workload name)
           metrics;
         if Json_in.member "correct" line <> J.Bool true then fail "%s: correct = false" r.workload)
@@ -160,21 +163,8 @@ let smoke o =
 (* ------------------------------------------------------------------ *)
 
 let compare o (base_path, new_path) =
-  let spec = load_spec o.spec in
-  let bounds =
-    List.map
-      (fun e ->
-        ( Json_in.to_string (Json_in.member "name" e),
-          ( Json_in.to_float (Json_in.member "bound" e),
-            Json_in.to_string (Json_in.member "better" e) ) ))
-      (Json_in.to_list (Json_in.member "end_to_end" spec))
-  in
-  let better =
-    List.map
-      (fun e -> (Json_in.to_string (Json_in.member "name" e), Json_in.to_string (Json_in.member "better" e)))
-      (Json_in.to_list (Json_in.member "per_layer" spec))
-  in
-  let load path = Json_in.to_obj (Json_in.member "workloads" (load_spec path)) in
+  let spec = load_spec o in
+  let load path = Json_in.to_obj (Json_in.member "workloads" (load path Json_in.read_file)) in
   let base = load base_path and next = load new_path in
   let num j k = try Json_in.to_float (Json_in.member k j) with Json_in.Error _ -> nan in
   let spread j = (num j "q3" -. num j "q1") /. num j "value" in
@@ -185,50 +175,47 @@ let compare o (base_path, new_path) =
       | Some n ->
           Printf.printf "== %s ==\n%-20s %12s %25s %12s %25s %7s  %s\n" w "metric" "base"
             "[q1, q3]" "new" "[q1, q3]" "ratio" "verdict";
-          (* A bounded metric gets a verdict; a real-backend timing, which
-             has no bound, only its ratio and spreads. *)
-          let row name bv nv bound =
+          let row name bv nv =
             let r = num nv "value" /. num bv "value" in
             let verdict =
-              match bound with
-              | None ->
-                  Printf.sprintf "spread %.0f%% / %.0f%%" (spread bv *. 100.) (spread nv *. 100.)
-              | Some (bound, dir) ->
-                  let worse = if dir = "lower" then r -. 1. else 1. -. r in
+              match Spec.find spec name with
+              | None -> "not in BENCHMARK.json"
+              | Some m when Float.is_nan m.Spec.bound ->
+                  Printf.sprintf "no bound; spread %.0f%% / %.0f%%" (spread bv *. 100.)
+                    (spread nv *. 100.)
+              | Some m ->
+                  let worse = if m.Spec.better = "lower" then r -. 1. else 1. -. r in
                   Printf.sprintf "%s (bound %.0f%%)"
-                    (if Float.max (spread bv) (spread nv) > bound then "unresolved"
-                     else if worse > bound then "REGRESSION"
-                     else if -.worse > bound then "improved"
+                    (if Float.max (spread bv) (spread nv) > m.Spec.bound then "unresolved"
+                     else if worse > m.Spec.bound then "REGRESSION"
+                     else if -.worse > m.Spec.bound then "improved"
                      else "ok")
-                    (bound *. 100.)
+                    (m.Spec.bound *. 100.)
             in
             Printf.printf "%-20s %12.6g [%10.6g, %10.6g] %12.6g [%10.6g, %10.6g] %7.3f  %s\n" name
               (num bv "value") (num bv "q1") (num bv "q3") (num nv "value") (num nv "q1")
               (num nv "q3") r verdict
           in
+          let section j k = Json_in.to_obj (Json_in.member k j) in
           List.iter
-            (fun section ->
-              let nsec = Json_in.to_obj (Json_in.member section n) in
+            (fun k ->
               List.iter
-                (fun (name, bv) ->
-                  match List.assoc_opt name nsec with
-                  | Some nv -> row name bv nv (List.assoc_opt name bounds)
-                  | None -> ())
-                (Json_in.to_obj (Json_in.member section b)))
+                (fun (name, bv) -> Option.iter (row name bv) (List.assoc_opt name (section n k)))
+                (section b k))
             [ "end_to_end"; "real" ];
-          let bl = Json_in.to_obj (Json_in.member "per_layer" b)
-          and nl = Json_in.to_obj (Json_in.member "per_layer" n) in
+          let nl = section n "per_layer" in
           List.iter
             (fun (name, bv) ->
               match List.assoc_opt name nl with
+              | _ when String.starts_with ~prefix:"real." name -> ()
               | None -> ()
               | Some nv ->
                   let flt v = try Json_in.to_float v with Json_in.Error _ -> nan in
                   let bv = flt bv and nv = flt nv in
                   Printf.printf "  %-30s %12.6g -> %12.6g  %+7.1f%%  (%s is better)\n" name bv nv
                     (if bv <> 0. then (nv /. bv -. 1.) *. 100. else 0.)
-                    (Option.value ~default:"?" (List.assoc_opt name better)))
-            bl)
+                    (match Spec.find spec name with Some m -> m.Spec.better | None -> "?"))
+            (section b "per_layer"))
     base
 
 let () =

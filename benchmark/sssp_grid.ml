@@ -1,9 +1,8 @@
 (** [sssp-grid]: parallel label-correcting SSSP (the paper's Fig. 4
     kernel) on a 512x512 grid with lazy deletion, on {!threads} threads.
     A trial is one solve on a fresh queue.  Every 16th queue call of a
-    thread is timed; a request is a whole solve, so [real.latency_*] are
-    percentiles of the solve times.  Every solve must reproduce the
-    sequential Dijkstra distances. *)
+    thread is timed, and a request is one queue call.  Every solve must
+    reproduce the sequential Dijkstra distances. *)
 
 open Common
 module Sssp = Klsm_graph.Sssp.Make (Pb)
@@ -16,13 +15,9 @@ let k = 256
 
 (** Set-up (the grid from the seed plus its sequential reference) is
     repeated this many times and its median reported. *)
-let setup_reps = 3
+let setup_reps = 5
 
-type t = {
-  graph : Graph.t;
-  reference : Dijkstra.result;
-  solves : (float * bool) list ref;  (** seconds, clean *)
-}
+type t = { graph : Graph.t; reference : Dijkstra.result }
 
 let init p acc =
   let side = max 8 (int_of_float (float_of_int side *. sqrt p.scale)) in
@@ -36,7 +31,7 @@ let init p acc =
     built := Some (graph, reference)
   done;
   let graph, reference = Option.get !built in
-  { graph; reference; solves = ref [] }
+  { graph; reference }
 
 (* Every 16th call of a thread is timed: the clock reads would otherwise
    add a tenth to a solve. *)
@@ -44,7 +39,7 @@ let sample_mask = 15
 
 let trial st p acc ~index ~traced =
   let seed = p.seed + (1_000_003 * index) in
-  reset_tstates ();
+  reset tstates;
   compact ();
   let queue = ref None in
   let setup ~dist ~drop =
@@ -85,10 +80,9 @@ let trial st p acc ~index ~traced =
             r);
       }
   in
-  let c0 = cpu_time () and w0 = Pb.time () in
-  let words = minor_words () and majors = major_collections () in
+  let words = minor_words () and majors = major_collections () and cpu = cpu_time () in
   let stats = Sssp.run st.graph ~source:0 ~num_threads:threads ~setup () in
-  let cpu = cpu_time () -. c0 and wall_all = Pb.time () -. w0 in
+  let cpu = cpu_time () -. cpu in
   let words = minor_words () -. words and majors = major_collections () - majors in
   let wall = stats.Sssp.wall in
   let correct = Sssp.distances stats = st.reference.Dijkstra.dist in
@@ -97,12 +91,12 @@ let trial st p acc ~index ~traced =
     acc.failed <- acc.failed + 1;
     violation acc "sssp-grid solve %d: distances differ from sequential Dijkstra" index
   end;
-  let clean = clean ~cpu ~wall:wall_all in
-  if not clean then acc.stolen_trials <- acc.stolen_trials + 1;
-  let ops = total (fun s -> s.inserts + s.deletes) in
-  if not traced then st.solves := (wall, clean) :: !(st.solves);
-  sample acc ~traced ~clean "ops_per_s" (float_of_int ops /. wall);
-  sample_calls acc ~traced ~clean;
+  let ops = total tstates (fun s -> s.inserts + s.deletes) in
+  (* The rate counts the queue work a solve needs, one insert and one
+     delete per node Dijkstra settles, so it is the inverse of the solve
+     time: stale entries and extra settles make it lower, not higher. *)
+  sample_rate acc ~traced ~ops:(2 * st.reference.Dijkstra.settled) ~cpu ~wall;
+  sample_calls acc ~traced;
   add acc "sssp.iterations" (float_of_int stats.Sssp.iterations);
   add acc "sssp.stale" (float_of_int stats.Sssp.stale);
   add acc "sssp.extra" (float_of_int (stats.Sssp.iterations - st.reference.Dijkstra.settled));
@@ -117,15 +111,3 @@ let trial st p acc ~index ~traced =
     add acc "gc.ops" (float_of_int ops)
   end;
   wall
-
-(** Solve-time percentiles over all solves of the run (the clean ones
-    when there are at least three). *)
-let finish st acc =
-  let clean = List.filter_map (fun (w, c) -> if c then Some w else None) !(st.solves) in
-  let use = if List.length clean >= 3 then clean else List.map fst !(st.solves) in
-  if use <> [] then begin
-    let a = Array.of_list use in
-    Hashtbl.replace acc.finals "latency_p50_us" (Stats.percentile a 50. *. 1e6);
-    Hashtbl.replace acc.finals "latency_p99_us" (Stats.percentile a 99. *. 1e6);
-    add acc "latency.samples" (float_of_int (Array.length a))
-  end

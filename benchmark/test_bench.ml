@@ -88,7 +88,7 @@ let test_pool_exceptions () =
 (* Two seeds give different inputs; the same seed gives the same ones. *)
 let test_seeds () =
   let stream seed =
-    let next = Mix.generator Mix.uniform ~seed ~tid:0 in
+    let next = (Common.key_sources Mix.uniform.Mix.keys ~seed ~threads:1).(0) in
     List.init 64 (fun _ -> next ())
   in
   check "same seed, same keys" true (stream 1 = stream 1);
@@ -101,12 +101,13 @@ let test_seeds () =
   check "other seed, other grid weights" true (weights 1 <> weights 2);
   let gaps seed = List.init 16 (fun _ -> Sched_fibers.gap (Xoshiro.create ~seed) 50_000.) in
   check "other seed, other arrival gaps" true (gaps 1 <> gaps 2);
+  let spec = Spec.load "../BENCHMARK.json" in
   let run seed =
     let dir = Printf.sprintf ".bench_tmp/test-%d-%d" (Unix.getpid ()) seed in
     Common.mkdir_p dir;
     let p = { Common.seed; seconds = 0.01; scale = 0.02; scratch = dir } in
     let rs =
-      Bench.run ~log:ignore p ~trace:false
+      Bench.run ~log:ignore spec p ~trace:false
         (List.filter_map Bench.find [ "uniform-mix"; "sched-fibers" ])
     in
     Common.rm_rf dir;
@@ -122,6 +123,15 @@ let test_seeds () =
   check "the simulator twin sees other inputs" true
     (List.exists2 (fun (_, _, x) (_, _, y) -> x.Bench.v <> y.Bench.v) a b)
 
+(* Descending keys: whichever thread draws next, its key is below every
+   key drawn before, so every insert is a new global minimum. *)
+let test_descending () =
+  let gens = Common.key_sources Mix.spill.Mix.keys ~seed:1 ~threads:2 in
+  let rng = Xoshiro.create ~seed:5 in
+  let drawn = List.init 1000 (fun _ -> gens.(Xoshiro.int rng 2) ()) in
+  let rec falling = function a :: (b :: _ as rest) -> a > b && falling rest | _ -> true in
+  check "strictly falling across threads" true (falling drawn)
+
 let () =
   Alcotest.run "benchmark"
     [
@@ -136,4 +146,5 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exceptions;
         ] );
       ("seed", [ Alcotest.test_case "drives every input" `Quick test_seeds ]);
+      ("keys", [ Alcotest.test_case "descending keys are global minima" `Quick test_descending ]);
     ]

@@ -1,11 +1,11 @@
-(** The simulator twin of a workload: its queue spec, key shape and
-    delete shape on [T = 8] virtual threads of the deterministic
-    simulator, with a sequential {!Klsm_harness.Oracle} kept in step.  It
-    yields virtual queue operations per virtual second, the virtual
-    latency of every insert and delete call, and the rank error of every
-    deleted key, and it asserts the rank bound [rho = T * k] (plus [T] for
-    inserts the oracle counts before the queue shows them).  The same
-    seed gives the same numbers on any host: the oracle and the
+(** The simulator twin of a workload: the same queue code, with the
+    workload's key shape and delete shape, on [T = 8] virtual threads of
+    the deterministic simulator, with a sequential {!Klsm_harness.Oracle}
+    kept in step.  It yields queue operations per virtual second, the
+    virtual time of every insert and delete call, and the rank error of
+    every deleted key, and it asserts the rank bound [rho = T * k] (plus
+    [T] for inserts the oracle counts before the queue shows them).  The
+    same seed gives the same numbers on any host: the oracle and the
     histograms touch no simulated atomic, so they cost no virtual time. *)
 
 module S = Klsm_backend.Sim
@@ -16,6 +16,54 @@ module Xoshiro = Klsm_primitives.Xoshiro
 
 let threads = 8
 
+type result = {
+  ops_per_s : float;
+  seconds : float;  (** virtual seconds the timed phase took *)
+  insert : Hist.t;  (** virtual ns per insert call *)
+  delete : Hist.t;  (** virtual ns per delete call *)
+  rank_err_mean : float;
+  rank_err_max : int;
+  deleted : int;
+  rho : int;
+}
+
+(** Rank errors of the keys an oracle saw deleted. *)
+type ranks = { oracle : Oracle.t; mutable sum : int; mutable max : int; mutable n : int }
+
+let ranks ~universe = { oracle = Oracle.create ~universe; sum = 0; max = 0; n = 0 }
+
+let note r key =
+  let e = Oracle.delete r.oracle key in
+  r.sum <- r.sum + e;
+  if e > r.max then r.max <- e;
+  r.n <- r.n + 1
+
+(** Time [f ()] in virtual ns into [h]. *)
+let timed h f =
+  let t0 = S.time () in
+  let r = f () in
+  Hist.record h (int_of_float ((S.time () -. t0) *. 1e9));
+  r
+
+let result ~ops ~seconds ~insert ~delete ~k r =
+  {
+    ops_per_s = float_of_int ops /. seconds;
+    seconds;
+    insert;
+    delete;
+    rank_err_mean = (if r.n = 0 then 0. else float_of_int r.sum /. float_of_int r.n);
+    rank_err_max = r.max;
+    deleted = r.n;
+    rho = (threads * k) + threads;
+  }
+
+(** Run [f] on a freshly seeded simulator with Obs off. *)
+let on_sim ~seed f =
+  let was = Klsm_obs.Obs.enabled () in
+  Klsm_obs.Obs.set_enabled false;
+  S.configure ~seed ~policy:S.Fair ();
+  Fun.protect ~finally:(fun () -> Klsm_obs.Obs.set_enabled was) f
+
 type cfg = {
   spec : string;  (** {!SR.parse_spec} form, without a store root *)
   store : bool;  (** append [+store:] with a root in the scratch directory *)
@@ -24,39 +72,26 @@ type cfg = {
   universe : int;  (** keys lie in [0, universe) *)
   prefill : int;
   ops_per_thread : int;
-  pop_batch : int;  (** items per delete call; 1 = try_delete_min *)
 }
 
-type result = {
-  ops_per_s : float;
-  seconds : float;  (** virtual seconds the timed phase took *)
-  insert : Hist.t;  (** virtual time per insert call, in 1/64 ns *)
-  delete : Hist.t;  (** virtual time per delete call, in 1/64 ns *)
-  rank_err_mean : float;
-  rank_err_max : int;
-  deleted : int;
-  rho : int;
-}
-
-let run ~seed ~scratch ~scale cfg =
+(** The twin of a 50/50 mix: [prefill] items spread over the threads,
+    then [ops_per_thread] coin flips per thread between an insert and a
+    delete-min.  Operations are inserts, returned items and empty
+    deletes, per virtual second of the mix. *)
+let run_mix ~seed ~scratch ~scale cfg =
   let dir = Filename.concat scratch "twin-store" in
   let spec =
     match SR.parse_spec (if cfg.store then cfg.spec ^ "+store:" ^ dir else cfg.spec) with
     | Ok s -> s
     | Error m -> invalid_arg m
   in
-  let was = Klsm_obs.Obs.enabled () in
-  Klsm_obs.Obs.set_enabled false;
-  S.configure ~seed ~policy:S.Fair ();
+  on_sim ~seed @@ fun () ->
   let inst = SR.make ~seed ~num_threads:threads spec in
-  let oracle = Oracle.create ~universe:cfg.universe in
+  let r = ranks ~universe:cfg.universe in
   let sized n = max 1 (int_of_float (float_of_int n *. scale)) in
   let prefill = sized cfg.prefill and ops = sized cfg.ops_per_thread in
   let handles = Array.make threads None in
-  let gens =
-    Array.init threads (fun tid ->
-        Workload.generator cfg.keys (Xoshiro.create ~seed:(seed + (7919 * tid))))
-  in
+  let gens = Common.key_sources cfg.keys ~seed ~threads in
   S.parallel_run ~num_threads:threads (fun tid ->
       let h = inst.SR.register tid in
       handles.(tid) <- Some h;
@@ -64,57 +99,27 @@ let run ~seed ~scratch ~scale cfg =
         let key = gens.(tid) () in
         (* Oracle first: the item may become deletable part-way through
            the queue insert. *)
-        Oracle.insert oracle key;
+        Oracle.insert r.oracle key;
         h.SR.insert key 0
       done);
-  let ins = Hist.create () and del = Hist.create () in
-  let err_sum = ref 0 and err_max = ref 0 and deleted = ref 0 and done_ops = ref 0 in
-  let note (key, _) =
-    let e = Oracle.delete oracle key in
-    err_sum := !err_sum + e;
-    if e > !err_max then err_max := e;
-    incr deleted;
-    incr done_ops
-  in
-  (* Virtual time is recorded in 1/64 ns: costs carry a seeded jitter, and
-     whole nanoseconds would round it away. *)
-  let virtual_ns t0 = int_of_float ((S.time () -. t0) *. 64e9) in
+  let done_ops = ref 0 in
+  let insert = Hist.create () and delete = Hist.create () in
   let t0 = S.time () in
   S.parallel_run ~num_threads:threads (fun tid ->
       let h = Option.get handles.(tid) in
       let coin = Xoshiro.create ~seed:(seed + 13 + (104729 * tid)) in
       for _ = 1 to ops do
+        incr done_ops;
         if Xoshiro.bool coin then begin
           let key = gens.(tid) () in
-          Oracle.insert oracle key;
-          let t = S.time () in
-          h.SR.insert key 0;
-          Hist.record ins (virtual_ns t);
-          incr done_ops
+          Oracle.insert r.oracle key;
+          timed insert (fun () -> h.SR.insert key 0)
         end
-        else begin
-          let t = S.time () in
-          let got =
-            if cfg.pop_batch <= 1 then Option.to_list (h.SR.try_delete_min ())
-            else h.SR.try_delete_min_batch cfg.pop_batch
-          in
-          Hist.record del (virtual_ns t);
-          if got = [] then incr done_ops else List.iter note got
-        end
+        else Option.iter (fun (key, _) -> note r key) (timed delete h.SR.try_delete_min)
       done);
-  let elapsed = S.time () -. t0 in
-  Klsm_obs.Obs.set_enabled was;
+  let seconds = S.time () -. t0 in
   Common.rm_rf dir;
-  {
-    ops_per_s = float_of_int !done_ops /. elapsed;
-    seconds = elapsed;
-    insert = ins;
-    delete = del;
-    rank_err_mean = (if !deleted = 0 then 0. else float_of_int !err_sum /. float_of_int !deleted);
-    rank_err_max = !err_max;
-    deleted = !deleted;
-    rho = (threads * cfg.k) + threads;
-  }
+  Ok (result ~ops:!done_ops ~seconds ~insert ~delete ~k:cfg.k r)
 
 module Sssp = Klsm_graph.Sssp.Make (S)
 module Gen = Klsm_graph.Gen
@@ -134,14 +139,11 @@ let run_sssp ~seed ~scale ~side ~max_weight ~k =
   let side = max 8 (int_of_float (float_of_int side *. sqrt scale)) in
   let graph = Gen.grid ~seed ~width:side ~height:side ~max_weight () in
   let reference = Dijkstra.run graph ~source:0 in
-  let was = Klsm_obs.Obs.enabled () in
-  Klsm_obs.Obs.set_enabled false;
-  S.configure ~seed ~policy:S.Fair ();
-  let oracle = Oracle.create ~universe:((max_weight * Graph.num_nodes graph) + 1) in
+  on_sim ~seed @@ fun () ->
+  let r = ranks ~universe:((max_weight * Graph.num_nodes graph) + 1) in
   let live = Array.make (Graph.num_nodes graph) (-1) in
-  let ins = Hist.create () and del = Hist.create () in
-  let ops = ref 0 and err_sum = ref 0 and err_max = ref 0 and deleted = ref 0 in
-  let virtual_ns t0 = int_of_float ((S.time () -. t0) *. 64e9) in
+  let ops = ref 0 in
+  let insert = Hist.create () and delete = Hist.create () in
   let stats =
     Sssp.run graph ~source:0 ~num_threads:threads
       ~setup:(fun ~dist ~drop ->
@@ -154,54 +156,63 @@ let run_sssp ~seed ~scale ~side ~max_weight ~k =
           {
             Sssp.insert =
               (fun d v ->
-                if live.(v) >= 0 then ignore (Oracle.delete oracle live.(v));
+                if live.(v) >= 0 then ignore (Oracle.delete r.oracle live.(v));
                 live.(v) <- d;
-                Oracle.insert oracle d;
-                let t = S.time () in
-                h.SR.insert d v;
-                Hist.record ins (virtual_ns t);
+                Oracle.insert r.oracle d;
+                timed insert (fun () -> h.SR.insert d v);
                 incr ops);
             try_delete_min =
               (fun () ->
-                let t = S.time () in
-                let r = h.SR.try_delete_min () in
-                Hist.record del (virtual_ns t);
-                (match r with
+                let got = timed delete h.SR.try_delete_min in
+                (match got with
                 | Some (d, v) ->
                     if live.(v) = d then begin
                       live.(v) <- -1;
-                      let e = Oracle.delete oracle d in
-                      err_sum := !err_sum + e;
-                      if e > !err_max then err_max := e;
-                      incr deleted
+                      note r d
                     end;
                     incr ops
                 | None -> ());
-                r);
+                got);
           })
       ()
   in
-  Klsm_obs.Obs.set_enabled was;
   if Sssp.distances stats <> reference.Dijkstra.dist then
     Error "distances differ from sequential Dijkstra"
-  else
-    Ok
-      {
-        ops_per_s = float_of_int !ops /. stats.Sssp.wall;
-        seconds = stats.Sssp.wall;
-        insert = ins;
-        delete = del;
-        rank_err_mean = float_of_int !err_sum /. float_of_int (max 1 !deleted);
-        rank_err_max = !err_max;
-        deleted = !deleted;
-        rho = (threads * k) + threads;
-      }
+  else Ok (result ~ops:!ops ~seconds:stats.Sssp.wall ~insert ~delete ~k r)
+
+module Sched = Sched_fibers.Make (S)
+
+(** The twin of [sched-fibers]: phase A, the closed loop, of the same
+    scheduler code on 8 virtual workers.  Queue operations are the items
+    inserted and deleted, per virtual second of the phase.  [Error] when
+    the task and fiber audit fails. *)
+let run_sched ~seed ~scale ~roots =
+  on_sim ~seed @@ fun () ->
+  (* Child priorities are the root's plus at most [spawn_fanout]. *)
+  let r = ranks ~universe:((1 lsl 20) + 8) in
+  let acc = Common.create_acc () in
+  let ts = Array.init threads (fun _ -> Common.fresh_tstate ()) in
+  let roots = max 1 (int_of_float (float_of_int roots *. scale)) in
+  let o =
+    Sched.run acc ~name:"sched-fibers twin" ~ts ~seed ~traced:false
+      ~on_insert:(Oracle.insert r.oracle) ~on_delete:(note r) (Sched_fibers.Closed roots)
+  in
+  let ops = Common.total ts (fun s -> s.Common.inserts + s.Common.deletes) in
+  let insert = Hist.create () and delete = Hist.create () in
+  Array.iter
+    (fun s ->
+      Hist.merge_into ~dst:insert s.Common.ins;
+      Hist.merge_into ~dst:delete s.Common.del)
+    ts;
+  match acc.Common.violations with
+  | [] -> Ok (result ~ops ~seconds:o.Sched_fibers.wall ~insert ~delete ~k:Sched_fibers.k r)
+  | v -> Error (String.concat "; " v)
 
 (** [pooled ~reps run] runs [run ~seed] for [reps] seeds derived from
     [seed] and pools the results: operations over the summed virtual
-    time, merged histograms, rank errors over all deleted keys.  Pooling
-    several independent key streams (or graphs) is what keeps the
-    seed-to-seed spread of the tails small. *)
+    time, call times and rank errors over all calls and deleted keys.
+    Pooling several independent key streams (or graphs) keeps the
+    seed-to-seed spread small. *)
 let pooled ~seed ~reps run =
   let rec go r acc =
     if r = reps then Ok acc
@@ -214,14 +225,13 @@ let pooled ~seed ~reps run =
   | Error e -> Error e
   | Ok rs ->
       let sumf f = List.fold_left (fun a x -> a +. f x) 0. rs in
-      let sumi f = List.fold_left (fun a x -> a + f x) 0 rs in
+      let deleted = List.fold_left (fun a x -> a + x.deleted) 0 rs in
+      let ops = sumf (fun x -> x.ops_per_s *. x.seconds) and secs = sumf (fun x -> x.seconds) in
       let merged pick =
         let h = Hist.create () in
         List.iter (fun x -> Hist.merge_into ~dst:h (pick x)) rs;
         h
       in
-      let deleted = sumi (fun x -> x.deleted) in
-      let ops = sumf (fun x -> x.ops_per_s *. x.seconds) and secs = sumf (fun x -> x.seconds) in
       Ok
         {
           ops_per_s = ops /. secs;
