@@ -226,18 +226,7 @@ let quality () =
         (spec, Q.run config spec))
       specs
   in
-  let rec rho_of spec =
-    match spec with
-    | R.Klsm k | R.Wimmer_hybrid k -> Some (t * k)
-    | R.Klsm_sharded { k; shards; adapt; _ } ->
-        (* Partitioned bound, DESIGN.md §12, over the allocated stripe
-           count (adapt's upper target). *)
-        let s = match adapt with Some (_, hi) -> hi | None -> shards in
-        Some ((t + s) * ((k + s - 1) / s))
-    | R.Heap_lock | R.Linden | R.Wimmer_centralized -> Some 0
-    | R.Multiq _ | R.Spraylist | R.Dlsm -> None
-    | R.Stored (inner, _) -> rho_of inner
-  in
+  let rho_of spec = R.rank_bound ~threads:t spec in
   let rows =
     List.map
       (fun (spec, r) ->
@@ -256,7 +245,7 @@ let quality () =
   Report.section
     (Printf.sprintf "Quality: delete-min rank error at T=%d (sim)" t);
   Report.table
-    ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho = T*k" ]
+    ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho" ]
     rows;
   let path = "BENCH_quality.json" in
   Report.write_json ~path
@@ -289,19 +278,19 @@ let quality () =
 (* Sharded: the shard-dimension sweep (contention striping)            *)
 (* ------------------------------------------------------------------ *)
 
-(* Throughput and rank error of the contention-striped composition
-   (lib/core/sharded_klsm.ml) against the single-stripe k-LSM at the same
-   global relaxation budget k = 256: S = 1 is the baseline, S in {2, 4}
-   trades snapshot-CAS contention for the extra stripes consulted by
-   find_min, and the DESIGN.md §15 contention knobs (stickiness window,
-   insertion buffer, adaptive striping) are swept one at a time on top of
-   S = 4 so each knob's marginal effect is visible — this table is the
+(* Throughput and rank error of the striped k-LSM (lib/core/klsm.ml)
+   against its single-stripe case at the same global relaxation budget
+   k = 256: S = 1 is the baseline, S in {2, 4} trades snapshot-CAS
+   contention for the extra stripes consulted by find_min, and the
+   DESIGN.md §15 contention knobs (stickiness window, insertion buffer)
+   are swept one at a time on top of S = 4 so each knob's marginal
+   effect is visible — this table is the
    measured basis of docs/TUNING.md.  The thread axis runs to T = 16
    (oversubscription on small hosts; the simulator charges contention via
    its cost model, so per-thread throughput here measures algorithmic
    scalability, not timesharing).  The rank-error column checks the cost
    side of the trade: the measured max must stay within the partitioned
-   bound rho <= (T+S) * ceil(k/S) (DESIGN.md §12). *)
+   bound rho <= (T-1+S) * ceil(k/S) (DESIGN.md §12). *)
 let sharded () =
   let k = 256 in
   let threads = [ 1; 2; 4; 8; 16 ] in
@@ -313,14 +302,8 @@ let sharded () =
       R.klsm_sharded ~sticky:8 k 4;
       R.klsm_sharded ~buf:16 k 4;
       R.klsm_sharded ~sticky:8 ~buf:16 k 4;
-      R.klsm_sharded ~sticky:8 ~buf:16 ~adapt:(2, 8) k 4;
       R.klsm_sharded ~sticky:16 ~buf:16 (4 * k) 4;
     ]
-  in
-  let shards_of = function
-    | R.Klsm_sharded { shards; adapt; _ } ->
-        (match adapt with Some (_, hi) -> hi | None -> shards)
-    | _ -> 1
   in
   let measured =
     List.map
@@ -363,13 +346,7 @@ let sharded () =
     List.map
       (fun spec ->
         let r = Q.run { Q.default_config with num_threads = t } spec in
-        let s = shards_of spec in
-        let kk =
-          match spec with
-          | R.Klsm k | R.Klsm_sharded { k; _ } -> k
-          | _ -> k
-        in
-        let rho = (t + s) * ((kk + s - 1) / s) in
+        let rho = Option.get (R.rank_bound ~threads:t spec) in
         [
           R.spec_name spec;
           string_of_int r.Q.deletes;
@@ -382,7 +359,7 @@ let sharded () =
   Report.section
     (Printf.sprintf "Sharded: rank error at T=%d (sim)" t);
   Report.table
-    ~header:[ "impl"; "deletes"; "mean"; "max"; "rho = (T+S)*ceil(k/S)" ]
+    ~header:[ "impl"; "deletes"; "mean"; "max"; "rho = (T-1+S)*ceil(k/S)" ]
     qrows
 
 (* ------------------------------------------------------------------ *)
@@ -390,13 +367,13 @@ let sharded () =
 (* ------------------------------------------------------------------ *)
 
 (* Throughput and rank error of the batched delete-min (dbuf=B,
-   lib/core/sharded_klsm.ml) on the tuned spec as the batch size sweeps
+   lib/core/klsm.ml) on the tuned spec as the batch size sweeps
    B in {1, 2, 4, 8, 16}: B = 1 is the dbuf-off control (the classic
    single-pop delete-min), every larger B claims a run of B items with
    one shared CAS (`shared.batch_claim`) and serves up to B - 1 of them
    from the per-handle deletion buffer.  The quality table is the
    measured side of the DESIGN.md §17 trade: the max column must stay
-   within the widened bound rho <= (T+S)*ceil(k/S) + T*(B-1), and the
+   within the widened bound rho <= (T-1+S)*ceil(k/S) + T*(B-1), and the
    rank-error-vs-B curve is how an operator prices the slack before
    turning the knob (the measured basis of docs/TUNING.md's dbuf row).
    Emits the sweep into BENCH_throughput.json, fig3-style — run it
@@ -452,7 +429,7 @@ let batch () =
     List.map
       (fun b ->
         let r = Q.run { Q.default_config with num_threads = t } (spec_of b) in
-        let rho = ((t + shards) * ((k + shards - 1) / shards)) + (t * (b - 1)) in
+        let rho = Option.get (R.rank_bound ~threads:t (spec_of b)) in
         (b, r, rho))
       bs
   in
@@ -480,7 +457,7 @@ let batch () =
         "mean";
         "p99";
         "max";
-        "rho = (T+S)*ceil(k/S) + T*(B-1)";
+        "rho = (T-1+S)*ceil(k/S) + T*(B-1)";
       ]
     qrows;
   let path = "BENCH_throughput.json" in

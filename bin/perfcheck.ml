@@ -11,8 +11,8 @@
    - Sim backend, fixed seed and cost model: the simulator's virtual-work
      tick count for this exact merge/pivot workload is DETERMINISTIC, so it
      is an assertable proxy for hot-path work.  The run fails (exit 1) if
-     the tick count exceeds [sim_tick_budget], i.e. if a change regresses
-     the amount of sequential work the merge/pivot kernels charge.
+     a spec's tick count exceeds its budget in [sim_tick_gates], i.e. if a
+     change regresses the amount of sequential work the hot paths charge.
 
    Plus the tuned-knob gates ([real_knobs_section], [sim_scaling_section])
    and the fiber-runtime gate ([real_fibers_section]) — see the comments
@@ -23,18 +23,18 @@ module Sim = Klsm_backend.Sim
 module Report = Klsm_harness.Report
 module Obs = Klsm_obs.Obs
 
-(* Sim ticks for the fixed workload below, measured at 323_603 when this
-   gate was introduced (SoA blocks + pooled consolidation); the budget
-   leaves ~20% headroom for benign drift.  A regression past it means the
-   merge/copy/pivot kernels are charging materially more work per op. *)
-let sim_tick_budget = 390_000
-
-(* Same workload through the contention-striped composition
-   (klsm-sharded:256:4), measured at 84_757 ticks when the gate was
-   introduced — well under the single-stripe figure because the hint
-   fast paths skip most snapshot copies and per-stripe arrays are a
-   quarter the size.  The budget again leaves ~20% headroom. *)
-let sharded_sim_tick_budget = 102_000
+(* The Sim tick gates: the fixed uniform workload of [sim_tick_section]
+   through each spec, as (JSON key, spec, ticks measured when the budget
+   was last set, budget).  Each budget leaves ~20% headroom over its
+   measured count for benign drift; a regression past it means the
+   merge/copy/pivot kernels or the striped publish/race paths are charging
+   materially more work per op.  The S = 4 count sits below the S = 1 one
+   because per-stripe arrays are a quarter the size. *)
+let sim_tick_gates =
+  [
+    ("sim", "klsm:256", 82_239, 98_700);
+    ("sim_sharded", "klsm-sharded:256:4", 60_679, 72_800);
+  ]
 
 let counter_total snapshot name =
   match List.assoc_opt name snapshot.Obs.counters with
@@ -578,12 +578,12 @@ let sim_scaling_section () =
       ("ratio_floor", Report.Float sim_flatness_ratio);
     ]
 
-let sim_section () =
+let sim_tick_section (_, spec_text, measured, budget) =
   let module T = Klsm_harness.Throughput.Make (Sim) in
   let module R = Klsm_harness.Registry.Make (Sim) in
   Sim.configure ~seed:42 ~cost:Klsm_backend.Cost_model.default ();
   let spec =
-    match R.parse_spec "klsm:256" with Ok s -> s | Error m -> failwith m
+    match R.parse_spec spec_text with Ok s -> s | Error m -> failwith m
   in
   let config =
     {
@@ -595,77 +595,32 @@ let sim_section () =
     }
   in
   let r = T.run config spec in
-  let st = Sim.stats () in
-  let ticks = st.Sim.ticks in
+  let ticks = (Sim.stats ()).Sim.ticks in
   let makespan = Sim.makespan () in
   Printf.printf
-    "perf-check sim: %d ticks (budget %d), makespan %.3f, %.0f ops/s-sim\n%!"
-    ticks sim_tick_budget makespan
+    "perf-check sim %s: %d ticks (measured %d, budget %d), makespan %.3f, \
+     %.0f ops/s-sim\n%!"
+    spec_text ticks measured budget makespan
     (r.T.throughput_per_thread *. 4.0);
-  if ticks > sim_tick_budget then begin
+  if ticks > budget then begin
     Printf.eprintf
-      "perf-check FAILED: sim tick count %d exceeds budget %d — the \
-       merge/pivot hot paths regressed\n%!"
-      ticks sim_tick_budget;
+      "perf-check FAILED: sim tick count %d of %s exceeds budget %d — the \
+       merge/pivot or striped publish/race hot paths regressed\n%!"
+      ticks spec_text budget;
     exit 1
   end;
   Report.Obj
     [
       ("backend", Report.String "sim");
-      ("impl", Report.String "klsm(256)");
+      ("impl", Report.String (R.spec_name spec));
       ("threads", Report.Int config.T.num_threads);
-      ("shards", Report.Int 1);
+      ( "shards",
+        Report.Int
+          (match R.klsm_cfg spec with Some c -> c.R.shards | None -> 1) );
       ("prefill", Report.Int config.T.prefill);
       ("ops_per_thread", Report.Int config.T.ops_per_thread);
       ("ticks", Report.Int ticks);
-      ("tick_budget", Report.Int sim_tick_budget);
-      ("makespan", Report.Float makespan);
-    ]
-
-let sharded_sim_section () =
-  let module T = Klsm_harness.Throughput.Make (Sim) in
-  let module R = Klsm_harness.Registry.Make (Sim) in
-  Sim.configure ~seed:42 ~cost:Klsm_backend.Cost_model.default ();
-  let spec =
-    match R.parse_spec "klsm-sharded:256:4" with
-    | Ok s -> s
-    | Error m -> failwith m
-  in
-  let config =
-    {
-      T.default_config with
-      num_threads = 4;
-      prefill = 2_000;
-      ops_per_thread = 2_000;
-      seed = 42;
-    }
-  in
-  let r = T.run config spec in
-  let st = Sim.stats () in
-  let ticks = st.Sim.ticks in
-  let makespan = Sim.makespan () in
-  Printf.printf
-    "perf-check sim sharded: %d ticks (budget %d), makespan %.3f, %.0f \
-     ops/s-sim\n%!"
-    ticks sharded_sim_tick_budget makespan
-    (r.T.throughput_per_thread *. 4.0);
-  if ticks > sharded_sim_tick_budget then begin
-    Printf.eprintf
-      "perf-check FAILED: sharded sim tick count %d exceeds budget %d — the \
-       striped publish/race hot paths regressed\n%!"
-      ticks sharded_sim_tick_budget;
-    exit 1
-  end;
-  Report.Obj
-    [
-      ("backend", Report.String "sim");
-      ("impl", Report.String "klsm-sharded(256,4)");
-      ("threads", Report.Int config.T.num_threads);
-      ("shards", Report.Int 4);
-      ("prefill", Report.Int config.T.prefill);
-      ("ops_per_thread", Report.Int config.T.ops_per_thread);
-      ("ticks", Report.Int ticks);
-      ("tick_budget", Report.Int sharded_sim_tick_budget);
+      ("tick_budget", Report.Int budget);
       ("makespan", Report.Float makespan);
     ]
 
@@ -676,22 +631,22 @@ let () =
   let real_knobs = real_knobs_section () in
   let real_batch = real_batch_section () in
   let real_fibers = real_fibers_section () in
-  let sim = sim_section () in
-  let sim_sharded = sharded_sim_section () in
+  let sim_ticks =
+    List.map (fun ((key, _, _, _) as g) -> (key, sim_tick_section g)) sim_tick_gates
+  in
   let sim_scaling = sim_scaling_section () in
   let path = "BENCH_throughput.json" in
   Report.write_json ~path
     (Report.Obj
-       [
-         ("benchmark", Report.String "perf-check");
-         ("metric", Report.String "ops_per_sec (real) / ticks (sim)");
-         ("real", real);
-         ("real_sharded", real_sharded);
-         ("real_knobs", real_knobs);
-         ("real_batch", real_batch);
-         ("real_fibers", real_fibers);
-         ("sim", sim);
-         ("sim_sharded", sim_sharded);
-         ("sim_scaling", sim_scaling);
-       ]);
+       ([
+          ("benchmark", Report.String "perf-check");
+          ("metric", Report.String "ops_per_sec (real) / ticks (sim)");
+          ("real", real);
+          ("real_sharded", real_sharded);
+          ("real_knobs", real_knobs);
+          ("real_batch", real_batch);
+          ("real_fibers", real_fibers);
+        ]
+       @ sim_ticks
+       @ [ ("sim_scaling", sim_scaling) ]));
   Printf.printf "wrote %s\nperf-check OK\n%!" path

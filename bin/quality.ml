@@ -1,6 +1,7 @@
 (* CLI for the rank-error quality experiment (DESIGN.md ablation A1):
-   empirical delete-min rank errors per implementation and k, checked
-   against the paper's rho = T*k worst-case bound.
+   empirical delete-min rank errors per implementation and k, next to the
+   worst-case bound ([Registry.rank_bound]; for the k-LSMs the paper's
+   rho = T*k at one stripe).
 
    Only the simulator backend is supported: the oracle needs the
    cooperative single-domain execution to observe operations in order. *)
@@ -38,23 +39,11 @@ let run ~threads ~prefill ~ops ~impls ~seed ~csv =
           { Q.default_config with num_threads = threads; prefill; ops_per_thread = ops / threads; seed }
         in
         let r = Q.run config spec in
-        let rec rho_of = function
-          | R.Klsm k | R.Wimmer_hybrid k -> string_of_int (threads * k)
-          | R.Klsm_sharded { k; shards; adapt; _ } ->
-              (* Partitioned bound, DESIGN.md §12: rho <= (T+S) * ceil(k/S),
-                 over the allocated stripe count (adapt's upper target —
-                 the find-min race always covers the full array).  The
-                 buffered-insert knob is pre-charged against the local
-                 budget, so it does not enter the bound (§15). *)
-              let s = match adapt with Some (_, hi) -> hi | None -> shards in
-              string_of_int ((threads + s) * ((k + s - 1) / s))
-          | R.Heap_lock | R.Linden | R.Wimmer_centralized -> "0"
-          | R.Multiq _ | R.Spraylist | R.Dlsm -> "unbounded"
-          | R.Stored (inner, _) ->
-              (* Spilling moves payloads, not ordering: same bound. *)
-              rho_of inner
+        let rho =
+          match R.rank_bound ~threads spec with
+          | Some rho -> string_of_int rho
+          | None -> "unbounded"
         in
-        let rho = rho_of spec in
         Printf.eprintf "done %s\n%!" (R.spec_name spec);
         [
           R.spec_name spec;

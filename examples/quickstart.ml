@@ -47,7 +47,8 @@ let () =
 
   (* The relaxation is runtime-configurable. *)
   Klsm.set_k q 1024;
-  Printf.printf "k is now %d; rho = T*k = %d\n" (Klsm.get_k q) (4 * 1024);
+  Printf.printf "k is now %d; rho = T*k = %d\n" (Klsm.get_k q)
+    (Klsm_core.Klsm.rank_bound ~threads:4 ~k:(Klsm.get_k q) ());
 
   (* Remaining keys drain in (relaxed) ascending order. *)
   let rec drain last n =

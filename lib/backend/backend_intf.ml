@@ -75,7 +75,7 @@ module type S = sig
       per-thread ownership. *)
 
   val time : unit -> float
-  (** Seconds.  On {!Real}, a monotonic wall clock.  On {!Sim}, the calling
+  (** Seconds.  On {!Real}, [CLOCK_MONOTONIC].  On {!Sim}, the calling
       thread's virtual clock inside [parallel_run]; outside, a global clock
       that advances by each run's makespan.  Throughput = ops / (t1 - t0)
       works identically for both. *)

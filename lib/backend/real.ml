@@ -62,4 +62,7 @@ let parallel_run ~num_threads body =
     Array.iter reraise results
   end
 
-let time () = Unix.gettimeofday ()
+(* CLOCK_MONOTONIC through bechamel's stub: leases, deadlines and Obs
+   spans subtract two reads, which a wall clock stepped by NTP or an
+   operator could make negative. *)
+let time () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9

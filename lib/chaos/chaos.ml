@@ -79,7 +79,6 @@ let sites =
     "sharded.migrate";
     "sharded.buffer.flush";
     "sharded.dbuf.flush";
-    "sharded.resize";
     "store.spill";
     "store.rehydrate";
     "store.recover";

@@ -31,7 +31,6 @@
 
 module Sim = Klsm_backend.Sim
 module K = Klsm_core.Klsm.Make (Sim)
-module SK = Klsm_core.Sharded_klsm.Make (Sim)
 module Spill = Klsm_store.Spill.Make (Sim)
 module Dist_lsm = Klsm_core.Dist_lsm
 module Shared = K.Shared_klsm
@@ -61,10 +60,27 @@ let key_range = 1 lsl 16
 (* Queue-level case                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let queue_case ~seed ~threads ~per_thread ~k plan =
+(** Conservation case for the k-LSM ([~shards], default 1 — the paper's
+    queue; [~sticky]/[~buf]/[~dbuf] switch on the DESIGN.md §15/§17
+    knobs).  With [S > 1] the stripe-publish and migration protocol steps
+    sit under fault pressure too — crashes mid-stripe-publish
+    ([sharded.spill.publish], [shared.push_snapshot.before]) must not lose
+    already-inserted items, and CAS-failure storms on one stripe must only
+    slow things down (and trip the migration policy), never break
+    conservation.  Structural invariants are asserted per stripe. *)
+let queue_case ?(shards = 1) ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ~seed
+    ~threads ~per_thread ~k plan =
   Sim.configure ~seed ();
   let plan_text = Chaos.plan_to_string plan in
-  let q = K.create_with ~seed ~k ~num_threads:threads () in
+  (* Latch counters on for this queue's sheet so the report can show the
+     stripe-level fault response (CAS failures absorbed, migrations); the
+     sheet records without synchronization, so the schedule is unchanged. *)
+  let was_obs = Obs.enabled () in
+  Obs.set_enabled true;
+  let q =
+    K.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf ~num_threads:threads ()
+  in
+  Obs.set_enabled was_obs;
   let handles = Array.make threads None in
   let total = threads * per_thread in
   let got = Array.make total 0 in
@@ -80,6 +96,11 @@ let queue_case ~seed ~threads ~per_thread ~k plan =
   let max_rank_error = ref 0 in
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  let note_delete dk =
+    match Oracle.delete oracle dk with
+    | e -> if e > !max_rank_error then max_rank_error := e
+    | exception Failure _ -> incr oracle_violations
+  in
   Chaos.install plan;
   (try
      Sim.parallel_run ~num_threads:threads (fun tid ->
@@ -99,185 +120,18 @@ let queue_case ~seed ~threads ~per_thread ~k plan =
              | None -> ()
              | Some (dk, v) ->
                  got.(v) <- got.(v) + 1;
-                 (match Oracle.delete oracle dk with
-                 | e -> if e > !max_rank_error then max_rank_error := e
-                 | exception Failure _ ->
-                     incr oracle_violations)
+                 note_delete dk
          done)
    with Sim.Thread_failure (tid, e) ->
      violation "thread %d failed: %s" tid (Printexc.to_string e));
   let faults = Chaos.stats () in
   let crashed = Chaos.crashed_tids () in
   Chaos.uninstall ();
-  (* Survivor drain: crashed threads' items must still be reachable
-     through spy.  The drainer retries through empty results because spy
-     picks random victims (same miss bound as bin/fuzz.ml). *)
-  let drained = ref 0 in
-  (match
-     Array.to_list handles
-     |> List.filteri (fun tid _ -> not (List.mem tid crashed))
-     |> List.find_map (fun h -> h)
-   with
-  | None -> violation "no surviving thread to drain with"
-  | Some h ->
-      let misses = ref 0 in
-      while !misses < 300 do
-        match K.try_delete_min h with
-        | Some (dk, v) ->
-            incr drained;
-            got.(v) <- got.(v) + 1;
-            (match Oracle.delete oracle dk with
-            | e -> if e > !max_rank_error then max_rank_error := e
-            | exception Failure _ -> incr oracle_violations);
-            misses := 0
-        | None -> incr misses
-      done);
-  if !oracle_violations > 0 then
-    violation "oracle: %d deletes of absent keys" !oracle_violations;
-  (* Conservation: every submitted payload delivered exactly once; no
-     payload (submitted or in-flight) delivered twice. *)
-  let lost = ref 0 and dup = ref 0 in
-  for p = 0 to total - 1 do
-    if got.(p) > 1 then incr dup
-    else if got.(p) = 0 && submitted.(p) then incr lost
-  done;
-  if !lost > 0 then violation "%d payloads lost" !lost;
-  if !dup > 0 then violation "%d payloads delivered twice" !dup;
-  (* Structural invariants of everything the survivors can still reach
-     (Block.check_invariants now also asserts the SoA keys mirror and that
-     no Retired block is reachable). *)
-  (try
-     match Shared.peek_shared (K.internal_shared q) with
-     | None -> ()
-     | Some arr -> Block_array.check_invariants arr
-   with Failure msg -> violation "shared invariant: %s" msg);
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when not (List.mem tid crashed) -> (
-          try K.Dist_lsm.check_invariants (K.internal_dist h)
-          with Failure msg -> violation "dist[%d] invariant: %s" tid msg)
-      | _ -> ())
-    handles;
-  (* Pool-reuse safety (paper §4.4 adapted; DESIGN.md §11): a recycled
-     block must never be aliased by a published structure.  Collect every
-     block physically reachable from the shared snapshot and the surviving
-     thread-local LSMs, and assert it is disjoint (physical equality) from
-     every surviving thread's freelist. *)
-  let reachable = ref [] in
-  (match Shared.peek_shared (K.internal_shared q) with
-  | None -> ()
-  | Some arr ->
-      Array.iter (fun b -> reachable := b :: !reachable) (Block_array.blocks arr));
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when not (List.mem tid crashed) ->
-          let d = K.internal_dist h in
-          for i = 0 to K.Dist_lsm.size d - 1 do
-            match K.Dist_lsm.block_at d i with
-            | Some b -> reachable := b :: !reachable
-            | None -> ()
-          done
-      | _ -> ())
-    handles;
-  let pooled = ref 0 in
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when not (List.mem tid crashed) ->
-          Array.iteri
-            (fun lvl free ->
-              List.iter
-                (fun pb ->
-                  incr pooled;
-                  if List.exists (fun rb -> rb == pb) !reachable then
-                    violation
-                      "pool[%d] level-%d block aliased by a live structure"
-                      tid lvl)
-                free)
-            h.K.pool.K.Block.Pool.slots
-      | _ -> ())
-    handles;
-  {
-    label = "queue";
-    seed;
-    plan_text;
-    cas_fails = faults.Chaos.cas_fails;
-    stalls = faults.Chaos.stalls;
-    crashes = faults.Chaos.crashes;
-    violations = List.rev !violations;
-    info =
-      [
-        ("items", total);
-        ("drained", !drained);
-        ("max_rank_error", !max_rank_error);
-        ("crashed_threads", List.length crashed);
-      ];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded queue case                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Conservation case for the contention-striped queue
-    ({!Klsm_core.Sharded_klsm}): same workload, oracle and acceptance bar
-    as {!queue_case}, but driving the S-stripe composition so the
-    stripe-publish and migration protocol steps sit under fault pressure —
-    crashes mid-stripe-publish ([sharded.spill.publish],
-    [shared.push_snapshot.before]) must not lose already-inserted items,
-    and CAS-failure storms on one stripe must only slow things down (and
-    trip the migration policy), never break conservation.  Structural
-    invariants are asserted per stripe. *)
-let sharded_case ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ?adapt ~seed ~threads
-    ~per_thread ~k ~shards plan =
-  Sim.configure ~seed ();
-  let plan_text = Chaos.plan_to_string plan in
-  (* Latch counters on for this queue's sheet so the report can show the
-     stripe-level fault response (CAS failures absorbed, migrations); the
-     sheet records without synchronization, so the schedule is unchanged. *)
-  let was_obs = Obs.enabled () in
-  Obs.set_enabled true;
-  let q =
-    SK.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf ?adapt
-      ~num_threads:threads ()
+  let survivors =
+    Array.to_list handles
+    |> List.filteri (fun tid _ -> not (List.mem tid crashed))
+    |> List.filter_map Fun.id
   in
-  Obs.set_enabled was_obs;
-  let handles = Array.make threads None in
-  let total = threads * per_thread in
-  let got = Array.make total 0 in
-  let submitted = Array.make total false in
-  let oracle = Oracle.create ~universe:key_range in
-  let oracle_violations = ref 0 in
-  let max_rank_error = ref 0 in
-  let violations = ref [] in
-  let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  Chaos.install plan;
-  (try
-     Sim.parallel_run ~num_threads:threads (fun tid ->
-         let h = SK.register q tid in
-         handles.(tid) <- Some h;
-         let rng = Xoshiro.create ~seed:(seed + (7919 * tid)) in
-         for i = 0 to per_thread - 1 do
-           let payload = (tid * per_thread) + i in
-           let key = Xoshiro.int rng key_range in
-           Oracle.insert oracle key;
-           SK.insert h key payload;
-           submitted.(payload) <- true;
-           if i land 1 = 1 then
-             match SK.try_delete_min h with
-             | None -> ()
-             | Some (dk, v) ->
-                 got.(v) <- got.(v) + 1;
-                 (match Oracle.delete oracle dk with
-                 | e -> if e > !max_rank_error then max_rank_error := e
-                 | exception Failure _ -> incr oracle_violations)
-         done)
-   with Sim.Thread_failure (tid, e) ->
-     violation "thread %d failed: %s" tid (Printexc.to_string e));
-  let faults = Chaos.stats () in
-  let crashed = Chaos.crashed_tids () in
-  Chaos.uninstall ();
   (* Insertion buffers live in handles, not in the shared structure.  A
      crashed thread's still-buffered items (including the tail of a flush
      it crashed in the middle of: flush_buffer pops each item only after
@@ -300,40 +154,36 @@ let sharded_case ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ?adapt ~seed ~threads
       | Some h when List.mem tid crashed ->
           List.iter
             (fun (_, payload) -> submitted.(payload) <- false)
-            (SK.internal_buffered h);
-          List.iter
-            (fun (_, payload) -> submitted.(payload) <- false)
-            (SK.internal_dbuf h);
-          List.iter
-            (fun (_, payload) -> submitted.(payload) <- false)
-            (SK.internal_dbuf_pending h)
-      | Some h ->
-          SK.flush_buffer h;
-          SK.flush_dbuf h
-      | None -> ())
+            (K.internal_buffered h @ K.internal_dbuf h
+           @ K.internal_dbuf_pending h)
+      | _ -> ())
     handles;
+  List.iter
+    (fun h ->
+      K.flush_buffer h;
+      K.flush_dbuf h)
+    survivors;
+  (* Survivor drain: crashed threads' items must still be reachable
+     through spy.  The drainer retries through empty results because spy
+     picks random victims (same miss bound as bin/fuzz.ml). *)
   let drained = ref 0 in
-  (match
-     Array.to_list handles
-     |> List.filteri (fun tid _ -> not (List.mem tid crashed))
-     |> List.find_map (fun h -> h)
-   with
-  | None -> violation "no surviving thread to drain with"
-  | Some h ->
+  (match survivors with
+  | [] -> violation "no surviving thread to drain with"
+  | h :: _ ->
       let misses = ref 0 in
       while !misses < 300 do
-        match SK.try_delete_min h with
+        match K.try_delete_min h with
         | Some (dk, v) ->
             incr drained;
             got.(v) <- got.(v) + 1;
-            (match Oracle.delete oracle dk with
-            | e -> if e > !max_rank_error then max_rank_error := e
-            | exception Failure _ -> incr oracle_violations);
+            note_delete dk;
             misses := 0
         | None -> incr misses
       done);
   if !oracle_violations > 0 then
     violation "oracle: %d deletes of absent keys" !oracle_violations;
+  (* Conservation: every submitted payload delivered exactly once; no
+     payload (submitted or in-flight) delivered twice. *)
   let lost = ref 0 and dup = ref 0 in
   for p = 0 to total - 1 do
     if got.(p) > 1 then incr dup
@@ -341,69 +191,66 @@ let sharded_case ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ?adapt ~seed ~threads
   done;
   if !lost > 0 then violation "%d payloads lost" !lost;
   if !dup > 0 then violation "%d payloads delivered twice" !dup;
-  (* Structural invariants, per stripe. *)
+  (* Structural invariants of everything the survivors can still reach
+     (Block.check_invariants also asserts the SoA keys mirror and that no
+     Retired block is reachable), per stripe. *)
   Array.iteri
     (fun i stripe ->
       try
-        match SK.Shared_klsm.peek_shared stripe with
+        match Shared.peek_shared stripe with
         | None -> ()
-        | Some arr -> SK.Block_array.check_invariants arr
+        | Some arr -> Block_array.check_invariants arr
       with Failure msg -> violation "stripe[%d] invariant: %s" i msg)
-    (SK.internal_stripes q);
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when not (List.mem tid crashed) -> (
-          try SK.Dist_lsm.check_invariants (SK.internal_dist h)
-          with Failure msg -> violation "dist[%d] invariant: %s" tid msg)
-      | _ -> ())
-    handles;
-  (* Pool-reuse safety across every stripe (DESIGN.md §11/§12). *)
+    (K.internal_stripes q);
+  List.iter
+    (fun h ->
+      try K.Dist_lsm.check_invariants (K.internal_dist h)
+      with Failure msg ->
+        violation "dist[%d] invariant: %s" h.K.tid msg)
+    survivors;
+  (* Pool-reuse safety (paper §4.4 adapted; DESIGN.md §11): a recycled
+     block must never be aliased by a published structure.  Collect every
+     block physically reachable from the stripe snapshots and the
+     surviving thread-local LSMs, and assert it is disjoint (physical
+     equality) from every surviving thread's freelist. *)
   let reachable = ref [] in
   Array.iter
     (fun stripe ->
-      match SK.Shared_klsm.peek_shared stripe with
+      match Shared.peek_shared stripe with
       | None -> ()
       | Some arr ->
           Array.iter (fun b -> reachable := b :: !reachable)
-            (SK.Block_array.blocks arr))
-    (SK.internal_stripes q);
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when not (List.mem tid crashed) ->
-          let d = SK.internal_dist h in
-          for i = 0 to SK.Dist_lsm.size d - 1 do
-            match SK.Dist_lsm.block_at d i with
-            | Some b -> reachable := b :: !reachable
-            | None -> ()
-          done
-      | _ -> ())
-    handles;
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when not (List.mem tid crashed) ->
-          Array.iteri
-            (fun lvl free ->
-              List.iter
-                (fun pb ->
-                  if List.exists (fun rb -> rb == pb) !reachable then
-                    violation
-                      "pool[%d] level-%d block aliased by a live structure"
-                      tid lvl)
-                free)
-            h.SK.pool.SK.Block.Pool.slots
-      | _ -> ())
-    handles;
-  let stats = SK.stats q in
+            (Block_array.blocks arr))
+    (K.internal_stripes q);
+  List.iter
+    (fun h ->
+      let d = K.internal_dist h in
+      for i = 0 to K.Dist_lsm.size d - 1 do
+        match K.Dist_lsm.block_at d i with
+        | Some b -> reachable := b :: !reachable
+        | None -> ()
+      done)
+    survivors;
+  List.iter
+    (fun h ->
+      Array.iteri
+        (fun lvl free ->
+          List.iter
+            (fun pb ->
+              if List.exists (fun rb -> rb == pb) !reachable then
+                violation "pool[%d] level-%d block aliased by a live structure"
+                  h.K.tid lvl)
+            free)
+        h.K.pool.K.Block.Pool.slots)
+    survivors;
+  let stats = K.stats q in
   let stat name =
     match List.assoc_opt name stats.Obs.counters with
     | Some per -> Array.fold_left ( + ) 0 per
     | None -> 0
   in
   {
-    label = "shard";
+    label = (if shards = 1 then "queue" else "shard");
     seed;
     plan_text;
     cas_fails = faults.Chaos.cas_fails;
@@ -418,7 +265,6 @@ let sharded_case ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ?adapt ~seed ~threads
         ("crashed_threads", List.length crashed);
         ("stripe_cas_fail", stat "stripe.cas_fail");
         ("stripe_migrate", stat "stripe.migrate");
-        ("stripe_resize", stat "stripe.resize");
         ("buffer_flush", stat "stripe.buffer_flush");
         ("sticky_hit", stat "stripe.sticky_hit");
         ("batch_claim", stat "shared.batch_claim");
@@ -717,9 +563,9 @@ let queue_sites =
     "block_array.consolidate";
   ]
 
-(* The sharded composition reaches every queue site plus its own five
-   (spill publish, home migration, insertion-buffer flush, deletion-buffer
-   flush, adaptive resize). *)
+(* The striped queue with its knobs on reaches every queue site plus
+   four of its own (spill publish, home migration, insertion-buffer flush,
+   deletion-buffer flush). *)
 let sharded_sites =
   queue_sites
   @ [
@@ -727,7 +573,6 @@ let sharded_sites =
       "sharded.migrate";
       "sharded.buffer.flush";
       "sharded.dbuf.flush";
-      "sharded.resize";
     ]
 
 (* Scheduler runs have no spill tier, so the store.* fault points never
@@ -741,7 +586,7 @@ let sched_sites =
     the primary fault kind (see {!Chaos.random_plan}); every third seed
     adds a second rule so multi-fault runs are covered too.  Odd indices
     stress the hardened scheduler; even indices alternate between the
-    plain combined queue and the contention-striped one. *)
+    paper's queue (S = 1) and the striped one with its knobs on. *)
 let case_for ~threads ~per_thread ~roots ~k i seed =
   let rng = Xoshiro.create ~seed:(seed * 31 + 17) in
   let sched = i mod 2 = 1 in
@@ -760,8 +605,8 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
     (* Modest §15/§17 knobs so the random draw can land on the buffer- and
        dbuf-flush sites (and both buffered-crash exemptions get coverage);
        kp = ceil(k/2) bounds buf + dbuf. *)
-    sharded_case ~sticky:2 ~buf:2 ~dbuf:2 ~seed ~threads ~per_thread ~k
-      ~shards:2 plan
+    queue_case ~shards:2 ~sticky:2 ~buf:2 ~dbuf:2 ~seed ~threads ~per_thread
+      ~k plan
   else queue_case ~seed ~threads ~per_thread ~k plan
 
 (** Fixed sharded-queue plans the ISSUE's acceptance bar names explicitly
@@ -772,16 +617,12 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
       marked published, before/around the installing CAS;
     - a CAS-failure storm concentrated on one stripe: [n] consecutive
       arrivals at the home stripe's publish CAS are forced to fail, which
-      both stresses the retry loop and (past {!Klsm_core.Sharded_klsm}'s
+      both stresses the retry loop and (past {!Klsm_core.Klsm}'s
       migration threshold) forces a home-stripe migration under fire;
     - a crash in the middle of an insertion-buffer flush ([~buf]): the
       crasher's not-yet-inserted buffered items may vanish (the documented
       [~buf] crash cost), but nothing that reached the LSM may be lost and
       nothing may be delivered twice;
-    - a resize-under-storm case ([~adapt]): a concentrated failure storm
-      long enough to cross the adapt window forces an active-stripe-count
-      grow mid-run (with the first resize CAS itself forced to fail), and
-      conservation must hold across the re-homing;
     - two deletion-buffer cases ([~dbuf]): a kill with a nonempty buffer
       (mid-flush, the claimed remainder dies with the crasher) and a kill
       at the batch claim's publish CAS itself (the staged run is exempt
@@ -805,24 +646,15 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
      @ [ Chaos.rule ~tid:3 ~hit:1 "sharded.migrate" (Chaos.Stall 40) ];
    ]
   |> List.mapi (fun i plan ->
-         sharded_case ~seed:(seed0 + i) ~threads ~per_thread ~k ~shards plan)
+         queue_case ~shards ~seed:(seed0 + i) ~threads ~per_thread ~k plan)
   )
   @ [
       (* Crash thread 1 mid-buffer-flush (second flush, so the first
          exercised the happy path): items still buffered at the crash are
          exempt, everything already flushed must survive. *)
-      sharded_case ~sticky:4 ~buf:4 ~seed:(seed0 + 4) ~threads ~per_thread
-        ~k ~shards
+      queue_case ~shards ~sticky:4 ~buf:4 ~seed:(seed0 + 4) ~threads
+        ~per_thread ~k
         [ Chaos.rule ~tid:1 ~hit:2 "sharded.buffer.flush" Chaos.Crash ];
-      (* Resize under storm: thread 1's first 48 publish CASes all fail,
-         so its adapt window (32 publishes) fills with failures and the
-         grow watermark trips mid-storm; the first resize CAS is itself
-         forced to fail so the retry path runs too.  Start at the adapt
-         lower target so there is room to grow. *)
-      sharded_case ~adapt:(shards, 2 * shards) ~seed:(seed0 + 5) ~threads
-        ~per_thread ~k ~shards
-        (storm ~tid:1 48 "shared.push_snapshot.before"
-        @ [ Chaos.rule ~hit:1 "sharded.resize" Chaos.Cas_fail ]);
       (* Kill thread 1 with a nonempty deletion buffer ([~dbuf]; DESIGN.md
          §17): the crash lands inside flush_dbuf, before the first
          reinsert, so the whole buffered remainder — items the batch CAS
@@ -830,13 +662,13 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
          exemption above must absorb exactly those items; everything
          already served from the buffer, and everything still in the
          stripes, must survive with no duplicates. *)
-      sharded_case ~dbuf:4 ~seed:(seed0 + 6) ~threads ~per_thread ~k ~shards
+      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 6) ~threads ~per_thread ~k
         [ Chaos.rule ~tid:1 ~hit:1 "sharded.dbuf.flush" Chaos.Crash ];
       (* Kill thread 2 in the middle of a batch claim, at the publish CAS
          itself: the staged run ([internal_dbuf_pending]) is in limbo —
          claimed if the CAS won, still queued if it lost — and the
          either-way exemption must hold. *)
-      sharded_case ~dbuf:4 ~seed:(seed0 + 7) ~threads ~per_thread ~k ~shards
+      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 7) ~threads ~per_thread ~k
         [ Chaos.rule ~tid:2 ~hit:4 "shared.push_snapshot.before" Chaos.Crash ];
     ]
 

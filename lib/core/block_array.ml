@@ -157,8 +157,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       decreasing order, so each block contributes [keys.(filled - 1)] in
       O(1).  Because deletion is flag-based, this is a {e lower bound} on
       the smallest alive key — the monotone-under-deletion property the
-      sharded component's per-stripe min hints rely on
-      ({!Sharded_klsm}). *)
+      k-LSM's per-stripe min hints rely on ({!Klsm}). *)
   let min_key t =
     let n = size t in
     let best = ref max_int in

@@ -1,17 +1,116 @@
 (** The k-LSM relaxed priority queue — the paper's headline data structure
     (§4.3, Listing 5): one distributed LSM per thread for batching and
-    local work, plus a single shared k-LSM for global (relaxed) ordering,
-    plus a victim array for spying.
+    local work, plus a shared k-LSM for global (relaxed) ordering, plus a
+    victim array for spying.
+
+    The shared component may be split into [S] independent {!Shared_klsm}
+    {e stripes} ([~shards], default 1; DESIGN.md §12).  With [S = 1] this
+    is exactly the paper's queue; with [S > 1] it removes the CAS convoy
+    on the single [shared] pointer (§4.1, Listing 3) that caps throughput
+    at high thread counts (Gruber/Träff/Wimmer, arXiv:1603.05047), the way
+    MultiQueue-style designs do (arXiv:1509.07053), but inside the k-LSM's
+    bounded-relaxation contract:
+
+    - the global budget [k] is partitioned as [ceil(k / S)] per stripe, so
+      each stripe is an ordinary shared k-LSM with a smaller relaxation;
+    - every thread has a {e home} stripe its spills go to (preserving the
+      per-stripe publication ordering Listing 4 relies on);
+    - [find_min] races the thread-local DistLSM minimum against a
+      {e primary} stripe and — only when a stripe's
+      {!Shared_klsm.min_hint} says it might hold something smaller — the
+      remaining stripes (scanned from a rotating offset so ties don't
+      starve); when every hint sits at or above the local candidate the
+      race is skipped outright — S atomic loads serve the common
+      local-delete path;
+    - a per-thread {e candidate cache} reuses the last raced winner until
+      its deletion flag is seen set or some stripe publishes state that
+      could beat it — amortizing the race across consecutive delete-mins
+      exactly as Listing 3's [observed] field amortizes snapshot refreshes;
+    - failed snapshot CASes feed a per-stripe decorrelated-jitter
+      {!Klsm_primitives.Backoff}, and a burst of consecutive failures on
+      the home stripe triggers {e migration} to the next stripe.
 
     Guarantees (paper §5): [insert] and [try_delete_min] are lock-free and
-    linearizable with structural rho-relaxation, rho = T*k — a delete-min
-    never skips more than [T*k] keys — while items inserted and deleted by
-    the same thread obey exact priority-queue semantics (local ordering).
+    linearizable with structural rho-relaxation — a delete-min never skips
+    more than {!rank_bound} keys, [(T - 1 + S) * ceil(k / S)], which is the
+    paper's [T * k] at [S = 1] — while items inserted and deleted by the
+    same thread obey exact priority-queue semantics (local ordering).
+
+    The contention knobs of DESIGN.md §15 and §17, all off by default:
+
+    - {e stickiness} ([~sticky:W], W >= 1): after a delete-min is served
+      from a stripe, the next W races consult that stripe {e first}
+      instead of the home stripe.  The hint-gated scan over the other
+      stripes is unchanged, so the rank bound is untouched.  A failed
+      publish CAS halves the remaining window;
+    - {e insertion buffering} ([~buf:B], B >= 1): inserts gather in a
+      per-handle buffer of at most B items and enter the thread-local LSM
+      in a burst — flushed when the buffer fills, when a delete-min or
+      find-min needs a buffered key, or when the oldest buffered item has
+      waited {!buffer_age_bound} of its owner's operations.  Buffered items
+      are charged against the local budget: the LSM spill threshold drops
+      to ceil(k/S) - B;
+    - {e deletion batching} ([~dbuf:B], B >= 1): a shared delete claims up
+      to B items with one publish CAS and serves the rest from a
+      per-handle deletion buffer, widening the bound by [T * (B - 1)];
+    - every stripe's contended atomics are cache-line padded
+      ({!Klsm_primitives.Padded}; [~padded:true] to {!Shared_klsm.create}).
 
     [k] is runtime-configurable through {!set_k}.  The optional
     [should_delete] predicate implements §4.5's lazy deletion: condemned
     items are filtered out whenever blocks are copied, merged or shrunk —
     the mechanism the SSSP benchmark uses in place of decrease-key. *)
+
+(** Per-stripe relaxation: the global budget split evenly, rounded up so
+    S stripes never under-spend the contract ([S * ceil(k/S) >= k]). *)
+let stripe_k ~k ~shards = (k + shards - 1) / shards
+
+(** The structural rank bound rho (DESIGN.md §12): a delete-min by one of
+    [threads] threads skips at most [ceil(k/S)] keys in each of the other
+    [T - 1] thread-local LSMs (the deleter's own is exact) and in each of
+    the [S] stripes; per-handle deletion buffers ([dbuf = B > 0]; §17) add
+    [T * (B - 1)] claimed-but-unserved items.  At [S = 1] this is the
+    paper's [T * k]. *)
+let rank_bound ?(shards = 1) ?(dbuf = 0) ~threads ~k () =
+  ((threads - 1 + shards) * stripe_k ~k ~shards)
+  + if dbuf > 0 then threads * (dbuf - 1) else 0
+
+(** Why a configuration cannot be built, or [None]: the budget checks
+    {!Make.create_with} and {!Make.set_k} enforce, shared with the
+    Registry's spec parser.
+    Each of the S stripes needs a budget of at least 1 — except that k = 0,
+    the paper's exact-shared configuration (every insert spills), runs on
+    one stripe — and the buffers are charged against the per-stripe
+    budget ceil(k/S), so they must fit inside it. *)
+let config_error ~k ~shards ~sticky ~buf ~dbuf =
+  let err fmt = Printf.ksprintf Option.some fmt in
+  if k < 0 then err "relaxation k = %d < 0" k
+  else if shards < 1 then
+    err "shard count %d < 1 (need at least one stripe)" shards
+  else if shards > max 1 k then
+    err
+      "shard count %d exceeds the relaxation k = %d (every stripe needs a \
+       budget of at least 1)"
+      shards k
+  else if sticky < 0 then err "stickiness window %d < 0" sticky
+  else
+    let kp = stripe_k ~k ~shards in
+    if buf < 0 || buf > kp then
+      err
+        "insertion buffer %d exceeds the per-stripe budget ceil(k/S) = %d \
+         (buffered items are charged against the local relaxation budget)"
+        buf kp
+    else if dbuf < 0 || dbuf > kp then
+      err
+        "deletion batch %d exceeds the per-stripe budget ceil(k/S) = %d (a \
+         batch claim must fit inside one stripe's relaxation)"
+        dbuf kp
+    else if buf + dbuf > kp then
+      err
+        "insertion buffer %d + deletion batch %d overdraw the per-stripe \
+         budget ceil(k/S) = %d"
+        buf dbuf kp
+    else None
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Item = Item.Make (B)
@@ -19,21 +118,47 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Block_array = Block_array.Make (B)
   module Shared_klsm = Shared_klsm.Make (B)
   module Dist_lsm = Dist_lsm.Make (B)
+  module Backoff = Klsm_primitives.Backoff
   module Xoshiro = Klsm_primitives.Xoshiro
   module Tabular_hash = Klsm_primitives.Tabular_hash
   module Obs = Klsm_obs.Obs
 
   let name = "k-lsm"
 
-  (* Observability of the Listing 5 composition layer (lib/obs;
-     docs/METRICS.md): claim races and the two fallback paths of
-     delete-min. *)
+  (* Observability (lib/obs; docs/METRICS.md): the klsm.* family counts
+     the Listing 5 composition (claim races and the two fallback paths of
+     delete-min); the stripe.* family counts the striped race, its cache
+     and the contention knobs. *)
   let c_take_race = Obs.counter "klsm.take_race"
   let c_delete_local = Obs.counter "klsm.delete_local"
   let c_delete_shared = Obs.counter "klsm.delete_shared"
   let c_delete_empty = Obs.counter "klsm.delete_empty"
   let c_spy_attempt = Obs.counter "klsm.spy_attempt"
   let c_spy_success = Obs.counter "klsm.spy_success"
+  let c_stripe_cas_fail = Obs.counter "stripe.cas_fail"
+  let c_migrate = Obs.counter "stripe.migrate"
+  let c_cache_hit = Obs.counter "stripe.cache_hit"
+  let c_cache_miss = Obs.counter "stripe.cache_miss"
+  let c_hint_consult = Obs.counter "stripe.hint_consult"
+  let c_hint_skip = Obs.counter "stripe.hint_skip"
+  let c_sticky_hit = Obs.counter "stripe.sticky_hit"
+  let c_buffer_flush = Obs.counter "stripe.buffer_flush"
+  let c_dbuf_hit = Obs.counter "stripe.dbuf_hit"
+  let c_dbuf_flush = Obs.counter "stripe.dbuf_flush"
+
+  (** Consecutive home-stripe CAS failures that trigger migration.  Failures
+      within one publish attempt burst are the signature of a convoy; 8 of
+      them in a row mean at least 8 other threads hammered the same stripe
+      while we starved. *)
+  let migrate_threshold = 8
+
+  (** Age bound of the insertion and deletion buffers, in operations of the
+      owning handle: an item buffered while its owner performs this many
+      further operations is force-flushed on the next one, bounding how
+      long it stays invisible to spies and other threads' races.  (The rank
+      bound never depends on this — buffered items are pre-charged against
+      the local budget — it is a quality/liveness hygiene bound.) *)
+  let buffer_age_bound = 64
 
   (** A durability hook (lib/store): applied to every block headed for the
       shared component; may replace it with a cold, store-backed twin
@@ -43,15 +168,23 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     alive:('v Item.t -> bool) -> tid:int -> 'v Block.t -> 'v Block.t
 
   type 'v t = {
-    shared : 'v Shared_klsm.t;
+    stripes : 'v Shared_klsm.t array;
     dists : 'v Dist_lsm.t option B.atomic array;  (** victims, §4.3 *)
     num_threads : int;
+    num_stripes : int;
+    k : int B.atomic;  (** global relaxation budget *)
     seed : int;
     hasher : Tabular_hash.t;
     alive : 'v Item.t -> bool;
     spill_max_level : int option;
         (** ablation override of the §4.3 spill threshold *)
     spill_policy : 'v spill_policy option;
+    sticky_window : int;  (** stickiness window W; 0 = off *)
+    buf_cap : int;  (** insertion-buffer capacity B; 0 = off *)
+    dbuf_cap : int;
+        (** deletion batch size B (DESIGN.md §17): shared deletes claim up
+            to B items with one publish CAS, serving B - 1 follow-ups from
+            the owner's deletion buffer; 0 = off *)
     obs : Obs.sheet;  (** per-thread internal event counters (lib/obs) *)
   }
 
@@ -59,20 +192,75 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     t : 'v t;
     tid : int;
     dist : 'v Dist_lsm.t;
-    shared_h : 'v Shared_klsm.handle;
     spill_tx : 'v Block.t -> 'v Block.t;
         (** the spill policy pre-applied to this thread ([Fun.id] when the
             queue has no durability tier) *)
+    stripe_hs : 'v Shared_klsm.handle array;  (** one handle per stripe *)
+    mutable home : int;  (** current home stripe (spill target) *)
+    mutable rr : int;  (** second-chance rotation counter *)
+    mutable fail_streak : int;
+        (** consecutive snapshot-CAS failures on the home stripe *)
+    mutable migrate_pending : bool;
+        (** latched when [fail_streak] crossed {!migrate_threshold}; acted
+            on after the in-flight publish completes (a publish retries on
+            its stripe until it wins — migration applies to the next
+            spill) *)
+    backoffs : Backoff.t array;
+        (** per-stripe decorrelated-jitter backoff, driven by the
+            {!Shared_klsm} CAS hooks *)
+    mutable cached : 'v Item.t option;  (** delete-min candidate cache *)
+    mutable cached_key : int;
+    mutable cached_stripe : int;
+        (** stripe that produced the cached candidate; [-1] = none (feeds
+            the stickiness window on a successful shared delete) *)
+    cached_ptrs : 'v Block_array.t option array;
+        (** per-stripe published-array tokens observed when the cache was
+            filled; physical inequality + a hint below [cached_key] is the
+            only thing that can invalidate a still-alive cached candidate *)
+    mutable sticky_stripe : int;
+        (** stripe that served the last shared delete-min *)
+    mutable sticky_left : int;
+        (** races left in the stickiness window; halved on CAS failure *)
+    mutable buf : (int * 'v) list;  (** insertion buffer, newest first *)
+    mutable buf_len : int;
+    mutable buf_min : int;
+        (** lower bound on the buffered keys ([max_int] = empty); kept
+            conservative (never raised mid-flush), so a flush check that
+            consults it can only over-flush, never hide an item *)
+    mutable buf_age : int;
+        (** owner operations since the oldest buffered item arrived *)
+    mutable dbuf : (int * 'v) list;
+        (** deletion buffer, ascending: items claimed-deleted from a stripe
+            in a batch, not yet returned to the owner.  Invisible to every
+            other thread — charged as the T * (B - 1) term of the widened
+            rank bound (DESIGN.md §17) *)
+    mutable dbuf_len : int;
+    mutable dbuf_age : int;
+        (** owner operations since the buffer last emptied; at
+            {!buffer_age_bound} the remainder is flushed back into the
+            thread-local LSM (liveness: a handle that stops deleting must
+            not sit on claimed items) *)
+    mutable dbuf_pending : (int * 'v) list;
+        (** tentative batch claim, recorded {e before} the publish CAS and
+            cleared when the claim resolves; read only by the chaos drive's
+            crash accounting (a thread killed inside the publish holds the
+            claim here whether or not its CAS landed) *)
     rng : Xoshiro.t;
     obs : Obs.handle;
     pool : 'v Block.Pool.t;
-        (** this thread's block pool, shared by [dist] and [shared_h] so
-            blocks retired on either path feed both (§4.4 reuse) *)
+        (** this thread's block pool, shared by [dist] and the stripe
+            handles so blocks retired on either path feed both (§4.4
+            reuse) *)
   }
 
-  let create_with ?(seed = 1) ?(k = 256) ?should_delete ?on_lazy_delete
-      ?spill_max_level ?spill_policy ?(local_ordering = true) ~num_threads () =
+  let create_with ?(seed = 1) ?(k = 256) ?(shards = 1) ?(sticky = 0)
+      ?(buf = 0) ?(dbuf = 0) ?should_delete ?on_lazy_delete ?spill_max_level
+      ?spill_policy ?(local_ordering = true) ~num_threads () =
     if num_threads < 1 then invalid_arg "Klsm.create: num_threads < 1";
+    Option.iter
+      (fun e -> invalid_arg ("Klsm.create: " ^ e))
+      (config_error ~k ~shards ~sticky ~buf ~dbuf);
+    let kp = stripe_k ~k ~shards in
     let hasher = Tabular_hash.create ~seed:(seed lxor 0x5eed) in
     let alive =
       match should_delete with
@@ -94,21 +282,41 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             else true
     in
     {
-      shared = Shared_klsm.create ~k ~local_ordering ~hasher ~alive ();
+      stripes =
+        Array.init shards (fun _ ->
+            Shared_klsm.create ~k:kp ~local_ordering ~maintain_hint:true
+              ~padded:true ~hasher ~alive ());
       dists = Array.init num_threads (fun _ -> B.make None);
       num_threads;
+      num_stripes = shards;
+      k = B.make k;
       seed;
       hasher;
       alive;
       spill_max_level;
       spill_policy;
+      sticky_window = sticky;
+      buf_cap = buf;
+      dbuf_cap = dbuf;
       obs = Obs.create_sheet ~now:B.time ~num_threads ();
     }
 
   let create ?seed ~num_threads () = create_with ?seed ~num_threads ()
 
-  let get_k t = Shared_klsm.get_k t.shared
-  let set_k t k = Shared_klsm.set_k t.shared k
+  let get_k t = B.get t.k
+  let num_stripes t = t.num_stripes
+
+  (** Reconfigure the global budget (§1: "can be configured at run-time");
+      re-partitioned across the stripes, it takes effect on each stripe's
+      next pivot recomputation. *)
+  let set_k t k =
+    Option.iter
+      (fun e -> invalid_arg ("Klsm.set_k: " ^ e))
+      (config_error ~k ~shards:t.num_stripes ~sticky:t.sticky_window
+         ~buf:t.buf_cap ~dbuf:t.dbuf_cap);
+    B.set t.k k;
+    let kp = stripe_k ~k ~shards:t.num_stripes in
+    Array.iter (fun s -> Shared_klsm.set_k s kp) t.stripes
 
   (** Internal-counter snapshot (see {!Pq_intf.S.stats}). *)
   let stats (t : _ t) = Obs.snapshot t.obs
@@ -122,48 +330,212 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       Dist_lsm.create ~obs ~pool ~tid ~hasher:t.hasher ~alive:t.alive ()
     in
     B.set t.dists.(tid) (Some dist);
-    {
-      t;
-      tid;
-      dist;
-      shared_h =
-        Shared_klsm.register ~obs ~pool t.shared ~tid ~rng:(Xoshiro.split rng);
-      spill_tx =
-        (match t.spill_policy with
-        | None -> Fun.id
-        | Some p -> fun block -> p ~alive:t.alive ~tid block);
-      rng;
-      obs;
-      pool;
-    }
+    let stripe_hs =
+      Array.map
+        (fun s -> Shared_klsm.register ~obs ~pool s ~tid ~rng:(Xoshiro.split rng))
+        t.stripes
+    in
+    let home = tid mod t.num_stripes in
+    let h =
+      {
+        t;
+        tid;
+        dist;
+        spill_tx =
+          (match t.spill_policy with
+          | None -> Fun.id
+          | Some p -> fun block -> p ~alive:t.alive ~tid block);
+        stripe_hs;
+        home;
+        rr = 0;
+        fail_streak = 0;
+        migrate_pending = false;
+        backoffs =
+          Array.init t.num_stripes (fun _ ->
+              Backoff.create ~jitter:(Xoshiro.split rng) ());
+        cached = None;
+        cached_key = max_int;
+        cached_stripe = -1;
+        cached_ptrs = Array.make t.num_stripes None;
+        sticky_stripe = home;
+        sticky_left = 0;
+        buf = [];
+        buf_len = 0;
+        buf_min = max_int;
+        buf_age = 0;
+        dbuf = [];
+        dbuf_len = 0;
+        dbuf_age = 0;
+        dbuf_pending = [];
+        rng;
+        obs;
+        pool;
+      }
+    in
+    (* Contention hooks: every failed snapshot CAS on stripe [i] backs the
+       thread off (decorrelated jitter, so losers of the same race stop
+       retrying in lockstep); failures on the current home stripe also feed
+       the migration detector and decay the stickiness window (the sticky
+       stripe is being fought over). *)
+    Array.iteri
+      (fun i sh ->
+        sh.Shared_klsm.on_cas_fail <-
+          (fun () ->
+            Obs.incr obs c_stripe_cas_fail;
+            if i = h.home then begin
+              h.fail_streak <- h.fail_streak + 1;
+              if h.fail_streak >= migrate_threshold then
+                h.migrate_pending <- true
+            end;
+            if h.sticky_left > 0 then h.sticky_left <- h.sticky_left / 2;
+            Backoff.once h.backoffs.(i) ~relax:B.relax_n);
+        sh.Shared_klsm.on_cas_success <-
+          (fun () ->
+            if i = h.home then h.fail_streak <- 0;
+            Backoff.reset h.backoffs.(i)))
+      stripe_hs;
+    h
 
-  (* Publish a block into the shared component, through the durability
-     policy.  Every path a block takes into [t.shared] funnels here. *)
-  let share h block = Shared_klsm.insert h.shared_h (h.spill_tx block)
+  (* Publish a block into the home stripe, through the durability policy —
+     every path a block takes into the shared component funnels here — and
+     act on a pending migration after the publish completed (a
+     {!Shared_klsm.insert} retries on its stripe until it wins, so the
+     decision applies to the next spill). *)
+  let spill_to_home h block =
+    let block = h.spill_tx block in
+    B.fault_point "sharded.spill.publish";
+    Shared_klsm.insert h.stripe_hs.(h.home) block;
+    if h.migrate_pending && h.t.num_stripes > 1 then begin
+      B.fault_point "sharded.migrate";
+      h.migrate_pending <- false;
+      h.fail_streak <- 0;
+      h.home <- (h.home + 1) mod h.t.num_stripes;
+      Obs.incr h.obs c_migrate
+    end
+    else h.migrate_pending <- false
 
-  (** Insert a block directly into the shared component (recovery path:
-      [Spill.recover] links rebuilt cold blocks through this). *)
-  let adopt_block h block = share h block
-
-  (** Insert a key (§4.3): a fresh item goes into the thread-local LSM; if
-      the merge cascade produces a block too large to stay local (level
-      beyond [floor(log2 k) - 1]), that block is bulk-inserted into the
-      shared k-LSM — batching that makes shared updates ~k times rarer. *)
-  let insert h key value =
-    if key < 0 then invalid_arg "Klsm.insert: negative key";
+  (* §4.3 [insert] with the partitioned spill rule: a fresh item goes into
+     the thread-local LSM; a merge cascade that produces a block beyond the
+     level bound of the {e per-stripe} budget ceil(k/S) bulk-inserts that
+     block into the home stripe — batching that makes shared updates ~k
+     times rarer, and keeps each thread-local LSM within the ceil(k/S)
+     term of {!rank_bound}.  With insertion buffering the threshold shrinks
+     by the buffer capacity (DESIGN.md §15): LSM + buffer together stay
+     within the same term. *)
+  let insert_now h key value =
     let item = Item.make key value in
     let max_level =
       match h.t.spill_max_level with
       | Some l -> l
-      | None -> Dist_lsm.max_level_for_k (Shared_klsm.get_k h.t.shared)
+      | None ->
+          let kp = stripe_k ~k:(B.get h.t.k) ~shards:h.t.num_stripes in
+          Dist_lsm.max_level_for_k (max 0 (kp - h.t.buf_cap))
     in
-    Dist_lsm.insert h.dist item ~max_level ~spill:(fun block -> share h block)
+    Dist_lsm.insert h.dist item ~max_level ~spill:(fun b -> spill_to_home h b)
 
-  (** Bulk insertion: a whole batch becomes one sorted block inserted into
-      the shared component with a single CAS — the LSM's natural strength
-      (§4.1 reduces shared updates by batching; this exposes the mechanism
-      to applications that produce keys in bursts, e.g. node expansions).
-      Linearizes once for the entire batch. *)
+  (** Flush the insertion buffer into the thread-local LSM (no-op when
+      empty).  Items leave the buffer one by one {e after} entering the
+      LSM, so a crash mid-flush leaves every not-yet-inserted item still
+      visible in [h.buf] (the chaos drive reads it to account for a
+      crashed thread's buffered items); [buf_min] stays conservatively low
+      until the buffer empties. *)
+  let flush_buffer h =
+    if h.buf_len > 0 then begin
+      B.fault_point "sharded.buffer.flush";
+      Obs.incr h.obs c_buffer_flush;
+      let rec drain () =
+        match h.buf with
+        | [] ->
+            h.buf_min <- max_int;
+            h.buf_age <- 0
+        | (key, value) :: rest ->
+            insert_now h key value;
+            h.buf <- rest;
+            h.buf_len <- h.buf_len - 1;
+            drain ()
+      in
+      drain ()
+    end
+
+  (** Return claimed-but-unserved deletion-buffer items to the queue: each
+      is reinserted into the thread-local LSM as a fresh item (the claimed
+      originals were consumed from their stripe and are invisible to every
+      other thread, so reinsertion is the only way back to visibility).
+      Triggered by the owner's age bound — a handle that stops deleting
+      must not sit on claimed items — and by the chaos drive on surviving
+      threads.  Items leave the buffer one by one {e after} reinsertion,
+      mirroring {!flush_buffer}'s crash discipline: a crash mid-flush
+      leaves the not-yet-reinserted tail visible in [h.dbuf] for the
+      conservation accounting (an item caught on both sides is delivered
+      at most once — the buffered copy never leaves a dead handle). *)
+  let flush_dbuf h =
+    if h.dbuf_len > 0 then begin
+      B.fault_point "sharded.dbuf.flush";
+      Obs.incr h.obs c_dbuf_flush;
+      let rec drain () =
+        match h.dbuf with
+        | [] -> h.dbuf_age <- 0
+        | (key, value) :: rest ->
+            insert_now h key value;
+            h.dbuf <- rest;
+            h.dbuf_len <- h.dbuf_len - 1;
+            drain ()
+      in
+      drain ()
+    end
+
+  (* One owner operation elapsed while deletion-buffer items wait; flush
+     the remainder once the age bound is crossed. *)
+  let dbuf_tick h =
+    if h.dbuf_len > 0 then begin
+      h.dbuf_age <- h.dbuf_age + 1;
+      if h.dbuf_age >= buffer_age_bound then flush_dbuf h
+    end
+
+  (** Insert a key (§4.3), through the per-handle insertion buffer when one
+      is configured (DESIGN.md §15): the common case is then a buffer
+      push; the LSM merge cascade and any stripe publish happen only on
+      flush. *)
+  let insert h key value =
+    if key < 0 then invalid_arg "Klsm.insert: negative key";
+    dbuf_tick h;
+    if h.t.buf_cap = 0 then insert_now h key value
+    else begin
+      if h.buf_len > 0 then begin
+        h.buf_age <- h.buf_age + 1;
+        if h.buf_age >= buffer_age_bound then flush_buffer h
+      end;
+      h.buf <- (key, value) :: h.buf;
+      h.buf_len <- h.buf_len + 1;
+      if key < h.buf_min then h.buf_min <- key;
+      if h.buf_len >= h.t.buf_cap then flush_buffer h
+    end
+
+  (* The delete-min/find-min side of buffering: serve from the exact local
+     LSM unless a buffered key undercuts it, in which case flush first.
+     This is what keeps find_min exact for the owner (no buffered item is
+     ever invisible {e below} the served candidate) and single-thread
+     semantics exact overall. *)
+  let local_min_flushing h =
+    let local = Dist_lsm.find_min h.dist in
+    if
+      h.buf_len > 0
+      &&
+      match local with
+      | None -> true
+      | Some it -> h.buf_min < Item.key it
+    then begin
+      flush_buffer h;
+      Dist_lsm.find_min h.dist
+    end
+    else local
+
+  (** Bulk insertion: a whole batch becomes one sorted block published to
+      the home stripe with a single CAS — the LSM's natural strength (§4.1
+      reduces shared updates by batching; this exposes the mechanism to
+      applications that produce keys in bursts, e.g. node expansions).
+      Linearizes once for the entire batch and bypasses the insertion
+      buffer — the batch is already the amortized path. *)
   let insert_batch h pairs =
     match Array.length pairs with
     | 0 -> ()
@@ -185,7 +557,123 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         block.Block.filter <-
           Klsm_primitives.Bloom.singleton ~hasher:h.t.hasher h.tid;
         Array.iter (fun it -> Block.append ~alive:h.t.alive block it) items;
-        share h block
+        spill_to_home h block
+
+  (* ---- the striped find_min race ---- *)
+
+  (* Is the cached candidate still a valid answer?  It must be alive, and
+     every stripe must either be physically unchanged since the cache was
+     filled (its pointer token matches; logical deletions do not move the
+     pointer and only shrink the smaller-than set) or hint that it holds
+     nothing below the cached key.  S atomic loads replace two-plus full
+     snapshot consults. *)
+  let cache_valid h =
+    match h.cached with
+    | None -> false
+    | Some it ->
+        h.t.alive it
+        &&
+        let s = h.t.num_stripes in
+        let ok = ref true in
+        let j = ref 0 in
+        while !ok && !j < s do
+          let stripe = h.t.stripes.(!j) in
+          if
+            Shared_klsm.peek_shared stripe != h.cached_ptrs.(!j)
+            && Shared_klsm.min_hint stripe < h.cached_key
+          then ok := false;
+          incr j
+        done;
+        !ok
+
+  (* The full race: a primary stripe (the sticky stripe while the
+     stickiness window is open, the home stripe otherwise), then every
+     other stripe whose min hint undercuts the best so far (scanned from a
+     rotating offset).  Every stripe is thus either consulted (candidate
+     within its ceil(k/S) relaxation) or certified by its hint to hold
+     nothing smaller — the case split the DESIGN §12 rank bound sums over,
+     regardless of which stripe went first. *)
+  let race h =
+    let s = h.t.num_stripes in
+    (* Observation tokens first: a publish landing between the token read
+       and the consult can only make the cache conservatively stale. *)
+    for j = 0 to s - 1 do
+      h.cached_ptrs.(j) <- Shared_klsm.peek_shared h.t.stripes.(j)
+    done;
+    let best = ref None in
+    let best_key = ref max_int in
+    let best_stripe = ref (-1) in
+    let consult i =
+      match Shared_klsm.find_min h.stripe_hs.(i) with
+      | None -> ()
+      | Some it ->
+          let key = Item.key it in
+          if Option.is_none !best || key < !best_key then begin
+            best := Some it;
+            best_key := key;
+            best_stripe := i
+          end
+    in
+    let primary =
+      if h.t.sticky_window > 0 && h.sticky_left > 0 then begin
+        h.sticky_left <- h.sticky_left - 1;
+        Obs.incr h.obs c_sticky_hit;
+        h.sticky_stripe
+      end
+      else h.home
+    in
+    consult primary;
+    if s > 1 then begin
+      (* Rotating scan offset: when several stripes undercut the current
+         best they are consulted in a different order each race, so no
+         single stripe permanently wins the ties. *)
+      h.rr <- h.rr + 1;
+      let start = h.rr mod s in
+      for d = 0 to s - 1 do
+        let j = (start + d) mod s in
+        if j <> primary && Shared_klsm.min_hint h.t.stripes.(j) < !best_key
+        then begin
+          Obs.incr h.obs c_hint_consult;
+          consult j
+        end
+      done
+    end;
+    h.cached <- !best;
+    h.cached_key <- !best_key;
+    h.cached_stripe <- !best_stripe;
+    !best
+
+  (* Do the hints certify that no stripe holds anything below [key]? *)
+  let stripes_certified_above h key =
+    let s = h.t.num_stripes in
+    let ok = ref true in
+    let j = ref 0 in
+    while !ok && !j < s do
+      if Shared_klsm.min_hint h.t.stripes.(!j) < key then ok := false;
+      incr j
+    done;
+    !ok
+
+  (* The shared side of Listing 5's race against the best candidate the
+     owner already holds ([best_known], [max_int] = none): nothing when the
+     hints certify every stripe sits at or above it — S atomic loads serve
+     the common serve-locally path (the split §4.3's design argument is
+     about) — else the cached candidate or, on a cache miss, a fresh race.
+     The returned item may be taken concurrently; the delete-min loops
+     handle that. *)
+  let shared_candidate h best_known =
+    if best_known < max_int && stripes_certified_above h best_known then begin
+      Obs.incr h.obs c_hint_skip;
+      None
+    end
+    else if cache_valid h then begin
+      Obs.incr h.obs c_cache_hit;
+      h.cached
+    end
+    else begin
+      Obs.incr h.obs c_cache_miss;
+      race h
+    end
 
   (* Spy on one random other thread (Listing 5's fallback when both
      components look empty). *)
@@ -201,156 +689,269 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       | Some victim -> Dist_lsm.spy h.dist ~victim
     end
 
+  (* The empty-handed fallback of every delete path: §4.2 requires spy to
+     start from an empty local LSM; ours may still hold logically deleted
+     items, so clean it first.  [true] = the spy moved items over. *)
+  let spy_round h =
+    Dist_lsm.consolidate h.dist;
+    Obs.incr h.obs c_spy_attempt;
+    if spy_once h then begin
+      Obs.incr h.obs c_spy_success;
+      true
+    end
+    else begin
+      Obs.incr h.obs c_delete_empty;
+      false
+    end
+
+  let key_or_max = function Some it -> Item.key it | None -> max_int
+
+  (* Batched shared delete (DESIGN.md §17): claim up to B = [dbuf_cap]
+     items from the stripe that won the race with ONE publish CAS
+     ({!Shared_klsm.try_pop_batch}), capped at the local minimum — the
+     run must not reach past what the owner itself holds.  No cross-stripe
+     cap is applied at claim time: stripe hints lower-bound the smallest
+     {e alive} key through logically deleted items, so they are
+     systematically stale-low and would veto nearly every claim; instead
+     the serve rule in {!try_delete_min} re-certifies the buffered head
+     against the {e live} hints at every serve, which is strictly stronger
+     than a claim-time check (hints move; the serve-time one is the one
+     that matters for the rank bound).  The head is returned now; the rest
+     lands in the owner's deletion buffer.  [dbuf_pending] records the
+     tentative run before the CAS, for the chaos drive's crash accounting.
+     [None] = claim lost or nothing under the cap; the caller falls back
+     to the single take. *)
+  let claim_batch h ~local_key =
+    let stripe_i = h.cached_stripe in
+    let run =
+      Shared_klsm.try_pop_batch
+        ~stage:(fun pending -> h.dbuf_pending <- pending)
+        ~limit:local_key h.stripe_hs.(stripe_i) h.t.dbuf_cap
+    in
+    h.dbuf_pending <- [];
+    match run with
+    | [] -> None
+    | (key, value) :: rest ->
+        h.dbuf <- rest;
+        h.dbuf_len <- List.length rest;
+        h.dbuf_age <- 0;
+        Obs.incr h.obs c_delete_shared;
+        if h.t.sticky_window > 0 then begin
+          h.sticky_stripe <- stripe_i;
+          h.sticky_left <- h.t.sticky_window
+        end;
+        (* The winning publish restructured the stripe; drop the candidate
+           cache rather than let it point at a just-claimed item. *)
+        h.cached <- None;
+        Some (key, value)
+
   (** Listing 5's [delete_min]: race the thread-local minimum against the
-      shared k-LSM's relaxed minimum, attempt the test-and-set, retry on
-      lost races, and spy on other threads' local LSMs before reporting
-      empty.  Lock-free: every retry implies another thread succeeded. *)
+      shared component's relaxed minimum, attempt the test-and-set, retry
+      on lost races, and spy on other threads' local LSMs before reporting
+      empty.  Lock-free: every retry implies another thread succeeded.  A
+      successful shared delete opens (or refreshes) the stickiness window
+      on the serving stripe.
+
+      With deletion batching on ([~dbuf:B]), the deletion buffer is
+      consulted first: its head was globally minimal under the rank bound
+      when claimed, and is served — with zero CASes and zero stripe
+      consults beyond the hint loads — whenever neither the local minimum
+      nor any stripe hint undercuts it.  A shared win with an empty buffer
+      claims a fresh run via {!claim_batch}. *)
   let try_delete_min h =
+    dbuf_tick h;
     let rec outer () =
       let rec take_loop () =
-        let local = Dist_lsm.find_min h.dist in
-        (* [from_shared] records which component supplied the winning
-           candidate — the split the paper's §4.3 design argument is
-           about (most deletes should be served locally). *)
-        let shared = Shared_klsm.find_min h.shared_h in
-        let candidate, from_shared =
-          match (local, shared) with
-          | None, sh -> (sh, true)
-          | Some it, Some sh when Item.key sh < Item.key it -> (Some sh, true)
-          | Some _, _ -> (local, false)
+        let local = local_min_flushing h in
+        let local_key = key_or_max local in
+        let dhead =
+          match h.dbuf with [] -> max_int | (key, _) :: _ -> key
         in
-        match candidate with
-        | None -> None
-        | Some item ->
-            if Item.take item then begin
-              Obs.incr h.obs
-                (if from_shared then c_delete_shared else c_delete_local);
-              Some (Item.key item, Item.value item)
-            end
-            else begin
-              Obs.incr h.obs c_take_race;
-              take_loop ()
-            end
+        let shared = shared_candidate h (min local_key dhead) in
+        let shared_key = key_or_max shared in
+        if dhead < max_int && dhead <= local_key && dhead <= shared_key then begin
+          (* Deletion-buffer hit: the claimed head is still the best known
+             candidate (ties go to the buffer — its item is already
+             deleted, so serving it costs nothing). *)
+          match h.dbuf with
+          | (key, value) :: rest ->
+              h.dbuf <- rest;
+              h.dbuf_len <- h.dbuf_len - 1;
+              if h.dbuf_len = 0 then h.dbuf_age <- 0;
+              Obs.incr h.obs c_dbuf_hit;
+              Obs.incr h.obs c_delete_shared;
+              Some (key, value)
+          | [] -> assert false
+        end
+        else
+          (* [from_shared] records which component supplied the winning
+             candidate — the split the paper's §4.3 design argument is
+             about (most deletes should be served locally). *)
+          let candidate, from_shared =
+            match (local, shared) with
+            | None, sh -> (sh, true)
+            | Some it, Some sh when Item.key sh < Item.key it ->
+                (Some sh, true)
+            | Some _, _ -> (local, false)
+          in
+          match candidate with
+          | None -> None
+          | Some item -> (
+              match
+                if
+                  from_shared && h.t.dbuf_cap > 0 && h.dbuf_len = 0
+                  && h.cached_stripe >= 0
+                then claim_batch h ~local_key
+                else None
+              with
+              | Some kv -> Some kv
+              | None ->
+                  if Item.take item then begin
+                    if from_shared then begin
+                      Obs.incr h.obs c_delete_shared;
+                      if h.t.sticky_window > 0 && h.cached_stripe >= 0
+                      then begin
+                        h.sticky_stripe <- h.cached_stripe;
+                        h.sticky_left <- h.t.sticky_window
+                      end
+                    end
+                    else Obs.incr h.obs c_delete_local;
+                    Some (Item.key item, Item.value item)
+                  end
+                  else begin
+                    Obs.incr h.obs c_take_race;
+                    take_loop ()
+                  end)
       in
       match take_loop () with
       | Some kv -> Some kv
-      | None ->
-          (* §4.2 requires spy to start from an empty local LSM; ours may
-             still hold logically deleted items, so clean it first. *)
-          Dist_lsm.consolidate h.dist;
-          Obs.incr h.obs c_spy_attempt;
-          if spy_once h then begin
-            Obs.incr h.obs c_spy_success;
-            outer ()
-          end
-          else begin
-            Obs.incr h.obs c_delete_empty;
-            None
-          end
+      | None -> if spy_round h then outer () else None
     in
     outer ()
 
-  (** Batched delete-min (DESIGN.md §17): when the shared component holds
-      the minimum, claim a whole run of it with one CAS
-      ({!Shared_klsm.try_pop_batch}) capped at the local minimum so every
-      returned key is one [try_delete_min] could have returned at its
-      position; local wins are taken one at a time (they are already
-      CAS-free).  Returns up to [n] items ascending; short batches mean the
-      queue looked empty mid-run (same contract as a spurious [None]). *)
+  (* The one-stripe batch (S = 1, no deletion buffer): Listing 5's race,
+     but a shared win claims a whole run of the stripe with one publish
+     CAS ({!Shared_klsm.try_pop_batch}) capped at the local minimum, so
+     every returned key is one [try_delete_min] could have returned at its
+     position — with a single stripe no other stripe can undercut the run.
+     Local wins are taken one at a time (they are already CAS-free); ties
+     go local, as in the single-pop race. *)
+  let claim_runs h n =
+    let out = ref [] (* descending *) and got = ref 0 in
+    let push kv =
+      out := kv :: !out;
+      incr got
+    in
+    let take it ~counter =
+      if Item.take it then begin
+        Obs.incr h.obs counter;
+        push (Item.key it, Item.value it)
+      end
+      else Obs.incr h.obs c_take_race
+    in
+    let rec go () =
+      if !got < n then begin
+        let local = local_min_flushing h in
+        let local_key = key_or_max local in
+        match (local, shared_candidate h local_key) with
+        | None, None -> if spy_round h then go ()
+        | Some it, None ->
+            take it ~counter:c_delete_local;
+            go ()
+        | Some it, Some s when Item.key it <= Item.key s ->
+            take it ~counter:c_delete_local;
+            go ()
+        | _, Some s ->
+            (match
+               Shared_klsm.try_pop_batch h.stripe_hs.(0) ~limit:local_key
+                 (n - !got)
+             with
+            | [] ->
+                (* Contended or stale view: fall back to a single take. *)
+                take s ~counter:c_delete_shared
+            | kvs ->
+                h.cached <- None;
+                List.iter
+                  (fun kv ->
+                    Obs.incr h.obs c_delete_shared;
+                    push kv)
+                  kvs);
+            go ()
+      end
+    in
+    go ();
+    List.rev !out
+
+  (** Batched delete-min (DESIGN.md §17; see
+      {!Pq_intf.S.try_delete_min_batch}): up to [n] items, ascending; a
+      short batch means the queue looked empty mid-run.  At [S = 1] a
+      shared win claims a whole run with one publish CAS ({!claim_runs},
+      counted by [shared.batch_claim]).  Otherwise it is a plain
+      {!try_delete_min} loop — with deletion batching on, the first
+      iteration claims a run and the rest of the batch drains the buffer,
+      so the whole call still costs one publish CAS per up-to-B items. *)
   let try_delete_min_batch h n =
     if n <= 0 then []
-    else begin
-      let out = ref [] (* descending *) and got = ref 0 in
-      let rec go () =
-        if !got < n then begin
-          let local = Dist_lsm.find_min h.dist in
-          let shared = Shared_klsm.find_min h.shared_h in
-          (* Local at least ties — same arbitration as the single-pop race
-             (ties go local). *)
-          let take_local it =
-            if Item.take it then begin
-              Obs.incr h.obs c_delete_local;
-              out := (Item.key it, Item.value it) :: !out;
-              incr got
-            end
-            else Obs.incr h.obs c_take_race;
-            go ()
-          in
-          match (local, shared) with
-          | Some it, None -> take_local it
-          | Some it, Some s when Item.key it <= Item.key s -> take_local it
-          | _, Some s -> (
-              let limit =
-                match local with Some it -> Item.key it | None -> max_int
-              in
-              match
-                Shared_klsm.try_pop_batch h.shared_h ~limit (n - !got)
-              with
-              | [] ->
-                  (* Contended or stale view: fall back to a single take. *)
-                  if Item.take s then begin
-                    Obs.incr h.obs c_delete_shared;
-                    out := (Item.key s, Item.value s) :: !out;
-                    incr got
-                  end
-                  else Obs.incr h.obs c_take_race;
-                  go ()
-              | kvs ->
-                  List.iter
-                    (fun kv ->
-                      Obs.incr h.obs c_delete_shared;
-                      out := kv :: !out;
-                      incr got)
-                    kvs;
-                  go ())
-          | None, None ->
-              (* Both empty: one spy round, then report the short batch. *)
-              Dist_lsm.consolidate h.dist;
-              Obs.incr h.obs c_spy_attempt;
-              if spy_once h then begin
-                Obs.incr h.obs c_spy_success;
-                go ()
-              end
-              else Obs.incr h.obs c_delete_empty
-        end
+    else if h.t.num_stripes = 1 && h.t.dbuf_cap = 0 then claim_runs h n
+    else
+      let rec go acc got =
+        if got >= n then List.rev acc
+        else
+          match try_delete_min h with
+          | Some kv -> go (kv :: acc) (got + 1)
+          | None -> List.rev acc
       in
-      go ();
-      List.rev !out
-    end
+      go [] 0
 
   (** Relaxed peek (the paper's try_find_min interface extension, §4):
       returns a key/value among the rho+1 smallest without deleting it.
       The item may be deleted concurrently right after (or even just
       before) the return — peeking is inherently advisory on a concurrent
-      queue. *)
+      queue.  Flushes the insertion buffer when a buffered key undercuts
+      the local minimum, so no buffered item hides below the answer; a
+      deletion-buffer head competes like any candidate (it is part of the
+      owner's view, so hiding it would break owner exactness). *)
   let try_find_min h =
-    let local = Dist_lsm.find_min h.dist in
-    let shared = Shared_klsm.find_min h.shared_h in
-    let candidate =
-      match (local, shared) with
-      | None, sh -> sh
-      | Some it, Some sh when Item.key sh < Item.key it -> Some sh
-      | Some _, _ -> local
-    in
-    Option.map (fun it -> (Item.key it, Item.value it)) candidate
+    let local = local_min_flushing h in
+    let local_key = key_or_max local in
+    let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
+    let shared = shared_candidate h (min local_key dhead) in
+    let shared_key = key_or_max shared in
+    if dhead < max_int && dhead <= local_key && dhead <= shared_key then
+      match h.dbuf with
+      | (key, value) :: _ -> Some (key, value)
+      | [] -> assert false
+    else
+      let candidate =
+        match (local, shared) with
+        | None, sh -> sh
+        | Some it, Some sh when Item.key sh < Item.key it -> Some sh
+        | Some _, _ -> local
+      in
+      Option.map (fun it -> (Item.key it, Item.value it)) candidate
 
   (** Meld (paper §4.5): move every item of [src] into the queue behind
       [h], at block granularity — merging "lies at the heart of the LSM
-      idea".  As in the paper, this is NOT linearizable: the caller must
-      have exclusive access to [src] for the duration (concurrent
-      operations on the destination are fine).  Adopted blocks get the
-      conservative all-threads Bloom filter, since [src]'s filters were
-      built with a different hash function. *)
+      idea" — through [h]'s home stripe.  As in the paper, this is NOT
+      linearizable: the caller must have exclusive access to [src] for the
+      duration (concurrent operations on the destination are fine).
+      Adopted blocks get the conservative all-threads Bloom filter, since
+      [src]'s filters were built with a different hash function.
+      Insertion buffers live in {e handles}, not in [src]: callers must
+      {!flush_buffer} the source's handles first or those items stay
+      behind. *)
   let meld h ~src =
     let adopt block =
       if not (Block.is_empty block) then begin
         let b = Block.copy ~alive:h.t.alive block (Block.level block) in
         b.Block.filter <- Klsm_primitives.Bloom.full;
         let b = Block.shrink ~alive:h.t.alive b in
-        if not (Block.is_empty b) then share h b
+        if not (Block.is_empty b) then spill_to_home h b
       end
     in
-    List.iter adopt (Shared_klsm.steal_all src.shared);
+    Array.iter
+      (fun stripe -> List.iter adopt (Shared_klsm.steal_all stripe))
+      src.stripes;
     Array.iter
       (fun slot ->
         match B.get slot with
@@ -364,9 +965,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let consolidate_local h = Dist_lsm.consolidate h.dist
 
   (** Number of items currently held (counting not-yet-cleaned deleted
-      items); the paper allows this to be off by rho. *)
+      items); the paper allows this to be off by rho.  Items sitting in
+      per-handle insertion buffers are not visible from [t]; the count may
+      under-report by at most T * B. *)
   let approximate_size t =
-    let acc = ref (Shared_klsm.approximate_size t.shared) in
+    let acc = ref 0 in
+    Array.iter
+      (fun stripe -> acc := !acc + Shared_klsm.approximate_size stripe)
+      t.stripes;
     Array.iter
       (fun slot ->
         match B.get slot with
@@ -375,9 +981,20 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       t.dists;
     !acc
 
-  (* Internal accessors for white-box tests. *)
-  let internal_shared t = t.shared
+  (** Insert a block directly into the home stripe (recovery path:
+      [Spill.recover] links rebuilt cold blocks through this; the policy
+      passes already-spilled blocks through untouched). *)
+  let adopt_block h block = spill_to_home h block
+
+  (* Internal accessors for white-box tests and the chaos drive. *)
+  let internal_stripes t = t.stripes
+  let internal_stripe_handles h = h.stripe_hs
   let internal_dist h = h.dist
+  let internal_buffered h = h.buf
+  let internal_dbuf h = h.dbuf
+  let internal_dbuf_pending h = h.dbuf_pending
+  let internal_sticky_left h = h.sticky_left
+  let internal_sticky_stripe h = h.sticky_stripe
 end
 
 (** The deployment instantiation on OCaml domains. *)

@@ -30,7 +30,7 @@ module type S = sig
       component per §4.3 (for the k-LSM; baselines use their own paths).
 
       Visibility caveat (DESIGN.md §15): implementations with per-handle
-      insertion buffering (the sharded k-LSM's [~buf]) may hold up to B
+      insertion buffering (the k-LSM's [~buf]) may hold up to B
       inserted items in the inserting handle, invisible to {e other}
       threads until a flush — triggered by buffer capacity, an age bound,
       or the owner's next delete-min/find-min whose answer the buffer

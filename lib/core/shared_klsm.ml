@@ -43,8 +43,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             disabling is an ablation knob, not a paper configuration *)
     maintain_hint : bool;
         (** keep {!min_hint} current on every publish; off by default so the
-            standalone shared component's schedules are untouched — only the
-            sharded composition ({!Sharded_klsm}) opts in *)
+            standalone shared component's schedules are untouched — the
+            k-LSM's stripes ({!Klsm}) opt in *)
     hint : int B.atomic;
         (** conservative lower bound on the smallest {e alive} key in the
             published array ([max_int] = empty): the stored minimum counts
@@ -69,7 +69,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     mutable snapshot : 'v Block_array.t option;
     mutable on_cas_fail : unit -> unit;
         (** contention hook: runs after every failed snapshot CAS.  The
-            sharded composition installs per-stripe decorrelated backoff
+            k-LSM ({!Klsm}) installs per-stripe decorrelated backoff
             here; defaults to a no-op so standalone behaviour (and the
             simulator schedules the chaos replays depend on) is
             unchanged. *)
@@ -81,7 +81,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let create ?(k = 256) ?(local_ordering = true) ?(maintain_hint = false)
       ?(padded = false) ~hasher ~alive () =
     if k < 0 then invalid_arg "Shared_klsm.create: k < 0";
-    (* [~padded:true] (the sharded composition) reallocates the contended
+    (* [~padded:true] (the k-LSM's stripes) reallocates the contended
        atomics behind a cache line each ({!Klsm_primitives.Padded}), so
        stripe [i]'s publish CAS traffic stops evicting stripe [i+1]'s
        hint: the atomics of S stripes created in one loop are otherwise
@@ -145,7 +145,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     (match next with
     | Some arr -> Array.iter Block.publish (Block_array.blocks arr)
     | None -> ());
-    (* Hint maintenance (sharded stripes only): pre-lower the hint so the
+    (* Hint maintenance (k-LSM stripes only): pre-lower the hint so the
        window between a winning CAS and its exact hint write never shows a
        too-high bound to concurrent readers; a failed attempt leaves the
        hint conservatively low until the next publish fixes it. *)
@@ -301,9 +301,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       {!Block.prefix_view} over its own arrays, a fully-consumed one is
       dropped — pivots are recomputed and the result installed.  Only
       items with key [<= limit] are claimed, which is how callers keep
-      the run within their own relaxed budget (the sharded composition
-      caps at its local minimum and re-certifies each buffered item at
-      serve time).
+      the run within their own relaxed budget (the k-LSM caps at its
+      local minimum and, across stripes, re-certifies each buffered item
+      at serve time).
 
       The winning CAS is the linearization point of the whole run: from
       then on no other thread can reach the claimed items structurally, and

@@ -12,7 +12,6 @@
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Klsm = Klsm_core.Klsm.Make (B)
-  module Sharded = Klsm_core.Sharded_klsm.Make (B)
   module Spill = Klsm_store.Spill.Make (B)
   module Dlsm = Klsm_core.Dlsm.Make (B)
   module Locked_heap = Klsm_baselines.Locked_heap.Make (B)
@@ -32,15 +31,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let default_store_dir = Filename.concat "_store" "default"
   let default_spill_bytes = 1 lsl 20
 
-  (** Contention-engineering parameters of the sharded k-LSM
-      (lib/core/sharded_klsm.ml; DESIGN.md §12 and §15; docs/TUNING.md). *)
+  (** Striping and contention parameters of the k-LSM
+      (lib/core/klsm.ml; DESIGN.md §12 and §15; docs/TUNING.md). *)
   type sharded_cfg = {
     k : int;  (** global relaxation budget *)
-    shards : int;  (** stripe count S (initial count with [adapt]) *)
+    shards : int;  (** stripe count S *)
     sticky : int;  (** stickiness window W; 0 = off *)
     buf : int;  (** insertion-buffer capacity B; 0 = off *)
     dbuf : int;  (** deletion batch size B (DESIGN.md §17); 0 = off *)
-    adapt : (int * int) option;  (** adaptive stripe targets (lo, hi) *)
   }
 
   type spec =
@@ -48,18 +46,43 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Linden
     | Spraylist
     | Multiq of int  (** c: queues per thread *)
-    | Klsm of int  (** k *)
-    | Klsm_sharded of sharded_cfg
+    | Klsm of int  (** k: the paper's queue, one stripe *)
+    | Klsm_sharded of sharded_cfg  (** the same queue with S stripes *)
     | Dlsm
     | Wimmer_centralized
     | Wimmer_hybrid of int  (** k *)
     | Stored of spec * store_cfg
         (** a klsm/klsm-sharded with the lib/store durability tier *)
 
-  (** [klsm_sharded k shards] with the contention knobs defaulted off —
-      the exact PR 5 sharded queue. *)
-  let klsm_sharded ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ?adapt k shards =
-    Klsm_sharded { k; shards; sticky; buf; dbuf; adapt }
+  (** The k-LSM configuration a spec builds — [Klsm k] is its S = 1 case,
+      [Stored] the configuration underneath — or [None] for the other
+      queues. *)
+  let rec klsm_cfg = function
+    | Klsm k -> Some { k; shards = 1; sticky = 0; buf = 0; dbuf = 0 }
+    | Klsm_sharded cfg -> Some cfg
+    | Stored (inner, _) -> klsm_cfg inner
+    | Heap_lock | Linden | Spraylist | Multiq _ | Dlsm | Wimmer_centralized
+    | Wimmer_hybrid _ ->
+        None
+
+  (** The structural rank bound rho of [spec] on [threads] threads —
+      {!Klsm_core.Klsm.rank_bound} for the k-LSMs, [T * k] for the hybrid
+      k-queue, 0 for the exact queues — or [None] for the queues with no
+      worst-case bound. *)
+  let rank_bound ~threads spec =
+    match (spec, klsm_cfg spec) with
+    | _, Some c ->
+        Some
+          (Klsm_core.Klsm.rank_bound ~shards:c.shards ~dbuf:c.dbuf ~threads
+             ~k:c.k ())
+    | Wimmer_hybrid k, _ -> Some (threads * k)
+    | (Heap_lock | Linden | Wimmer_centralized), _ -> Some 0
+    | (Spraylist | Multiq _ | Dlsm | Klsm _ | Klsm_sharded _ | Stored _), _ ->
+        None
+
+  (** [klsm_sharded k shards], the contention knobs defaulted off. *)
+  let klsm_sharded ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) k shards =
+    Klsm_sharded { k; shards; sticky; buf; dbuf }
 
   let rec spec_name = function
     | Heap_lock -> "heap+lock"
@@ -77,10 +100,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           Buffer.add_string b (Printf.sprintf ",buf=%d" cfg.buf);
         if cfg.dbuf > 0 then
           Buffer.add_string b (Printf.sprintf ",dbuf=%d" cfg.dbuf);
-        (match cfg.adapt with
-        | Some (lo, hi) ->
-            Buffer.add_string b (Printf.sprintf ",adapt=%d-%d" lo hi)
-        | None -> ());
         Buffer.add_char b ')';
         Buffer.contents b
     | Dlsm -> "dlsm"
@@ -130,10 +149,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | "klsm-sharded" | "sharded" -> (
         (* Colon-separated parameters: up to two positional integers (k,
            then the shard count S; defaults 256 and 4), then keyed knobs in
-           any order — "sticky=<W>", "buf=<B>", "adapt=<LO>-<HI>".  The
-           shard count must satisfy 1 <= S <= k so every stripe gets a
-           non-empty slice of the relaxation budget; the knob constraints
-           mirror Sharded_klsm.create_with (docs/TUNING.md). *)
+           any order — "sticky=<W>", "buf=<B>", "dbuf=<B>".  The budget
+           constraints are Klsm.config_error's, the ones create_with
+           enforces (docs/TUNING.md). *)
         let parse_int ~what a =
           match int_of_string_opt a with
           | Some v when v >= 0 -> Ok v
@@ -143,7 +161,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                    "%S: parameter %S is not a non-negative integer (%s)" s a
                    what)
         in
-        let is_pow2 n = n > 0 && n land (n - 1) = 0 in
         let toks =
           match arg with None -> [] | Some a -> String.split_on_char ':' a
         in
@@ -165,7 +182,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     Error
                       (Printf.sprintf
                          "%S: unexpected third positional parameter %S (only \
-                          k and S are positional; use sticky=, buf=, adapt= \
+                          k and S are positional; use sticky=, buf=, dbuf= \
                           for the contention knobs)"
                          s tok)
                   else
@@ -175,161 +192,47 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               | Some i -> (
                   let key = String.sub tok 0 i in
                   let v = String.sub tok (i + 1) (String.length tok - i - 1) in
+                  (* A keyed knob is a positive integer; 0 is spelled by
+                     omitting it. *)
+                  let knob what set =
+                    match parse_int ~what v with
+                    | Error e -> Error e
+                    | Ok 0 ->
+                        Error
+                          (Printf.sprintf
+                             "%S: %s must be >= 1 (omit %s= to disable it)" s
+                             what key)
+                    | Ok n -> collect rest ~npos (set n)
+                  in
                   match key with
-                  | "sticky" -> (
-                      match parse_int ~what:"the stickiness window W" v with
-                      | Error e -> Error e
-                      | Ok 0 ->
-                          Error
-                            (Printf.sprintf
-                               "%S: stickiness window must be >= 1 (omit \
-                                sticky= to disable stickiness)"
-                               s)
-                      | Ok w -> collect rest ~npos { acc with sticky = w })
-                  | "buf" -> (
-                      match
-                        parse_int ~what:"the insertion-buffer capacity B" v
-                      with
-                      | Error e -> Error e
-                      | Ok 0 ->
-                          Error
-                            (Printf.sprintf
-                               "%S: insertion-buffer capacity must be >= 1 \
-                                (omit buf= to disable buffering)"
-                               s)
-                      | Ok b -> collect rest ~npos { acc with buf = b })
-                  | "dbuf" -> (
-                      match
-                        parse_int ~what:"the deletion batch size B" v
-                      with
-                      | Error e -> Error e
-                      | Ok 0 ->
-                          Error
-                            (Printf.sprintf
-                               "%S: deletion batch size must be >= 1 (omit \
-                                dbuf= to disable delete batching)"
-                               s)
-                      | Ok b -> collect rest ~npos { acc with dbuf = b })
-                  | "adapt" -> (
-                      match String.index_opt v '-' with
-                      | None ->
-                          Error
-                            (Printf.sprintf
-                               "%S: adapt wants two stripe targets \
-                                adapt=<LO>-<HI>, got %S"
-                               s v)
-                      | Some j -> (
-                          let ls = String.sub v 0 j in
-                          let hs =
-                            String.sub v (j + 1) (String.length v - j - 1)
-                          in
-                          match
-                            ( parse_int ~what:"the adapt lower target" ls,
-                              parse_int ~what:"the adapt upper target" hs )
-                          with
-                          | Error e, _ | _, Error e -> Error e
-                          | Ok lo, Ok hi ->
-                              if not (is_pow2 lo && is_pow2 hi) then
-                                Error
-                                  (Printf.sprintf
-                                     "%S: adaptive stripe targets must be \
-                                      powers of two (got %d-%d); the active \
-                                      count moves by doubling/halving"
-                                     s lo hi)
-                              else if lo > hi then
-                                Error
-                                  (Printf.sprintf
-                                     "%S: adapt lower target %d exceeds \
-                                      upper target %d"
-                                     s lo hi)
-                              else
-                                collect rest ~npos
-                                  { acc with adapt = Some (lo, hi) }))
+                  | "sticky" ->
+                      knob "the stickiness window W" (fun w ->
+                          { acc with sticky = w })
+                  | "buf" ->
+                      knob "the insertion-buffer capacity B" (fun b ->
+                          { acc with buf = b })
+                  | "dbuf" ->
+                      knob "the deletion batch size B" (fun b ->
+                          { acc with dbuf = b })
                   | _ ->
                       Error
                         (Printf.sprintf
                            "%S: unknown parameter %S (known: sticky=<W>, \
-                            buf=<B>, dbuf=<B>, adapt=<LO>-<HI>)"
+                            buf=<B>, dbuf=<B>)"
                            s key)))
         in
         match
           collect toks ~npos:0
-            { k = 256; shards = 4; sticky = 0; buf = 0; dbuf = 0; adapt = None }
+            { k = 256; shards = 4; sticky = 0; buf = 0; dbuf = 0 }
         with
         | Error e -> Error e
-        | Ok cfg ->
-            if cfg.shards < 1 then
-              Error
-                (Printf.sprintf
-                   "%S: shard count %d < 1 (need at least one stripe)" s
-                   cfg.shards)
-            else if cfg.shards > cfg.k then
-              Error
-                (Printf.sprintf
-                   "%S: shard count %d exceeds the relaxation k = %d (every \
-                    stripe needs a budget of at least 1)"
-                   s cfg.shards cfg.k)
-            else begin
-              (* With ~adapt the stripe array is allocated at the upper
-                 target, so the per-stripe budget — which bounds buf — is
-                 ceil(k / hi). *)
-              let adapt_err =
-                match cfg.adapt with
-                | None -> None
-                | Some (lo, hi) ->
-                    if not (is_pow2 cfg.shards) then
-                      Some
-                        (Printf.sprintf
-                           "%S: with adapt= the shard count must be a power \
-                            of two, got %d"
-                           s cfg.shards)
-                    else if cfg.shards < lo || cfg.shards > hi then
-                      Some
-                        (Printf.sprintf
-                           "%S: shard count %d outside the adapt range \
-                            [%d, %d]"
-                           s cfg.shards lo hi)
-                    else if hi > cfg.k then
-                      Some
-                        (Printf.sprintf
-                           "%S: adapt upper target %d exceeds the relaxation \
-                            k = %d (every stripe needs a budget of at least \
-                            1)"
-                           s hi cfg.k)
-                    else None
-              in
-              match adapt_err with
-              | Some e -> Error e
-              | None ->
-                  let stripes =
-                    match cfg.adapt with
-                    | Some (_, hi) -> hi
-                    | None -> cfg.shards
-                  in
-                  let kp = (cfg.k + stripes - 1) / stripes in
-                  if cfg.buf > kp then
-                    Error
-                      (Printf.sprintf
-                         "%S: insertion buffer %d exceeds the per-stripe \
-                          budget ceil(k/S) = %d (buffered items are charged \
-                          against the local relaxation budget, so B must \
-                          fit inside it)"
-                         s cfg.buf kp)
-                  else if cfg.dbuf > kp then
-                    Error
-                      (Printf.sprintf
-                         "%S: deletion batch %d exceeds the per-stripe \
-                          budget ceil(k/S) = %d (a batch claim must fit \
-                          inside one stripe's relaxation)"
-                         s cfg.dbuf kp)
-                  else if cfg.buf + cfg.dbuf > kp then
-                    Error
-                      (Printf.sprintf
-                         "%S: insertion buffer %d + deletion batch %d \
-                          overdraw the per-stripe budget ceil(k/S) = %d"
-                         s cfg.buf cfg.dbuf kp)
-                  else Ok (Klsm_sharded cfg)
-            end)
+        | Ok cfg -> (
+            match
+              Klsm_core.Klsm.config_error ~k:cfg.k ~shards:cfg.shards
+                ~sticky:cfg.sticky ~buf:cfg.buf ~dbuf:cfg.dbuf
+            with
+            | Some e -> Error (Printf.sprintf "%S: %s" s e)
+            | None -> Ok (Klsm_sharded cfg)))
     | "dlsm" -> no_arg Dlsm
     | "centralized" | "centralized-k" -> no_arg Wimmer_centralized
     | "hybrid" | "hybrid-k" ->
@@ -339,7 +242,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           (Printf.sprintf
              "unknown implementation %S; known: heap, linden, spray, \
               multiq[:C], klsm[:K], \
-              klsm-sharded[:K[:S]][:sticky=W][:buf=B][:dbuf=B][:adapt=LO-HI], \
+              klsm-sharded[:K[:S]][:sticky=W][:buf=B][:dbuf=B], \
               dlsm, centralized, hybrid[:K]; klsm and klsm-sharded accept \
               +spill:<bytes> and +store:<dir> suffixes"
              s)
@@ -520,9 +423,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       ("linden", "linden");
       ("spraylist", "spraylist");
       ("multiq[:C]", "multiq:2");
+      (* One k-LSM: klsm:K is klsm-sharded:K:1. *)
       ("klsm[:K]", "klsm:256");
-      ( "klsm-sharded[:K[:S]][:sticky=W][:buf=B][:dbuf=B][:adapt=LO-HI]",
-        "klsm-sharded:256:4:sticky=8:buf=16:dbuf=8:adapt=2-8" );
+      ( "klsm-sharded[:K[:S]][:sticky=W][:buf=B][:dbuf=B]",
+        "klsm-sharded:256:4:sticky=8:buf=16:dbuf=8" );
       ("dlsm", "dlsm");
       ("centralized-k", "centralized-k");
       ("hybrid-k[:K]", "hybrid-k:256");
@@ -627,41 +531,64 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           approximate_size = (fun () -> Multiq.approximate_size q);
           stats = (fun () -> Multiq.stats q);
         }
-    | Klsm k ->
-        let q = Klsm.create_with ~seed ~k ?should_delete ?on_lazy_delete ~num_threads () in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Klsm.register q tid in
-              {
-                insert = Klsm.insert h;
-                insert_batch = Klsm.insert_batch h;
-                try_delete_min = (fun () -> Klsm.try_delete_min h);
-                try_delete_min_batch = Klsm.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Klsm.approximate_size q);
-          stats = (fun () -> Klsm.stats q);
-        }
-    | Klsm_sharded { k; shards; sticky; buf; dbuf; adapt } ->
-        let q =
-          Sharded.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf ?adapt
-            ?should_delete ?on_lazy_delete ~num_threads ()
-        in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Sharded.register q tid in
-              {
-                insert = Sharded.insert h;
-                insert_batch = Sharded.insert_batch h;
-                try_delete_min = (fun () -> Sharded.try_delete_min h);
-                try_delete_min_batch = Sharded.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Sharded.approximate_size q);
-          stats = (fun () -> Sharded.stats q);
-        }
+    | Klsm _ | Klsm_sharded _ | Stored _ -> (
+        (* Every k-LSM spec builds the one queue ([Klsm k] is its S = 1
+           case).  [Stored] threads the durability tier (lib/store), a
+           spill policy over a store rooted at its [store_dir], into the
+           queue's publish paths; queue and store.* counters merge into
+           one snapshot. *)
+        match klsm_cfg spec with
+        | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "Registry.make: %s does not support the durability tier"
+                 (spec_name spec))
+        | Some { k; shards; sticky; buf; dbuf } ->
+            let spill =
+              match spec with
+              | Stored (_, cfg) ->
+                  Some
+                    (Spill.create ~threshold:cfg.spill_bytes ~num_threads
+                       ~root:cfg.store_dir ())
+              | _ -> None
+            in
+            let q =
+              Klsm.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf
+                ?should_delete ?on_lazy_delete
+                ?spill_policy:
+                  (Option.map
+                     (fun sp ~alive ~tid block ->
+                       Spill.policy sp ~alive ~tid block)
+                     spill)
+                ~num_threads ()
+            in
+            let stats () =
+              let a = Klsm.stats q in
+              match spill with
+              | None -> a
+              | Some sp ->
+                  let b = Spill.stats sp in
+                  {
+                    a with
+                    Klsm_obs.Obs.counters =
+                      a.Klsm_obs.Obs.counters @ b.Klsm_obs.Obs.counters;
+                    spans = a.Klsm_obs.Obs.spans @ b.Klsm_obs.Obs.spans;
+                  }
+            in
+            {
+              name = spec_name spec;
+              register =
+                (fun tid ->
+                  let h = Klsm.register q tid in
+                  {
+                    insert = Klsm.insert h;
+                    insert_batch = Klsm.insert_batch h;
+                    try_delete_min = (fun () -> Klsm.try_delete_min h);
+                    try_delete_min_batch = Klsm.try_delete_min_batch h;
+                  });
+              approximate_size = (fun () -> Klsm.approximate_size q);
+              stats;
+            })
     | Dlsm ->
         let q = Dlsm.create_with ~seed ?should_delete ?on_lazy_delete ~num_threads () in
         {
@@ -717,70 +644,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           approximate_size = (fun () -> Wimmer_hybrid.approximate_size q);
           stats = (fun () -> Wimmer_hybrid.stats q);
         }
-    | Stored (inner, cfg) -> (
-        (* The durability tier (lib/store): a spill policy over a store
-           rooted at [cfg.store_dir], threaded into the queue's publish
-           paths.  Queue counters and store.* counters merge into one
-           snapshot. *)
-        let spill =
-          Spill.create ~threshold:cfg.spill_bytes ~num_threads
-            ~root:cfg.store_dir ()
-        in
-        let policy ~alive ~tid block = Spill.policy spill ~alive ~tid block in
-        let merge_stats qstats () =
-          let a = qstats () in
-          let b = Spill.stats spill in
-          {
-            a with
-            Klsm_obs.Obs.counters = a.Klsm_obs.Obs.counters @ b.Klsm_obs.Obs.counters;
-            spans = a.Klsm_obs.Obs.spans @ b.Klsm_obs.Obs.spans;
-          }
-        in
-        match inner with
-        | Klsm k ->
-            let q =
-              Klsm.create_with ~seed ~k ?should_delete ?on_lazy_delete
-                ~spill_policy:policy ~num_threads ()
-            in
-            {
-              name = spec_name spec;
-              register =
-                (fun tid ->
-                  let h = Klsm.register q tid in
-                  {
-                    insert = Klsm.insert h;
-                    insert_batch = Klsm.insert_batch h;
-                    try_delete_min = (fun () -> Klsm.try_delete_min h);
-                try_delete_min_batch = Klsm.try_delete_min_batch h;
-                  });
-              approximate_size = (fun () -> Klsm.approximate_size q);
-              stats = merge_stats (fun () -> Klsm.stats q);
-            }
-        | Klsm_sharded { k; shards; sticky; buf; dbuf; adapt } ->
-            let q =
-              Sharded.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf ?adapt
-                ?should_delete ?on_lazy_delete ~spill_policy:policy
-                ~num_threads ()
-            in
-            {
-              name = spec_name spec;
-              register =
-                (fun tid ->
-                  let h = Sharded.register q tid in
-                  {
-                    insert = Sharded.insert h;
-                    insert_batch = Sharded.insert_batch h;
-                    try_delete_min = (fun () -> Sharded.try_delete_min h);
-                try_delete_min_batch = Sharded.try_delete_min_batch h;
-                  });
-              approximate_size = (fun () -> Sharded.approximate_size q);
-              stats = merge_stats (fun () -> Sharded.stats q);
-            }
-        | _ ->
-            invalid_arg
-              (Printf.sprintf
-                 "Registry.make: %s does not support the durability tier"
-                 (spec_name inner)))
 
   (** The full Figure 3 line-up, with the paper's parameters. *)
   let figure3_specs =

@@ -30,7 +30,7 @@
     Span timers read the clock through the [now] function the owning
     structure supplies ([B.time] of its backend), so on the simulator spans
     measure deterministic {e virtual} nanoseconds and on the real backend
-    wall-clock nanoseconds (at the resolution of [Unix.gettimeofday]).
+    [CLOCK_MONOTONIC] nanoseconds.
 
     See [docs/METRICS.md] for the reference of every counter and span the
     repository emits and how each maps to the paper's listings. *)

@@ -1,5 +1,6 @@
 (* Tests for the distributed LSM (paper Listing 4): exact single-owner
-   semantics, the spill rule, spying, and consolidation. *)
+   semantics (also through the standalone DLSM queue wrapper), the spill
+   rule, spying, and consolidation. *)
 
 open Helpers
 module B = Klsm_backend.Real
@@ -327,9 +328,20 @@ let prop_insert_never_loses_items =
               collected := Item.key it :: !collected);
           List.sort compare !collected = List.sort compare keys)
 
+let prop_dlsm_single_thread_exact =
+  let module Dlsm = Klsm_core.Dlsm.Default in
+  qtest "DLSM single thread = exact PQ" ~count:100 ops_gen (fun ops ->
+      let q = Dlsm.create_with ~num_threads:1 () in
+      let h = Dlsm.register q 0 in
+      matches_oracle
+        ~insert:(fun key -> Dlsm.insert h key ())
+        ~delete_min:(fun () -> Option.map fst (Dlsm.try_delete_min h))
+        ops)
+
 let () =
   Alcotest.run "dist_lsm"
     [
+      ("exactness", [ prop_dlsm_single_thread_exact ]);
       ( "sequential",
         [
           prop_dist_lsm_is_exact_pq;

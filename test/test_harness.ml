@@ -97,11 +97,11 @@ let test_parse_spec () =
       (* the §15 contention knobs, keyed and order-independent *)
       ("klsm-sharded:64:8:sticky=4", Some (R.klsm_sharded ~sticky:4 64 8));
       ("klsm-sharded:64:8:buf=2", Some (R.klsm_sharded ~buf:2 64 8));
-      ( "klsm-sharded:256:4:sticky=8:buf=16:adapt=2-8",
-        Some (R.klsm_sharded ~sticky:8 ~buf:16 ~adapt:(2, 8) 256 4) );
       ( "sharded:256:4:buf=16:sticky=8",
         Some (R.klsm_sharded ~sticky:8 ~buf:16 256 4) );
-      ("klsm-sharded:64:4:adapt=2-16", Some (R.klsm_sharded ~adapt:(2, 16) 64 4));
+      (* k = 0, the exact-shared configuration, runs on one stripe *)
+      ("klsm:0", Some (R.Klsm 0));
+      ("klsm-sharded:0:1", Some (R.klsm_sharded 0 1));
       (* the §17 deletion-batch knob, alone and alongside the others *)
       ("klsm-sharded:64:8:dbuf=4", Some (R.klsm_sharded ~dbuf:4 64 8));
       ( "klsm-sharded:256:4:sticky=8:buf=16:dbuf=8",
@@ -122,18 +122,16 @@ let test_parse_spec_rejects_bad_args () =
     [
       "linden:4"; "dlsm:8"; "heap:1"; "klsm:abc"; "klsm:-3"; "multiq:2x";
       "spraylist:0";
-      (* sharded: malformed params, zero stripes, more stripes than k *)
+      (* sharded: malformed params, zero stripes, more stripes than k
+         (k = 0 has a budget for one stripe only) *)
       "klsm-sharded:abc"; "klsm-sharded:64:x"; "klsm-sharded:64:0";
-      "klsm-sharded:4:8";
+      "klsm-sharded:4:8"; "klsm-sharded:0:2";
       (* contention knobs: sticky=0 and buf=0 mean "omit the knob";
          buf beyond the per-stripe budget breaks the charged rank bound;
-         adapt targets must be powers of two bracketing a pow2 S <= k *)
+         adapt= names no knob, so it is an unknown parameter *)
       "klsm-sharded:64:8:sticky=0"; "klsm-sharded:64:8:buf=0";
       "klsm-sharded:64:8:buf=9"; "klsm-sharded:64:8:sticky=x";
-      "klsm-sharded:64:8:adapt=3-8"; "klsm-sharded:64:8:adapt=2-6";
-      "klsm-sharded:64:8:adapt=8-2"; "klsm-sharded:64:8:adapt=4";
-      "klsm-sharded:64:8:adapt=2-128"; "klsm-sharded:64:6:adapt=2-8";
-      "klsm-sharded:64:8:adapt=16-32"; "klsm-sharded:64:8:wat=1";
+      "klsm-sharded:64:4:adapt=2-8"; "klsm-sharded:64:8:wat=1";
       "klsm-sharded:64:8:1";
       (* dbuf: 0 means "omit the knob"; a batch beyond the per-stripe
          budget ceil(k/S) = 8 cannot fit one stripe's relaxation; and
@@ -152,6 +150,16 @@ let test_parse_spec_rejects_bad_args () =
             true
             (String.length msg > 0))
     bad;
+  (* adapt= is rejected as an unknown parameter. *)
+  (match R.parse_spec "klsm-sharded:64:4:adapt=2-8" with
+  | Ok _ -> Alcotest.fail "adapt= accepted"
+  | Error msg ->
+      let needle = "unknown parameter \"adapt\"" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1))
+      in
+      check_bool (Printf.sprintf "adapt= is unknown (%s)" msg) true (has 0));
   (* Unknown base names list the known implementations. *)
   match R.parse_spec "nonsense" with
   | Ok _ -> Alcotest.fail "nonsense accepted"

@@ -144,7 +144,13 @@ let test_spill_arithmetic () =
   check_int "klsm.delete_empty" 1 (ctotal "klsm.delete_empty" s2);
   check_int "klsm.spy_attempt" 1 (ctotal "klsm.spy_attempt" s2);
   check_int "klsm.spy_success" 0 (ctotal "klsm.spy_success" s2);
-  check_int "dist.consolidate" 1 (ctotal "dist.consolidate" s2)
+  check_int "dist.consolidate" 1 (ctotal "dist.consolidate" s2);
+  (* The one stripe's race: the local LSM stays empty, so no delete is
+     served by the hints alone, and each success takes the very item the
+     candidate cache holds — all five deletes re-race. *)
+  check_int "stripe.hint_skip" 0 (ctotal "stripe.hint_skip" s2);
+  check_int "stripe.cache_hit" 0 (ctotal "stripe.cache_hit" s2);
+  check_int "stripe.cache_miss" 5 (ctotal "stripe.cache_miss" s2)
 
 (* The ISSUE's scripted CAS-failure schedule: thread 1 starts an insert
    (refreshing its snapshot), thread 0 sneaks in a successful install
@@ -214,7 +220,11 @@ let test_spy_counters () =
   check_int "dist.spy_blocks" 2 (ctotal "dist.spy_blocks" s);
   check_int "dist.spy_items" 3 (ctotal "dist.spy_items" s);
   check_int "served locally after the spy" 1 (ctotal "klsm.delete_local" s);
-  check_int "spy work charged to tid 1" 2 (cper "dist.spy_blocks" 1 s)
+  check_int "spy work charged to tid 1" 2 (cper "dist.spy_blocks" 1 s);
+  (* Before the spy one race finds the stripe empty; after it the spied
+     10 sits below the empty stripe's hint, so no second race runs. *)
+  check_int "stripe.cache_miss" 1 (ctotal "stripe.cache_miss" s);
+  check_int "stripe.hint_skip" 1 (ctotal "stripe.hint_skip" s)
 
 (* ---------------- sim backend ---------------- *)
 

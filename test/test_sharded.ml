@@ -1,19 +1,21 @@
-(* Tests for the contention-striped k-LSM (lib/core/sharded_klsm.ml):
-   exact single-thread semantics, conservation across handles (spy paths),
-   the ceil(k/S) relaxation-budget partition, spec validation, the
-   delete-min candidate cache, migration under a CAS-failure storm, the
-   DESIGN.md §12 rank-error bound rho <= (T+S) * ceil(k/S) measured
-   empirically on the simulator, and the §15 contention knobs: stickiness
-   window open/decay/expiry, insertion-buffer flush triggers (undercutting
-   find_min, capacity, age) and their exactness, conservation with
-   buffering, resize-under-storm, the rank bound with the knobs on, and
-   the §17 batched delete-min: batch exactness for the combined and the
-   striped queue, empty/short edges, a batch+single-pop fuzz against the
-   sequential oracle, and the widened rank bound under [~dbuf]. *)
+(* Tests for the k-LSM (lib/core/klsm.ml), run over one stripe (the
+   paper's Listing 5 queue) and four: exact single-thread semantics,
+   conservation across handles (spy paths), the single-thread rho window,
+   runtime k, lazy deletion, validation and edge cases, the ceil(k/S)
+   relaxation-budget partition, the delete-min candidate cache, migration
+   under a CAS-failure storm, the DESIGN.md §12 rank bound
+   rho <= (T-1+S) * ceil(k/S) measured empirically on the simulator, and
+   the §15 contention knobs: stickiness window open/decay/expiry,
+   insertion-buffer flush triggers (undercutting find_min, capacity, age)
+   and their exactness, conservation with buffering, the rank bound with
+   the knobs on, and the §17 batched delete-min: the one-CAS run claim at
+   S = 1, batch exactness with and without the deletion buffer,
+   empty/short edges, a batch+single-pop fuzz against the sequential
+   oracle, and the widened rank bound under [~dbuf]. *)
 
 open Helpers
-module SK = Klsm_core.Sharded_klsm.Default
-module Shared = SK.Shared_klsm
+module K = Klsm_core.Klsm.Default
+module Shared = K.Shared_klsm
 module Obs = Klsm_obs.Obs
 module Sim = Klsm_backend.Sim
 module RS = Klsm_harness.Registry.Make (Sim)
@@ -32,18 +34,37 @@ let drain_all try_delete_min =
   in
   go [] 0
 
-(* ---------------- single-thread exactness ---------------- *)
+(* Every knob-free case runs on one stripe (the paper's queue) and on
+   four. *)
+let stripe_counts = [ 1; 4 ]
+
+(* ---------------- single-thread exactness (local ordering) ---------------- *)
 
 let prop_single_thread_exact =
+  qtest "k-LSM single thread = exact PQ (any k)" ~count:100
+    QCheck2.Gen.(triple ops_gen (int_bound 300) (oneofl stripe_counts))
+    (fun (ops, k, shards) ->
+      (* k = 0 (every insert spills) runs on one stripe only. *)
+      let k = if shards = 1 then k else max k shards in
+      let q = K.create_with ~k ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
+      matches_oracle
+        ~insert:(fun key -> K.insert h key ())
+        ~delete_min:(fun () -> Option.map fst (K.try_delete_min h))
+        ops)
+
+(* Every stripe count from one to four, so S = 2 and S = 3 (an uneven
+   ceil(k/S) split) are covered too. *)
+let prop_single_thread_exact_striped =
   qtest "sharded single thread = exact PQ (any k, S)" ~count:100
     QCheck2.Gen.(triple ops_gen (int_bound 300) (int_range 1 4))
     (fun (ops, k, shards) ->
       let k = max k shards in
-      let q = SK.create_with ~k ~shards ~num_threads:1 () in
-      let h = SK.register q 0 in
+      let q = K.create_with ~k ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
       matches_oracle
-        ~insert:(fun key -> SK.insert h key ())
-        ~delete_min:(fun () -> Option.map fst (SK.try_delete_min h))
+        ~insert:(fun key -> K.insert h key ())
+        ~delete_min:(fun () -> Option.map fst (K.try_delete_min h))
         ops)
 
 let prop_single_thread_exact_knobs =
@@ -51,44 +72,243 @@ let prop_single_thread_exact_knobs =
     QCheck2.Gen.(triple ops_gen (int_bound 300) (int_range 1 4))
     (fun (ops, k, shards) ->
       let k = max k shards in
-      let kp = (k + shards - 1) / shards in
+      let kp = Klsm_core.Klsm.stripe_k ~k ~shards in
       (* The buffered-delete flush rule (flush iff the buffered minimum
          undercuts the local LSM minimum) must keep the owner's view
          exact, whatever the buffer capacity. *)
       let q =
-        SK.create_with ~k ~shards ~sticky:2 ~buf:(max 1 (min 4 kp))
+        K.create_with ~k ~shards ~sticky:2 ~buf:(max 1 (min 4 kp))
           ~num_threads:1 ()
       in
-      let h = SK.register q 0 in
+      let h = K.register q 0 in
       matches_oracle
-        ~insert:(fun key -> SK.insert h key ())
-        ~delete_min:(fun () -> Option.map fst (SK.try_delete_min h))
+        ~insert:(fun key -> K.insert h key ())
+        ~delete_min:(fun () -> Option.map fst (K.try_delete_min h))
         ops)
 
 (* ---------------- conservation across handles ---------------- *)
 
 let prop_multi_handle_conservation =
-  qtest "two-handle conservation (S = 2)" ~count:50
-    QCheck2.Gen.(list_size (int_range 1 300) (int_bound 5_000))
-    (fun keys ->
-      let q = SK.create_with ~k:16 ~shards:2 ~num_threads:2 () in
-      let h0 = SK.register q 0 and h1 = SK.register q 1 in
+  (* Two handles driven deterministically from one thread: all inserted
+     keys come out exactly once — h0 drains everything, other stripes via
+     the race, h1's local LSM via spy. *)
+  qtest "two-handle conservation" ~count:50
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 300) (int_bound 5_000)) (oneofl stripe_counts))
+    (fun (keys, shards) ->
+      let q = K.create_with ~k:16 ~shards ~num_threads:2 () in
+      let h0 = K.register q 0 and h1 = K.register q 1 in
       List.iteri
-        (fun i k -> SK.insert (if i land 1 = 0 then h0 else h1) k ())
+        (fun i k -> K.insert (if i land 1 = 0 then h0 else h1) k ())
         keys;
-      (* h0 drains everything: other stripes via the race, h1's local LSM
-         via spy. *)
-      let got = drain_all (fun () -> SK.try_delete_min h0) in
+      let got = drain_all (fun () -> K.try_delete_min h0) in
       List.sort compare got = List.sort compare keys)
+
+let test_spy_enables_cross_thread_delete () =
+  List.iter
+    (fun shards ->
+      let q = K.create_with ~k:1024 ~shards ~num_threads:2 () in
+      let h0 = K.register q 0 and h1 = K.register q 1 in
+      (* All items live in h1's local LSM (k large: nothing spills). *)
+      for i = 1 to 100 do
+        K.insert h1 i ()
+      done;
+      let got = drain_all (fun () -> K.try_delete_min h0) in
+      check_int "h0 got them all by spying" 100 (List.length got))
+    stripe_counts
+
+(* ---------------- relaxation window (rho) ---------------- *)
+
+let test_relaxation_bound_single_thread () =
+  (* T = 1: every delete-min must return a key of rank <= deletions + rho
+     among the initial set (deletion-only phase). *)
+  List.iter
+    (fun shards ->
+      let k = 8 in
+      let rho = Klsm_core.Klsm.rank_bound ~shards ~threads:1 ~k () in
+      let q = K.create_with ~k ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
+      let n = 200 in
+      (* Distinct keys 0..n-1 in shuffled order. *)
+      let keys = Array.init n Fun.id in
+      Xoshiro.shuffle (Xoshiro.create ~seed:4) keys;
+      Array.iter (fun key -> K.insert h key ()) keys;
+      let deleted = ref 0 in
+      let rec go () =
+        match K.try_delete_min h with
+        | Some (key, ()) ->
+            (* rank of key among remaining = key - (#smaller deleted); since
+               we delete near-minimal keys, a loose but sound bound: *)
+            check_bool "within rho window" true (key <= !deleted + rho + 1);
+            incr deleted;
+            go ()
+        | None -> ()
+      in
+      go ();
+      check_int "drained" n !deleted)
+    stripe_counts
+
+(* ---------------- runtime k ---------------- *)
+
+let test_set_k () =
+  (* From the exact-shared k = 0 (one stripe) or the smallest budget four
+     stripes admit, up to k = 1024 mid-run. *)
+  List.iter
+    (fun (shards, k0) ->
+      let q = K.create_with ~k:k0 ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
+      for i = 1 to 50 do
+        K.insert h i ()
+      done;
+      K.set_k q 1024;
+      check_int "get_k" 1024 (K.get_k q);
+      for i = 51 to 100 do
+        K.insert h i ()
+      done;
+      let got = drain_all (fun () -> K.try_delete_min h) in
+      check_int "conserved across k change" 100 (List.length got))
+    [ (1, 0); (4, 4) ]
+
+(* ---------------- lazy deletion (§4.5) ---------------- *)
+
+let test_lazy_deletion_filters () =
+  List.iter
+    (fun shards ->
+      let condemned = Hashtbl.create 16 in
+      let dropped = ref [] in
+      let q =
+        K.create_with ~k:4 ~shards ~num_threads:1
+          ~should_delete:(fun key _ -> Hashtbl.mem condemned key)
+          ~on_lazy_delete:(fun key _ -> dropped := key :: !dropped)
+          ()
+      in
+      let h = K.register q 0 in
+      for i = 1 to 32 do
+        K.insert h i ()
+      done;
+      (* Condemn the odd keys, then force consolidation via more traffic. *)
+      for i = 1 to 32 do
+        if i mod 2 = 1 then Hashtbl.replace condemned i true
+      done;
+      let got = drain_all (fun () -> K.try_delete_min h) in
+      (* No condemned key is ever returned. *)
+      List.iter
+        (fun k -> check_bool "only even keys returned" true (k mod 2 = 0))
+        got;
+      check_int "16 survivors" 16 (List.length got);
+      (* Every condemned key was dropped exactly once (16 odd keys). *)
+      let d = List.sort compare !dropped in
+      check_list_int "each dropped once" (List.init 16 (fun i -> (2 * i) + 1)) d)
+    stripe_counts
+
+let test_lazy_deletion_exactly_once_hook () =
+  (* Heavy merging must not double-fire the hook. *)
+  List.iter
+    (fun shards ->
+      let fired = Hashtbl.create 16 in
+      let dupes = ref 0 in
+      let q =
+        K.create_with ~k:8 ~shards ~num_threads:1
+          ~should_delete:(fun key _ -> key mod 3 = 0)
+          ~on_lazy_delete:(fun key _ ->
+            if Hashtbl.mem fired key then incr dupes
+            else Hashtbl.replace fired key ())
+          ()
+      in
+      let h = K.register q 0 in
+      for i = 1 to 300 do
+        K.insert h i ()
+      done;
+      ignore (drain_all (fun () -> K.try_delete_min h));
+      check_int "no duplicate hook firings" 0 !dupes;
+      check_int "every condemned key fired" 100 (Hashtbl.length fired))
+    stripe_counts
+
+(* ---------------- sizes, validation and edges ---------------- *)
+
+let test_approximate_size () =
+  List.iter
+    (fun shards ->
+      let q = K.create_with ~k:16 ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
+      for i = 1 to 100 do
+        K.insert h i ()
+      done;
+      check_bool "size >= alive count" true (K.approximate_size q >= 100))
+    stripe_counts
+
+let test_validation () =
+  Alcotest.check_raises "threads" (Invalid_argument "Klsm.create: num_threads < 1")
+    (fun () -> ignore (K.create_with ~num_threads:0 ()));
+  let q = K.create_with ~num_threads:1 () in
+  Alcotest.check_raises "tid range" (Invalid_argument "Klsm.register: tid")
+    (fun () -> ignore (K.register q 1));
+  let h = K.register q 0 in
+  Alcotest.check_raises "negative key" (Invalid_argument "Klsm.insert: negative key")
+    (fun () -> K.insert h (-1) ())
+
+let test_empty_queue () =
+  List.iter
+    (fun shards ->
+      let q = K.create_with ~k:16 ~shards ~num_threads:4 () in
+      let h = K.register q 0 in
+      check_bool "empty" true (K.try_delete_min h = None);
+      check_bool "empty batch" true (K.try_delete_min_batch h 4 = []);
+      check_int "size" 0 (K.approximate_size q))
+    stripe_counts
+
+let test_duplicate_keys () =
+  List.iter
+    (fun shards ->
+      let q = K.create_with ~k:4 ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
+      for _ = 1 to 50 do
+        K.insert h 7 ()
+      done;
+      let got = drain_all (fun () -> K.try_delete_min h) in
+      check_int "all 50 duplicates" 50 (List.length got);
+      List.iter (fun k -> check_int "key 7" 7 k) got)
+    stripe_counts
+
+let test_consolidate_local_exposed () =
+  List.iter
+    (fun shards ->
+      let q =
+        K.create_with ~k:1024 ~shards ~num_threads:1
+          ~should_delete:(fun key _ -> key > 10)
+          ()
+      in
+      let h = K.register q 0 in
+      for i = 1 to 100 do
+        K.insert h i ()
+      done;
+      K.consolidate_local h;
+      (* Condemned items were filtered out of the local LSM. *)
+      check_bool "shrunk" true (K.approximate_size q <= 10))
+    stripe_counts
 
 let prop_batch_conservation =
   qtest "insert_batch conservation" ~count:50
     QCheck2.Gen.(list_size (int_range 1 200) (int_bound 5_000))
     (fun keys ->
-      let q = SK.create_with ~k:8 ~shards:4 ~num_threads:1 () in
-      let h = SK.register q 0 in
-      SK.insert_batch h (Array.of_list (List.map (fun k -> (k, ())) keys));
-      let got = drain_all (fun () -> SK.try_delete_min h) in
+      let q = K.create_with ~k:8 ~shards:4 ~num_threads:1 () in
+      let h = K.register q 0 in
+      K.insert_batch h (Array.of_list (List.map (fun k -> (k, ())) keys));
+      let got = drain_all (fun () -> K.try_delete_min h) in
+      List.sort compare got = List.sort compare keys)
+
+let prop_two_stripe_conservation =
+  qtest "two-handle conservation (S = 2)" ~count:50
+    QCheck2.Gen.(list_size (int_range 1 300) (int_bound 5_000))
+    (fun keys ->
+      let q = K.create_with ~k:16 ~shards:2 ~num_threads:2 () in
+      let h0 = K.register q 0 and h1 = K.register q 1 in
+      List.iteri
+        (fun i k -> K.insert (if i land 1 = 0 then h0 else h1) k ())
+        keys;
+      (* h0 drains everything: the other stripe via the race, h1's local
+         LSM via spy. *)
+      let got = drain_all (fun () -> K.try_delete_min h0) in
       List.sort compare got = List.sort compare keys)
 
 let prop_multi_handle_conservation_buffered =
@@ -96,76 +316,70 @@ let prop_multi_handle_conservation_buffered =
     QCheck2.Gen.(list_size (int_range 1 300) (int_bound 5_000))
     (fun keys ->
       let q =
-        SK.create_with ~k:16 ~shards:2 ~sticky:3 ~buf:4 ~num_threads:2 ()
+        K.create_with ~k:16 ~shards:2 ~sticky:3 ~buf:4 ~num_threads:2 ()
       in
-      let h0 = SK.register q 0 and h1 = SK.register q 1 in
+      let h0 = K.register q 0 and h1 = K.register q 1 in
       List.iteri
-        (fun i k -> SK.insert (if i land 1 = 0 then h0 else h1) k ())
+        (fun i k -> K.insert (if i land 1 = 0 then h0 else h1) k ())
         keys;
       (* Insertion buffers live in handles: h1's buffered tail is invisible
          to h0's drain until flushed (h0's own buffer flushes itself on
          delete-min). *)
-      SK.flush_buffer h1;
-      let got = drain_all (fun () -> SK.try_delete_min h0) in
+      K.flush_buffer h1;
+      let got = drain_all (fun () -> K.try_delete_min h0) in
       List.sort compare got = List.sort compare keys)
 
 (* ---------------- budget partition and validation ---------------- *)
 
 let stripe_ks q =
-  Array.to_list (Array.map Shared.get_k (SK.internal_stripes q))
+  Array.to_list (Array.map Shared.get_k (K.internal_stripes q))
 
 let test_budget_partition () =
   (* k = 64, S = 4: every stripe runs at ceil(64/4) = 16. *)
-  let q = SK.create_with ~k:64 ~shards:4 ~num_threads:1 () in
-  check_int "global k" 64 (SK.get_k q);
-  check_int "stripes" 4 (SK.num_stripes q);
+  let q = K.create_with ~k:64 ~shards:4 ~num_threads:1 () in
+  check_int "global k" 64 (K.get_k q);
+  check_int "stripes" 4 (K.num_stripes q);
   check_list_int "per-stripe k" [ 16; 16; 16; 16 ] (stripe_ks q);
   (* Non-divisible budget rounds up: ceil(10/4) = 3. *)
-  let q = SK.create_with ~k:10 ~shards:4 ~num_threads:1 () in
+  let q = K.create_with ~k:10 ~shards:4 ~num_threads:1 () in
   check_list_int "ceil partition" [ 3; 3; 3; 3 ] (stripe_ks q)
 
 let test_set_k_repartitions () =
-  let q = SK.create_with ~k:64 ~shards:4 ~num_threads:1 () in
-  SK.set_k q 128;
-  check_int "new global k" 128 (SK.get_k q);
+  let q = K.create_with ~k:64 ~shards:4 ~num_threads:1 () in
+  K.set_k q 128;
+  check_int "new global k" 128 (K.get_k q);
   check_list_int "new per-stripe k" [ 32; 32; 32; 32 ] (stripe_ks q);
-  (match SK.set_k q 2 with
+  (match K.set_k q 2 with
   | () -> Alcotest.fail "k < S accepted"
   | exception Invalid_argument _ -> ())
 
 let test_create_validation () =
-  (match SK.create_with ~shards:0 ~num_threads:1 () with
+  (match K.create_with ~shards:0 ~num_threads:1 () with
   | _ -> Alcotest.fail "shards = 0 accepted"
   | exception Invalid_argument _ -> ());
-  match SK.create_with ~k:4 ~shards:8 ~num_threads:1 () with
+  (match K.create_with ~k:4 ~shards:8 ~num_threads:1 () with
   | _ -> Alcotest.fail "shards > k accepted"
+  | exception Invalid_argument _ -> ());
+  (* k = 0 spills every insert and needs no stripe budget, but only one
+     stripe can run on it. *)
+  (match K.create_with ~k:0 ~shards:2 ~num_threads:1 () with
+  | _ -> Alcotest.fail "k = 0 with two stripes accepted"
+  | exception Invalid_argument _ -> ());
+  let q = K.create_with ~k:0 ~num_threads:1 () in
+  check_int "k = 0 runs on one stripe" 1 (K.num_stripes q);
+  match K.set_k q (-1) with
+  | () -> Alcotest.fail "negative k accepted"
   | exception Invalid_argument _ -> ()
 
 let test_knob_validation () =
   (* buf beyond the per-stripe budget would overdraw the charged local
      relaxation: ceil(64/4) = 16. *)
-  (match SK.create_with ~k:64 ~shards:4 ~buf:17 ~num_threads:1 () with
+  (match K.create_with ~k:64 ~shards:4 ~buf:17 ~num_threads:1 () with
   | _ -> Alcotest.fail "buf > ceil(k/S) accepted"
   | exception Invalid_argument _ -> ());
-  (* adaptive targets must be powers of two bracketing the initial S. *)
-  (match SK.create_with ~k:64 ~shards:4 ~adapt:(3, 8) ~num_threads:1 () with
-  | _ -> Alcotest.fail "non-pow2 adapt lo accepted"
-  | exception Invalid_argument _ -> ());
-  (match SK.create_with ~k:64 ~shards:4 ~adapt:(8, 16) ~num_threads:1 () with
-  | _ -> Alcotest.fail "S below adapt lo accepted"
-  | exception Invalid_argument _ -> ());
-  (match SK.create_with ~k:4 ~shards:4 ~adapt:(2, 8) ~num_threads:1 () with
-  | _ -> Alcotest.fail "adapt hi > k accepted"
-  | exception Invalid_argument _ -> ());
-  (* with ~adapt the per-stripe budget is ceil(k / hi): buf = 9 > ceil(64/8). *)
-  (match
-     SK.create_with ~k:64 ~shards:4 ~adapt:(2, 8) ~buf:9 ~num_threads:1 ()
-   with
-  | _ -> Alcotest.fail "buf > ceil(k/hi) accepted"
-  | exception Invalid_argument _ -> ());
   (* set_k must not shrink the per-stripe budget under a live buffer cap. *)
-  let q = SK.create_with ~k:64 ~shards:4 ~buf:16 ~num_threads:1 () in
-  match SK.set_k q 8 with
+  let q = K.create_with ~k:64 ~shards:4 ~buf:16 ~num_threads:1 () in
+  match K.set_k q 8 with
   | () -> Alcotest.fail "set_k below buffer cap accepted"
   | exception Invalid_argument _ -> ()
 
@@ -179,16 +393,16 @@ let test_candidate_cache_hits () =
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled was)
     (fun () ->
-      let q = SK.create_with ~k:4 ~shards:2 ~num_threads:1 () in
-      let h = SK.register q 0 in
+      let q = K.create_with ~k:4 ~shards:2 ~num_threads:1 () in
+      let h = K.register q 0 in
       for i = 0 to 99 do
-        SK.insert h ((i * 7919) land 0xFFFF) ()
+        K.insert h ((i * 7919) land 0xFFFF) ()
       done;
-      let a = SK.try_find_min h and b = SK.try_find_min h in
+      let a = K.try_find_min h and b = K.try_find_min h in
       check_bool "peek found something" true (a <> None);
       check_bool "stable peek" true (a = b);
       let stat name =
-        match List.assoc_opt name (SK.stats q).Obs.counters with
+        match List.assoc_opt name (K.stats q).Obs.counters with
         | Some per -> Array.fold_left ( + ) 0 per
         | None -> 0
       in
@@ -203,43 +417,43 @@ let test_sticky_window_opens_decays_expires () =
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled was)
     (fun () ->
-      let q = SK.create_with ~k:8 ~shards:2 ~sticky:4 ~num_threads:1 () in
-      let h = SK.register q 0 in
+      let q = K.create_with ~k:8 ~shards:2 ~sticky:4 ~num_threads:1 () in
+      let h = K.register q 0 in
       for i = 1 to 64 do
-        SK.insert h i ()
+        K.insert h i ()
       done;
-      check_int "window starts closed" 0 (SK.internal_sticky_left h);
+      check_int "window starts closed" 0 (K.internal_sticky_left h);
       (* k = 8, S = 2: the local LSM keeps at most ceil(8/2) = 4 items, so
          draining soon serves a delete from a stripe — which opens the
          full stickiness window on that stripe. *)
       let budget = ref 64 in
-      while SK.internal_sticky_left h = 0 && !budget > 0 do
-        ignore (SK.try_delete_min h);
+      while K.internal_sticky_left h = 0 && !budget > 0 do
+        ignore (K.try_delete_min h);
         decr budget
       done;
       check_int "shared delete opened the full window" 4
-        (SK.internal_sticky_left h);
-      let s = SK.internal_sticky_stripe h in
+        (K.internal_sticky_left h);
+      let s = K.internal_sticky_stripe h in
       check_bool "serving stripe recorded" true (s >= 0 && s < 2);
       (* Decay: every publish-CAS failure halves what is left of the
          window (invoked through the stripe's contention hook, which is
          exactly the code path a lost CAS runs). *)
-      let sh = (SK.internal_stripe_handles h).(0) in
+      let sh = (K.internal_stripe_handles h).(0) in
       sh.Shared.on_cas_fail ();
-      check_int "CAS failure halves the window" 2 (SK.internal_sticky_left h);
+      check_int "CAS failure halves the window" 2 (K.internal_sticky_left h);
       sh.Shared.on_cas_fail ();
       sh.Shared.on_cas_fail ();
-      check_int "decay bottoms out at zero" 0 (SK.internal_sticky_left h);
+      check_int "decay bottoms out at zero" 0 (K.internal_sticky_left h);
       (* Expiry: with no further shared deletes, races consume the window
          one consult at a time and it never goes negative.  Drain dry (the
          tail of the drain races an empty structure repeatedly). *)
-      let _ = drain_all (fun () -> SK.try_delete_min h) in
+      let _ = drain_all (fun () -> K.try_delete_min h) in
       for _ = 1 to 8 do
-        ignore (SK.try_find_min h)
+        ignore (K.try_find_min h)
       done;
-      check_int "window expired" 0 (SK.internal_sticky_left h);
+      check_int "window expired" 0 (K.internal_sticky_left h);
       let stat name =
-        match List.assoc_opt name (SK.stats q).Obs.counters with
+        match List.assoc_opt name (K.stats q).Obs.counters with
         | Some per -> Array.fold_left ( + ) 0 per
         | None -> 0
       in
@@ -254,16 +468,16 @@ let test_buffer_flush_on_delete_min () =
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled was)
     (fun () ->
-      let q = SK.create_with ~k:16 ~shards:2 ~buf:8 ~num_threads:1 () in
-      let h = SK.register q 0 in
-      SK.insert h 100 ();
-      SK.insert h 5 ();
+      let q = K.create_with ~k:16 ~shards:2 ~buf:8 ~num_threads:1 () in
+      let h = K.register q 0 in
+      K.insert h 100 ();
+      K.insert h 5 ();
       check_int "both inserts buffered" 2
-        (List.length (SK.internal_buffered h));
+        (List.length (K.internal_buffered h));
       (* find_min must see the buffered 5: the buffer undercuts the
          (empty) local LSM, so the peek flushes first — no buffered item
          may hide below the answer. *)
-      (match SK.try_find_min h with
+      (match K.try_find_min h with
       | Some (5, ()) -> ()
       | other ->
           Alcotest.failf "peek saw %s, wanted 5"
@@ -271,47 +485,47 @@ let test_buffer_flush_on_delete_min () =
             | Some (k, ()) -> string_of_int k
             | None -> "nothing"));
       check_int "the peek flushed the buffer" 0
-        (List.length (SK.internal_buffered h));
+        (List.length (K.internal_buffered h));
       let stat name =
-        match List.assoc_opt name (SK.stats q).Obs.counters with
+        match List.assoc_opt name (K.stats q).Obs.counters with
         | Some per -> Array.fold_left ( + ) 0 per
         | None -> 0
       in
       check_bool "flush was counted" true (stat "stripe.buffer_flush" >= 1);
       (* And delete-min serves exactly 5 then 100. *)
-      check_bool "first delete" true (SK.try_delete_min h = Some (5, ()));
-      check_bool "second delete" true (SK.try_delete_min h = Some (100, ())))
+      check_bool "first delete" true (K.try_delete_min h = Some (5, ()));
+      check_bool "second delete" true (K.try_delete_min h = Some (100, ())))
 
 let test_buffer_no_flush_when_local_wins () =
   (* buf = 3 < ceil(k/S) = 8 keeps the LSM spill threshold positive, so
      the capacity flush leaves keys 1..3 in the thread-local LSM. *)
-  let q = SK.create_with ~k:16 ~shards:2 ~buf:3 ~num_threads:1 () in
-  let h = SK.register q 0 in
+  let q = K.create_with ~k:16 ~shards:2 ~buf:3 ~num_threads:1 () in
+  let h = K.register q 0 in
   for i = 1 to 3 do
-    SK.insert h i ()
+    K.insert h i ()
   done;
   check_int "capacity flush emptied the buffer" 0
-    (List.length (SK.internal_buffered h));
+    (List.length (K.internal_buffered h));
   (* 9 and 10 stay buffered with buf_min = 9 above the structure's
      minimum 1, so the peek is served exactly without touching the
      buffer. *)
-  SK.insert h 9 ();
-  SK.insert h 10 ();
-  check_int "tail still buffered" 2 (List.length (SK.internal_buffered h));
-  check_bool "peek exact from the LSM" true (SK.try_find_min h = Some (1, ()));
-  check_int "no flush happened" 2 (List.length (SK.internal_buffered h))
+  K.insert h 9 ();
+  K.insert h 10 ();
+  check_int "tail still buffered" 2 (List.length (K.internal_buffered h));
+  check_bool "peek exact from the LSM" true (K.try_find_min h = Some (1, ()));
+  check_int "no flush happened" 2 (List.length (K.internal_buffered h))
 
 let test_buffer_age_bound_flushes () =
   (* One buffered item, then enough further owner operations to cross
      buffer_age_bound = 64: the next insert force-flushes, so no item
      stays invisible indefinitely under an insert-only workload. *)
-  let q = SK.create_with ~k:256 ~shards:2 ~buf:100 ~num_threads:1 () in
-  let h = SK.register q 0 in
+  let q = K.create_with ~k:256 ~shards:2 ~buf:100 ~num_threads:1 () in
+  let h = K.register q 0 in
   for i = 1 to 65 do
-    SK.insert h (1000 + i) ()
+    K.insert h (1000 + i) ()
   done;
   check_int "age bound flushed all but the newest" 1
-    (List.length (SK.internal_buffered h))
+    (List.length (K.internal_buffered h))
 
 (* ---------------- migration under a CAS storm (Sim + chaos) ---------------- *)
 
@@ -339,14 +553,9 @@ let test_storm_migrates_and_conserves () =
      items exempt). *)
   check_bool "buffer-flush case flushed" true (info_of 4 "buffer_flush" >= 1);
   check_bool "buffer-flush case crashed the target" true
-    ((List.nth cases 4).Drive.crashes >= 1);
-  (* Case 5's 48-failure storm must fill the crasher's adapt window with
-     failures and grow the active stripe count mid-run. *)
-  check_bool "storm forced a resize" true (info_of 5 "stripe_resize" >= 1)
+    ((List.nth cases 4).Drive.crashes >= 1)
 
 (* ---------------- batched delete-min (DESIGN.md §17) ---------------- *)
-
-module K = Klsm_core.Klsm.Default
 
 let prop_klsm_batch_exact =
   qtest "combined k-LSM batch pop = n smallest keys, ascending" ~count:80
@@ -375,6 +584,32 @@ let prop_klsm_batch_exact =
       done;
       !ok && !expect = [])
 
+let test_one_stripe_batch_claims_with_one_cas () =
+  (* At S = 1 a batch pop whose minimum sits in the shared component
+     claims the whole run with one publish CAS (Shared_klsm.try_pop_batch,
+     counted by shared.batch_claim) instead of popping item by item. *)
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let q = K.create_with ~k:4 ~num_threads:1 () in
+      let h = K.register q 0 in
+      (* One sorted block of 64 goes straight to the shared component. *)
+      K.insert_batch h (Array.init 64 (fun i -> (i, ())));
+      let stat name =
+        match List.assoc_opt name (K.stats q).Obs.counters with
+        | Some per -> Array.fold_left ( + ) 0 per
+        | None -> 0
+      in
+      let cas0 = stat "shared.cas_attempt" in
+      check_list_int "the 8 smallest, ascending" (List.init 8 Fun.id)
+        (List.map fst (K.try_delete_min_batch h 8));
+      check_int "one run claim" 1 (stat "shared.batch_claim");
+      check_int "with one publish CAS" 1 (stat "shared.cas_attempt" - cas0);
+      check_int "all served from the shared component" 8
+        (stat "klsm.delete_shared"))
+
 let prop_sharded_batch_exact =
   qtest "sharded+dbuf batch pop = B smallest keys, ascending" ~count:80
     QCheck2.Gen.(triple keys_gen (int_range 1 8) (int_range 1 4))
@@ -383,17 +618,17 @@ let prop_sharded_batch_exact =
          stripe under the cross-stripe hint limit and serves the rest from
          the buffer — single-threaded both must stay exact. *)
       let k = 32 in
-      let kp = (k + shards - 1) / shards in
+      let kp = Klsm_core.Klsm.stripe_k ~k ~shards in
       let q =
-        SK.create_with ~k ~shards ~dbuf:(min b kp) ~num_threads:1 ()
+        K.create_with ~k ~shards ~dbuf:(min b kp) ~num_threads:1 ()
       in
-      let h = SK.register q 0 in
-      List.iter (fun key -> SK.insert h key ()) keys;
+      let h = K.register q 0 in
+      List.iter (fun key -> K.insert h key ()) keys;
       let expect = ref (List.sort compare keys) in
       let ok = ref true in
       let misses = ref 0 in
       while !expect <> [] && !misses < 200 do
-        match SK.try_delete_min_batch h b with
+        match K.try_delete_min_batch h b with
         | [] -> incr misses
         | got ->
             misses := 0;
@@ -407,16 +642,16 @@ let prop_sharded_batch_exact =
       !ok && !expect = [])
 
 let test_batch_edges () =
-  let q = SK.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:1 () in
-  let h = SK.register q 0 in
-  check_bool "empty queue: batch = []" true (SK.try_delete_min_batch h 4 = []);
-  SK.insert h 3 ();
-  SK.insert h 1 ();
-  SK.insert h 2 ();
-  check_bool "n = 0 yields []" true (SK.try_delete_min_batch h 0 = []);
-  let got = List.map fst (SK.try_delete_min_batch h 10) in
+  let q = K.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:1 () in
+  let h = K.register q 0 in
+  check_bool "empty queue: batch = []" true (K.try_delete_min_batch h 4 = []);
+  K.insert h 3 ();
+  K.insert h 1 ();
+  K.insert h 2 ();
+  check_bool "n = 0 yields []" true (K.try_delete_min_batch h 0 = []);
+  let got = List.map fst (K.try_delete_min_batch h 10) in
   check_list_int "short batch: everything, ascending" [ 1; 2; 3 ] got;
-  check_bool "then dry" true (SK.try_delete_min h = None)
+  check_bool "then dry" true (K.try_delete_min h = None)
 
 let test_fuzz_batch_and_single_pops () =
   (* 32 seeds of a mixed stream — inserts, single pops, batch pops of
@@ -427,19 +662,19 @@ let test_fuzz_batch_and_single_pops () =
   for seed = 1 to 32 do
     let rng = Xoshiro.create ~seed:(0xBA7C4 + seed) in
     let q =
-      SK.create_with ~k:16 ~shards:2 ~sticky:2 ~buf:2 ~dbuf:4 ~num_threads:1
+      K.create_with ~k:16 ~shards:2 ~sticky:2 ~buf:2 ~dbuf:4 ~num_threads:1
         ()
     in
-    let h = SK.register q 0 in
+    let h = K.register q 0 in
     let oracle = Oracle_pq.create () in
     for _ = 1 to 400 do
       match Xoshiro.int rng 4 with
       | 0 | 1 ->
           let key = Xoshiro.int rng 10_000 in
-          SK.insert h key ();
+          K.insert h key ();
           Oracle_pq.insert oracle key
       | 2 ->
-          let got = Option.map fst (SK.try_delete_min h) in
+          let got = Option.map fst (K.try_delete_min h) in
           let want = Oracle_pq.delete_min oracle in
           if got <> want then
             Alcotest.failf "seed %d: single pop %s, oracle %s" seed
@@ -447,7 +682,7 @@ let test_fuzz_batch_and_single_pops () =
               (match want with Some k -> string_of_int k | None -> "None")
       | _ ->
           let n = 1 + Xoshiro.int rng 6 in
-          let got = SK.try_delete_min_batch h n in
+          let got = K.try_delete_min_batch h n in
           List.iter
             (fun (dk, ()) ->
               match Oracle_pq.delete_min oracle with
@@ -466,93 +701,95 @@ let test_fuzz_batch_and_single_pops () =
 
 (* ---------------- rank-error bound (Sim) ---------------- *)
 
-let test_rank_bound_partitioned () =
-  (* DESIGN.md §12: rho <= (T+S) * ceil(k/S); + T slack for in-flight
-     inserts the oracle has already counted (same slack as the unsharded
-     quality test). *)
-  Sim.configure ~seed:5 ~policy:Sim.Fair ();
-  let threads = 4 and k = 32 and shards = 4 in
+(* The measured max rank error of [spec] on the simulator against its
+   Klsm.rank_bound + T: the slack covers in-flight inserts the oracle has
+   already counted (the same slack the twin and the quality tests use). *)
+let check_rank_bound ?(threads = 4) ~seed ~what spec =
+  Sim.configure ~seed ~policy:Sim.Fair ();
   let config =
     {
       QS.default_config with
       num_threads = threads;
       prefill = 2_000;
       ops_per_thread = 1_000;
-      seed = 5;
+      seed;
     }
   in
-  let r = QS.run config (RS.klsm_sharded k shards) in
-  let bound = ((threads + shards) * ((k + shards - 1) / shards)) + threads in
+  let r = QS.run config spec in
+  let bound = Option.get (RS.rank_bound ~threads spec) + threads in
   check_bool "some deletes measured" true (r.QS.deletes > 0);
   check_bool
-    (Printf.sprintf "max rank error %d within partitioned bound %d"
-       r.QS.max_rank_error bound)
+    (Printf.sprintf "max rank error %d within %s bound %d" r.QS.max_rank_error
+       what bound)
     true
     (r.QS.max_rank_error <= bound)
+
+let test_rank_bound_partitioned () =
+  (* DESIGN.md §12: rho <= (T-1+S) * ceil(k/S). *)
+  check_rank_bound ~seed:5 ~what:"partitioned" (RS.klsm_sharded 32 4)
 
 let test_rank_bound_with_knobs () =
   (* Same bound with stickiness and buffering on: buffered items are
      charged against the local ceil(k/S) term (the LSM spill threshold
      shrinks by B), so the §12 bound must survive the §15 knobs
      unchanged. *)
-  Sim.configure ~seed:7 ~policy:Sim.Fair ();
-  let threads = 4 and k = 32 and shards = 4 in
-  let config =
-    {
-      QS.default_config with
-      num_threads = threads;
-      prefill = 2_000;
-      ops_per_thread = 1_000;
-      seed = 7;
-    }
-  in
-  let r = QS.run config (RS.klsm_sharded ~sticky:4 ~buf:4 k shards) in
-  let bound = ((threads + shards) * ((k + shards - 1) / shards)) + threads in
-  check_bool "some deletes measured" true (r.QS.deletes > 0);
-  check_bool
-    (Printf.sprintf "max rank error %d within bound %d under sticky+buf"
-       r.QS.max_rank_error bound)
-    true
-    (r.QS.max_rank_error <= bound)
+  check_rank_bound ~seed:7 ~what:"sticky+buf"
+    (RS.klsm_sharded ~sticky:4 ~buf:4 32 4)
 
 let test_rank_bound_with_dbuf () =
-  (* DESIGN.md §17: per-handle deletion buffers widen the bound to
-     rho <= (T+S) * ceil(k/S) + T * (B-1) — every handle can hold up to
-     B-1 claimed-but-unserved items whose absence other threads cannot
-     observe; + T slack for in-flight inserts as in the §12 test. *)
-  Sim.configure ~seed:11 ~policy:Sim.Fair ();
-  let threads = 4 and k = 32 and shards = 4 in
-  let dbuf = 4 in
-  let config =
-    {
-      QS.default_config with
-      num_threads = threads;
-      prefill = 2_000;
-      ops_per_thread = 1_000;
-      seed = 11;
-    }
-  in
-  let r = QS.run config (RS.klsm_sharded ~dbuf k shards) in
-  let bound =
-    ((threads + shards) * ((k + shards - 1) / shards))
-    + (threads * (dbuf - 1))
-    + threads
-  in
-  check_bool "some deletes measured" true (r.QS.deletes > 0);
-  check_bool
-    (Printf.sprintf "max rank error %d within widened bound %d under dbuf"
-       r.QS.max_rank_error bound)
-    true
-    (r.QS.max_rank_error <= bound)
+  (* DESIGN.md §17: per-handle deletion buffers widen the bound by
+     T * (B-1) — every handle can hold up to B-1 claimed-but-unserved
+     items whose absence other threads cannot observe. *)
+  check_rank_bound ~seed:11 ~what:"widened dbuf"
+    (RS.klsm_sharded ~dbuf:4 32 4)
 
+let test_rank_bound_exact_shared () =
+  (* klsm:0 spills every insert into an exact shared component, so its
+     rho is 0: at T = 8 no delete may have a rank error above T. *)
+  check_rank_bound ~threads:8 ~seed:13 ~what:"exact-shared" (RS.Klsm 0)
+
+(* Two suites: the queue's contract, each case over one stripe and four,
+   then the striping mechanisms and the contention knobs. *)
 let () =
-  Alcotest.run "sharded"
+  Alcotest.run ~and_exit:false "klsm"
+    [
+      ("exactness", [ prop_single_thread_exact ]);
+      ( "multi-handle",
+        [
+          prop_multi_handle_conservation;
+          Alcotest.test_case "spy cross-thread" `Quick
+            test_spy_enables_cross_thread_delete;
+        ] );
+      ( "relaxation",
+        [
+          Alcotest.test_case "rho window" `Quick
+            test_relaxation_bound_single_thread;
+        ] );
+      ("runtime-k", [ Alcotest.test_case "set_k" `Quick test_set_k ]);
+      ( "lazy-deletion",
+        [
+          Alcotest.test_case "filters condemned" `Quick
+            test_lazy_deletion_filters;
+          Alcotest.test_case "hook exactly once" `Quick
+            test_lazy_deletion_exactly_once_hook;
+        ] );
+      ( "edges",
+        [
+          Alcotest.test_case "approximate size" `Quick test_approximate_size;
+          Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "empty" `Quick test_empty_queue;
+          Alcotest.test_case "duplicates" `Quick test_duplicate_keys;
+          Alcotest.test_case "consolidate_local" `Quick
+            test_consolidate_local_exposed;
+        ] );
+    ];
+  Alcotest.run "klsm-stripes"
     [
       ( "semantics",
         [
-          prop_single_thread_exact;
+          prop_single_thread_exact_striped;
           prop_single_thread_exact_knobs;
-          prop_multi_handle_conservation;
+          prop_two_stripe_conservation;
           prop_multi_handle_conservation_buffered;
           prop_batch_conservation;
         ] );
@@ -586,6 +823,8 @@ let () =
       ( "batch",
         [
           prop_klsm_batch_exact;
+          Alcotest.test_case "one-stripe batch claims with one CAS" `Quick
+            test_one_stripe_batch_claims_with_one_cas;
           prop_sharded_batch_exact;
           Alcotest.test_case "empty and short batches" `Quick test_batch_edges;
           Alcotest.test_case "fuzz batch+single pops vs oracle" `Slow
@@ -604,5 +843,7 @@ let () =
             test_rank_bound_with_knobs;
           Alcotest.test_case "widened rank bound under dbuf" `Slow
             test_rank_bound_with_dbuf;
+          Alcotest.test_case "klsm:0 within T at T = 8" `Slow
+            test_rank_bound_exact_shared;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* Tests for the discrete-event simulator backend: determinism, atomic
    semantics, scheduling fairness, cost accounting, time, exception
-   propagation, and the random-preemption schedule fuzzer. *)
+   propagation, and the random-preemption schedule fuzzer; plus the real
+   backend's clock, which must be monotonic. *)
 
 open Helpers
 module Sim = Klsm_backend.Sim
@@ -286,6 +287,22 @@ let test_trace_kind_names () =
   Alcotest.(check string) "read" "read" (Sim.kind_name Sim.T_read);
   Alcotest.(check string) "cas-fail" "cas-fail" (Sim.kind_name Sim.T_cas_fail)
 
+(* Real.time reads CLOCK_MONOTONIC: successive reads never decrease, and
+   it counts seconds. *)
+let test_real_clock_monotonic () =
+  let module Real = Klsm_backend.Real in
+  let prev = ref (Real.time ()) in
+  for _ = 1 to 100_000 do
+    let t = Real.time () in
+    if t < !prev then Alcotest.failf "clock stepped back: %.9f < %.9f" t !prev;
+    prev := t
+  done;
+  let t0 = Real.time () in
+  Unix.sleepf 0.002;
+  let dt = Real.time () -. t0 in
+  check_bool (Printf.sprintf "a 2 ms sleep reads as %.6f s" dt) true
+    (dt >= 0.001 && dt < 1.0)
+
 let () =
   Alcotest.run "sim"
     [
@@ -315,6 +332,8 @@ let () =
           Alcotest.test_case "contention penalized" `Quick test_contention_costs_more;
           Alcotest.test_case "stats" `Quick test_stats_populated;
           Alcotest.test_case "relax_n batching" `Quick test_relax_n_charges_batch;
+          Alcotest.test_case "real clock monotonic" `Quick
+            test_real_clock_monotonic;
         ] );
       ( "trace",
         [

@@ -126,7 +126,7 @@ let test_rho_bound_concurrent_deletions () =
   List.iter
     (fun (t, k) ->
       Sim.configure ~seed:5 ~policy:Sim.Fair ();
-      let rho = t * k in
+      let rho = Klsm_core.Klsm.rank_bound ~threads:t ~k () in
       let n = 2_000 in
       let q = K.create_with ~k ~num_threads:t () in
       let handles = Array.make t None in
