@@ -34,11 +34,13 @@ stats-check:
 
 # Documentation-drift gate (bin/docscheck.ml): every Registry spec form
 # must appear (backticked) in README.md's queue-spec table with a parsing
-# example, and every Obs.counter/Obs.span name declared under lib/ must be
-# documented in docs/METRICS.md — stricter than stats-check, which only
-# sees names the stats benchmark happens to emit.
+# example; the Obs.counter/Obs.span names declared under lib/ and the
+# counter/span rows of docs/METRICS.md must match both ways — stricter
+# than stats-check, which only sees names the stats benchmark happens to
+# emit; and Chaos.sites, the fault_point literals under lib/ and the site
+# catalogue of docs/CHAOS.md must be one set.
 docs-check:
-	dune exec bin/docscheck.exe -- README.md docs/METRICS.md lib
+	dune exec bin/docscheck.exe -- README.md docs/METRICS.md lib docs/CHAOS.md
 
 # Fault-injection gate (lib/chaos; docs/CHAOS.md): a 32-seed sweep of
 # deterministic fault plans over queue conservation and hardened-scheduler

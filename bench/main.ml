@@ -281,16 +281,16 @@ let quality () =
 (* Throughput and rank error of the striped k-LSM (lib/core/klsm.ml)
    against its single-stripe case at the same global relaxation budget
    k = 256: S = 1 is the baseline, S in {2, 4} trades snapshot-CAS
-   contention for the extra stripes consulted by find_min, and the
-   DESIGN.md §15 contention knobs (stickiness window, insertion buffer)
-   are swept one at a time on top of S = 4 so each knob's marginal
-   effect is visible — this table is the
-   measured basis of docs/TUNING.md.  The thread axis runs to T = 16
-   (oversubscription on small hosts; the simulator charges contention via
-   its cost model, so per-thread throughput here measures algorithmic
-   scalability, not timesharing).  The rank-error column checks the cost
-   side of the trade: the measured max must stay within the partitioned
-   bound rho <= (T-1+S) * ceil(k/S) (DESIGN.md §12). *)
+   contention for the extra stripes consulted by find_min; the k = 1024
+   rows show the budget and stripe count an operator scales next, and the
+   deletion batch (dbuf, DESIGN.md §17) on top of the tuned 1024:4 spec —
+   this table is the measured basis of docs/TUNING.md.  The thread axis
+   runs to T = 16 (oversubscription on small hosts; the simulator charges
+   contention via its cost model, so per-thread throughput here measures
+   algorithmic scalability, not timesharing).  The rank-error column
+   checks the cost side of the trade: the measured max must stay within
+   the partitioned bound rho <= (T-1+S) * ceil(k/S) (DESIGN.md §12), plus
+   T * (B-1) on the dbuf row (§17). *)
 let sharded () =
   let k = 256 in
   let threads = [ 1; 2; 4; 8; 16 ] in
@@ -299,10 +299,9 @@ let sharded () =
       R.Klsm k;
       R.klsm_sharded k 2;
       R.klsm_sharded k 4;
-      R.klsm_sharded ~sticky:8 k 4;
-      R.klsm_sharded ~buf:16 k 4;
-      R.klsm_sharded ~sticky:8 ~buf:16 k 4;
-      R.klsm_sharded ~sticky:16 ~buf:16 (4 * k) 4;
+      R.klsm_sharded (4 * k) 4;
+      R.klsm_sharded (4 * k) 8;
+      R.klsm_sharded ~dbuf:8 (4 * k) 4;
     ]
   in
   let measured =
@@ -340,7 +339,7 @@ let sharded () =
   Report.table
     ~header:("impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads)
     rows;
-  (* Rank error at T=8 for the same three configurations. *)
+  (* Rank error at T=8 for the same configurations. *)
   let t = 8 in
   let qrows =
     List.map
@@ -359,7 +358,8 @@ let sharded () =
   Report.section
     (Printf.sprintf "Sharded: rank error at T=%d (sim)" t);
   Report.table
-    ~header:[ "impl"; "deletes"; "mean"; "max"; "rho = (T-1+S)*ceil(k/S)" ]
+    ~header:
+      [ "impl"; "deletes"; "mean"; "max"; "rho = (T-1+S)*ceil(k/S) [+T*(B-1)]" ]
     qrows
 
 (* ------------------------------------------------------------------ *)
@@ -383,8 +383,7 @@ let batch () =
   let t_axis = [ 1; 2; 4; 8; 16 ] in
   let bs = [ 1; 2; 4; 8; 16 ] in
   let spec_of b =
-    if b = 1 then R.klsm_sharded ~sticky:16 ~buf:16 k shards
-    else R.klsm_sharded ~sticky:16 ~buf:16 ~dbuf:b k shards
+    if b = 1 then R.klsm_sharded k shards else R.klsm_sharded ~dbuf:b k shards
   in
   let measured =
     List.map

@@ -14,7 +14,7 @@
      a spec's tick count exceeds its budget in [sim_tick_gates], i.e. if a
      change regresses the amount of sequential work the hot paths charge.
 
-   Plus the tuned-knob gates ([real_knobs_section], [sim_scaling_section])
+   Plus the tuned-spec gates ([real_tuned_section], [sim_scaling_section])
    and the fiber-runtime gate ([real_fibers_section]) — see the comments
    on each.  Results land in BENCH_throughput.json. *)
 
@@ -161,17 +161,15 @@ let real_sharded_section () =
       ("floor_ops_per_sec", Report.Float floor);
     ]
 
-(* The DESIGN.md §15 contention-knob gate (ISSUE 7 acceptance bar), in
-   three parts, all on the tuned spec klsm-sharded:1024:4:sticky=16:buf=16
-   (docs/TUNING.md motivates the values; in particular k doubles twice vs
-   the PR 5 default because any buf > 0 costs the local LSM one level —
-   kp is a power of two, so kp - buf always crosses a level boundary —
-   and k = 1024 restores the local capacity that pays for):
+(* The tuned-spec gate, in three parts, all on klsm-sharded:1024:4
+   (docs/TUNING.md's sweep motivates the values: k = 1024 gives each
+   stripe and local LSM a ceil(k/S) = 256 budget, +15% over k = 256 at
+   T = 4..8 on Sim, and S = 4 stripes split the publish CAS):
 
    - an ABSOLUTE floor on the Real backend at T = 8: >= 33.4k
      ops/thread/s — the PR 5 sharded figure on the reference box, so the
-     knobs must not cost throughput at moderate thread counts.  The
-     sampling loop takes up to [knob_reps] compaction-normalized reps and
+     tuned spec must not cost throughput at moderate thread counts.  The
+     sampling loop takes up to [tuned_reps] compaction-normalized reps and
      passes as soon as one crosses the floor: per-sample wall-clock noise
      on a shared box is +-15%, so a healthy queue crosses within a rep or
      two while a real 20%+ regression still has no realistic path past
@@ -186,16 +184,16 @@ let real_sharded_section () =
      simulator's cost model charges CAS contention and cache traffic but
      not timeslices, so its per-thread curve isolates exactly the
      algorithmic scalability the gate is about. *)
-let knob_spec = "klsm-sharded:1024:4:sticky=16:buf=16"
-let knob_real_floor_per_thread = 33_400.0
-let knob_reps = 10
+let tuned_spec = "klsm-sharded:1024:4"
+let tuned_real_floor_per_thread = 33_400.0
+let tuned_reps = 10
 
-let real_knobs_section () =
+let real_tuned_section () =
   let module T = Klsm_harness.Throughput.Make (Real) in
   let module R = Klsm_harness.Registry.Make (Real) in
   let threads = 8 in
   let spec =
-    match R.parse_spec knob_spec with Ok s -> s | Error m -> failwith m
+    match R.parse_spec tuned_spec with Ok s -> s | Error m -> failwith m
   in
   let config =
     {
@@ -208,7 +206,7 @@ let real_knobs_section () =
   in
   let best = ref 0.0 and reps_used = ref 0 in
   (while
-     !reps_used < knob_reps && !best < knob_real_floor_per_thread
+     !reps_used < tuned_reps && !best < tuned_real_floor_per_thread
    do
      Gc.compact ();
      let r = T.run config spec in
@@ -217,14 +215,14 @@ let real_knobs_section () =
    done);
   let best = !best and reps = !reps_used in
   Printf.printf
-    "perf-check real knobs: %.0f ops/thread/s in %d rep(s) (%s, %d threads; \
+    "perf-check real tuned: %.0f ops/thread/s in %d rep(s) (%s, %d threads; \
      floor %.0f)\n%!"
-    best reps knob_spec threads knob_real_floor_per_thread;
-  if best < knob_real_floor_per_thread then begin
+    best reps tuned_spec threads tuned_real_floor_per_thread;
+  if best < tuned_real_floor_per_thread then begin
     Printf.eprintf
-      "perf-check FAILED: sticky/buffered throughput %.0f ops/thread/s \
-       under the %.0f floor\n%!"
-      best knob_real_floor_per_thread;
+      "perf-check FAILED: tuned-spec throughput %.0f ops/thread/s under the \
+       %.0f floor\n%!"
+      best tuned_real_floor_per_thread;
     exit 1
   end;
   (* The oversubscription sweep: one rep per point, smaller totals (the
@@ -248,19 +246,19 @@ let real_knobs_section () =
   in
   List.iter
     (fun (t, per) ->
-      Printf.printf "perf-check real knobs sweep: T=%-2d %.0f ops/thread/s\n%!"
+      Printf.printf "perf-check real tuned sweep: T=%-2d %.0f ops/thread/s\n%!"
         t per)
     sweep_points;
   Report.Obj
     [
       ("backend", Report.String "real");
-      ("impl", Report.String knob_spec);
+      ("impl", Report.String tuned_spec);
       ("threads", Report.Int threads);
       ("prefill", Report.Int config.T.prefill);
       ("ops_per_thread", Report.Int config.T.ops_per_thread);
       ("reps", Report.Int reps);
       ("ops_per_thread_per_sec_best", Report.Float best);
-      ("floor_ops_per_thread_per_sec", Report.Float knob_real_floor_per_thread);
+      ("floor_ops_per_thread_per_sec", Report.Float tuned_real_floor_per_thread);
       ( "thread_sweep",
         Report.List
           (List.map
@@ -278,7 +276,7 @@ let real_knobs_section () =
    tuned spec with dbuf=8 — one shared CAS claims a run of 8 items, the
    per-handle deletion buffer serves the next 7 pops privately — against
    the dbuf-off tuned spec as control, on the same light workload the
-   knob sweep records (prefill 20k, 32k total ops split across threads).
+   tuned sweep records (prefill 20k, 32k total ops split across threads).
    Two floors:
 
    - T = 8, interleaved median-of-5 (same discipline as
@@ -289,7 +287,7 @@ let real_knobs_section () =
    - T = 16 (2x oversubscription on CI boxes, where the pre-batch sweep
      collapsed to ~20.7k): best-of-up-to-[batch_reps16] compaction-
      normalized reps must clear [batch_real_floor_t16], the same
-     pass-on-first-crossing discipline as [real_knobs_section] and for
+     pass-on-first-crossing discipline as [real_tuned_section] and for
      the same reason (+-50% wall-clock noise on a loaded shared box; a
      healthy queue crosses within a few reps, a real regression has no
      path past the floor) — the batch claim divides the shared
@@ -299,7 +297,7 @@ let real_knobs_section () =
      measured window, and at 2k ops the 16-domain spawn on a small CI
      box dominates the figure — the gate would measure the OS, not the
      queue. *)
-let batch_spec = knob_spec ^ ":dbuf=8"
+let batch_spec = tuned_spec ^ ":dbuf=8"
 let batch_real_floor_t8 = 37_200.0
 let batch_real_floor_t16 = 24_000.0
 let batch_reps = 5
@@ -311,7 +309,7 @@ let real_batch_section () =
   let parse s =
     match R.parse_spec s with Ok s -> s | Error m -> failwith m
   in
-  let batched = parse batch_spec and control = parse knob_spec in
+  let batched = parse batch_spec and control = parse tuned_spec in
   let config ~ops t =
     {
       T.default_config with
@@ -371,7 +369,7 @@ let real_batch_section () =
     [
       ("backend", Report.String "real");
       ("impl", Report.String batch_spec);
-      ("control_impl", Report.String knob_spec);
+      ("control_impl", Report.String tuned_spec);
       ("prefill", Report.Int 20_000);
       ("t8_ops_per_thread", Report.Int 4_000);
       ("t16_ops_per_thread", Report.Int 8_000);
@@ -388,9 +386,9 @@ let real_batch_section () =
    16): the closed-loop driver on the tuned sharded spec, with every task
    exploded into a [1 + fiber_fanout]-fiber tree, must push 100k+ fibers
    through 8 Real domains at >= [fiber_floor_per_thread] fibers/thread/s —
-   the same absolute bar as the raw-queue knob gate above, so multiplexing
+   the same absolute bar as the raw-queue tuned gate above, so multiplexing
    cheap effect-handler fibers over the k-LSM may not cost throughput
-   against plain task bodies.  Same sampling discipline as the knob gate:
+   against plain task bodies.  Same sampling discipline as the tuned gate:
    up to [fiber_reps] compaction-normalized reps, pass on the first one
    over the floor.  Every rep also re-asserts the scheduler's conservation
    story at this scale — lost = double = fiber_lost = 0 (per-task lease
@@ -407,7 +405,7 @@ let real_fibers_section () =
   let module CL = Klsm_sched.Closed_loop.Make (Real) in
   let module M = Klsm_sched.Metrics in
   let spec =
-    match CL.Registry.parse_spec knob_spec with
+    match CL.Registry.parse_spec tuned_spec with
     | Ok s -> s
     | Error m -> failwith m
   in
@@ -466,7 +464,7 @@ let real_fibers_section () =
   Printf.printf
     "perf-check real fibers: %d fibers, %.0f fibers/thread/s in %d rep(s) \
      (%s, %d domains; floor %.0f; steal hit rate %.2f)\n%!"
-    fibers_expected best reps knob_spec fiber_workers fiber_floor_per_thread
+    fibers_expected best reps tuned_spec fiber_workers fiber_floor_per_thread
     steal_rate;
   if best < fiber_floor_per_thread then begin
     Printf.eprintf
@@ -502,7 +500,7 @@ let real_fibers_section () =
   Report.Obj
     [
       ("backend", Report.String "real");
-      ("impl", Report.String knob_spec);
+      ("impl", Report.String tuned_spec);
       ("workers", Report.Int fiber_workers);
       ("fiber_fanout", Report.Int fiber_fanout);
       ("roots_per_worker", Report.Int fiber_roots);
@@ -529,16 +527,16 @@ let real_fibers_section () =
 (* Algorithmic flatness on the simulator (deterministic): per-thread
    throughput at T = 16 must hold >= 85% of T = 8 on the tuned spec.  The
    simulator charges contention through its MESI-style cost model, so a
-   contention collapse past T = 8 (the failure mode stickiness and
-   buffering exist to prevent) would show here as a sub-0.85 ratio
-   regardless of host core count. *)
+   contention collapse past T = 8 (the failure mode striping exists to
+   prevent) would show here as a sub-0.85 ratio regardless of host core
+   count. *)
 let sim_flatness_ratio = 0.85
 
 let sim_scaling_section () =
   let module T = Klsm_harness.Throughput.Make (Sim) in
   let module R = Klsm_harness.Registry.Make (Sim) in
   let spec =
-    match R.parse_spec knob_spec with Ok s -> s | Error m -> failwith m
+    match R.parse_spec tuned_spec with Ok s -> s | Error m -> failwith m
   in
   let run_at t =
     Sim.configure ~seed:42 ~cost:Klsm_backend.Cost_model.default ();
@@ -560,18 +558,18 @@ let sim_scaling_section () =
   Printf.printf
     "perf-check sim scaling: per-thread T=16 / T=8 = %.2f (floor %.2f) on \
      %s\n%!"
-    ratio sim_flatness_ratio knob_spec;
+    ratio sim_flatness_ratio tuned_spec;
   if ratio < sim_flatness_ratio then begin
     Printf.eprintf
       "perf-check FAILED: per-thread throughput fell to %.0f%% of T=8 at \
-       T=16 — the contention knobs stopped flattening the curve\n%!"
+       T=16 — the striped queue stopped flattening the curve\n%!"
       (100.0 *. ratio);
     exit 1
   end;
   Report.Obj
     [
       ("backend", Report.String "sim");
-      ("impl", Report.String knob_spec);
+      ("impl", Report.String tuned_spec);
       ("per_thread_t8", Report.Float at8);
       ("per_thread_t16", Report.Float at16);
       ("ratio", Report.Float ratio);
@@ -628,7 +626,7 @@ let () =
   Obs.set_enabled true;
   let real = real_section () in
   let real_sharded = real_sharded_section () in
-  let real_knobs = real_knobs_section () in
+  let real_tuned = real_tuned_section () in
   let real_batch = real_batch_section () in
   let real_fibers = real_fibers_section () in
   let sim_ticks =
@@ -643,7 +641,7 @@ let () =
           ("metric", Report.String "ops_per_sec (real) / ticks (sim)");
           ("real", real);
           ("real_sharded", real_sharded);
-          ("real_knobs", real_knobs);
+          ("real_tuned", real_tuned);
           ("real_batch", real_batch);
           ("real_fibers", real_fibers);
         ]

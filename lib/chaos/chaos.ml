@@ -75,10 +75,9 @@ let sites =
     "dist.spy.block";
     "dist.consolidate.pre_size";
     "block_array.consolidate";
-    "sharded.spill.publish";
-    "sharded.migrate";
-    "sharded.buffer.flush";
-    "sharded.dbuf.flush";
+    "klsm.spill.publish";
+    "klsm.migrate";
+    "klsm.dbuf.flush";
     "store.spill";
     "store.rehydrate";
     "store.recover";

@@ -61,15 +61,14 @@ let key_range = 1 lsl 16
 (* ------------------------------------------------------------------ *)
 
 (** Conservation case for the k-LSM ([~shards], default 1 — the paper's
-    queue; [~sticky]/[~buf]/[~dbuf] switch on the DESIGN.md §15/§17
-    knobs).  With [S > 1] the stripe-publish and migration protocol steps
-    sit under fault pressure too — crashes mid-stripe-publish
-    ([sharded.spill.publish], [shared.push_snapshot.before]) must not lose
+    queue; [~dbuf] switches on the DESIGN.md §17 deletion buffer).  With
+    [S > 1] the stripe-publish and migration protocol steps sit under
+    fault pressure too — crashes mid-stripe-publish
+    ([klsm.spill.publish], [shared.push_snapshot.before]) must not lose
     already-inserted items, and CAS-failure storms on one stripe must only
     slow things down (and trip the migration policy), never break
     conservation.  Structural invariants are asserted per stripe. *)
-let queue_case ?(shards = 1) ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ~seed
-    ~threads ~per_thread ~k plan =
+let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
   Sim.configure ~seed ();
   let plan_text = Chaos.plan_to_string plan in
   (* Latch counters on for this queue's sheet so the report can show the
@@ -77,9 +76,7 @@ let queue_case ?(shards = 1) ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ~seed
      sheet records without synchronization, so the schedule is unchanged. *)
   let was_obs = Obs.enabled () in
   Obs.set_enabled true;
-  let q =
-    K.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf ~num_threads:threads ()
-  in
+  let q = K.create_with ~seed ~k ~shards ~dbuf ~num_threads:threads () in
   Obs.set_enabled was_obs;
   let handles = Array.make threads None in
   let total = threads * per_thread in
@@ -132,37 +129,29 @@ let queue_case ?(shards = 1) ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ~seed
     |> List.filteri (fun tid _ -> not (List.mem tid crashed))
     |> List.filter_map Fun.id
   in
-  (* Insertion buffers live in handles, not in the shared structure.  A
-     crashed thread's still-buffered items (including the tail of a flush
-     it crashed in the middle of: flush_buffer pops each item only after
-     it entered the LSM) vanish with it — that is the documented crash
-     cost of [~buf] (up to B items; DESIGN.md §15) — so they are not owed
-     by conservation.  The same holds on the delete side ([~dbuf];
-     DESIGN.md §17): items in a crashed thread's deletion buffer were
-     already claimed out of the stripe by the batch CAS, so the crash
-     consumes them — and a crash {e inside} a batch claim
-     ([internal_dbuf_pending], the run staged before the publish CAS) is
-     exempt in both CAS outcomes: CAS lost means the items are still in
-     the stripe (delivered once at most), CAS won means they died with
-     the crasher; a double delivery would need two winning [Item.take]s
-     on one item, which the flag CAS forbids.  Survivors' buffers are
-     flushed explicitly before the drain: the drainer can spy their LSMs
-     but cannot see their buffers. *)
+  (* Deletion buffers ([~dbuf]; DESIGN.md §17) live in handles, not in
+     the shared structure.  Items in a crashed thread's deletion buffer
+     (including the tail of a flush it crashed in the middle of:
+     flush_dbuf pops each item only after reinserting it) were already
+     claimed out of the stripe by the batch CAS, so the crash consumes
+     them and conservation does not owe them — and a crash {e inside} a
+     batch claim ([internal_dbuf_pending], the run staged before the
+     publish CAS) is exempt in both CAS outcomes: CAS lost means the
+     items are still in the stripe (delivered once at most), CAS won
+     means they died with the crasher; a double delivery would need two
+     winning [Item.take]s on one item, which the flag CAS forbids.
+     Survivors' buffers are flushed explicitly before the drain: the
+     drainer can spy their LSMs but cannot see their buffers. *)
   Array.iteri
     (fun tid h ->
       match h with
       | Some h when List.mem tid crashed ->
           List.iter
             (fun (_, payload) -> submitted.(payload) <- false)
-            (K.internal_buffered h @ K.internal_dbuf h
-           @ K.internal_dbuf_pending h)
+            (K.internal_dbuf h @ K.internal_dbuf_pending h)
       | _ -> ())
     handles;
-  List.iter
-    (fun h ->
-      K.flush_buffer h;
-      K.flush_dbuf h)
-    survivors;
+  List.iter K.flush_dbuf survivors;
   (* Survivor drain: crashed threads' items must still be reachable
      through spy.  The drainer retries through empty results because spy
      picks random victims (same miss bound as bin/fuzz.ml). *)
@@ -265,8 +254,6 @@ let queue_case ?(shards = 1) ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) ~seed
         ("crashed_threads", List.length crashed);
         ("stripe_cas_fail", stat "stripe.cas_fail");
         ("stripe_migrate", stat "stripe.migrate");
-        ("buffer_flush", stat "stripe.buffer_flush");
-        ("sticky_hit", stat "stripe.sticky_hit");
         ("batch_claim", stat "shared.batch_claim");
         ("dbuf_hit", stat "stripe.dbuf_hit");
         ("dbuf_flush", stat "stripe.dbuf_flush");
@@ -563,17 +550,11 @@ let queue_sites =
     "block_array.consolidate";
   ]
 
-(* The striped queue with its knobs on reaches every queue site plus
-   four of its own (spill publish, home migration, insertion-buffer flush,
+(* The striped queue with its deletion buffer on reaches every queue
+   site plus three of its own (spill publish, home migration,
    deletion-buffer flush). *)
 let sharded_sites =
-  queue_sites
-  @ [
-      "sharded.spill.publish";
-      "sharded.migrate";
-      "sharded.buffer.flush";
-      "sharded.dbuf.flush";
-    ]
+  queue_sites @ [ "klsm.spill.publish"; "klsm.migrate"; "klsm.dbuf.flush" ]
 
 (* Scheduler runs have no spill tier, so the store.* fault points never
    fire there; drawing them would only dilute the sched sweep. *)
@@ -586,7 +567,8 @@ let sched_sites =
     the primary fault kind (see {!Chaos.random_plan}); every third seed
     adds a second rule so multi-fault runs are covered too.  Odd indices
     stress the hardened scheduler; even indices alternate between the
-    paper's queue (S = 1) and the striped one with its knobs on. *)
+    paper's queue (S = 1) and the striped one with its deletion buffer
+    on. *)
 let case_for ~threads ~per_thread ~roots ~k i seed =
   let rng = Xoshiro.create ~seed:(seed * 31 + 17) in
   let sched = i mod 2 = 1 in
@@ -602,11 +584,10 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
   in
   if sched then sched_case ~seed ~threads ~roots plan
   else if sharded then
-    (* Modest §15/§17 knobs so the random draw can land on the buffer- and
-       dbuf-flush sites (and both buffered-crash exemptions get coverage);
-       kp = ceil(k/2) bounds buf + dbuf. *)
-    queue_case ~shards:2 ~sticky:2 ~buf:2 ~dbuf:2 ~seed ~threads ~per_thread
-      ~k plan
+    (* A modest §17 deletion buffer so the random draw can land on the
+       dbuf-flush site (and the buffered-crash exemption gets coverage);
+       kp = ceil(k/2) bounds dbuf. *)
+    queue_case ~shards:2 ~dbuf:2 ~seed ~threads ~per_thread ~k plan
   else queue_case ~seed ~threads ~per_thread ~k plan
 
 (** Fixed sharded-queue plans the ISSUE's acceptance bar names explicitly
@@ -619,10 +600,6 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
       arrivals at the home stripe's publish CAS are forced to fail, which
       both stresses the retry loop and (past {!Klsm_core.Klsm}'s
       migration threshold) forces a home-stripe migration under fire;
-    - a crash in the middle of an insertion-buffer flush ([~buf]): the
-      crasher's not-yet-inserted buffered items may vanish (the documented
-      [~buf] crash cost), but nothing that reached the LSM may be lost and
-      nothing may be delivered twice;
     - two deletion-buffer cases ([~dbuf]): a kill with a nonempty buffer
       (mid-flush, the claimed remainder dies with the crasher) and a kill
       at the batch claim's publish CAS itself (the staged run is exempt
@@ -637,24 +614,18 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
   in
   ([
      (* Crash a non-drainer thread mid-stripe-publish, both sides. *)
-     [ Chaos.rule ~tid:1 ~hit:2 "sharded.spill.publish" Chaos.Crash ];
+     [ Chaos.rule ~tid:1 ~hit:2 "klsm.spill.publish" Chaos.Crash ];
      [ Chaos.rule ~tid:2 ~hit:3 "shared.push_snapshot.before" Chaos.Crash ];
      (* CAS storms: one concentrated on thread 1's stripe (must migrate),
         one spread over everyone (must merely survive). *)
      storm ~tid:1 12 "shared.push_snapshot.before";
      storm 12 "shared.push_snapshot.before"
-     @ [ Chaos.rule ~tid:3 ~hit:1 "sharded.migrate" (Chaos.Stall 40) ];
+     @ [ Chaos.rule ~tid:3 ~hit:1 "klsm.migrate" (Chaos.Stall 40) ];
    ]
   |> List.mapi (fun i plan ->
          queue_case ~shards ~seed:(seed0 + i) ~threads ~per_thread ~k plan)
   )
   @ [
-      (* Crash thread 1 mid-buffer-flush (second flush, so the first
-         exercised the happy path): items still buffered at the crash are
-         exempt, everything already flushed must survive. *)
-      queue_case ~shards ~sticky:4 ~buf:4 ~seed:(seed0 + 4) ~threads
-        ~per_thread ~k
-        [ Chaos.rule ~tid:1 ~hit:2 "sharded.buffer.flush" Chaos.Crash ];
       (* Kill thread 1 with a nonempty deletion buffer ([~dbuf]; DESIGN.md
          §17): the crash lands inside flush_dbuf, before the first
          reinsert, so the whole buffered remainder — items the batch CAS
@@ -662,13 +633,13 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
          exemption above must absorb exactly those items; everything
          already served from the buffer, and everything still in the
          stripes, must survive with no duplicates. *)
-      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 6) ~threads ~per_thread ~k
-        [ Chaos.rule ~tid:1 ~hit:1 "sharded.dbuf.flush" Chaos.Crash ];
+      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 4) ~threads ~per_thread ~k
+        [ Chaos.rule ~tid:1 ~hit:1 "klsm.dbuf.flush" Chaos.Crash ];
       (* Kill thread 2 in the middle of a batch claim, at the publish CAS
          itself: the staged run ([internal_dbuf_pending]) is in limbo —
          claimed if the CAS won, still queued if it lost — and the
          either-way exemption must hold. *)
-      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 7) ~threads ~per_thread ~k
+      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 5) ~threads ~per_thread ~k
         [ Chaos.rule ~tid:2 ~hit:4 "shared.push_snapshot.before" Chaos.Crash ];
     ]
 

@@ -15,8 +15,8 @@
       each stripe is an ordinary shared k-LSM with a smaller relaxation;
     - every thread has a {e home} stripe its spills go to (preserving the
       per-stripe publication ordering Listing 4 relies on);
-    - [find_min] races the thread-local DistLSM minimum against a
-      {e primary} stripe and — only when a stripe's
+    - [find_min] races the thread-local DistLSM minimum against the home
+      stripe and — only when a stripe's
       {!Shared_klsm.min_hint} says it might hold something smaller — the
       remaining stripes (scanned from a rotating offset so ties don't
       starve); when every hint sits at or above the local candidate the
@@ -36,25 +36,12 @@
     paper's [T * k] at [S = 1] — while items inserted and deleted by the
     same thread obey exact priority-queue semantics (local ordering).
 
-    The contention knobs of DESIGN.md §15 and §17, all off by default:
-
-    - {e stickiness} ([~sticky:W], W >= 1): after a delete-min is served
-      from a stripe, the next W races consult that stripe {e first}
-      instead of the home stripe.  The hint-gated scan over the other
-      stripes is unchanged, so the rank bound is untouched.  A failed
-      publish CAS halves the remaining window;
-    - {e insertion buffering} ([~buf:B], B >= 1): inserts gather in a
-      per-handle buffer of at most B items and enter the thread-local LSM
-      in a burst — flushed when the buffer fills, when a delete-min or
-      find-min needs a buffered key, or when the oldest buffered item has
-      waited {!buffer_age_bound} of its owner's operations.  Buffered items
-      are charged against the local budget: the LSM spill threshold drops
-      to ceil(k/S) - B;
-    - {e deletion batching} ([~dbuf:B], B >= 1): a shared delete claims up
-      to B items with one publish CAS and serves the rest from a
-      per-handle deletion buffer, widening the bound by [T * (B - 1)];
-    - every stripe's contended atomics are cache-line padded
-      ({!Klsm_primitives.Padded}; [~padded:true] to {!Shared_klsm.create}).
+    One knob, off by default: {e deletion batching} ([~dbuf:B], B >= 1;
+    DESIGN.md §17) — a shared delete claims up to B items with one publish
+    CAS and serves the rest from a per-handle deletion buffer, widening
+    the bound by [T * (B - 1)].  Every stripe's contended atomics are
+    cache-line padded ({!Klsm_primitives.Padded}; [~padded:true] to
+    {!Shared_klsm.create}).
 
     [k] is runtime-configurable through {!set_k}.  The optional
     [should_delete] predicate implements §4.5's lazy deletion: condemned
@@ -80,9 +67,9 @@ let rank_bound ?(shards = 1) ?(dbuf = 0) ~threads ~k () =
     Registry's spec parser.
     Each of the S stripes needs a budget of at least 1 — except that k = 0,
     the paper's exact-shared configuration (every insert spills), runs on
-    one stripe — and the buffers are charged against the per-stripe
-    budget ceil(k/S), so they must fit inside it. *)
-let config_error ~k ~shards ~sticky ~buf ~dbuf =
+    one stripe — and a deletion batch must fit inside the per-stripe
+    budget ceil(k/S). *)
+let config_error ~k ~shards ~dbuf =
   let err fmt = Printf.ksprintf Option.some fmt in
   if k < 0 then err "relaxation k = %d < 0" k
   else if shards < 1 then
@@ -92,24 +79,13 @@ let config_error ~k ~shards ~sticky ~buf ~dbuf =
       "shard count %d exceeds the relaxation k = %d (every stripe needs a \
        budget of at least 1)"
       shards k
-  else if sticky < 0 then err "stickiness window %d < 0" sticky
   else
     let kp = stripe_k ~k ~shards in
-    if buf < 0 || buf > kp then
-      err
-        "insertion buffer %d exceeds the per-stripe budget ceil(k/S) = %d \
-         (buffered items are charged against the local relaxation budget)"
-        buf kp
-    else if dbuf < 0 || dbuf > kp then
+    if dbuf < 0 || dbuf > kp then
       err
         "deletion batch %d exceeds the per-stripe budget ceil(k/S) = %d (a \
          batch claim must fit inside one stripe's relaxation)"
         dbuf kp
-    else if buf + dbuf > kp then
-      err
-        "insertion buffer %d + deletion batch %d overdraw the per-stripe \
-         budget ceil(k/S) = %d"
-        buf dbuf kp
     else None
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
@@ -127,8 +103,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Observability (lib/obs; docs/METRICS.md): the klsm.* family counts
      the Listing 5 composition (claim races and the two fallback paths of
-     delete-min); the stripe.* family counts the striped race, its cache
-     and the contention knobs. *)
+     delete-min); the stripe.* family counts the striped race, its cache,
+     migration and the deletion buffer. *)
   let c_take_race = Obs.counter "klsm.take_race"
   let c_delete_local = Obs.counter "klsm.delete_local"
   let c_delete_shared = Obs.counter "klsm.delete_shared"
@@ -141,8 +117,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_cache_miss = Obs.counter "stripe.cache_miss"
   let c_hint_consult = Obs.counter "stripe.hint_consult"
   let c_hint_skip = Obs.counter "stripe.hint_skip"
-  let c_sticky_hit = Obs.counter "stripe.sticky_hit"
-  let c_buffer_flush = Obs.counter "stripe.buffer_flush"
   let c_dbuf_hit = Obs.counter "stripe.dbuf_hit"
   let c_dbuf_flush = Obs.counter "stripe.dbuf_flush"
 
@@ -152,12 +126,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       while we starved. *)
   let migrate_threshold = 8
 
-  (** Age bound of the insertion and deletion buffers, in operations of the
-      owning handle: an item buffered while its owner performs this many
-      further operations is force-flushed on the next one, bounding how
-      long it stays invisible to spies and other threads' races.  (The rank
-      bound never depends on this — buffered items are pre-charged against
-      the local budget — it is a quality/liveness hygiene bound.) *)
+  (** Age bound of the deletion buffer, in operations of the owning
+      handle: claimed items still parked after this many further owner
+      operations are flushed back into the queue on the next one, bounding
+      how long they stay invisible to spies and other threads' races.  (The
+      rank bound never depends on this — parked items are charged as the
+      [T * (B - 1)] term — it is a quality/liveness hygiene bound.) *)
   let buffer_age_bound = 64
 
   (** A durability hook (lib/store): applied to every block headed for the
@@ -179,9 +153,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     spill_max_level : int option;
         (** ablation override of the §4.3 spill threshold *)
     spill_policy : 'v spill_policy option;
-    sticky_window : int;  (** stickiness window W; 0 = off *)
-    buf_cap : int;  (** insertion-buffer capacity B; 0 = off *)
-    dbuf_cap : int;
+    dbuf_max : int;
         (** deletion batch size B (DESIGN.md §17): shared deletes claim up
             to B items with one publish CAS, serving B - 1 follow-ups from
             the owner's deletion buffer; 0 = off *)
@@ -211,24 +183,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     mutable cached : 'v Item.t option;  (** delete-min candidate cache *)
     mutable cached_key : int;
     mutable cached_stripe : int;
-        (** stripe that produced the cached candidate; [-1] = none (feeds
-            the stickiness window on a successful shared delete) *)
+        (** stripe that produced the cached candidate; [-1] = none (the
+            stripe a deletion batch is claimed from) *)
     cached_ptrs : 'v Block_array.t option array;
         (** per-stripe published-array tokens observed when the cache was
             filled; physical inequality + a hint below [cached_key] is the
             only thing that can invalidate a still-alive cached candidate *)
-    mutable sticky_stripe : int;
-        (** stripe that served the last shared delete-min *)
-    mutable sticky_left : int;
-        (** races left in the stickiness window; halved on CAS failure *)
-    mutable buf : (int * 'v) list;  (** insertion buffer, newest first *)
-    mutable buf_len : int;
-    mutable buf_min : int;
-        (** lower bound on the buffered keys ([max_int] = empty); kept
-            conservative (never raised mid-flush), so a flush check that
-            consults it can only over-flush, never hide an item *)
-    mutable buf_age : int;
-        (** owner operations since the oldest buffered item arrived *)
     mutable dbuf : (int * 'v) list;
         (** deletion buffer, ascending: items claimed-deleted from a stripe
             in a batch, not yet returned to the owner.  Invisible to every
@@ -253,13 +213,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             reuse) *)
   }
 
-  let create_with ?(seed = 1) ?(k = 256) ?(shards = 1) ?(sticky = 0)
-      ?(buf = 0) ?(dbuf = 0) ?should_delete ?on_lazy_delete ?spill_max_level
-      ?spill_policy ?(local_ordering = true) ~num_threads () =
+  let create_with ?(seed = 1) ?(k = 256) ?(shards = 1) ?(dbuf = 0)
+      ?should_delete ?on_lazy_delete ?spill_max_level ?spill_policy
+      ?(local_ordering = true) ~num_threads () =
     if num_threads < 1 then invalid_arg "Klsm.create: num_threads < 1";
     Option.iter
       (fun e -> invalid_arg ("Klsm.create: " ^ e))
-      (config_error ~k ~shards ~sticky ~buf ~dbuf);
+      (config_error ~k ~shards ~dbuf);
     let kp = stripe_k ~k ~shards in
     let hasher = Tabular_hash.create ~seed:(seed lxor 0x5eed) in
     let alive =
@@ -295,9 +255,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       alive;
       spill_max_level;
       spill_policy;
-      sticky_window = sticky;
-      buf_cap = buf;
-      dbuf_cap = dbuf;
+      dbuf_max = dbuf;
       obs = Obs.create_sheet ~now:B.time ~num_threads ();
     }
 
@@ -312,8 +270,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let set_k t k =
     Option.iter
       (fun e -> invalid_arg ("Klsm.set_k: " ^ e))
-      (config_error ~k ~shards:t.num_stripes ~sticky:t.sticky_window
-         ~buf:t.buf_cap ~dbuf:t.dbuf_cap);
+      (config_error ~k ~shards:t.num_stripes ~dbuf:t.dbuf_max);
     B.set t.k k;
     let kp = stripe_k ~k ~shards:t.num_stripes in
     Array.iter (fun s -> Shared_klsm.set_k s kp) t.stripes
@@ -357,12 +314,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         cached_key = max_int;
         cached_stripe = -1;
         cached_ptrs = Array.make t.num_stripes None;
-        sticky_stripe = home;
-        sticky_left = 0;
-        buf = [];
-        buf_len = 0;
-        buf_min = max_int;
-        buf_age = 0;
         dbuf = [];
         dbuf_len = 0;
         dbuf_age = 0;
@@ -375,8 +326,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     (* Contention hooks: every failed snapshot CAS on stripe [i] backs the
        thread off (decorrelated jitter, so losers of the same race stop
        retrying in lockstep); failures on the current home stripe also feed
-       the migration detector and decay the stickiness window (the sticky
-       stripe is being fought over). *)
+       the migration detector. *)
     Array.iteri
       (fun i sh ->
         sh.Shared_klsm.on_cas_fail <-
@@ -387,7 +337,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               if h.fail_streak >= migrate_threshold then
                 h.migrate_pending <- true
             end;
-            if h.sticky_left > 0 then h.sticky_left <- h.sticky_left / 2;
             Backoff.once h.backoffs.(i) ~relax:B.relax_n);
         sh.Shared_klsm.on_cas_success <-
           (fun () ->
@@ -403,10 +352,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      decision applies to the next spill). *)
   let spill_to_home h block =
     let block = h.spill_tx block in
-    B.fault_point "sharded.spill.publish";
+    B.fault_point "klsm.spill.publish";
     Shared_klsm.insert h.stripe_hs.(h.home) block;
     if h.migrate_pending && h.t.num_stripes > 1 then begin
-      B.fault_point "sharded.migrate";
+      B.fault_point "klsm.migrate";
       h.migrate_pending <- false;
       h.fail_streak <- 0;
       h.home <- (h.home + 1) mod h.t.num_stripes;
@@ -419,43 +368,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      level bound of the {e per-stripe} budget ceil(k/S) bulk-inserts that
      block into the home stripe — batching that makes shared updates ~k
      times rarer, and keeps each thread-local LSM within the ceil(k/S)
-     term of {!rank_bound}.  With insertion buffering the threshold shrinks
-     by the buffer capacity (DESIGN.md §15): LSM + buffer together stay
-     within the same term. *)
+     term of {!rank_bound}. *)
   let insert_now h key value =
     let item = Item.make key value in
     let max_level =
       match h.t.spill_max_level with
       | Some l -> l
       | None ->
-          let kp = stripe_k ~k:(B.get h.t.k) ~shards:h.t.num_stripes in
-          Dist_lsm.max_level_for_k (max 0 (kp - h.t.buf_cap))
+          Dist_lsm.max_level_for_k
+            (stripe_k ~k:(B.get h.t.k) ~shards:h.t.num_stripes)
     in
     Dist_lsm.insert h.dist item ~max_level ~spill:(fun b -> spill_to_home h b)
-
-  (** Flush the insertion buffer into the thread-local LSM (no-op when
-      empty).  Items leave the buffer one by one {e after} entering the
-      LSM, so a crash mid-flush leaves every not-yet-inserted item still
-      visible in [h.buf] (the chaos drive reads it to account for a
-      crashed thread's buffered items); [buf_min] stays conservatively low
-      until the buffer empties. *)
-  let flush_buffer h =
-    if h.buf_len > 0 then begin
-      B.fault_point "sharded.buffer.flush";
-      Obs.incr h.obs c_buffer_flush;
-      let rec drain () =
-        match h.buf with
-        | [] ->
-            h.buf_min <- max_int;
-            h.buf_age <- 0
-        | (key, value) :: rest ->
-            insert_now h key value;
-            h.buf <- rest;
-            h.buf_len <- h.buf_len - 1;
-            drain ()
-      in
-      drain ()
-    end
 
   (** Return claimed-but-unserved deletion-buffer items to the queue: each
       is reinserted into the thread-local LSM as a fresh item (the claimed
@@ -463,14 +386,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       other thread, so reinsertion is the only way back to visibility).
       Triggered by the owner's age bound — a handle that stops deleting
       must not sit on claimed items — and by the chaos drive on surviving
-      threads.  Items leave the buffer one by one {e after} reinsertion,
-      mirroring {!flush_buffer}'s crash discipline: a crash mid-flush
-      leaves the not-yet-reinserted tail visible in [h.dbuf] for the
-      conservation accounting (an item caught on both sides is delivered
-      at most once — the buffered copy never leaves a dead handle). *)
+      threads.  Items leave the buffer one by one {e after} reinsertion, so
+      a crash mid-flush leaves the not-yet-reinserted tail visible in
+      [h.dbuf] for the conservation accounting (an item caught on both
+      sides is delivered at most once — the buffered copy never leaves a
+      dead handle). *)
   let flush_dbuf h =
     if h.dbuf_len > 0 then begin
-      B.fault_point "sharded.dbuf.flush";
+      B.fault_point "klsm.dbuf.flush";
       Obs.incr h.obs c_dbuf_flush;
       let rec drain () =
         match h.dbuf with
@@ -492,50 +415,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       if h.dbuf_age >= buffer_age_bound then flush_dbuf h
     end
 
-  (** Insert a key (§4.3), through the per-handle insertion buffer when one
-      is configured (DESIGN.md §15): the common case is then a buffer
-      push; the LSM merge cascade and any stripe publish happen only on
-      flush. *)
+  (** Insert a key (§4.3). *)
   let insert h key value =
     if key < 0 then invalid_arg "Klsm.insert: negative key";
     dbuf_tick h;
-    if h.t.buf_cap = 0 then insert_now h key value
-    else begin
-      if h.buf_len > 0 then begin
-        h.buf_age <- h.buf_age + 1;
-        if h.buf_age >= buffer_age_bound then flush_buffer h
-      end;
-      h.buf <- (key, value) :: h.buf;
-      h.buf_len <- h.buf_len + 1;
-      if key < h.buf_min then h.buf_min <- key;
-      if h.buf_len >= h.t.buf_cap then flush_buffer h
-    end
-
-  (* The delete-min/find-min side of buffering: serve from the exact local
-     LSM unless a buffered key undercuts it, in which case flush first.
-     This is what keeps find_min exact for the owner (no buffered item is
-     ever invisible {e below} the served candidate) and single-thread
-     semantics exact overall. *)
-  let local_min_flushing h =
-    let local = Dist_lsm.find_min h.dist in
-    if
-      h.buf_len > 0
-      &&
-      match local with
-      | None -> true
-      | Some it -> h.buf_min < Item.key it
-    then begin
-      flush_buffer h;
-      Dist_lsm.find_min h.dist
-    end
-    else local
+    insert_now h key value
 
   (** Bulk insertion: a whole batch becomes one sorted block published to
       the home stripe with a single CAS — the LSM's natural strength (§4.1
       reduces shared updates by batching; this exposes the mechanism to
       applications that produce keys in bursts, e.g. node expansions).
-      Linearizes once for the entire batch and bypasses the insertion
-      buffer — the batch is already the amortized path. *)
+      Linearizes once for the entire batch. *)
   let insert_batch h pairs =
     match Array.length pairs with
     | 0 -> ()
@@ -586,13 +476,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         done;
         !ok
 
-  (* The full race: a primary stripe (the sticky stripe while the
-     stickiness window is open, the home stripe otherwise), then every
-     other stripe whose min hint undercuts the best so far (scanned from a
-     rotating offset).  Every stripe is thus either consulted (candidate
-     within its ceil(k/S) relaxation) or certified by its hint to hold
-     nothing smaller — the case split the DESIGN §12 rank bound sums over,
-     regardless of which stripe went first. *)
+  (* The full race: the home stripe, then every other stripe whose min
+     hint undercuts the best so far (scanned from a rotating offset).
+     Every stripe is thus either consulted (candidate within its ceil(k/S)
+     relaxation) or certified by its hint to hold nothing smaller — the
+     case split the DESIGN §12 rank bound sums over. *)
   let race h =
     let s = h.t.num_stripes in
     (* Observation tokens first: a publish landing between the token read
@@ -614,15 +502,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             best_stripe := i
           end
     in
-    let primary =
-      if h.t.sticky_window > 0 && h.sticky_left > 0 then begin
-        h.sticky_left <- h.sticky_left - 1;
-        Obs.incr h.obs c_sticky_hit;
-        h.sticky_stripe
-      end
-      else h.home
-    in
-    consult primary;
+    consult h.home;
     if s > 1 then begin
       (* Rotating scan offset: when several stripes undercut the current
          best they are consulted in a different order each race, so no
@@ -631,7 +511,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       let start = h.rr mod s in
       for d = 0 to s - 1 do
         let j = (start + d) mod s in
-        if j <> primary && Shared_klsm.min_hint h.t.stripes.(j) < !best_key
+        if j <> h.home && Shared_klsm.min_hint h.t.stripes.(j) < !best_key
         then begin
           Obs.incr h.obs c_hint_consult;
           consult j
@@ -706,7 +586,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   let key_or_max = function Some it -> Item.key it | None -> max_int
 
-  (* Batched shared delete (DESIGN.md §17): claim up to B = [dbuf_cap]
+  (* Batched shared delete (DESIGN.md §17): claim up to B = [dbuf_max]
      items from the stripe that won the race with ONE publish CAS
      ({!Shared_klsm.try_pop_batch}), capped at the local minimum — the
      run must not reach past what the owner itself holds.  No cross-stripe
@@ -726,7 +606,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let run =
       Shared_klsm.try_pop_batch
         ~stage:(fun pending -> h.dbuf_pending <- pending)
-        ~limit:local_key h.stripe_hs.(stripe_i) h.t.dbuf_cap
+        ~limit:local_key h.stripe_hs.(stripe_i) h.t.dbuf_max
     in
     h.dbuf_pending <- [];
     match run with
@@ -736,10 +616,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         h.dbuf_len <- List.length rest;
         h.dbuf_age <- 0;
         Obs.incr h.obs c_delete_shared;
-        if h.t.sticky_window > 0 then begin
-          h.sticky_stripe <- stripe_i;
-          h.sticky_left <- h.t.sticky_window
-        end;
         (* The winning publish restructured the stripe; drop the candidate
            cache rather than let it point at a just-claimed item. *)
         h.cached <- None;
@@ -748,9 +624,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** Listing 5's [delete_min]: race the thread-local minimum against the
       shared component's relaxed minimum, attempt the test-and-set, retry
       on lost races, and spy on other threads' local LSMs before reporting
-      empty.  Lock-free: every retry implies another thread succeeded.  A
-      successful shared delete opens (or refreshes) the stickiness window
-      on the serving stripe.
+      empty.  Lock-free: every retry implies another thread succeeded.
 
       With deletion batching on ([~dbuf:B]), the deletion buffer is
       consulted first: its head was globally minimal under the rank bound
@@ -762,7 +636,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     dbuf_tick h;
     let rec outer () =
       let rec take_loop () =
-        let local = local_min_flushing h in
+        let local = Dist_lsm.find_min h.dist in
         let local_key = key_or_max local in
         let dhead =
           match h.dbuf with [] -> max_int | (key, _) :: _ -> key
@@ -799,7 +673,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           | Some item -> (
               match
                 if
-                  from_shared && h.t.dbuf_cap > 0 && h.dbuf_len = 0
+                  from_shared && h.t.dbuf_max > 0 && h.dbuf_len = 0
                   && h.cached_stripe >= 0
                 then claim_batch h ~local_key
                 else None
@@ -807,15 +681,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               | Some kv -> Some kv
               | None ->
                   if Item.take item then begin
-                    if from_shared then begin
-                      Obs.incr h.obs c_delete_shared;
-                      if h.t.sticky_window > 0 && h.cached_stripe >= 0
-                      then begin
-                        h.sticky_stripe <- h.cached_stripe;
-                        h.sticky_left <- h.t.sticky_window
-                      end
-                    end
-                    else Obs.incr h.obs c_delete_local;
+                    Obs.incr h.obs
+                      (if from_shared then c_delete_shared
+                       else c_delete_local);
                     Some (Item.key item, Item.value item)
                   end
                   else begin
@@ -851,7 +719,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     in
     let rec go () =
       if !got < n then begin
-        let local = local_min_flushing h in
+        let local = Dist_lsm.find_min h.dist in
         let local_key = key_or_max local in
         match (local, shared_candidate h local_key) with
         | None, None -> if spy_round h then go ()
@@ -892,7 +760,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       so the whole call still costs one publish CAS per up-to-B items. *)
   let try_delete_min_batch h n =
     if n <= 0 then []
-    else if h.t.num_stripes = 1 && h.t.dbuf_cap = 0 then claim_runs h n
+    else if h.t.num_stripes = 1 && h.t.dbuf_max = 0 then claim_runs h n
     else
       let rec go acc got =
         if got >= n then List.rev acc
@@ -907,12 +775,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       returns a key/value among the rho+1 smallest without deleting it.
       The item may be deleted concurrently right after (or even just
       before) the return — peeking is inherently advisory on a concurrent
-      queue.  Flushes the insertion buffer when a buffered key undercuts
-      the local minimum, so no buffered item hides below the answer; a
-      deletion-buffer head competes like any candidate (it is part of the
-      owner's view, so hiding it would break owner exactness). *)
+      queue.  A deletion-buffer head competes like any candidate (it is
+      part of the owner's view, so hiding it would break owner
+      exactness). *)
   let try_find_min h =
-    let local = local_min_flushing h in
+    let local = Dist_lsm.find_min h.dist in
     let local_key = key_or_max local in
     let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
     let shared = shared_candidate h (min local_key dhead) in
@@ -937,9 +804,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       duration (concurrent operations on the destination are fine).
       Adopted blocks get the conservative all-threads Bloom filter, since
       [src]'s filters were built with a different hash function.
-      Insertion buffers live in {e handles}, not in [src]: callers must
-      {!flush_buffer} the source's handles first or those items stay
-      behind. *)
+      Deletion buffers live in {e handles}, not in [src]: callers must
+      {!flush_dbuf} the source's handles first, otherwise the items they
+      claimed stay behind. *)
   let meld h ~src =
     let adopt block =
       if not (Block.is_empty block) then begin
@@ -965,9 +832,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let consolidate_local h = Dist_lsm.consolidate h.dist
 
   (** Number of items currently held (counting not-yet-cleaned deleted
-      items); the paper allows this to be off by rho.  Items sitting in
-      per-handle insertion buffers are not visible from [t]; the count may
-      under-report by at most T * B. *)
+      items); the paper allows this to be off by rho.  Items parked in
+      per-handle deletion buffers are not visible from [t]; the count may
+      under-report by at most T * (B - 1). *)
   let approximate_size t =
     let acc = ref 0 in
     Array.iter
@@ -988,13 +855,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Internal accessors for white-box tests and the chaos drive. *)
   let internal_stripes t = t.stripes
-  let internal_stripe_handles h = h.stripe_hs
   let internal_dist h = h.dist
-  let internal_buffered h = h.buf
   let internal_dbuf h = h.dbuf
   let internal_dbuf_pending h = h.dbuf_pending
-  let internal_sticky_left h = h.sticky_left
-  let internal_sticky_stripe h = h.sticky_stripe
 end
 
 (** The deployment instantiation on OCaml domains. *)

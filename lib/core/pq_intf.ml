@@ -27,16 +27,7 @@ module type S = sig
   val insert : 'v handle -> int -> 'v -> unit
   (** [insert h key v] inserts; always succeeds.  [key >= 0].  The paper's
       Listing 5 [insert]: local LSM first, spilling to the shared
-      component per §4.3 (for the k-LSM; baselines use their own paths).
-
-      Visibility caveat (DESIGN.md §15): implementations with per-handle
-      insertion buffering (the k-LSM's [~buf]) may hold up to B
-      inserted items in the inserting handle, invisible to {e other}
-      threads until a flush — triggered by buffer capacity, an age bound,
-      or the owner's next delete-min/find-min whose answer the buffer
-      would undercut.  Buffered items are charged against the owner's
-      local relaxation budget, so the queue's advertised rank bound is
-      unaffected; the owner's own view stays exact. *)
+      component per §4.3 (for the k-LSM; baselines use their own paths). *)
 
   val try_delete_min : 'v handle -> (int * 'v) option
   (** Delete and return a minimal key (under the queue's relaxation).

@@ -31,13 +31,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let default_store_dir = Filename.concat "_store" "default"
   let default_spill_bytes = 1 lsl 20
 
-  (** Striping and contention parameters of the k-LSM
-      (lib/core/klsm.ml; DESIGN.md §12 and §15; docs/TUNING.md). *)
+  (** Striping and deletion-batching parameters of the k-LSM
+      (lib/core/klsm.ml; DESIGN.md §12 and §17; docs/TUNING.md). *)
   type sharded_cfg = {
     k : int;  (** global relaxation budget *)
     shards : int;  (** stripe count S *)
-    sticky : int;  (** stickiness window W; 0 = off *)
-    buf : int;  (** insertion-buffer capacity B; 0 = off *)
     dbuf : int;  (** deletion batch size B (DESIGN.md §17); 0 = off *)
   }
 
@@ -58,7 +56,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       [Stored] the configuration underneath — or [None] for the other
       queues. *)
   let rec klsm_cfg = function
-    | Klsm k -> Some { k; shards = 1; sticky = 0; buf = 0; dbuf = 0 }
+    | Klsm k -> Some { k; shards = 1; dbuf = 0 }
     | Klsm_sharded cfg -> Some cfg
     | Stored (inner, _) -> klsm_cfg inner
     | Heap_lock | Linden | Spraylist | Multiq _ | Dlsm | Wimmer_centralized
@@ -80,9 +78,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | (Spraylist | Multiq _ | Dlsm | Klsm _ | Klsm_sharded _ | Stored _), _ ->
         None
 
-  (** [klsm_sharded k shards], the contention knobs defaulted off. *)
-  let klsm_sharded ?(sticky = 0) ?(buf = 0) ?(dbuf = 0) k shards =
-    Klsm_sharded { k; shards; sticky; buf; dbuf }
+  (** [klsm_sharded k shards], deletion batching defaulted off. *)
+  let klsm_sharded ?(dbuf = 0) k shards = Klsm_sharded { k; shards; dbuf }
 
   let rec spec_name = function
     | Heap_lock -> "heap+lock"
@@ -91,17 +88,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Multiq c -> Printf.sprintf "multiq(%d)" c
     | Klsm k -> Printf.sprintf "klsm(%d)" k
     | Klsm_sharded cfg ->
-        let b = Buffer.create 32 in
-        Buffer.add_string b
-          (Printf.sprintf "klsm-sharded(%d,%d" cfg.k cfg.shards);
-        if cfg.sticky > 0 then
-          Buffer.add_string b (Printf.sprintf ",sticky=%d" cfg.sticky);
-        if cfg.buf > 0 then
-          Buffer.add_string b (Printf.sprintf ",buf=%d" cfg.buf);
-        if cfg.dbuf > 0 then
-          Buffer.add_string b (Printf.sprintf ",dbuf=%d" cfg.dbuf);
-        Buffer.add_char b ')';
-        Buffer.contents b
+        Printf.sprintf "klsm-sharded(%d,%d%s)" cfg.k cfg.shards
+          (if cfg.dbuf > 0 then Printf.sprintf ",dbuf=%d" cfg.dbuf else "")
     | Dlsm -> "dlsm"
     | Wimmer_centralized -> "centralized-k"
     | Wimmer_hybrid k -> Printf.sprintf "hybrid-k(%d)" k
@@ -148,10 +136,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | "klsm" -> with_arg ~what:"the relaxation k" ~default:256 (fun k -> Klsm k)
     | "klsm-sharded" | "sharded" -> (
         (* Colon-separated parameters: up to two positional integers (k,
-           then the shard count S; defaults 256 and 4), then keyed knobs in
-           any order — "sticky=<W>", "buf=<B>", "dbuf=<B>".  The budget
-           constraints are Klsm.config_error's, the ones create_with
-           enforces (docs/TUNING.md). *)
+           then the shard count S; defaults 256 and 4), then the one keyed
+           knob "dbuf=<B>".  The budget constraints are
+           Klsm.config_error's, the ones create_with enforces
+           (docs/TUNING.md). *)
         let parse_int ~what a =
           match int_of_string_opt a with
           | Some v when v >= 0 -> Ok v
@@ -182,8 +170,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     Error
                       (Printf.sprintf
                          "%S: unexpected third positional parameter %S (only \
-                          k and S are positional; use sticky=, buf=, dbuf= \
-                          for the contention knobs)"
+                          k and S are positional; use dbuf= for the deletion \
+                          batch)"
                          s tok)
                   else
                     match parse_int ~what tok with
@@ -192,44 +180,30 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               | Some i -> (
                   let key = String.sub tok 0 i in
                   let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-                  (* A keyed knob is a positive integer; 0 is spelled by
+                  (* The keyed knob is a positive integer; 0 is spelled by
                      omitting it. *)
-                  let knob what set =
-                    match parse_int ~what v with
-                    | Error e -> Error e
-                    | Ok 0 ->
-                        Error
-                          (Printf.sprintf
-                             "%S: %s must be >= 1 (omit %s= to disable it)" s
-                             what key)
-                    | Ok n -> collect rest ~npos (set n)
-                  in
                   match key with
-                  | "sticky" ->
-                      knob "the stickiness window W" (fun w ->
-                          { acc with sticky = w })
-                  | "buf" ->
-                      knob "the insertion-buffer capacity B" (fun b ->
-                          { acc with buf = b })
-                  | "dbuf" ->
-                      knob "the deletion batch size B" (fun b ->
-                          { acc with dbuf = b })
+                  | "dbuf" -> (
+                      match parse_int ~what:"the deletion batch size B" v with
+                      | Error e -> Error e
+                      | Ok 0 ->
+                          Error
+                            (Printf.sprintf
+                               "%S: the deletion batch size B must be >= 1 \
+                                (omit dbuf= to disable it)"
+                               s)
+                      | Ok b -> collect rest ~npos { acc with dbuf = b })
                   | _ ->
                       Error
                         (Printf.sprintf
-                           "%S: unknown parameter %S (known: sticky=<W>, \
-                            buf=<B>, dbuf=<B>)"
-                           s key)))
+                           "%S: unknown parameter %S (known: dbuf=<B>)" s key)))
         in
-        match
-          collect toks ~npos:0
-            { k = 256; shards = 4; sticky = 0; buf = 0; dbuf = 0 }
-        with
+        match collect toks ~npos:0 { k = 256; shards = 4; dbuf = 0 } with
         | Error e -> Error e
         | Ok cfg -> (
             match
               Klsm_core.Klsm.config_error ~k:cfg.k ~shards:cfg.shards
-                ~sticky:cfg.sticky ~buf:cfg.buf ~dbuf:cfg.dbuf
+                ~dbuf:cfg.dbuf
             with
             | Some e -> Error (Printf.sprintf "%S: %s" s e)
             | None -> Ok (Klsm_sharded cfg)))
@@ -242,7 +216,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           (Printf.sprintf
              "unknown implementation %S; known: heap, linden, spray, \
               multiq[:C], klsm[:K], \
-              klsm-sharded[:K[:S]][:sticky=W][:buf=B][:dbuf=B], \
+              klsm-sharded[:K[:S]][:dbuf=B], \
               dlsm, centralized, hybrid[:K]; klsm and klsm-sharded accept \
               +spill:<bytes> and +store:<dir> suffixes"
              s)
@@ -425,8 +399,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       ("multiq[:C]", "multiq:2");
       (* One k-LSM: klsm:K is klsm-sharded:K:1. *)
       ("klsm[:K]", "klsm:256");
-      ( "klsm-sharded[:K[:S]][:sticky=W][:buf=B][:dbuf=B]",
-        "klsm-sharded:256:4:sticky=8:buf=16:dbuf=8" );
+      ("klsm-sharded[:K[:S]][:dbuf=B]", "klsm-sharded:256:4:dbuf=8");
       ("dlsm", "dlsm");
       ("centralized-k", "centralized-k");
       ("hybrid-k[:K]", "hybrid-k:256");
@@ -543,7 +516,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               (Printf.sprintf
                  "Registry.make: %s does not support the durability tier"
                  (spec_name spec))
-        | Some { k; shards; sticky; buf; dbuf } ->
+        | Some { k; shards; dbuf } ->
             let spill =
               match spec with
               | Stored (_, cfg) ->
@@ -553,7 +526,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               | _ -> None
             in
             let q =
-              Klsm.create_with ~seed ~k ~shards ~sticky ~buf ~dbuf
+              Klsm.create_with ~seed ~k ~shards ~dbuf
                 ?should_delete ?on_lazy_delete
                 ?spill_policy:
                   (Option.map

@@ -94,20 +94,12 @@ let test_parse_spec () =
       ("klsm-sharded:64", Some (R.klsm_sharded 64 4));
       ("klsm-sharded:64:8", Some (R.klsm_sharded 64 8));
       ("sharded:32:2", Some (R.klsm_sharded 32 2));
-      (* the §15 contention knobs, keyed and order-independent *)
-      ("klsm-sharded:64:8:sticky=4", Some (R.klsm_sharded ~sticky:4 64 8));
-      ("klsm-sharded:64:8:buf=2", Some (R.klsm_sharded ~buf:2 64 8));
-      ( "sharded:256:4:buf=16:sticky=8",
-        Some (R.klsm_sharded ~sticky:8 ~buf:16 256 4) );
       (* k = 0, the exact-shared configuration, runs on one stripe *)
       ("klsm:0", Some (R.Klsm 0));
       ("klsm-sharded:0:1", Some (R.klsm_sharded 0 1));
-      (* the §17 deletion-batch knob, alone and alongside the others *)
+      (* the §17 deletion-batch knob, the one keyed parameter *)
       ("klsm-sharded:64:8:dbuf=4", Some (R.klsm_sharded ~dbuf:4 64 8));
-      ( "klsm-sharded:256:4:sticky=8:buf=16:dbuf=8",
-        Some (R.klsm_sharded ~sticky:8 ~buf:16 ~dbuf:8 256 4) );
-      ( "sharded:256:4:dbuf=8:buf=16",
-        Some (R.klsm_sharded ~buf:16 ~dbuf:8 256 4) );
+      ("sharded:1024:4:dbuf=8", Some (R.klsm_sharded ~dbuf:8 1024 4));
       ("nonsense", None);
     ]
   in
@@ -126,18 +118,15 @@ let test_parse_spec_rejects_bad_args () =
          (k = 0 has a budget for one stripe only) *)
       "klsm-sharded:abc"; "klsm-sharded:64:x"; "klsm-sharded:64:0";
       "klsm-sharded:4:8"; "klsm-sharded:0:2";
-      (* contention knobs: sticky=0 and buf=0 mean "omit the knob";
-         buf beyond the per-stripe budget breaks the charged rank bound;
-         adapt= names no knob, so it is an unknown parameter *)
-      "klsm-sharded:64:8:sticky=0"; "klsm-sharded:64:8:buf=0";
-      "klsm-sharded:64:8:buf=9"; "klsm-sharded:64:8:sticky=x";
-      "klsm-sharded:64:4:adapt=2-8"; "klsm-sharded:64:8:wat=1";
-      "klsm-sharded:64:8:1";
+      (* sticky=, buf= and adapt= name no knob, so they are unknown
+         parameters — also next to a valid dbuf= *)
+      "klsm-sharded:64:8:sticky=4"; "klsm-sharded:64:8:buf=2";
+      "klsm-sharded:64:8:buf=5:dbuf=4"; "klsm-sharded:64:4:adapt=2-8";
+      "klsm-sharded:64:8:wat=1"; "klsm-sharded:64:8:1";
       (* dbuf: 0 means "omit the knob"; a batch beyond the per-stripe
-         budget ceil(k/S) = 8 cannot fit one stripe's relaxation; and
-         buf + dbuf together must not overdraw that same budget *)
+         budget ceil(k/S) = 8 cannot fit one stripe's relaxation *)
       "klsm-sharded:64:8:dbuf=0"; "klsm-sharded:64:8:dbuf=9";
-      "klsm-sharded:64:8:dbuf=x"; "klsm-sharded:64:8:buf=5:dbuf=4";
+      "klsm-sharded:64:8:dbuf=x";
     ]
   in
   List.iter
@@ -150,16 +139,31 @@ let test_parse_spec_rejects_bad_args () =
             true
             (String.length msg > 0))
     bad;
-  (* adapt= is rejected as an unknown parameter. *)
-  (match R.parse_spec "klsm-sharded:64:4:adapt=2-8" with
-  | Ok _ -> Alcotest.fail "adapt= accepted"
-  | Error msg ->
-      let needle = "unknown parameter \"adapt\"" in
-      let n = String.length needle in
-      let rec has i =
-        i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1))
-      in
-      check_bool (Printf.sprintf "adapt= is unknown (%s)" msg) true (has 0));
+  (* sticky=, buf= and adapt= are unknown parameters: the message names
+     the parameter and lists dbuf=<B> as the only known key. *)
+  List.iter
+    (fun (key, spec) ->
+      match R.parse_spec spec with
+      | Ok _ -> Alcotest.failf "%s= accepted" key
+      | Error msg ->
+          let has needle =
+            let n = String.length needle in
+            let rec go i =
+              i + n <= String.length msg
+              && (String.sub msg i n = needle || go (i + 1))
+            in
+            go 0
+          in
+          check_bool
+            (Printf.sprintf "%s= is unknown (%s)" key msg)
+            true
+            (has (Printf.sprintf "unknown parameter %S" key)
+            && has "(known: dbuf=<B>)"))
+    [
+      ("sticky", "klsm-sharded:64:8:sticky=4");
+      ("buf", "klsm-sharded:64:8:buf=2");
+      ("adapt", "klsm-sharded:64:4:adapt=2-8");
+    ];
   (* Unknown base names list the known implementations. *)
   match R.parse_spec "nonsense" with
   | Ok _ -> Alcotest.fail "nonsense accepted"

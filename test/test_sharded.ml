@@ -5,13 +5,11 @@
    relaxation-budget partition, the delete-min candidate cache, migration
    under a CAS-failure storm, the DESIGN.md §12 rank bound
    rho <= (T-1+S) * ceil(k/S) measured empirically on the simulator, and
-   the §15 contention knobs: stickiness window open/decay/expiry,
-   insertion-buffer flush triggers (undercutting find_min, capacity, age)
-   and their exactness, conservation with buffering, the rank bound with
-   the knobs on, and the §17 batched delete-min: the one-CAS run claim at
-   S = 1, batch exactness with and without the deletion buffer,
-   empty/short edges, a batch+single-pop fuzz against the sequential
-   oracle, and the widened rank bound under [~dbuf]. *)
+   the §17 batched delete-min: exactness and conservation with the
+   deletion buffer, the one-CAS run claim at S = 1, batch exactness with
+   and without the deletion buffer, empty/short edges, a batch+single-pop
+   fuzz against the sequential oracle, and the widened rank bound under
+   [~dbuf]. *)
 
 open Helpers
 module K = Klsm_core.Klsm.Default
@@ -67,18 +65,17 @@ let prop_single_thread_exact_striped =
         ~delete_min:(fun () -> Option.map fst (K.try_delete_min h))
         ops)
 
-let prop_single_thread_exact_knobs =
-  qtest "sharded+sticky+buf single thread = exact PQ" ~count:100
+let prop_single_thread_exact_dbuf =
+  qtest "sharded+dbuf single thread = exact PQ" ~count:100
     QCheck2.Gen.(triple ops_gen (int_bound 300) (int_range 1 4))
     (fun (ops, k, shards) ->
       let k = max k shards in
       let kp = Klsm_core.Klsm.stripe_k ~k ~shards in
-      (* The buffered-delete flush rule (flush iff the buffered minimum
-         undercuts the local LSM minimum) must keep the owner's view
-         exact, whatever the buffer capacity. *)
+      (* The deletion-buffer serve rule (serve the parked head only while
+         neither the local minimum nor any stripe undercuts it) must keep
+         the owner's view exact, whatever the batch size. *)
       let q =
-        K.create_with ~k ~shards ~sticky:2 ~buf:(max 1 (min 4 kp))
-          ~num_threads:1 ()
+        K.create_with ~k ~shards ~dbuf:(max 1 (min 4 kp)) ~num_threads:1 ()
       in
       let h = K.register q 0 in
       matches_oracle
@@ -311,23 +308,28 @@ let prop_two_stripe_conservation =
       let got = drain_all (fun () -> K.try_delete_min h0) in
       List.sort compare got = List.sort compare keys)
 
-let prop_multi_handle_conservation_buffered =
-  qtest "two-handle conservation with sticky+buf" ~count:50
+let prop_multi_handle_conservation_dbuf =
+  qtest "two-handle conservation with dbuf" ~count:50
     QCheck2.Gen.(list_size (int_range 1 300) (int_bound 5_000))
     (fun keys ->
-      let q =
-        K.create_with ~k:16 ~shards:2 ~sticky:3 ~buf:4 ~num_threads:2 ()
-      in
+      let q = K.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:2 () in
       let h0 = K.register q 0 and h1 = K.register q 1 in
+      let early = ref [] in
       List.iteri
-        (fun i k -> K.insert (if i land 1 = 0 then h0 else h1) k ())
+        (fun i k ->
+          K.insert (if i land 1 = 0 then h0 else h1) k ();
+          (* h1 deletes now and then, so its shared wins claim runs into
+             its deletion buffer. *)
+          if i mod 8 = 7 then
+            Option.iter
+              (fun (k, ()) -> early := k :: !early)
+              (K.try_delete_min h1))
         keys;
-      (* Insertion buffers live in handles: h1's buffered tail is invisible
-         to h0's drain until flushed (h0's own buffer flushes itself on
-         delete-min). *)
-      K.flush_buffer h1;
+      (* Deletion buffers live in handles: the rest of h1's claimed run is
+         invisible to h0's drain until flushed back. *)
+      K.flush_dbuf h1;
       let got = drain_all (fun () -> K.try_delete_min h0) in
-      List.sort compare got = List.sort compare keys)
+      List.sort compare (!early @ got) = List.sort compare keys)
 
 (* ---------------- budget partition and validation ---------------- *)
 
@@ -372,15 +374,15 @@ let test_create_validation () =
   | exception Invalid_argument _ -> ()
 
 let test_knob_validation () =
-  (* buf beyond the per-stripe budget would overdraw the charged local
+  (* A deletion batch beyond the per-stripe budget cannot fit one stripe's
      relaxation: ceil(64/4) = 16. *)
-  (match K.create_with ~k:64 ~shards:4 ~buf:17 ~num_threads:1 () with
-  | _ -> Alcotest.fail "buf > ceil(k/S) accepted"
+  (match K.create_with ~k:64 ~shards:4 ~dbuf:17 ~num_threads:1 () with
+  | _ -> Alcotest.fail "dbuf > ceil(k/S) accepted"
   | exception Invalid_argument _ -> ());
-  (* set_k must not shrink the per-stripe budget under a live buffer cap. *)
-  let q = K.create_with ~k:64 ~shards:4 ~buf:16 ~num_threads:1 () in
+  (* set_k must not shrink the per-stripe budget under a live dbuf cap. *)
+  let q = K.create_with ~k:64 ~shards:4 ~dbuf:16 ~num_threads:1 () in
   match K.set_k q 8 with
-  | () -> Alcotest.fail "set_k below buffer cap accepted"
+  | () -> Alcotest.fail "set_k below dbuf cap accepted"
   | exception Invalid_argument _ -> ()
 
 (* ---------------- candidate cache ---------------- *)
@@ -409,124 +411,6 @@ let test_candidate_cache_hits () =
       check_bool "cache missed at least once" true (stat "stripe.cache_miss" >= 1);
       check_bool "cache hit on the re-peek" true (stat "stripe.cache_hit" >= 1))
 
-(* ---------------- stickiness (DESIGN.md §15) ---------------- *)
-
-let test_sticky_window_opens_decays_expires () =
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled was)
-    (fun () ->
-      let q = K.create_with ~k:8 ~shards:2 ~sticky:4 ~num_threads:1 () in
-      let h = K.register q 0 in
-      for i = 1 to 64 do
-        K.insert h i ()
-      done;
-      check_int "window starts closed" 0 (K.internal_sticky_left h);
-      (* k = 8, S = 2: the local LSM keeps at most ceil(8/2) = 4 items, so
-         draining soon serves a delete from a stripe — which opens the
-         full stickiness window on that stripe. *)
-      let budget = ref 64 in
-      while K.internal_sticky_left h = 0 && !budget > 0 do
-        ignore (K.try_delete_min h);
-        decr budget
-      done;
-      check_int "shared delete opened the full window" 4
-        (K.internal_sticky_left h);
-      let s = K.internal_sticky_stripe h in
-      check_bool "serving stripe recorded" true (s >= 0 && s < 2);
-      (* Decay: every publish-CAS failure halves what is left of the
-         window (invoked through the stripe's contention hook, which is
-         exactly the code path a lost CAS runs). *)
-      let sh = (K.internal_stripe_handles h).(0) in
-      sh.Shared.on_cas_fail ();
-      check_int "CAS failure halves the window" 2 (K.internal_sticky_left h);
-      sh.Shared.on_cas_fail ();
-      sh.Shared.on_cas_fail ();
-      check_int "decay bottoms out at zero" 0 (K.internal_sticky_left h);
-      (* Expiry: with no further shared deletes, races consume the window
-         one consult at a time and it never goes negative.  Drain dry (the
-         tail of the drain races an empty structure repeatedly). *)
-      let _ = drain_all (fun () -> K.try_delete_min h) in
-      for _ = 1 to 8 do
-        ignore (K.try_find_min h)
-      done;
-      check_int "window expired" 0 (K.internal_sticky_left h);
-      let stat name =
-        match List.assoc_opt name (K.stats q).Obs.counters with
-        | Some per -> Array.fold_left ( + ) 0 per
-        | None -> 0
-      in
-      check_bool "sticky primary consults were counted" true
-        (stat "stripe.sticky_hit" >= 1))
-
-(* ---------------- insertion buffer (DESIGN.md §15) ---------------- *)
-
-let test_buffer_flush_on_delete_min () =
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled was)
-    (fun () ->
-      let q = K.create_with ~k:16 ~shards:2 ~buf:8 ~num_threads:1 () in
-      let h = K.register q 0 in
-      K.insert h 100 ();
-      K.insert h 5 ();
-      check_int "both inserts buffered" 2
-        (List.length (K.internal_buffered h));
-      (* find_min must see the buffered 5: the buffer undercuts the
-         (empty) local LSM, so the peek flushes first — no buffered item
-         may hide below the answer. *)
-      (match K.try_find_min h with
-      | Some (5, ()) -> ()
-      | other ->
-          Alcotest.failf "peek saw %s, wanted 5"
-            (match other with
-            | Some (k, ()) -> string_of_int k
-            | None -> "nothing"));
-      check_int "the peek flushed the buffer" 0
-        (List.length (K.internal_buffered h));
-      let stat name =
-        match List.assoc_opt name (K.stats q).Obs.counters with
-        | Some per -> Array.fold_left ( + ) 0 per
-        | None -> 0
-      in
-      check_bool "flush was counted" true (stat "stripe.buffer_flush" >= 1);
-      (* And delete-min serves exactly 5 then 100. *)
-      check_bool "first delete" true (K.try_delete_min h = Some (5, ()));
-      check_bool "second delete" true (K.try_delete_min h = Some (100, ())))
-
-let test_buffer_no_flush_when_local_wins () =
-  (* buf = 3 < ceil(k/S) = 8 keeps the LSM spill threshold positive, so
-     the capacity flush leaves keys 1..3 in the thread-local LSM. *)
-  let q = K.create_with ~k:16 ~shards:2 ~buf:3 ~num_threads:1 () in
-  let h = K.register q 0 in
-  for i = 1 to 3 do
-    K.insert h i ()
-  done;
-  check_int "capacity flush emptied the buffer" 0
-    (List.length (K.internal_buffered h));
-  (* 9 and 10 stay buffered with buf_min = 9 above the structure's
-     minimum 1, so the peek is served exactly without touching the
-     buffer. *)
-  K.insert h 9 ();
-  K.insert h 10 ();
-  check_int "tail still buffered" 2 (List.length (K.internal_buffered h));
-  check_bool "peek exact from the LSM" true (K.try_find_min h = Some (1, ()));
-  check_int "no flush happened" 2 (List.length (K.internal_buffered h))
-
-let test_buffer_age_bound_flushes () =
-  (* One buffered item, then enough further owner operations to cross
-     buffer_age_bound = 64: the next insert force-flushes, so no item
-     stays invisible indefinitely under an insert-only workload. *)
-  let q = K.create_with ~k:256 ~shards:2 ~buf:100 ~num_threads:1 () in
-  let h = K.register q 0 in
-  for i = 1 to 65 do
-    K.insert h (1000 + i) ()
-  done;
-  check_int "age bound flushed all but the newest" 1
-    (List.length (K.internal_buffered h))
-
 (* ---------------- migration under a CAS storm (Sim + chaos) ---------------- *)
 
 let test_storm_migrates_and_conserves () =
@@ -548,12 +432,17 @@ let test_storm_migrates_and_conserves () =
     | None -> 0
   in
   check_bool "storm forced a migration" true (info_of 2 "stripe_migrate" >= 1);
-  (* Case 4 crashes a thread mid-buffer-flush: the flush path ran (and
-     conservation already held above, with the crasher's still-buffered
-     items exempt). *)
-  check_bool "buffer-flush case flushed" true (info_of 4 "buffer_flush" >= 1);
-  check_bool "buffer-flush case crashed the target" true
-    ((List.nth cases 4).Drive.crashes >= 1)
+  (* Cases 4 and 5 kill a thread holding a deletion buffer, mid-flush and
+     at the batch claim's publish CAS: both crashes landed (and
+     conservation already held above, with the crasher's claimed items
+     exempt). *)
+  List.iter
+    (fun i ->
+      check_bool
+        (Printf.sprintf "dbuf case %d crashed the target" i)
+        true
+        ((List.nth cases i).Drive.crashes >= 1))
+    [ 4; 5 ]
 
 (* ---------------- batched delete-min (DESIGN.md §17) ---------------- *)
 
@@ -656,15 +545,12 @@ let test_batch_edges () =
 let test_fuzz_batch_and_single_pops () =
   (* 32 seeds of a mixed stream — inserts, single pops, batch pops of
      random sizes — against the sorted-list oracle (Seq_lsm semantics).
-     Single-threaded the sharded queue is exact even with every knob on,
-     so every pop, batched or not, must return the oracle's minima in
-     order. *)
+     Single-threaded the sharded queue is exact even with the deletion
+     buffer on, so every pop, batched or not, must return the oracle's
+     minima in order. *)
   for seed = 1 to 32 do
     let rng = Xoshiro.create ~seed:(0xBA7C4 + seed) in
-    let q =
-      K.create_with ~k:16 ~shards:2 ~sticky:2 ~buf:2 ~dbuf:4 ~num_threads:1
-        ()
-    in
+    let q = K.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:1 () in
     let h = K.register q 0 in
     let oracle = Oracle_pq.create () in
     for _ = 1 to 400 do
@@ -728,14 +614,6 @@ let test_rank_bound_partitioned () =
   (* DESIGN.md §12: rho <= (T-1+S) * ceil(k/S). *)
   check_rank_bound ~seed:5 ~what:"partitioned" (RS.klsm_sharded 32 4)
 
-let test_rank_bound_with_knobs () =
-  (* Same bound with stickiness and buffering on: buffered items are
-     charged against the local ceil(k/S) term (the LSM spill threshold
-     shrinks by B), so the §12 bound must survive the §15 knobs
-     unchanged. *)
-  check_rank_bound ~seed:7 ~what:"sticky+buf"
-    (RS.klsm_sharded ~sticky:4 ~buf:4 32 4)
-
 let test_rank_bound_with_dbuf () =
   (* DESIGN.md §17: per-handle deletion buffers widen the bound by
      T * (B-1) — every handle can hold up to B-1 claimed-but-unserved
@@ -749,7 +627,7 @@ let test_rank_bound_exact_shared () =
   check_rank_bound ~threads:8 ~seed:13 ~what:"exact-shared" (RS.Klsm 0)
 
 (* Two suites: the queue's contract, each case over one stripe and four,
-   then the striping mechanisms and the contention knobs. *)
+   then the striping mechanisms and the deletion buffer. *)
 let () =
   Alcotest.run ~and_exit:false "klsm"
     [
@@ -788,9 +666,9 @@ let () =
       ( "semantics",
         [
           prop_single_thread_exact_striped;
-          prop_single_thread_exact_knobs;
+          prop_single_thread_exact_dbuf;
           prop_two_stripe_conservation;
-          prop_multi_handle_conservation_buffered;
+          prop_multi_handle_conservation_dbuf;
           prop_batch_conservation;
         ] );
       ( "partition",
@@ -805,20 +683,6 @@ let () =
         [
           Alcotest.test_case "candidate cache hits" `Quick
             test_candidate_cache_hits;
-        ] );
-      ( "sticky",
-        [
-          Alcotest.test_case "window opens, decays, expires" `Quick
-            test_sticky_window_opens_decays_expires;
-        ] );
-      ( "buffer",
-        [
-          Alcotest.test_case "flush on undercutting delete-min" `Quick
-            test_buffer_flush_on_delete_min;
-          Alcotest.test_case "no flush when the LSM wins" `Quick
-            test_buffer_no_flush_when_local_wins;
-          Alcotest.test_case "age bound flushes" `Quick
-            test_buffer_age_bound_flushes;
         ] );
       ( "batch",
         [
@@ -839,8 +703,6 @@ let () =
         [
           Alcotest.test_case "partitioned rank bound" `Slow
             test_rank_bound_partitioned;
-          Alcotest.test_case "rank bound under sticky+buf" `Slow
-            test_rank_bound_with_knobs;
           Alcotest.test_case "widened rank bound under dbuf" `Slow
             test_rank_bound_with_dbuf;
           Alcotest.test_case "klsm:0 within T at T = 8" `Slow
