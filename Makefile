@@ -37,10 +37,11 @@ stats-check:
 # example; the Obs.counter/Obs.span names declared under lib/ and the
 # counter/span rows of docs/METRICS.md must match both ways — stricter
 # than stats-check, which only sees names the stats benchmark happens to
-# emit; and Chaos.sites, the fault_point literals under lib/ and the site
-# catalogue of docs/CHAOS.md must be one set.
+# emit; Chaos.sites, the fault_point literals under lib/ and the site
+# catalogue of docs/CHAOS.md must be one set; and every counter name
+# docs/TUNING.md cites must be declared.
 docs-check:
-	dune exec bin/docscheck.exe -- README.md docs/METRICS.md lib docs/CHAOS.md
+	dune exec bin/docscheck.exe -- README.md docs/METRICS.md lib docs/CHAOS.md docs/TUNING.md
 
 # Fault-injection gate (lib/chaos; docs/CHAOS.md): a 32-seed sweep of
 # deterministic fault plans over queue conservation and hardened-scheduler
@@ -51,10 +52,16 @@ chaos-check:
 
 # Hot-path performance gate (bin/perfcheck.ml): runs the uniform
 # insert/delete-min workload on both backends, writes BENCH_throughput.json
-# (ops/sec + pool hit rate on Real, tick counts on Sim), and fails if the
-# deterministic Sim tick count for the fixed merge/pivot workload exceeds
-# its budget — i.e. if the merge/copy/pivot kernels start charging more
-# work per operation.
+# and fails if any of its gates does:
+#   - Real klsm:256 at T = 8: the run completes and the block pool hits;
+#   - Real striping: median of 5 interleaved reps of klsm-sharded:256:4
+#     >= 0.95 x klsm:256 at T = 8;
+#   - Real floors per thread: klsm-sharded:1024:4 at T = 8, the batch
+#     spec klsm-sharded:1024:4:dbuf=8 at T = 8 and T = 16, and the fiber
+#     runtime on 8 domains;
+#   - Sim tick budgets for the fixed merge/pivot workload on klsm:256 and
+#     klsm-sharded:256:4 (deterministic: more ticks = more hot-path work);
+#   - Sim flatness: klsm-sharded:1024:4 per-thread T = 16 / T = 8 >= 0.85.
 perf-check:
 	dune exec bin/perfcheck.exe
 

@@ -1,8 +1,8 @@
 (* Documentation-drift gate (the `make docs-check` half of `make check`).
 
-   Usage: docscheck README_MD METRICS_MD LIB_DIR CHAOS_MD
+   Usage: docscheck README_MD METRICS_MD LIB_DIR CHAOS_MD TUNING_MD
 
-   The repository's three documentation contracts that rot silently:
+   The repository's four documentation contracts that rot silently:
 
    - README.md carries the canonical queue-spec table.  Every spec form
      the Registry grammar accepts ([Registry.spec_forms] — the single
@@ -25,6 +25,11 @@
      the sweep cannot draw, a listed site no code reaches, or a row for
      either fails.  The catalogue's [vfs.*] rows must likewise be exactly
      [Chaos.io_sites] (the Faulty vfs's own sites, not fault points).
+
+   - docs/TUNING.md diagnoses with counters: every backticked one-dot
+     name [family.name] whose family is a counter family (the part before
+     the dot of some [Obs.counter] declaration) must name a declared
+     counter, so a diagnosis row citing a deleted counter fails.
 
    Names are required in backticks (`like.this`) in the README and
    METRICS.md, as in statscheck, so an incidental prose mention does not
@@ -179,7 +184,48 @@ let check_obs_names metrics_path lib_dir =
           | None -> ())
       | _ -> ())
     (table_rows (String.split_on_char '\n' metrics));
-  (!total, !rows)
+  (!total, !rows, declared)
+
+(* ---------------- counter names in TUNING.md ---------------- *)
+
+(* The backticked one-dot names (`family.name`) in [doc]: the text
+   between two backticks is a candidate, and prose between two code spans
+   never is one, since it holds spaces. *)
+let one_dot_names doc =
+  let is_name_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  String.split_on_char '`' doc
+  |> List.filter (fun name ->
+         match String.split_on_char '.' name with
+         | [ family; rest ] ->
+             family <> "" && rest <> ""
+             && String.for_all is_name_char (family ^ rest)
+         | _ -> false)
+  |> S.of_list
+
+let family name = List.hd (String.split_on_char '.' name)
+
+let check_tuning tuning_path lib_dir declared =
+  let counters =
+    Hashtbl.fold
+      (fun (kind, name) () acc -> if kind = "counter" then S.add name acc else acc)
+      declared S.empty
+  in
+  let families = S.map family counters in
+  let cited =
+    S.filter
+      (fun name -> S.mem (family name) families)
+      (one_dot_names (read_file tuning_path))
+  in
+  S.iter
+    (fun name ->
+      if not (S.mem name counters) then
+        complain "%s cites counter `%s` but no Obs.counter under %s declares it"
+          tuning_path name lib_dir)
+    cited;
+  S.cardinal cited
 
 (* ---------------- fault sites vs Chaos.sites vs CHAOS.md ---------------- *)
 
@@ -228,24 +274,26 @@ let check_sites chaos_md lib_dir =
   (S.cardinal sites, S.cardinal literals, S.cardinal site_rows)
 
 let () =
-  let readme_path, metrics_path, lib_dir, chaos_path =
+  let readme_path, metrics_path, lib_dir, chaos_path, tuning_path =
     match Sys.argv with
-    | [| _; a; b; c; d |] -> (a, b, c, d)
+    | [| _; a; b; c; d; e |] -> (a, b, c, d, e)
     | _ ->
         prerr_endline
-          "usage: docscheck README.md docs/METRICS.md lib docs/CHAOS.md";
+          "usage: docscheck README.md docs/METRICS.md lib docs/CHAOS.md \
+           docs/TUNING.md";
         exit 2
   in
   match
     let readme = read_file readme_path in
     check_spec_forms readme;
-    let obs = check_obs_names metrics_path lib_dir in
-    (obs, check_sites chaos_path lib_dir)
+    let decls, rows, declared = check_obs_names metrics_path lib_dir in
+    let sites = check_sites chaos_path lib_dir in
+    (decls, rows, sites, check_tuning tuning_path lib_dir declared)
   with
   | exception Sys_error msg ->
       Printf.eprintf "docscheck: %s\n" msg;
       exit 1
-  | (decls, rows), (sites, literals, site_rows) ->
+  | decls, rows, (sites, literals, site_rows), cited ->
       if !errors > 0 then begin
         Printf.eprintf "docscheck: %d problem(s)\n" !errors;
         exit 1
@@ -253,6 +301,7 @@ let () =
       Printf.printf
         "docscheck: OK (%d spec forms in %s; %d obs declarations, %d \
          counter/span rows in %s; %d Chaos.sites, %d fault_point literals, \
-         %d site rows in %s)\n"
+         %d site rows in %s; %d counter names in %s)\n"
         (List.length Registry.spec_forms)
         readme_path decls rows metrics_path sites literals site_rows chaos_path
+        cited tuning_path

@@ -76,7 +76,6 @@ let sites =
     "dist.consolidate.pre_size";
     "block_array.consolidate";
     "klsm.spill.publish";
-    "klsm.migrate";
     "klsm.dbuf.flush";
     "store.spill";
     "store.rehydrate";

@@ -62,18 +62,17 @@ let key_range = 1 lsl 16
 
 (** Conservation case for the k-LSM ([~shards], default 1 — the paper's
     queue; [~dbuf] switches on the DESIGN.md §17 deletion buffer).  With
-    [S > 1] the stripe-publish and migration protocol steps sit under
-    fault pressure too — crashes mid-stripe-publish
-    ([klsm.spill.publish], [shared.push_snapshot.before]) must not lose
-    already-inserted items, and CAS-failure storms on one stripe must only
-    slow things down (and trip the migration policy), never break
-    conservation.  Structural invariants are asserted per stripe. *)
+    [S > 1] the stripe-publish protocol steps sit under fault pressure
+    too — crashes mid-stripe-publish ([klsm.spill.publish],
+    [shared.push_snapshot.before]) must not lose already-inserted items,
+    and CAS-failure storms on one stripe must only slow things down, never
+    break conservation.  Structural invariants are asserted per stripe. *)
 let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
   Sim.configure ~seed ();
   let plan_text = Chaos.plan_to_string plan in
   (* Latch counters on for this queue's sheet so the report can show the
-     stripe-level fault response (CAS failures absorbed, migrations); the
-     sheet records without synchronization, so the schedule is unchanged. *)
+     stripe-level fault response (CAS failures absorbed); the sheet
+     records without synchronization, so the schedule is unchanged. *)
   let was_obs = Obs.enabled () in
   Obs.set_enabled true;
   let q = K.create_with ~seed ~k ~shards ~dbuf ~num_threads:threads () in
@@ -253,7 +252,6 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
         ("max_rank_error", !max_rank_error);
         ("crashed_threads", List.length crashed);
         ("stripe_cas_fail", stat "stripe.cas_fail");
-        ("stripe_migrate", stat "stripe.migrate");
         ("batch_claim", stat "shared.batch_claim");
         ("dbuf_hit", stat "stripe.dbuf_hit");
         ("dbuf_flush", stat "stripe.dbuf_flush");
@@ -551,10 +549,8 @@ let queue_sites =
   ]
 
 (* The striped queue with its deletion buffer on reaches every queue
-   site plus three of its own (spill publish, home migration,
-   deletion-buffer flush). *)
-let sharded_sites =
-  queue_sites @ [ "klsm.spill.publish"; "klsm.migrate"; "klsm.dbuf.flush" ]
+   site plus two of its own (spill publish, deletion-buffer flush). *)
+let sharded_sites = queue_sites @ [ "klsm.spill.publish"; "klsm.dbuf.flush" ]
 
 (* Scheduler runs have no spill tier, so the store.* fault points never
    fire there; drawing them would only dilute the sched sweep. *)
@@ -596,19 +592,17 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
 
     - a crash in the middle of a stripe publish — after the blocks are
       marked published, before/around the installing CAS;
-    - a CAS-failure storm concentrated on one stripe: [n] consecutive
-      arrivals at the home stripe's publish CAS are forced to fail, which
-      both stresses the retry loop and (past {!Klsm_core.Klsm}'s
-      migration threshold) forces a home-stripe migration under fire;
+    - CAS-failure storms: [n] consecutive arrivals at the publish CAS are
+      forced to fail, once concentrated on one thread's home stripe and
+      once spread over every thread — each lost CAS is retried on the
+      same stripe (Listing 3), and conservation must survive the storm;
     - two deletion-buffer cases ([~dbuf]): a kill with a nonempty buffer
       (mid-flush, the claimed remainder dies with the crasher) and a kill
       at the batch claim's publish CAS itself (the staged run is exempt
       whichever way the CAS went). *)
 let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
-  (* A storm aimed at one thread: its first [n] arrivals at the publish
-     CAS all fail, and (spills all target its home stripe) the home-stripe
-     failure streak crosses migrate_threshold = 8 with no intervening
-     success to reset it — a deterministic migration under fire. *)
+  (* A storm of [n] consecutive forced failures at [site], optionally
+     aimed at one thread. *)
   let storm ?tid n site =
     List.init n (fun i -> Chaos.rule ?tid ~hit:(i + 1) site Chaos.Cas_fail)
   in
@@ -616,11 +610,10 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
      (* Crash a non-drainer thread mid-stripe-publish, both sides. *)
      [ Chaos.rule ~tid:1 ~hit:2 "klsm.spill.publish" Chaos.Crash ];
      [ Chaos.rule ~tid:2 ~hit:3 "shared.push_snapshot.before" Chaos.Crash ];
-     (* CAS storms: one concentrated on thread 1's stripe (must migrate),
-        one spread over everyone (must merely survive). *)
+     (* CAS storms: one concentrated on thread 1's stripe, one spread
+        over everyone. *)
      storm ~tid:1 12 "shared.push_snapshot.before";
-     storm 12 "shared.push_snapshot.before"
-     @ [ Chaos.rule ~tid:3 ~hit:1 "klsm.migrate" (Chaos.Stall 40) ];
+     storm 12 "shared.push_snapshot.before";
    ]
   |> List.mapi (fun i plan ->
          queue_case ~shards ~seed:(seed0 + i) ~threads ~per_thread ~k plan)

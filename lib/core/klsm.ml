@@ -13,8 +13,9 @@
 
     - the global budget [k] is partitioned as [ceil(k / S)] per stripe, so
       each stripe is an ordinary shared k-LSM with a smaller relaxation;
-    - every thread has a {e home} stripe its spills go to (preserving the
-      per-stripe publication ordering Listing 4 relies on);
+    - every thread has a fixed {e home} stripe, [tid mod S], its spills go
+      to (preserving the per-stripe publication ordering Listing 4 relies
+      on); a lost publish CAS is retried on it at once, as in Listing 3;
     - [find_min] races the thread-local DistLSM minimum against the home
       stripe and — only when a stripe's
       {!Shared_klsm.min_hint} says it might hold something smaller — the
@@ -25,10 +26,7 @@
     - a per-thread {e candidate cache} reuses the last raced winner until
       its deletion flag is seen set or some stripe publishes state that
       could beat it — amortizing the race across consecutive delete-mins
-      exactly as Listing 3's [observed] field amortizes snapshot refreshes;
-    - failed snapshot CASes feed a per-stripe decorrelated-jitter
-      {!Klsm_primitives.Backoff}, and a burst of consecutive failures on
-      the home stripe triggers {e migration} to the next stripe.
+      exactly as Listing 3's [observed] field amortizes snapshot refreshes.
 
     Guarantees (paper §5): [insert] and [try_delete_min] are lock-free and
     linearizable with structural rho-relaxation — a delete-min never skips
@@ -40,8 +38,7 @@
     DESIGN.md §17) — a shared delete claims up to B items with one publish
     CAS and serves the rest from a per-handle deletion buffer, widening
     the bound by [T * (B - 1)].  Every stripe's contended atomics are
-    cache-line padded ({!Klsm_primitives.Padded}; [~padded:true] to
-    {!Shared_klsm.create}).
+    cache-line padded ({!Klsm_primitives.Padded}).
 
     [k] is runtime-configurable through {!set_k}.  The optional
     [should_delete] predicate implements §4.5's lazy deletion: condemned
@@ -94,7 +91,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Block_array = Block_array.Make (B)
   module Shared_klsm = Shared_klsm.Make (B)
   module Dist_lsm = Dist_lsm.Make (B)
-  module Backoff = Klsm_primitives.Backoff
   module Xoshiro = Klsm_primitives.Xoshiro
   module Tabular_hash = Klsm_primitives.Tabular_hash
   module Obs = Klsm_obs.Obs
@@ -103,28 +99,21 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Observability (lib/obs; docs/METRICS.md): the klsm.* family counts
      the Listing 5 composition (claim races and the two fallback paths of
-     delete-min); the stripe.* family counts the striped race, its cache,
-     migration and the deletion buffer. *)
+     delete-min); the stripe.* family counts the striped race, its cache
+     and the deletion buffer ([stripe.cas_fail] is counted by
+     {!Shared_klsm}). *)
   let c_take_race = Obs.counter "klsm.take_race"
   let c_delete_local = Obs.counter "klsm.delete_local"
   let c_delete_shared = Obs.counter "klsm.delete_shared"
   let c_delete_empty = Obs.counter "klsm.delete_empty"
   let c_spy_attempt = Obs.counter "klsm.spy_attempt"
   let c_spy_success = Obs.counter "klsm.spy_success"
-  let c_stripe_cas_fail = Obs.counter "stripe.cas_fail"
-  let c_migrate = Obs.counter "stripe.migrate"
   let c_cache_hit = Obs.counter "stripe.cache_hit"
   let c_cache_miss = Obs.counter "stripe.cache_miss"
   let c_hint_consult = Obs.counter "stripe.hint_consult"
   let c_hint_skip = Obs.counter "stripe.hint_skip"
   let c_dbuf_hit = Obs.counter "stripe.dbuf_hit"
   let c_dbuf_flush = Obs.counter "stripe.dbuf_flush"
-
-  (** Consecutive home-stripe CAS failures that trigger migration.  Failures
-      within one publish attempt burst are the signature of a convoy; 8 of
-      them in a row mean at least 8 other threads hammered the same stripe
-      while we starved. *)
-  let migrate_threshold = 8
 
   (** Age bound of the deletion buffer, in operations of the owning
       handle: claimed items still parked after this many further owner
@@ -168,18 +157,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** the spill policy pre-applied to this thread ([Fun.id] when the
             queue has no durability tier) *)
     stripe_hs : 'v Shared_klsm.handle array;  (** one handle per stripe *)
-    mutable home : int;  (** current home stripe (spill target) *)
+    home : int;  (** home stripe, [tid mod S]: every spill goes here *)
     mutable rr : int;  (** second-chance rotation counter *)
-    mutable fail_streak : int;
-        (** consecutive snapshot-CAS failures on the home stripe *)
-    mutable migrate_pending : bool;
-        (** latched when [fail_streak] crossed {!migrate_threshold}; acted
-            on after the in-flight publish completes (a publish retries on
-            its stripe until it wins — migration applies to the next
-            spill) *)
-    backoffs : Backoff.t array;
-        (** per-stripe decorrelated-jitter backoff, driven by the
-            {!Shared_klsm} CAS hooks *)
     mutable cached : 'v Item.t option;  (** delete-min candidate cache *)
     mutable cached_key : int;
     mutable cached_stripe : int;
@@ -244,8 +223,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     {
       stripes =
         Array.init shards (fun _ ->
-            Shared_klsm.create ~k:kp ~local_ordering ~maintain_hint:true
-              ~padded:true ~hasher ~alive ());
+            Shared_klsm.create ~k:kp ~local_ordering ~hasher ~alive ());
       dists = Array.init num_threads (fun _ -> B.make None);
       num_threads;
       num_stripes = shards;
@@ -292,76 +270,38 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (fun s -> Shared_klsm.register ~obs ~pool s ~tid ~rng:(Xoshiro.split rng))
         t.stripes
     in
-    let home = tid mod t.num_stripes in
-    let h =
-      {
-        t;
-        tid;
-        dist;
-        spill_tx =
-          (match t.spill_policy with
-          | None -> Fun.id
-          | Some p -> fun block -> p ~alive:t.alive ~tid block);
-        stripe_hs;
-        home;
-        rr = 0;
-        fail_streak = 0;
-        migrate_pending = false;
-        backoffs =
-          Array.init t.num_stripes (fun _ ->
-              Backoff.create ~jitter:(Xoshiro.split rng) ());
-        cached = None;
-        cached_key = max_int;
-        cached_stripe = -1;
-        cached_ptrs = Array.make t.num_stripes None;
-        dbuf = [];
-        dbuf_len = 0;
-        dbuf_age = 0;
-        dbuf_pending = [];
-        rng;
-        obs;
-        pool;
-      }
-    in
-    (* Contention hooks: every failed snapshot CAS on stripe [i] backs the
-       thread off (decorrelated jitter, so losers of the same race stop
-       retrying in lockstep); failures on the current home stripe also feed
-       the migration detector. *)
-    Array.iteri
-      (fun i sh ->
-        sh.Shared_klsm.on_cas_fail <-
-          (fun () ->
-            Obs.incr obs c_stripe_cas_fail;
-            if i = h.home then begin
-              h.fail_streak <- h.fail_streak + 1;
-              if h.fail_streak >= migrate_threshold then
-                h.migrate_pending <- true
-            end;
-            Backoff.once h.backoffs.(i) ~relax:B.relax_n);
-        sh.Shared_klsm.on_cas_success <-
-          (fun () ->
-            if i = h.home then h.fail_streak <- 0;
-            Backoff.reset h.backoffs.(i)))
+    {
+      t;
+      tid;
+      dist;
+      spill_tx =
+        (match t.spill_policy with
+        | None -> Fun.id
+        | Some p -> fun block -> p ~alive:t.alive ~tid block);
       stripe_hs;
-    h
+      home = tid mod t.num_stripes;
+      rr = 0;
+      cached = None;
+      cached_key = max_int;
+      cached_stripe = -1;
+      cached_ptrs = Array.make t.num_stripes None;
+      dbuf = [];
+      dbuf_len = 0;
+      dbuf_age = 0;
+      dbuf_pending = [];
+      rng;
+      obs;
+      pool;
+    }
 
   (* Publish a block into the home stripe, through the durability policy —
-     every path a block takes into the shared component funnels here — and
-     act on a pending migration after the publish completed (a
-     {!Shared_klsm.insert} retries on its stripe until it wins, so the
-     decision applies to the next spill). *)
+     every path a block takes into the shared component funnels here.
+     {!Shared_klsm.insert} retries a lost CAS on the same stripe until it
+     wins (Listing 3). *)
   let spill_to_home h block =
     let block = h.spill_tx block in
     B.fault_point "klsm.spill.publish";
-    Shared_klsm.insert h.stripe_hs.(h.home) block;
-    if h.migrate_pending && h.t.num_stripes > 1 then begin
-      B.fault_point "klsm.migrate";
-      h.migrate_pending <- false;
-      h.fail_streak <- 0;
-      h.home <- (h.home + 1) mod h.t.num_stripes;
-      Obs.incr h.obs c_migrate
-    end
-    else h.migrate_pending <- false
+    Shared_klsm.insert h.stripe_hs.(h.home) block
 
   (* §4.3 [insert] with the partitioned spill rule: a fresh item goes into
      the thread-local LSM; a merge cascade that produces a block beyond the
@@ -425,7 +365,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       the home stripe with a single CAS — the LSM's natural strength (§4.1
       reduces shared updates by batching; this exposes the mechanism to
       applications that produce keys in bursts, e.g. node expansions).
-      Linearizes once for the entire batch. *)
+      Linearizes once for the entire batch, and counts as one owner
+      operation towards the deletion buffer's {!buffer_age_bound}. *)
   let insert_batch h pairs =
     match Array.length pairs with
     | 0 -> ()
@@ -437,6 +378,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           (fun (key, _) ->
             if key < 0 then invalid_arg "Klsm.insert_batch: negative key")
           pairs;
+        dbuf_tick h;
         let items =
           Array.map (fun (key, value) -> Item.make key value) pairs
         in

@@ -30,6 +30,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_pivots = Obs.counter "shared.pivot_recompute"
   let c_empty_publish = Obs.counter "shared.empty_publish"
   let c_batch_claim = Obs.counter "shared.batch_claim"
+
+  (* The k-LSM's per-stripe name for [shared.cas_fail], counted alongside
+     it; the benchmark's per-layer [stripe.cas_fail_ratio] reads it. *)
+  let c_stripe_cas_fail = Obs.counter "stripe.cas_fail"
+
   let s_insert = Obs.span "shared.insert"
   let s_find_min = Obs.span "shared.find_min"
 
@@ -41,10 +46,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     local_ordering : bool;
         (** honour per-thread exact semantics via the Bloom filters (§4.1);
             disabling is an ablation knob, not a paper configuration *)
-    maintain_hint : bool;
-        (** keep {!min_hint} current on every publish; off by default so the
-            standalone shared component's schedules are untouched — the
-            k-LSM's stripes ({!Klsm}) opt in *)
     hint : int B.atomic;
         (** conservative lower bound on the smallest {e alive} key in the
             published array ([max_int] = empty): the stored minimum counts
@@ -67,35 +68,22 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** this thread's normalize/pivot scratch buffers *)
     mutable observed : 'v Block_array.t option;
     mutable snapshot : 'v Block_array.t option;
-    mutable on_cas_fail : unit -> unit;
-        (** contention hook: runs after every failed snapshot CAS.  The
-            k-LSM ({!Klsm}) installs per-stripe decorrelated backoff
-            here; defaults to a no-op so standalone behaviour (and the
-            simulator schedules the chaos replays depend on) is
-            unchanged. *)
-    mutable on_cas_success : unit -> unit;
-        (** contention hook: runs after every successful snapshot CAS
-            (backoff reset); no-op by default *)
   }
 
-  let create ?(k = 256) ?(local_ordering = true) ?(maintain_hint = false)
-      ?(padded = false) ~hasher ~alive () =
+  let create ?(k = 256) ?(local_ordering = true) ~hasher ~alive () =
     if k < 0 then invalid_arg "Shared_klsm.create: k < 0";
-    (* [~padded:true] (the k-LSM's stripes) reallocates the contended
-       atomics behind a cache line each ({!Klsm_primitives.Padded}), so
-       stripe [i]'s publish CAS traffic stops evicting stripe [i+1]'s
-       hint: the atomics of S stripes created in one loop are otherwise
-       adjacent minor-heap neighbours. *)
-    let pad =
-      if padded then Klsm_primitives.Padded.copy_as_padded else Fun.id
-    in
+    (* Every contended atomic sits behind a cache line of its own
+       ({!Klsm_primitives.Padded}), so stripe [i]'s publish CAS traffic
+       stops evicting stripe [i+1]'s hint: the atomics of S stripes
+       created in one loop are otherwise adjacent minor-heap
+       neighbours. *)
+    let pad = Klsm_primitives.Padded.copy_as_padded in
     {
       shared = pad (B.make None);
       k = pad (B.make k);
       hasher;
       alive;
       local_ordering;
-      maintain_hint;
       hint = pad (B.make max_int);
     }
 
@@ -120,13 +108,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       scratch = Block_array.Scratch.create ();
       observed = None;
       snapshot = None;
-      on_cas_fail = ignore;
-      on_cas_success = ignore;
     }
 
   (** Current lower bound on the smallest alive key ([max_int] = nothing
-      published); only meaningful when the queue was created with
-      [~maintain_hint:true]. *)
+      published). *)
   let min_hint t = B.get t.hint
 
   (* Take a fresh consistent snapshot of the shared array. *)
@@ -145,31 +130,26 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     (match next with
     | Some arr -> Array.iter Block.publish (Block_array.blocks arr)
     | None -> ());
-    (* Hint maintenance (k-LSM stripes only): pre-lower the hint so the
-       window between a winning CAS and its exact hint write never shows a
-       too-high bound to concurrent readers; a failed attempt leaves the
-       hint conservatively low until the next publish fixes it. *)
+    (* Hint maintenance: pre-lower the hint so the window between a
+       winning CAS and its exact hint write never shows a too-high bound to
+       concurrent readers; a failed attempt leaves the hint conservatively
+       low until the next publish fixes it. *)
     let next_min =
-      if not h.q.maintain_hint then max_int
-      else
-        match next with
-        | None -> max_int
-        | Some arr ->
-            let m = Block_array.min_key arr in
-            if m < B.get h.q.hint then B.set h.q.hint m;
-            m
+      match next with
+      | None -> max_int
+      | Some arr ->
+          let m = Block_array.min_key arr in
+          if m < B.get h.q.hint then B.set h.q.hint m;
+          m
     in
     Obs.incr h.obs c_cas;
     B.fault_point "shared.push_snapshot.before";
     let ok = B.compare_and_set h.q.shared h.observed next in
     B.fault_point "shared.push_snapshot.after";
-    if ok then begin
-      if h.q.maintain_hint then B.set h.q.hint next_min;
-      h.on_cas_success ()
-    end
+    if ok then B.set h.q.hint next_min
     else begin
       Obs.incr h.obs c_cas_fail;
-      h.on_cas_fail ()
+      Obs.incr h.obs c_stripe_cas_fail
     end;
     ok
 
@@ -447,7 +427,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       NOT linearizable — callers must have exclusive access to [t] (used by
       {!Klsm.meld}, which the paper's §4.5 leaves non-linearizable). *)
   let steal_all t =
-    if t.maintain_hint then B.set t.hint max_int;
+    B.set t.hint max_int;
     match B.exchange t.shared None with
     | None -> []
     | Some arr -> Array.to_list (Block_array.blocks arr)

@@ -1,11 +1,15 @@
 (** Truncated exponential backoff for contended retry loops.
 
-    Every CAS-retry loop in the repository (spinlocks, snapshot pushes,
-    Multi-Queue lock acquisition) backs off through one of these to avoid
-    pathological livelock under contention.  The wait is expressed as a
-    number of [relax] calls, which the backend maps either to
-    [Domain.cpu_relax] (real execution) or to virtual-clock ticks
-    (simulation). *)
+    Retry loops that wait — on a lock holder, on work to appear, or on a
+    transient fault to clear — back off through one of these: the
+    spinlock behind the lock-based baselines (including Multi-Queue lock
+    acquisition), the SSSP and branch-and-bound termination polls, the
+    scheduler's idle and admission waits, and the store's recovery
+    retries.  The shared k-LSM's snapshot push does not: a failed CAS
+    there means another thread made progress, so it retries at once
+    (paper Listing 3).  The wait is expressed as a number of [relax]
+    calls, which the backend maps either to [Domain.cpu_relax] (real
+    execution) or to virtual-clock ticks (simulation). *)
 
 type t
 
