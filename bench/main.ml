@@ -870,11 +870,8 @@ let micro () =
   let merge_test =
     (* Cost of merging two 256-item blocks — the LSM's unit of work. *)
     let mk () =
-      let b = Blk.create_with_exemplar 8 (I.make 0 0) in
-      for i = 255 downto 0 do
-        Blk.append ~alive:(fun _ -> true) b (I.make (i * 2) 0)
-      done;
-      b
+      Blk.of_sorted_array ~filter:Klsm_primitives.Bloom.empty
+        (Array.init 256 (fun i -> I.make ((255 - i) * 2) 0))
     in
     let b1 = mk () and b2 = mk () in
     Test.make ~name:"block-merge-512"

@@ -13,6 +13,10 @@
      is an assertable proxy for hot-path work.  The run fails (exit 1) if
      a spec's tick count exceeds its budget in [sim_tick_gates], i.e. if a
      change regresses the amount of sequential work the hot paths charge.
+     Every Sim section also reports the run's simulated writes and
+     coherence misses ([Sim.stats]), which are not gated: ticks count work,
+     not shared-memory traffic, and the two can move in opposite
+     directions (a few extra scans that spare many shared writes).
 
    Plus the tuned-spec gates ([real_tuned_section], [sim_scaling_section])
    and the fiber-runtime gate ([real_fibers_section]) — see the comments
@@ -550,15 +554,16 @@ let sim_scaling_section () =
       }
     in
     let r = T.run config spec in
-    r.T.throughput_per_thread
+    (r.T.throughput_per_thread, Sim.stats ())
   in
-  let at8 = run_at 8 in
-  let at16 = run_at 16 in
+  let at8, st8 = run_at 8 in
+  let at16, st16 = run_at 16 in
   let ratio = if at8 > 0.0 then at16 /. at8 else 0.0 in
   Printf.printf
     "perf-check sim scaling: per-thread T=16 / T=8 = %.2f (floor %.2f) on \
-     %s\n%!"
-    ratio sim_flatness_ratio tuned_spec;
+     %s; writes %d / %d, misses %d / %d\n%!"
+    ratio sim_flatness_ratio tuned_spec st8.Sim.writes st16.Sim.writes
+    st8.Sim.misses st16.Sim.misses;
   if ratio < sim_flatness_ratio then begin
     Printf.eprintf
       "perf-check FAILED: per-thread throughput fell to %.0f%% of T=8 at \
@@ -574,6 +579,10 @@ let sim_scaling_section () =
       ("per_thread_t16", Report.Float at16);
       ("ratio", Report.Float ratio);
       ("ratio_floor", Report.Float sim_flatness_ratio);
+      ("writes_t8", Report.Int st8.Sim.writes);
+      ("writes_t16", Report.Int st16.Sim.writes);
+      ("misses_t8", Report.Int st8.Sim.misses);
+      ("misses_t16", Report.Int st16.Sim.misses);
     ]
 
 let sim_tick_section (_, spec_text, measured, budget) =
@@ -593,12 +602,13 @@ let sim_tick_section (_, spec_text, measured, budget) =
     }
   in
   let r = T.run config spec in
-  let ticks = (Sim.stats ()).Sim.ticks in
+  let st = Sim.stats () in
+  let ticks = st.Sim.ticks in
   let makespan = Sim.makespan () in
   Printf.printf
-    "perf-check sim %s: %d ticks (measured %d, budget %d), makespan %.3f, \
-     %.0f ops/s-sim\n%!"
-    spec_text ticks measured budget makespan
+    "perf-check sim %s: %d ticks (measured %d, budget %d), %d writes, %d \
+     misses, makespan %.3f, %.0f ops/s-sim\n%!"
+    spec_text ticks measured budget st.Sim.writes st.Sim.misses makespan
     (r.T.throughput_per_thread *. 4.0);
   if ticks > budget then begin
     Printf.eprintf
@@ -619,6 +629,8 @@ let sim_tick_section (_, spec_text, measured, budget) =
       ("ops_per_thread", Report.Int config.T.ops_per_thread);
       ("ticks", Report.Int ticks);
       ("tick_budget", Report.Int budget);
+      ("writes", Report.Int st.Sim.writes);
+      ("misses", Report.Int st.Sim.misses);
       ("makespan", Report.Float makespan);
     ]
 

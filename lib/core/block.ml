@@ -4,9 +4,20 @@
     [filled <= 2^l] items sorted in {e decreasing} key order, so the minimal
     key sits at index [filled - 1] and is readable in O(1).  Blocks are
     written only by the thread that creates them and become immutable upon
-    publication, with the single exception of [filled], which [shrink] may
-    decrement; that race is benign (a stale, larger [filled] merely makes a
-    reader inspect items that are already logically deleted — see §4.1).
+    publication, with the single exception of [filled].
+
+    {b Who writes [filled]}: a builder ({!singleton}, {!of_sorted_array},
+    {!copy}, {!copy_prefix}, {!merge}) fills its private arrays with plain
+    stores under a local counter and stores [filled] once, at the end.  On
+    a published block only two paths ever write it, and only downwards
+    past dead items: consolidation's {!shrink}, and the DistLSM owner's
+    {!peek_min} on its own thread-local blocks.  The paper lets any reader
+    shrink [filled] as a benign race (§4.1); here the shared k-LSM's
+    find-min never writes it — a reader records a dead tail it found in its
+    private snapshot instead ({!Block_array}), so the [filled] lines of
+    shared blocks stay clean in every other core's cache.  A stale, larger
+    [filled] merely makes a reader inspect items that are already
+    logically deleted.
 
     {b Structure of arrays}: alongside the boxed [items], every block keeps
     a contiguous unboxed [keys] array with [keys.(i) = Item.key items.(i)]
@@ -306,14 +317,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     b.filter <- filter;
     b
 
-  (** [of_sorted_array ~filter items] is a block holding exactly [items],
-      whose keys must already be descending (checked); the level is the
-      smallest whose capacity fits.  This is the bulk constructor for
-      tests, benchmarks, and recovery planting — folding {!merge} over
-      singletons is not equivalent: each merge allocates at
+  (** [of_sorted_array ?alive ~filter items] is a block holding [items] —
+      or, given [alive], those of them that are alive — whose keys must
+      already be descending (checked); the level is the smallest whose
+      capacity fits [items].  This is the bulk constructor for batch
+      inserts, tests, benchmarks, and recovery planting — folding {!merge}
+      over singletons is not equivalent: each merge allocates at
       [1 + max level], so an n-item fold transiently demands a
       [2^n]-capacity block. *)
-  let of_sorted_array ?pool ~filter items =
+  let of_sorted_array ?pool ?alive ~filter items =
     let n = Array.length items in
     if n = 0 then invalid_arg "Block.of_sorted_array: empty";
     let lvl = ref 0 in
@@ -321,18 +333,21 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       incr lvl
     done;
     let b = create_with_exemplar ?pool !lvl items.(0) in
-    let dst = resident_exn b in
-    let prev = ref max_int in
-    Array.iteri
-      (fun i it ->
-        let k = Item.key it in
-        if k > !prev then
-          invalid_arg "Block.of_sorted_array: keys not descending";
-        prev := k;
-        dst.(i) <- it;
-        b.keys.(i) <- k)
-      items;
-    B.set b.filled n;
+    let dst = resident_exn b and dk = b.keys in
+    let prev = ref max_int and o = ref 0 in
+    for i = 0 to n - 1 do
+      let it = items.(i) in
+      let k = Item.key it in
+      if k > !prev then
+        invalid_arg "Block.of_sorted_array: keys not descending";
+      prev := k;
+      if (match alive with None -> true | Some alive -> alive it) then begin
+        dst.(!o) <- it;
+        dk.(!o) <- k;
+        incr o
+      end
+    done;
+    B.set b.filled !o;
     b.filter <- filter;
     b
 
@@ -344,11 +359,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     if f = 0 then None else Some (items t).(f - 1)
 
   (** First alive item scanning from the minimum upward; [None] if the whole
-      block is dead.  Opportunistically publishes the shortened [filled] so
-      the dead tail is skipped only once — the same benign race as
-      [shrink]: concurrent writes only ever shrink past items that are
-      already dead, and a stale larger value merely re-exposes dead items
-      (paper §4.1). *)
+      block is dead.  DistLSM-only: the owner of a thread-local block
+      publishes the shortened [filled] so the dead tail is skipped only
+      once — the same benign race as [shrink], since writes only ever
+      shrink past items that are already dead and a stale larger value
+      merely re-exposes dead items (paper §4.1), and spies are the only
+      other readers.  The shared k-LSM's find-min does not call this: it
+      keeps the dead tails it finds in its own snapshot
+      ({!Block_array.find_min}). *)
   let peek_min ~alive t =
     let f = filled t in
     let its = if f = 0 then [||] else items t in
@@ -404,22 +422,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       List.rev !acc
     end
 
-  (* Append with a precomputed key (hot paths stream keys from the flat
-     array instead of re-reading the boxed item). *)
-  let append_keyed ~alive t item key =
-    if alive item then begin
-      let f = B.get t.filled in
-      (resident_exn t).(f) <- item;
-      t.keys.(f) <- key;
-      B.set t.filled (f + 1)
-    end
-
-  (* Append to a block under construction (private to the caller). *)
-  let append ~alive t item = append_keyed ~alive t item (Item.key item)
-
   (** [copy ~alive t lvl] copies the alive items of [t] into a fresh block
       of level [lvl] (capacity must suffice, which callers guarantee since
-      filtering only shrinks). *)
+      filtering only shrinks).  Like every builder, it fills the private
+      arrays with plain stores and writes [filled] once, at the end. *)
   let copy ?pool ~alive t lvl =
     let f = filled t in
     let its = items t in
@@ -427,9 +433,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       create_with_exemplar ?pool lvl its.(if f = 0 then 0 else f - 1)
     in
     nb.filter <- t.filter;
+    let dst = resident_exn nb and dk = nb.keys and sk = t.keys in
+    let o = ref 0 in
     for i = 0 to f - 1 do
-      append_keyed ~alive nb its.(i) t.keys.(i)
+      let it = its.(i) in
+      if alive it then begin
+        dst.(!o) <- it;
+        dk.(!o) <- sk.(i);
+        incr o
+      end
     done;
+    B.set nb.filled !o;
     B.tick f;
     nb
 
@@ -444,9 +458,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let its = items t in
     let nb = create_with_exemplar ?pool t.level its.(0) in
     nb.filter <- t.filter;
+    let dst = resident_exn nb and dk = nb.keys and sk = t.keys in
+    let o = ref 0 in
     for i = 0 to keep - 1 do
-      append_keyed ~alive nb its.(i) t.keys.(i)
+      let it = its.(i) in
+      if alive it then begin
+        dst.(!o) <- it;
+        dk.(!o) <- sk.(i);
+        incr o
+      end
     done;
+    B.set nb.filled !o;
     B.tick keep;
     nb
 
@@ -458,9 +480,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       (DESIGN.md §17) is that removing a block's small tail must not cost
       a copy of its large prefix.  Safe because published arrays are
       immutable-shared and never pool-recycled (§4.4: the GC reclaims
-      them; appends only ever target [Private] blocks), and the new record
-      carries its own [filled] cell, so the benign shrink races of
-      {!peek_min}/{!shrink} stay per-record.  Dead entries inside the kept
+      them; builders only ever write [Private] blocks), and the new record
+      carries its own [filled] cell, so {!shrink}'s trims stay
+      per-record.  Dead entries inside the kept
       prefix survive the view (unlike {!copy_prefix}'s alive filter);
       consolidation purges them exactly as it does in any snapshot.  The
       Bloom filter over-approximates the subset, as in {!copy_prefix}. *)
@@ -489,7 +511,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
        on fetch; the merged output is an ordinary resident block). *)
     let i1 = if f1 > 0 then items b1 else [||] in
     let i2 = if f2 > 0 then items b2 else [||] in
-    let lvl = 1 + max b1.level b2.level in
+    let lvl = 1 + Int.max b1.level b2.level in
     let exemplar =
       if f1 > 0 then i1.(0)
       else if f2 > 0 then i2.(0)
@@ -498,28 +520,50 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let nb = create_with_exemplar ?pool lvl exemplar in
     nb.filter <- Bloom.union b1.filter b2.filter;
     (* Inputs are descending; emit descending.  Compares stream the flat
-       key arrays; the boxed item is only touched to append. *)
+       key arrays; the boxed item is only read to copy it over. *)
+    let dst = resident_exn nb and dk = nb.keys in
     let k1 = b1.keys and k2 = b2.keys in
-    let i = ref 0 and j = ref 0 in
+    let i = ref 0 and j = ref 0 and o = ref 0 in
     while !i < f1 && !j < f2 do
       let x = k1.(!i) and y = k2.(!j) in
       if x >= y then begin
-        append_keyed ~alive nb i1.(!i) x;
+        let it = i1.(!i) in
+        if alive it then begin
+          dst.(!o) <- it;
+          dk.(!o) <- x;
+          incr o
+        end;
         incr i
       end
       else begin
-        append_keyed ~alive nb i2.(!j) y;
+        let it = i2.(!j) in
+        if alive it then begin
+          dst.(!o) <- it;
+          dk.(!o) <- y;
+          incr o
+        end;
         incr j
       end
     done;
     while !i < f1 do
-      append_keyed ~alive nb i1.(!i) k1.(!i);
+      let it = i1.(!i) in
+      if alive it then begin
+        dst.(!o) <- it;
+        dk.(!o) <- k1.(!i);
+        incr o
+      end;
       incr i
     done;
     while !j < f2 do
-      append_keyed ~alive nb i2.(!j) k2.(!j);
+      let it = i2.(!j) in
+      if alive it then begin
+        dst.(!o) <- it;
+        dk.(!o) <- k2.(!j);
+        incr o
+      end;
       incr j
     done;
+    B.set nb.filled !o;
     B.tick (f1 + f2);
     retire ?pool b1;
     retire ?pool b2;

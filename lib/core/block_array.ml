@@ -2,9 +2,21 @@
 
     A [t] is published to all threads through a single atomic pointer in
     {!Shared_klsm}; once published it is never mutated (copy-on-write), with
-    the benign exception of the [filled] counters inside blocks.  All
-    mutating methods ([insert], [consolidate], [calculate_pivots]) may only
-    be called on a private snapshot.
+    the benign exception of the [filled] counters inside blocks, which only
+    consolidation's {!Block.shrink} lowers.  All mutating methods
+    ([insert], [consolidate], [calculate_pivots], and [find_min], which
+    records dead tails in [ends]) may only be called on a private snapshot.
+
+    [ends.(i)] is this snapshot's own bound on block [i]'s live prefix:
+    every item at an index [>= ends.(i)] is dead, and [max_int] means "use
+    [filled]".  The paper lets a reader that finds a dead tail shrink the
+    shared block's [filled] (§4.1); here a reader keeps what it learned to
+    itself, so find-min never writes a published block and the other
+    cores' copies of its [filled] line stay valid.  Deadness is permanent,
+    so a recorded bound stays true for as long as the block exists:
+    {!carry_ends} hands it on to the next snapshot that still shares the
+    block, and [normalize]/[replace_blocks] reset it after consolidation's
+    {!Block.shrink} has trimmed [filled] itself.
 
     [pivots.(i)] is the index inside block [i] of the first key less than or
     equal to the pivot key — the pivot key being chosen so that the union of
@@ -29,6 +41,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   type 'v t = {
     mutable blocks : 'v Block.t array;  (** dense, strictly decreasing levels *)
     mutable pivots : int array;  (** same length as [blocks] *)
+    mutable ends : int array;
+        (** same length as [blocks]: this snapshot's dead-tail bounds, plain
+            ints written by [find_min]; [max_int] = use [filled] *)
   }
 
   (** Reusable per-thread buffers for [normalize]/[calculate_pivots].
@@ -47,18 +62,62 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let create () = { stack = [||]; cursor = [||] }
   end
 
-  let empty () = { blocks = [||]; pivots = [||] }
+  let empty () = { blocks = [||]; pivots = [||]; ends = [||] }
   let size t = Array.length t.blocks
   let is_empty t = Array.length t.blocks = 0
   let blocks t = t.blocks
 
-  (** Total number of logically-held items (counts items not yet cleaned
-      out; the public [size] of the queue is allowed to be off by rho). *)
+  (** Block [i]'s live prefix as this snapshot knows it: the smaller of
+      its recorded dead-tail bound and the block's [filled]. *)
+  let end_of t i =
+    let f = Block.filled t.blocks.(i) and e = t.ends.(i) in
+    if e < f then e else f
+
+  (** Total number of logically-held items, block extents as {!end_of}
+      gives them (counts items not yet cleaned out; the public [size] of
+      the queue is allowed to be off by rho). *)
   let total_filled t =
-    Array.fold_left (fun acc b -> acc + Block.filled b) 0 t.blocks
+    let acc = ref 0 in
+    for i = 0 to size t - 1 do
+      acc := !acc + end_of t i
+    done;
+    !acc
 
   (** Shallow copy: the snapshot shares the (immutable) blocks. *)
-  let copy t = { blocks = Array.copy t.blocks; pivots = Array.copy t.pivots }
+  let copy t =
+    {
+      blocks = Array.copy t.blocks;
+      pivots = Array.copy t.pivots;
+      ends = Array.copy t.ends;
+    }
+
+  (** [carry_ends ~from t] hands the dead-tail bounds [from] recorded on to
+      [t], for every block the two still share physically.  Both arrays
+      hold strictly decreasing levels, so one walk by level pairs each
+      block of [t] with the only block of [from] that can be it. *)
+  let carry_ends ~from t =
+    let ob = from.blocks and oe = from.ends in
+    let on = Array.length ob in
+    let j = ref 0 in
+    for i = 0 to size t - 1 do
+      let b = t.blocks.(i) in
+      let l = Block.level b in
+      while !j < on && Block.level ob.(!j) > l do
+        incr j
+      done;
+      if !j < on && ob.(!j) == b then begin
+        let e = oe.(!j) in
+        if e < t.ends.(i) then t.ends.(i) <- e
+      end
+    done
+
+  (* Size [pivots] and [ends] to the [m] blocks of a rebuilt snapshot and
+     reset them: pivots zeroed, no dead tail known. *)
+  let reset_ranges t m =
+    if Array.length t.pivots <> m then t.pivots <- Array.make m 0
+    else Array.fill t.pivots 0 m 0;
+    if Array.length t.ends <> m then t.ends <- Array.make m max_int
+    else Array.fill t.ends 0 m max_int
 
   (* Rebuild [t.blocks] from its current blocks plus an optional [extra]
      block, re-establishing strictly decreasing levels by merging collisions
@@ -74,8 +133,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let normalize ?pool ?scratch ~alive ?extra t =
     let n = Array.length t.blocks in
     if n = 0 && Option.is_none extra then begin
-      if Array.length t.blocks <> 0 then t.blocks <- [||];
-      if Array.length t.pivots <> 0 then t.pivots <- [||];
+      reset_ranges t 0;
       false
     end
     else begin
@@ -139,8 +197,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       let m = !sp in
       if Array.length t.blocks <> m then t.blocks <- Array.make m filler;
       Array.blit stack 0 t.blocks 0 m;
-      if Array.length t.pivots <> m then t.pivots <- Array.make m 0
-      else Array.fill t.pivots 0 m 0;
+      reset_ranges t m;
       (* Point the scratch tail at a live block so it pins nothing dead. *)
       (match scratch with
       | Some s when m > 0 ->
@@ -221,9 +278,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       before publishing. *)
   let replace_blocks t blocks =
     t.blocks <- blocks;
-    let m = Array.length blocks in
-    if Array.length t.pivots <> m then t.pivots <- Array.make m 0
-    else Array.fill t.pivots 0 m 0
+    reset_ranges t (Array.length blocks)
 
   (** Recompute [pivots] so the candidate ranges hold the (at most) [k + 1]
       smallest keys: a bounded multiway merge pops the globally smallest
@@ -283,7 +338,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       thread competes with the random choice (§4.1).  Returns a (possibly
       already deleted) item, or [None] if the array holds no items at all —
       exactly the contract {!Shared_klsm.find_min} builds its retry loop
-      on. *)
+      on.
+
+      Blocks are only read: a block's extent is {!end_of}, and a dead tail
+      found by the local-ordering peeks or the random-choice fallback scan
+      is recorded in this snapshot's [ends], never in the shared block's
+      [filled] (see the type).  The item returned is the one the paper's
+      shrinking reader would return for the same extents. *)
   let find_min ?(local_ordering = true) ~alive ~rng ~my_tid ~hasher t =
     let n = size t in
     if n = 0 then None
@@ -291,17 +352,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       (* How many candidates can we choose from? *)
       let total = ref 0 in
       for i = 0 to n - 1 do
-        let range = Block.filled t.blocks.(i) - t.pivots.(i) in
+        let range = end_of t i - t.pivots.(i) in
         if range > 0 then total := !total + range
       done;
       (* Minimal block-tail item across all blocks; the safety net used
          whenever the pivot ranges are stale (concurrent shrinks can empty
          them under us).  May return a logically deleted item — callers
          consolidate and retry — but returns [None] only when every block
-         is structurally empty (filled = 0 everywhere), which implies every
-         item was dead, because [filled] is only ever decremented past dead
-         items.  Comparisons stream the flat [keys] arrays; the boxed item
-         is read once, at the end.
+         is empty as this snapshot knows it (every extent 0), which
+         implies every item was dead, because [filled] and [ends] only
+         ever bound dead tails.  Comparisons stream the flat [keys]
+         arrays; the boxed item is read once, at the end.
 
          A block whose payload is mid-fetch on another thread
          ([Block.try_items] = [None]) is skipped on the first pass —
@@ -315,7 +376,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         let in_flight = ref false in
         for i = 0 to n - 1 do
           let b = t.blocks.(i) in
-          let f = Block.filled b in
+          let f = end_of t i in
           if f > 0 then begin
             let key = b.Block.keys.(f - 1) in
             if Option.is_none !best || key < !best_key then begin
@@ -346,7 +407,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           let i = ref 0 in
           while Option.is_none !chosen && !i < n do
             let b = t.blocks.(!i) in
-            let filled = Block.filled b in
+            let filled = end_of t !i in
             let range = filled - t.pivots.(!i) in
             if range > 0 && !r < range then begin
               (* Selection reads the boxed items — the one place the random
@@ -365,15 +426,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     if alive direct then direct
                     else begin
                       (* Fall back to the minimal {e alive} item within the
-                         candidate range, truncating the dead tail on the
-                         way (the same benign [filled] shrink [peek_min]
-                         performs for the local-ordering path).  This
-                         matters most for rehydrated spilled blocks, whose
-                         empty Bloom filter keeps them off that path:
-                         without the shrink every delete-min against such a
-                         block re-selects its taken minimum and pays a full
-                         consolidation.  The scan must not leave
-                         [pivots.(i)..filled-1]: the pivots bound the
+                         candidate range, recording the dead tail on the
+                         way in [ends] (as the local-ordering peeks below
+                         do).  This matters most for rehydrated spilled
+                         blocks, whose empty Bloom filter keeps them off
+                         that path: without the bound every delete-min
+                         against such a block re-selects its taken minimum
+                         and pays a full consolidation.  The scan must not
+                         leave [pivots.(i)..filled-1]: the pivots bound the
                          candidate set to the globally k-smallest tail, and
                          selecting an item above the cutoff would break the
                          rank guarantee.  A range with no alive item
@@ -383,7 +443,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                       let rec scan j =
                         if j < lo then direct
                         else if alive its.(j) then begin
-                          if j < filled - 1 then B.set b.Block.filled (j + 1);
+                          if j < filled - 1 then t.ends.(!i) <- j + 1;
                           its.(j)
                         end
                         else scan (j - 1)
@@ -407,41 +467,71 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           match !chosen with Some _ as c -> c | None -> block_minima_fallback ()
         end
       in
-      (* Local ordering: consider the minimum of every block that may hold
-         one of my own items.  The running best's key is tracked as a raw
-         int so the loop never compares options structurally. *)
+      (* Local ordering: consider the minimal alive item of every block
+         that may hold one of my own items, scanned up from the block's
+         extent; a dead tail on the way is recorded in [ends], so this
+         thread skips it from now on.  My filter bits are hashed once, not
+         once per block ([Bloom.may_contain] is exactly this test).  The
+         running best's key is tracked as a raw int so the loop never
+         compares options structurally. *)
       let best = ref random_choice in
       let best_key =
         ref (match random_choice with Some it -> Item.key it | None -> max_int)
       in
-      for i = 0 to n - 1 do
-        let b = t.blocks.(i) in
-        if local_ordering && Bloom.may_contain ~hasher (Block.filter b) my_tid
-        then begin
-          match Block.peek_min ~alive b with
-          | None -> ()
-          | Some it ->
-              let key = Item.key it in
+      if local_ordering then begin
+        let mine = (Bloom.singleton ~hasher my_tid :> int) in
+        for i = 0 to n - 1 do
+          let b = t.blocks.(i) in
+          let f =
+            if (Block.filter b :> int) land mine = mine then end_of t i else 0
+          in
+          if f > 0 then begin
+            let its = Block.items b in
+            let j = ref (f - 1) in
+            while !j >= 0 && not (alive its.(!j)) do
+              decr j
+            done;
+            B.tick (if !j >= 0 then f - !j else f);
+            if !j < f - 1 then t.ends.(i) <- !j + 1;
+            if !j >= 0 then begin
+              let key = b.Block.keys.(!j) in
               if Option.is_none !best || key < !best_key then begin
-                best := Some it;
+                best := Some its.(!j);
                 best_key := key
               end
-        end
-      done;
+            end
+          end
+        done
+      end;
       !best
     end
 
   (** Invariant checks for tests: strictly decreasing levels, per-block
-      invariants, pivot ranges within bounds. *)
+      invariants, pivot ranges within bounds, and no item left untaken at
+      or past its block's recorded end [ends.(i)].  Cold blocks hold only
+      alive items, so none may have an end below [filled]; checking that
+      reads no payload. *)
   let check_invariants t =
     let n = size t in
     if Array.length t.pivots <> n then failwith "Block_array: pivots length";
+    if Array.length t.ends <> n then failwith "Block_array: ends length";
     for i = 0 to n - 1 do
-      Block.check_invariants t.blocks.(i);
-      if Block.is_empty t.blocks.(i) then failwith "Block_array: empty block";
-      if i > 0 && Block.level t.blocks.(i - 1) <= Block.level t.blocks.(i)
-      then failwith "Block_array: levels not strictly decreasing";
-      if t.pivots.(i) < 0 || t.pivots.(i) > Block.filled t.blocks.(i) then
-        failwith "Block_array: pivot out of range"
+      let b = t.blocks.(i) in
+      Block.check_invariants b;
+      if Block.is_empty b then failwith "Block_array: empty block";
+      if i > 0 && Block.level t.blocks.(i - 1) <= Block.level b then
+        failwith "Block_array: levels not strictly decreasing";
+      if t.pivots.(i) < 0 || t.pivots.(i) > Block.filled b then
+        failwith "Block_array: pivot out of range";
+      let e = t.ends.(i) and f = Block.filled b in
+      if e < 0 then failwith "Block_array: end out of range";
+      if e < f then begin
+        if Block.is_cold b then failwith "Block_array: end on a cold block";
+        let its = Block.items b in
+        for j = e to f - 1 do
+          if not (Item.is_taken its.(j)) then
+            failwith "Block_array: untaken item past its end"
+        done
+      end
     done
 end

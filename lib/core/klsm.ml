@@ -373,7 +373,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | 1 ->
         let key, value = pairs.(0) in
         insert h key value
-    | n ->
+    | _ ->
         Array.iter
           (fun (key, _) ->
             if key < 0 then invalid_arg "Klsm.insert_batch: negative key")
@@ -384,12 +384,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         in
         (* Blocks store keys in descending order. *)
         Array.sort (fun a b -> compare (Item.key b) (Item.key a)) items;
-        let level = Klsm_primitives.Bits.ceil_log2 n in
-        let block = Block.create_with_exemplar ~pool:h.pool level items.(0) in
-        block.Block.filter <-
-          Klsm_primitives.Bloom.singleton ~hasher:h.t.hasher h.tid;
-        Array.iter (fun it -> Block.append ~alive:h.t.alive block it) items;
-        spill_to_home h block
+        spill_to_home h
+          (Block.of_sorted_array ~pool:h.pool ~alive:h.t.alive
+             ~filter:(Klsm_primitives.Bloom.singleton ~hasher:h.t.hasher h.tid)
+             items)
 
   (* ---- the striped find_min race ---- *)
 
@@ -583,7 +581,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         let dhead =
           match h.dbuf with [] -> max_int | (key, _) :: _ -> key
         in
-        let shared = shared_candidate h (min local_key dhead) in
+        let shared = shared_candidate h (Int.min local_key dhead) in
         let shared_key = key_or_max shared in
         if dhead < max_int && dhead <= local_key && dhead <= shared_key then begin
           (* Deletion-buffer hit: the claimed head is still the best known
@@ -724,7 +722,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let local = Dist_lsm.find_min h.dist in
     let local_key = key_or_max local in
     let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
-    let shared = shared_candidate h (min local_key dhead) in
+    let shared = shared_candidate h (Int.min local_key dhead) in
     let shared_key = key_or_max shared in
     if dhead < max_int && dhead <= local_key && dhead <= shared_key then
       match h.dbuf with

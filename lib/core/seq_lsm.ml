@@ -37,7 +37,7 @@ let singleton_block key value =
 
 (* Merge two blocks into one of the next-larger level. *)
 let merge_blocks b1 b2 =
-  let lvl = 1 + max b1.level b2.level in
+  let lvl = 1 + Int.max b1.level b2.level in
   let n = b1.filled + b2.filled in
   let keys = Array.make (capacity_of_level lvl) 0 in
   let values = Array.make (capacity_of_level lvl) b1.values.(0) in

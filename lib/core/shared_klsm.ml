@@ -114,11 +114,19 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       published). *)
   let min_hint t = B.get t.hint
 
-  (* Take a fresh consistent snapshot of the shared array. *)
+  (* Take a fresh consistent snapshot of the shared array, carrying over
+     the dead-tail bounds the previous snapshot recorded for every block
+     the two still share ({!Block_array.carry_ends}): find-min keeps them
+     in the snapshot rather than in the shared blocks, so without the
+     carry-over every refresh would rescan each dead tail. *)
   let refresh_snapshot h =
     let observed = B.get h.q.shared in
     h.observed <- observed;
-    h.snapshot <- Option.map Block_array.copy observed
+    let next = Option.map Block_array.copy observed in
+    (match (h.snapshot, next) with
+    | Some from, Some t -> Block_array.carry_ends ~from t
+    | _ -> ());
+    h.snapshot <- next
 
   (* Install the (modified) snapshot; fails iff [shared] moved since the
      snapshot was taken — i.e. iff someone else made progress.  Every block

@@ -1,5 +1,6 @@
 (* Unit and property tests for Item and Block (paper Listing 1): logical
-   deletion, append/copy/merge/shrink, level sizing, Bloom filters. *)
+   deletion, building/copy/merge/shrink, level sizing, Bloom filters, and
+   the one [filled] store per built block. *)
 
 open Helpers
 module B = Klsm_backend.Real
@@ -11,14 +12,10 @@ let alive it = not (Item.is_taken it)
 
 (* Build a block holding [keys] (any order) at the smallest fitting level. *)
 let block_of_keys keys =
-  match keys with
-  | [] -> invalid_arg "block_of_keys: empty"
-  | k0 :: _ ->
-      let sorted = List.sort (fun a b -> compare b a) keys (* descending *) in
-      let level = Klsm_primitives.Bits.ceil_log2 (List.length keys) in
-      let b = Block.create_with_exemplar level (Item.make k0 ()) in
-      List.iter (fun k -> Block.append ~alive b (Item.make k ())) sorted;
-      b
+  if keys = [] then invalid_arg "block_of_keys: empty";
+  let sorted = List.sort (fun a b -> compare b a) keys (* descending *) in
+  Block.of_sorted_array ~filter:Bloom.empty
+    (Array.of_list (List.map (fun k -> Item.make k ()) sorted))
 
 let keys_of_block b = List.map Item.key (Block.to_list b)
 
@@ -295,6 +292,62 @@ let test_pool_publish_after_retire_fails () =
        false
      with Failure _ -> true)
 
+(* ---------------- one [filled] store per built block ---------------- *)
+
+(* A builder fills its private block with plain stores and writes [filled]
+   once, so building costs the simulated machine at most two writes: the
+   final store, plus the pool's reset when the block is recycled — never
+   one per entry. *)
+module Sim = Klsm_backend.Sim
+module SItem = Klsm_core.Item.Make (Sim)
+module SBlock = Klsm_core.Block.Make (Sim)
+
+let sim_alive it = not (SItem.is_taken it)
+
+(* A published 64-entry block of keys [offset, offset + 2, ...], with its
+   two smallest entries taken so the alive filter drops something. *)
+let sim_block ~offset =
+  let b =
+    SBlock.of_sorted_array ~filter:Bloom.empty
+      (Array.init 64 (fun i -> SItem.make ((2 * (63 - i)) + offset) ()))
+  in
+  SBlock.iter b ~f:(fun it ->
+      if SItem.key it < offset + 4 then ignore (SItem.take it));
+  SBlock.publish b;
+  b
+
+(* Simulated writes of one [build] call on one simulated thread, and the
+   block it built. *)
+let sim_build build =
+  let out = ref None in
+  Sim.parallel_run ~num_threads:1 (fun _ -> out := Some (build ()));
+  ((Sim.stats ()).Sim.writes, Option.get !out)
+
+let test_builders_store_filled_once () =
+  let b1 = sim_block ~offset:0 and b2 = sim_block ~offset:1 in
+  let pool = SBlock.Pool.create () in
+  (* Leave a level-7 block in the pool so the pooled merge recycles it. *)
+  let recycled = SBlock.merge ~alive:sim_alive b1 b2 in
+  SBlock.retire ~pool recycled;
+  let expect name writes b filled =
+    check_bool (name ^ ": at most 2 writes") true (writes <= 2);
+    check_int (name ^ ": filled") filled (SBlock.filled b);
+    SBlock.check_invariants b
+  in
+  let w, m = sim_build (fun () -> SBlock.merge ~alive:sim_alive b1 b2) in
+  expect "merge" w m 124;
+  let w, m = sim_build (fun () -> SBlock.merge ~pool ~alive:sim_alive b1 b2) in
+  check_bool "pooled merge recycled" true (m == recycled);
+  expect "pooled merge" w m 124;
+  let w, c =
+    sim_build (fun () -> SBlock.copy ~alive:sim_alive b1 (SBlock.level b1))
+  in
+  expect "copy" w c 62;
+  let w, c =
+    sim_build (fun () -> SBlock.copy_prefix ~alive:sim_alive b1 ~keep:64)
+  in
+  expect "copy_prefix" w c 62
+
 (* ---------------- lazy-deletion alive predicates ---------------- *)
 
 let test_custom_alive_predicate () =
@@ -359,4 +412,9 @@ let () =
       ( "lazy-deletion",
         [ Alcotest.test_case "custom alive" `Quick test_custom_alive_predicate ]
       );
+      ( "build",
+        [
+          Alcotest.test_case "one filled store per block" `Quick
+            test_builders_store_filled_once;
+        ] );
     ]

@@ -15,15 +15,10 @@ let alive it = not (Item.is_taken it)
 let hasher = Tabular_hash.create ~seed:77
 
 let block_of_keys ?(filter = Bloom.empty) keys =
-  match keys with
-  | [] -> invalid_arg "block_of_keys: empty"
-  | k0 :: _ ->
-      let sorted = List.sort (fun a b -> compare b a) keys in
-      let level = Klsm_primitives.Bits.ceil_log2 (List.length keys) in
-      let b = Block.create_with_exemplar level (Item.make k0 ()) in
-      List.iter (fun k -> Block.append ~alive b (Item.make k ())) sorted;
-      b.Block.filter <- filter;
-      b
+  if keys = [] then invalid_arg "block_of_keys: empty";
+  let sorted = List.sort (fun a b -> compare b a) keys in
+  Block.of_sorted_array ~filter
+    (Array.of_list (List.map (fun k -> Item.make k ()) sorted))
 
 let array_of_key_lists lists =
   let t = Block_array.empty () in
@@ -283,6 +278,121 @@ let test_find_min_never_none_with_alive_items () =
     | None -> Alcotest.fail "transient None on non-empty array (regression)"
   done
 
+let test_find_min_leaves_filled () =
+  (* Three published blocks, all attributed to my tid, each with a dead
+     tail; pivots cover whole blocks.  find_min on a private copy must
+     return the smallest alive item of the peeked blocks, record each dead
+     tail in the copy's [ends] and leave every block's [filled] (and the
+     source array's [ends]) exactly as it was. *)
+  let my_tid = 3 in
+  let filter = Bloom.singleton ~hasher my_tid in
+  let base = Block_array.empty () in
+  List.iter
+    (fun keys -> Block_array.insert ~alive base (block_of_keys ~filter keys))
+    [
+      List.init 64 (fun i -> 3 * i);
+      List.init 32 (fun i -> (3 * i) + 1);
+      List.init 16 (fun i -> (3 * i) + 2);
+    ];
+  Block_array.calculate_pivots base ~k:1000;
+  let blocks = Block_array.blocks base in
+  Array.iter Block.publish blocks;
+  (* Dead tails: 0 3 6 | 1 4 | 2 5 8 11; the smallest alive key is 7. *)
+  Array.iter
+    (fun b ->
+      Block.iter b ~f:(fun it ->
+          if List.mem (Item.key it) [ 0; 3; 6; 1; 4; 2; 5; 8; 11 ] then
+            ignore (Item.take it)))
+    blocks;
+  let filled = Array.map Block.filled blocks in
+  for seed = 0 to 20 do
+    let snap = Block_array.copy base in
+    let rng = Xoshiro.create ~seed in
+    (match Block_array.find_min ~alive ~rng ~my_tid ~hasher snap with
+    | Some it -> check_int "smallest alive of the peeked blocks" 7 (Item.key it)
+    | None -> Alcotest.fail "non-empty");
+    Array.iteri
+      (fun i b -> check_int "filled untouched" filled.(i) (Block.filled b))
+      blocks;
+    check_bool "dead tails recorded in the snapshot" true
+      (snap.Block_array.ends = [| 61; 30; 12 |]);
+    check_bool "source ends untouched" true
+      (Array.for_all (fun e -> e = max_int) base.Block_array.ends);
+    Block_array.check_invariants snap
+  done
+
+(* The dead-tail bounds a snapshot records stay sound through the whole
+   snapshot protocol: random takes (biased to the smallest keys, where
+   dead tails form), find_mins with local ordering, and refreshes onto a
+   successor array that keeps some blocks, rebuilds some at the same level
+   with fresh items and drops others — with the bounds handed on by
+   [carry_ends].  [check_invariants] fails on an untaken item at or past a
+   block's recorded end. *)
+let prop_ends_bound_dead_tails =
+  qtest "recorded ends bound dead tails across refreshes" ~count:200
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 6)
+           (list_size (int_range 1 40) (int_bound 10_000)))
+        (list_size (int_range 1 60) (pair (int_bound 2) (int_bound 1_000_000))))
+    (fun (lists, ops) ->
+      let mine = Bloom.singleton ~hasher 0 in
+      let t = ref (Block_array.empty ()) in
+      List.iteri
+        (fun i keys ->
+          let filter = if i mod 2 = 0 then mine else Bloom.empty in
+          Block_array.insert ~alive !t (block_of_keys ~filter keys))
+        lists;
+      Block_array.calculate_pivots !t ~k:8;
+      let fresh_key = ref 20_000 in
+      let refresh x =
+        let x = ref x in
+        let kept =
+          Array.to_list (Block_array.blocks !t)
+          |> List.filter_map (fun b ->
+                 let choice = !x mod 3 in
+                 x := !x / 3;
+                 match choice with
+                 | 0 -> Some b
+                 | 1 ->
+                     let n = Block.capacity_of_level (Block.level b) in
+                     fresh_key := !fresh_key + n;
+                     Some
+                       (block_of_keys ~filter:mine
+                          (List.init n (fun j -> !fresh_key - j)))
+                 | _ -> None)
+        in
+        if kept <> [] then begin
+          let next = Block_array.empty () in
+          Block_array.replace_blocks next (Array.of_list kept);
+          Block_array.calculate_pivots next ~k:8;
+          Block_array.carry_ends ~from:!t next;
+          t := next
+        end
+      in
+      List.iter
+        (fun (op, x) ->
+          (match op with
+          | 0 -> (
+              let smallest =
+                Array.to_list (Block_array.blocks !t)
+                |> List.concat_map Block.to_list
+                |> List.filter alive
+                |> List.sort (fun a b -> compare (Item.key a) (Item.key b))
+              in
+              match smallest with
+              | [] -> ()
+              | l ->
+                  let n = min 4 (List.length l) in
+                  ignore (Item.take (List.nth l (x mod n))))
+          | 1 ->
+              let rng = Xoshiro.create ~seed:x in
+              ignore (Block_array.find_min ~alive ~rng ~my_tid:0 ~hasher !t)
+          | _ -> refresh x);
+          Block_array.check_invariants !t)
+        ops;
+      true)
+
 let test_local_ordering_disabled () =
   (* Sanity for the ablation knob: with local_ordering:false and the
      minimum hidden outside the candidate window... the candidates all come
@@ -330,5 +440,8 @@ let () =
           Alcotest.test_case "local ordering off" `Quick test_local_ordering_disabled;
           Alcotest.test_case "no transient None (regression)" `Quick
             test_find_min_never_none_with_alive_items;
+          Alcotest.test_case "leaves filled untouched" `Quick
+            test_find_min_leaves_filled;
+          prop_ends_bound_dead_tails;
         ] );
     ]

@@ -20,15 +20,10 @@ let handle ?(tid = 0) q =
   Shared.register q ~tid ~rng:(Xoshiro.create ~seed:(tid + 1))
 
 let block_of_keys ?(filter = Bloom.empty) keys =
-  match keys with
-  | [] -> invalid_arg "block_of_keys"
-  | k0 :: _ ->
-      let sorted = List.sort (fun a b -> compare b a) keys in
-      let level = Klsm_primitives.Bits.ceil_log2 (List.length keys) in
-      let b = Block.create_with_exemplar level (Item.make k0 ()) in
-      List.iter (fun k -> Block.append ~alive b (Item.make k ())) sorted;
-      b.Block.filter <- filter;
-      b
+  if keys = [] then invalid_arg "block_of_keys";
+  let sorted = List.sort (fun a b -> compare b a) keys in
+  Block.of_sorted_array ~filter
+    (Array.of_list (List.map (fun k -> Item.make k ()) sorted))
 
 (* Exact-ish delete-min through the shared component only. *)
 let rec delete_min h =
@@ -177,6 +172,35 @@ let test_local_ordering_across_merges () =
     | None -> Alcotest.fail "non-empty"
   done
 
+let test_refresh_carries_ends () =
+  (* h1's find_min records the dead tail of a shared block in its own
+     snapshot; h0 then publishes an array that still holds that block.
+     h1's next find_min refreshes onto it and must keep the bound for the
+     shared block, and none for the new one. *)
+  let q = make ~k:64 () in
+  let h0 = handle ~tid:0 q and h1 = handle ~tid:1 q in
+  let ends h =
+    match h.Shared.snapshot with
+    | Some s -> s.Shared.Block_array.ends
+    | None -> [||]
+  in
+  Shared.insert h0
+    (block_of_keys ~filter:(Bloom.singleton ~hasher 1) (List.init 16 Fun.id));
+  let published = Option.get (Shared.peek_shared q) in
+  let big = (Shared.Block_array.blocks published).(0) in
+  Block.iter big ~f:(fun it -> if Item.key it < 4 then ignore (Item.take it));
+  (match Shared.find_min h1 with
+  | Some it -> check_int "h1's min" 4 (Item.key it)
+  | None -> Alcotest.fail "non-empty");
+  check_bool "bound recorded" true (ends h1 = [| 12 |]);
+  Shared.insert h0 (block_of_keys [ 100 ]);
+  ignore (Shared.find_min h1);
+  let snap = Option.get h1.Shared.snapshot in
+  check_bool "big block still shared" true
+    ((Shared.Block_array.blocks snap).(0) == big);
+  check_bool "bound carried over" true (ends h1 = [| 12; max_int |]);
+  Shared.Block_array.check_invariants snap
+
 let () =
   Alcotest.run "shared_klsm"
     [
@@ -197,5 +221,7 @@ let () =
           Alcotest.test_case "consolidation" `Quick test_consolidation_publishes_cleanup;
           Alcotest.test_case "two handles" `Quick test_two_handles_contend;
           Alcotest.test_case "local ordering" `Quick test_local_ordering_across_merges;
+          Alcotest.test_case "refresh carries ends" `Quick
+            test_refresh_carries_ends;
         ] );
     ]

@@ -191,8 +191,9 @@ let test_shared_klsm_direct_stress () =
             Array.init bsz (fun i -> I.make (Xo.int rng 1_000) (base + i))
           in
           Array.sort (fun a b -> compare (I.key b) (I.key a)) items;
-          let blk = Blk.create_with_exemplar 2 items.(0) in
-          Array.iter (fun it -> Blk.append ~alive blk it) items;
+          let blk =
+            Blk.of_sorted_array ~filter:Klsm_primitives.Bloom.empty items
+          in
           S.insert h blk;
           (* One take attempt. *)
           match S.find_min h with
