@@ -19,6 +19,10 @@
    Internal counters for any section (lib/obs, ~no overhead):
        dune exec bench/main.exe -- --stats sched
 
+   fig4a and fig4b mark a run whose distances differ from sequential
+   Dijkstra WRONG and exit 1 after their table; bnb fails on a
+   suboptimal answer.
+
    Figures are reproduced on the simulator backend (DESIGN.md §1.4): the
    shapes — who wins, how curves move with T and k — are the reproduction
    target; absolute ops/s are nominal for the modeled 80-core machine.
@@ -134,11 +138,28 @@ let sssp_graph () =
   if !full then Klsm_graph.Gen.erdos_renyi ~seed:42 ~n:10_000 ~p:0.5 ()
   else Klsm_graph.Gen.erdos_renyi ~seed:42 ~n:600 ~p:0.5 ()
 
+(* A table cell of one SSSP run: [text], or WRONG when its distances
+   differ from Dijkstra's, counted in [wrong]. *)
+let sssp_cell wrong r text =
+  if r.SB.correct then text
+  else begin
+    incr wrong;
+    "WRONG"
+  end
+
+(* After its table is printed, a section with a wrong run exits 1. *)
+let exit_if_wrong wrong =
+  if !wrong > 0 then begin
+    Printf.eprintf "%d SSSP run(s) differ from sequential Dijkstra\n%!" !wrong;
+    exit 1
+  end
+
 let fig4a () =
   let graph = sssp_graph () in
   let reference = Klsm_graph.Dijkstra.run graph ~source:0 in
   let threads = paper_threads in
   let header = "impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads in
+  let wrong = ref 0 in
   let rows =
     List.map
       (fun spec ->
@@ -146,8 +167,7 @@ let fig4a () =
         :: List.map
              (fun t ->
                let r = SB.run ~graph ~source:0 ~num_threads:t ~reference spec in
-               if not r.SB.correct then "WRONG"
-               else Printf.sprintf "%.2f" (r.SB.wall *. 1e3))
+               sssp_cell wrong r (Printf.sprintf "%.2f" (r.SB.wall *. 1e3)))
              threads)
       [ R.Wimmer_centralized; R.Wimmer_hybrid 256; R.Klsm 256 ]
   in
@@ -155,7 +175,8 @@ let fig4a () =
     (Printf.sprintf
        "Figure 4 (left): SSSP time (ms, simulated) vs threads, k=256, G(%d, 0.5)"
        (Klsm_graph.Graph.num_nodes graph));
-  Report.table ~header rows
+  Report.table ~header rows;
+  exit_if_wrong wrong
 
 let fig4b () =
   let graph = sssp_graph () in
@@ -163,13 +184,13 @@ let fig4b () =
   let t = 10 in
   let ks = [ 0; 1; 4; 16; 64; 256; 1024; 4096; 16384 ] in
   let header = "impl" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks in
+  let wrong = ref 0 in
   let time_row name mk =
     name
     :: List.map
          (fun k ->
            let r = SB.run ~graph ~source:0 ~num_threads:t ~reference (mk k) in
-           if not r.SB.correct then "WRONG"
-           else Printf.sprintf "%.2f" (r.SB.wall *. 1e3))
+           sssp_cell wrong r (Printf.sprintf "%.2f" (r.SB.wall *. 1e3)))
          ks
   in
   let extra_row name mk =
@@ -177,7 +198,7 @@ let fig4b () =
     :: List.map
          (fun k ->
            let r = SB.run ~graph ~source:0 ~num_threads:t ~reference (mk k) in
-           Printf.sprintf "%+d" r.SB.extra_iterations)
+           sssp_cell wrong r (Printf.sprintf "%+d" r.SB.extra_iterations))
          ks
   in
   Report.section
@@ -195,7 +216,8 @@ let fig4b () =
       time_row "k-lsm" (fun k -> R.Klsm k);
       extra_row "hybrid-k" (fun k -> R.Wimmer_hybrid k);
       extra_row "k-lsm" (fun k -> R.Klsm k);
-    ]
+    ];
+  exit_if_wrong wrong
 
 (* ------------------------------------------------------------------ *)
 (* Quality: rank errors (ablation A1)                                  *)

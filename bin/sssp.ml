@@ -4,7 +4,10 @@
      sssp --sweep threads --k 256                     (Figure 4 left)
      sssp --sweep k --threads-fixed 10                (Figure 4 right)
      sssp --nodes 10000 --prob 0.5 --sweep threads    (paper-scale graph)
-     sssp --graph grid --nodes 10000 --sweep threads  (extra workload) *)
+     sssp --graph grid --nodes 10000 --sweep threads  (extra workload)
+
+   Every run is checked against sequential Dijkstra; the exit code is 1
+   when any run's distances differ (its row reads NO). *)
 
 let parse_threads_list = [ 1; 2; 3; 5; 10; 20; 40; 80 ]
 let paper_k_list = [ 0; 1; 4; 16; 64; 256; 1024; 4096; 16384 ]
@@ -32,8 +35,9 @@ let run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed ~csv =
         (Klsm_graph.Graph.num_nodes graph)
         (Klsm_graph.Graph.num_edges graph)
         reference.Klsm_graph.Dijkstra.settled;
-      let rows = ref [] in
+      let rows = ref [] and wrong = ref 0 in
       let emit spec t r =
+        if not r.SB.correct then incr wrong;
         rows :=
           [
             R.spec_name spec;
@@ -88,14 +92,18 @@ let run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed ~csv =
         ~header:
           [ "impl"; "threads"; "time(ms)"; "iters"; "extra"; "stale"; "correct" ]
         (List.rev !rows);
-      match csv with
+      (match csv with
       | Some path ->
           Klsm_harness.Report.csv ~path
             ~header:
               [ "impl"; "threads"; "time_ms"; "iters"; "extra"; "stale"; "correct" ]
             (List.rev !rows);
           Printf.printf "wrote %s\n" path
-      | None -> ()
+      | None -> ());
+      if !wrong > 0 then begin
+        Printf.eprintf "%d run(s) differ from sequential Dijkstra\n%!" !wrong;
+        exit 1
+      end
   end in
   match mode with
   | `Sim ->

@@ -11,7 +11,9 @@
     leaf detection; the engine runs [num_threads] workers over a shared
     k-LSM, using {!Klsm.insert_batch} to push each expansion's children as
     one block (bulk insertion, §4.1), an atomic incumbent for pruning, and
-    in-flight token counting for termination.
+    {!Klsm_primitives.Quiescence} for termination: a worker announces
+    children before inserting them and retires a node once its children
+    are in the queue, or when the queue drops it against the incumbent.
 
     Maximization problems negate into minimization (see {!Knapsack}). *)
 
@@ -34,6 +36,14 @@ end
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Klsm = Klsm_core.Klsm.Make (B)
 
+  module Quiescence = Klsm_primitives.Quiescence.Make (struct
+    type 'a t = 'a B.atomic
+
+    let make = B.make
+    let get = B.get
+    let set = B.set
+  end)
+
   type stats = {
     best : int;  (** optimal value; [max_int] if infeasible *)
     expanded : int;  (** nodes whose children were generated *)
@@ -44,13 +54,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let solve ?(seed = 1) ?(k = 64) ~num_threads (module P : PROBLEM) =
     if num_threads < 1 then invalid_arg "Engine.solve: num_threads < 1";
     let incumbent = B.make max_int in
-    let in_flight = B.make 1 (* root *) in
+    let quiescence = Quiescence.create ~num_threads in
+    (* The root is thread 0's, announced before any thread runs. *)
+    Quiescence.announce quiescence 0 1;
     (* Entries condemned once their bound cannot beat the incumbent: the
-       queue drops them during maintenance, returning their tokens. *)
+       queue drops them during maintenance, and the dropping worker
+       retires them. *)
     let q =
       Klsm.create_with ~seed ~k
         ~should_delete:(fun bound_key _ -> bound_key >= B.get incumbent)
-        ~on_lazy_delete:(fun _ _ -> ignore (B.fetch_and_add in_flight (-1)))
+        ~on_lazy_delete:(fun _ _ -> Quiescence.retire quiescence (B.self ()))
         ~num_threads ()
     in
     let expanded = Array.make num_threads 0 in
@@ -83,8 +96,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           match viable with
           | [] -> ()
           | viable ->
-              ignore
-                (B.fetch_and_add in_flight (List.length viable));
+              Quiescence.announce quiescence tid (List.length viable);
               Klsm.insert_batch h (Array.of_list viable)
         in
         let backoff = Klsm_primitives.Backoff.create ~max:64 () in
@@ -97,10 +109,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                 push_children (P.branch node)
               end
               else pruned.(tid) <- pruned.(tid) + 1;
-              ignore (B.fetch_and_add in_flight (-1));
+              Quiescence.retire quiescence tid;
               loop ()
           | None ->
-              if B.get in_flight > 0 then begin
+              if not (Quiescence.quiescent quiescence) then begin
                 Klsm_primitives.Backoff.once backoff ~relax:B.relax_n;
                 if Klsm_primitives.Backoff.current backoff >= 64 then B.yield ();
                 loop ()

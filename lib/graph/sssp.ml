@@ -13,13 +13,24 @@
     lazy-deletion predicate (built from the same distance array) lets it
     drop them wholesale during block copies.
 
-    Termination uses an in-flight counter: incremented {e before} each
-    insert and decremented {e after} an entry is fully processed, so it is
-    an upper bound on queued work and reaching zero proves completion even
-    against spuriously-failing [try_delete_min]. *)
+    Termination uses {!Klsm_primitives.Quiescence}: a thread announces an
+    entry {e before} inserting it and retires it {e after} processing it
+    (its successors announced and inserted), or when the queue drops it
+    lazily.  Every counter is written only by its thread, and an idle
+    thread stops only when its double collect proves that nothing was in
+    flight, which holds even against a spuriously failing
+    [try_delete_min]. *)
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Backoff = Klsm_primitives.Backoff
+
+  module Quiescence = Klsm_primitives.Quiescence.Make (struct
+    type 'a t = 'a B.atomic
+
+    let make = B.make
+    let get = B.get
+    let set = B.set
+  end)
 
   type queue_ops = {
     insert : int -> int -> unit;  (** [insert dist node] *)
@@ -41,16 +52,19 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       the lazy-deletion predicate {!should_delete_of} over it — and returns
       the per-thread handle factory (called inside each thread).
 
-      [~drop] must be wired to the queue's [on_lazy_delete] hook: every
-      entry the queue discards lazily carries an in-flight token that must
-      be returned, or termination detection would spin forever. *)
+      [~drop] must be wired to the queue's [on_lazy_delete] hook: it
+      retires every entry the queue discards lazily on the worker that
+      discards it, or termination detection would spin forever.  It raises
+      [Invalid_argument] outside a worker thread. *)
   let run graph ~source ~num_threads ~setup () =
     let n = Graph.num_nodes graph in
     if source < 0 || source >= n then invalid_arg "Sssp.run: source";
     let dist = Array.init n (fun _ -> B.make max_int) in
     B.set dist.(source) 0;
-    let in_flight = B.make 1 (* the source entry *) in
-    let drop _key _node = ignore (B.fetch_and_add in_flight (-1)) in
+    let quiescence = Quiescence.create ~num_threads in
+    (* The source entry is thread 0's, announced before any thread runs. *)
+    Quiescence.announce quiescence 0 1;
+    let drop _key _node = Quiescence.retire quiescence (B.self ()) in
     let make_ops = setup ~dist ~drop in
     let iterations = Array.make num_threads 0 in
     let stale = Array.make num_threads 0 in
@@ -72,7 +86,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                       let cur = B.get dist.(v) in
                       if nd < cur then begin
                         if B.compare_and_set dist.(v) cur nd then begin
-                          ignore (B.fetch_and_add in_flight 1);
+                          Quiescence.announce quiescence tid 1;
                           ops.insert nd v
                         end
                         else relax ()
@@ -81,13 +95,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     relax ())
               end
               else stale.(tid) <- stale.(tid) + 1;
-              ignore (B.fetch_and_add in_flight (-1));
+              Quiescence.retire quiescence tid;
               loop ()
           | None ->
-              (* Empty-looking queue: done only once no work is in flight
-                 anywhere (inserts are counted before they happen, so 0 is
-                 definitive). *)
-              if B.get in_flight > 0 then begin
+              (* Empty-looking queue: done only once no entry is in flight
+                 anywhere. *)
+              if not (Quiescence.quiescent quiescence) then begin
                 Backoff.once backoff ~relax:B.relax_n;
                 (* Saturated backoff means we have been idle for a while:
                    release the core so the threads holding work can run

@@ -1,6 +1,7 @@
 (* Tests for the branch-and-bound engine and its two problem instances:
    optimality against independent oracles (DP / Held-Karp), determinism,
-   multi-threaded runs on both backends, and pruning sanity. *)
+   multi-threaded runs on both backends and under random preemption, and
+   pruning sanity. *)
 
 open Helpers
 module Sim = Klsm_backend.Sim
@@ -72,6 +73,35 @@ let test_engine_stats_sane () =
   check_bool "expanded > 0" true (stats.Engine_sim.expanded > 0);
   check_bool "wall >= 0" true (stats.Engine_sim.wall >= 0.)
 
+let test_knapsack_random_preempt () =
+  (* Preemption at every atomic access, with the incumbent's lazy
+     deletion dropping nodes on whichever worker copies their block: the
+     solve must still stop only after the optimum is found. *)
+  Fun.protect
+    ~finally:(fun () -> Sim.configure ~policy:Sim.Fair ())
+    (fun () ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun threads ->
+              List.iter
+                (fun k ->
+                  for seed = 1 to 10 do
+                    let inst = Knapsack.random ~seed ~n:14 () in
+                    Sim.configure ~seed ~policy:(Sim.Random_preempt p) ();
+                    let stats =
+                      Engine_sim.solve ~seed ~k ~num_threads:threads
+                        (Knapsack.problem inst)
+                    in
+                    check_int
+                      (Printf.sprintf "p=%.2f T=%d k=%d seed=%d" p threads k seed)
+                      (Knapsack.dp_optimum inst)
+                      (Knapsack.profit_of_best inst stats.Engine_sim.best)
+                  done)
+                [ 0; 64 ])
+            [ 2; 3; 8 ])
+        [ 0.05; 0.5 ])
+
 (* ---------------- TSP ---------------- *)
 
 let prop_tsp_matches_held_karp =
@@ -117,6 +147,7 @@ let () =
           Alcotest.test_case "zero capacity" `Quick test_knapsack_zero_capacity;
           Alcotest.test_case "validation" `Quick test_knapsack_validation;
           Alcotest.test_case "stats" `Quick test_engine_stats_sane;
+          Alcotest.test_case "random preemption" `Slow test_knapsack_random_preempt;
         ] );
       ( "tsp",
         [

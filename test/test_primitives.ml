@@ -1,5 +1,6 @@
 (* Unit and property tests for klsm_primitives: the seeded RNG, tabulation
-   hashing, Bloom filters, backoff, bit utilities and statistics. *)
+   hashing, Bloom filters, backoff, bit utilities, statistics and the
+   quiescence detector. *)
 
 open Helpers
 module Xoshiro = Klsm_primitives.Xoshiro
@@ -293,6 +294,161 @@ let prop_stats_mean_bounds =
       let s = Stats.summarize a in
       s.Stats.mean >= s.Stats.min -. 1e-9 && s.Stats.mean <= s.Stats.max +. 1e-9)
 
+(* ---------------- Quiescence ---------------- *)
+
+(* Cells whose every read first runs [before_get]: the exhaustive test
+   below uses it to advance a fixed script to the read's placement. *)
+module Probe = struct
+  type 'a t = 'a ref
+
+  let before_get = ref ignore
+  let make v = ref v
+
+  let get r =
+    !before_get ();
+    !r
+
+  let set r v = r := v
+end
+
+module Quiescence = Klsm_primitives.Quiescence.Make (Probe)
+
+module type DETECTOR = sig
+  type t
+
+  val create : num_threads:int -> t
+  val announce : t -> int -> int -> unit
+  val retire : t -> int -> unit
+  val quiescent : t -> bool
+end
+
+(* The unsound variant: one collect of each thread's (created, finished)
+   pair, summing created - finished. *)
+module One_pass = struct
+  type t = { created : int Probe.t array; finished : int Probe.t array }
+
+  let create ~num_threads =
+    {
+      created = Array.init num_threads (fun _ -> Probe.make 0);
+      finished = Array.init num_threads (fun _ -> Probe.make 0);
+    }
+
+  let announce t tid n = Probe.set t.created.(tid) (!(t.created.(tid)) + n)
+  let retire t tid = Probe.set t.finished.(tid) (!(t.finished.(tid)) + 1)
+
+  let quiescent t =
+    let pending = ref 0 in
+    Array.iteri
+      (fun i c ->
+        let c = Probe.get c in
+        pending := !pending + c - Probe.get t.finished.(i))
+      t.created;
+    !pending = 0
+end
+
+(* The fixed two-thread script, after thread 0 announced the source s:
+   thread 0 processes s, announcing its children y and z, then retires s;
+   thread 1 retires y; thread 0 retires z.  [in_flight.(g)] counts the
+   announced, unretired entries after the first [g] steps. *)
+let script = [| `Announce 0; `Announce 0; `Retire 0; `Retire 1; `Retire 0 |]
+let in_flight = [| 1; 2; 3; 2; 1; 0 |]
+
+(* Every non-decreasing list of [n] step counts in [lo, hi]: read [i] of a
+   placement sees the counters after its first [g_i] steps. *)
+let rec placements ~lo ~hi n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map
+      (fun g -> List.map (fun rest -> g :: rest) (placements ~lo:g ~hi (n - 1)))
+      (List.init (hi - lo + 1) (fun i -> lo + i))
+
+(* Runs [D.quiescent] once per placement of its reads into the script;
+   returns each placement with its verdict and the entries in flight
+   when the verdict was given. *)
+let explore (module D : DETECTOR) =
+  let steps = Array.length script in
+  let reads =
+    let n = ref 0 in
+    Probe.before_get := (fun () -> incr n);
+    ignore (D.quiescent (D.create ~num_threads:2));
+    !n
+  in
+  let runs =
+    List.map
+      (fun gaps ->
+        let d = D.create ~num_threads:2 in
+        D.announce d 0 1;
+        let done_ = ref 0 and pending = ref gaps and stepping = ref false in
+        let advance_to g =
+          while !done_ < g do
+            (match script.(!done_) with
+            | `Announce tid -> D.announce d tid 1
+            | `Retire tid -> D.retire d tid);
+            incr done_
+          done
+        in
+        Probe.before_get :=
+          (fun () ->
+            match !pending with
+            | g :: rest when not !stepping ->
+                pending := rest;
+                stepping := true;
+                advance_to g;
+                stepping := false
+            | _ -> ());
+        let verdict = D.quiescent d in
+        (gaps, verdict, in_flight.(!done_)))
+      (placements ~lo:0 ~hi:steps reads)
+  in
+  Probe.before_get := ignore;
+  runs
+
+let false_alarms runs =
+  List.filter_map
+    (fun (gaps, verdict, busy) -> if verdict && busy > 0 then Some gaps else None)
+    runs
+
+let test_quiescence_exhaustive () =
+  let runs = explore (module Quiescence) in
+  (* 4 reads over 6 gaps *)
+  check_int "placements" 126 (List.length runs);
+  check_list_int "double collect never reports quiescence in flight" []
+    (List.concat (false_alarms runs));
+  check_bool "double collect reports quiescence after the last retire" true
+    (List.exists (fun (_, verdict, busy) -> verdict && busy = 0) runs);
+  (* Teeth: the same enumeration catches the one-pass collect.  Thread 0's
+     pair read before the announces and thread 1's after y retires sum to
+     1 - 0 + 0 - 1 = 0 while z is in flight. *)
+  let fooled = false_alarms (explore (module One_pass)) in
+  check_bool "one-pass collect fooled" true (fooled <> []);
+  check_bool "one-pass fooled by the announce/retire placement" true
+    (List.mem [ 0; 0; 4; 4 ] fooled)
+
+let test_quiescence_counts () =
+  let q = Quiescence.create ~num_threads:3 in
+  check_bool "nothing announced" true (Quiescence.quiescent q);
+  Quiescence.announce q 0 1;
+  check_bool "root in flight" false (Quiescence.quiescent q);
+  Quiescence.announce q 2 3;
+  Quiescence.retire q 0;
+  Quiescence.retire q 1;
+  Quiescence.retire q 1;
+  check_bool "one child in flight" false (Quiescence.quiescent q);
+  Quiescence.retire q 2;
+  check_bool "all retired" true (Quiescence.quiescent q)
+
+let test_quiescence_rejects_non_worker () =
+  let q = Quiescence.create ~num_threads:2 in
+  Alcotest.check_raises "retire outside a worker"
+    (Invalid_argument "Quiescence.retire: -1 is not a worker thread")
+    (fun () -> Quiescence.retire q (-1));
+  Alcotest.check_raises "announce past the last thread"
+    (Invalid_argument "Quiescence.announce: 2 is not a worker thread")
+    (fun () -> Quiescence.announce q 2 1);
+  Alcotest.check_raises "no threads"
+    (Invalid_argument "Quiescence.create: num_threads < 1")
+    (fun () -> ignore (Quiescence.create ~num_threads:0))
+
 let () =
   Alcotest.run "primitives"
     [
@@ -344,5 +500,13 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_stats_percentile;
           Alcotest.test_case "t table" `Quick test_stats_t_table;
           prop_stats_mean_bounds;
+        ] );
+      ( "quiescence",
+        [
+          Alcotest.test_case "exhaustive two-thread script" `Quick
+            test_quiescence_exhaustive;
+          Alcotest.test_case "counts" `Quick test_quiescence_counts;
+          Alcotest.test_case "non-worker rejected" `Quick
+            test_quiescence_rejects_non_worker;
         ] );
     ]

@@ -1,9 +1,10 @@
 (* Integration tests for the parallel label-correcting SSSP (paper §6):
    distances must equal sequential Dijkstra for every queue, on both
    backends, with and without queue-side lazy deletion, across graph
-   families. *)
+   families and under random preemption. *)
 
 open Helpers
+module Sim = Klsm_backend.Sim
 module Gen = Klsm_graph.Gen
 module Dijkstra = Klsm_graph.Dijkstra
 
@@ -109,6 +110,93 @@ let test_stale_counted () =
     (r.On_sim.SB.iterations >= reference.Dijkstra.settled);
   check_bool "stale >= 0" true (r.On_sim.SB.stale >= 0)
 
+(* ---------------- adversarial schedules ---------------- *)
+
+module Sssp_sim = Klsm_graph.Sssp.Make (Sim)
+
+(* Entries the queues dropped lazily, over every solve below. *)
+let lazy_drops = ref 0
+
+(* One solve through [Sssp.run] directly, so lazy deletion can be left
+   unwired for a queue that supports it. *)
+let solve_sim ~graph ~num_threads ~lazy_deletion ~seed spec =
+  let stats =
+    Sssp_sim.run graph ~source:0 ~num_threads
+      ~setup:(fun ~dist ~drop ->
+        let inst =
+          if lazy_deletion then
+            R_sim.make ~seed ~should_delete:(Sssp_sim.should_delete_of dist)
+              ~on_lazy_delete:(fun d v ->
+                incr lazy_drops;
+                drop d v)
+              ~num_threads spec
+          else R_sim.make ~seed ~num_threads spec
+        in
+        fun tid ->
+          let h = inst.R_sim.register tid in
+          { Sssp_sim.insert = h.R_sim.insert; try_delete_min = h.R_sim.try_delete_min })
+      ()
+  in
+  Sssp_sim.distances stats
+
+let test_random_preempt () =
+  (* A preemption may fall between any two atomic accesses, so a worker
+     can stall between announcing a child and inserting it, or between
+     inserting its last child and retiring its entry, while the others
+     poll for quiescence.  Every run must reproduce Dijkstra and stop; an
+     entry retired twice, or never (a lazy drop lost), would leave the
+     sums unequal forever.  The soundness of the double collect itself is
+     checked exhaustively in test_primitives.ml. *)
+  let graph = Gen.erdos_renyi ~seed:5 ~n:60 ~p:0.1 ~max_weight:100 () in
+  let reference = (Dijkstra.run graph ~source:0).Dijkstra.dist in
+  let specs =
+    [
+      R_sim.Klsm 0;
+      R_sim.Klsm 16;
+      R_sim.Klsm_sharded { R_sim.k = 16; shards = 2; dbuf = 2 };
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Sim.configure ~policy:Sim.Fair ())
+    (fun () ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun num_threads ->
+              List.iter
+                (fun spec ->
+                  List.iter
+                    (fun lazy_deletion ->
+                      for seed = 1 to 5 do
+                        Sim.configure ~seed ~policy:(Sim.Random_preempt p) ();
+                        let dist =
+                          solve_sim ~graph ~num_threads ~lazy_deletion ~seed spec
+                        in
+                        check_bool
+                          (Printf.sprintf "%s p=%.2f T=%d lazy=%b seed=%d"
+                             (R_sim.spec_name spec) p num_threads lazy_deletion seed)
+                          true (dist = reference)
+                      done)
+                    [ true; false ])
+                specs)
+            [ 2; 3; 8 ])
+        [ 0.05; 0.5 ]);
+  check_bool "lazy deletion dropped entries" true (!lazy_drops > 0)
+
+let test_drop_outside_worker () =
+  (* An entry dropped outside a worker would be retired on no thread and
+     every idle worker would wait for it forever. *)
+  let graph = Klsm_graph.Graph.of_edges ~n:2 [ (0, 1, 1) ] in
+  Alcotest.check_raises "drop outside a worker"
+    (Invalid_argument "Quiescence.retire: -1 is not a worker thread")
+    (fun () ->
+      ignore
+        (Sssp_sim.run graph ~source:0 ~num_threads:2
+           ~setup:(fun ~dist:_ ~drop ->
+             drop 0 1;
+             fun _ -> assert false)
+           ()))
+
 let () =
   Alcotest.run "sssp"
     [
@@ -129,5 +217,10 @@ let () =
         [
           Alcotest.test_case "extra iterations vs k" `Slow test_extra_iterations_grow_with_k;
           Alcotest.test_case "stale accounting" `Quick test_stale_counted;
+        ] );
+      ( "termination",
+        [
+          Alcotest.test_case "random preemption vs Dijkstra" `Slow test_random_preempt;
+          Alcotest.test_case "drop outside a worker" `Quick test_drop_outside_worker;
         ] );
     ]
