@@ -18,7 +18,8 @@
    reports throughput, queueing delay (mean/p99), dequeue slack — the
    scheduler-level view of relaxation-induced priority inversion — and the
    batching/backpressure counters.  Exits non-zero if any task was lost or
-   executed twice. *)
+   executed twice, a fiber leaked, or the peak in-flight count exceeded
+   --capacity. *)
 
 let parse_arrival s =
   match String.lowercase_ascii s with
@@ -118,8 +119,10 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
           (fun spec ->
             let r = CL.run config spec in
             measured := !measured @ [ (spec, r) ];
-            if r.CL.lost > 0 || r.CL.double > 0 || r.CL.fiber_lost <> 0 then
-              incr failures;
+            if
+              r.CL.lost > 0 || r.CL.double > 0 || r.CL.fiber_lost <> 0
+              || r.CL.peak_inflight > capacity
+            then incr failures;
             let m = r.CL.metrics in
             let fmean = function
               | Some (s : Klsm_primitives.Stats.summary) -> s.mean
@@ -182,7 +185,8 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
           !measured;
       if !failures > 0 then begin
         Printf.eprintf
-          "FAILURE: tasks lost, double-executed, or fibers leaked\n";
+          "FAILURE: tasks lost, double-executed, fibers leaked, or peak \
+           in-flight above capacity\n";
         exit 1
       end
   end in

@@ -62,4 +62,7 @@ let () =
   Printf.printf "dequeue inversions  %d of %d (relaxation at work)\n"
     m.Metrics.inversions m.Metrics.executed;
   Printf.printf "conservation        lost=%d double=%d\n" r.CL.lost r.CL.double;
-  if r.CL.lost <> 0 || r.CL.double <> 0 then exit 1
+  if
+    r.CL.lost <> 0 || r.CL.double <> 0
+    || r.CL.peak_inflight > config.CL.capacity
+  then exit 1

@@ -691,11 +691,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     List.rev !out
 
   (** Batched delete-min (DESIGN.md §17; see
-      {!Pq_intf.S.try_delete_min_batch}): up to [n] items, ascending; a
-      short batch means the queue looked empty mid-run.  At [S = 1] a
-      shared win claims a whole run with one publish CAS ({!claim_runs},
-      counted by [shared.batch_claim]).  Otherwise it is a plain
-      {!try_delete_min} loop — with deletion batching on, the first
+      {!Pq_intf.S.try_delete_min_batch}): up to [n] items in deletion
+      order; a short batch means the queue looked empty mid-run.  At
+      [S = 1] a shared win claims a whole run with one publish CAS
+      ({!claim_runs}, counted by [shared.batch_claim]).  Otherwise it is a
+      plain {!try_delete_min} loop — with deletion batching on, the first
       iteration claims a run and the rest of the batch drains the buffer,
       so the whole call still costs one publish CAS per up-to-B items. *)
   let try_delete_min_batch h n =

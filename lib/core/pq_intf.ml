@@ -36,15 +36,20 @@ module type S = sig
 
   val try_delete_min_batch : 'v handle -> int -> (int * 'v) list
   (** [try_delete_min_batch h n] deletes and returns up to [n] items, in
-      ascending key order.  Semantics are those of repeated
-      {!try_delete_min}: each returned item was a minimal key under the
-      queue's relaxation at its own deletion point, and a short (even
-      empty) batch is the analogue of a spurious [None] — callers that
-      know items remain simply call again.  Queues without a bulk path run
-      exactly that loop; the k-LSMs specialize it so a whole run of items
-      is claimed from the shared component with a single CAS, which is how
-      delete-side batching (DESIGN.md §17) amortizes the shared hot spot
-      the way {!insert_batch} does for inserts. *)
+      the order they were deleted.  That order is ascending for a run
+      claimed with one CAS and, on the k-LSMs, for one thread alone
+      (local ordering).  Otherwise a batch built by repeated deletes need
+      not be in key order — under concurrency, or on a queue relaxed even
+      for one thread — so a caller that needs key order sorts.  Semantics
+      are those of repeated {!try_delete_min}: each returned item was a
+      minimal key under the queue's relaxation at its own deletion point,
+      and a short (even empty) batch is the analogue of a spurious
+      [None] — callers that know items remain simply call again.  Queues
+      without a bulk path run exactly that loop; the k-LSMs specialize it
+      so a whole run of items is claimed from the shared component with a
+      single CAS, which is how delete-side batching (DESIGN.md §17)
+      amortizes the shared hot spot the way {!insert_batch} does for
+      inserts. *)
 
   val insert_batch : 'v handle -> (int * 'v) array -> unit
   (** [insert_batch h pairs] inserts every [(key, value)] pair.  Semantics

@@ -424,7 +424,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     try_delete_min : unit -> (int * int) option;
     try_delete_min_batch : int -> (int * int) list;
         (** bulk delete path (Pq_intf.try_delete_min_batch): up to n items,
-            ascending; the k-LSMs claim the run with a single CAS *)
+            in deletion order; the k-LSMs claim the run with a single CAS *)
   }
 
   type instance = {

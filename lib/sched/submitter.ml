@@ -20,7 +20,12 @@
       bounded queue.  [try_admit] refuses new roots beyond [capacity];
       {!admit_wait} converts refusal into a backoff-based backpressure
       wait ({!Klsm_primitives.Backoff}), which is the signal a load-shedding
-      layer above would consume.
+      layer above would consume.  A closed-loop worker retries a refused
+      root once per serve step, so refusals far outnumber admissions: a
+      refusal only reads the counter, an admission is one fetch-and-add
+      (undone when it lands above [capacity]).  Spawned children are
+      forced in ({!admit_spawn}), and termination still tests the same
+      counter (DESIGN.md §8).
 
     The drain side has a symmetric knob: {!Worker.make_ctx}'s
     [~batch]/[~pop_batch] pulls a run of task ids per shared-queue round
@@ -112,17 +117,26 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     t.flushes <- t.flushes + 1;
     t.enqueue_batch [| (priority, id) |]
 
+  let refuse t =
+    t.rejections <- t.rejections + 1;
+    None
+
   (** Admission control for root tasks: returns [Some inflight_now] (the
       counter after this admission, for peak tracking) or [None] when the
-      pool is at capacity. *)
+      pool is at capacity.  The counter is read first, so a refusal at
+      capacity writes nothing to the shared line.  Below capacity the
+      increment decides: a root is admitted only when its own increment
+      lands at or below [capacity], else it is undone, so the bound is
+      exact even when several admissions pass the read at once. *)
   let try_admit t =
-    let now = B.fetch_and_add t.inflight 1 + 1 in
-    if now <= t.cfg.capacity then Some now
-    else begin
-      ignore (B.fetch_and_add t.inflight (-1));
-      t.rejections <- t.rejections + 1;
-      None
-    end
+    if B.get t.inflight >= t.cfg.capacity then refuse t
+    else
+      let now = B.fetch_and_add t.inflight 1 + 1 in
+      if now <= t.cfg.capacity then Some now
+      else begin
+        ignore (B.fetch_and_add t.inflight (-1));
+        refuse t
+      end
 
   (** Blocking admission: backoff until capacity frees up.  Only safe from
       a pure producer thread — a worker that also serves the queue must use

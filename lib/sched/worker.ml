@@ -154,12 +154,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     inflight : int B.atomic;  (** admitted - resolved; 0 = drained *)
     peak_inflight : int B.atomic;
     sources_live : int B.atomic;  (** workers still producing arrivals *)
-    completed : int B.atomic;
     log : int array;
         (** completion order: task ids in the order execution finished.
             Each slot is written once by the sealing worker; read after
             the run joins. *)
-    log_next : int B.atomic;
+    log_next : int B.atomic;  (** completed tasks: the next log slot *)
     last_started : int B.atomic;  (** priority watermark for slack metric *)
     rc : robust;
     supervised : bool;  (** [robust_active rc], precomputed *)
@@ -215,7 +214,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       inflight = patomic 0;
       peak_inflight = patomic 0;
       sources_live = patomic num_workers;
-      completed = patomic 0;
       log = Array.make max_tasks (-1);
       log_next = patomic 0;
       last_started = patomic 0;
@@ -232,7 +230,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       ctxs = Array.make num_workers None;
     }
 
-  let completed_count pool = B.get pool.completed
+  let completed_count pool = B.get pool.log_next
   let peak_inflight pool = B.get pool.peak_inflight
 
   (** Ids in the dead-letter queue (most recent first). *)
@@ -436,7 +434,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     if Task.try_complete att.task ~now:(B.time ()) then begin
       let slot = B.fetch_and_add ctx.pool.log_next 1 in
       ctx.pool.log.(slot) <- att.task.Task.id;
-      ignore (B.fetch_and_add ctx.pool.completed 1);
       Submitter.release ctx.sub;
       ctx.w.executed <- ctx.w.executed + 1;
       Obs.incr ctx.obs c_execute
@@ -602,10 +599,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       into the deque as immediately steal-ready fibers.  The tail is
       pushed most-urgent-last so this worker's LIFO pop resumes the batch
       in priority order, while a thief's FIFO steal takes the batch's
-      {e least} urgent task — the one the owner would reach last. *)
+      {e least} urgent task — the one the owner would reach last.  The
+      pull is sorted here first: a queue returns a batch in deletion
+      order, which under concurrency need not be key order
+      ({!Klsm_core.Pq_intf.S.try_delete_min_batch}). *)
   let try_execute_one ctx =
     if ctx.batch > 1 then begin
-      match ctx.pop_batch ctx.batch with
+      match
+        List.stable_sort
+          (fun (p, _) (q, _) -> Int.compare p q)
+          (ctx.pop_batch ctx.batch)
+      with
       | [] ->
           ctx.w.empty_pops <- ctx.w.empty_pops + 1;
           Obs.incr ctx.obs c_empty_pop;

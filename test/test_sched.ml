@@ -11,7 +11,8 @@
 
    Plus unit tests for the submitter's batching/urgent-flush/admission
    machinery and the task claim protocol (on the Real backend — they are
-   single-threaded and need no simulated schedule). *)
+   single-threaded and need no simulated schedule), except the test that
+   a refused admission writes nothing, which reads Sim's access counts. *)
 
 module Sim = Klsm_backend.Sim
 module Real = Klsm_backend.Real
@@ -135,9 +136,16 @@ let test_exactly_once_fuzzed_spawns_and_queues () =
       for seed = 33 to 40 do
         Sim.configure ~seed ~policy:(Sim.Random_preempt 0.3) ();
         let r = CL.run { config with CL.seed } spec in
-        check_conserving
-          (Printf.sprintf "%s seed %d" (CL.Registry.spec_name spec) seed)
-          r
+        let name =
+          Printf.sprintf "%s seed %d" (CL.Registry.spec_name spec) seed
+        in
+        check_conserving name r;
+        (* Spawns push the counter past capacity while roots race to
+           admit: an admission that trusted its read alone would land
+           above the bound here. *)
+        if r.CL.peak_inflight > config.CL.capacity then
+          Alcotest.failf "%s: peak in-flight %d exceeds capacity %d" name
+            r.CL.peak_inflight config.CL.capacity
       done)
     [ CL.Registry.Klsm 4; CL.Registry.Dlsm; CL.Registry.Multiq 2 ];
   Sim.configure ~policy:Sim.Fair ()
@@ -272,6 +280,44 @@ let test_fiber_tree_depth_1000 () =
   if summary.M.fiber_suspends < depth / 2 then
     Alcotest.failf "only %d suspensions across a %d-deep chain"
       summary.M.fiber_suspends depth
+
+let test_batch_starts_most_urgent () =
+  (* A pulled batch comes back in deletion order, which under concurrency
+     need not be key order: the worker must start the most urgent task
+     first whatever order [pop_batch] returns. *)
+  Sim.configure ~seed:1 ~policy:Sim.Fair ();
+  let prios = [ 5; 3; 9 ] in
+  let pool = W.create_pool ~max_tasks:3 ~num_workers:1 () in
+  let started = ref [] in
+  List.iteri
+    (fun id p ->
+      let body = W.Task.fn (fun () -> started := p :: !started) in
+      Sim.set pool.W.tasks.(id)
+        (Some (W.Task.make ~id ~priority:p ~now:0. body));
+      (* admitted, as [inject]'s callers do before publication *)
+      ignore (Sim.fetch_and_add pool.W.inflight 1))
+    prios;
+  let pulled = ref false in
+  let pop_batch _ =
+    if !pulled then []
+    else begin
+      pulled := true;
+      List.mapi (fun id p -> (p, id)) prios
+    end
+  in
+  let metrics = M.create ~num_workers:1 in
+  Sim.parallel_run ~num_threads:1 (fun tid ->
+      let sub =
+        W.Submitter.create ~inflight:pool.W.inflight ~enqueue_batch:ignore ()
+      in
+      let ctx =
+        W.make_ctx ~pool ~tid ~sub ~batch:3 ~pop_batch
+          ~pop:(fun () -> None)
+          ~metrics:metrics.(tid) ()
+      in
+      W.run ctx ~arrivals:(fun () -> `Done));
+  Alcotest.(check (list int)) "start order" [ 3; 5; 9 ] (List.rev !started);
+  Alcotest.(check int) "all completed" 3 (W.completed_count pool)
 
 let test_fiber_hog_cannot_stall_drain () =
   (* One hog fiber burning 200k ticks without yielding must not stall
@@ -435,6 +481,33 @@ let test_submitter_admission () =
   Sub.admit_spawn sub;
   Alcotest.(check int) "spawn counts in-flight" 3 (Sub.inflight sub)
 
+module SimSub = Klsm_sched.Submitter.Make (Sim)
+
+let test_refusal_writes_nothing () =
+  (* A closed-loop worker retries a refused root once per serve step, so
+     a refusal at capacity must cost one read of the shared counter and
+     no write to its line. *)
+  let capacity = 2 in
+  let inflight = Sim.make capacity in
+  let sub =
+    SimSub.create
+      ~cfg:{ SimSub.batch = 1; urgency_margin = 0; capacity }
+      ~inflight ~enqueue_batch:ignore ()
+  in
+  let got = ref (Some 0) in
+  Sim.parallel_run ~num_threads:1 (fun _ -> got := SimSub.try_admit sub);
+  let st = Sim.stats () in
+  Alcotest.(check (option int)) "refused at capacity" None !got;
+  Alcotest.(check (list int))
+    "fetch-and-adds, CAS, writes" [ 0; 0; 0 ]
+    [ st.Sim.faa; st.Sim.cas; st.Sim.writes ];
+  Alcotest.(check int) "counter untouched" capacity (Sim.get inflight);
+  (* Below capacity an admission is one fetch-and-add. *)
+  Sim.set inflight (capacity - 1);
+  Sim.parallel_run ~num_threads:1 (fun _ -> got := SimSub.try_admit sub);
+  Alcotest.(check (option int)) "admitted below capacity" (Some capacity) !got;
+  Alcotest.(check int) "one fetch-and-add" 1 (Sim.stats ()).Sim.faa
+
 (* ---------------- task claim protocol (Real backend) ---------------- *)
 
 module T = Klsm_sched.Task.Make (Real)
@@ -482,6 +555,8 @@ let () =
             test_fiber_tree_depth_1000;
           Alcotest.test_case "hog fiber cannot stall drain" `Quick
             test_fiber_hog_cannot_stall_drain;
+          Alcotest.test_case "pulled batch starts most urgent" `Quick
+            test_batch_starts_most_urgent;
         ] );
       ( "deque",
         [ Alcotest.test_case "LIFO pop, FIFO steal" `Quick test_deque_lifo_fifo ] );
@@ -496,6 +571,8 @@ let () =
           Alcotest.test_case "urgent flush" `Quick test_submitter_urgent_flush;
           Alcotest.test_case "admission control" `Quick
             test_submitter_admission;
+          Alcotest.test_case "refusal writes nothing (Sim)" `Quick
+            test_refusal_writes_nothing;
         ] );
       ( "task",
         [
