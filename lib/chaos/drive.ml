@@ -586,6 +586,21 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
     queue_case ~shards:2 ~dbuf:2 ~seed ~threads ~per_thread ~k plan
   else queue_case ~seed ~threads ~per_thread ~k plan
 
+(** [r], the result of a case run on the fixed [plan], with a violation
+    for every rule of [plan] that never fired.  A fixed plan aims at its
+    sites on purpose, so a rule that never fires means the workload
+    stopped reaching that site, and the case would pass while injecting
+    nothing there.  Generated plans are exempt: their hit indices are
+    drawn blind. *)
+let require_fired plan r =
+  match List.filter (fun rule -> not rule.Chaos.fired) plan with
+  | [] -> r
+  | missed ->
+      let miss rule =
+        "planned rule never fired: " ^ Chaos.rule_to_string rule
+      in
+      { r with violations = r.violations @ List.map miss missed }
+
 (** Fixed sharded-queue plans the ISSUE's acceptance bar names explicitly
     (appended to every sweep so the gate always exercises them, whatever
     the random site draw does):
@@ -616,7 +631,8 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
      storm 12 "shared.push_snapshot.before";
    ]
   |> List.mapi (fun i plan ->
-         queue_case ~shards ~seed:(seed0 + i) ~threads ~per_thread ~k plan)
+         require_fired plan
+           (queue_case ~shards ~seed:(seed0 + i) ~threads ~per_thread ~k plan))
   )
   @ [
       (* Kill thread 1 with a nonempty deletion buffer ([~dbuf]; DESIGN.md
@@ -626,15 +642,41 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
          exemption above must absorb exactly those items; everything
          already served from the buffer, and everything still in the
          stripes, must survive with no duplicates. *)
-      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 4) ~threads ~per_thread ~k
-        [ Chaos.rule ~tid:1 ~hit:1 "klsm.dbuf.flush" Chaos.Crash ];
+      (let plan = [ Chaos.rule ~tid:1 ~hit:1 "klsm.dbuf.flush" Chaos.Crash ] in
+       require_fired plan
+         (queue_case ~shards ~dbuf:4 ~seed:(seed0 + 4) ~threads ~per_thread ~k
+            plan));
       (* Kill thread 2 in the middle of a batch claim, at the publish CAS
          itself: the staged run ([internal_dbuf_pending]) is in limbo —
          claimed if the CAS won, still queued if it lost — and the
          either-way exemption must hold. *)
-      queue_case ~shards ~dbuf:4 ~seed:(seed0 + 5) ~threads ~per_thread ~k
-        [ Chaos.rule ~tid:2 ~hit:4 "shared.push_snapshot.before" Chaos.Crash ];
+      (let plan =
+         [ Chaos.rule ~tid:2 ~hit:4 "shared.push_snapshot.before" Chaos.Crash ]
+       in
+       require_fired plan
+         (queue_case ~shards ~dbuf:4 ~seed:(seed0 + 5) ~threads ~per_thread ~k
+            plan));
     ]
+
+(** Fixed plans aimed at the shared array's consolidation
+    ([block_array.consolidate]) on the paper's queue.  A find-min
+    re-pivots a candidate set that ran dry and re-selects a candidate
+    lost to a concurrent take, so a queue case consolidates a few times
+    per thread, not on every delete, and a generated rule there with a
+    high hit index may never fire.  These plans keep the site under fault
+    pressure whatever the draw: a crash mid-consolidation (the snapshot
+    is private, so nothing may be lost), a CAS failure armed on entry
+    (the thread's next publish loses and is retried), and a stall that
+    lets every other thread run ahead of the stalled snapshot. *)
+let consolidate_targeted ~threads ~per_thread ~k ~seed0 =
+  [
+    [ Chaos.rule ~tid:1 ~hit:1 "block_array.consolidate" Chaos.Crash ];
+    [ Chaos.rule ~hit:2 "block_array.consolidate" Chaos.Cas_fail ];
+    [ Chaos.rule ~tid:2 ~hit:1 "block_array.consolidate" (Chaos.Stall 20_000) ];
+  ]
+  |> List.mapi (fun i plan ->
+         require_fired plan
+           (queue_case ~seed:(seed0 + i) ~threads ~per_thread ~k plan))
 
 (** Fixed scheduler plans aimed at the fiber runtime's two crash windows
     (docs/CHAOS.md):
@@ -658,7 +700,8 @@ let sched_targeted ~threads ~roots ~seed0 =
     [ Chaos.rule ~tid:1 ~hit:1 "sched.steal" (Chaos.Stall 40) ];
   ]
   |> List.mapi (fun i plan ->
-         sched_case ~fiber_fanout:3 ~seed:(seed0 + i) ~threads ~roots plan)
+         require_fired plan
+           (sched_case ~fiber_fanout:3 ~seed:(seed0 + i) ~threads ~roots plan))
 
 (** Fixed spill-tier plans (the ISSUE's kill-and-restart acceptance bar),
     every one followed by a full process-death + {!Spill.recover} cycle:
@@ -679,13 +722,15 @@ let store_targeted ~threads ~per_thread ~k ~seed0 =
     [ Chaos.rule ~hit:3 "store.spill" (Chaos.Stall 20_000) ];
   ]
   |> List.mapi (fun i plan ->
-         store_case ~seed:(seed0 + i) ~threads ~per_thread ~k ~threshold:64
-           plan)
+         require_fired plan
+           (store_case ~seed:(seed0 + i) ~threads ~per_thread ~k ~threshold:64
+              plan))
 
 (** Run [seeds] random cases starting at [seed0] (queue / sharded-queue /
     scheduler rotation), then the fixed sharded-queue plans, the fixed
-    steal/resume crash plans, then the fixed store kill-and-restart
-    plans. *)
+    steal/resume crash plans, the fixed store kill-and-restart plans, then
+    the fixed consolidation plans.  Every rule of a fixed plan must fire
+    ({!require_fired}). *)
 let sweep ?(seed0 = 0xC4A05) ?(threads = 4) ?(per_thread = 400) ?(roots = 60)
     ?(k = 8) ~seeds () =
   List.init seeds (fun i ->
@@ -693,6 +738,7 @@ let sweep ?(seed0 = 0xC4A05) ?(threads = 4) ?(per_thread = 400) ?(roots = 60)
   @ sharded_targeted ~threads ~per_thread ~k ~shards:2 ~seed0:(seed0 + seeds)
   @ sched_targeted ~threads ~roots ~seed0:(seed0 + seeds + 8)
   @ store_targeted ~threads ~per_thread ~k ~seed0:(seed0 + seeds + 16)
+  @ consolidate_targeted ~threads ~per_thread ~k ~seed0:(seed0 + seeds + 24)
 
 (* ------------------------------------------------------------------ *)
 (* Teeth: the planted-bug check                                        *)

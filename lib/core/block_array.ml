@@ -239,11 +239,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       physically — any block replaced, merged or dropped.  A consolidation
       that only trimmed dead tails in place (or did nothing) leaves the
       pointers identical; the previous pivots are then still sound (deletion
-      only shrinks candidate ranges, and [find_min] falls back to block
-      minima when a range empties), so they are restored — [normalize]
-      zeroes them unconditionally — and the caller may skip the O(k·size)
-      pivot rescan.  Note [changed] is deliberately wider than the return
-      value: an in-place dead-tail trim returns [false] from both. *)
+      only shrinks candidate ranges, and {!Shared_klsm.find_min} re-pivots
+      from the extents once they have all emptied), so they are restored —
+      [normalize] zeroes them unconditionally — and the caller may skip
+      the O(k·size) pivot rescan.  Note [changed] is deliberately wider
+      than the return value: an in-place dead-tail trim returns [false]
+      from both. *)
   let consolidate ?pool ?scratch ?changed ~alive t =
     B.fault_point "block_array.consolidate";
     let before = size t in
@@ -281,11 +282,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     reset_ranges t (Array.length blocks)
 
   (** Recompute [pivots] so the candidate ranges hold the (at most) [k + 1]
-      smallest keys: a bounded multiway merge pops the globally smallest
-      remaining key [k + 1] times.  O((k+1) * size) with the tiny linear
-      "heap" below — [size] is logarithmic, and the call is amortized over
-      the ~k items of the batched insert that triggered it.  The inner loop
-      reads only the flat [keys] arrays. *)
+      smallest keys below the blocks' extents ({!end_of}): a bounded
+      multiway merge pops the globally smallest remaining key [k + 1]
+      times.  O((k+1) * size) with the tiny linear "heap" below — [size]
+      is logarithmic, and the call is amortized over the ~k items of the
+      batched insert that triggered it, or over the deletes that emptied
+      the previous candidate set (the re-pivot in {!Shared_klsm.find_min}).
+      Ties go to the lower block index.  Right after
+      [normalize]/[replace_blocks] every extent is [filled], so there the
+      pivots are those of the blocks themselves; a dead tail recorded in
+      [ends] only tightens the set.  The inner loop reads only the flat
+      [keys] arrays. *)
   let calculate_pivots ?scratch t ~k =
     let n = size t in
     let pivots =
@@ -300,9 +307,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       | None -> Array.make (max n 1) 0
     in
     (* cursor.(i): next candidate index in block i, moving upward from the
-       minimum (filled - 1) towards 0. *)
+       minimum (end_of - 1) towards 0. *)
     for i = 0 to n - 1 do
-      let f = Block.filled t.blocks.(i) in
+      let f = end_of t i in
       cursor.(i) <- f - 1;
       pivots.(i) <- f
     done;
@@ -331,21 +338,38 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     done;
     t.pivots <- pivots
 
+  (** Whether deletions emptied the candidate set: no pivot range holds an
+      item below its block's extent ({!end_of}).  While {!total_filled} is
+      still positive, {!Shared_klsm.find_min} then re-pivots
+      ({!calculate_pivots}) before calling {!find_min}. *)
+  let dry t =
+    let rec from i =
+      i >= size t || (end_of t i <= t.pivots.(i) && from (i + 1))
+    in
+    from 0
+
   (** Listing 2's [find_min]: select uniformly at random among the candidate
-      ranges; on a deleted candidate fall back to the minimal item of the
-      same block.  [my_tid]/[hasher] implement local ordering semantics: the
-      minimum of every block whose Bloom filter may contain the calling
-      thread competes with the random choice (§4.1).  Returns a (possibly
-      already deleted) item, or [None] if the array holds no items at all —
-      exactly the contract {!Shared_klsm.find_min} builds its retry loop
-      on.
+      ranges; on a deleted candidate fall back to the minimal alive item of
+      the same range.  [my_tid]/[hasher] implement local ordering
+      semantics: the minimum of every block whose Bloom filter may contain
+      the calling thread competes with the random choice (§4.1).  Returns
+      a (possibly already deleted) item, or [None] if the array holds no
+      items at all — exactly the contract {!Shared_klsm.find_min} builds
+      its retry loop on.
+
+      [seen] reports how a returned answer was chosen: [true] when the
+      selection itself saw it alive (a random candidate, the range scan,
+      or a local-ordering peek), so a caller that finds it dead afterwards
+      lost it to a concurrent take; [false] for an unchecked block minimum
+      or a candidate range found all dead, the answers that only a
+      consolidation cures.
 
       Blocks are only read: a block's extent is {!end_of}, and a dead tail
       found by the local-ordering peeks or the random-choice fallback scan
       is recorded in this snapshot's [ends], never in the shared block's
       [filled] (see the type).  The item returned is the one the paper's
       shrinking reader would return for the same extents. *)
-  let find_min ?(local_ordering = true) ~alive ~rng ~my_tid ~hasher t =
+  let find_min ?seen ?(local_ordering = true) ~alive ~rng ~my_tid ~hasher t =
     let n = size t in
     if n = 0 then None
     else begin
@@ -399,6 +423,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         | r -> r
       in
       let block_minima_fallback () = block_minima_fallback ~wait:false () in
+      (* Whether the running best was seen alive by the selection. *)
+      let best_seen = ref false in
       let random_choice =
         if !total <= 0 then block_minima_fallback ()
         else begin
@@ -423,7 +449,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     else its.(filled - 1)
                   in
                   let item =
-                    if alive direct then direct
+                    if alive direct then begin
+                      best_seen := true;
+                      direct
+                    end
                     else begin
                       (* Fall back to the minimal {e alive} item within the
                          candidate range, recording the dead tail on the
@@ -444,6 +473,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                         if j < lo then direct
                         else if alive its.(j) then begin
                           if j < filled - 1 then t.ends.(!i) <- j + 1;
+                          best_seen := true;
                           its.(j)
                         end
                         else scan (j - 1)
@@ -497,12 +527,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               let key = b.Block.keys.(!j) in
               if Option.is_none !best || key < !best_key then begin
                 best := Some its.(!j);
-                best_key := key
+                best_key := key;
+                best_seen := true
               end
             end
           end
         done
       end;
+      Option.iter (fun r -> r := !best_seen) seen;
       !best
     end
 

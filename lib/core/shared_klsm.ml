@@ -28,6 +28,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_insert_retry = Obs.counter "shared.insert_retry"
   let c_consolidate = Obs.counter "shared.consolidate"
   let c_pivots = Obs.counter "shared.pivot_recompute"
+  let c_reselect = Obs.counter "shared.reselect"
   let c_empty_publish = Obs.counter "shared.empty_publish"
   let c_batch_claim = Obs.counter "shared.batch_claim"
 
@@ -192,22 +193,34 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Listing 3's [find_min]: return an item that was alive in the calling
       thread's consistent snapshot, or [None] if the queue (as observed) is
-      empty.  Encountering a logically deleted minimum triggers a
-      consolidation; if that consolidation merged blocks or emptied the
-      array, an installation attempt publishes the cleanup for everyone.
-      The returned item may have been taken concurrently — the combined
-      queue's delete-min loop handles that. *)
+      empty.  A candidate set that deletions emptied while the snapshot's
+      blocks still hold items is re-pivoted from their extents first, so
+      it costs a pivot pass, not a consolidation.  An answer the selection
+      saw alive but that is dead at the re-check here was taken by another
+      thread since: select again, without consolidating.  Only an
+      unchecked dead answer (a block minimum, or a candidate range found
+      all dead) triggers a consolidation; if that consolidation merged
+      blocks or emptied the array, an installation attempt publishes the
+      cleanup for everyone.  The returned item may have been taken
+      concurrently — the combined queue's delete-min loop handles that. *)
   let find_min h =
     let alive = h.q.alive in
     let t0 = Obs.span_begin h.obs in
+    let seen = ref false in
     let rec loop () =
       if B.get h.q.shared != h.observed then refresh_snapshot h;
       match h.snapshot with
       | None -> None
       | Some snap -> (
+          if Block_array.dry snap && Block_array.total_filled snap > 0
+          then begin
+            Obs.incr h.obs c_pivots;
+            Block_array.calculate_pivots ~scratch:h.scratch snap
+              ~k:(B.get h.q.k)
+          end;
           match
-            Block_array.find_min ~local_ordering:h.q.local_ordering ~alive
-              ~rng:h.rng ~my_tid:h.tid ~hasher:h.q.hasher snap
+            Block_array.find_min ~seen ~local_ordering:h.q.local_ordering
+              ~alive ~rng:h.rng ~my_tid:h.tid ~hasher:h.q.hasher snap
           with
           | None ->
               (* [find_min] returning [None] means every block looked
@@ -240,6 +253,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               if Option.is_none h.snapshot then None else loop ()
           | Some item ->
               if alive item then Some item
+              else if !seen then begin
+                (* Lost to a concurrent take: another thread made
+                   progress, and this snapshot still has its candidates. *)
+                Obs.incr h.obs c_reselect;
+                loop ()
+              end
               else begin
                 (* Deleted minimum: clean up, publish if we restructured. *)
                 Obs.incr h.obs c_consolidate;

@@ -133,38 +133,73 @@ let test_pooled_consolidate_drops_taken () =
 
 (* ---------------- pivots ---------------- *)
 
-(* The candidate ranges [pivots.(i), filled) must (a) contain at most k+1
-   items and (b) all candidates must be among the k+1 smallest keys. *)
+(* The candidate ranges [pivots.(i), end_of i) must (a) contain at most
+   k+1 items, (b) all candidates must be among the k+1 smallest keys below
+   the extents, and (c) be exactly the ones a sort of every (key, block,
+   position) below the extents puts first: ties go to the lower block
+   index and, inside a block, to the smaller-key end.  Checked on the
+   fresh array, then again after random dead-tail bounds in [ends]; half
+   the cases draw keys from a narrow range, so duplicates are common. *)
 let prop_pivots_select_k_smallest =
-  qtest "pivot ranges = k+1 smallest" ~count:200
+  qtest "pivot ranges = k+1 smallest" ~count:300
     QCheck2.Gen.(
-      pair
+      let* bound = oneofl [ 30; 10_000 ] in
+      triple
         (list_size (int_range 1 10)
-           (list_size (int_range 1 50) (int_bound 10_000)))
-        (int_bound 64))
-    (fun (lists, k) ->
+           (list_size (int_range 1 50) (int_bound bound)))
+        (int_bound 64)
+        (array_repeat 10 (int_bound 1_000)))
+    (fun (lists, k, cuts) ->
       let t = array_of_key_lists lists in
-      Block_array.calculate_pivots t ~k;
-      let all = List.sort compare (all_keys t) in
-      let total = List.length all in
-      let selected = ref [] in
+      let blocks = Block_array.blocks t in
+      let holds () =
+        let extent = Array.init (Array.length blocks) (Block_array.end_of t) in
+        Block_array.calculate_pivots t ~k;
+        let entries =
+          Array.to_list blocks
+          |> List.mapi (fun i b ->
+                 List.init extent.(i) (fun pos ->
+                     (Item.key (Block.items b).(pos), i, -pos)))
+          |> List.concat |> List.sort compare
+        in
+        let all = List.map (fun (key, _, _) -> key) entries in
+        let total = List.length all in
+        let selected = ref [] in
+        Array.iteri
+          (fun i b ->
+            for pos = t.Block_array.pivots.(i) to extent.(i) - 1 do
+              selected := Item.key (Block.items b).(pos) :: !selected
+            done)
+          blocks;
+        let n_sel = List.length !selected in
+        let cutoff_count = min (k + 1) total in
+        let smallest = List.filteri (fun i _ -> i < cutoff_count) all in
+        let expected = Array.copy extent in
+        List.iteri
+          (fun rank (_, i, neg_pos) ->
+            if rank <= k then expected.(i) <- min expected.(i) (-neg_pos))
+          entries;
+        (* (a) at most k+1 candidates, (b) at least one unless nothing is
+           left below the extents, (c) every candidate belongs to the
+           k+1-smallest multiset, and the ranges are the reference's. *)
+        n_sel <= k + 1
+        && (n_sel >= 1 || total = 0)
+        && List.for_all
+             (fun key ->
+               (* key appears in the k+1-smallest multiset *)
+               List.exists (fun s -> s = key) smallest)
+             !selected
+        && t.Block_array.pivots = expected
+      in
+      let fresh = holds () in
       Array.iteri
         (fun i b ->
-          for pos = t.Block_array.pivots.(i) to Block.filled b - 1 do
-            selected := Item.key (Block.items b).(pos) :: !selected
-          done)
-        (Block_array.blocks t);
-      let n_sel = List.length !selected in
-      let cutoff_count = min (k + 1) total in
-      (* (a) at most k+1 candidates, (b) at least one (array non-empty),
-         (c) every candidate belongs to the k+1 smallest multiset. *)
-      let smallest = List.filteri (fun i _ -> i < cutoff_count) all in
-      n_sel <= k + 1 && n_sel >= 1
-      && List.for_all
-           (fun key ->
-             (* key appears in the k+1-smallest multiset *)
-             List.exists (fun s -> s = key) smallest)
-           !selected)
+          let c = cuts.(i) in
+          (* A third of the blocks keep "use filled". *)
+          if c mod 3 <> 0 then
+            t.Block_array.ends.(i) <- c mod (Block.filled b + 1))
+        blocks;
+      fresh && holds ())
 
 let test_pivots_exhausted_small_array () =
   let t = array_of_key_lists [ [ 5; 6 ] ] in

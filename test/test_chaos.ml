@@ -193,6 +193,21 @@ let test_queue_case_casfail_stall () =
   no_violations c;
   check_bool "cas fault injected" true (c.Drive.cas_fails = 1)
 
+(* A fixed plan whose rule the workload never reaches is itself a
+   violation: the case would otherwise pass while injecting nothing. *)
+let test_fixed_plan_must_fire () =
+  let plan =
+    [ Chaos.rule ~hit:1_000_000 "block_array.consolidate" Chaos.Crash ]
+  in
+  let c =
+    Drive.require_fired plan
+      (Drive.queue_case ~seed:46 ~threads:2 ~per_thread:50 ~k:8 plan)
+  in
+  Alcotest.(check (list string))
+    "unfired rule reported"
+    [ "planned rule never fired: block_array.consolidate@1000000:crash" ]
+    c.Drive.violations
+
 let test_queue_case_crash () =
   let plan = [ Chaos.rule ~tid:2 ~hit:5 "dist.insert.pre_size" Chaos.Crash ] in
   let c = Drive.queue_case ~seed:43 ~threads:4 ~per_thread:200 ~k:8 plan in
@@ -259,6 +274,8 @@ let () =
           Alcotest.test_case "queue casfail+stall" `Quick
             test_queue_case_casfail_stall;
           Alcotest.test_case "queue crash" `Quick test_queue_case_crash;
+          Alcotest.test_case "fixed plan must fire" `Quick
+            test_fixed_plan_must_fire;
           Alcotest.test_case "store kill mid-spill" `Quick
             test_store_case_kill_mid_spill;
           Alcotest.test_case "sched crash" `Quick test_sched_case_crash;

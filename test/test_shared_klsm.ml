@@ -10,6 +10,7 @@ module Shared = Klsm_core.Shared_klsm.Make (B)
 module Bloom = Klsm_primitives.Bloom
 module Tabular_hash = Klsm_primitives.Tabular_hash
 module Xoshiro = Klsm_primitives.Xoshiro
+module Obs = Klsm_obs.Obs
 
 let hasher = Tabular_hash.create ~seed:3
 let alive it = not (Item.is_taken it)
@@ -201,6 +202,105 @@ let test_refresh_carries_ends () =
   check_bool "bound carried over" true (ends h1 = [| 12; max_int |]);
   Shared.Block_array.check_invariants snap
 
+(* A candidate lost to a concurrent take, scripted on one thread: once
+   armed, the alive predicate takes the first item it sees alive right
+   after saying so — between the selection's check and find_min's
+   re-check.  That is another thread's progress, not a stale view, so
+   find_min must select again and answer another alive candidate without
+   consolidating. *)
+let test_reselect_lost_candidate () =
+  let armed = ref false and stolen = ref None in
+  let alive it =
+    let a = not (Item.is_taken it) in
+    if a && !armed then begin
+      armed := false;
+      ignore (Item.take it);
+      stolen := Some it
+    end;
+    a
+  in
+  let prev = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) @@ fun () ->
+  let sheet = Obs.create_sheet ~num_threads:1 () in
+  let q = Shared.create ~k:3 ~hasher ~alive () in
+  let h =
+    Shared.register ~obs:(Obs.handle sheet ~tid:0) q ~tid:0
+      ~rng:(Xoshiro.create ~seed:1)
+  in
+  Shared.insert h (block_of_keys (List.init 16 Fun.id));
+  Obs.reset sheet;
+  armed := true;
+  let got = Shared.find_min h in
+  let count name =
+    match List.assoc_opt name (Obs.snapshot sheet).Obs.counters with
+    | Some per -> Array.fold_left ( + ) 0 per
+    | None -> 0
+  in
+  check_bool "a take was scripted" true (Option.is_some !stolen);
+  (match got with
+  | Some it ->
+      check_bool "another item" true (Option.get !stolen != it);
+      check_bool "alive" true (not (Item.is_taken it));
+      check_bool "a candidate" true (Item.key it <= 3)
+  | None -> Alcotest.fail "non-empty");
+  check_int "no consolidation" 0 (count "shared.consolidate");
+  check_int "one re-select" 1 (count "shared.reselect")
+
+(* A candidate set that deletions emptied: one block of keys 0..31 with
+   pivots for k = 3 (keys 0..3), keys 0..5 taken but only 0..3 recorded
+   as a dead tail in the handle's snapshot, so every candidate range is
+   empty.  find_min re-pivots from the extent onto keys 4..7 and answers
+   an alive 6 or 7 without consolidating on the dead block minimum 4,
+   and writes nothing shared while doing so: the pivots and [ends] it
+   rewrites are the snapshot's own.  Run on the simulator, which counts
+   every shared write. *)
+module Sim = Klsm_backend.Sim
+module SShared = Klsm_core.Shared_klsm.Make (Sim)
+
+let test_repivot_dry_set () =
+  let salive it = not (SShared.Item.is_taken it) in
+  let prev = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) @@ fun () ->
+  let sheet = Obs.create_sheet ~num_threads:1 () in
+  let count name =
+    match List.assoc_opt name (Obs.snapshot sheet).Obs.counters with
+    | Some per -> Array.fold_left ( + ) 0 per
+    | None -> 0
+  in
+  for seed = 0 to 19 do
+    let q = SShared.create ~k:3 ~hasher ~alive:salive () in
+    let h =
+      SShared.register ~obs:(Obs.handle sheet ~tid:0) q ~tid:0
+        ~rng:(Xoshiro.create ~seed)
+    in
+    SShared.insert h
+      (SShared.Block.of_sorted_array ~filter:Bloom.empty
+         (Array.init 32 (fun i -> SShared.Item.make (31 - i) ())));
+    (* Bring the handle's snapshot up to date with the published array. *)
+    ignore (SShared.find_min h);
+    let snap = Option.get h.SShared.snapshot in
+    let b = (SShared.Block_array.blocks snap).(0) in
+    check_int "pivot on key 3" 28 snap.SShared.Block_array.pivots.(0);
+    SShared.Block.iter b ~f:(fun it ->
+        if SShared.Item.key it < 6 then ignore (SShared.Item.take it));
+    snap.SShared.Block_array.ends.(0) <- 28;
+    Obs.reset sheet;
+    let got = ref None in
+    Sim.parallel_run ~num_threads:1 (fun _ -> got := SShared.find_min h);
+    check_int "no simulated writes" 0 (Sim.stats ()).Sim.writes;
+    (match !got with
+    | Some it ->
+        check_bool "alive 6 or 7" true
+          (salive it && (SShared.Item.key it = 6 || SShared.Item.key it = 7))
+    | None -> Alcotest.fail "non-empty");
+    check_int "one re-pivot" 1 (count "shared.pivot_recompute");
+    check_int "no consolidation" 0 (count "shared.consolidate");
+    check_int "pivot on key 7" 24 snap.SShared.Block_array.pivots.(0);
+    check_int "filled untouched" 32 (SShared.Block.filled b)
+  done
+
 let () =
   Alcotest.run "shared_klsm"
     [
@@ -223,5 +323,9 @@ let () =
           Alcotest.test_case "local ordering" `Quick test_local_ordering_across_merges;
           Alcotest.test_case "refresh carries ends" `Quick
             test_refresh_carries_ends;
+          Alcotest.test_case "re-select a lost candidate" `Quick
+            test_reselect_lost_candidate;
+          Alcotest.test_case "re-pivot a dry candidate set" `Quick
+            test_repivot_dry_set;
         ] );
     ]
