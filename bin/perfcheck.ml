@@ -20,7 +20,10 @@
      tick sections also report the run's consolidations and pivot
      recomputations (lib/obs [shared.consolidate],
      [shared.pivot_recompute]), so a find-min that falls back to
-     consolidating on every delete shows in the output.
+     consolidating on every delete shows in the output, and the striped
+     race's work: lookups the hints settled without a consult
+     ([stripe.hint_skip]), and stripe find-mins answered from the memo or
+     selected afresh ([stripe.cache_hit], [stripe.cache_miss]).
 
    Plus the tuned-spec gates ([real_tuned_section], [sim_scaling_section])
    and the fiber-runtime gate ([real_fibers_section]) — see the comments
@@ -39,10 +42,12 @@ module Obs = Klsm_obs.Obs
    materially more work per op.  The S = 4 count sits below the S = 1 one
    because per-stripe arrays are a quarter the size.  Since find-min
    re-pivots a candidate set that ran dry instead of consolidating,
-   klsm:256 reads about 93,800 ticks, which leaves only about 5% headroom
+   klsm:256 reads about 93,600 ticks, which leaves only about 5% headroom
    under its budget: a re-pivot charges (k+1)·B ticks of private work,
    while the consolidations it replaced cost mostly coherence misses,
-   which ticks do not count. *)
+   which ticks do not count.  klsm-sharded:256:4 reads about 67,400
+   ticks, about 7% under its budget: a stripe memo answer costs no
+   ticks, and a stripe that moved selects afresh. *)
 let sim_tick_gates =
   [
     ("sim", "klsm:256", 82_239, 98_700);
@@ -616,12 +621,15 @@ let sim_tick_section (_, spec_text, measured, budget) =
   let makespan = Sim.makespan () in
   let consolidations = counter_total r.T.stats "shared.consolidate" in
   let pivots = counter_total r.T.stats "shared.pivot_recompute" in
+  let hint_skips = counter_total r.T.stats "stripe.hint_skip" in
+  let memo_hits = counter_total r.T.stats "stripe.cache_hit" in
+  let memo_misses = counter_total r.T.stats "stripe.cache_miss" in
   Printf.printf
     "perf-check sim %s: %d ticks (measured %d, budget %d), %d writes, %d \
-     misses, %d consolidations, %d pivot recomputations, makespan %.3f, \
-     %.0f ops/s-sim\n%!"
+     misses, %d consolidations, %d pivot recomputations, %d hint skips, \
+     %d/%d stripe memo hits/misses, makespan %.3f, %.0f ops/s-sim\n%!"
     spec_text ticks measured budget st.Sim.writes st.Sim.misses
-    consolidations pivots makespan
+    consolidations pivots hint_skips memo_hits memo_misses makespan
     (r.T.throughput_per_thread *. 4.0);
   if ticks > budget then begin
     Printf.eprintf
@@ -646,6 +654,9 @@ let sim_tick_section (_, spec_text, measured, budget) =
       ("misses", Report.Int st.Sim.misses);
       ("consolidations", Report.Int consolidations);
       ("pivot_recomputes", Report.Int pivots);
+      ("hint_skips", Report.Int hint_skips);
+      ("stripe_cache_hits", Report.Int memo_hits);
+      ("stripe_cache_misses", Report.Int memo_misses);
       ("makespan", Report.Float makespan);
     ]
 

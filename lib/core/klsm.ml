@@ -16,17 +16,16 @@
     - every thread has a fixed {e home} stripe, [tid mod S], its spills go
       to (preserving the per-stripe publication ordering Listing 4 relies
       on); a lost publish CAS is retried on it at once, as in Listing 3;
-    - [find_min] races the thread-local DistLSM minimum against the home
-      stripe and — only when a stripe's
-      {!Shared_klsm.min_hint} says it might hold something smaller — the
-      remaining stripes (scanned from a rotating offset so ties don't
-      starve); when every hint sits at or above the local candidate the
-      race is skipped outright — S atomic loads serve the common
+    - [find_min] races the owner's best candidate (thread-local DistLSM
+      or deletion-buffer minimum) against the stripes, walked from home:
+      a stripe is consulted only while its {!Shared_klsm.min_hint} says
+      it might hold something smaller, so when every hint sits at or
+      above the owner's candidate S atomic loads serve the common
       local-delete path;
-    - a per-thread {e candidate cache} reuses the last raced winner until
-      its deletion flag is seen set or some stripe publishes state that
-      could beat it — amortizing the race across consecutive delete-mins
-      exactly as Listing 3's [observed] field amortizes snapshot refreshes.
+    - a consulted stripe answers from its handle's memo while it has not
+      moved ({!Shared_klsm.find_min}): Listing 3's [observed] test, which
+      amortizes snapshot refreshes, amortizes the selection across
+      consecutive delete-mins too.
 
     Guarantees (paper §5): [insert] and [try_delete_min] are lock-free and
     linearizable with structural rho-relaxation — a delete-min never skips
@@ -99,17 +98,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Observability (lib/obs; docs/METRICS.md): the klsm.* family counts
      the Listing 5 composition (claim races and the two fallback paths of
-     delete-min); the stripe.* family counts the striped race, its cache
-     and the deletion buffer ([stripe.cas_fail] is counted by
-     {!Shared_klsm}). *)
+     delete-min); the stripe.* family counts the striped race and the
+     deletion buffer ([stripe.cas_fail] and the memo's [stripe.cache_*]
+     are counted by {!Shared_klsm}). *)
   let c_take_race = Obs.counter "klsm.take_race"
   let c_delete_local = Obs.counter "klsm.delete_local"
   let c_delete_shared = Obs.counter "klsm.delete_shared"
   let c_delete_empty = Obs.counter "klsm.delete_empty"
   let c_spy_attempt = Obs.counter "klsm.spy_attempt"
   let c_spy_success = Obs.counter "klsm.spy_success"
-  let c_cache_hit = Obs.counter "stripe.cache_hit"
-  let c_cache_miss = Obs.counter "stripe.cache_miss"
   let c_hint_consult = Obs.counter "stripe.hint_consult"
   let c_hint_skip = Obs.counter "stripe.hint_skip"
   let c_dbuf_hit = Obs.counter "stripe.dbuf_hit"
@@ -158,16 +155,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             queue has no durability tier) *)
     stripe_hs : 'v Shared_klsm.handle array;  (** one handle per stripe *)
     home : int;  (** home stripe, [tid mod S]: every spill goes here *)
-    mutable rr : int;  (** second-chance rotation counter *)
-    mutable cached : 'v Item.t option;  (** delete-min candidate cache *)
-    mutable cached_key : int;
-    mutable cached_stripe : int;
-        (** stripe that produced the cached candidate; [-1] = none (the
-            stripe a deletion batch is claimed from) *)
-    cached_ptrs : 'v Block_array.t option array;
-        (** per-stripe published-array tokens observed when the cache was
-            filled; physical inequality + a hint below [cached_key] is the
-            only thing that can invalidate a still-alive cached candidate *)
+    mutable won_stripe : int;
+        (** stripe whose answer the last race returned (the stripe a
+            deletion batch is claimed from); read only after a race that
+            returned one *)
     mutable dbuf : (int * 'v) list;
         (** deletion buffer, ascending: items claimed-deleted from a stripe
             in a batch, not yet returned to the owner.  Invisible to every
@@ -280,11 +271,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         | Some p -> fun block -> p ~alive:t.alive ~tid block);
       stripe_hs;
       home = tid mod t.num_stripes;
-      rr = 0;
-      cached = None;
-      cached_key = max_int;
-      cached_stripe = -1;
-      cached_ptrs = Array.make t.num_stripes None;
+      won_stripe = 0;
       dbuf = [];
       dbuf_len = 0;
       dbuf_age = 0;
@@ -391,109 +378,43 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* ---- the striped find_min race ---- *)
 
-  (* Is the cached candidate still a valid answer?  It must be alive, and
-     every stripe must either be physically unchanged since the cache was
-     filled (its pointer token matches; logical deletions do not move the
-     pointer and only shrink the smaller-than set) or hint that it holds
-     nothing below the cached key.  S atomic loads replace two-plus full
-     snapshot consults. *)
-  let cache_valid h =
-    match h.cached with
-    | None -> false
-    | Some it ->
-        h.t.alive it
-        &&
-        let s = h.t.num_stripes in
-        let ok = ref true in
-        let j = ref 0 in
-        while !ok && !j < s do
-          let stripe = h.t.stripes.(!j) in
-          if
-            Shared_klsm.peek_shared stripe != h.cached_ptrs.(!j)
-            && Shared_klsm.min_hint stripe < h.cached_key
-          then ok := false;
-          incr j
-        done;
-        !ok
-
-  (* The full race: the home stripe, then every other stripe whose min
-     hint undercuts the best so far (scanned from a rotating offset).
-     Every stripe is thus either consulted (candidate within its ceil(k/S)
-     relaxation) or certified by its hint to hold nothing smaller — the
-     case split the DESIGN §12 rank bound sums over. *)
-  let race h =
-    let s = h.t.num_stripes in
-    (* Observation tokens first: a publish landing between the token read
-       and the consult can only make the cache conservatively stale. *)
-    for j = 0 to s - 1 do
-      h.cached_ptrs.(j) <- Shared_klsm.peek_shared h.t.stripes.(j)
-    done;
-    let best = ref None in
-    let best_key = ref max_int in
-    let best_stripe = ref (-1) in
-    let consult i =
-      match Shared_klsm.find_min h.stripe_hs.(i) with
-      | None -> ()
-      | Some it ->
-          let key = Item.key it in
-          if Option.is_none !best || key < !best_key then begin
+  (* The shared side of Listing 5's race, against the best key the owner
+     already holds ([best_known]: its local or deletion-buffer minimum,
+     [max_int] = none).  Walk the stripes from home, [(home + d) mod S],
+     consulting one only while its min hint undercuts the best key so far,
+     and keep an answer only if it beats that key.  Every stripe is thus
+     either consulted (its answer within its ceil(k/S) relaxation) or
+     certified by its hint to hold nothing smaller — the case split the
+     DESIGN §12 rank bound sums over — and when the hints certify every
+     stripe, S atomic loads serve the serve-locally path §4.3's design
+     argument is about.  While no candidate is known at all, a stripe is
+     consulted iff it has a published array: a [max_int] hint cannot tell
+     an empty stripe from one holding only [max_int] keys, or from the late
+     hint write of an earlier empty publish.  The returned item may be taken
+     concurrently; the delete-min loops handle that. *)
+  let race h best_known =
+    let best = ref None and best_key = ref best_known in
+    let consulted = ref false in
+    for d = 0 to h.t.num_stripes - 1 do
+      let i = (h.home + d) mod h.t.num_stripes in
+      let stripe = h.t.stripes.(i) in
+      let unknown = Option.is_none !best && !best_key = max_int in
+      if
+        if unknown then Option.is_some (Shared_klsm.peek_shared stripe)
+        else Shared_klsm.min_hint stripe < !best_key
+      then begin
+        consulted := true;
+        if d > 0 then Obs.incr h.obs c_hint_consult;
+        match Shared_klsm.find_min h.stripe_hs.(i) with
+        | Some it when unknown || Item.key it < !best_key ->
             best := Some it;
-            best_key := key;
-            best_stripe := i
-          end
-    in
-    consult h.home;
-    if s > 1 then begin
-      (* Rotating scan offset: when several stripes undercut the current
-         best they are consulted in a different order each race, so no
-         single stripe permanently wins the ties. *)
-      h.rr <- h.rr + 1;
-      let start = h.rr mod s in
-      for d = 0 to s - 1 do
-        let j = (start + d) mod s in
-        if j <> h.home && Shared_klsm.min_hint h.t.stripes.(j) < !best_key
-        then begin
-          Obs.incr h.obs c_hint_consult;
-          consult j
-        end
-      done
-    end;
-    h.cached <- !best;
-    h.cached_key <- !best_key;
-    h.cached_stripe <- !best_stripe;
-    !best
-
-  (* Do the hints certify that no stripe holds anything below [key]? *)
-  let stripes_certified_above h key =
-    let s = h.t.num_stripes in
-    let ok = ref true in
-    let j = ref 0 in
-    while !ok && !j < s do
-      if Shared_klsm.min_hint h.t.stripes.(!j) < key then ok := false;
-      incr j
+            best_key := Item.key it;
+            h.won_stripe <- i
+        | _ -> ()
+      end
     done;
-    !ok
-
-  (* The shared side of Listing 5's race against the best candidate the
-     owner already holds ([best_known], [max_int] = none): nothing when the
-     hints certify every stripe sits at or above it — S atomic loads serve
-     the common serve-locally path (the split §4.3's design argument is
-     about) — else the cached candidate or, on a cache miss, a fresh race.
-     The returned item may be taken concurrently; the delete-min loops
-     handle that. *)
-  let shared_candidate h best_known =
-    if best_known < max_int && stripes_certified_above h best_known then begin
-      Obs.incr h.obs c_hint_skip;
-      None
-    end
-    else if cache_valid h then begin
-      Obs.incr h.obs c_cache_hit;
-      h.cached
-    end
-    else begin
-      Obs.incr h.obs c_cache_miss;
-      race h
-    end
+    if not !consulted then Obs.incr h.obs c_hint_skip;
+    !best
 
   (* Spy on one random other thread (Listing 5's fallback when both
      components look empty). *)
@@ -542,11 +463,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      [None] = claim lost or nothing under the cap; the caller falls back
      to the single take. *)
   let claim_batch h ~local_key =
-    let stripe_i = h.cached_stripe in
     let run =
       Shared_klsm.try_pop_batch
         ~stage:(fun pending -> h.dbuf_pending <- pending)
-        ~limit:local_key h.stripe_hs.(stripe_i) h.t.dbuf_max
+        ~limit:local_key h.stripe_hs.(h.won_stripe) h.t.dbuf_max
     in
     h.dbuf_pending <- [];
     match run with
@@ -556,9 +476,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         h.dbuf_len <- List.length rest;
         h.dbuf_age <- 0;
         Obs.incr h.obs c_delete_shared;
-        (* The winning publish restructured the stripe; drop the candidate
-           cache rather than let it point at a just-claimed item. *)
-        h.cached <- None;
         Some (key, value)
 
   (** Listing 5's [delete_min]: race the thread-local minimum against the
@@ -581,7 +498,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         let dhead =
           match h.dbuf with [] -> max_int | (key, _) :: _ -> key
         in
-        let shared = shared_candidate h (Int.min local_key dhead) in
+        let shared = race h (Int.min local_key dhead) in
         let shared_key = key_or_max shared in
         if dhead < max_int && dhead <= local_key && dhead <= shared_key then begin
           (* Deletion-buffer hit: the claimed head is still the best known
@@ -612,10 +529,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           | None -> None
           | Some item -> (
               match
-                if
-                  from_shared && h.t.dbuf_max > 0 && h.dbuf_len = 0
-                  && h.cached_stripe >= 0
-                then claim_batch h ~local_key
+                if from_shared && h.t.dbuf_max > 0 && h.dbuf_len = 0 then
+                  claim_batch h ~local_key
                 else None
               with
               | Some kv -> Some kv
@@ -661,7 +576,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       if !got < n then begin
         let local = Dist_lsm.find_min h.dist in
         let local_key = key_or_max local in
-        match (local, shared_candidate h local_key) with
+        match (local, race h local_key) with
         | None, None -> if spy_round h then go ()
         | Some it, None ->
             take it ~counter:c_delete_local;
@@ -678,7 +593,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                 (* Contended or stale view: fall back to a single take. *)
                 take s ~counter:c_delete_shared
             | kvs ->
-                h.cached <- None;
                 List.iter
                   (fun kv ->
                     Obs.incr h.obs c_delete_shared;
@@ -722,7 +636,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let local = Dist_lsm.find_min h.dist in
     let local_key = key_or_max local in
     let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
-    let shared = shared_candidate h (Int.min local_key dhead) in
+    let shared = race h (Int.min local_key dhead) in
     let shared_key = key_or_max shared in
     if dhead < max_int && dhead <= local_key && dhead <= shared_key then
       match h.dbuf with

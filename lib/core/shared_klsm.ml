@@ -7,10 +7,11 @@
     [insert] and the consolidations inside [find_min] lock-free (paper §5,
     Lemmas 3-4).
 
-    Thread-local state ([observed]/[snapshot]) lives in the {!handle}
-    a thread obtains from [register].  With a garbage collector the CAS on
-    [shared] is ABA-free: a reachable snapshot can never be recycled into a
-    physically-equal new array (§4.4's GC remark). *)
+    Thread-local state ([observed]/[snapshot], and the [memo] of the last
+    answer) lives in the {!handle} a thread obtains from [register].  With
+    a garbage collector the CAS on [shared] is ABA-free: a reachable
+    snapshot can never be recycled into a physically-equal new array
+    (§4.4's GC remark). *)
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Item = Item.Make (B)
@@ -32,9 +33,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_empty_publish = Obs.counter "shared.empty_publish"
   let c_batch_claim = Obs.counter "shared.batch_claim"
 
-  (* The k-LSM's per-stripe name for [shared.cas_fail], counted alongside
-     it; the benchmark's per-layer [stripe.cas_fail_ratio] reads it. *)
+  (* The k-LSM's per-stripe counters: [stripe.cas_fail] is the per-stripe
+     name for [shared.cas_fail], counted alongside it (the benchmark's
+     per-layer [stripe.cas_fail_ratio] reads it); [stripe.cache_hit] and
+     [stripe.cache_miss] split [find_min]s into memo answers and fresh
+     selections. *)
   let c_stripe_cas_fail = Obs.counter "stripe.cas_fail"
+  let c_cache_hit = Obs.counter "stripe.cache_hit"
+  let c_cache_miss = Obs.counter "stripe.cache_miss"
 
   let s_insert = Obs.span "shared.insert"
   let s_find_min = Obs.span "shared.find_min"
@@ -53,8 +59,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             logically deleted items, and deletion only ever raises the true
             minimum.  Lowered before a publish attempt, set exactly after a
             successful one, so readers that skip this stripe on
-            [hint >= candidate] skip only stripes with nothing smaller
-            (DESIGN.md §12 discusses the write-race slack). *)
+            [hint >= candidate] skip only stripes with nothing smaller —
+            up to the write race DESIGN.md §12 describes, in which a late
+            write of an empty publish leaves [max_int] over a non-empty
+            array. *)
   }
 
   type 'v handle = {
@@ -69,6 +77,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** this thread's normalize/pivot scratch buffers *)
     mutable observed : 'v Block_array.t option;
     mutable snapshot : 'v Block_array.t option;
+    mutable memo : 'v Item.t option;
+        (** the last alive item [find_min] returned from [snapshot];
+            cleared by [refresh_snapshot] *)
   }
 
   let create ?(k = 256) ?(local_ordering = true) ~hasher ~alive () =
@@ -109,6 +120,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       scratch = Block_array.Scratch.create ();
       observed = None;
       snapshot = None;
+      memo = None;
     }
 
   (** Current lower bound on the smallest alive key ([max_int] = nothing
@@ -119,10 +131,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      the dead-tail bounds the previous snapshot recorded for every block
      the two still share ({!Block_array.carry_ends}): find-min keeps them
      in the snapshot rather than in the shared blocks, so without the
-     carry-over every refresh would rescan each dead tail. *)
+     carry-over every refresh would rescan each dead tail.  The memo
+     belongs to the old snapshot and goes with it. *)
   let refresh_snapshot h =
     let observed = B.get h.q.shared in
     h.observed <- observed;
+    h.memo <- None;
     let next = Option.map Block_array.copy observed in
     (match (h.snapshot, next) with
     | Some from, Some t -> Block_array.carry_ends ~from t
@@ -191,24 +205,20 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     attempt false;
     Obs.span_end h.obs s_insert t0
 
-  (** Listing 3's [find_min]: return an item that was alive in the calling
-      thread's consistent snapshot, or [None] if the queue (as observed) is
-      empty.  A candidate set that deletions emptied while the snapshot's
-      blocks still hold items is re-pivoted from their extents first, so
-      it costs a pivot pass, not a consolidation.  An answer the selection
-      saw alive but that is dead at the re-check here was taken by another
-      thread since: select again, without consolidating.  Only an
-      unchecked dead answer (a block minimum, or a candidate range found
-      all dead) triggers a consolidation; if that consolidation merged
-      blocks or emptied the array, an installation attempt publishes the
-      cleanup for everyone.  The returned item may have been taken
-      concurrently — the combined queue's delete-min loop handles that. *)
-  let find_min h =
+  (* Listing 3's selection on the handle's snapshot: return an item that
+     was alive in it, or [None] if the queue (as observed) is empty.  A
+     candidate set that deletions emptied while the snapshot's blocks still
+     hold items is re-pivoted from their extents first, so it costs a pivot
+     pass, not a consolidation.  An answer the selection saw alive but that
+     is dead at the re-check here was taken by another thread since:
+     select again, without consolidating.  Only an unchecked dead answer (a
+     block minimum, or a candidate range found all dead) triggers a
+     consolidation; if that consolidation merged blocks or emptied the
+     array, an installation attempt publishes the cleanup for everyone. *)
+  let select h =
     let alive = h.q.alive in
-    let t0 = Obs.span_begin h.obs in
     let seen = ref false in
     let rec loop () =
-      if B.get h.q.shared != h.observed then refresh_snapshot h;
       match h.snapshot with
       | None -> None
       | Some snap -> (
@@ -250,14 +260,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                   end
                 end
               end;
-              if Option.is_none h.snapshot then None else loop ()
+              if Option.is_none h.snapshot then None else retry ()
           | Some item ->
               if alive item then Some item
               else if !seen then begin
                 (* Lost to a concurrent take: another thread made
                    progress, and this snapshot still has its candidates. *)
                 Obs.incr h.obs c_reselect;
-                loop ()
+                retry ()
               end
               else begin
                 (* Deleted minimum: clean up, publish if we restructured. *)
@@ -292,10 +302,40 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     refresh_snapshot h
                   end
                 end;
-                loop ()
+                retry ()
               end)
+    and retry () =
+      if B.get h.q.shared != h.observed then refresh_snapshot h;
+      loop ()
     in
-    let r = loop () in
+    loop ()
+
+  (** Listing 3's [find_min]: return an item that was alive in the calling
+      thread's consistent snapshot, or [None] if the queue (as observed) is
+      empty.  While [shared] still equals [observed] — Listing 3's own test
+      for a snapshot that is still current — and the item the last call
+      returned is still alive, that item is the answer again
+      ([stripe.cache_hit]): with no publish since, the stripe holds no item
+      it did not hold then, and deletions only shrink the set of keys below
+      it, so it is still within the relaxation and still beats every block
+      of the caller's own.  Otherwise the snapshot is refreshed if it moved
+      and an answer selected afresh ([stripe.cache_miss]).  The returned
+      item may have been taken concurrently — the combined queue's
+      delete-min loop handles that. *)
+  let find_min h =
+    let t0 = Obs.span_begin h.obs in
+    if B.get h.q.shared != h.observed then refresh_snapshot h;
+    let r =
+      match h.memo with
+      | Some it when h.q.alive it ->
+          Obs.incr h.obs c_cache_hit;
+          h.memo
+      | _ ->
+          Obs.incr h.obs c_cache_miss;
+          let r = select h in
+          h.memo <- r;
+          r
+    in
     Obs.span_end h.obs s_find_min t0;
     r
 

@@ -145,9 +145,12 @@ let test_spill_arithmetic () =
   check_int "klsm.spy_attempt" 1 (ctotal "klsm.spy_attempt" s2);
   check_int "klsm.spy_success" 0 (ctotal "klsm.spy_success" s2);
   check_int "dist.consolidate" 1 (ctotal "dist.consolidate" s2);
-  (* The one stripe's race: the local LSM stays empty, so no delete is
-     served by the hints alone, and each success takes the very item the
-     candidate cache holds — all five deletes re-race. *)
+  (* The one stripe's race: the local LSM stays empty and the stripe holds
+     a published array, so all five deletes consult it (no hint skip).
+     Nothing publishes between them, but each of the four successes takes
+     the very item the stripe's memo holds, so every consult selects
+     afresh; the fifth finds only dead items and publishes the empty
+     array. *)
   check_int "stripe.hint_skip" 0 (ctotal "stripe.hint_skip" s2);
   check_int "stripe.cache_hit" 0 (ctotal "stripe.cache_hit" s2);
   check_int "stripe.cache_miss" 5 (ctotal "stripe.cache_miss" s2)
@@ -221,10 +224,13 @@ let test_spy_counters () =
   check_int "dist.spy_items" 3 (ctotal "dist.spy_items" s);
   check_int "served locally after the spy" 1 (ctotal "klsm.delete_local" s);
   check_int "spy work charged to tid 1" 2 (cper "dist.spy_blocks" 1 s);
-  (* Before the spy one race finds the stripe empty; after it the spied
-     10 sits below the empty stripe's hint, so no second race runs. *)
-  check_int "stripe.cache_miss" 1 (ctotal "stripe.cache_miss" s);
-  check_int "stripe.hint_skip" 1 (ctotal "stripe.hint_skip" s)
+  (* Two lookups and no consult: before the spy thread 1 holds nothing,
+     and the never-published stripe (hint max_int, no array) certifies
+     itself empty; after it the spied 10 sits below that hint.  So both
+     lookups are hint skips, and the stripe's find_min never runs. *)
+  check_int "stripe.cache_hit" 0 (ctotal "stripe.cache_hit" s);
+  check_int "stripe.cache_miss" 0 (ctotal "stripe.cache_miss" s);
+  check_int "stripe.hint_skip" 2 (ctotal "stripe.hint_skip" s)
 
 (* ---------------- sim backend ---------------- *)
 

@@ -2,7 +2,9 @@
    paper's Listing 5 queue) and four: exact single-thread semantics,
    conservation across handles (spy paths), the single-thread rho window,
    runtime k, lazy deletion, validation and edge cases, the ceil(k/S)
-   relaxation-budget partition, the delete-min candidate cache,
+   relaxation-budget partition, the striped find-min race and the stripe
+   memo it consults (a repeat peek, a publish on another stripe, and
+   stripes whose max_int hint hides items),
    conservation under CAS-failure storms and the fixed home stripe, the
    DESIGN.md §12 rank bound rho <= (T-1+S) * ceil(k/S) measured
    empirically on the simulator, and the §17 batched delete-min:
@@ -387,11 +389,17 @@ let test_knob_validation () =
   | () -> Alcotest.fail "set_k below dbuf cap accepted"
   | exception Invalid_argument _ -> ()
 
-(* ---------------- candidate cache ---------------- *)
+(* ---------------- the striped race and the stripe memo ---------------- *)
 
-let test_candidate_cache_hits () =
+let stat q name =
+  match List.assoc_opt name (K.stats q).Obs.counters with
+  | Some per -> Array.fold_left ( + ) 0 per
+  | None -> 0
+
+let test_memo_serves_repeat_peek () =
   (* Two consecutive peeks with no publish in between: the second must be
-     served from the candidate cache (stripe.cache_hit), not a re-race. *)
+     answered from the home stripe's memo (stripe.cache_hit), not a fresh
+     selection. *)
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect
@@ -405,13 +413,103 @@ let test_candidate_cache_hits () =
       let a = K.try_find_min h and b = K.try_find_min h in
       check_bool "peek found something" true (a <> None);
       check_bool "stable peek" true (a = b);
-      let stat name =
-        match List.assoc_opt name (K.stats q).Obs.counters with
-        | Some per -> Array.fold_left ( + ) 0 per
-        | None -> 0
-      in
-      check_bool "cache missed at least once" true (stat "stripe.cache_miss" >= 1);
-      check_bool "cache hit on the re-peek" true (stat "stripe.cache_hit" >= 1))
+      check_bool "selected at least once" true
+        (stat q "stripe.cache_miss" >= 1);
+      check_bool "memo answer on the re-peek" true
+        (stat q "stripe.cache_hit" >= 1))
+
+(* S = 2: thread 0's peek wins with 50 from its home stripe 0.  Thread 1
+   then publishes 10 and 20 on stripe 1, below that winner.  The next peek
+   must return stripe 1's key; stripe 0, which did not move, answers from
+   its memo (one stripe.cache_hit), and stripe 1, consulted because its
+   hint undercuts 50, selects afresh (one stripe.cache_miss). *)
+let test_publish_on_other_stripe () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let q = K.create_with ~k:4 ~shards:2 ~num_threads:2 () in
+      let h0 = K.register q 0 and h1 = K.register q 1 in
+      K.insert_batch h0 [| (50, ()); (60, ()); (70, ()) |];
+      check_bool "home stripe wins" true
+        (Option.map fst (K.try_find_min h0) = Some 50);
+      K.insert_batch h1 [| (10, ()); (20, ()) |];
+      let hit = stat q "stripe.cache_hit"
+      and miss = stat q "stripe.cache_miss"
+      and consult = stat q "stripe.hint_consult" in
+      (match K.try_find_min h0 with
+      | Some (key, ()) ->
+          check_bool "stripe 1's key" true (key = 10 || key = 20)
+      | None -> Alcotest.fail "non-empty");
+      check_int "stripe 0 from its memo" 1 (stat q "stripe.cache_hit" - hit);
+      check_int "stripe 1 selected afresh" 1
+        (stat q "stripe.cache_miss" - miss);
+      check_int "stripe 1 consulted on its hint" 1
+        (stat q "stripe.hint_consult" - consult))
+
+(* Keys equal to max_int give a stripe the hint an empty stripe has: an
+   owner that holds nothing must still find them. *)
+let test_max_int_keys_found () =
+  List.iter
+    (fun shards ->
+      let q = K.create_with ~k:4 ~shards ~num_threads:1 () in
+      let h = K.register q 0 in
+      for _ = 1 to 8 do
+        K.insert h max_int ()
+      done;
+      check_int
+        (Printf.sprintf "all drained at S = %d" shards)
+        8
+        (List.length (drain_all (fun () -> K.try_delete_min h))))
+    stripe_counts
+
+(* A late empty-array hint: thread 0's consolidation publishes the empty
+   array, and before it writes the stripe's hint back to max_int, thread
+   1's spill publishes 10..40 and writes their hint.  Scripted on one
+   simulated fiber through the fault point between the publish CAS and
+   the hint write.  The stripe then holds items under a max_int hint, and
+   thread 0, holding nothing, must still drain them. *)
+let test_late_empty_hint () =
+  let module SK = Drive.K in
+  Sim.configure ~seed:1 ();
+  let q = SK.create_with ~k:4 ~num_threads:2 () in
+  let stripe = (SK.internal_stripes q).(0) in
+  let spill = ref (fun () -> ()) in
+  Sim.set_fault_hook
+    (Some
+       (fun site ->
+         if site = "shared.push_snapshot.after" then begin
+           let f = !spill in
+           spill := (fun () -> ());
+           f ()
+         end));
+  let got = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Sim.set_fault_hook None)
+    (fun () ->
+      Sim.parallel_run ~num_threads:1 (fun _ ->
+          let h0 = SK.register q 0 and h1 = SK.register q 1 in
+          List.iter (fun k -> SK.insert h0 k ()) [ 1; 2; 3; 4 ];
+          for _ = 1 to 4 do
+            ignore (SK.try_delete_min h0)
+          done;
+          (spill :=
+             fun () -> List.iter (fun k -> SK.insert h1 k ()) [ 10; 20; 30; 40 ]);
+          let rec drain () =
+            match SK.try_delete_min h0 with
+            | Some (k, ()) ->
+                if !got = [] then
+                  check_bool "items under a max_int hint" true
+                    (SK.Shared_klsm.min_hint stripe = max_int
+                    && SK.Shared_klsm.approximate_size stripe > 0);
+                got := k :: !got;
+                drain ()
+            | None -> ()
+          in
+          drain ()));
+  check_list_int "thread 1's spill drained" [ 10; 20; 30; 40 ]
+    (List.sort compare !got)
 
 (* ---------------- CAS storms (Sim + chaos) ---------------- *)
 
@@ -738,10 +836,16 @@ let () =
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "knob validation" `Quick test_knob_validation;
         ] );
-      ( "cache",
+      ( "race",
         [
-          Alcotest.test_case "candidate cache hits" `Quick
-            test_candidate_cache_hits;
+          Alcotest.test_case "memo serves a repeat peek" `Quick
+            test_memo_serves_repeat_peek;
+          Alcotest.test_case "publish on another stripe" `Quick
+            test_publish_on_other_stripe;
+          Alcotest.test_case "max_int keys found" `Quick
+            test_max_int_keys_found;
+          Alcotest.test_case "late empty-array hint" `Quick
+            test_late_empty_hint;
         ] );
       ( "batch",
         [

@@ -247,6 +247,57 @@ let test_reselect_lost_candidate () =
   check_int "no consolidation" 0 (count "shared.consolidate");
   check_int "one re-select" 1 (count "shared.reselect")
 
+(* The memo: on an unchanged snapshot, consecutive find_mins return the
+   same alive item.  The block's Bloom filter holds another tid, so local
+   ordering does not pin the answer to the block minimum, and k = 8 gives
+   Listing 3's random draw nine candidates: a re-draw per call would
+   differ within a few calls for some seed.  A take by another handle
+   makes the next call select afresh among the rest; a publish by another
+   handle moves [shared], so the next call selects afresh too. *)
+let test_memo_on_unchanged_snapshot () =
+  let prev = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) @@ fun () ->
+  let sheet = Obs.create_sheet ~num_threads:2 () in
+  let count name =
+    match List.assoc_opt name (Obs.snapshot sheet).Obs.counters with
+    | Some per -> per.(0)
+    | None -> 0
+  in
+  let theirs = Bloom.singleton ~hasher 9 in
+  check_bool "the filter excludes tid 0" false
+    (Bloom.may_contain ~hasher theirs 0);
+  for seed = 0 to 19 do
+    Obs.reset sheet;
+    let q = make ~k:8 () in
+    let reg tid =
+      Shared.register ~obs:(Obs.handle sheet ~tid) q ~tid
+        ~rng:(Xoshiro.create ~seed:((100 * seed) + tid))
+    in
+    let h0 = reg 0 and h1 = reg 1 in
+    Shared.insert h1 (block_of_keys ~filter:theirs (List.init 32 Fun.id));
+    let first = Option.get (Shared.find_min h0) in
+    for _ = 1 to 8 do
+      match Shared.find_min h0 with
+      | Some it -> check_bool "the same item again" true (it == first)
+      | None -> Alcotest.fail "non-empty"
+    done;
+    check_int "one selection" 1 (count "stripe.cache_miss");
+    check_int "eight memo answers" 8 (count "stripe.cache_hit");
+    check_bool "taken by another handle" true (Item.take first);
+    (match Shared.find_min h0 with
+    | Some it ->
+        check_bool "a different item" true (it != first);
+        check_bool "alive" true (alive it);
+        check_bool "a candidate" true (Item.key it <= 8)
+    | None -> Alcotest.fail "non-empty");
+    check_int "re-selected after the take" 2 (count "stripe.cache_miss");
+    Shared.insert h1 (block_of_keys ~filter:theirs [ 100 ]);
+    ignore (Shared.find_min h0);
+    check_int "re-selected after the publish" 3 (count "stripe.cache_miss");
+    check_int "no memo answer since" 8 (count "stripe.cache_hit")
+  done
+
 (* A candidate set that deletions emptied: one block of keys 0..31 with
    pivots for k = 3 (keys 0..3), keys 0..5 taken but only 0..3 recorded
    as a dead tail in the handle's snapshot, so every candidate range is
@@ -327,5 +378,7 @@ let () =
             test_reselect_lost_candidate;
           Alcotest.test_case "re-pivot a dry candidate set" `Quick
             test_repivot_dry_set;
+          Alcotest.test_case "memo on an unchanged snapshot" `Quick
+            test_memo_on_unchanged_snapshot;
         ] );
     ]
