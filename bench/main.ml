@@ -818,7 +818,6 @@ let bnb () =
 let micro () =
   let open Bechamel in
   let module K = Klsm_core.Klsm.Default in
-  let module D = Klsm_core.Dlsm.Default in
   let module L = Klsm_baselines.Linden_pq.Default in
   let module S = Klsm_baselines.Spraylist.Default in
   let module M = Klsm_baselines.Multiq.Default in
@@ -850,12 +849,13 @@ let micro () =
       (fun () -> ignore (K.try_delete_min h))
   in
   let dlsm_test =
-    let q = D.create_with ~num_threads:1 () in
-    let h = D.register q 0 in
-    prefill (fun key -> D.insert h key 0);
+    (* The standalone DLSM: the k-LSM that never spills. *)
+    let q = K.create_with ~spill_max_level:max_int ~num_threads:1 () in
+    let h = K.register q 0 in
+    prefill (fun key -> K.insert h key 0);
     mixed_pair "dlsm"
-      (fun () -> D.insert h (Xo.int rng 1_000_000) 0)
-      (fun () -> ignore (D.try_delete_min h))
+      (fun () -> K.insert h (Xo.int rng 1_000_000) 0)
+      (fun () -> ignore (K.try_delete_min h))
   in
   let linden_test =
     let q = L.create_with ~dummy:0 ~num_threads:1 () in

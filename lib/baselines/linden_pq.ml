@@ -78,17 +78,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Batched delete (Pq_intf shape): no bulk path in a skiplist; loop. *)
   let try_delete_min_batch h n =
-    let rec go acc got =
-      if got >= n then List.rev acc
-      else
-        match try_delete_min h with
-        | Some kv -> go (kv :: acc) (got + 1)
-        | None -> List.rev acc
-    in
-    go [] 0
+    Klsm_core.Pq_intf.pop_up_to (fun () -> try_delete_min h) n
 
   (** Alive length; O(n), for tests. *)
-  let alive_size t = List.length (Sk.to_alive_list t.sk)
+  let approximate_size t = List.length (Sk.to_alive_list t.sk)
 end
 
 module Default = Make (Klsm_backend.Real)

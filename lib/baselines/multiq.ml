@@ -159,14 +159,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (* Batched delete (Pq_intf): re-sampling per item is the MultiQueue's
      quality mechanism, so no bulk shortcut; plain loop. *)
   let try_delete_min_batch h n =
-    let rec go acc got =
-      if got >= n then List.rev acc
-      else
-        match try_delete_min h with
-        | Some kv -> go (kv :: acc) (got + 1)
-        | None -> List.rev acc
-    in
-    go [] 0
+    Klsm_core.Pq_intf.pop_up_to (fun () -> try_delete_min h) n
 
   let approximate_size t =
     Array.fold_left (fun acc q -> acc + Heap.size q.heap) 0 t.queues

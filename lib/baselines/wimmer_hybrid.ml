@@ -146,14 +146,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (* Batched delete (Pq_intf): plain loop (the local/global split already
      keeps the common case lock-free). *)
   let try_delete_min_batch h n =
-    let rec go acc got =
-      if got >= n then List.rev acc
-      else
-        match try_delete_min h with
-        | Some kv -> go (kv :: acc) (got + 1)
-        | None -> List.rev acc
-    in
-    go [] 0
+    Klsm_core.Pq_intf.pop_up_to (fun () -> try_delete_min h) n
 
   let approximate_size (t : _ t) =
     Lock.with_lock t.lock (fun () -> Heap.size t.global)

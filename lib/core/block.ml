@@ -119,9 +119,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Is the payload {e only} on disk?  Cold blocks hold no dead items (the
       spiller claims items before serializing, so everything serialized is
-      alive, and taking an item requires its in-RAM pointer): [shrink] and
-      [count_alive] exploit this to stay off the disk.  One atomic read on
-      spilled blocks; a plain pattern match on resident ones. *)
+      alive, and taking an item requires its in-RAM pointer): [shrink]
+      exploits this to stay off the disk.  One atomic read on spilled
+      blocks; a plain pattern match on resident ones. *)
   let is_cold t =
     match t.payload with
     | Resident _ -> false
@@ -386,20 +386,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       end
     in
     scan (f - 1)
-
-  (** Count of alive items; O(filled), for tests and spill decisions.  Cold
-      blocks hold only alive items (see {!is_cold}), counted without
-      faulting the payload in. *)
-  let count_alive ~alive t =
-    if is_cold t then filled t
-    else begin
-      let its = items t in
-      let n = ref 0 in
-      for i = 0 to filled t - 1 do
-        if alive its.(i) then incr n
-      done;
-      !n
-    end
 
   let iter ~f t =
     let fl = filled t in

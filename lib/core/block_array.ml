@@ -207,8 +207,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       !merged
     end
 
-  let block_list t = Array.to_list t.blocks
-
   (** Smallest stored key across all blocks, counting logically deleted
       items ([max_int] when structurally empty).  Blocks keep keys in
       decreasing order, so each block contributes [keys.(filled - 1)] in

@@ -231,21 +231,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     B.set t.size m;
     Obs.span_end t.obs s_consolidate t0
 
-  (** Fraction of logically-held items that are dead; drives the lazy
-      consolidation heuristic in the combined queue. *)
-  let dead_fraction t =
-    let total = total_filled t in
-    if total = 0 then 0.
-    else begin
-      let alive_count = ref 0 in
-      let n = B.get t.size in
-      for i = 0 to n - 1 do
-        match B.get t.blocks.(i) with
-        | Some b -> alive_count := !alive_count + Block.count_alive ~alive:t.alive b
-        | None -> ()
-      done;
-      1. -. (float_of_int !alive_count /. float_of_int total)
-    end
 
   (** Listing 4's non-destructive [spy]: copy the victim's blocks (alive
       items only) into [t], keeping only blocks that preserve the strictly-

@@ -137,7 +137,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     hasher : Tabular_hash.t;
     alive : 'v Item.t -> bool;
     spill_max_level : int option;
-        (** ablation override of the §4.3 spill threshold *)
+        (** override of the §4.3 spill threshold: the spill ablation's
+            sweep, and [max_int] for the standalone DLSM (§4.2), which is
+            this queue with nothing ever spilled *)
     spill_policy : 'v spill_policy option;
     dbuf_max : int;
         (** deletion batch size B (DESIGN.md §17): shared deletes claim up
@@ -615,15 +617,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let try_delete_min_batch h n =
     if n <= 0 then []
     else if h.t.num_stripes = 1 && h.t.dbuf_max = 0 then claim_runs h n
-    else
-      let rec go acc got =
-        if got >= n then List.rev acc
-        else
-          match try_delete_min h with
-          | Some kv -> go (kv :: acc) (got + 1)
-          | None -> List.rev acc
-      in
-      go [] 0
+    else Pq_intf.pop_up_to (fun () -> try_delete_min h) n
 
   (** Relaxed peek (the paper's try_find_min interface extension, §4):
       returns a key/value among the rho+1 smallest without deleting it.

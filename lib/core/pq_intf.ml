@@ -45,11 +45,11 @@ module type S = sig
       minimal key under the queue's relaxation at its own deletion point,
       and a short (even empty) batch is the analogue of a spurious
       [None] — callers that know items remain simply call again.  Queues
-      without a bulk path run exactly that loop; the k-LSMs specialize it
-      so a whole run of items is claimed from the shared component with a
-      single CAS, which is how delete-side batching (DESIGN.md §17)
-      amortizes the shared hot spot the way {!insert_batch} does for
-      inserts. *)
+      without a bulk path run exactly that loop ({!pop_up_to}); the k-LSMs
+      specialize it so a whole run of items is claimed from the shared
+      component with a single CAS, which is how delete-side batching
+      (DESIGN.md §17) amortizes the shared hot spot the way {!insert_batch}
+      does for inserts. *)
 
   val insert_batch : 'v handle -> (int * 'v) array -> unit
   (** [insert_batch h pairs] inserts every [(key, value)] pair.  Semantics
@@ -72,3 +72,16 @@ module type S = sig
       ({!Klsm_obs.Obs.set_enabled}) {e before} the queue was created; see
       [docs/METRICS.md] for what each emitted name means. *)
 end
+
+(** [pop_up_to pop n] calls [pop] until it has [n] items or [pop] returns
+    [None], and returns the items in the order popped: the portable
+    {!S.try_delete_min_batch}. *)
+let pop_up_to pop n =
+  let rec go acc got =
+    if got >= n then List.rev acc
+    else
+      match pop () with
+      | Some kv -> go (kv :: acc) (got + 1)
+      | None -> List.rev acc
+  in
+  go [] 0

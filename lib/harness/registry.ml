@@ -13,12 +13,10 @@
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Klsm = Klsm_core.Klsm.Make (B)
   module Spill = Klsm_store.Spill.Make (B)
-  module Dlsm = Klsm_core.Dlsm.Make (B)
   module Locked_heap = Klsm_baselines.Locked_heap.Make (B)
   module Linden = Klsm_baselines.Linden_pq.Make (B)
   module Spraylist = Klsm_baselines.Spraylist.Make (B)
   module Multiq = Klsm_baselines.Multiq.Make (B)
-  module Wimmer_centralized = Klsm_baselines.Wimmer_centralized.Make (B)
   module Wimmer_hybrid = Klsm_baselines.Wimmer_hybrid.Make (B)
 
   (** Durability-tier parameters parsed from the [+spill:<bytes>] /
@@ -436,74 +434,84 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             observability was enabled before [make] ran (lib/obs) *)
   }
 
+  (** The seven values of a queue the adapter calls.  Not
+      {!Klsm_core.Pq_intf.S}: Linden and SprayList build through
+      [create_with ~dummy], so they do not implement that signature's
+      [create]. *)
+  module type QUEUE = sig
+    type 'v t
+    type 'v handle
+
+    val register : 'v t -> int -> 'v handle
+    val insert : 'v handle -> int -> 'v -> unit
+    val insert_batch : 'v handle -> (int * 'v) array -> unit
+    val try_delete_min : 'v handle -> (int * 'v) option
+    val try_delete_min_batch : 'v handle -> int -> (int * 'v) list
+    val approximate_size : 'v t -> int
+    val stats : 'v t -> Klsm_obs.Obs.snapshot
+  end
+
+  (** The one adapter: erases a queue's types behind {!instance}'s
+      closures.  [insert_batch] and [stats] replace the queue's own. *)
+  module Adapt (Q : QUEUE) = struct
+    let instance ?(insert_batch = Q.insert_batch) ?stats spec (q : int Q.t) =
+      {
+        name = spec_name spec;
+        register =
+          (fun tid ->
+            let h = Q.register q tid in
+            {
+              insert = Q.insert h;
+              insert_batch = insert_batch h;
+              try_delete_min = (fun () -> Q.try_delete_min h);
+              try_delete_min_batch = Q.try_delete_min_batch h;
+            });
+        approximate_size = (fun () -> Q.approximate_size q);
+        stats = Option.value stats ~default:(fun () -> Q.stats q);
+      }
+  end
+
+  module Locked_heap_a = Adapt (Locked_heap)
+  module Linden_a = Adapt (Linden)
+  module Spraylist_a = Adapt (Spraylist)
+  module Multiq_a = Adapt (Multiq)
+  module Klsm_a = Adapt (Klsm)
+  module Wimmer_hybrid_a = Adapt (Wimmer_hybrid)
+
   (** Instantiate a [spec].  [should_delete]/[on_lazy_delete] are passed to
       the queues that support lazy deletion and ignored by the others. *)
   let make ?(seed = 1) ?should_delete ?on_lazy_delete ~num_threads spec =
     match spec with
     | Heap_lock ->
-        let q = Locked_heap.create ~num_threads () in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Locked_heap.register q tid in
-              {
-                insert = Locked_heap.insert h;
-                insert_batch = Locked_heap.insert_batch h;
-                try_delete_min = (fun () -> Locked_heap.try_delete_min h);
-                try_delete_min_batch = Locked_heap.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Locked_heap.size q);
-          stats = (fun () -> Locked_heap.stats q);
-        }
+        Locked_heap_a.instance spec (Locked_heap.create ~num_threads ())
+    | Wimmer_centralized ->
+        (* Figure 4's centralized k-queue is the locked heap with the
+           lazy-deletion pair (DESIGN.md §4). *)
+        Locked_heap_a.instance spec
+          (Locked_heap.create_with ?should_delete ?on_lazy_delete ~num_threads
+             ())
     | Linden ->
-        let q = Linden.create_with ~seed ~dummy:0 ~num_threads () in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Linden.register q tid in
-              {
-                insert = Linden.insert h;
-                insert_batch = Linden.insert_batch h;
-                try_delete_min = (fun () -> Linden.try_delete_min h);
-                try_delete_min_batch = Linden.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Linden.alive_size q);
-          stats = (fun () -> Linden.stats q);
-        }
+        Linden_a.instance spec
+          (Linden.create_with ~seed ~dummy:0 ~num_threads ())
     | Spraylist ->
-        let q = Spraylist.create_with ~seed ~dummy:0 ~num_threads () in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Spraylist.register q tid in
-              {
-                insert = Spraylist.insert h;
-                insert_batch = Spraylist.insert_batch h;
-                try_delete_min = (fun () -> Spraylist.try_delete_min h);
-                try_delete_min_batch = Spraylist.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Spraylist.alive_size q);
-          stats = (fun () -> Spraylist.stats q);
-        }
+        Spraylist_a.instance spec
+          (Spraylist.create_with ~seed ~dummy:0 ~num_threads ())
     | Multiq c ->
-        let q = Multiq.create_with ~seed ~c ~num_threads () in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Multiq.register q tid in
-              {
-                insert = Multiq.insert h;
-                insert_batch = Multiq.insert_batch h;
-                try_delete_min = (fun () -> Multiq.try_delete_min h);
-                try_delete_min_batch = Multiq.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Multiq.approximate_size q);
-          stats = (fun () -> Multiq.stats q);
-        }
+        Multiq_a.instance spec (Multiq.create_with ~seed ~c ~num_threads ())
+    | Wimmer_hybrid k ->
+        Wimmer_hybrid_a.instance spec
+          (Wimmer_hybrid.create_with ~seed ~k ?should_delete ?on_lazy_delete
+             ~num_threads ())
+    | Dlsm ->
+        (* The standalone DLSM (§4.2) is the k-LSM whose spill threshold is
+           never reached.  Its batch insert stays a loop of inserts:
+           [Klsm.insert_batch] publishes one block to the home stripe, a
+           shared component the DLSM does not have. *)
+        Klsm_a.instance spec
+          ~insert_batch:(fun h pairs ->
+            Array.iter (fun (key, value) -> Klsm.insert h key value) pairs)
+          (Klsm.create_with ~seed ~spill_max_level:max_int ?should_delete
+             ?on_lazy_delete ~num_threads ())
     | Klsm _ | Klsm_sharded _ | Stored _ -> (
         (* Every k-LSM spec builds the one queue ([Klsm k] is its S = 1
            case).  [Stored] threads the durability tier (lib/store), a
@@ -548,75 +556,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     spans = a.Klsm_obs.Obs.spans @ b.Klsm_obs.Obs.spans;
                   }
             in
-            {
-              name = spec_name spec;
-              register =
-                (fun tid ->
-                  let h = Klsm.register q tid in
-                  {
-                    insert = Klsm.insert h;
-                    insert_batch = Klsm.insert_batch h;
-                    try_delete_min = (fun () -> Klsm.try_delete_min h);
-                    try_delete_min_batch = Klsm.try_delete_min_batch h;
-                  });
-              approximate_size = (fun () -> Klsm.approximate_size q);
-              stats;
-            })
-    | Dlsm ->
-        let q = Dlsm.create_with ~seed ?should_delete ?on_lazy_delete ~num_threads () in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Dlsm.register q tid in
-              {
-                insert = Dlsm.insert h;
-                insert_batch = Dlsm.insert_batch h;
-                try_delete_min = (fun () -> Dlsm.try_delete_min h);
-                try_delete_min_batch = Dlsm.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Dlsm.approximate_size q);
-          stats = (fun () -> Dlsm.stats q);
-        }
-    | Wimmer_centralized ->
-        let q =
-          Wimmer_centralized.create_with ~seed ?should_delete ?on_lazy_delete
-            ~num_threads ()
-        in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Wimmer_centralized.register q tid in
-              {
-                insert = Wimmer_centralized.insert h;
-                insert_batch = Wimmer_centralized.insert_batch h;
-                try_delete_min =
-                  (fun () -> Wimmer_centralized.try_delete_min h);
-                try_delete_min_batch = Wimmer_centralized.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Wimmer_centralized.size q);
-          stats = (fun () -> Wimmer_centralized.stats q);
-        }
-    | Wimmer_hybrid k ->
-        let q =
-          Wimmer_hybrid.create_with ~seed ~k ?should_delete ?on_lazy_delete
-            ~num_threads ()
-        in
-        {
-          name = spec_name spec;
-          register =
-            (fun tid ->
-              let h = Wimmer_hybrid.register q tid in
-              {
-                insert = Wimmer_hybrid.insert h;
-                insert_batch = Wimmer_hybrid.insert_batch h;
-                try_delete_min = (fun () -> Wimmer_hybrid.try_delete_min h);
-                try_delete_min_batch = Wimmer_hybrid.try_delete_min_batch h;
-              });
-          approximate_size = (fun () -> Wimmer_hybrid.approximate_size q);
-          stats = (fun () -> Wimmer_hybrid.stats q);
-        }
+            Klsm_a.instance ~stats spec q)
 
   (** The full Figure 3 line-up, with the paper's parameters. *)
   let figure3_specs =

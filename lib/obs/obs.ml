@@ -81,7 +81,6 @@ let counter name = intern counter_names num_counters max_counters "counters" nam
 let span name = intern span_names num_spans max_spans "spans" name
 
 let counter_name (c : counter) = counter_names.(c)
-let span_name (s : span) = span_names.(s)
 
 (* ------------------------------------------------------------------ *)
 (* Sheets, shards, handles                                             *)
@@ -139,8 +138,6 @@ let create_sheet ?(now = fun () -> 0.0) ~num_threads () =
       (if on then Array.init num_threads (fun _ -> fresh_shard ())
        else Array.make num_threads dead_shard);
   }
-
-let sheet_enabled sheet = sheet.on
 
 (** Per-thread handle; the only value the hot path touches. *)
 let handle sheet ~tid =

@@ -83,7 +83,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     status : status B.atomic;
     claims : int B.atomic;  (** delivery/lease attempts, for diagnostics *)
     mutable started_at : float;  (** owner-written by the leasing worker *)
-    mutable finished_at : float;
   }
 
   let make ~id ~priority ~now ?(deadline = infinity) ?(lease = infinity) body =
@@ -98,7 +97,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       status = B.make (Pending 0);
       claims = B.make 0;
       started_at = nan;
-      finished_at = nan;
     }
 
   (** Lift a plain closure into a non-spawning, non-forking body. *)
@@ -148,15 +146,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       terminal state (a supervisor gave up on this attempt and the task
       completed — or died — elsewhere): the caller must then treat its own
       finish as late and not account a completion. *)
-  let rec try_complete t ~now =
+  let rec try_complete t =
     let s = B.get t.status in
     match s with
     | Running _ | Parked _ | Pending _ ->
-        if B.compare_and_set t.status s Completed then begin
-          t.finished_at <- now;
-          true
-        end
-        else try_complete t ~now
+        B.compare_and_set t.status s Completed || try_complete t
     | Completed | Dead -> false
 
   type expiry =
@@ -195,12 +189,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let start t ~now = t.started_at <- now
 
   (** Unconditional completion (legacy path for {!claim} users). *)
-  let finish t ~now =
-    t.finished_at <- now;
-    B.set t.status Completed
+  let finish t = B.set t.status Completed
 
   let is_completed t = B.get t.status = Completed
-  let is_dead t = B.get t.status = Dead
 
   let status_name t =
     match B.get t.status with
@@ -212,9 +203,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Seconds between submission and the start of execution. *)
   let queueing_delay t = t.started_at -. t.enqueued_at
-
-  (** Seconds between submission and completion. *)
-  let response_time t = t.finished_at -. t.enqueued_at
 
   let run t api =
     let (Body f) = t.body in

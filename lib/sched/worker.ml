@@ -309,20 +309,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let seed =
       match steal_seed with Some s -> s | None -> 0x9E3779B9 + (6271 * tid)
     in
+    (* Queues without a bulk path: the Pq_intf default loop. *)
     let pop_batch =
-      match pop_batch with
-      | Some f -> f
-      | None ->
-          (* Queues without a bulk path: the Pq_intf default loop. *)
-          fun n ->
-            let rec go acc got =
-              if got >= n then List.rev acc
-              else
-                match pop () with
-                | Some kv -> go (kv :: acc) (got + 1)
-                | None -> List.rev acc
-            in
-            go [] 0
+      Option.value pop_batch ~default:(Klsm_core.Pq_intf.pop_up_to pop)
     in
     let c =
       {
@@ -431,7 +420,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let seal att =
     let ctx = cur att.pool in
     B.fault_point "sched.execute.pre_complete";
-    if Task.try_complete att.task ~now:(B.time ()) then begin
+    if Task.try_complete att.task then begin
       let slot = B.fetch_and_add ctx.pool.log_next 1 in
       ctx.pool.log.(slot) <- att.task.Task.id;
       Submitter.release ctx.sub;

@@ -81,14 +81,6 @@ let clean t =
   t.quarantined = 0 && t.lost = 0 && t.skipped_lines = 0
   && t.unreadable_files = 0 && t.checkpoint_ok
 
-let entry_to_string e =
-  Printf.sprintf "%s %s level=%d count=%d bytes=%d %s%s" e.iid e.digest e.level
-    e.count e.bytes
-    (classification_name e.outcome)
-    (match classification_reason e.outcome with
-    | "" -> ""
-    | why -> Printf.sprintf " (%s)" why)
-
 let summary t =
   Printf.sprintf
     "spilled=%d recovered=%d quarantined=%d lost=%d items=%d/%d/%d/%d \

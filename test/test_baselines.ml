@@ -1,8 +1,9 @@
 (* Tests for the baseline queues: the shared skiplist substrate, Lindén &
-   Jonsson, SprayList, Multi-Queues, Heap+Lock, and the Wimmer et al.
-   reimplementations.  Every queue must be an exact priority queue when
-   driven by a single thread (their relaxations all collapse at T = 1),
-   which gives one uniform oracle property over the whole registry. *)
+   Jonsson, SprayList, Multi-Queues, Heap+Lock (also Figure 4's centralized
+   k-queue), and the Wimmer et al. hybrid k-queue.  Every queue must be an
+   exact priority queue when driven by a single thread (their relaxations
+   all collapse at T = 1), which gives one uniform oracle property over the
+   whole registry. *)
 
 open Helpers
 module B = Klsm_backend.Real
@@ -233,30 +234,59 @@ let test_hybrid_spills_to_global () =
   drain ();
   check_bool "h1 sees the flushed majority" true (!seen >= 90)
 
-let test_hybrid_lazy_deletion () =
-  let dropped = ref 0 in
-  let q =
-    Hybrid.create_with ~k:4 ~num_threads:1
+(* ---------------- lazy deletion (§4.5) ---------------- *)
+
+(* The two Figure 4 k-queues under the lazy-deletion pair, through the
+   Registry: condemned (odd) keys are never returned, [on_lazy_delete]
+   fires once per condemned key, and the queue's drop counter agrees.
+   [batch] > 1 drains through [try_delete_min_batch]. *)
+let test_lazy_deletion spec ~drop_counter ~batch () =
+  let module Obs = Klsm_obs.Obs in
+  let prev = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled prev) @@ fun () ->
+  let dropped = ref [] in
+  let inst =
+    R.make ~num_threads:1
       ~should_delete:(fun key _ -> key mod 2 = 1)
-      ~on_lazy_delete:(fun _ _ -> incr dropped)
-      ()
+      ~on_lazy_delete:(fun key _ -> dropped := key :: !dropped)
+      spec
   in
-  let h = Hybrid.register q 0 in
+  let h = inst.R.register 0 in
   for i = 0 to 99 do
-    Hybrid.insert h i 0
+    h.R.insert i 0
   done;
   let returned = ref 0 in
   let rec drain () =
-    match Hybrid.try_delete_min h with
-    | Some (k, _) ->
-        check_int "only even" 0 (k mod 2);
-        incr returned;
+    match h.R.try_delete_min_batch batch with
+    | [] -> ()
+    | kvs ->
+        List.iter
+          (fun (k, _) ->
+            check_int "only even" 0 (k mod 2);
+            incr returned)
+          kvs;
         drain ()
-    | None -> ()
   in
   drain ();
   check_int "evens returned" 50 !returned;
-  check_int "odds dropped" 50 !dropped
+  check_list_int "each odd dropped once"
+    (List.init 50 (fun i -> (2 * i) + 1))
+    (List.sort compare !dropped);
+  let drops =
+    match List.assoc_opt drop_counter (inst.R.stats ()).Obs.counters with
+    | Some per -> Array.fold_left ( + ) 0 per
+    | None -> 0
+  in
+  check_int drop_counter 50 drops
+
+let lazy_deletion_cases spec ~drop_counter =
+  [
+    Alcotest.test_case "lazy deletion" `Quick
+      (test_lazy_deletion spec ~drop_counter ~batch:1);
+    Alcotest.test_case "lazy deletion, batch pop" `Quick
+      (test_lazy_deletion spec ~drop_counter ~batch:7);
+  ]
 
 let () =
   Alcotest.run "baselines"
@@ -291,8 +321,10 @@ let () =
           Alcotest.test_case "two-choices quality" `Quick test_multiq_rank_quality;
         ] );
       ( "wimmer-hybrid",
-        [
-          Alcotest.test_case "spill to global" `Quick test_hybrid_spills_to_global;
-          Alcotest.test_case "lazy deletion" `Quick test_hybrid_lazy_deletion;
-        ] );
+        Alcotest.test_case "spill to global" `Quick test_hybrid_spills_to_global
+        :: lazy_deletion_cases (R.Wimmer_hybrid 4)
+             ~drop_counter:"hybrid.lazy_drop" );
+      ( "centralized-k",
+        lazy_deletion_cases R.Wimmer_centralized ~drop_counter:"heap.lazy_drop"
+      );
     ]

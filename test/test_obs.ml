@@ -389,6 +389,44 @@ let test_registry_stats_plumbing () =
              s.Obs.counters))
     specs
 
+(* The [dlsm] spec is the k-LSM with nothing ever spilled: on two
+   preempting sim threads, inserts and a batch insert each, then a drain,
+   no block reaches a stripe and no publish CAS runs, while every item
+   comes out exactly once. *)
+let test_dlsm_stays_thread_local () =
+  with_obs true @@ fun () ->
+  let module R = Klsm_harness.Registry.Make (Sim) in
+  Sim.configure ~seed:5 ~policy:(Sim.Random_preempt 0.25) ();
+  let threads = 2 and per_thread = 5_000 and batch = 64 in
+  let inst = R.make ~seed:5 ~num_threads:threads R.Dlsm in
+  let key tid i = (i * threads) + tid in
+  let drained = Array.make threads 0 and sum = Array.make threads 0 in
+  Sim.parallel_run ~num_threads:threads (fun tid ->
+      let h = inst.R.register tid in
+      for i = 0 to per_thread - 1 do
+        h.R.insert (key tid i) tid
+      done;
+      h.R.insert_batch
+        (Array.init batch (fun i -> (key tid (per_thread + i), tid)));
+      let misses = ref 0 in
+      while !misses < 20 do
+        match h.R.try_delete_min_batch 16 with
+        | [] -> incr misses
+        | kvs ->
+            misses := 0;
+            List.iter
+              (fun (k, _) ->
+                drained.(tid) <- drained.(tid) + 1;
+                sum.(tid) <- sum.(tid) + k)
+              kvs
+      done);
+  let s = inst.R.stats () in
+  let n = threads * (per_thread + batch) in
+  check_int "dist.spill" 0 (ctotal "dist.spill" s);
+  check_int "shared.cas_attempt" 0 (ctotal "shared.cas_attempt" s);
+  check_int "every item drained once" n (Array.fold_left ( + ) 0 drained);
+  check_int "key sum conserved" (n * (n - 1) / 2) (Array.fold_left ( + ) 0 sum)
+
 let () =
   Alcotest.run "obs"
     [
@@ -420,5 +458,7 @@ let () =
         [
           Alcotest.test_case "stats plumbing for every spec" `Quick
             test_registry_stats_plumbing;
+          Alcotest.test_case "dlsm stays thread-local" `Quick
+            test_dlsm_stays_thread_local;
         ] );
     ]

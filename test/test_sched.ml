@@ -519,7 +519,7 @@ let test_task_claim_exactly_once () =
   Alcotest.(check bool) "third claim loses" false (T.claim t);
   Alcotest.(check int) "claim count" 3 (T.claim_count t);
   Alcotest.(check bool) "not completed before finish" false (T.is_completed t);
-  T.finish t ~now:1.0;
+  T.finish t;
   Alcotest.(check bool) "completed after finish" true (T.is_completed t)
 
 let test_task_rejects_negative_priority () =
