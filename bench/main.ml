@@ -1162,8 +1162,7 @@ let store_section () =
       let k = 4096 in
       let config =
         {
-          RT.default_config with
-          num_threads = 1;
+          RT.num_threads = 1;
           prefill = 50_000;
           ops_per_thread = 200_000;
           seed = 42;

@@ -33,6 +33,7 @@ module Real = Klsm_backend.Real
 module Sim = Klsm_backend.Sim
 module Report = Klsm_harness.Report
 module Obs = Klsm_obs.Obs
+module Stats = Klsm_primitives.Stats
 
 (* The Sim tick gates: the fixed uniform workload of [sim_tick_section]
    through each spec, as (JSON key, spec, ticks measured when the budget
@@ -147,12 +148,8 @@ let real_sharded_section () =
     unsharded_s.(i) <- sample unsharded_spec;
     sharded_s.(i) <- sample sharded_spec
   done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let unsharded = median unsharded_s and sharded = median sharded_s in
+  let unsharded = Stats.median unsharded_s
+  and sharded = Stats.median sharded_s in
   let floor = 0.95 *. unsharded in
   Printf.printf
     "perf-check real sharded: %.0f ops/s median-of-%d (S=%d, %d threads) vs \
@@ -349,12 +346,8 @@ let real_batch_section () =
     control_s.(i) <- sample8 control;
     batched_s.(i) <- sample8 batched
   done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let control8 = median control_s and batched8 = median batched_s in
+  let control8 = Stats.median control_s
+  and batched8 = Stats.median batched_s in
   Printf.printf
     "perf-check real batch: T=8 %.0f ops/thread/s median-of-%d (%s) vs \
      control %.0f (floor %.0f)\n%!"

@@ -108,7 +108,6 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
         capacity;
         seed;
         robust = CL.Worker.default_robust;
-        drain_after = infinity;
       }
 
     let main () =
@@ -271,7 +270,8 @@ let dbuf =
            delete-side counterpart of --batch; pair with a klsm-sharded \
            queue's dbuf=B knob for single-CAS batch claims).  The head \
            task starts inline, the rest seed the worker's deque as \
-           steal-ready fibers.  0 = classic one-pop serving.")
+           steal-ready fibers.  0 = one task per round trip, a \
+           delete-min.")
 
 let margin =
   Arg.(

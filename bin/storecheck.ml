@@ -75,8 +75,7 @@ let throughput_section ~root =
   in
   let config =
     {
-      T.default_config with
-      num_threads = threads;
+      T.num_threads = threads;
       prefill = 50_000;
       ops_per_thread = 200_000 / threads;
       seed = 42;

@@ -5,8 +5,7 @@
      throughput --impl klsm:256 --impl linden --threads 1,4 --mode real
      throughput --csv out.csv *)
 
-let run ~mode ~threads ~prefill ~ops ~key_range ~impls ~reps ~seed ~csv
-    ~workload =
+let run ~mode ~threads ~prefill ~ops ~impls ~reps ~seed ~csv ~workload =
   let module Go (B : Klsm_backend.Backend_intf.S) = struct
     module R = Klsm_harness.Registry.Make (B)
     module T = Klsm_harness.Throughput.Make (B)
@@ -31,11 +30,9 @@ let run ~mode ~threads ~prefill ~ops ~key_range ~impls ~reps ~seed ~csv
             (fun t ->
               let config =
                 {
-                  T.default_config with
-                  num_threads = t;
+                  T.num_threads = t;
                   prefill;
                   ops_per_thread = ops / t;
-                  key_range;
                   seed;
                   workload =
                     (match Klsm_harness.Workload.parse workload with
@@ -106,9 +103,6 @@ let prefill =
 let ops =
   Arg.(value & opt int 200_000 & info [ "ops" ] ~doc:"Total timed operations per run.")
 
-let key_range =
-  Arg.(value & opt int (1 lsl 28) & info [ "key-range" ] ~doc:"Keys are uniform in [0, range).")
-
 let impls =
   Arg.(
     value & opt_all string []
@@ -132,11 +126,8 @@ let cmd =
   Cmd.v
     (Cmd.info "throughput" ~doc)
     Term.(
-      const (fun mode threads prefill ops key_range impls reps seed csv
-                 workload ->
-          run ~mode ~threads ~prefill ~ops ~key_range ~impls ~reps ~seed ~csv
-            ~workload)
-      $ mode $ threads $ prefill $ ops $ key_range $ impls $ reps $ seed $ csv
-      $ workload)
+      const (fun mode threads prefill ops impls reps seed csv workload ->
+          run ~mode ~threads ~prefill ~ops ~impls ~reps ~seed ~csv ~workload)
+      $ mode $ threads $ prefill $ ops $ impls $ reps $ seed $ csv $ workload)
 
 let () = exit (Cmd.eval cmd)

@@ -41,7 +41,6 @@ let () =
       urgency_margin = 4096;
       seed = 7;
       robust = CL.Worker.default_robust;
-      drain_after = infinity;
     }
   in
   let r = CL.run config (CL.Registry.Klsm 256) in

@@ -298,7 +298,7 @@ let random_plan ~rng ~sites ~num_threads ~rules k =
       in
       let tid =
         (* Never crash thread 0 in generated plans: drivers use a fixed
-           surviving thread for post-run draining. *)
+           surviving thread to empty the queue after the run. *)
         match action with
         | Crash -> Some (1 + Xoshiro.int rng (max 1 (num_threads - 1)))
         | _ ->

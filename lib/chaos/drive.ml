@@ -422,7 +422,6 @@ let chaos_robust =
     Worker.lease = 2e-5;
     max_attempts = 6;
     retry_delay = 2e-6;
-    task_deadline = infinity;
     liveness_timeout = 5e-4;
     run_deadline = 2e-2;
   }

@@ -7,7 +7,7 @@
     publication, with the single exception of [filled].
 
     {b Who writes [filled]}: a builder ({!singleton}, {!of_sorted_array},
-    {!copy}, {!copy_prefix}, {!merge}) fills its private arrays with plain
+    {!copy}, {!merge}) fills its private arrays with plain
     stores under a local counter and stores [filled] once, at the end.  On
     a published block only two paths ever write it, and only downwards
     past dead items: consolidation's {!shrink}, and the DistLSM owner's
@@ -433,45 +433,23 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     B.tick f;
     nb
 
-  (** [copy_prefix ~alive t ~keep] copies the first [keep] entries of [t]
-      (its {e largest} keys — entries [keep..filled-1] are the small tail a
-      batch claim consumed) into a fresh block of the same level, filtering
-      dead items on the way.  The Bloom filter is preserved: it already
-      over-approximates the surviving subset, which is all local ordering
-      needs.  The level is kept rather than shrunk so a rebuilt array keeps
-      its strictly-decreasing-levels invariant without re-normalizing. *)
-  let copy_prefix ?pool ~alive t ~keep =
-    let its = items t in
-    let nb = create_with_exemplar ?pool t.level its.(0) in
-    nb.filter <- t.filter;
-    let dst = resident_exn nb and dk = nb.keys and sk = t.keys in
-    let o = ref 0 in
-    for i = 0 to keep - 1 do
-      let it = its.(i) in
-      if alive it then begin
-        dst.(!o) <- it;
-        dk.(!o) <- sk.(i);
-        incr o
-      end
-    done;
-    B.set nb.filled !o;
-    B.tick keep;
-    nb
-
-  (** [prefix_view t ~keep] is the O(1) form of {!copy_prefix} for a
-      [Published] input: a fresh block {e record} sharing [t]'s arrays
-      (and, when spilled, its cold payload and rehydration memo) with only
-      the first [keep] entries visible.  No copying, no allocation beyond
-      the record — the whole point of the batched claim's rebuild
-      (DESIGN.md §17) is that removing a block's small tail must not cost
-      a copy of its large prefix.  Safe because published arrays are
-      immutable-shared and never pool-recycled (§4.4: the GC reclaims
-      them; builders only ever write [Private] blocks), and the new record
-      carries its own [filled] cell, so {!shrink}'s trims stay
-      per-record.  Dead entries inside the kept
-      prefix survive the view (unlike {!copy_prefix}'s alive filter);
-      consolidation purges them exactly as it does in any snapshot.  The
-      Bloom filter over-approximates the subset, as in {!copy_prefix}. *)
+  (** [prefix_view t ~keep] is a view of the first [keep] entries of a
+      [Published] block [t] (its {e largest} keys — entries
+      [keep..filled-1] are the small tail a batch claim consumed): a fresh
+      block {e record} of the same level sharing [t]'s arrays (and, when
+      spilled, its cold payload and rehydration memo).  No copying, no
+      allocation beyond the record — the whole point of the batched
+      claim's rebuild (DESIGN.md §17) is that removing a block's small tail
+      must not cost a copy of its large prefix.  Safe because published
+      arrays are immutable-shared and never pool-recycled (§4.4: the GC
+      reclaims them; builders only ever write [Private] blocks), and the
+      new record carries its own [filled] cell, so {!shrink}'s trims stay
+      per-record.  The level is kept, so a rebuilt array keeps its
+      strictly-decreasing-levels invariant without re-normalizing.  Dead
+      entries inside the kept prefix survive the view; consolidation
+      purges them exactly as it does in any snapshot.  The Bloom filter is
+      [t]'s, which over-approximates the subset — all local ordering
+      needs. *)
   let prefix_view t ~keep =
     B.tick 1;
     {

@@ -449,6 +449,45 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   let key_or_max = function Some it -> Item.key it | None -> max_int
 
+  (** What Listing 5's race picked. *)
+  type 'v winner =
+    | Buffered of int * 'v  (** the deletion-buffer head *)
+    | Local of 'v Item.t  (** the thread-local minimum *)
+    | Stripe of 'v Item.t * int
+        (** the striped race's answer, from [won_stripe], and the local
+            minimum's key, which caps a run claimed from that stripe *)
+    | Nothing  (** every component looked empty *)
+
+  (* Listing 5's race, once for every delete and peek path: the owner's
+     two candidates, its thread-local minimum and its deletion-buffer head,
+     against the striped race.  Ties go to the buffer (its item is already
+     deleted, so serving it costs nothing), then to the local minimum. *)
+  let select h =
+    let local = Dist_lsm.find_min h.dist in
+    let local_key = key_or_max local in
+    let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
+    let shared = race h (Int.min local_key dhead) in
+    match (h.dbuf, local, shared) with
+    | (key, value) :: _, _, _ when key <= local_key && key <= key_or_max shared
+      ->
+        Buffered (key, value)
+    | _, Some it, Some s when Item.key s < Item.key it -> Stripe (s, local_key)
+    | _, Some it, _ -> Local it
+    | _, None, Some s -> Stripe (s, local_key)
+    | _, None, None -> Nothing
+
+  (* Listing 5's test-and-set on a selected item; a lost one is a take
+     race and the caller selects again. *)
+  let take h it ~counter =
+    if Item.take it then begin
+      Obs.incr h.obs counter;
+      true
+    end
+    else begin
+      Obs.incr h.obs c_take_race;
+      false
+    end
+
   (* Batched shared delete (DESIGN.md §17): claim up to B = [dbuf_max]
      items from the stripe that won the race with ONE publish CAS
      ({!Shared_klsm.try_pop_batch}), capped at the local minimum — the
@@ -456,10 +495,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      cap is applied at claim time: stripe hints lower-bound the smallest
      {e alive} key through logically deleted items, so they are
      systematically stale-low and would veto nearly every claim; instead
-     the serve rule in {!try_delete_min} re-certifies the buffered head
-     against the {e live} hints at every serve, which is strictly stronger
-     than a claim-time check (hints move; the serve-time one is the one
-     that matters for the rank bound).  The head is returned now; the rest
+     the serve rule in {!select} re-certifies the buffered head against
+     the {e live} hints at every serve, which is strictly stronger than a
+     claim-time check (hints move; the serve-time one is the one that
+     matters for the rank bound).  The head is returned now; the rest
      lands in the owner's deletion buffer.  [dbuf_pending] records the
      tentative run before the CAS, for the chaos drive's crash accounting.
      [None] = claim lost or nothing under the cap; the caller falls back
@@ -485,115 +524,74 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       on lost races, and spy on other threads' local LSMs before reporting
       empty.  Lock-free: every retry implies another thread succeeded.
 
-      With deletion batching on ([~dbuf:B]), the deletion buffer is
-      consulted first: its head was globally minimal under the rank bound
-      when claimed, and is served — with zero CASes and zero stripe
-      consults beyond the hint loads — whenever neither the local minimum
-      nor any stripe hint undercuts it.  A shared win with an empty buffer
-      claims a fresh run via {!claim_batch}. *)
+      With deletion batching on ([~dbuf:B]), the deletion buffer competes
+      in the race: its head was globally minimal under the rank bound when
+      claimed, and is served — with zero CASes and zero stripe consults
+      beyond the hint loads — whenever neither the local minimum nor any
+      stripe hint undercuts it.  A stripe win with an empty buffer claims a
+      fresh run via {!claim_batch}. *)
   let try_delete_min h =
     dbuf_tick h;
-    let rec outer () =
-      let rec take_loop () =
-        let local = Dist_lsm.find_min h.dist in
-        let local_key = key_or_max local in
-        let dhead =
-          match h.dbuf with [] -> max_int | (key, _) :: _ -> key
-        in
-        let shared = race h (Int.min local_key dhead) in
-        let shared_key = key_or_max shared in
-        if dhead < max_int && dhead <= local_key && dhead <= shared_key then begin
-          (* Deletion-buffer hit: the claimed head is still the best known
-             candidate (ties go to the buffer — its item is already
-             deleted, so serving it costs nothing). *)
-          match h.dbuf with
-          | (key, value) :: rest ->
-              h.dbuf <- rest;
-              h.dbuf_len <- h.dbuf_len - 1;
-              if h.dbuf_len = 0 then h.dbuf_age <- 0;
-              Obs.incr h.obs c_dbuf_hit;
-              Obs.incr h.obs c_delete_shared;
-              Some (key, value)
-          | [] -> assert false
-        end
-        else
-          (* [from_shared] records which component supplied the winning
-             candidate — the split the paper's §4.3 design argument is
-             about (most deletes should be served locally). *)
-          let candidate, from_shared =
-            match (local, shared) with
-            | None, sh -> (sh, true)
-            | Some it, Some sh when Item.key sh < Item.key it ->
-                (Some sh, true)
-            | Some _, _ -> (local, false)
-          in
-          match candidate with
-          | None -> None
-          | Some item -> (
-              match
-                if from_shared && h.t.dbuf_max > 0 && h.dbuf_len = 0 then
-                  claim_batch h ~local_key
-                else None
-              with
-              | Some kv -> Some kv
-              | None ->
-                  if Item.take item then begin
-                    Obs.incr h.obs
-                      (if from_shared then c_delete_shared
-                       else c_delete_local);
-                    Some (Item.key item, Item.value item)
-                  end
-                  else begin
-                    Obs.incr h.obs c_take_race;
-                    take_loop ()
-                  end)
-      in
-      match take_loop () with
-      | Some kv -> Some kv
-      | None -> if spy_round h then outer () else None
+    let rec go () =
+      match select h with
+      | Buffered (key, value) ->
+          h.dbuf <- List.tl h.dbuf;
+          h.dbuf_len <- h.dbuf_len - 1;
+          if h.dbuf_len = 0 then h.dbuf_age <- 0;
+          Obs.incr h.obs c_dbuf_hit;
+          Obs.incr h.obs c_delete_shared;
+          Some (key, value)
+      | Local it -> take_or_retry it ~counter:c_delete_local
+      | Stripe (it, local_key) -> (
+          match
+            if h.t.dbuf_max > 0 && h.dbuf_len = 0 then
+              claim_batch h ~local_key
+            else None
+          with
+          | Some kv -> Some kv
+          | None -> take_or_retry it ~counter:c_delete_shared)
+      | Nothing -> if spy_round h then go () else None
+    and take_or_retry it ~counter =
+      if take h it ~counter then Some (Item.key it, Item.value it) else go ()
     in
-    outer ()
+    go ()
 
   (* The one-stripe batch (S = 1, no deletion buffer): Listing 5's race,
-     but a shared win claims a whole run of the stripe with one publish
+     but a stripe win claims a whole run of the stripe with one publish
      CAS ({!Shared_klsm.try_pop_batch}) capped at the local minimum, so
      every returned key is one [try_delete_min] could have returned at its
      position — with a single stripe no other stripe can undercut the run.
-     Local wins are taken one at a time (they are already CAS-free); ties
-     go local, as in the single-pop race. *)
+     Local wins are taken one at a time (they are already CAS-free), and so
+     is a stripe win when the batch is of one: publishing a new snapshot to
+     remove one item costs more than its test-and-set, so a batch of one
+     is exactly a [try_delete_min]. *)
   let claim_runs h n =
     let out = ref [] (* descending *) and got = ref 0 in
     let push kv =
       out := kv :: !out;
       incr got
     in
-    let take it ~counter =
-      if Item.take it then begin
-        Obs.incr h.obs counter;
-        push (Item.key it, Item.value it)
-      end
-      else Obs.incr h.obs c_take_race
+    let take_one it ~counter =
+      if take h it ~counter then push (Item.key it, Item.value it)
     in
     let rec go () =
-      if !got < n then begin
-        let local = Dist_lsm.find_min h.dist in
-        let local_key = key_or_max local in
-        match (local, race h local_key) with
-        | None, None -> if spy_round h then go ()
-        | Some it, None ->
-            take it ~counter:c_delete_local;
+      if !got < n then
+        match select h with
+        | Nothing -> if spy_round h then go ()
+        | Local it ->
+            take_one it ~counter:c_delete_local;
             go ()
-        | Some it, Some s when Item.key it <= Item.key s ->
-            take it ~counter:c_delete_local;
+        | Stripe (s, _) when n = 1 ->
+            take_one s ~counter:c_delete_shared;
             go ()
-        | _, Some s ->
+        | Stripe (s, local_key) ->
             (match
                Shared_klsm.try_pop_batch h.stripe_hs.(0) ~limit:local_key
                  (n - !got)
              with
             | [] ->
                 (* Contended or stale view: fall back to a single take. *)
-                take s ~counter:c_delete_shared
+                take_one s ~counter:c_delete_shared
             | kvs ->
                 List.iter
                   (fun kv ->
@@ -601,7 +599,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     push kv)
                   kvs);
             go ()
-      end
+        | Buffered _ -> assert false (* no deletion buffer here *)
     in
     go ();
     List.rev !out
@@ -609,9 +607,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** Batched delete-min (DESIGN.md §17; see
       {!Pq_intf.S.try_delete_min_batch}): up to [n] items in deletion
       order; a short batch means the queue looked empty mid-run.  At
-      [S = 1] a shared win claims a whole run with one publish CAS
-      ({!claim_runs}, counted by [shared.batch_claim]).  Otherwise it is a
-      plain {!try_delete_min} loop — with deletion batching on, the first
+      [S = 1] a stripe win claims a whole run with one publish CAS
+      ({!claim_runs}, counted by [shared.batch_claim]), except in a batch
+      of one, which is a [try_delete_min].  Otherwise it is a plain
+      {!try_delete_min} loop — with deletion batching on, the first
       iteration claims a run and the rest of the batch drains the buffer,
       so the whole call still costs one publish CAS per up-to-B items. *)
   let try_delete_min_batch h n =
@@ -627,23 +626,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       part of the owner's view, so hiding it would break owner
       exactness). *)
   let try_find_min h =
-    let local = Dist_lsm.find_min h.dist in
-    let local_key = key_or_max local in
-    let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
-    let shared = race h (Int.min local_key dhead) in
-    let shared_key = key_or_max shared in
-    if dhead < max_int && dhead <= local_key && dhead <= shared_key then
-      match h.dbuf with
-      | (key, value) :: _ -> Some (key, value)
-      | [] -> assert false
-    else
-      let candidate =
-        match (local, shared) with
-        | None, sh -> sh
-        | Some it, Some sh when Item.key sh < Item.key it -> Some sh
-        | Some _, _ -> local
-      in
-      Option.map (fun it -> (Item.key it, Item.value it)) candidate
+    match select h with
+    | Buffered (key, value) -> Some (key, value)
+    | Local it | Stripe (it, _) -> Some (Item.key it, Item.value it)
+    | Nothing -> None
 
   (** Meld (paper §4.5): move every item of [src] into the queue behind
       [h], at block granularity — merging "lies at the heart of the LSM

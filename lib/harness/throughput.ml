@@ -16,8 +16,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     num_threads : int;
     prefill : int;
     ops_per_thread : int;
-    key_range : int;
-    insert_ratio : float;  (** paper: 0.5 *)
     seed : int;
     workload : Workload.t;  (** key distribution; paper: uniform *)
   }
@@ -27,8 +25,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       num_threads = 1;
       prefill = 100_000;
       ops_per_thread = 50_000;
-      key_range = 1 lsl 28;
-      insert_ratio = 0.5;
       seed = 42;
       workload = Workload.Uniform (1 lsl 28);
     }
@@ -72,7 +68,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         let rng = Xoshiro.create ~seed:(config.seed + 13 + (104729 * tid)) in
         let next_key = Workload.generator config.workload rng in
         for _ = 1 to config.ops_per_thread do
-          if Xoshiro.float rng < config.insert_ratio then
+          (* The paper's 50-50 mix: a fair coin per operation. *)
+          if Xoshiro.float rng < 0.5 then
             h.Registry.insert (next_key ()) 0
           else begin
             match h.Registry.try_delete_min () with

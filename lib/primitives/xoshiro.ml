@@ -53,8 +53,6 @@ let split t =
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
-
 (* Non-negative 62-bit int from the top bits of the raw output. *)
 let bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 

@@ -39,9 +39,6 @@ val float : t -> float
 val bool : t -> bool
 (** Fair coin flip. *)
 
-val bits30 : t -> int
-(** 30 uniform bits as a non-negative OCaml int; cheap path for keys. *)
-
 val geometric : t -> p:float -> int
 (** [geometric t ~p] counts Bernoulli(p) failures before the first success
     (support 0, 1, 2, ...).  Used for skiplist tower heights. *)

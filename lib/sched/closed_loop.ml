@@ -15,6 +15,9 @@
       in backend time, decoupling offered load from service capacity so
       overload behaviour (backpressure, delay growth) is observable.
 
+    Either way a worker's arrival source returns [`Done] after its
+    [roots_per_worker] roots; that is how a run stops admitting.
+
     Tasks optionally spawn children ([spawn_fanout]/[spawn_depth], the
     Pheet pattern), with priorities derived deterministically from the
     parent so the workload replays identically regardless of which worker
@@ -63,19 +66,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** tasks pulled per shared-queue round trip by each worker
             (Worker [~batch]/[~pop_batch]): the delete-side counterpart of
             [batch].  The head task starts inline; the rest land in the
-            worker's deque as steal-ready fibers.  0 (the default) keeps
-            the classic one-pop serve loop — and the byte-identical
-            same-seed Sim schedule the replay tests assert *)
+            worker's deque as steal-ready fibers.  0 (the default) pulls
+            one task per round trip, which on every queue is a
+            delete-min *)
     urgency_margin : int;  (** submitter priority-inversion flush margin *)
     capacity : int;  (** admission bound on in-flight tasks *)
     seed : int;
     robust : Worker.robust;
         (** timeout/retry/supervision knobs; {!Worker.default_robust}
             disables them all (the legacy trusting behaviour) *)
-    drain_after : float;
-        (** request a graceful drain this many backend-seconds into the
-            run ([infinity] = never): admission stops, in-flight work
-            finishes, leftovers are reported in the {!result} *)
   }
 
   let default_config =
@@ -94,7 +93,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       capacity = 4096;
       seed = 42;
       robust = Worker.default_robust;
-      drain_after = infinity;
     }
 
   (** Tasks ultimately created per root (the spawn tree). *)
@@ -170,20 +168,18 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     throughput : float;  (** completed tasks per second *)
     completion_order : int array;  (** task ids, execution-finish order *)
     metrics : Metrics.summary;
-    per_worker : Metrics.worker array;
     peak_inflight : int;
     lost : int;
         (** allocated tasks that reached no terminal state (neither
-            completed nor dead-lettered); must be 0 — even under faults *)
+            [Completed] nor [Dead]); must be 0 — even under faults *)
     double : int;
         (** tasks delivered more than once.  Must be 0 in a fault-free
             run; under fault injection re-deliveries are expected (and
             harmless — the lease CAS blocks double {e execution}, which
             the completion-log permutation check still asserts) *)
-    dead_lettered : int;  (** tasks that timed out of all their retries *)
-    shed : int;  (** admissions refused by table overflow ([`Overflow]) *)
-    leftovers : (int * string) list;
-        (** unresolved (id, state) pairs after a drain or give-up *)
+    dead_lettered : int;
+        (** tasks whose status is [Dead]: they timed out of all their
+            retries *)
     gave_up : bool;  (** the run hit [robust.run_deadline]; must be false *)
     fiber_lost : int;
         (** fibers created minus fiber thunks finished, summed over
@@ -250,11 +246,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             (priority, make_body config ~depth:config.spawn_depth ~priority ~ticks)
         in
         let arrivals () =
-          if
-            config.drain_after < infinity
-            && (not (Worker.draining pool))
-            && B.time () -. t0 >= config.drain_after
-          then Worker.request_drain pool;
           if !remaining <= 0 then `Done
           else
             match config.mode with
@@ -288,7 +279,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         Obs.add obs Worker.c_urgent_flush sub.Submitter.urgent_flushes);
     let makespan = B.time () -. t0 in
     (* Post-run audit: every allocated task must have reached a terminal
-       state — completed exactly once, or dead-lettered exactly once.
+       state — [Completed] exactly once, or [Dead].
        [claim_count > 1] means an id was delivered twice: a conservation
        bug in a fault-free run, the expected recovery signature under
        injected faults (the lease CAS stopped any double execution either
@@ -317,7 +308,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
          else Float.nan);
       completion_order = Worker.completion_log pool;
       metrics = summary;
-      per_worker = metrics;
       peak_inflight = Worker.peak_inflight pool;
       lost = !lost;
       (* [claims] counts every delivery attempt, so the scan above already
@@ -325,8 +315,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
          would count those deliveries twice. *)
       double = !double;
       dead_lettered = !dead;
-      shed = summary.Metrics.shed;
-      leftovers = Worker.leftovers pool;
       gave_up = Worker.gave_up pool;
       fiber_lost = summary.Metrics.fibers - summary.Metrics.fibers_completed;
       queue_stats = instance.Registry.stats ();

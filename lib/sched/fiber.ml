@@ -216,10 +216,4 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let yield hooks ~requeue =
     hooks.on_suspend ();
     suspend (fun (k : unit continuation) -> requeue (Resume k))
-
-  let poll (st : 'a t) =
-    match B.get st with
-    | Return v -> `Done v
-    | Raise e -> `Failed e
-    | Initial _ | Running | Join _ -> `Pending
 end

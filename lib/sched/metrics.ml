@@ -48,10 +48,12 @@ type worker = {
   mutable double_claims : int;
       (** lost lease/claim races; 0 unless faults force re-deliveries *)
   mutable shed : int;  (** admitted tasks dropped at a full task table *)
-  mutable timeouts : int;  (** lease/deadline expiries this worker detected *)
+  mutable timeouts : int;  (** lease expiries this worker detected *)
   mutable retries : int;  (** bodies executed with attempt number > 1 *)
   mutable reenqueues : int;  (** parked/lost tasks this worker re-queued *)
-  mutable dead_letters : int;  (** tasks this worker moved to the DLQ *)
+  mutable dead_letters : int;
+      (** tasks this worker's sweeps declared [Dead]: lease expired with
+          no attempts left *)
   mutable late_completions : int;
       (** bodies that finished after the task's fate was sealed elsewhere *)
   mutable worker_deaths : int;  (** peers this worker declared dead *)

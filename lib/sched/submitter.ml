@@ -17,15 +17,13 @@
       minimum by more than [urgency_margin] forces an immediate flush of
       the whole buffer (itself included).
     - {b bounded admission}: a shared in-flight counter implements a
-      bounded queue.  [try_admit] refuses new roots beyond [capacity];
-      {!admit_wait} converts refusal into a backoff-based backpressure
-      wait ({!Klsm_primitives.Backoff}), which is the signal a load-shedding
-      layer above would consume.  A closed-loop worker retries a refused
-      root once per serve step, so refusals far outnumber admissions: a
-      refusal only reads the counter, an admission is one fetch-and-add
-      (undone when it lands above [capacity]).  Spawned children are
-      forced in ({!admit_spawn}), and termination still tests the same
-      counter (DESIGN.md §8).
+      bounded queue.  [try_admit] refuses new roots beyond [capacity], the
+      backpressure signal: the worker keeps serving and retries the
+      refused root once per serve step ({!Worker.run}), so refusals far
+      outnumber admissions — a refusal only reads the counter, an
+      admission is one fetch-and-add (undone when it lands above
+      [capacity]).  Spawned children are forced in ({!admit_spawn}), and
+      termination still tests the same counter (DESIGN.md §8).
 
     The drain side has a symmetric knob: {!Worker.make_ctx}'s
     [~batch]/[~pop_batch] pulls a run of task ids per shared-queue round
@@ -34,8 +32,6 @@
     ([Closed_loop.config.dbuf] / [sched --dbuf]). *)
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
-  module Backoff = Klsm_primitives.Backoff
-
   type config = {
     batch : int;  (** flush when this many tasks are buffered; >= 1 *)
     urgency_margin : int;
@@ -55,8 +51,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     mutable buf_min : int;  (** min priority currently buffered *)
     mutable flushes : int;
     mutable urgent_flushes : int;
-    mutable rejections : int;
-    mutable backpressure_waits : int;
   }
 
   let create ?(cfg = default_config) ~inflight ~enqueue_batch () =
@@ -71,11 +65,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       buf_min = max_int;
       flushes = 0;
       urgent_flushes = 0;
-      rejections = 0;
-      backpressure_waits = 0;
     }
 
-  let pending t = t.len
   let inflight t = B.get t.inflight
 
   (** Publish the buffered tasks to the queue as one batch.  A full buffer
@@ -117,10 +108,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     t.flushes <- t.flushes + 1;
     t.enqueue_batch [| (priority, id) |]
 
-  let refuse t =
-    t.rejections <- t.rejections + 1;
-    None
-
   (** Admission control for root tasks: returns [Some inflight_now] (the
       counter after this admission, for peak tracking) or [None] when the
       pool is at capacity.  The counter is read first, so a refusal at
@@ -129,30 +116,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       lands at or below [capacity], else it is undone, so the bound is
       exact even when several admissions pass the read at once. *)
   let try_admit t =
-    if B.get t.inflight >= t.cfg.capacity then refuse t
+    if B.get t.inflight >= t.cfg.capacity then None
     else
       let now = B.fetch_and_add t.inflight 1 + 1 in
       if now <= t.cfg.capacity then Some now
       else begin
         ignore (B.fetch_and_add t.inflight (-1));
-        refuse t
+        None
       end
-
-  (** Blocking admission: backoff until capacity frees up.  Only safe from
-      a pure producer thread — a worker that also serves the queue must use
-      {!try_admit} and keep executing instead (see {!Worker.run}). *)
-  let admit_wait t =
-    let bo = Backoff.create () in
-    let rec go () =
-      match try_admit t with
-      | Some n -> n
-      | None ->
-          t.backpressure_waits <- t.backpressure_waits + 1;
-          Backoff.once bo ~relax:B.relax_n;
-          B.yield ();
-          go ()
-    in
-    go ()
 
   (** Forced admission for spawned children: a task already inside the
       system spawning work must not block on the admission bound (all

@@ -4,7 +4,7 @@
     task-parallel runtime; this module is the unit of work that backbone
     moves around.  A task carries a priority (smaller = more urgent — the
     queue's key), a payload closure, the timestamp at which it entered the
-    system (for queueing-delay metrics), an optional start-by deadline, and
+    system (for queueing-delay metrics), a per-attempt lease budget, and
     an execution-lifecycle cell.
 
     {2 Lifecycle}
@@ -15,15 +15,17 @@
 
     {v
       Pending a --try_lease--> Running (a+1) --try_complete--> Completed
-          |                        |
-          | (deadline passed)      | (lease expired; attempts left)
-          v                        v
+                                   |
+                                   | (lease expired; attempts left)
+                                   v
         Dead  <--(attempts out)-- Parked a --unpark (backoff due)--> Pending a
     v}
 
     [Completed] and [Dead] are sticky: once either is reached no retry,
     re-delivery or late finisher can resurrect the task — this is what
-    preserves the exactly-once guarantee under retries.  A queue that
+    preserves the exactly-once guarantee under retries.  [Dead] is the
+    whole dead-letter record: a task whose lease expired with no attempts
+    left.  A queue that
     (incorrectly or because the supervisor re-enqueued a recovered id)
     delivers the same task twice loses the [try_lease] race and executes
     nothing.
@@ -71,28 +73,26 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Parked of int * float
         (** timed out; retry no earlier than the float (backoff) *)
     | Completed  (** body ran to completion exactly once; sticky *)
-    | Dead  (** deadline missed or retries exhausted; sticky *)
+    | Dead  (** lease expired with no attempts left; sticky *)
 
   type t = {
     id : int;  (** dense index into the run's task table *)
     priority : int;  (** queue key; smaller is more urgent *)
     body : body;
     enqueued_at : float;  (** backend time at submission *)
-    deadline : float;  (** absolute start-by deadline; [infinity] = none *)
     lease : float;  (** per-attempt execution budget; [infinity] = none *)
     status : status B.atomic;
     claims : int B.atomic;  (** delivery/lease attempts, for diagnostics *)
     mutable started_at : float;  (** owner-written by the leasing worker *)
   }
 
-  let make ~id ~priority ~now ?(deadline = infinity) ?(lease = infinity) body =
+  let make ~id ~priority ~now ?(lease = infinity) body =
     if priority < 0 then invalid_arg "Task.make: negative priority";
     {
       id;
       priority;
       body;
       enqueued_at = now;
-      deadline;
       lease;
       status = B.make (Pending 0);
       claims = B.make 0;
@@ -112,29 +112,18 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       becoming double executions. *)
   let claim_count t = B.get t.claims
 
-  (** [claim t] is true for exactly one caller per task — the legacy
-      counter-based guard, kept for direct users that need no
-      timeout/retry machinery ({!try_lease} is the lifecycle-aware
-      path). *)
-  let claim t = B.fetch_and_add t.claims 1 = 0
-
   type lease_outcome =
     | Leased of int  (** run the body; the int is the attempt number *)
     | Lost  (** someone else holds/held it: drop this delivery *)
-    | Deadline_expired  (** sat in the queue past its deadline: dead *)
 
   (** Try to take execution ownership at time [now].  At most one caller
-      per (attempt) cycle receives [Leased]; a task whose deadline passed
-      while queued transitions to [Dead] instead (exactly one caller gets
-      [Deadline_expired] and owes the dead-letter bookkeeping). *)
+      per (attempt) cycle receives [Leased]. *)
   let try_lease t ~now =
     ignore (B.fetch_and_add t.claims 1);
     let s = B.get t.status in
     match s with
     | Pending a ->
-        if now > t.deadline then
-          if B.compare_and_set t.status s Dead then Deadline_expired else Lost
-        else if B.compare_and_set t.status s (Running (a + 1, now +. t.lease))
+        if B.compare_and_set t.status s (Running (a + 1, now +. t.lease))
         then begin
           t.started_at <- now;
           Leased (a + 1)
@@ -155,7 +144,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   type expiry =
     | Expired_parked of float  (** retry scheduled for the given time *)
-    | Expired_dead  (** attempts exhausted; caller owes dead-lettering *)
+    | Expired_dead
+        (** attempts exhausted; the caller owns the terminal transition
+            and owes the task's release *)
     | Not_expired
 
   (** Supervisor step: if the current lease ran out, either park the task
@@ -185,21 +176,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     match s with
     | Parked (a, due) when now >= due -> B.compare_and_set t.status s (Pending a)
     | _ -> false
-
-  let start t ~now = t.started_at <- now
-
-  (** Unconditional completion (legacy path for {!claim} users). *)
-  let finish t = B.set t.status Completed
-
-  let is_completed t = B.get t.status = Completed
-
-  let status_name t =
-    match B.get t.status with
-    | Pending _ -> "pending"
-    | Running _ -> "running"
-    | Parked _ -> "parked"
-    | Completed -> "completed"
-    | Dead -> "dead"
 
   (** Seconds between submission and the start of execution. *)
   let queueing_delay t = t.started_at -. t.enqueued_at

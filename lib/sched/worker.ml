@@ -8,11 +8,12 @@
     {!ctx} around its queue handle and runs {!run}, which interleaves
     five duties:
 
-    + admitting new root tasks from an arrival source (with backpressure:
-      a rejected arrival is retried after serving, never busy-waited on —
-      and with load shedding: a full task table refuses admission with
-      [`Overflow] instead of killing the worker);
-    + draining its own deque LIFO: every task body runs as the root
+    + admitting new root tasks from an arrival source until the source
+      returns [`Done], the one signal that stops admission (with
+      backpressure: a rejected arrival is retried after serving, never
+      busy-waited on — and with load shedding: a full task table refuses
+      admission with [`Overflow] instead of killing the worker);
+    + serving its own deque LIFO: every task body runs as the root
       {!Fiber} of its lease attempt, and fibers it forks (plus fibers it
       yields) land on the executing worker's deque, so the cache-hot,
       most-recently-created work is served first without touching the
@@ -20,19 +21,21 @@
     + when the deque is dry, stealing FIFO from a random victim's deque —
       the {e oldest} fiber, the one the owner is least likely to come
       back to — {e before} falling back to the shared k-LSM;
-    + only then popping a fresh task id from the priority queue and
-      leasing it ({!Task.try_lease}).  The shared component alone decides
-      {e which task starts next} (so the k-LSM's rank bound still governs
-      priority order); the deques only absorb the churn of the short-lived
-      fibers a started task explodes into.  With a delete batch configured
-      ([make_ctx ~batch ~pop_batch]) that round trip claims a whole run of
-      ids at once — one shared-component CAS on the k-LSMs — starting the
-      most urgent inline and parking the rest in the deque as immediately
-      steal-ready, lease-on-run fibers;
+    + only then pulling fresh task ids from the priority queue, always
+      through [pop_batch] ([make_ctx ~batch ~pop_batch]; a batch of one
+      is a delete-min), and leasing them ({!Task.try_lease}).  The shared
+      component alone decides {e which task starts next} (so the k-LSM's
+      rank bound still governs priority order); the deques only absorb the
+      churn of the short-lived fibers a started task explodes into.  A
+      pull of several ids costs one shared-component CAS on the k-LSMs; the
+      most urgent starts inline and the rest are parked in the deque as
+      immediately steal-ready, lease-on-run fibers, both through the same
+      lease;
     + {b supervising} (robust mode): on dry rounds the worker heartbeat-
       checks its peers, declares silent ones dead, expires overdue leases
-      into parked retries or the dead-letter queue, re-enqueues parked
-      tasks whose backoff elapsed, and — after a persistent idle streak —
+      into parked retries or, with no attempts left, the terminal [Dead]
+      status (the only dead-letter record), re-enqueues parked tasks
+      whose backoff elapsed, and — after a persistent idle streak —
       re-enqueues [Pending] tasks wholesale.  Re-enqueueing is always
       safe: a duplicate delivery loses the lease CAS and executes nothing.
 
@@ -105,18 +108,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_steal_fallback = Obs.counter "steal.fallback"
 
   (** Robustness knobs.  {!default_robust} disables everything (infinite
-      leases and deadlines, one attempt), reproducing the trusting
+      leases and run deadline, one attempt), reproducing the trusting
       pre-supervision behaviour byte for byte — the knobs only change a
       run that actually needs them. *)
   type robust = {
     lease : float;  (** per-attempt execution budget, seconds *)
-    max_attempts : int;  (** lease attempts before dead-lettering; >= 1 *)
+    max_attempts : int;
+        (** lease attempts before the task is [Dead]; >= 1 *)
     retry_delay : float;
         (** base retry backoff; attempt [a] parks for [retry_delay *
             2^(a-1)] before re-entering the queue *)
-    task_deadline : float;
-        (** start-by deadline relative to submission; a task still queued
-            past it is dead-lettered instead of executed *)
     liveness_timeout : float;
         (** a worker silent (no heartbeat) for this long is declared dead
             and its arrival source closed *)
@@ -131,14 +132,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       lease = infinity;
       max_attempts = 1;
       retry_delay = 1e-6;
-      task_deadline = infinity;
       liveness_timeout = infinity;
       run_deadline = infinity;
     }
 
   let robust_active rc =
-    rc.lease < infinity || rc.task_deadline < infinity
-    || rc.liveness_timeout < infinity
+    rc.lease < infinity || rc.liveness_timeout < infinity
     || rc.run_deadline < infinity || rc.max_attempts > 1
 
   (* Every hot atomic below is cache-line-padded (Padded.copy_as_padded):
@@ -163,7 +162,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     rc : robust;
     supervised : bool;  (** [robust_active rc], precomputed *)
     created_at : float;  (** backend time at pool creation (run_deadline) *)
-    draining : bool B.atomic;  (** graceful shutdown: stop admission *)
     gave_up : bool B.atomic;  (** run_deadline elapsed without completion *)
     beats : float B.atomic array;
         (** per-worker heartbeat timestamps (the lease clocks); padded *)
@@ -171,7 +169,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** per-worker "arrival source closed" latch; guards the single
             [sources_live] decrement whether the worker closed it itself
             or a supervisor declared it dead *)
-    dead : int list B.atomic;  (** the dead-letter queue (task ids) *)
     deques : Fiber.work Deque.t array;  (** per-worker stealable deques *)
     failure : exn option B.atomic;
         (** first exception to escape a fiber; re-raised by the next
@@ -187,14 +184,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     pool : pool;
     tid : int;
     sub : Submitter.t;
-    pop : unit -> (int * int) option;  (** the queue's try_delete_min *)
     pop_batch : int -> (int * int) list;
-        (** the queue's try_delete_min_batch; on the k-LSMs one call
-            claims a whole run of tasks from the shared component with a
-            single CAS (see Shared_klsm.try_pop_batch) *)
-    batch : int;
-        (** tasks pulled per shared-queue round trip; 1 = the classic
-            one-pop serve loop, byte-identical to the pre-batch worker *)
+        (** the queue's try_delete_min_batch, the one pull path; on the
+            k-LSMs one call claims a whole run of tasks from the shared
+            component with a single CAS (see Shared_klsm.try_pop_batch),
+            and a batch of one is a try_delete_min *)
+    batch : int;  (** tasks pulled per shared-queue round trip *)
     w : Metrics.worker;
     obs : Obs.handle;
     deque : Fiber.work Deque.t;  (** this worker's own deque *)
@@ -220,11 +215,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       rc = robust;
       supervised = robust_active robust;
       created_at = now;
-      draining = patomic false;
       gave_up = patomic false;
       beats = Array.init num_workers (fun _ -> patomic now);
       source_done = Array.init num_workers (fun _ -> patomic false);
-      dead = patomic [];
       deques = Array.init num_workers (fun _ -> Deque.create ());
       failure = patomic None;
       ctxs = Array.make num_workers None;
@@ -233,35 +226,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let completed_count pool = B.get pool.log_next
   let peak_inflight pool = B.get pool.peak_inflight
 
-  (** Ids in the dead-letter queue (most recent first). *)
-  let dead_letters pool = B.get pool.dead
-
-  (** Graceful shutdown: stop admitting new roots.  Workers observe the
-      flag, close their arrival sources, finish everything in flight, and
-      exit through the normal exact-termination path; {!leftovers} then
-      reports what never resolved. *)
-  let request_drain pool = B.set pool.draining true
-
-  let draining pool = B.get pool.draining
   let gave_up pool = B.get pool.gave_up
 
   (** Completion order so far; call after the run for the full log. *)
   let completion_log pool = Array.sub pool.log 0 (B.get pool.log_next)
-
-  (** Post-run report of every task that never reached a terminal state —
-      empty after a healthy run or a completed drain. *)
-  let leftovers pool =
-    let n = min (B.get pool.next_id) (Array.length pool.tasks) in
-    let acc = ref [] in
-    for id = n - 1 downto 0 do
-      match B.get pool.tasks.(id) with
-      | None -> ()
-      | Some task -> (
-          match Task.status task with
-          | Task.Completed | Task.Dead -> ()
-          | _ -> acc := (id, Task.status_name task) :: !acc)
-    done;
-    !acc
 
   (* The worker currently executing, resolved through [B.self ()] (the
      backend's dynamic thread identity) and the pool's registration
@@ -309,7 +277,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let seed =
       match steal_seed with Some s -> s | None -> 0x9E3779B9 + (6271 * tid)
     in
-    (* Queues without a bulk path: the Pq_intf default loop. *)
+    (* Every pull goes through [pop_batch]; [pop] only builds its default,
+       the Pq_intf loop, for queues without a bulk path. *)
     let pop_batch =
       Option.value pop_batch ~default:(Klsm_core.Pq_intf.pop_up_to pop)
     in
@@ -318,7 +287,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         pool;
         tid;
         sub;
-        pop;
         pop_batch;
         batch;
         w = metrics;
@@ -345,11 +313,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let id = B.fetch_and_add ctx.pool.next_id 1 in
     if id >= Array.length ctx.pool.tasks then `Overflow
     else begin
-      let now = B.time () in
-      let rc = ctx.pool.rc in
       let task =
-        Task.make ~id ~priority ~now ~deadline:(now +. rc.task_deadline)
-          ~lease:rc.lease body
+        Task.make ~id ~priority ~now:(B.time ()) ~lease:ctx.pool.rc.lease body
       in
       B.set ctx.pool.tasks.(id) (Some task);
       Submitter.push ctx.sub ~priority ~id;
@@ -393,19 +358,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | `Ok -> ctx.w.spawned <- ctx.w.spawned + 1
     | `Overflow -> shed ctx
 
-  (* Move a task whose fate was just sealed as [Dead] to the dead-letter
-     queue.  The caller must already own the terminal transition (the
-     Task CAS), so each dead task is recorded exactly once. *)
-  let rec push_dead pool id =
-    let cur = B.get pool.dead in
-    if not (B.compare_and_set pool.dead cur (id :: cur)) then push_dead pool id
-
-  let dead_letter ctx (task : Task.t) =
-    push_dead ctx.pool task.Task.id;
-    Submitter.release ctx.sub;
-    ctx.w.dead_letters <- ctx.w.dead_letters + 1;
-    Obs.incr ctx.obs c_dead_letter
-
   (* One lease attempt of one task: the root fiber plus everything it
      forks, sharing a live-fiber counter.  The counter cell is padded —
      it is CASed by every worker that runs one of the attempt's fibers. *)
@@ -429,7 +381,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end
     else begin
       (* The supervisor sealed this task's fate (re-leased elsewhere or
-         dead-lettered) while the attempt ran: the work is done but must
+         declared [Dead]) while the attempt ran: the work is done but must
          not be accounted — whoever owns the terminal state did that. *)
       ctx.w.late_completions <- ctx.w.late_completions + 1;
       Obs.incr ctx.obs c_late
@@ -483,44 +435,56 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       yield = (fun () -> Fiber.yield hooks ~requeue:(requeue_here att.pool));
     }
 
-  (* Start a freshly-leased task: build the attempt, count the root fiber,
-     and run it inline (it parks itself in the deque whenever it blocks). *)
-  let execute ctx task ~attempt =
-    Metrics.push ctx.w.delays (Task.queueing_delay task);
-    let prev = B.exchange ctx.pool.last_started task.Task.priority in
-    Metrics.push ctx.w.slacks
-      (float_of_int (max 0 (prev - task.Task.priority)));
-    if attempt > 1 then begin
-      ctx.w.retries <- ctx.w.retries + 1;
-      Obs.incr ctx.obs c_retry
-    end;
-    B.fault_point "sched.execute.post_lease";
-    let att = { task; live = patomic 1; pool = ctx.pool } in
-    ctx.w.Metrics.fibers <- ctx.w.Metrics.fibers + 1;
-    Obs.incr ctx.obs Fiber.c_spawn;
-    let root = Fiber.create (wrap att (fun () -> Task.run task (api_of att))) in
-    Fiber.run ctx.hooks (Fiber.Work root)
+  let claim_race (c : ctx) =
+    c.w.double_claims <- c.w.double_claims + 1;
+    Obs.incr c.obs c_claim_race
 
-  (* Lease and start one freshly-popped task id on this worker, inline. *)
-  let start_one (ctx : ctx) id =
-    match B.get ctx.pool.tasks.(id) with
+  (* Lease popped id [id] for the executing worker [c]: [Some (task,
+     attempt)] iff this delivery won the task.  A lost delivery (a queue
+     race or a supervisor re-enqueue) is counted and runs nothing; so is
+     an empty table slot, unreachable with a conserving queue because ids
+     are enqueued only after table publication. *)
+  let lease (c : ctx) id =
+    match B.get c.pool.tasks.(id) with
     | None ->
-        (* Unreachable with a conserving queue: ids are enqueued only
-           after table publication. *)
-        ctx.w.double_claims <- ctx.w.double_claims + 1;
-        Obs.incr ctx.obs c_claim_race
+        claim_race c;
+        None
     | Some task -> (
         match Task.try_lease task ~now:(B.time ()) with
-        | Task.Leased attempt -> execute ctx task ~attempt
+        | Task.Leased attempt -> Some (task, attempt)
         | Task.Lost ->
-            ctx.w.double_claims <- ctx.w.double_claims + 1;
-            Obs.incr ctx.obs c_claim_race
-        | Task.Deadline_expired ->
-            ctx.w.timeouts <- ctx.w.timeouts + 1;
-            Obs.incr ctx.obs c_timeout;
-            dead_letter ctx task)
+            claim_race c;
+            None)
 
-  (* Park a batch-claimed task in the deque as a steal-ready fiber.  The
+  (* Begin attempt [attempt] of a task [c] just leased: record its
+     queueing delay and dequeue slack, count a retry, and build the
+     attempt its root fiber runs under. *)
+  let begin_attempt (c : ctx) task ~attempt =
+    Metrics.push c.w.delays (Task.queueing_delay task);
+    let prev = B.exchange c.pool.last_started task.Task.priority in
+    Metrics.push c.w.slacks (float_of_int (max 0 (prev - task.Task.priority)));
+    if attempt > 1 then begin
+      c.w.retries <- c.w.retries + 1;
+      Obs.incr c.obs c_retry
+    end;
+    B.fault_point "sched.execute.post_lease";
+    { task; live = patomic 1; pool = c.pool }
+
+  (* The root fiber's thunk: the task body under the attempt accounting. *)
+  let root_thunk att = wrap att (fun () -> Task.run att.task (api_of att))
+
+  (* Lease and start the head of a pull on this worker, inline: its root
+     fiber runs now and parks itself in the deque whenever it blocks. *)
+  let start_one (ctx : ctx) id =
+    match lease ctx id with
+    | None -> ()
+    | Some (task, attempt) ->
+        let att = begin_attempt ctx task ~attempt in
+        ctx.w.Metrics.fibers <- ctx.w.Metrics.fibers + 1;
+        Obs.incr ctx.obs Fiber.c_spawn;
+        Fiber.run ctx.hooks (Fiber.Work (Fiber.create (root_thunk att)))
+
+  (* Park a pulled tail task in the deque as a steal-ready fiber.  The
      LEASE happens when the fiber runs, not when it is deferred: the
      lease clock must not start ticking on a task that may sit in the
      deque behind a long head, and a worker killed with deferred tasks
@@ -528,9 +492,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      supervisor's rescue sweep re-enqueues them exactly like ids stranded
      in a crashed worker's submission buffer.  All accounting resolves
      the executing worker through {!cur} because a thief, not the
-     deferrer, may run the fiber.  The fiber is counted as spawned here
-     and completed in every terminal branch (lease won or lost), keeping
-     the per-fiber exactly-once audit balanced. *)
+     deferrer, may run the fiber.  The fiber is counted as spawned here;
+     when its lease wins it becomes the attempt's root, and when it loses
+     it counts itself completed, keeping the per-fiber exactly-once audit
+     balanced. *)
   let defer_task (ctx : ctx) (_priority, id) =
     let pool = ctx.pool in
     ctx.w.Metrics.fibers <- ctx.w.Metrics.fibers + 1;
@@ -538,85 +503,40 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let fib =
       Fiber.create (fun () ->
           let c = cur pool in
-          let undone () =
-            c.w.Metrics.fibers_completed <- c.w.Metrics.fibers_completed + 1
-          in
-          match B.get pool.tasks.(id) with
+          match lease c id with
+          | Some (task, attempt) ->
+              root_thunk (begin_attempt c task ~attempt) ()
           | None ->
-              c.w.double_claims <- c.w.double_claims + 1;
-              Obs.incr c.obs c_claim_race;
-              undone ()
-          | Some task -> (
-              match Task.try_lease task ~now:(B.time ()) with
-              | Task.Leased attempt ->
-                  (* This fiber becomes the attempt's root: same
-                     accounting as {!execute}, minus the extra fiber
-                     spawn (this fiber was counted at defer time). *)
-                  Metrics.push c.w.delays (Task.queueing_delay task);
-                  let prev =
-                    B.exchange pool.last_started task.Task.priority
-                  in
-                  Metrics.push c.w.slacks
-                    (float_of_int (max 0 (prev - task.Task.priority)));
-                  if attempt > 1 then begin
-                    c.w.retries <- c.w.retries + 1;
-                    Obs.incr c.obs c_retry
-                  end;
-                  B.fault_point "sched.execute.post_lease";
-                  let att = { task; live = patomic 1; pool } in
-                  wrap att (fun () -> Task.run task (api_of att)) ()
-              | Task.Lost ->
-                  c.w.double_claims <- c.w.double_claims + 1;
-                  Obs.incr c.obs c_claim_race;
-                  undone ()
-              | Task.Deadline_expired ->
-                  c.w.timeouts <- c.w.timeouts + 1;
-                  Obs.incr c.obs c_timeout;
-                  dead_letter c task;
-                  undone ()))
+              c.w.Metrics.fibers_completed <- c.w.Metrics.fibers_completed + 1)
     in
     Deque.push ctx.deque (Fiber.Work fib)
 
-  (** Pop and execute at most one task from the shared queue; [false]
-      when it looked empty.  A task id delivered twice (queue race or
-      supervisor re-enqueue) loses the lease race and is counted, never
-      re-executed.
-
-      With [ctx.batch > 1] the pull claims up to [batch] tasks in one
-      shared-component round trip ({!ctx.pop_batch}; a single CAS on the
-      k-LSMs): the most urgent starts inline and the rest are deferred
-      into the deque as immediately steal-ready fibers.  The tail is
-      pushed most-urgent-last so this worker's LIFO pop resumes the batch
-      in priority order, while a thief's FIFO steal takes the batch's
-      {e least} urgent task — the one the owner would reach last.  The
-      pull is sorted here first: a queue returns a batch in deletion
-      order, which under concurrency need not be key order
-      ({!Klsm_core.Pq_intf.S.try_delete_min_batch}). *)
+  (** Pull up to [ctx.batch] tasks from the shared queue in one round
+      trip ({!ctx.pop_batch}; a single CAS on the k-LSMs) and start them;
+      [false] when the queue looked empty.  The most urgent starts inline
+      and the rest are deferred into the deque as immediately steal-ready
+      fibers.  The tail is pushed most-urgent-last so this worker's LIFO
+      pop resumes the batch in priority order, while a thief's FIFO steal
+      takes the batch's {e least} urgent task — the one the owner would
+      reach last.  The pull is sorted here first: a queue returns a batch
+      in deletion order, which under concurrency need not be key order
+      ({!Klsm_core.Pq_intf.S.try_delete_min_batch}).  A task id delivered
+      twice (queue race or supervisor re-enqueue) loses the lease race and
+      is counted, never re-executed. *)
   let try_execute_one ctx =
-    if ctx.batch > 1 then begin
-      match
-        List.stable_sort
-          (fun (p, _) (q, _) -> Int.compare p q)
-          (ctx.pop_batch ctx.batch)
-      with
-      | [] ->
-          ctx.w.empty_pops <- ctx.w.empty_pops + 1;
-          Obs.incr ctx.obs c_empty_pop;
-          false
-      | (_priority, id) :: rest ->
-          List.iter (defer_task ctx) (List.rev rest);
-          start_one ctx id;
-          true
-    end
-    else
-      match ctx.pop () with
-      | None ->
-          ctx.w.empty_pops <- ctx.w.empty_pops + 1;
-          Obs.incr ctx.obs c_empty_pop;
-          false
-      | Some (_priority, id) ->
-          start_one ctx id;
-          true
+    match
+      List.stable_sort
+        (fun (p, _) (q, _) -> Int.compare p q)
+        (ctx.pop_batch ctx.batch)
+    with
+    | [] ->
+        ctx.w.empty_pops <- ctx.w.empty_pops + 1;
+        Obs.incr ctx.obs c_empty_pop;
+        false
+    | (_priority, id) :: rest ->
+        List.iter (defer_task ctx) (List.rev rest);
+        start_one ctx id;
+        true
 
   (* Steal the oldest fiber from a random victim's deque: up to two
      seeded-random victims per round, retrying a [`Race] once (someone is
@@ -718,9 +638,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               ctx.w.timeouts <- ctx.w.timeouts + 1;
               Obs.incr ctx.obs c_timeout
           | Task.Expired_dead ->
+              (* This sweep owns the terminal transition, so the task is
+                 resolved here, exactly once: its [Dead] status is the
+                 dead-letter record. *)
               ctx.w.timeouts <- ctx.w.timeouts + 1;
               Obs.incr ctx.obs c_timeout;
-              dead_letter ctx task
+              Submitter.release ctx.sub;
+              ctx.w.dead_letters <- ctx.w.dead_letters + 1;
+              Obs.incr ctx.obs c_dead_letter
           | Task.Not_expired -> ());
           let requeue =
             Task.unpark task ~now
@@ -738,7 +663,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** The full worker loop.  [arrivals ()] drives this thread's workload:
       - [`Submit (priority, body)]: a root task wants in now;
       - [`Wait]: nothing due yet (open-loop pacing) — keep serving;
-      - [`Done]: this worker's arrival stream is exhausted (final). *)
+      - [`Done]: this worker's arrival stream is exhausted (final) — the
+        only way admission stops. *)
   let run ?jitter (ctx : ctx) ~arrivals =
     let pool = ctx.pool in
     let rc = pool.rc in
@@ -746,24 +672,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let sources_done = ref false in
     let idle = ref 0 in
     let bo = Backoff.create ?jitter ~max:256 () in
-    let close_source () =
-      if not !sources_done then begin
-        sources_done := true;
-        ignore (mark_source_done pool ctx.tid);
-        (* Nothing will flow through the submit path anymore; make any
-           stragglers visible to the other workers. *)
-        Submitter.flush ctx.sub
-      end
-    in
     let rec loop () =
       (match B.get pool.failure with Some e -> raise e | None -> ());
       if pool.supervised then B.set pool.beats.(ctx.tid) (B.time ());
-      if B.get pool.draining then begin
-        (* Graceful shutdown: drop the backpressured arrival (it was never
-           admitted) and stop pulling from the source. *)
-        pending := None;
-        close_source ()
-      end;
       (* 1. Admit the next due arrival, honouring backpressure. *)
       (match !pending with
       | Some (priority, body) -> (
@@ -778,7 +689,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                 | `Admitted | `Overflow -> ()
                 | `Backpressure -> pending := Some (priority, body))
             | `Wait -> ()
-            | `Done -> close_source ()
+            | `Done ->
+                sources_done := true;
+                ignore (mark_source_done pool ctx.tid);
+                (* Nothing will flow through the submit path anymore; make
+                   any stragglers visible to the other workers. *)
+                Submitter.flush ctx.sub
           end);
       (* 2. Serve: deque, then steal, then the shared queue. *)
       if serve ctx then begin

@@ -342,11 +342,7 @@ let test_builders_store_filled_once () =
   let w, c =
     sim_build (fun () -> SBlock.copy ~alive:sim_alive b1 (SBlock.level b1))
   in
-  expect "copy" w c 62;
-  let w, c =
-    sim_build (fun () -> SBlock.copy_prefix ~alive:sim_alive b1 ~keep:64)
-  in
-  expect "copy_prefix" w c 62
+  expect "copy" w c 62
 
 (* ---------------- lazy-deletion alive predicates ---------------- *)
 

@@ -14,8 +14,6 @@ module Q = Klsm_harness.Quality.Make (Sim)
 
 (* Naive reference multiset with the same interface. *)
 module Naive = struct
-  type t = int list ref
-
   let create () = ref []
   let insert t k = t := k :: !t
   let rank_below t k = List.length (List.filter (fun x -> x < k) !t)

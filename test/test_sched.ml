@@ -10,7 +10,7 @@
      and without task-spawning-tasks, across queue implementations.
 
    Plus unit tests for the submitter's batching/urgent-flush/admission
-   machinery and the task claim protocol (on the Real backend — they are
+   machinery and task construction (on the Real backend — they are
    single-threaded and need no simulated schedule), except the test that
    a refused admission writes nothing, which reads Sim's access counts. *)
 
@@ -281,29 +281,26 @@ let test_fiber_tree_depth_1000 () =
     Alcotest.failf "only %d suspensions across a %d-deep chain"
       summary.M.fiber_suspends depth
 
-let test_batch_starts_most_urgent () =
-  (* A pulled batch comes back in deletion order, which under concurrency
-     need not be key order: the worker must start the most urgent task
-     first whatever order [pop_batch] returns. *)
+(* One worker, one pull: [tasks] (priority, body) are published as
+   admitted, as [inject]'s callers do, under ids 0, 1, ...; the stub
+   [pop_batch] returns [pulled] once, then nothing. *)
+let run_one_pull ~batch tasks pulled =
   Sim.configure ~seed:1 ~policy:Sim.Fair ();
-  let prios = [ 5; 3; 9 ] in
-  let pool = W.create_pool ~max_tasks:3 ~num_workers:1 () in
-  let started = ref [] in
+  let pool =
+    W.create_pool ~max_tasks:(List.length tasks) ~num_workers:1 ()
+  in
   List.iteri
-    (fun id p ->
-      let body = W.Task.fn (fun () -> started := p :: !started) in
+    (fun id (p, body) ->
       Sim.set pool.W.tasks.(id)
         (Some (W.Task.make ~id ~priority:p ~now:0. body));
-      (* admitted, as [inject]'s callers do before publication *)
       ignore (Sim.fetch_and_add pool.W.inflight 1))
-    prios;
-  let pulled = ref false in
-  let pop_batch _ =
-    if !pulled then []
-    else begin
-      pulled := true;
-      List.mapi (fun id p -> (p, id)) prios
-    end
+    tasks;
+  let pending = ref pulled in
+  let pop_batch n =
+    Alcotest.(check int) "pull size" batch n;
+    let l = !pending in
+    pending := [];
+    l
   in
   let metrics = M.create ~num_workers:1 in
   Sim.parallel_run ~num_threads:1 (fun tid ->
@@ -311,13 +308,43 @@ let test_batch_starts_most_urgent () =
         W.Submitter.create ~inflight:pool.W.inflight ~enqueue_batch:ignore ()
       in
       let ctx =
-        W.make_ctx ~pool ~tid ~sub ~batch:3 ~pop_batch
+        W.make_ctx ~pool ~tid ~sub ~batch ~pop_batch
           ~pop:(fun () -> None)
           ~metrics:metrics.(tid) ()
       in
       W.run ctx ~arrivals:(fun () -> `Done));
+  (pool, M.summarize metrics)
+
+let test_batch_starts_most_urgent () =
+  (* A pulled batch comes back in deletion order, which under concurrency
+     need not be key order: the worker must start the most urgent task
+     first whatever order [pop_batch] returns. *)
+  let prios = [ 5; 3; 9 ] in
+  let started = ref [] in
+  let task p = (p, W.Task.fn (fun () -> started := p :: !started)) in
+  let pool, _ =
+    run_one_pull ~batch:3 (List.map task prios)
+      (List.mapi (fun id p -> (p, id)) prios)
+  in
   Alcotest.(check (list int)) "start order" [ 3; 5; 9 ] (List.rev !started);
   Alcotest.(check int) "all completed" 3 (W.completed_count pool)
+
+let test_double_delivery_in_one_pull () =
+  (* One pull that delivers the same id twice: the head starts inline and
+     wins the lease, the deferred copy loses it when its fiber runs.  Both
+     starts go through the one lease path, so the task runs once, the loss
+     is counted, and the deferred fiber still balances the fiber audit. *)
+  let runs = ref 0 in
+  let _, m =
+    run_one_pull ~batch:2
+      [ (5, W.Task.fn (fun () -> incr runs)) ]
+      [ (5, 0); (5, 0) ]
+  in
+  Alcotest.(check int) "body ran once" 1 !runs;
+  Alcotest.(check int) "executed once" 1 m.M.executed;
+  Alcotest.(check int) "one lost lease" 1 m.M.double_claims;
+  Alcotest.(check int) "fibers balance" m.M.fibers m.M.fibers_completed;
+  Alcotest.(check int) "root and deferred copy" 2 m.M.fibers
 
 let test_fiber_hog_cannot_stall_drain () =
   (* One hog fiber burning 200k ticks without yielding must not stall
@@ -508,19 +535,9 @@ let test_refusal_writes_nothing () =
   Alcotest.(check (option int)) "admitted below capacity" (Some capacity) !got;
   Alcotest.(check int) "one fetch-and-add" 1 (Sim.stats ()).Sim.faa
 
-(* ---------------- task claim protocol (Real backend) ---------------- *)
+(* ---------------- task construction (Real backend) ---------------- *)
 
 module T = Klsm_sched.Task.Make (Real)
-
-let test_task_claim_exactly_once () =
-  let t = T.make ~id:0 ~priority:5 ~now:0.0 T.noop in
-  Alcotest.(check bool) "first claim wins" true (T.claim t);
-  Alcotest.(check bool) "second claim loses" false (T.claim t);
-  Alcotest.(check bool) "third claim loses" false (T.claim t);
-  Alcotest.(check int) "claim count" 3 (T.claim_count t);
-  Alcotest.(check bool) "not completed before finish" false (T.is_completed t);
-  T.finish t;
-  Alcotest.(check bool) "completed after finish" true (T.is_completed t)
 
 let test_task_rejects_negative_priority () =
   Alcotest.check_raises "negative priority"
@@ -546,6 +563,8 @@ let () =
             test_exactly_once_fuzzed_spawns_and_queues;
           Alcotest.test_case "backpressure bounds in-flight" `Quick
             test_backpressure_bounds_inflight;
+          Alcotest.test_case "one id pulled twice runs once" `Quick
+            test_double_delivery_in_one_pull;
         ] );
       ( "fibers",
         [
@@ -576,8 +595,6 @@ let () =
         ] );
       ( "task",
         [
-          Alcotest.test_case "claim exactly once" `Quick
-            test_task_claim_exactly_once;
           Alcotest.test_case "negative priority rejected" `Quick
             test_task_rejects_negative_priority;
         ] );

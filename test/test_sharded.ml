@@ -449,20 +449,25 @@ let test_publish_on_other_stripe () =
         (stat q "stripe.hint_consult" - consult))
 
 (* Keys equal to max_int give a stripe the hint an empty stripe has: an
-   owner that holds nothing must still find them. *)
+   owner that holds nothing must still find them.  With a deletion buffer
+   a claimed max_int key waits in the buffer too, and one thread alone
+   must be served it before the queue reads empty. *)
 let test_max_int_keys_found () =
   List.iter
-    (fun shards ->
-      let q = K.create_with ~k:4 ~shards ~num_threads:1 () in
+    (fun (shards, dbuf) ->
+      let q = K.create_with ~k:4 ~shards ~dbuf ~num_threads:1 () in
       let h = K.register q 0 in
       for _ = 1 to 8 do
         K.insert h max_int ()
       done;
+      let rec drain n =
+        match K.try_delete_min h with Some _ -> drain (n + 1) | None -> n
+      in
       check_int
-        (Printf.sprintf "all drained at S = %d" shards)
-        8
-        (List.length (drain_all (fun () -> K.try_delete_min h))))
-    stripe_counts
+        (Printf.sprintf "drained before the first None at S = %d, dbuf = %d"
+           shards dbuf)
+        8 (drain 0))
+    [ (1, 0); (4, 0); (1, 2); (2, 2) ]
 
 (* A late empty-array hint: thread 0's consolidation publishes the empty
    array, and before it writes the stripe's hint back to max_int, thread
@@ -655,6 +660,55 @@ let test_one_stripe_batch_claims_with_one_cas () =
       check_int "with one publish CAS" 1 (stat "shared.cas_attempt" - cas0);
       check_int "all served from the shared component" 8
         (stat "klsm.delete_shared"))
+
+let test_batch_of_one_is_a_delete_min () =
+  (* A pull of one, the scheduler's default, must cost what try_delete_min
+     costs.  With the owner's local LSM empty and the stripe holding every
+     item, the stripe wins the race; a batch of one takes that item, as
+     try_delete_min does, instead of claiming a run of one by publishing a
+     new snapshot. *)
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let run pop =
+        Sim.configure ~seed:1 ~policy:Sim.Fair ();
+        let inst = RS.make ~num_threads:1 (RS.Klsm 256) in
+        let got = ref None in
+        Sim.parallel_run ~num_threads:1 (fun tid ->
+            let h = inst.RS.register tid in
+            (* One sorted block, published straight to the stripe. *)
+            h.RS.insert_batch (Array.init 64 (fun i -> (i, 100 + i)));
+            got := pop h);
+        let st = Sim.stats () in
+        let counter name =
+          match List.assoc_opt name (inst.RS.stats ()).Obs.counters with
+          | Some per -> Array.fold_left ( + ) 0 per
+          | None -> 0
+        in
+        ( !got,
+          counter "shared.batch_claim",
+          counter "shared.cas_attempt",
+          [ st.Sim.reads; st.Sim.writes; st.Sim.cas; st.Sim.faa ] )
+      in
+      let single, _, single_cas, single_ops =
+        run (fun h -> h.RS.try_delete_min ())
+      in
+      let batch, claims, batch_cas, batch_ops =
+        run (fun h ->
+            match h.RS.try_delete_min_batch 1 with
+            | [ kv ] -> Some kv
+            | _ -> None)
+      in
+      Alcotest.(check (option (pair int int))) "the minimum" (Some (0, 100))
+        single;
+      Alcotest.(check (option (pair int int)))
+        "what try_delete_min returns" single batch;
+      check_int "no run claim" 0 claims;
+      check_int "no extra publish CAS" single_cas batch_cas;
+      check_list_int "same reads, writes, CAS, fetch-and-adds" single_ops
+        batch_ops)
 
 let prop_sharded_batch_exact =
   qtest "sharded+dbuf batch pop = B smallest keys, ascending" ~count:80
@@ -852,6 +906,8 @@ let () =
           prop_klsm_batch_exact;
           Alcotest.test_case "one-stripe batch claims with one CAS" `Quick
             test_one_stripe_batch_claims_with_one_cas;
+          Alcotest.test_case "a batch of one is a delete-min" `Quick
+            test_batch_of_one_is_a_delete_min;
           prop_sharded_batch_exact;
           Alcotest.test_case "empty and short batches" `Quick test_batch_edges;
           Alcotest.test_case "fuzz batch+single pops vs oracle" `Slow

@@ -190,7 +190,7 @@ let test_exception_propagates () =
               Sim.tick 1
             done);
       false
-    with Sim.Thread_failure (2, Failure "boom") -> true
+    with Sim.Thread_failure (2, Failure msg) -> msg = "boom"
   in
   check_bool "failure surfaced with tid" true raised;
   (* The simulator must be reusable afterwards. *)

@@ -355,8 +355,8 @@ let plant_faulty ?(fsync = false) ~vfs ~blocks ~items_per () =
   expected
 
 (* One recovery pass over [froot] through [vfs] into a fresh queue;
-   returns the handle (for draining) and the audit, and checks the
-   conservation oracle on the way out. *)
+   returns the handle (to empty the queue through) and the audit, and
+   checks the conservation oracle on the way out. *)
 let recover_faulty ?(fsync = false) ~vfs () =
   let spill =
     SpillR.create ~threshold:0 ~fsync ~vfs ~num_threads:1 ~root:froot ()

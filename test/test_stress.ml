@@ -3,7 +3,6 @@
    schedule fuzzing with the simulator's random-preemption policy, plus
    real-domain runs for genuine parallel races. *)
 
-open Helpers
 module Sim = Klsm_backend.Sim
 module Real = Klsm_backend.Real
 
