@@ -50,12 +50,13 @@ docs-check:
 chaos-check:
 	dune exec bin/chaos.exe -- --seeds 32
 
-# Hot-path performance gate (bin/perfcheck.ml): runs the uniform
-# insert/delete-min workload on both backends, writes BENCH_throughput.json
-# and fails if any of its gates does:
-#   - Real klsm:256 at T = 8: the run completes and the block pool hits;
-#   - Real striping: median of 5 interleaved reps of klsm-sharded:256:4
-#     >= 0.95 x klsm:256 at T = 8;
+# Hot-path performance gate (bin/perfcheck.ml): one table of rows over
+# the uniform insert/delete-min mix and the fiber closed loop.  Every Real
+# row is sampled 5 times in interleaved rounds and decided on its median;
+# every Sim row runs once (the simulator is deterministic).  Writes
+# BENCH_throughput.json and fails if any gate does:
+#   - Real klsm:256 at T = 8: the block pool hits;
+#   - Real striping: klsm-sharded:256:4 >= 0.95 x klsm:256 at T = 8;
 #   - Real floors per thread: klsm-sharded:1024:4 at T = 8, the batch
 #     spec klsm-sharded:1024:4:dbuf=8 at T = 8 and T = 16, and the fiber
 #     runtime on 8 domains;

@@ -10,10 +10,12 @@
                                    ablation-cost | ablation-workload |
                                    bnb | micro
 
-   fig3 and quality also emit machine-readable BENCH_throughput.json /
-   BENCH_quality.json (raw floats, not the table-formatted strings) into
-   the working directory; the stats section emits BENCH_stats.json (the
-   lib/obs internal counters of every registry queue; docs/METRICS.md).
+   fig3, batch and quality also emit machine-readable BENCH_fig3.json /
+   BENCH_batch.json / BENCH_quality.json (raw floats, not the
+   table-formatted strings) into the working directory; the stats section
+   emits BENCH_stats.json (the lib/obs internal counters of every registry
+   queue; docs/METRICS.md).  BENCH_throughput.json belongs to
+   `make perf-check` (bin/perfcheck.ml).
    Paper-scale parameters (slow):
        dune exec bench/main.exe -- --full fig3
    Internal counters for any section (lib/obs, ~no overhead):
@@ -48,7 +50,7 @@ let fig3_one ~label ~prefill ~ops =
   let threads = if !full then paper_threads else [ 1; 2; 5; 10; 20; 40; 80 ] in
   let header = "impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads in
   (* One pass collects the raw numbers; the text table formats them and the
-     caller serializes them into BENCH_throughput.json. *)
+     caller serializes them into BENCH_fig3.json. *)
   let measured =
     List.map
       (fun spec ->
@@ -118,7 +120,7 @@ let fig3 () =
         fig3_one ~label:"right, scaled" ~prefill:100_000 ~ops:40_000;
       ]
   in
-  let path = "BENCH_throughput.json" in
+  let path = "BENCH_fig3.json" in
   Report.write_json ~path
     (Report.Obj
        [
@@ -398,8 +400,7 @@ let sharded () =
    within the widened bound rho <= (T-1+S)*ceil(k/S) + T*(B-1), and the
    rank-error-vs-B curve is how an operator prices the slack before
    turning the knob (the measured basis of docs/TUNING.md's dbuf row).
-   Emits the sweep into BENCH_throughput.json, fig3-style — run it
-   standalone (`dune exec bench/main.exe -- batch`) to keep the file. *)
+   Emits the sweep into BENCH_batch.json, fig3-style. *)
 let batch () =
   let k = 1024 and shards = 4 in
   let t_axis = [ 1; 2; 4; 8; 16 ] in
@@ -481,7 +482,7 @@ let batch () =
         "rho = (T-1+S)*ceil(k/S) + T*(B-1)";
       ]
     qrows;
-  let path = "BENCH_throughput.json" in
+  let path = "BENCH_batch.json" in
   Report.write_json ~path
     (Report.Obj
        [

@@ -14,182 +14,32 @@
    - every counter/span name appearing in the file is documented in
      docs/METRICS.md (the reference must never lag the code).
 
-   Deliberately dependency-free: the repository has no JSON library, so a
-   ~100-line recursive-descent parser for the JSON subset Report emits
-   (only the simple backslash escapes, which Report never writes in names)
-   lives here rather than a new dependency. *)
+   The file is read with the benchmark's JSON reader
+   (benchmark/json_in.ml), which parses into {!Klsm_harness.Report.json},
+   the type every BENCH_*.json writer uses; every number arrives as a
+   [Float]. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module J = Klsm_harness.Report
 
 exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-(* ---------------- parser ---------------- *)
-
-type state = { s : string; mutable pos : int }
-
-let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
-
-let expect st c =
-  match peek st with
-  | Some d when d = c -> advance st
-  | Some d -> fail "at %d: expected %C, got %C" st.pos c d
-  | None -> fail "at %d: expected %C, got end of input" st.pos c
-
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail "unterminated string at %d" st.pos
-    | Some '"' -> advance st
-    | Some '\\' ->
-        advance st;
-        (match peek st with
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '/' -> Buffer.add_char buf '/'
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 'b' -> Buffer.add_char buf '\b'
-        | Some 'u' ->
-            (* Report never emits non-ASCII names; keep the escape verbatim
-               so the check still terminates on foreign files. *)
-            Buffer.add_string buf "\\u"
-        | c -> fail "bad escape %s at %d"
-                 (match c with Some c -> String.make 1 c | None -> "EOF")
-                 st.pos);
-        advance st;
-        go ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let parse_number st =
-  let start = st.pos in
-  let num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while (match peek st with Some c -> num_char c | None -> false) do
-    advance st
-  done;
-  let lit = String.sub st.s start (st.pos - start) in
-  match float_of_string_opt lit with
-  | Some f -> Num f
-  | None -> fail "bad number %S at %d" lit start
-
-let parse_literal st lit v =
-  if
-    st.pos + String.length lit <= String.length st.s
-    && String.sub st.s st.pos (String.length lit) = lit
-  then begin
-    st.pos <- st.pos + String.length lit;
-    v
-  end
-  else fail "bad literal at %d" st.pos
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | Some '"' -> Str (parse_string st)
-  | Some '{' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some '}' then begin
-        advance st;
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws st;
-          let key = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ((key, v) :: acc)
-          | Some '}' ->
-              advance st;
-              Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or } at %d" st.pos
-        in
-        members []
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
-        advance st;
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value st in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements (v :: acc)
-          | Some ']' ->
-              advance st;
-              Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] at %d" st.pos
-        in
-        elements []
-      end
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some 'n' -> parse_literal st "null" Null
-  | Some _ -> parse_number st
-  | None -> fail "unexpected end of input at %d" st.pos
-
-let parse_json s =
-  let st = { s; pos = 0 } in
-  let v = parse_value st in
-  skip_ws st;
-  if st.pos <> String.length s then fail "trailing garbage at %d" st.pos;
-  v
-
 (* ---------------- schema ---------------- *)
 
 let field obj name =
   match obj with
-  | Obj kvs -> (
+  | J.Obj kvs -> (
       match List.assoc_opt name kvs with
       | Some v -> v
       | None -> fail "missing field %S" name)
   | _ -> fail "expected an object with field %S" name
 
-let as_str what = function Str s -> s | _ -> fail "%s: expected string" what
-let as_arr what = function Arr l -> l | _ -> fail "%s: expected array" what
+let as_str what = function J.String s -> s | _ -> fail "%s: expected string" what
+let as_arr what = function J.List l -> l | _ -> fail "%s: expected array" what
 
 let as_int what = function
-  | Num f when Float.is_integer f -> int_of_float f
+  | J.Float f when Float.is_integer f -> int_of_float f
   | _ -> fail "%s: expected integer" what
 
 let int_list what v = List.map (as_int what) (as_arr what v)
@@ -211,7 +61,7 @@ let check_span ~threads ~impl s =
   let ctx = Printf.sprintf "%s/%s" impl name in
   let count = as_int (ctx ^ ".count") (field s "count") in
   (match field s "total_ns" with
-  | Num _ | Null -> ()  (* Report serializes non-finite floats as null *)
+  | J.Float _ | J.Null -> ()  (* Report serializes non-finite floats as null *)
   | _ -> fail "%s.total_ns: expected number" ctx);
   let per = int_list (ctx ^ ".per_thread_count") (field s "per_thread_count") in
   if List.length per <> threads then
@@ -241,7 +91,7 @@ let () =
         exit 2
   in
   try
-    let root = parse_json (read_file stats_path) in
+    let root = Klsm_bench.Json_in.read_file stats_path in
     ignore (as_str "benchmark" (field root "benchmark"));
     ignore (as_str "backend" (field root "backend"));
     ignore (as_int "threads" (field root "threads"));
@@ -285,7 +135,7 @@ let () =
     Printf.printf "statscheck: %s OK (%d queues, %d counters, all documented)\n"
       stats_path (List.length queues) !total_counters
   with
-  | Bad msg ->
+  | Bad msg | Klsm_bench.Json_in.Error msg ->
       Printf.eprintf "statscheck: %s: %s\n" stats_path msg;
       exit 1
   | Sys_error msg ->

@@ -51,13 +51,9 @@ type worker = {
   mutable timeouts : int;  (** lease expiries this worker detected *)
   mutable retries : int;  (** bodies executed with attempt number > 1 *)
   mutable reenqueues : int;  (** parked/lost tasks this worker re-queued *)
-  mutable dead_letters : int;
-      (** tasks this worker's sweeps declared [Dead]: lease expired with
-          no attempts left *)
   mutable late_completions : int;
       (** bodies that finished after the task's fate was sealed elsewhere *)
   mutable worker_deaths : int;  (** peers this worker declared dead *)
-  mutable sweeps : int;  (** supervision passes over the task table *)
   mutable fibers : int;  (** fibers this worker created (roots + forks) *)
   mutable fibers_completed : int;
       (** fiber thunks that finished on this worker — equals the summed
@@ -87,10 +83,8 @@ let fresh_worker () =
     timeouts = 0;
     retries = 0;
     reenqueues = 0;
-    dead_letters = 0;
     late_completions = 0;
     worker_deaths = 0;
-    sweeps = 0;
     fibers = 0;
     fibers_completed = 0;
     fiber_suspends = 0;
@@ -117,10 +111,8 @@ type summary = {
   timeouts : int;
   retries : int;
   reenqueues : int;
-  dead_letters : int;
   late_completions : int;
   worker_deaths : int;
-  sweeps : int;
   fibers : int;
   fibers_completed : int;
   fiber_suspends : int;
@@ -157,10 +149,8 @@ let summarize (workers : worker array) =
     timeouts = sum (fun w -> w.timeouts);
     retries = sum (fun w -> w.retries);
     reenqueues = sum (fun w -> w.reenqueues);
-    dead_letters = sum (fun w -> w.dead_letters);
     late_completions = sum (fun w -> w.late_completions);
     worker_deaths = sum (fun w -> w.worker_deaths);
-    sweeps = sum (fun w -> w.sweeps);
     fibers = sum (fun w -> w.fibers);
     fibers_completed = sum (fun w -> w.fibers_completed);
     fiber_suspends = sum (fun w -> w.fiber_suspends);

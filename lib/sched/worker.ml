@@ -84,11 +84,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (* Observability (lib/obs; docs/METRICS.md).  These double the
      always-on {!Metrics} fields into the shared counter namespace so one
      BENCH_stats.json carries queue internals and scheduler behaviour
-     side by side; [sched.flush]/[sched.urgent_flush] are folded in from
-     the submitter after the run (see {!Closed_loop}).  The fiber-side
-     counters [fiber.spawn]/[fiber.suspend]/[fiber.resume] are declared
-     in {!Fiber} and incremented here through the executing worker
-     ({!cur}). *)
+     side by side ([sched.dead_letter] and [sched.sweep] have no field
+     there: the task table's [Dead] statuses are the dead-letter record);
+     [sched.flush]/[sched.urgent_flush] are folded in from the submitter
+     after the run (see {!Closed_loop}).  The fiber-side counters
+     [fiber.spawn]/[fiber.suspend]/[fiber.resume] are declared in {!Fiber}
+     and incremented here through the executing worker ({!cur}). *)
   let c_claim_race = Obs.counter "sched.claim_race"
   let c_empty_pop = Obs.counter "sched.empty_pop"
   let c_reject = Obs.counter "sched.reject"
@@ -611,7 +612,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let pool = ctx.pool in
     let rc = pool.rc in
     let now = B.time () in
-    ctx.w.sweeps <- ctx.w.sweeps + 1;
     Obs.incr ctx.obs c_sweep;
     if rc.liveness_timeout < infinity then
       for w = 0 to Array.length pool.beats - 1 do
@@ -644,7 +644,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               ctx.w.timeouts <- ctx.w.timeouts + 1;
               Obs.incr ctx.obs c_timeout;
               Submitter.release ctx.sub;
-              ctx.w.dead_letters <- ctx.w.dead_letters + 1;
               Obs.incr ctx.obs c_dead_letter
           | Task.Not_expired -> ());
           let requeue =
@@ -659,6 +658,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             Obs.incr ctx.obs c_reenqueue
           end
     done
+
+  (* The give-up test of a dry round, only for a pool with a finite
+     [run_deadline] (the one configuration that sets [gave_up]): one load
+     of the flag, and the first worker to see the deadline pass sets it
+     for the others. *)
+  let out_of_time pool =
+    B.get pool.gave_up
+    || (B.time () -. pool.created_at > pool.rc.run_deadline
+       && (B.set pool.gave_up true;
+           true))
 
   (** The full worker loop.  [arrivals ()] drives this thread's workload:
       - [`Submit (priority, body)]: a root task wants in now;
@@ -711,22 +720,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         Submitter.flush ctx.sub;
         if B.get pool.sources_live = 0 && B.get pool.inflight = 0 then
           ()  (* every admitted task resolved: exact termination *)
-        else if B.get pool.gave_up then ()
+        else if rc.run_deadline < infinity && out_of_time pool then ()
         else begin
           incr idle;
-          if pool.supervised then begin
-            if
-              rc.run_deadline < infinity
-              && B.time () -. pool.created_at > rc.run_deadline
-            then B.set pool.gave_up true
-            else supervise ctx ~rescue:(!idle >= 8 && !idle land 3 = 0)
-          end;
-          if B.get pool.gave_up then ()
-          else begin
-            Backoff.once bo ~relax:B.relax_n;
-            B.yield ();
-            loop ()
-          end
+          if pool.supervised then
+            supervise ctx ~rescue:(!idle >= 8 && !idle land 3 = 0);
+          Backoff.once bo ~relax:B.relax_n;
+          B.yield ();
+          loop ()
         end
       end
     in

@@ -3,7 +3,7 @@
     The durable state of a spill-enabled queue is a {e multiset of live
     spilled-block instances}, and the journal is its event log.  Every
     spilled block gets a fresh {b instance id} [t<tid>.<seq>] (unique per
-    journal lifetime), and three record kinds move an instance through its
+    journal lifetime), and two record kinds move an instance through its
     life cycle:
 
     - [S <iid> <digest> <level> <count>] — block instance [iid] with the
@@ -12,18 +12,19 @@
       block);
     - [R <iid> <digest>] — instance [iid] was rehydrated: its items are
       back in RAM and may be delivered from there (appended {e before} any
-      rehydrated item can be returned by a delete-min);
-    - [L <iid> <digest>] — instance [iid] was released without rehydration
-      (e.g. every item was logically deleted cold).
+      rehydrated item can be returned by a delete-min).
 
-    An instance is live iff its [S] has no matching [R]/[L].  [Spill.recover]
-    replays the log and reinserts exactly the live instances — the ordering
-    of appends above is what makes "no lost, no duplicated, no resurrected"
-    hold across a kill at {e any} point (failure matrix in docs/STORAGE.md).
+    Spilled items are claimed before they are serialized, so a cold block
+    leaves the live set only by rehydration or by exclusion from a
+    checkpoint.  An instance is live iff its [S] has no matching [R].
+    [Spill.recover] replays the log and reinserts exactly the live
+    instances — the ordering of appends above is what makes "no lost, no
+    duplicated, no resurrected" hold across a kill at {e any} point
+    (failure matrix in docs/STORAGE.md).
 
     {b Layout}: each thread appends its [S] records to its own
-    [spill-<tid>.log] (single-writer, no locking); [R]/[L] can fire on any
-    thread and go to a shared [events.log] under a mutex; checkpoints write
+    [spill-<tid>.log] (single-writer, no locking); [R] can fire on any
+    thread and goes to a shared [events.log] under a mutex; checkpoints write
     [epoch.log].  Replay order across files is irrelevant — liveness is a
     per-instance predicate.
 
@@ -55,7 +56,6 @@
 type record =
   | Spill of { iid : string; digest : string; level : int; count : int }
   | Rehydrate of { iid : string; digest : string }
-  | Release of { iid : string; digest : string }
   | Epoch of int  (** checkpoint generation header *)
 
 module Obs = Klsm_obs.Obs
@@ -78,7 +78,7 @@ type t = {
   vfs : Vfs.t;
   writers : writer option array;  (** per-tid spill log, lazily opened *)
   next_seq : int array;
-  mutable events : writer option;  (** shared rehydrate/release log *)
+  mutable events : writer option;  (** shared rehydrate log *)
   ev_mutex : Mutex.t;
   mutable obs : Obs.handle;  (** sink for [store.io_error] increments *)
 }
@@ -97,7 +97,6 @@ let payload_of_record = function
   | Spill { iid; digest; level; count } ->
       Printf.sprintf "S %s %s %d %d" iid digest level count
   | Rehydrate { iid; digest } -> Printf.sprintf "R %s %s" iid digest
-  | Release { iid; digest } -> Printf.sprintf "L %s %s" iid digest
   | Epoch gen -> Printf.sprintf "E %d" gen
 
 let line_of_record r =
@@ -120,7 +119,6 @@ let record_of_line line =
                 Some (Spill { iid; digest; level; count })
             | _ -> None)
         | [ "R"; iid; digest ] -> Some (Rehydrate { iid; digest })
-        | [ "L"; iid; digest ] -> Some (Release { iid; digest })
         | [ "E"; gen ] ->
             Option.map (fun g -> Epoch g) (int_of_string_opt gen)
         | _ -> None
@@ -208,7 +206,7 @@ type live = { iid : string; digest : string; level : int; count : int }
 
 (** The live instance multiset: spilled, deduplicated by instance id (a
     checkpoint interrupted before log deletion replays some [S] twice), and
-    not rehydrated or released.  Order follows first [S] appearance. *)
+    not rehydrated.  Order follows first [S] appearance. *)
 let live_instances records =
   let spilled = Hashtbl.create 64 in
   let dead = Hashtbl.create 64 in
@@ -221,8 +219,7 @@ let live_instances records =
             Hashtbl.replace spilled iid { iid; digest; level; count };
             order := iid :: !order
           end
-      | Rehydrate { iid; _ } | Release { iid; _ } ->
-          Hashtbl.replace dead iid ()
+      | Rehydrate { iid; _ } -> Hashtbl.replace dead iid ()
       | Epoch _ -> ())
     records;
   List.filter_map
@@ -273,7 +270,7 @@ let open_journal ?(fsync = false) ?(vfs = Vfs.real) ~dir ~num_threads () =
   List.iter
     (fun r ->
       match r with
-      | Spill { iid; _ } | Rehydrate { iid; _ } | Release { iid; _ } -> (
+      | Spill { iid; _ } | Rehydrate { iid; _ } -> (
           match iid_seq iid with
           | Some (tid, seq) when tid >= 0 && tid < num_threads ->
               if seq >= next_seq.(tid) then next_seq.(tid) <- seq + 1
@@ -347,9 +344,6 @@ let append_event j r =
     from the object is observable by a delete-min — the no-resurrection
     half of the recovery argument. *)
 let append_rehydrate j ~iid ~digest = append_event j (Rehydrate { iid; digest })
-
-(** Record a no-rehydration release (dead-cold block dropped). *)
-let append_release j ~iid ~digest = append_event j (Release { iid; digest })
 
 let close_writers j =
   Array.iteri

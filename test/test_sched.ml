@@ -537,6 +537,37 @@ let test_refusal_writes_nothing () =
 
 (* ---------------- task construction (Real backend) ---------------- *)
 
+(* ---------------- give-up ---------------- *)
+
+module Chaos = Klsm_chaos.Chaos
+
+(* A worker that crashes right after leasing a task holds that lease
+   forever under the default infinite lease: the task never resolves, so
+   the run can never drain.  A finite run deadline must turn that into a
+   run that returns with [gave_up] set instead of one that spins forever. *)
+let test_run_deadline_gives_up () =
+  Sim.configure ~seed:7 ~policy:Sim.Fair ();
+  let plan = [ Chaos.rule ~tid:1 "sched.execute.post_lease" Chaos.Crash ] in
+  Chaos.install plan;
+  let r, crashes =
+    Fun.protect ~finally:Chaos.uninstall (fun () ->
+        let r =
+          CL.run
+            {
+              base_config with
+              num_workers = 4;
+              roots_per_worker = 20;
+              robust = { CL.Worker.default_robust with run_deadline = 1e-3 };
+            }
+            (CL.Registry.Klsm 8)
+        in
+        (r, (Chaos.stats ()).Chaos.crashes))
+  in
+  Alcotest.(check int) "one worker crashed" 1 crashes;
+  Alcotest.(check bool) "gave up" true r.CL.gave_up;
+  Alcotest.(check bool) "the crashed worker's task never resolved" true
+    (r.CL.lost >= 1)
+
 module T = Klsm_sched.Task.Make (Real)
 
 let test_task_rejects_negative_priority () =
@@ -565,6 +596,8 @@ let () =
             test_backpressure_bounds_inflight;
           Alcotest.test_case "one id pulled twice runs once" `Quick
             test_double_delivery_in_one_pull;
+          Alcotest.test_case "run deadline gives up on a lost lease" `Quick
+            test_run_deadline_gives_up;
         ] );
       ( "fibers",
         [
