@@ -2,7 +2,7 @@
 # full build, full test suite, odoc build, and the BENCH_stats.json schema
 # check against docs/METRICS.md.
 
-.PHONY: all build test fmt fmt-fix doc stats-check docs-check chaos-check perf-check store-check torture-check check bench clean
+.PHONY: all build test fmt fmt-fix doc stats-check docs-check chaos-check perf-check store-check torture-check check bench twins clean
 
 all: build
 
@@ -89,6 +89,14 @@ check: fmt build test doc stats-check docs-check chaos-check perf-check store-ch
 
 bench:
 	dune exec bench/main.exe
+
+# The benchmark's simulator twins alone (bin/twins.ml): the six twin
+# metrics of every workload per seed, with medians and quartiles.  About
+# 15 s per seed; `make twins SEEDS=11 WORKLOAD="--workload sssp-grid"`.
+SEEDS ?= 1-10
+WORKLOAD ?=
+twins:
+	dune exec bin/twins.exe -- --seeds $(SEEDS) $(WORKLOAD)
 
 clean:
 	dune clean

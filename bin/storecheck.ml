@@ -28,8 +28,10 @@
      nothing (the drain's R records were checkpointed durably).
 
    Results land in BENCH_storecheck.json (`bench store` owns
-   BENCH_store.json with the latency/recovery-scaling tables), also when
-   the throughput floor fails: the file is written before the exit. *)
+   BENCH_store.json with the latency/recovery-scaling tables), also when a
+   section fails: a failed check raises [Check_failed], its section's
+   record carries the message, the file is written, and the process
+   exits 1 only after the temporary store root is removed. *)
 
 module Real = Klsm_backend.Real
 module Spill = Klsm_store.Spill.Make (Real)
@@ -47,6 +49,13 @@ let rec rm_rf path =
       Sys.rmdir path
     end
     else Sys.remove path
+
+(* A failed check.  Raised rather than [exit]: [exit] inside the top
+   level's [Fun.protect] would skip its [~finally] and leave the temporary
+   store root behind. *)
+exception Check_failed of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Check_failed m)) fmt
 
 let counter_total snapshot name =
   match List.assoc_opt name snapshot.Obs.counters with
@@ -88,13 +97,11 @@ let throughput_section ~root =
   let probe = T.run config (stored (Filename.concat root "probe")) in
   let spills = counter_total probe.T.stats "store.spill" in
   let rehydrates = counter_total probe.T.stats "store.rehydrate" in
-  if spills = 0 then begin
-    Printf.eprintf
-      "store-check FAILED: no block spilled at threshold %d — the \
-       throughput comparison would be vacuous\n%!"
+  if spills = 0 then
+    fail
+      "no block spilled at threshold %d — the throughput comparison would \
+       be vacuous"
       spill_bytes;
-    exit 1
-  end;
   (* Paired reps: each rep measures in-RAM and spilling back to back with
      the same seed, and the gate takes the best of the per-rep ratios.
      Two independently-run best-of-3s would compare numbers taken under
@@ -188,13 +195,6 @@ let recovery_section ~root =
   let q = K.create_with ~k:256 ~num_threads:1 () in
   let h = K.register q 0 in
   let r = Spill.recover spill2 ~link:(fun b -> K.adopt_block h b) in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "store-check FAILED: %s\n%!" m;
-        exit 1)
-      fmt
-  in
   if r.Audit.skipped_lines <> 0 then
     fail "%d torn journal lines in a clean shutdown" r.Audit.skipped_lines;
   if r.Audit.quarantined > 0 || r.Audit.lost > 0 then
@@ -237,14 +237,23 @@ let recovery_section ~root =
     "store-check recovery: %d items across %d blocks round-tripped \
      byte-identically; second recovery empty\n%!"
     !planted r.Audit.recovered;
-  Report.Obj
-    [
-      ("planted_items", Report.Int !planted);
-      ("recovered_blocks", Report.Int r.Audit.recovered);
-      ("recovered_items", Report.Int r.Audit.recovered_items);
-      ("drained", Report.Int !drained);
-      ("second_recovery_items", Report.Int r2.Audit.recovered_items);
-    ]
+  ( true,
+    Report.Obj
+      [
+        ("planted_items", Report.Int !planted);
+        ("recovered_blocks", Report.Int r.Audit.recovered);
+        ("recovered_items", Report.Int r.Audit.recovered_items);
+        ("drained", Report.Int !drained);
+        ("second_recovery_items", Report.Int r2.Audit.recovered_items);
+      ] )
+
+(* Run one section; a failed check becomes the section's record. *)
+let section f =
+  match f () with
+  | result -> result
+  | exception Check_failed m ->
+      Printf.eprintf "store-check FAILED: %s\n%!" m;
+      (false, Report.Obj [ ("error", Report.String m); ("pass", Report.Bool false) ])
 
 let () =
   Obs.set_enabled true;
@@ -253,10 +262,12 @@ let () =
     Fun.protect
       ~finally:(fun () -> rm_rf tmp)
       (fun () ->
-        let pass, throughput =
-          throughput_section ~root:(Filename.concat tmp "thr")
+        let thr_pass, throughput =
+          section (fun () -> throughput_section ~root:(Filename.concat tmp "thr"))
         in
-        let recovery = recovery_section ~root:(Filename.concat tmp "rec") in
+        let rec_pass, recovery =
+          section (fun () -> recovery_section ~root:(Filename.concat tmp "rec"))
+        in
         let path = "BENCH_storecheck.json" in
         Report.write_json ~path
           (Report.Obj
@@ -267,6 +278,6 @@ let () =
                ("recovery", recovery);
              ]);
         Printf.printf "wrote %s\n%!" path;
-        pass)
+        thr_pass && rec_pass)
   in
   if pass then print_endline "store-check OK" else exit 1

@@ -327,6 +327,135 @@ let prop_insert_never_loses_items =
               collected := Item.key it :: !collected);
           List.sort compare !collected = List.sort compare keys)
 
+(* ---------------- the owner's find-min view ---------------- *)
+
+(* [find_min] answers from the owner's bounds and cached best/runner-up
+   slots, peeking one block.  Model check: over random sequences of every
+   operation that changes what the slots hold — inserts (spilling past
+   level 4), the owner's find-min plus take, takes through a second handle
+   (what a spy's delete does to a shared item), lazy-deletion
+   condemnation, consolidate, spy and the occasional [steal_all] — every
+   find-min returns the very item a reference scan of the published slots
+   picks: the smallest alive key, ties to the lower slot.  The invariants
+   (the owner's view equals the published one, no bound above an alive
+   key) hold after every step. *)
+let prop_find_min_matches_reference_scan =
+  (* Inserts dominate, so the LSMs grow several levels deep; a narrow key
+     range makes equal keys in different slots common (the tie rule). *)
+  let op =
+    QCheck2.Gen.(
+      pair
+        (frequency
+           [ (4, pure 0); (2, pure 1); (1, pure 2); (1, pure 3); (1, pure 4);
+             (1, pure 5); (2, pure 6); (1, pure 7); (1, pure 8) ])
+        (int_bound 100))
+  in
+  qtest "find_min = reference scan of the published slots" ~count:500
+    QCheck2.Gen.(list_size (int_bound 400) op)
+    (fun ops ->
+      let condemned = Hashtbl.create 16 in
+      let model_alive it =
+        (not (Item.is_taken it)) && not (Hashtbl.mem condemned (Item.key it))
+      in
+      (* The Klsm lazy-deletion predicate: a condemned item is taken when
+         found. *)
+      let alive it =
+        if Item.is_taken it then false
+        else if Hashtbl.mem condemned (Item.key it) then begin
+          ignore (Item.take it);
+          false
+        end
+        else true
+      in
+      let t = Dist_lsm.create ~tid:0 ~hasher ~alive () in
+      let victim = Dist_lsm.create ~tid:1 ~hasher ~alive () in
+      let insert lsm k =
+        Dist_lsm.insert lsm (Item.make k ()) ~max_level:4 ~spill:ignore
+      in
+      let reference () =
+        let best = ref None in
+        for i = 0 to Dist_lsm.size t - 1 do
+          match Dist_lsm.block_at t i with
+          | None -> ()
+          | Some b -> (
+              let smallest = ref None in
+              Block.iter b ~f:(fun it ->
+                  if model_alive it then smallest := Some it);
+              match (!smallest, !best) with
+              | Some it, Some bi when Item.key it >= Item.key bi -> ()
+              | Some it, _ -> best := Some it
+              | None, _ -> ())
+        done;
+        !best
+      in
+      (* The [n]th item of [t] not yet taken, if any. *)
+      let nth_untaken n =
+        let items = ref [] in
+        Dist_lsm.iter_items t ~f:(fun it ->
+            if not (Item.is_taken it) then items := it :: !items);
+        match !items with
+        | [] -> None
+        | l -> Some (List.nth l (n mod List.length l))
+      in
+      let find_min_agrees () =
+        let want = reference () in
+        let got = Dist_lsm.find_min t in
+        (match (want, got) with
+        | None, None -> ()
+        | Some a, Some b when a == b -> ()
+        | _ ->
+            let show = function
+              | None -> "none"
+              | Some it -> string_of_int (Item.key it)
+            in
+            Alcotest.failf "find_min returned %s, the reference scan %s"
+              (show got) (show want));
+        got
+      in
+      List.iter
+        (fun (kind, n) ->
+          (match kind with
+          | 0 -> insert t n
+          | 1 -> Option.iter (fun it -> ignore (Item.take it)) (find_min_agrees ())
+          | 2 -> Option.iter (fun it -> ignore (Item.take it)) (nth_untaken n)
+          | 3 ->
+              Option.iter
+                (fun it -> Hashtbl.replace condemned (Item.key it) ())
+                (nth_untaken n)
+          | 4 -> Dist_lsm.consolidate t
+          | 5 -> ignore (Dist_lsm.spy t ~victim)
+          | 6 -> insert victim n
+          | 8 when n mod 8 = 0 -> ignore (Dist_lsm.steal_all t)
+          | _ -> ignore (find_min_agrees ()));
+          Dist_lsm.check_invariants t)
+        ops;
+      true)
+
+(* A find-min reads one block whatever the LSM's depth: on the simulator a
+   find-min over 1 level and over 12 levels (k = 4096's local LSM) costs
+   the same number of simulated reads.  A walk over every level would
+   read each slot, its block's [filled] and its tail item's flag: about 3
+   more reads per level. *)
+let test_find_min_reads_flat () =
+  let reads_of n =
+    let salive it = not (SItem.is_taken it) in
+    let t = SDist.create ~tid:0 ~hasher ~alive:salive () in
+    for key = 0 to n - 1 do
+      SDist.insert t (SItem.make key ()) ~max_level:max_int
+        ~spill:(fun _ -> Alcotest.fail "unexpected spill")
+    done;
+    let found = ref None in
+    Sim.parallel_run ~num_threads:1 (fun _ -> found := SDist.find_min t);
+    check_int "the minimum" 0 (SItem.key (Option.get !found));
+    (SDist.size t, (Sim.stats ()).Sim.reads)
+  in
+  Sim.configure ~seed:1 ~policy:Sim.Fair ();
+  let levels1, reads1 = reads_of 1 in
+  let levels12, reads12 = reads_of 4095 in
+  check_int "1 level" 1 levels1;
+  check_int "12 levels" 12 levels12;
+  check_int "reads do not grow with the levels" reads1 reads12
+
 (* The queue Figure 3's DLSM row runs: the Registry's [dlsm] instance. *)
 let prop_dlsm_single_thread_exact =
   let module R = Klsm_harness.Registry.Make (Klsm_backend.Real) in
@@ -347,6 +476,12 @@ let () =
           Alcotest.test_case "invariants" `Quick test_levels_strictly_decreasing;
           Alcotest.test_case "total_filled" `Quick test_total_filled;
           prop_insert_never_loses_items;
+        ] );
+      ( "find_min",
+        [
+          prop_find_min_matches_reference_scan;
+          Alcotest.test_case "reads independent of depth" `Quick
+            test_find_min_reads_flat;
         ] );
       ( "spill",
         [
