@@ -70,7 +70,7 @@ perf-check:
 # spillage enabled the descending-key workload must hold >= 90% of in-RAM
 # throughput (and must actually spill — a vacuous pass fails), and a
 # planted mid-spill-kill store must recover byte-identically with an
-# idempotent second pass.  Writes BENCH_store.json.
+# idempotent second pass.  Writes BENCH_storecheck.json.
 store-check:
 	dune exec bin/storecheck.exe
 

@@ -5,7 +5,7 @@
        dune exec bench/main.exe
    Run one section:
        dune exec bench/main.exe -- fig3 | fig4a | fig4b | quality | sharded |
-                                   batch | sched | stats | chaos | store |
+                                   batch | sched | stats | store |
                                    ablation-spill | ablation-bloom |
                                    ablation-cost | ablation-workload |
                                    bnb | micro
@@ -15,7 +15,8 @@
    table-formatted strings) into the working directory; the stats section
    emits BENCH_stats.json (the lib/obs internal counters of every registry
    queue; docs/METRICS.md).  BENCH_throughput.json belongs to
-   `make perf-check` (bin/perfcheck.ml).
+   `make perf-check` (bin/perfcheck.ml), BENCH_chaos.json to
+   `make chaos-check` (bin/chaos.exe).
    Paper-scale parameters (slow):
        dune exec bench/main.exe -- --full fig3
    Internal counters for any section (lib/obs, ~no overhead):
@@ -1088,44 +1089,6 @@ let stats_section () =
   Printf.printf "wrote %s\n%!" path;
   Obs.set_enabled was_enabled
 
-(* The chaos suite (lib/chaos; docs/CHAOS.md): seeded fault plans — forced
-   CAS failures, mid-protocol stalls, fiber crashes — swept over queue
-   conservation cases and hardened-scheduler cases, then the teeth check
-   (a deliberately broken publication order that the suite must catch).
-   Exits through the JSON only; bin/chaos.exe is the gating CLI. *)
-let chaos_section () =
-  let module Drive = Klsm_chaos.Drive in
-  let seeds = if !full then 64 else 16 in
-  let cases = Drive.sweep ~seeds () in
-  let teeth_caught, teeth_cases = Drive.teeth ~plans:6 () in
-  let cas_fails, stalls, crashes, violations = Drive.totals cases in
-  Report.section
-    (Printf.sprintf "Chaos: %d fault plans + %d teeth plans (sim); see \
-                     docs/CHAOS.md"
-       seeds (List.length teeth_cases));
-  Report.table
-    ~header:[ "case"; "seed"; "plan"; "cas/stall/crash"; "violations" ]
-    (List.map
-       (fun (c : Drive.case_result) ->
-         [
-           c.Drive.label;
-           Printf.sprintf "0x%x" c.Drive.seed;
-           c.Drive.plan_text;
-           Printf.sprintf "%d/%d/%d" c.Drive.cas_fails c.Drive.stalls
-             c.Drive.crashes;
-           (match c.Drive.violations with
-           | [] -> "-"
-           | l -> String.concat "; " l);
-         ])
-       cases);
-  Printf.printf
-    "faults injected: %d cas-fail, %d stall, %d crash; violations: %d; \
-     teeth caught: %b\n"
-    cas_fails stalls crashes violations teeth_caught;
-  let path = "BENCH_chaos.json" in
-  Report.write_json ~path (Drive.to_json ~teeth_caught cases);
-  Printf.printf "wrote %s\n%!" path
-
 (* ------------------------------------------------------------------ *)
 (* Store: the spill tier measured honestly (lib/store; docs/STORAGE.md) *)
 (* ------------------------------------------------------------------ *)
@@ -1369,7 +1332,6 @@ let sections =
     ("batch", batch);
     ("sched", sched);
     ("stats", stats_section);
-    ("chaos", chaos_section);
     ("store", store_section);
     ("ablation-spill", ablation_spill);
     ("ablation-bloom", ablation_bloom);

@@ -7,7 +7,11 @@
    the fiber closed loop through [Closed_loop.run].  The bound is a floor
    the median must reach, a budget it must stay within, or a ratio it must
    reach against another row's median of the same metric; a row without
-   one is recorded, not gated.
+   one is recorded, not gated.  Only the rows that read lib/obs counters
+   run traced, and the row on the other side of a traced row's ratio:
+   every other Real floor is gated on an untraced run, the way the queue
+   runs outside this gate.  Tracing a Sim row moves none of its ticks,
+   writes or misses (lib/obs never touches the backend).
 
    The sampler runs every Real row [real_reps] times in interleaved
    rounds, reversing the row order on alternate rounds, with a major-GC
@@ -51,10 +55,12 @@ type row = {
   metric : string;
   bound : bound;
   show : string list;  (** further values whose medians are reported *)
+  traced : bool;  (** lib/obs is enabled while the row runs *)
 }
 
-let row ?(backend = Real) ?(show = []) key spec ~threads shape metric bound =
-  { key; backend; spec; threads; shape; metric; bound; show }
+let row ?(backend = Real) ?(show = []) ?(traced = backend = Sim) key spec
+    ~threads shape metric bound =
+  { key; backend; spec; threads; shape; metric; bound; show; traced }
 
 let mix prefill ops = Mix { prefill; ops }
 
@@ -81,10 +87,11 @@ let table =
     (* klsm:256 at T = 8: the block pool must hit (lib/obs [pool.*]);
        its ops/s are also the denominator of the striping ratio. *)
     row "real" "klsm:256" ~threads:8 (mix 50_000 25_000) "pool.hit" (Floor 1.)
-      ~show:[ "ops_per_s"; "pool.miss"; "pool.bytes_avoided" ];
-    (* Striping must not cost throughput: S = 4 within 5% of S = 1. *)
+      ~traced:true ~show:[ "ops_per_s"; "pool.miss"; "pool.bytes_avoided" ];
+    (* Striping must not cost throughput: S = 4 within 5% of S = 1, both
+       traced. *)
     row "real_sharded" "klsm-sharded:256:4" ~threads:8 (mix 50_000 25_000)
-      "ops_per_s" (Ratio ("real", 0.95));
+      "ops_per_s" (Ratio ("real", 0.95)) ~traced:true;
     (* The tuned spec must hold klsm-sharded:256:4's first Real T = 8
        figure (EXPERIMENTS.md, "Contention striping"). *)
     row "real_tuned" tuned ~threads:8 (mix 50_000 25_000) "per_thread"
@@ -107,7 +114,8 @@ let table =
        conservation ([fibers_sample]). *)
     row "real_fibers" tuned ~threads:8
       (Fibers { roots = 1_563; fanout = 7 })
-      "per_thread" (Floor 33_400.) ~show:[ "steal.attempt"; "steal.success" ];
+      "per_thread" (Floor 33_400.) ~traced:true
+      ~show:[ "steal.attempt"; "steal.success" ];
     (* Sim tick budgets on a fixed merge/pivot workload: about 20% over
        the counts measured when they were set.  Since find-min re-pivots a
        dry candidate set, klsm:256 reads about 93,600 ticks (5% headroom:
@@ -229,6 +237,7 @@ let fibers_sample row ~roots ~fanout =
 
 let sample row : sample =
   Gc.compact ();
+  Obs.set_enabled row.traced;
   match (row.backend, row.shape) with
   | Real, Mix { prefill; ops } -> Real_mix.sample row ~prefill ~ops
   | Real, Fibers { roots; fanout } -> fibers_sample row ~roots ~fanout
@@ -342,7 +351,6 @@ let decide samples_of row =
           :: List.map (fun (n, v) -> (n, Report.Float v)) shown)) ) )
 
 let () =
-  Obs.set_enabled true;
   let samples_of = run_table table in
   let decided = List.map (decide samples_of) table in
   let path = "BENCH_throughput.json" in

@@ -8,11 +8,10 @@
      sched --fibers 8 --tasks 2000 --mode real   # fiber-tree bodies
      sched --stats --queue klsm:256     # + per-thread internal counters
 
-   --fibers F makes every task body fork and join F child fibers (the
-   sched:fibers=<F> spec form; lib/sched runs each body as the root fiber
-   of a work-stealing deque runtime), so F is the oversubscription knob:
-   domains stay bounded by --threads while the in-flight computation count
-   scales with tasks * (1 + F).
+   --fibers F makes every task body fork and join F child fibers (lib/sched
+   runs each body as the root fiber of a work-stealing deque runtime), so
+   F is the oversubscription knob: domains stay bounded by --threads while
+   the in-flight computation count scales with tasks * (1 + F).
 
    Runs the closed/open-loop workload driver over each requested queue and
    reports throughput, queueing delay (mean/p99), dequeue slack — the
@@ -73,14 +72,7 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
               | Error msg -> failwith msg)
             l
 
-    (* The fiber knob travels as a canonical spec string and back through
-       the Registry parser, so the CLI, bench and docs all agree on the
-       sched:fibers=<F> form. *)
-    let sched_cfg =
-      let spec = Printf.sprintf "sched:fibers=%d" (max 0 fibers) in
-      match CL.Registry.parse_sched_spec spec with
-      | Ok c -> c
-      | Error msg -> failwith msg
+    let fibers = max 0 fibers
 
     let config =
       {
@@ -101,7 +93,7 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
           | None -> failwith ("unknown workload " ^ workload));
         spawn_fanout = fanout;
         spawn_depth = depth;
-        fiber_fanout = sched_cfg.CL.Registry.fibers;
+        fiber_fanout = fibers;
         batch;
         dbuf;
         urgency_margin = margin;
@@ -149,10 +141,8 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
       Report.section
         (Printf.sprintf
            "Scheduler: %d workers, %d roots/worker, %s arrivals, %s service, \
-            %s, backend %s"
-           threads tasks arrival service
-           (CL.Registry.sched_spec_name sched_cfg)
-           B.name);
+            %d child fibers/task, backend %s"
+           threads tasks arrival service fibers B.name);
       Report.table
         ~header:
           [
@@ -247,8 +237,8 @@ let fibers =
     value & opt int 0
     & info [ "fibers" ]
         ~doc:
-          "Child fibers forked and joined per task body (the \
-           sched:fibers=F spec form).  0 = straight-line bodies.")
+          "Child fibers forked and joined per task body.  0 = straight-line \
+           bodies.")
 
 let oversubscribe =
   Arg.(

@@ -16,7 +16,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Xoshiro = Klsm_primitives.Xoshiro
   module Obs = Klsm_obs.Obs
 
-  let name = "linden"
   let prefix_bound = 32
 
   (* Observability (lib/obs; docs/METRICS.md): lost take races on the
@@ -85,3 +84,4 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 end
 
 module Default = Make (Klsm_backend.Real)
+module _ : Klsm_core.Pq_intf.S = Default

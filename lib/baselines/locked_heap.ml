@@ -18,8 +18,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Lock = Spinlock.Make (B)
   module Obs = Klsm_obs.Obs
 
-  let name = "heap+lock"
-
   (* Observability (lib/obs; docs/METRICS.md): how often the one lock is
      contended — the serialization Figure 3 blames for the 1/T decay — and
      the condemned items dropped on their way out. *)

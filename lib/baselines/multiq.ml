@@ -18,8 +18,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Xoshiro = Klsm_primitives.Xoshiro
   module Obs = Klsm_obs.Obs
 
-  let name = "multiq"
-
   (* Observability (lib/obs; docs/METRICS.md): how often the random choices
      collide (locked queue on insert, raced pop on delete) and how often the
      probabilistic sampling gives up into the deterministic sweep. *)
@@ -53,8 +51,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Internal-counter snapshot (see {!Pq_intf.S.stats}). *)
   let stats (t : _ t) = Obs.snapshot t.obs
-
-  let create ?seed ~num_threads () = create_with ?seed ~num_threads ()
 
   let register t tid =
     {

@@ -18,7 +18,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Bits = Klsm_primitives.Bits
   module Obs = Klsm_obs.Obs
 
-  let name = "spraylist"
   let cleaner_prefix_bound = 32
 
   (* Observability (lib/obs; docs/METRICS.md): how delete-min attempts
@@ -160,3 +159,4 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 end
 
 module Default = Make (Klsm_backend.Real)
+module _ : Klsm_core.Pq_intf.S = Default

@@ -16,8 +16,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Lock = Spinlock.Make (B)
   module Obs = Klsm_obs.Obs
 
-  let name = "wimmer-hybrid"
-
   (* Observability (lib/obs; docs/METRICS.md): spills of the private heap
      into the central queue (rarer as k grows — the whole point of the
      hybrid), central-lock contention, and lazy-deletion drops. *)
@@ -51,8 +49,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (match on_lazy_delete with Some f -> f | None -> fun _ _ -> ());
       obs = Obs.create_sheet ~now:B.time ~num_threads ();
     }
-
-  let create ?seed ~num_threads () = create_with ?seed ~num_threads ()
 
   (** Internal-counter snapshot (see {!Pq_intf.S.stats}). *)
   let stats (t : _ t) = Obs.snapshot t.obs

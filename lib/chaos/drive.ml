@@ -1,5 +1,5 @@
-(** The chaos sweep driver: seeds × fault plans on the simulator, shared
-    by [bench chaos] and [bin/chaos.exe].
+(** The chaos sweep driver: seeds × fault plans on the simulator, run by
+    [bin/chaos.exe].
 
     Two kinds of cases, both run under an installed {!Chaos} plan:
 

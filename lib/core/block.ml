@@ -565,6 +565,32 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end
     end
 
+  (** §3's merge cascade, one block at a time: push [b] onto
+      [stack.(0 .. !sp - 1)], which holds strictly decreasing levels from
+      the bottom up.  While the top's level is at most [b]'s, the two are
+      merged (one level up) and the result is shrunk and checked against
+      the new top; a block that ends up empty (every input item was dead)
+      is retired instead of pushed.  The caller prepares [b] ({!shrink},
+      or {!copy} then {!shrink}) and sizes [stack] for every block it
+      pushes.  Returns whether any block was merged or dropped. *)
+  let cascade ?pool ~alive stack sp b =
+    let rec go b cascaded =
+      if is_empty b then begin
+        retire ?pool b;
+        true
+      end
+      else if !sp > 0 && stack.(!sp - 1).level <= b.level then begin
+        decr sp;
+        go (shrink ?pool ~alive (merge ?pool ~alive stack.(!sp) b)) true
+      end
+      else begin
+        stack.(!sp) <- b;
+        incr sp;
+        cascaded
+      end
+    in
+    go b false
+
   (** Validate the block invariants (tests and chaos oracles): descending
       keys, filled within capacity, the SoA mirror
       [keys.(i) = Item.key items.(i)], and — the pool-safety oracle — that

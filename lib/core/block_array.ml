@@ -56,7 +56,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
     type 'v t = {
       mutable stack : 'v block array;  (** merge-cascade stack *)
-      mutable cursor : int array;  (** multiway-merge cursors *)
+      mutable cursor : int array;  (** tail-walk cursors ({!walk_tails}) *)
     }
 
     let create () = { stack = [||]; cursor = [||] }
@@ -121,9 +121,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Rebuild [t.blocks] from its current blocks plus an optional [extra]
      block, re-establishing strictly decreasing levels by merging collisions
-     (exactly the sequential LSM discipline of §3) and dropping empty
-     blocks.  Shared entry point of insert/consolidate.  Returns true if
-     any merge happened.
+     (exactly the sequential LSM discipline of §3, {!Block.cascade}) and
+     dropping empty blocks.  Shared entry point of insert/consolidate.
+     Returns whether any block changed: [extra] went in, or a block was
+     copied down, merged or dropped.  [ends] is always reset, because
+     {!Block.shrink} trims every dead tail it bounded; the pivots are
+     zeroed only when a block changed, and otherwise stay as they were
+     (deletion only shrinks the candidate ranges).
 
      [t.blocks] already carries strictly decreasing levels, so no sort is
      needed: blocks are fed largest-level first, with [extra] slotted in
@@ -132,10 +136,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      provided, making steady-state calls allocation-free. *)
   let normalize ?pool ?scratch ~alive ?extra t =
     let n = Array.length t.blocks in
-    if n = 0 && Option.is_none extra then begin
-      reset_ranges t 0;
-      false
-    end
+    if n = 0 && Option.is_none extra then false
     else begin
       let filler =
         if n > 0 then t.blocks.(0)
@@ -150,34 +151,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             s.Scratch.stack
         | None -> Array.make cap filler
       in
-      let merged = ref false in
+      let changed = ref (Option.is_some extra) in
       let sp = ref 0 in
-      (* Push one block through the cascade: the stack carries strictly
-         decreasing levels bottom-to-top; an incoming block at least as
-         large as the top merges with it, and the merged block (one level
-         up) re-checks against the new top.  A merge can shrink to nothing
-         when every input item was dead. *)
       let push b =
-        let b = ref (Block.shrink ?pool ~alive b) in
-        let placed = ref false in
-        while not !placed do
-          if Block.is_empty !b then begin
-            Block.retire ?pool !b;
-            placed := true
-          end
-          else if !sp > 0 && Block.level stack.(!sp - 1) <= Block.level !b
-          then begin
-            merged := true;
-            let m = Block.merge ?pool ~alive stack.(!sp - 1) !b in
-            decr sp;
-            b := Block.shrink ?pool ~alive m
-          end
-          else begin
-            stack.(!sp) <- !b;
-            incr sp;
-            placed := true
-          end
-        done
+        let shrunk = Block.shrink ?pool ~alive b in
+        let cascaded = Block.cascade ?pool ~alive stack sp shrunk in
+        if cascaded || shrunk != b then changed := true
       in
       let extra_level =
         match extra with Some e -> Block.level e | None -> min_int
@@ -195,16 +174,19 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         match extra with Some e -> push e | None -> ());
       (* The stack is largest-level first — exactly the array layout. *)
       let m = !sp in
-      if Array.length t.blocks <> m then t.blocks <- Array.make m filler;
-      Array.blit stack 0 t.blocks 0 m;
-      reset_ranges t m;
+      if !changed then begin
+        if Array.length t.blocks <> m then t.blocks <- Array.make m filler;
+        Array.blit stack 0 t.blocks 0 m;
+        reset_ranges t m
+      end
+      else Array.fill t.ends 0 m max_int;
       (* Point the scratch tail at a live block so it pins nothing dead. *)
       (match scratch with
       | Some s when m > 0 ->
           Array.fill s.Scratch.stack m (Array.length s.Scratch.stack - m)
             stack.(0)
       | _ -> ());
-      !merged
+      !changed
     end
 
   (** Smallest stored key across all blocks, counting logically deleted
@@ -229,46 +211,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let insert ?pool ?scratch ~alive t block =
     ignore (normalize ?pool ?scratch ~alive ~extra:block t)
 
-  (** Shrink every block and re-establish the level invariant; [true] iff a
-      merge occurred (Listing 2's return value, used to decide whether the
-      snapshot must be pushed).
-
-      [changed] (when given) reports whether the block {e set} changed
-      physically — any block replaced, merged or dropped.  A consolidation
-      that only trimmed dead tails in place (or did nothing) leaves the
-      pointers identical; the previous pivots are then still sound (deletion
-      only shrinks candidate ranges, and {!Shared_klsm.find_min} re-pivots
-      from the extents once they have all emptied), so they are restored —
-      [normalize] zeroes them unconditionally — and the caller may skip
-      the O(k·size) pivot rescan.  Note [changed] is deliberately wider
-      than the return value: an in-place dead-tail trim returns [false]
-      from both. *)
-  let consolidate ?pool ?scratch ?changed ~alive t =
+  (** Listing 2's [consolidate]: shrink every block and re-establish the
+      level invariant.  Returns whether any block changed — copied down,
+      merged or dropped.  A consolidation that only trimmed dead tails in
+      place changes none and keeps the pivots, so the caller may skip the
+      O(k·size) pivot rescan.  One that merged or dropped blocks leaves
+      fewer of them: that is the cleanup worth publishing. *)
+  let consolidate ?pool ?scratch ~alive t =
     B.fault_point "block_array.consolidate";
-    let before = size t in
-    let before_blocks, before_pivots =
-      match changed with
-      | Some _ -> (Array.copy t.blocks, Array.copy t.pivots)
-      | None -> ([||], [||])
-    in
-    let merged = normalize ?pool ?scratch ~alive t in
-    let structural = merged || size t <> before in
-    (match changed with
-    | Some r ->
-        let phys =
-          structural
-          || Array.length t.blocks <> Array.length before_blocks
-          ||
-          let diff = ref false in
-          Array.iteri
-            (fun i b -> if b != before_blocks.(i) then diff := true)
-            t.blocks;
-          !diff
-        in
-        r := phys;
-        if not phys then t.pivots <- before_pivots
-    | None -> ());
-    structural
+    normalize ?pool ?scratch ~alive t
 
   (** Replace the block set of a {e private} snapshot wholesale — the batch
       claim ({!Shared_klsm.try_pop_batch}) rebuilds the array with consumed
@@ -279,18 +230,48 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     t.blocks <- blocks;
     reset_ranges t (Array.length blocks)
 
+  (** The bounded multiway walk over block tails (Listing 2's
+      [calculate_pivots]), run by {!calculate_pivots} and by
+      {!Shared_klsm.try_pop_batch}.  [cursor.(i)] is the next index to
+      visit in [blocks.(i)], moving from its minimum upward, and [-1] once
+      the block is used up.  Each step charges one pass over the blocks to
+      find the cursor holding the smallest key (ties to the lower block
+      index), calls [visit] with that block's index and moves the cursor
+      up.  The walk stops when [budget] visits have returned [true], when
+      every cursor is used up, or before a key above [limit].  The inner
+      loop reads only the flat [keys] arrays. *)
+  let walk_tails ?(limit = max_int) blocks cursor ~budget ~visit =
+    let n = Array.length blocks in
+    let left = ref budget and walking = ref true in
+    while !walking && !left > 0 do
+      let best = ref (-1) and best_key = ref max_int in
+      for i = 0 to n - 1 do
+        if cursor.(i) >= 0 then begin
+          let key = blocks.(i).Block.keys.(cursor.(i)) in
+          if !best = -1 || key < !best_key then begin
+            best := i;
+            best_key := key
+          end
+        end
+      done;
+      B.tick n;
+      if !best = -1 || !best_key > limit then walking := false
+      else begin
+        if visit !best then decr left;
+        cursor.(!best) <- cursor.(!best) - 1
+      end
+    done
+
   (** Recompute [pivots] so the candidate ranges hold the (at most) [k + 1]
-      smallest keys below the blocks' extents ({!end_of}): a bounded
-      multiway merge pops the globally smallest remaining key [k + 1]
-      times.  O((k+1) * size) with the tiny linear "heap" below — [size]
-      is logarithmic, and the call is amortized over the ~k items of the
-      batched insert that triggered it, or over the deletes that emptied
-      the previous candidate set (the re-pivot in {!Shared_klsm.find_min}).
-      Ties go to the lower block index.  Right after
-      [normalize]/[replace_blocks] every extent is [filled], so there the
-      pivots are those of the blocks themselves; a dead tail recorded in
-      [ends] only tightens the set.  The inner loop reads only the flat
-      [keys] arrays. *)
+      smallest keys below the blocks' extents ({!end_of}): a {!walk_tails}
+      from every extent that takes [k + 1] keys.  O((k+1) * size) —
+      [size] is logarithmic, and the call is amortized over the ~k items
+      of the batched insert that triggered it, or over the deletes that
+      emptied the previous candidate set (the re-pivot in
+      {!Shared_klsm.find_min}).  Right after [normalize]/[replace_blocks]
+      every extent is [filled], so there the pivots are those of the
+      blocks themselves; a dead tail recorded in [ends] only tightens the
+      set. *)
   let calculate_pivots ?scratch t ~k =
     let n = size t in
     let pivots =
@@ -304,36 +285,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           s.Scratch.cursor
       | None -> Array.make (max n 1) 0
     in
-    (* cursor.(i): next candidate index in block i, moving upward from the
-       minimum (end_of - 1) towards 0. *)
     for i = 0 to n - 1 do
       let f = end_of t i in
       cursor.(i) <- f - 1;
       pivots.(i) <- f
     done;
-    let remaining = ref (k + 1) in
-    let exhausted = ref false in
-    while !remaining > 0 && not !exhausted do
-      (* Find the block holding the smallest not-yet-selected key. *)
-      let best = ref (-1) in
-      let best_key = ref max_int in
-      for i = 0 to n - 1 do
-        if cursor.(i) >= 0 then begin
-          let key = t.blocks.(i).Block.keys.(cursor.(i)) in
-          if !best = -1 || key < !best_key then begin
-            best := i;
-            best_key := key
-          end
-        end
-      done;
-      B.tick n;
-      if !best = -1 then exhausted := true
-      else begin
-        pivots.(!best) <- cursor.(!best);
-        cursor.(!best) <- cursor.(!best) - 1;
-        decr remaining
-      end
-    done;
+    walk_tails t.blocks cursor ~budget:(k + 1) ~visit:(fun i ->
+        pivots.(i) <- cursor.(i);
+        true);
     t.pivots <- pivots
 
   (** Whether deletions emptied the candidate set: no pivot range holds an

@@ -282,57 +282,45 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       rebuilt blocks are published slot-by-slot before [size] shrinks, so
       spies never lose reachability (§4.2: consolidate "will only remove
       references to blocks being consolidated after the consolidated blocks
-      are made available"). *)
+      are made available").  An LSM with no slots has nothing to rebuild:
+      it returns at once, without republishing [size] (a line spies read)
+      or dropping the find-min cache. *)
   let consolidate t =
-    Obs.incr t.obs c_consolidate;
-    let t0 = Obs.span_begin t.obs in
-    let alive = t.alive in
-    let pool = t.pool in
-    let survivors = ref [] in
-    for i = t.len - 1 downto 0 do
-      match t.slots.(i) with
-      | None -> ()
-      | Some b -> survivors := b :: !survivors
-    done;
-    (* [survivors] is largest level first; fold with a stack whose head is
-       the smallest level so far, merging level collisions upward.  All
-       stack blocks are private rebuilt copies, so the cascade's merges
-       recycle their inputs through the pool. *)
-    let rec go stack b =
-      if Block.is_empty b then begin
-        Block.retire ~pool b;
-        stack
-      end
-      else
-        match stack with
-        | top :: rest when Block.level top <= Block.level b ->
-            go rest (Block.shrink ~pool ~alive (Block.merge ~pool ~alive top b))
-        | _ -> b :: stack
-    in
-    let stack =
-      List.fold_left
-        (fun stack b ->
-          (* Copy first: unlike [shrink], a copy filters dead items out of
-             the middle of the block too, so consolidate is a full
-             cleanup.  The published original is never recycled. *)
-          let b =
-            Block.shrink ~pool ~alive
-              (Block.copy ~pool ~alive b (Block.level b))
-          in
-          go stack b)
-        [] !survivors
-    in
-    let arr = Array.of_list (List.rev stack) in
-    let m = Array.length arr in
-    t.cached <- false;
-    for i = 0 to m - 1 do
-      Block.publish arr.(i);
-      publish_slot t i arr.(i) (Block.filled arr.(i))
-    done;
-    B.fault_point "dist.consolidate.pre_size";
-    publish_size t m;
-    Obs.span_end t.obs s_consolidate t0
-
+    if t.len > 0 then begin
+      Obs.incr t.obs c_consolidate;
+      let t0 = Obs.span_begin t.obs in
+      let alive = t.alive in
+      let pool = t.pool in
+      (* Slots below [len] always hold a block; the first one fills the
+         stack's unused entries. *)
+      let stack = Array.make t.len (Option.get t.slots.(0)) in
+      let sp = ref 0 in
+      (* Slots are largest level first.  All stack blocks are private
+         rebuilt copies, so the cascade's merges recycle their inputs
+         through the pool. *)
+      for i = 0 to t.len - 1 do
+        match t.slots.(i) with
+        | None -> ()
+        | Some b ->
+            (* Copy first: unlike [shrink], a copy filters dead items out
+               of the middle of the block too, so consolidate is a full
+               cleanup.  The published original is never recycled. *)
+            let b =
+              Block.shrink ~pool ~alive
+                (Block.copy ~pool ~alive b (Block.level b))
+            in
+            ignore (Block.cascade ~pool ~alive stack sp b)
+      done;
+      let m = !sp in
+      t.cached <- false;
+      for i = 0 to m - 1 do
+        Block.publish stack.(i);
+        publish_slot t i stack.(i) (Block.filled stack.(i))
+      done;
+      B.fault_point "dist.consolidate.pre_size";
+      publish_size t m;
+      Obs.span_end t.obs s_consolidate t0
+    end
 
   (** Listing 4's non-destructive [spy]: copy the victim's blocks (alive
       items only) into [t], keeping only blocks that preserve the strictly-

@@ -94,8 +94,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Tabular_hash = Klsm_primitives.Tabular_hash
   module Obs = Klsm_obs.Obs
 
-  let name = "k-lsm"
-
   (* Observability (lib/obs; docs/METRICS.md): the klsm.* family counts
      the Listing 5 composition (claim races and the two fallback paths of
      delete-min); the stripe.* family counts the striped race and the

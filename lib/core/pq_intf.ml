@@ -4,7 +4,8 @@
     ordering semantics, may fail spuriously, and is guaranteed to
     eventually return a key if one is present.
 
-    Queues are handle-based: a thread calls [register] once with its dense
+    Queues are handle-based: each queue's own constructor takes the number
+    of threads it serves; a thread calls [register] once with its dense
     thread id in [0, num_threads) and then operates through its handle
     (thread-local state — snapshots, RNG streams, local LSMs — lives
     there).  Handles are single-owner: do not share one across threads.
@@ -13,13 +14,6 @@
 module type S = sig
   type 'v t
   type 'v handle
-
-  val name : string
-
-  val create : ?seed:int -> num_threads:int -> unit -> 'v t
-  (** [create ~num_threads ()] builds a queue for up to [num_threads]
-      registered threads.  [seed] makes every internal random choice
-      reproducible. *)
 
   val register : 'v t -> int -> 'v handle
   (** [register t tid] claims thread slot [tid] (0-based, < num_threads). *)
@@ -63,6 +57,11 @@ module type S = sig
       must not retain a reference to it after returning (they may read it
       freely while the call runs).  This lets callers flush a reusable
       thread-local buffer without copying it per batch. *)
+
+  val approximate_size : 'v t -> int
+  (** The number of items the queue holds, as one pass over its parts
+      reads it: it may count logically deleted items and is not
+      linearizable (the paper lets [size] be off by rho). *)
 
   val stats : 'v t -> Klsm_obs.Obs.snapshot
   (** Type-erased snapshot of the queue's internal event counters and span

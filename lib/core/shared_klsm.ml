@@ -176,6 +176,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end;
     ok
 
+  (* Publish the empty array: every emptiness publication goes through
+     here.  [true] iff the CAS won. *)
+  let publish_empty h =
+    Obs.incr h.obs c_empty_publish;
+    push_snapshot h None
+
+  (* Recompute the private snapshot's pivots under the current [k]. *)
+  let repivot h snap =
+    Obs.incr h.obs c_pivots;
+    Block_array.calculate_pivots ~scratch:h.scratch snap ~k:(B.get h.q.k)
+
   (** Insert a whole sorted block (the spill path of the distributed LSM and
       the only way items enter the shared component).  Lock-free: retries
       only when another thread's CAS succeeded. *)
@@ -195,8 +206,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         | None -> Block_array.empty ()
       in
       Block_array.insert ~pool:h.pool ~scratch:h.scratch ~alive snap block;
-      Obs.incr h.obs c_pivots;
-      Block_array.calculate_pivots ~scratch:h.scratch snap ~k:(B.get h.q.k);
+      repivot h snap;
       (* On success [observed] is left stale on purpose: the pushed array is
          now shared and immutable, so the next operation must take a fresh
          private copy (the [shared != observed] check forces it). *)
@@ -213,8 +223,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      is dead at the re-check here was taken by another thread since:
      select again, without consolidating.  Only an unchecked dead answer (a
      block minimum, or a candidate range found all dead) triggers a
-     consolidation; if that consolidation merged blocks or emptied the
-     array, an installation attempt publishes the cleanup for everyone. *)
+     consolidation; if that consolidation merged or dropped blocks, an
+     installation attempt publishes the cleanup for everyone. *)
   let select h =
     let alive = h.q.alive in
     let seen = ref false in
@@ -222,43 +232,22 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       match h.snapshot with
       | None -> None
       | Some snap -> (
-          if Block_array.dry snap && Block_array.total_filled snap > 0
-          then begin
-            Obs.incr h.obs c_pivots;
-            Block_array.calculate_pivots ~scratch:h.scratch snap
-              ~k:(B.get h.q.k)
-          end;
+          if Block_array.dry snap && Block_array.total_filled snap > 0 then
+            repivot h snap;
           match
             Block_array.find_min ~seen ~local_ordering:h.q.local_ordering
               ~alive ~rng:h.rng ~my_tid:h.tid ~hasher:h.q.hasher snap
           with
           | None ->
-              (* [find_min] returning [None] means every block looked
-                 structurally empty.  Re-verify before publishing emptiness:
-                 racing [filled] updates must never cause live items to be
-                 disconnected by an over-eager [None] push. *)
+              (* [find_min] answers [None] only when every extent is 0, and
+                 extents only shrink ([filled] under [shrink] and
+                 [peek_min], [ends] under [find_min]), so this re-read must
+                 find the snapshot empty too. *)
               if Option.is_some h.observed then begin
-                if Block_array.total_filled snap = 0 then begin
-                  Obs.incr h.obs c_empty_publish;
-                  ignore (push_snapshot h None);
-                  refresh_snapshot h
-                end
-                else begin
-                  (* Stale view: rebuild and retry.  The pivot rescan is
-                     skipped when the consolidation changed no block
-                     physically — the restored pivots are still sound
-                     (candidate ranges only shrink under deletion). *)
-                  Obs.incr h.obs c_consolidate;
-                  let changed = ref true in
-                  ignore
-                    (Block_array.consolidate ~pool:h.pool ~scratch:h.scratch
-                       ~changed ~alive snap);
-                  if !changed then begin
-                    Obs.incr h.obs c_pivots;
-                    Block_array.calculate_pivots ~scratch:h.scratch snap
-                      ~k:(B.get h.q.k)
-                  end
-                end
+                if Block_array.total_filled snap <> 0 then
+                  failwith "Shared_klsm.select: an extent grew after find-min";
+                ignore (publish_empty h);
+                refresh_snapshot h
               end;
               if Option.is_none h.snapshot then None else retry ()
           | Some item ->
@@ -270,36 +259,32 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                 retry ()
               end
               else begin
-                (* Deleted minimum: clean up, publish if we restructured. *)
+                (* Deleted minimum: clean up, publish if we restructured.
+                   A consolidation that changed no block (the common shape
+                   of a delete retry whose CAS raced but whose view is
+                   otherwise current) keeps its pivots and skips the
+                   rescan. *)
                 Obs.incr h.obs c_consolidate;
-                let changed = ref true in
-                let push =
+                let before = Block_array.size snap in
+                if
                   Block_array.consolidate ~pool:h.pool ~scratch:h.scratch
-                    ~changed ~alive snap
-                in
-                if Block_array.is_empty snap then begin
-                  (* Whether or not our CAS wins, someone published a newer
-                     state; re-snapshot either way. *)
-                  Obs.incr h.obs c_empty_publish;
-                  ignore (push_snapshot h None);
-                  refresh_snapshot h
-                end
-                else begin
-                  (* As above: an all-in-place consolidation (the common
-                     shape of a delete retry whose CAS raced but whose view
-                     is otherwise current) keeps its restored pivots and
-                     skips the rescan. *)
-                  if !changed then begin
-                    Obs.incr h.obs c_pivots;
-                    Block_array.calculate_pivots ~scratch:h.scratch snap
-                      ~k:(B.get h.q.k)
-                  end;
-                  if push then begin
-                    (* As in [insert]: a successfully pushed snapshot is
-                       shared from now on, so leave [observed] stale and let
-                       the next iteration re-copy. *)
-                    ignore (push_snapshot h (Some snap));
+                    ~alive snap
+                then begin
+                  if Block_array.is_empty snap then begin
+                    (* Whether or not our CAS wins, someone published a
+                       newer state; re-snapshot either way. *)
+                    ignore (publish_empty h);
                     refresh_snapshot h
+                  end
+                  else begin
+                    repivot h snap;
+                    if Block_array.size snap < before then begin
+                      (* As in [insert]: a successfully pushed snapshot is
+                         shared from now on, so leave [observed] stale and
+                         let the next iteration re-copy. *)
+                      ignore (push_snapshot h (Some snap));
+                      refresh_snapshot h
+                    end
                   end
                 end;
                 retry ()
@@ -340,13 +325,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     r
 
   (** Batched delete (DESIGN.md §17): claim up to [n] smallest alive items
-      of the shared array with a {e single} publish CAS.  A bounded
-      multiway merge over the block tails (the same cursor walk as
-      [calculate_pivots], but alive-filtered) selects the run; the snapshot
-      is then rebuilt with the run removed — untouched blocks stay shared,
-      a partially-consumed block is replaced by an O(1) same-level
-      {!Block.prefix_view} over its own arrays, a fully-consumed one is
-      dropped — pivots are recomputed and the result installed.  Only
+      of the shared array with a {e single} publish CAS.  The bounded
+      multiway walk over the block tails ({!Block_array.walk_tails}, which
+      also places the pivots), claiming alive items only, selects the run;
+      the snapshot is then rebuilt with the run removed — untouched blocks
+      stay shared, a partially-consumed block is replaced by an O(1)
+      same-level {!Block.prefix_view} over its own arrays, a
+      fully-consumed one is dropped — pivots are recomputed and the result
+      installed.  Only
       items with key [<= limit] are claimed, which is how callers keep
       the run within their own relaxed budget (the k-LSM caps at its
       local minimum and, across stripes, re-certifies each buffered item
@@ -378,12 +364,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             let nb = Array.length blocks in
             if nb = 0 then []
             else begin
-              (* Multiway scan from each block's minimum ([filled - 1])
-                 upward, skipping dead items; collects the ascending run.
-                 The key walk streams the resident key mirrors; a block's
-                 boxed items are fetched lazily on its first claim, so
-                 blocks whose tail never wins the scan — and in particular
-                 spilled blocks, whose [items] is a disk fault — are never
+              (* Walk up from each block's minimum ([filled - 1]),
+                 claiming the alive items: the ascending run.  The walk
+                 streams the resident key mirrors; a block's boxed items
+                 are fetched lazily on its first claim, so blocks whose
+                 tail never wins the walk — and in particular spilled
+                 blocks, whose [items] is a disk fault — are never
                  touched. *)
               let cursor = Array.map (fun b -> Block.filled b - 1) blocks in
               let items = Array.make nb [||] in
@@ -392,33 +378,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                   items.(i) <- Block.items blocks.(i);
                 items.(i)
               in
-              let claimed = ref [] (* descending *) and claimed_n = ref 0 in
-              let scanning = ref true in
-              while !scanning && !claimed_n < n do
-                let best = ref (-1) and best_key = ref max_int in
-                for i = 0 to nb - 1 do
-                  if cursor.(i) >= 0 then begin
-                    let key = blocks.(i).Block.keys.(cursor.(i)) in
-                    if !best = -1 || key < !best_key then begin
-                      best := i;
-                      best_key := key
-                    end
-                  end
-                done;
-                B.tick nb;
-                if !best = -1 || !best_key > limit then scanning := false
-                else begin
-                  let i = !best in
+              let claimed = ref [] (* descending *) in
+              Block_array.walk_tails ~limit blocks cursor ~budget:n
+                ~visit:(fun i ->
                   let it = (items_of i).(cursor.(i)) in
-                  if alive it then begin
-                    claimed := it :: !claimed;
-                    incr claimed_n
-                  end;
-                  cursor.(i) <- cursor.(i) - 1
-                end
-              done;
-              if !claimed_n = 0 then []
-              else begin
+                  let claim = alive it in
+                  if claim then claimed := it :: !claimed;
+                  claim);
+              match !claimed with
+              | [] -> []
+              | claimed ->
                 (* Rebuild without the consumed tails.  [cursor.(i)] is the
                    last unexamined index, so entries [0 .. cursor] remain: a
                    partially-consumed block is replaced by an O(1)
@@ -433,22 +402,17 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                   else if keep > 0 then
                     kept := Block.prefix_view b ~keep :: !kept
                 done;
-                let run = List.rev !claimed in
+                let run = List.rev claimed in
                 (match stage with
                 | Some f ->
                     f (List.map (fun it -> (Item.key it, Item.value it)) run)
                 | None -> ());
                 let arr = Array.of_list !kept in
                 let won =
-                  if Array.length arr = 0 then begin
-                    Obs.incr h.obs c_empty_publish;
-                    push_snapshot h None
-                  end
+                  if Array.length arr = 0 then publish_empty h
                   else begin
                     Block_array.replace_blocks snap arr;
-                    Obs.incr h.obs c_pivots;
-                    Block_array.calculate_pivots ~scratch:h.scratch snap
-                      ~k:(B.get h.q.k);
+                    repivot h snap;
                     push_snapshot h (Some snap)
                   end
                 in
@@ -475,7 +439,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                 end
                 else if tries > 0 then attempt (tries - 1)
                 else []
-              end
             end
       in
       attempt 1

@@ -348,41 +348,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** [parse_spec_opt] is {!parse_spec} with errors collapsed to [None]. *)
   let parse_spec_opt s = Result.to_option (parse_spec s)
 
-  (** Scheduler-runtime spec — not a queue.  ["sched"] or
-      ["sched:fibers=<F>"] configures the fiber layer of lib/sched that
-      sits {e on top of} whichever queue spec a run uses: [fibers] is the
-      number of child fibers each task body forks and joins
-      ([Closed_loop.config.fiber_fanout]; 0 = straight-line bodies).
-      Shared by [bin/sched.exe --fibers] and the bench scheduler section
-      so both speak the same string form. *)
-  type sched_cfg = { fibers : int }
-
-  let default_sched_cfg = { fibers = 0 }
-
-  let sched_spec_name c =
-    if c.fibers <= 0 then "sched" else Printf.sprintf "sched:fibers=%d" c.fibers
-
-  let parse_sched_spec s =
-    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-    | [ "sched" ] -> Ok default_sched_cfg
-    | [ "sched"; kv ] -> (
-        match String.index_opt kv '=' with
-        | Some i when String.equal (String.sub kv 0 i) "fibers" -> (
-            let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-            match int_of_string_opt v with
-            | Some f when f >= 0 -> Ok { fibers = f }
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "%S: fibers wants a non-negative integer, got %S" s v))
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "%S: unknown scheduler knob %S (want sched[:fibers=<F>])" s kv))
-    | _ ->
-        Error
-          (Printf.sprintf "%S: not a scheduler spec (want sched[:fibers=<F>])" s)
-
   (** The canonical spec grammar, one [(form, example)] row per accepted
       shape.  This list is the single source of truth for README.md's spec
       table: [bin/docscheck.ml] asserts every form string appears verbatim
@@ -434,26 +399,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             observability was enabled before [make] ran (lib/obs) *)
   }
 
-  (** The seven values of a queue the adapter calls.  Not
-      {!Klsm_core.Pq_intf.S}: Linden and SprayList build through
-      [create_with ~dummy], so they do not implement that signature's
-      [create]. *)
-  module type QUEUE = sig
-    type 'v t
-    type 'v handle
-
-    val register : 'v t -> int -> 'v handle
-    val insert : 'v handle -> int -> 'v -> unit
-    val insert_batch : 'v handle -> (int * 'v) array -> unit
-    val try_delete_min : 'v handle -> (int * 'v) option
-    val try_delete_min_batch : 'v handle -> int -> (int * 'v) list
-    val approximate_size : 'v t -> int
-    val stats : 'v t -> Klsm_obs.Obs.snapshot
-  end
-
   (** The one adapter: erases a queue's types behind {!instance}'s
       closures.  [insert_batch] and [stats] replace the queue's own. *)
-  module Adapt (Q : QUEUE) = struct
+  module Adapt (Q : Klsm_core.Pq_intf.S) = struct
     let instance ?(insert_batch = Q.insert_batch) ?stats spec (q : int Q.t) =
       {
         name = spec_name spec;

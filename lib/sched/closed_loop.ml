@@ -59,8 +59,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** child fibers forked (and awaited) per task body, 0 = the
             legacy straight-line body.  Each task then runs as
             [1 + fiber_fanout] fibers sharing its service demand, with
-            odd-indexed children yielding once mid-work — the knob the
-            [sched:fibers=<F>] spec form sets *)
+            odd-indexed children yielding once mid-work — the knob
+            [bin/sched.exe --fibers] sets *)
     batch : int;  (** submitter buffer size *)
     dbuf : int;
         (** tasks pulled per shared-queue round trip by each worker

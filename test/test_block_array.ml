@@ -76,6 +76,47 @@ let test_consolidate_empties () =
   ignore (Block_array.consolidate ~alive t);
   check_bool "empty" true (Block_array.is_empty t)
 
+let take_keys t keys =
+  Array.iter
+    (fun b ->
+      Block.iter b ~f:(fun it ->
+          if List.mem (Item.key it) keys then ignore (Item.take it)))
+    (Block_array.blocks t)
+
+(* A consolidation that only trims a dead tail in place changes no block:
+   it reports so and keeps the pivots, which the trim only narrows. *)
+let test_consolidate_trim_keeps_pivots () =
+  let t = array_of_key_lists [ [ 1; 2; 3; 4; 5; 6; 7; 8 ]; [ 20; 21 ] ] in
+  Block_array.calculate_pivots t ~k:3;
+  let blocks = Array.copy (Block_array.blocks t) in
+  let pivots = Array.to_list t.Block_array.pivots in
+  take_keys t [ 1 ];
+  check_bool "no change" false (Block_array.consolidate ~alive t);
+  check_int "dead tail trimmed in place" 7 (Block.filled blocks.(0));
+  check_bool "same blocks" true
+    (Array.for_all2 ( == ) blocks (Block_array.blocks t));
+  check_list_int "pivots kept" pivots (Array.to_list t.Block_array.pivots);
+  Block_array.check_invariants t
+
+(* Copying a block down, merging blocks and dropping one each change the
+   block set, so each reports a change. *)
+let test_consolidate_reports_change () =
+  let consolidate lists taken =
+    let t = array_of_key_lists lists in
+    Block_array.calculate_pivots t ~k:3;
+    take_keys t taken;
+    let changed = Block_array.consolidate ~alive t in
+    Block_array.check_invariants t;
+    (changed, Block_array.size t)
+  in
+  let eight = [ 1; 2; 3; 4; 5; 6; 7; 8 ] and smallest = [ 1; 2; 3; 4 ] in
+  let check = Alcotest.(check (pair bool int)) in
+  (* Four of eight items left: the level-3 block is copied down to 2. *)
+  check "copy-down" (true, 1) (consolidate [ eight ] smallest);
+  (* ... where it meets the level-2 block and merges with it. *)
+  check "merge" (true, 1) (consolidate [ eight; [ 20; 21; 22; 23 ] ] smallest);
+  check "drop" (true, 1) (consolidate [ eight; [ 20; 21 ] ] [ 20; 21 ])
+
 let test_copy_is_shallow_consistent () =
   let t = array_of_key_lists [ [ 1; 2; 3; 4; 5 ] ] in
   let c = Block_array.copy t in
@@ -451,6 +492,10 @@ let () =
           Alcotest.test_case "same-level merge" `Quick test_insert_merges_same_level;
           Alcotest.test_case "consolidate drops taken" `Quick test_consolidate_drops_taken;
           Alcotest.test_case "consolidate to empty" `Quick test_consolidate_empties;
+          Alcotest.test_case "trim keeps pivots" `Quick
+            test_consolidate_trim_keeps_pivots;
+          Alcotest.test_case "copy, merge, drop change" `Quick
+            test_consolidate_reports_change;
           Alcotest.test_case "copy shallow" `Quick test_copy_is_shallow_consistent;
         ] );
       ( "pool/scratch",

@@ -417,36 +417,6 @@ let test_deque_lifo_fifo () =
   | `Empty -> ()
   | _ -> Alcotest.fail "empty steal")
 
-(* ---------------- sched spec parsing ---------------- *)
-
-let test_parse_sched_spec () =
-  let fibers_of = function
-    | Ok c -> c.CL.Registry.fibers
-    | Error e -> Alcotest.failf "unexpected parse error: %s" e
-  in
-  Alcotest.(check int) "bare sched" 0
-    (fibers_of (CL.Registry.parse_sched_spec "sched"));
-  Alcotest.(check int) "fibers knob" 7
-    (fibers_of (CL.Registry.parse_sched_spec "sched:fibers=7"));
-  Alcotest.(check int) "case and whitespace" 3
-    (fibers_of (CL.Registry.parse_sched_spec "  SCHED:Fibers=3 "));
-  let rejects s =
-    match CL.Registry.parse_sched_spec s with
-    | Ok _ -> Alcotest.failf "%S should not parse" s
-    | Error _ -> ()
-  in
-  rejects "sched:fibers=x";
-  rejects "sched:fibers=-1";
-  rejects "sched:threads=2";
-  rejects "klsm:8";
-  (* canonical names round-trip *)
-  Alcotest.(check int) "name round-trips" 9
-    (fibers_of
-       (CL.Registry.parse_sched_spec
-          (CL.Registry.sched_spec_name { CL.Registry.fibers = 9 })));
-  Alcotest.(check string) "zero fibers is bare sched" "sched"
-    (CL.Registry.sched_spec_name { CL.Registry.fibers = 0 })
-
 (* ---------------- submitter unit tests (Real backend) ---------------- *)
 
 module Sub = Klsm_sched.Submitter.Make (Real)
@@ -612,11 +582,6 @@ let () =
         ] );
       ( "deque",
         [ Alcotest.test_case "LIFO pop, FIFO steal" `Quick test_deque_lifo_fifo ] );
-      ( "spec",
-        [
-          Alcotest.test_case "sched:fibers parsing" `Quick
-            test_parse_sched_spec;
-        ] );
       ( "submitter",
         [
           Alcotest.test_case "batch flush" `Quick test_submitter_batches;
