@@ -87,7 +87,13 @@ torture-check:
 
 check: fmt build test doc stats-check docs-check chaos-check perf-check store-check torture-check
 
+# The experiment index (DESIGN.md §2, bench/experiments.sh): one bin/ CLI
+# line per figure or table at the scaled defaults, then the bench/main.exe
+# sections that no CLI runs.  `dune runtest` runs the same CLI lines at
+# tiny scale (the smoke rule in bin/dune).
 bench:
+	dune build bin bench
+	sh bench/experiments.sh _build/default/bin
 	dune exec bench/main.exe
 
 # The benchmark's simulator twins alone (bin/twins.ml): the six twin

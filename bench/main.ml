@@ -1,613 +1,27 @@
-(* Benchmark harness regenerating every figure of the paper's evaluation,
-   plus the ablations of DESIGN.md and Bechamel micro-benchmarks.
+(* The experiments no bin/ CLI runs: the DESIGN.md ablations A2-A4 and A6,
+   the internal-counter dump and the store's cost tables.  The paper's
+   figures and the quality, tuning, scheduler and branch-and-bound tables
+   are one CLI line each (DESIGN.md §2); `make bench` runs those lines and
+   then this executable.
 
-   Run everything (scaled-down defaults, a few minutes):
+   Run every section:
        dune exec bench/main.exe
    Run one section:
-       dune exec bench/main.exe -- fig3 | fig4a | fig4b | quality | sharded |
-                                   batch | sched | stats | store |
-                                   ablation-spill | ablation-bloom |
-                                   ablation-cost | ablation-workload |
-                                   bnb | micro
+       dune exec bench/main.exe -- stats | store | ablation-spill |
+                                   ablation-bloom | ablation-cost | micro
 
-   fig3, batch and quality also emit machine-readable BENCH_fig3.json /
-   BENCH_batch.json / BENCH_quality.json (raw floats, not the
-   table-formatted strings) into the working directory; the stats section
-   emits BENCH_stats.json (the lib/obs internal counters of every registry
-   queue; docs/METRICS.md).  BENCH_throughput.json belongs to
-   `make perf-check` (bin/perfcheck.ml), BENCH_chaos.json to
-   `make chaos-check` (bin/chaos.exe).
-   Paper-scale parameters (slow):
-       dune exec bench/main.exe -- --full fig3
-   Internal counters for any section (lib/obs, ~no overhead):
-       dune exec bench/main.exe -- --stats sched
-
-   fig4a and fig4b mark a run whose distances differ from sequential
-   Dijkstra WRONG and exit 1 after their table; bnb fails on a
-   suboptimal answer.
-
-   Figures are reproduced on the simulator backend (DESIGN.md §1.4): the
-   shapes — who wins, how curves move with T and k — are the reproduction
-   target; absolute ops/s are nominal for the modeled 80-core machine.
-   The EXPERIMENTS.md file records paper-vs-measured for each table. *)
+   stats writes BENCH_stats.json (the lib/obs internal counters of every
+   registry queue, the input of `make stats-check`; docs/METRICS.md) and
+   store writes BENCH_store.json into the working directory.  Every
+   section but store and micro runs on the simulator backend
+   (DESIGN.md §1.4). *)
 
 module Sim = Klsm_backend.Sim
 module R = Klsm_harness.Registry.Make (Sim)
 module T = Klsm_harness.Throughput.Make (Sim)
-module Q = Klsm_harness.Quality.Make (Sim)
-module SB = Klsm_harness.Sssp_bench.Make (Sim)
 module Report = Klsm_harness.Report
 module Obs = Klsm_obs.Obs
 module Obs_report = Klsm_harness.Obs_report
-
-let full = ref false
-let paper_threads = [ 1; 2; 3; 5; 10; 20; 40; 80 ]
-
-(* ------------------------------------------------------------------ *)
-(* Figure 3: throughput per thread, two prefill sizes                   *)
-(* ------------------------------------------------------------------ *)
-
-let fig3_one ~label ~prefill ~ops =
-  let threads = if !full then paper_threads else [ 1; 2; 5; 10; 20; 40; 80 ] in
-  let header = "impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads in
-  (* One pass collects the raw numbers; the text table formats them and the
-     caller serializes them into BENCH_fig3.json. *)
-  let measured =
-    List.map
-      (fun spec ->
-        ( spec,
-          List.map
-            (fun t ->
-              let config =
-                {
-                  T.default_config with
-                  num_threads = t;
-                  prefill;
-                  ops_per_thread = max 200 (ops / t);
-                }
-              in
-              let r = T.run config spec in
-              (t, r.T.throughput_per_thread))
-            threads ))
-      R.figure3_specs
-  in
-  let rows =
-    List.map
-      (fun (spec, points) ->
-        R.spec_name spec
-        :: List.map (fun (_, thr) -> Report.human_float thr) points)
-      measured
-  in
-  Report.section
-    (Printf.sprintf
-       "Figure 3 (%s): throughput/thread/s, prefill %d, 50-50 mix (sim)"
-       label prefill);
-  Report.table ~header rows;
-  Report.Obj
-    [
-      ("label", Report.String label);
-      ("prefill", Report.Int prefill);
-      ( "series",
-        Report.List
-          (List.map
-             (fun (spec, points) ->
-               Report.Obj
-                 [
-                   ("impl", Report.String (R.spec_name spec));
-                   ( "points",
-                     Report.List
-                       (List.map
-                          (fun (t, thr) ->
-                            Report.Obj
-                              [
-                                ("threads", Report.Int t);
-                                ("throughput_per_thread", Report.Float thr);
-                              ])
-                          points) );
-                 ])
-             measured) );
-    ]
-
-let fig3 () =
-  let panels =
-    if !full then
-      [
-        fig3_one ~label:"left" ~prefill:1_000_000 ~ops:400_000;
-        fig3_one ~label:"right" ~prefill:10_000_000 ~ops:400_000;
-      ]
-    else
-      [
-        fig3_one ~label:"left, scaled" ~prefill:10_000 ~ops:40_000;
-        fig3_one ~label:"right, scaled" ~prefill:100_000 ~ops:40_000;
-      ]
-  in
-  let path = "BENCH_fig3.json" in
-  Report.write_json ~path
-    (Report.Obj
-       [
-         ("benchmark", Report.String "fig3-throughput");
-         ("backend", Report.String Sim.name);
-         ("metric", Report.String "throughput_per_thread_per_s");
-         ("full_scale", Report.Bool !full);
-         ("panels", Report.List panels);
-       ]);
-  Printf.printf "wrote %s\n%!" path
-
-(* ------------------------------------------------------------------ *)
-(* Figure 4: SSSP                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let sssp_graph () =
-  if !full then Klsm_graph.Gen.erdos_renyi ~seed:42 ~n:10_000 ~p:0.5 ()
-  else Klsm_graph.Gen.erdos_renyi ~seed:42 ~n:600 ~p:0.5 ()
-
-(* A table cell of one SSSP run: [text], or WRONG when its distances
-   differ from Dijkstra's, counted in [wrong]. *)
-let sssp_cell wrong r text =
-  if r.SB.correct then text
-  else begin
-    incr wrong;
-    "WRONG"
-  end
-
-(* After its table is printed, a section with a wrong run exits 1. *)
-let exit_if_wrong wrong =
-  if !wrong > 0 then begin
-    Printf.eprintf "%d SSSP run(s) differ from sequential Dijkstra\n%!" !wrong;
-    exit 1
-  end
-
-let fig4a () =
-  let graph = sssp_graph () in
-  let reference = Klsm_graph.Dijkstra.run graph ~source:0 in
-  let threads = paper_threads in
-  let header = "impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads in
-  let wrong = ref 0 in
-  let rows =
-    List.map
-      (fun spec ->
-        R.spec_name spec
-        :: List.map
-             (fun t ->
-               let r = SB.run ~graph ~source:0 ~num_threads:t ~reference spec in
-               sssp_cell wrong r (Printf.sprintf "%.2f" (r.SB.wall *. 1e3)))
-             threads)
-      [ R.Wimmer_centralized; R.Wimmer_hybrid 256; R.Klsm 256 ]
-  in
-  Report.section
-    (Printf.sprintf
-       "Figure 4 (left): SSSP time (ms, simulated) vs threads, k=256, G(%d, 0.5)"
-       (Klsm_graph.Graph.num_nodes graph));
-  Report.table ~header rows;
-  exit_if_wrong wrong
-
-let fig4b () =
-  let graph = sssp_graph () in
-  let reference = Klsm_graph.Dijkstra.run graph ~source:0 in
-  let t = 10 in
-  let ks = [ 0; 1; 4; 16; 64; 256; 1024; 4096; 16384 ] in
-  let header = "impl" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks in
-  let wrong = ref 0 in
-  let time_row name mk =
-    name
-    :: List.map
-         (fun k ->
-           let r = SB.run ~graph ~source:0 ~num_threads:t ~reference (mk k) in
-           sssp_cell wrong r (Printf.sprintf "%.2f" (r.SB.wall *. 1e3)))
-         ks
-  in
-  let extra_row name mk =
-    (name ^ " +it")
-    :: List.map
-         (fun k ->
-           let r = SB.run ~graph ~source:0 ~num_threads:t ~reference (mk k) in
-           sssp_cell wrong r (Printf.sprintf "%+d" r.SB.extra_iterations))
-         ks
-  in
-  Report.section
-    (Printf.sprintf
-       "Figure 4 (right): SSSP time (ms, simulated) vs k at %d threads, \
-        G(%d, 0.5); '+it' rows = extra iterations vs sequential (paper \
-        §6.1: +362 for k-LSM(256), +305 for hybrid(4096), +3965 for \
-        k-LSM(16384) on G(10000, 0.5))"
-       t
-       (Klsm_graph.Graph.num_nodes graph));
-  Report.table ~header
-    [
-      time_row "centralized-k" (fun _ -> R.Wimmer_centralized);
-      time_row "hybrid-k" (fun k -> R.Wimmer_hybrid k);
-      time_row "k-lsm" (fun k -> R.Klsm k);
-      extra_row "hybrid-k" (fun k -> R.Wimmer_hybrid k);
-      extra_row "k-lsm" (fun k -> R.Klsm k);
-    ];
-  exit_if_wrong wrong
-
-(* ------------------------------------------------------------------ *)
-(* Quality: rank errors (ablation A1)                                  *)
-(* ------------------------------------------------------------------ *)
-
-let quality () =
-  let t = 8 in
-  let specs =
-    [
-      R.Heap_lock;
-      R.Linden;
-      R.Multiq 2;
-      R.Spraylist;
-      R.Klsm 0;
-      R.Klsm 4;
-      R.Klsm 64;
-      R.Klsm 256;
-      R.Klsm 4096;
-      R.klsm_sharded 256 4;
-      R.Dlsm;
-      R.Wimmer_hybrid 256;
-    ]
-  in
-  let measured =
-    List.map
-      (fun spec ->
-        let config = { Q.default_config with num_threads = t } in
-        (spec, Q.run config spec))
-      specs
-  in
-  let rho_of spec = R.rank_bound ~threads:t spec in
-  let rows =
-    List.map
-      (fun (spec, r) ->
-        [
-          R.spec_name spec;
-          string_of_int r.Q.deletes;
-          Printf.sprintf "%.2f" r.Q.mean_rank_error;
-          Printf.sprintf "%.0f" r.Q.p99_rank_error;
-          string_of_int r.Q.max_rank_error;
-          (match rho_of spec with
-          | Some rho -> string_of_int rho
-          | None -> "unbounded");
-        ])
-      measured
-  in
-  Report.section
-    (Printf.sprintf "Quality: delete-min rank error at T=%d (sim)" t);
-  Report.table
-    ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho" ]
-    rows;
-  let path = "BENCH_quality.json" in
-  Report.write_json ~path
-    (Report.Obj
-       [
-         ("benchmark", Report.String "quality-rank-error");
-         ("backend", Report.String Sim.name);
-         ("threads", Report.Int t);
-         ( "results",
-           Report.List
-             (List.map
-                (fun (spec, r) ->
-                  Report.Obj
-                    [
-                      ("impl", Report.String (R.spec_name spec));
-                      ("deletes", Report.Int r.Q.deletes);
-                      ("mean_rank_error", Report.Float r.Q.mean_rank_error);
-                      ("p99_rank_error", Report.Float r.Q.p99_rank_error);
-                      ("max_rank_error", Report.Int r.Q.max_rank_error);
-                      ( "rho",
-                        match rho_of spec with
-                        | Some rho -> Report.Int rho
-                        | None -> Report.Null );
-                    ])
-                measured) );
-       ]);
-  Printf.printf "wrote %s\n%!" path
-
-(* ------------------------------------------------------------------ *)
-(* Sharded: the shard-dimension sweep (contention striping)            *)
-(* ------------------------------------------------------------------ *)
-
-(* Throughput and rank error of the striped k-LSM (lib/core/klsm.ml)
-   against its single-stripe case at the same global relaxation budget
-   k = 256: S = 1 is the baseline, S in {2, 4} trades snapshot-CAS
-   contention for the extra stripes consulted by find_min; the k = 1024
-   rows show the budget and stripe count an operator scales next, and the
-   deletion batch (dbuf, DESIGN.md §17) on top of the tuned 1024:4 spec —
-   this table is the measured basis of docs/TUNING.md.  The thread axis
-   runs to T = 16 (oversubscription on small hosts; the simulator charges
-   contention via its cost model, so per-thread throughput here measures
-   algorithmic scalability, not timesharing).  The rank-error column
-   checks the cost side of the trade: the measured max must stay within
-   the partitioned bound rho <= (T-1+S) * ceil(k/S) (DESIGN.md §12), plus
-   T * (B-1) on the dbuf row (§17). *)
-let sharded () =
-  let k = 256 in
-  let threads = [ 1; 2; 4; 8; 16 ] in
-  let specs =
-    [
-      R.Klsm k;
-      R.klsm_sharded k 2;
-      R.klsm_sharded k 4;
-      R.klsm_sharded (4 * k) 4;
-      R.klsm_sharded (4 * k) 8;
-      R.klsm_sharded ~dbuf:8 (4 * k) 4;
-    ]
-  in
-  let measured =
-    List.map
-      (fun spec ->
-        ( spec,
-          List.map
-            (fun t ->
-              let config =
-                {
-                  T.default_config with
-                  num_threads = t;
-                  prefill = 8_000;
-                  ops_per_thread = max 500 (16_000 / t);
-                }
-              in
-              let r = T.run config spec in
-              (t, r.T.throughput_per_thread))
-            threads ))
-      specs
-  in
-  let rows =
-    List.map
-      (fun (spec, points) ->
-        R.spec_name spec
-        :: List.map (fun (_, thr) -> Report.human_float thr) points)
-      measured
-  in
-  Report.section
-    (Printf.sprintf
-       "Sharded: throughput/thread/s vs shard count, k=%d unless shown, 50-50 \
-        mix (sim)"
-       k)
-    ;
-  Report.table
-    ~header:("impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads)
-    rows;
-  (* Rank error at T=8 for the same configurations. *)
-  let t = 8 in
-  let qrows =
-    List.map
-      (fun spec ->
-        let r = Q.run { Q.default_config with num_threads = t } spec in
-        let rho = Option.get (R.rank_bound ~threads:t spec) in
-        [
-          R.spec_name spec;
-          string_of_int r.Q.deletes;
-          Printf.sprintf "%.2f" r.Q.mean_rank_error;
-          string_of_int r.Q.max_rank_error;
-          string_of_int rho;
-        ])
-      specs
-  in
-  Report.section
-    (Printf.sprintf "Sharded: rank error at T=%d (sim)" t);
-  Report.table
-    ~header:
-      [ "impl"; "deletes"; "mean"; "max"; "rho = (T-1+S)*ceil(k/S) [+T*(B-1)]" ]
-    qrows
-
-(* ------------------------------------------------------------------ *)
-(* Batch: the deletion-batch sweep (DESIGN.md §17)                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Throughput and rank error of the batched delete-min (dbuf=B,
-   lib/core/klsm.ml) on the tuned spec as the batch size sweeps
-   B in {1, 2, 4, 8, 16}: B = 1 is the dbuf-off control (the classic
-   single-pop delete-min), every larger B claims a run of B items with
-   one shared CAS (`shared.batch_claim`) and serves up to B - 1 of them
-   from the per-handle deletion buffer.  The quality table is the
-   measured side of the DESIGN.md §17 trade: the max column must stay
-   within the widened bound rho <= (T-1+S)*ceil(k/S) + T*(B-1), and the
-   rank-error-vs-B curve is how an operator prices the slack before
-   turning the knob (the measured basis of docs/TUNING.md's dbuf row).
-   Emits the sweep into BENCH_batch.json, fig3-style. *)
-let batch () =
-  let k = 1024 and shards = 4 in
-  let t_axis = [ 1; 2; 4; 8; 16 ] in
-  let bs = [ 1; 2; 4; 8; 16 ] in
-  let spec_of b =
-    if b = 1 then R.klsm_sharded k shards else R.klsm_sharded ~dbuf:b k shards
-  in
-  let measured =
-    List.map
-      (fun b ->
-        let spec = spec_of b in
-        let points =
-          List.map
-            (fun t ->
-              let config =
-                {
-                  T.default_config with
-                  num_threads = t;
-                  prefill = 8_000;
-                  ops_per_thread = max 500 (16_000 / t);
-                }
-              in
-              let r = T.run config spec in
-              (t, r.T.throughput_per_thread))
-            t_axis
-        in
-        (b, spec, points))
-      bs
-  in
-  let rows =
-    List.map
-      (fun (_, spec, points) ->
-        R.spec_name spec
-        :: List.map (fun (_, thr) -> Report.human_float thr) points)
-      measured
-  in
-  Report.section
-    (Printf.sprintf
-       "Batch: throughput/thread/s vs deletion batch B, k=%d S=%d, 50-50 mix \
-        (sim)"
-       k shards);
-  Report.table
-    ~header:("impl" :: List.map (fun t -> Printf.sprintf "T=%d" t) t_axis)
-    rows;
-  (* Rank error vs B at T = 8: the quality price of the batch. *)
-  let t = 8 in
-  let qmeasured =
-    List.map
-      (fun b ->
-        let r = Q.run { Q.default_config with num_threads = t } (spec_of b) in
-        let rho = Option.get (R.rank_bound ~threads:t (spec_of b)) in
-        (b, r, rho))
-      bs
-  in
-  let qrows =
-    List.map
-      (fun (b, r, rho) ->
-        [
-          R.spec_name (spec_of b);
-          string_of_int b;
-          string_of_int r.Q.deletes;
-          Printf.sprintf "%.2f" r.Q.mean_rank_error;
-          Printf.sprintf "%.0f" r.Q.p99_rank_error;
-          string_of_int r.Q.max_rank_error;
-          string_of_int rho;
-        ])
-      qmeasured
-  in
-  Report.section (Printf.sprintf "Batch: rank error vs B at T=%d (sim)" t);
-  Report.table
-    ~header:
-      [
-        "impl";
-        "B";
-        "deletes";
-        "mean";
-        "p99";
-        "max";
-        "rho = (T-1+S)*ceil(k/S) + T*(B-1)";
-      ]
-    qrows;
-  let path = "BENCH_batch.json" in
-  Report.write_json ~path
-    (Report.Obj
-       [
-         ("benchmark", Report.String "batch-sweep");
-         ("backend", Report.String Sim.name);
-         ("metric", Report.String "throughput_per_thread_per_s");
-         ("impl_base", Report.String (R.spec_name (spec_of 1)));
-         ( "series",
-           Report.List
-             (List.map
-                (fun (b, spec, points) ->
-                  Report.Obj
-                    [
-                      ("batch", Report.Int b);
-                      ("impl", Report.String (R.spec_name spec));
-                      ( "points",
-                        Report.List
-                          (List.map
-                             (fun (t, thr) ->
-                               Report.Obj
-                                 [
-                                   ("threads", Report.Int t);
-                                   ("throughput_per_thread", Report.Float thr);
-                                 ])
-                             points) );
-                    ])
-                measured) );
-         ( "quality",
-           Report.List
-             (List.map
-                (fun (b, r, rho) ->
-                  Report.Obj
-                    [
-                      ("batch", Report.Int b);
-                      ("threads", Report.Int t);
-                      ("deletes", Report.Int r.Q.deletes);
-                      ("mean_rank_error", Report.Float r.Q.mean_rank_error);
-                      ("p99_rank_error", Report.Float r.Q.p99_rank_error);
-                      ("max_rank_error", Report.Int r.Q.max_rank_error);
-                      ("rho", Report.Int rho);
-                    ])
-                qmeasured) );
-       ]);
-  Printf.printf "wrote %s\n%!" path
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler: queues as scheduling backbones (lib/sched)               *)
-(* ------------------------------------------------------------------ *)
-
-(* The k-LSM was built to back a task scheduler (Wimmer's Pheet); this
-   section measures the queues in that role rather than under the synthetic
-   50-50 op mix: workers submit prioritized spawning tasks through the
-   batched submitter and execute them, and we report end-to-end scheduler
-   metrics — makespan, queueing delay, and dequeue slack (the
-   scheduler-visible cost of relaxation). *)
-let sched () =
-  let module CL = Klsm_sched.Closed_loop.Make (Sim) in
-  let module M = Klsm_sched.Metrics in
-  let t = 8 in
-  let config =
-    {
-      CL.default_config with
-      num_workers = t;
-      roots_per_worker = (if !full then 2_000 else 300);
-      service = CL.Uniform_work 64;
-      spawn_fanout = 2;
-      spawn_depth = 2;
-    }
-  in
-  let specs = [ R.Klsm 256; R.Klsm 4; R.Multiq 2; R.Linden; R.Heap_lock ] in
-  let measured = ref [] in
-  let rows =
-    List.map
-      (fun spec ->
-        let r = CL.run config spec in
-        measured := !measured @ [ (spec, r) ];
-        if r.CL.lost > 0 || r.CL.double > 0 then
-          failwith
-            (Printf.sprintf "sched: %s lost=%d double=%d" (R.spec_name spec)
-               r.CL.lost r.CL.double);
-        let m = r.CL.metrics in
-        let delay_mean =
-          match m.M.delay with Some s -> s.mean | None -> Float.nan
-        in
-        [
-          R.spec_name spec;
-          string_of_int r.CL.total_tasks;
-          Printf.sprintf "%.2f" (r.CL.makespan *. 1e3);
-          Report.human_float r.CL.throughput;
-          Printf.sprintf "%.1f" (delay_mean *. 1e6);
-          Printf.sprintf "%.1f" (m.M.delay_p99 *. 1e6);
-          string_of_int m.M.inversions;
-          string_of_int m.M.flushes;
-        ])
-      specs
-  in
-  Report.section
-    (Printf.sprintf
-       "Scheduler: closed loop, T=%d, fanout 2 depth 2, uniform service \
-        (sim; lib/sched)"
-       t);
-  Report.table
-    ~header:
-      [
-        "queue";
-        "tasks";
-        "makespan ms";
-        "tasks/s";
-        "delay us";
-        "p99 us";
-        "inversions";
-        "flushes";
-      ]
-    rows;
-  if Obs.enabled () then
-    List.iter
-      (fun (spec, (r : CL.result)) ->
-        Obs_report.print_table
-          ~name:(R.spec_name spec ^ " (queue)")
-          r.CL.queue_stats;
-        Obs_report.print_table
-          ~name:(R.spec_name spec ^ " (sched)")
-          r.CL.sched_stats)
-      !measured
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -730,88 +144,6 @@ let ablation_cost () =
   run_with Klsm_backend.Cost_model.default "default (NUMA-like misses)";
   run_with Klsm_backend.Cost_model.uniform "uniform (cheap coherence)";
   Sim.configure ~cost:Klsm_backend.Cost_model.default ()
-
-(* Workload-distribution ablation: the paper benchmarks uniform keys; the
-   relaxed queues behave very differently under monotone (Dijkstra-like)
-   and adversarial descending keys. *)
-let ablation_workload () =
-  let module W = Klsm_harness.Workload in
-  let slice = [ R.Heap_lock; R.Multiq 2; R.Klsm 256; R.Dlsm ] in
-  let workloads =
-    [
-      W.Uniform (1 lsl 28);
-      W.Ascending 64;
-      W.Descending (1 lsl 30);
-      W.Clustered { clusters = 16; spread = 256; range = 1 lsl 28 };
-    ]
-  in
-  let rows =
-    List.map
-      (fun spec ->
-        R.spec_name spec
-        :: List.map
-             (fun w ->
-               let config =
-                 {
-                   T.default_config with
-                   num_threads = 10;
-                   prefill = 10_000;
-                   ops_per_thread = 3_000;
-                   workload = w;
-                 }
-               in
-               let r = T.run config spec in
-               Report.human_float r.T.throughput_per_thread)
-             workloads)
-      slice
-  in
-  Report.section "Ablation: key-distribution sensitivity (T=10, thr/thread)";
-  Report.table ~header:("impl" :: List.map W.name workloads) rows
-
-(* Branch-and-bound application scaling: wall time and node expansions of
-   the parallel best-first knapsack solver vs thread count and k — the
-   application class the paper's introduction motivates. *)
-let bnb () =
-  let module E = Klsm_bnb.Engine.Make (Sim) in
-  let module K = Klsm_bnb.Knapsack in
-  let inst = K.random ~seed:9 ~n:30 () in
-  let optimum = K.dp_optimum inst in
-  let run ~threads ~k =
-    Sim.configure ~seed:1 ();
-    let s = E.solve ~k ~num_threads:threads (K.problem inst) in
-    if K.profit_of_best inst s.E.best <> optimum then
-      failwith "bnb: suboptimal result";
-    s
-  in
-  let threads = [ 1; 2; 5; 10; 20; 40 ] in
-  Report.section
-    "Application: parallel branch-and-bound knapsack (30 items; simulated      time and expansions; k=64)";
-  Report.table
-    ~header:("metric" :: List.map (fun t -> Printf.sprintf "T=%d" t) threads)
-    [
-      ("time (ms)"
-      :: List.map
-           (fun t ->
-             Printf.sprintf "%.2f" ((run ~threads:t ~k:64).E.wall *. 1e3))
-           threads);
-      ("expanded"
-      :: List.map
-           (fun t -> string_of_int (run ~threads:t ~k:64).E.expanded)
-           threads);
-    ];
-  let ks = [ 0; 4; 64; 1024; 16384 ] in
-  Report.section "Branch-and-bound: relaxation k vs extra expansions (T=10)";
-  Report.table
-    ~header:("metric" :: List.map (fun k -> Printf.sprintf "k=%d" k) ks)
-    [
-      ("time (ms)"
-      :: List.map
-           (fun k ->
-             Printf.sprintf "%.2f" ((run ~threads:10 ~k).E.wall *. 1e3))
-           ks);
-      ("expanded"
-      :: List.map (fun k -> string_of_int (run ~threads:10 ~k).E.expanded) ks);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (real backend, single thread)             *)
@@ -946,11 +278,6 @@ let micro () =
 (* lib/obs enabled, dumped as per-thread tables and BENCH_stats.json     *)
 (* ------------------------------------------------------------------ *)
 
-(* The observability companion of fig3 (docs/METRICS.md): the same mixed
-   workload, but the reported quantities are the queues' internal events —
-   CAS retries, consolidations, spills, spy traffic — rather than external
-   throughput.  Observability is force-enabled for this section regardless
-   of --stats (that is the section's whole point) and restored after. *)
 (* Imbalanced producer/consumer fiber scenario (lib/sched; DESIGN.md
    section 16): worker 0 is the sole producer of fibered roots, so the
    consumers' deques start empty and the only fibers they ever run are
@@ -1013,17 +340,17 @@ let sched_fibers_imbalanced ~workers ~roots ~fanout ~seed =
     failwith "bench: imbalanced fiber run recorded no successful steals";
   (summary, Obs.snapshot sheet)
 
+(* The observability companion of Figure 3 (docs/METRICS.md): the same
+   mixed workload, but the reported quantities are the queues' internal
+   events — CAS retries, consolidations, spills, spy traffic — rather than
+   external throughput.  Observability is enabled for this section and
+   restored after. *)
 let stats_section () =
   let was_enabled = Obs.enabled () in
   Obs.set_enabled true;
-  let t = if !full then 20 else 8 in
+  let t = 8 in
   let config =
-    {
-      T.default_config with
-      num_threads = t;
-      prefill = (if !full then 100_000 else 10_000);
-      ops_per_thread = (if !full then 40_000 else 4_000);
-    }
+    { T.default_config with num_threads = t; prefill = 10_000; ops_per_thread = 4_000 }
   in
   (* Every queue the registry knows: the Figure 3 line-up plus the Figure 4
      Wimmer variants. *)
@@ -1063,7 +390,6 @@ let stats_section () =
          ("benchmark", Report.String "internal-stats");
          ("backend", Report.String Sim.name);
          ("threads", Report.Int t);
-         ("full_scale", Report.Bool !full);
          ( "queues",
            Report.List
              (List.map
@@ -1324,41 +650,20 @@ let store_section () =
 
 let sections =
   [
-    ("fig3", fig3);
-    ("fig4a", fig4a);
-    ("fig4b", fig4b);
-    ("quality", quality);
-    ("sharded", sharded);
-    ("batch", batch);
-    ("sched", sched);
     ("stats", stats_section);
     ("store", store_section);
     ("ablation-spill", ablation_spill);
     ("ablation-bloom", ablation_bloom);
     ("ablation-cost", ablation_cost);
-    ("ablation-workload", ablation_workload);
-    ("bnb", bnb);
     ("micro", micro);
   ]
 
 let () =
-  let args =
-    Sys.argv |> Array.to_list |> List.tl
-    |> List.filter (fun a ->
-           if a = "--full" then begin
-             full := true;
-             false
-           end
-           else if a = "--stats" then begin
-             (* Latch observability on for every queue created from here on
-                (lib/obs); sections with a printer (sched) dump the counter
-                tables after their own. *)
-             Obs.set_enabled true;
-             false
-           end
-           else true)
+  let chosen =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map fst sections
+    | l -> l
   in
-  let chosen = match args with [] -> List.map fst sections | l -> l in
   List.iter
     (fun name ->
       match List.assoc_opt name sections with

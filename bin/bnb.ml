@@ -2,8 +2,11 @@
    k-LSM — the application class the paper's introduction motivates.
 
    Examples:
-     bnb --problem knapsack --n 30 --threads 1,2,10,40
-     bnb --problem tsp --n 12 --k 0 --mode real --threads 1,2 *)
+     bnb --problem knapsack --size 30 --threads 1,2,10,40
+     bnb --problem tsp --size 12 --relaxation 0 --mode real --threads 1,2
+
+   Every solve is checked against an exact oracle; the exit code is 1
+   when any run's value is not optimal (its row reads NO). *)
 
 let run ~mode ~problem ~n ~k ~threads ~seed =
   let module Go (B : Klsm_backend.Backend_intf.S) = struct
@@ -27,11 +30,13 @@ let run ~mode ~problem ~n ~k ~threads ~seed =
       in
       Klsm_harness.Report.section
         (Printf.sprintf "Branch & bound: %s, k=%d, backend %s" describe k B.name);
+      let wrong = ref 0 in
       let rows =
         List.map
           (fun t ->
             let stats = E.solve ~seed ~k ~num_threads:t (pack ()) in
             let value, expect = oracle stats.E.best in
+            if value <> expect then incr wrong;
             [
               string_of_int t;
               string_of_int value;
@@ -44,7 +49,11 @@ let run ~mode ~problem ~n ~k ~threads ~seed =
       in
       Klsm_harness.Report.table
         ~header:[ "threads"; "value"; "optimal"; "expanded"; "pruned"; "time(ms)" ]
-        rows
+        rows;
+      if !wrong > 0 then begin
+        Printf.eprintf "%d run(s) missed the optimum\n%!" !wrong;
+        exit 1
+      end
   end in
   match mode with
   | `Sim ->

@@ -1,10 +1,18 @@
 (* CLI for the rank-error quality experiment (DESIGN.md ablation A1):
    empirical delete-min rank errors per implementation and k, next to the
    worst-case bound ([Registry.rank_bound]; for the k-LSMs the paper's
-   rho = T*k at one stripe).
+   rho = T*k at one stripe).  Every run also writes its rows, as raw
+   numbers, to BENCH_quality.json in the working directory.
+
+   Examples:
+     quality                                          (DESIGN.md A1 table)
+     quality --impl klsm:256 --impl klsm-sharded:256:4
+     quality --threads 16 --csv quality.csv
 
    Only the simulator backend is supported: the oracle needs the
    cooperative single-domain execution to observe operations in order. *)
+
+module Report = Klsm_harness.Report
 
 let run ~threads ~prefill ~ops ~impls ~seed ~csv =
   let module R = Klsm_harness.Registry.Make (Klsm_backend.Sim) in
@@ -22,6 +30,7 @@ let run ~threads ~prefill ~ops ~impls ~seed ~csv =
           R.Klsm 64;
           R.Klsm 256;
           R.Klsm 4096;
+          R.klsm_sharded 256 4;
           R.Dlsm;
           R.Wimmer_hybrid 256;
         ]
@@ -32,41 +41,68 @@ let run ~threads ~prefill ~ops ~impls ~seed ~csv =
             | Error msg -> failwith msg)
           l
   in
-  let rows =
+  let measured =
     List.map
       (fun spec ->
         let config =
           { Q.default_config with num_threads = threads; prefill; ops_per_thread = ops / threads; seed }
         in
         let r = Q.run config spec in
-        let rho =
-          match R.rank_bound ~threads spec with
-          | Some rho -> string_of_int rho
-          | None -> "unbounded"
-        in
         Printf.eprintf "done %s\n%!" (R.spec_name spec);
+        (spec, r, R.rank_bound ~threads spec))
+      specs
+  in
+  let rows =
+    List.map
+      (fun (spec, r, rho) ->
         [
           R.spec_name spec;
           string_of_int r.Q.deletes;
           Printf.sprintf "%.2f" r.Q.mean_rank_error;
           Printf.sprintf "%.0f" r.Q.p99_rank_error;
           string_of_int r.Q.max_rank_error;
-          rho;
+          (match rho with Some rho -> string_of_int rho | None -> "unbounded");
         ])
-      specs
+      measured
   in
-  Klsm_harness.Report.section
+  Report.section
     (Printf.sprintf "Delete-min rank error (T=%d, prefill=%d)" threads prefill);
-  Klsm_harness.Report.table
+  Report.table
     ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho bound" ]
     rows;
-  match csv with
+  (match csv with
   | Some path ->
-      Klsm_harness.Report.csv ~path
+      Report.csv ~path
         ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho" ]
         rows;
       Printf.printf "wrote %s\n" path
-  | None -> ()
+  | None -> ());
+  let path = "BENCH_quality.json" in
+  Report.write_json ~path
+    (Report.Obj
+       [
+         ("benchmark", Report.String "quality-rank-error");
+         ("backend", Report.String Klsm_backend.Sim.name);
+         ("threads", Report.Int threads);
+         ( "results",
+           Report.List
+             (List.map
+                (fun (spec, r, rho) ->
+                  Report.Obj
+                    [
+                      ("impl", Report.String (R.spec_name spec));
+                      ("deletes", Report.Int r.Q.deletes);
+                      ("mean_rank_error", Report.Float r.Q.mean_rank_error);
+                      ("p99_rank_error", Report.Float r.Q.p99_rank_error);
+                      ("max_rank_error", Report.Int r.Q.max_rank_error);
+                      ( "rho",
+                        match rho with
+                        | Some rho -> Report.Int rho
+                        | None -> Report.Null );
+                    ])
+                measured) );
+       ]);
+  Printf.printf "wrote %s\n%!" path
 
 open Cmdliner
 

@@ -1,13 +1,15 @@
 (* CLI for the Figure 4 SSSP experiment.
 
    Examples:
-     sssp --sweep threads --k 256                     (Figure 4 left)
+     sssp --sweep threads --relaxation 256            (Figure 4 left)
      sssp --sweep k --threads-fixed 10                (Figure 4 right)
      sssp --nodes 10000 --prob 0.5 --sweep threads    (paper-scale graph)
      sssp --graph grid --nodes 10000 --sweep threads  (extra workload)
 
-   Every run is checked against sequential Dijkstra; the exit code is 1
-   when any run's distances differ (its row reads NO). *)
+   The k sweep always runs centralized-k, hybrid-k and k-lsm at each k,
+   so it rejects --impl.  Every run is checked against sequential
+   Dijkstra; the exit code is 1 when any run's distances differ (its row
+   reads NO). *)
 
 let parse_threads_list = [ 1; 2; 3; 5; 10; 20; 40; 80 ]
 let paper_k_list = [ 0; 1; 4; 16; 64; 256; 1024; 4096; 16384 ]
@@ -135,7 +137,9 @@ let threads_fixed =
   Arg.(value & opt int 10 & info [ "threads-fixed" ] ~doc:"Threads for the k sweep (paper: 10).")
 
 let impls =
-  Arg.(value & opt_all string [] & info [ "impl" ] ~doc:"Override implementations (repeatable).")
+  Arg.(
+    value & opt_all string []
+    & info [ "impl" ] ~doc:"Override implementations (repeatable; --sweep threads only).")
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Root random seed.")
 let csv = Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write CSV here.")
@@ -144,8 +148,15 @@ let cmd =
   let doc = "k-LSM paper Figure 4: parallel SSSP benchmark" in
   Cmd.v (Cmd.info "sssp" ~doc)
     Term.(
-      const (fun mode sweep graph_kind n p k threads_fixed impls seed csv ->
-          run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed ~csv)
-      $ mode $ sweep $ graph_kind $ n $ p $ k $ threads_fixed $ impls $ seed $ csv)
+      ret
+        (const (fun mode sweep graph_kind n p k threads_fixed impls seed csv ->
+             if sweep = `K && impls <> [] then
+               `Error (true, "--impl applies to --sweep threads only")
+             else
+               `Ok
+                 (run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls
+                    ~seed ~csv))
+        $ mode $ sweep $ graph_kind $ n $ p $ k $ threads_fixed $ impls $ seed
+        $ csv))
 
 let () = exit (Cmd.eval cmd)

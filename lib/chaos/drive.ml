@@ -551,11 +551,14 @@ let queue_sites =
    site plus two of its own (spill publish, deletion-buffer flush). *)
 let sharded_sites = queue_sites @ [ "klsm.spill.publish"; "klsm.dbuf.flush" ]
 
-(* Scheduler runs have no spill tier, so the store.* fault points never
+(* Scheduler runs have no spill tier, and [sched_case]'s queue has no
+   deletion buffer, so the store.* fault points and klsm.dbuf.flush never
    fire there; drawing them would only dilute the sched sweep. *)
 let sched_sites =
   List.filter
-    (fun s -> not (String.length s > 6 && String.sub s 0 6 = "store."))
+    (fun s ->
+      s <> "klsm.dbuf.flush"
+      && not (String.length s > 6 && String.sub s 0 6 = "store."))
     Chaos.sites
 
 (** One deterministic plan per seed, alternating case kinds and cycling
