@@ -10,8 +10,11 @@
    fiber crashes — over queue conservation cases and hardened-scheduler
    cases on the simulator, then runs the teeth check (flips Listing 4's
    publication order and demands the suite catch the planted loss).
-   Writes BENCH_chaos.json and exits non-zero on any violation, on a
-   missed teeth check, or when some fault kind was never exercised.
+   Prints and records, per case kind, how often the random cases reached
+   each site their plans are drawn from.  Writes BENCH_chaos.json and
+   exits non-zero on any violation, on a missed teeth check, when some
+   fault kind was never exercised, or when a drawn site was never
+   reached.
    docs/CHAOS.md documents the plan grammar and the fault-point sites. *)
 
 module Drive = Klsm_chaos.Drive
@@ -38,7 +41,11 @@ let run ~seeds ~threads ~per_thread ~roots ~seed ~plan ~out ~no_teeth =
           if c.Drive.violations = [] then print_endline "ok";
           exit (if c.Drive.violations = [] then 0 else 1))
   | None ->
-      let cases = Drive.sweep ~seed0:seed ~threads ~per_thread ~roots ~seeds () in
+      let random, fixed =
+        Drive.sweep ~seed0:seed ~threads ~per_thread ~roots ~seeds ()
+      in
+      let cases = random @ fixed in
+      let coverage = Drive.coverage random in
       let teeth_caught, _teeth_cases =
         if no_teeth then (true, []) else Drive.teeth ~plans:6 ()
       in
@@ -60,16 +67,31 @@ let run ~seeds ~threads ~per_thread ~roots ~seed ~plan ~out ~no_teeth =
         (if no_teeth then "skipped"
          else if teeth_caught then "caught"
          else "MISSED");
-      Report.write_json ~path:out (Drive.to_json ~teeth_caught cases);
+      print_endline "kind   site                         drawn  fired  visits";
+      List.iter
+        (fun (r : Drive.coverage) ->
+          Printf.printf "%-6s %-28s %5d  %5d  %6d\n" r.kind r.site r.drawn
+            r.fired r.visits)
+        coverage;
+      Report.write_json ~path:out (Drive.to_json ~teeth_caught ~coverage cases);
       Printf.printf "wrote %s\n%!" out;
       let kind_missing = cas_fails = 0 || stalls = 0 || crashes = 0 in
       if kind_missing then
         Printf.eprintf "FAILURE: some fault kind was never exercised\n";
+      let unvisited =
+        List.filter (fun (r : Drive.coverage) -> r.visits = 0) coverage
+      in
+      List.iter
+        (fun (r : Drive.coverage) ->
+          Printf.eprintf "FAILURE: %s cases draw %s but never reach it\n"
+            r.kind r.site)
+        unvisited;
       if violations > 0 then Printf.eprintf "FAILURE: %d violations\n" violations;
       if not teeth_caught then
         Printf.eprintf
           "FAILURE: teeth check missed the planted publication-order bug\n";
-      if violations > 0 || (not teeth_caught) || kind_missing then exit 1
+      if violations > 0 || (not teeth_caught) || kind_missing || unvisited <> []
+      then exit 1
 
 open Cmdliner
 

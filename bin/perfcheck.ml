@@ -23,8 +23,9 @@
    quartiles and Stats.summarize's mean ± ci95, and some rows the medians
    of further values: the Sim rows their simulated writes and coherence
    misses, which are not gated (ticks count work, not shared-memory
-   traffic, and the two can move in opposite directions), and the tick
-   rows their find-min counters.  Everything lands in
+   traffic, and the two can move in opposite directions), the tick rows
+   their find-min counters, and the traced fiber row its steals and
+   refused admissions.  Everything lands in
    BENCH_throughput.json; the program exits 1 after writing it if any
    gate failed. *)
 
@@ -111,11 +112,13 @@ let table =
        = 100,032 fibers per sample on 8 domains, at the tuned floor, so
        multiplexing effect-handler fibers over the k-LSM may not cost
        throughput against plain task bodies.  Every sample also asserts
-       conservation ([fibers_sample]). *)
+       conservation ([fibers_sample]).  Besides its steals the row shows
+       [sched.reject], the refused admissions of the worker loop: it is
+       the gated row that runs that loop on real domains. *)
     row "real_fibers" tuned ~threads:8
       (Fibers { roots = 1_563; fanout = 7 })
       "per_thread" (Floor 33_400.) ~traced:true
-      ~show:[ "steal.attempt"; "steal.success" ];
+      ~show:[ "steal.attempt"; "steal.success"; "sched.reject" ];
     (* Sim tick budgets on a fixed merge/pivot workload: about 20% over
        the counts measured when they were set.  Since find-min re-pivots a
        dry candidate set, klsm:256 reads about 93,600 ticks (5% headroom:

@@ -202,6 +202,10 @@ let empty_stats () = { cas_fails = 0; stalls = 0; crashes = 0; crashed_tids = []
 
 let installed : plan ref = ref []
 let st = empty_stats ()
+
+(* Fault-point arrivals per site since the last {!install}, whether or
+   not a rule names the site. *)
+let arrivals : (string, int) Hashtbl.t = Hashtbl.create 16
 let obs_handles : Obs.handle array ref = ref [||]
 
 (** Faults injected since the last {!install}. *)
@@ -211,6 +215,11 @@ let stats () =
 (** Threads killed by [Crash] rules since the last {!install}. *)
 let crashed_tids () = st.crashed_tids
 
+(** Fault-point arrivals per site since the last {!install}, by site
+    name: the sites a run reached, planned or not. *)
+let visits () =
+  List.sort compare (Hashtbl.fold (fun s n acc -> (s, n) :: acc) arrivals [])
+
 let obs_for tid =
   let hs = !obs_handles in
   if tid >= 0 && tid < Array.length hs then hs.(tid) else Obs.null_handle
@@ -219,6 +228,8 @@ let obs_for tid =
    happen immediately; a crash is deferred to the end of the matching scan
    (it raises) so one arrival can satisfy several rules. *)
 let handler site =
+  Hashtbl.replace arrivals site
+    (1 + Option.value (Hashtbl.find_opt arrivals site) ~default:0);
   let tid = Sim.current_tid () in
   let crash = ref false in
   List.iter
@@ -264,6 +275,7 @@ let install ?(obs = [||]) plan =
   st.stalls <- 0;
   st.crashes <- 0;
   st.crashed_tids <- [];
+  Hashtbl.reset arrivals;
   obs_handles := obs;
   installed := plan;
   Sim.set_fault_hook (Some handler)

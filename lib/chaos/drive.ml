@@ -52,7 +52,15 @@ type case_result = {
   crashes : int;
   violations : string list;  (** empty = the case passed *)
   info : (string * int) list;  (** extra counters for the report *)
+  visits : (string * int) list;
+      (** fault-point arrivals per site ({!Chaos.visits}) *)
+  rules : (string * bool) list;  (** each planned rule's site, and if it fired *)
 }
+
+(* What the case's run reached: its fault-point arrivals per site and the
+   fate of each planned rule.  Read before the next {!Chaos.install}. *)
+let reach plan =
+  (Chaos.visits (), List.map (fun r -> (r.Chaos.site, r.Chaos.fired)) plan)
 
 let key_range = 1 lsl 16
 
@@ -121,6 +129,7 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
    with Sim.Thread_failure (tid, e) ->
      violation "thread %d failed: %s" tid (Printexc.to_string e));
   let faults = Chaos.stats () in
+  let visits, rules = reach plan in
   let crashed = Chaos.crashed_tids () in
   Chaos.uninstall ();
   let survivors =
@@ -244,6 +253,8 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
     cas_fails = faults.Chaos.cas_fails;
     stalls = faults.Chaos.stalls;
     crashes = faults.Chaos.crashes;
+    visits;
+    rules;
     violations = List.rev !violations;
     info =
       [
@@ -332,6 +343,7 @@ let store_case ~seed ~threads ~per_thread ~k ~threshold plan =
    with Sim.Thread_failure (tid, e) ->
      violation "thread %d failed: %s" tid (Printexc.to_string e));
   let faults = Chaos.stats () in
+  let visits, rules = reach plan in
   let crashed = Chaos.crashed_tids () in
   Chaos.uninstall ();
   for p = 0 to total - 1 do
@@ -399,6 +411,8 @@ let store_case ~seed ~threads ~per_thread ~k ~threshold plan =
     cas_fails = faults.Chaos.cas_fails;
     stalls = faults.Chaos.stalls;
     crashes = faults.Chaos.crashes;
+    visits;
+    rules;
     violations = List.rev !violations;
     info =
       [
@@ -453,6 +467,7 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
     with e -> Error e
   in
   let faults = Chaos.stats () in
+  let visits, rules = reach plan in
   Chaos.uninstall ();
   match result with
   | Error e ->
@@ -463,6 +478,8 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
         cas_fails = faults.Chaos.cas_fails;
         stalls = faults.Chaos.stalls;
         crashes = faults.Chaos.crashes;
+        visits;
+        rules;
         violations = [ "run raised: " ^ Printexc.to_string e ];
         info = [];
       }
@@ -511,6 +528,8 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
         cas_fails = faults.Chaos.cas_fails;
         stalls = faults.Chaos.stalls;
         crashes = faults.Chaos.crashes;
+        visits;
+        rules;
         violations = List.rev !violations;
         info =
           [
@@ -536,14 +555,17 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
 (* Sweeps                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A queue case's threads insert twice per delete, so no delete finds
+   both its own LSM and the shared component empty: the spy
+   ([dist.spy.block]) and the consolidation before it
+   ([dist.consolidate.pre_size]) never run there.  Sched cases, whose
+   workers run dry, draw both. *)
 let queue_sites =
   [
     "shared.push_snapshot.before";
     "shared.push_snapshot.after";
     "dist.insert.pre_size";
     "dist.insert.spill";
-    "dist.spy.block";
-    "dist.consolidate.pre_size";
     "block_array.consolidate";
   ]
 
@@ -551,13 +573,16 @@ let queue_sites =
    site plus two of its own (spill publish, deletion-buffer flush). *)
 let sharded_sites = queue_sites @ [ "klsm.spill.publish"; "klsm.dbuf.flush" ]
 
-(* Scheduler runs have no spill tier, and [sched_case]'s queue has no
-   deletion buffer, so the store.* fault points and klsm.dbuf.flush never
-   fire there; drawing them would only dilute the sched sweep. *)
+(* Scheduler runs have no spill tier, [sched_case]'s queue has no
+   deletion buffer, and every task enters the queue through
+   [insert_batch], which publishes a block to the stripe without a
+   thread-local insert: the store.* fault points, klsm.dbuf.flush and
+   dist.insert.spill never fire there; drawing them would only dilute
+   the sched sweep. *)
 let sched_sites =
   List.filter
     (fun s ->
-      s <> "klsm.dbuf.flush"
+      s <> "klsm.dbuf.flush" && s <> "dist.insert.spill"
       && not (String.length s > 6 && String.sub s 0 6 = "store."))
     Chaos.sites
 
@@ -732,15 +757,54 @@ let store_targeted ~threads ~per_thread ~k ~seed0 =
     scheduler rotation), then the fixed sharded-queue plans, the fixed
     steal/resume crash plans, the fixed store kill-and-restart plans, then
     the fixed consolidation plans.  Every rule of a fixed plan must fire
-    ({!require_fired}). *)
+    ({!require_fired}).  Returns the random cases and the fixed ones
+    apart: {!coverage} reads only the former. *)
 let sweep ?(seed0 = 0xC4A05) ?(threads = 4) ?(per_thread = 400) ?(roots = 60)
     ?(k = 8) ~seeds () =
-  List.init seeds (fun i ->
-      case_for ~threads ~per_thread ~roots ~k i (seed0 + i))
-  @ sharded_targeted ~threads ~per_thread ~k ~shards:2 ~seed0:(seed0 + seeds)
-  @ sched_targeted ~threads ~roots ~seed0:(seed0 + seeds + 8)
-  @ store_targeted ~threads ~per_thread ~k ~seed0:(seed0 + seeds + 16)
-  @ consolidate_targeted ~threads ~per_thread ~k ~seed0:(seed0 + seeds + 24)
+  ( List.init seeds (fun i ->
+        case_for ~threads ~per_thread ~roots ~k i (seed0 + i)),
+    sharded_targeted ~threads ~per_thread ~k ~shards:2 ~seed0:(seed0 + seeds)
+    @ sched_targeted ~threads ~roots ~seed0:(seed0 + seeds + 8)
+    @ store_targeted ~threads ~per_thread ~k ~seed0:(seed0 + seeds + 16)
+    @ consolidate_targeted ~threads ~per_thread ~k ~seed0:(seed0 + seeds + 24)
+  )
+
+(** One row of the random sweep's coverage table: over the cases of one
+    kind, how many rules were drawn on [site], how many of them fired, and
+    how often the runs reached the site at all. *)
+type coverage = {
+  kind : string;  (** a case label *)
+  site : string;
+  drawn : int;
+  fired : int;
+  visits : int;
+}
+
+(** The table for [cases] (random cases, as {!sweep} returns them): one
+    row per case kind and site of the list that kind's plans are drawn
+    from ({!case_for}).  A row with no visits names a site the kind's
+    workload never reaches, so every rule drawn there is wasted. *)
+let coverage cases =
+  List.concat_map
+    (fun (kind, sites) ->
+      let mine = List.filter (fun (c : case_result) -> c.label = kind) cases in
+      let sum f = List.fold_left (fun acc c -> acc + f c) 0 mine in
+      let count site keep c =
+        List.length (List.filter (fun (s, f) -> s = site && keep f) c.rules)
+      in
+      List.map
+        (fun site ->
+          {
+            kind;
+            site;
+            drawn = sum (count site (fun _ -> true));
+            fired = sum (count site Fun.id);
+            visits =
+              sum (fun c ->
+                  Option.value (List.assoc_opt site c.visits) ~default:0);
+          })
+        sites)
+    [ ("queue", queue_sites); ("shard", sharded_sites); ("sched", sched_sites) ]
 
 (* ------------------------------------------------------------------ *)
 (* Teeth: the planted-bug check                                        *)
@@ -797,7 +861,17 @@ let case_to_json r =
      ]
     @ List.map (fun (name, v) -> (name, Report.Int v)) r.info)
 
-let to_json ?teeth_caught cases =
+let coverage_to_json r =
+  Report.Obj
+    [
+      ("kind", Report.String r.kind);
+      ("site", Report.String r.site);
+      ("drawn", Report.Int r.drawn);
+      ("fired", Report.Int r.fired);
+      ("visits", Report.Int r.visits);
+    ]
+
+let to_json ?teeth_caught ?(coverage = []) cases =
   let cas_fails, stalls, crashes, violations = totals cases in
   Report.Obj
     ([
@@ -812,4 +886,7 @@ let to_json ?teeth_caught cases =
     @ (match teeth_caught with
       | None -> []
       | Some caught -> [ ("teeth_caught", Report.Bool caught) ])
-    @ [ ("results", Report.List (List.map case_to_json cases)) ])
+    @ [
+        ("coverage", Report.List (List.map coverage_to_json coverage));
+        ("results", Report.List (List.map case_to_json cases));
+      ])

@@ -43,7 +43,9 @@ type worker = {
   mutable spawned : int;  (** children spawned by tasks this worker ran *)
   mutable flushes : int;  (** submitter buffer flushes *)
   mutable urgent_flushes : int;  (** flushes forced by priority inversion *)
-  mutable rejected : int;  (** admission-control rejections (backpressure) *)
+  mutable rejected : int;
+      (** admission attempts refused at capacity (backpressure); a refused
+          root is retried, so one root can be counted several times *)
   mutable empty_pops : int;  (** delete-mins that found nothing *)
   mutable double_claims : int;
       (** lost lease/claim races; 0 unless faults force re-deliveries *)

@@ -18,12 +18,14 @@
       the whole buffer (itself included).
     - {b bounded admission}: a shared in-flight counter implements a
       bounded queue.  [try_admit] refuses new roots beyond [capacity], the
-      backpressure signal: the worker keeps serving and retries the
-      refused root once per serve step ({!Worker.run}), so refusals far
-      outnumber admissions — a refusal only reads the counter, an
-      admission is one fetch-and-add (undone when it lands above
-      [capacity]).  Spawned children are forced in ({!admit_spawn}), and
-      termination still tests the same counter (DESIGN.md §8).
+      backpressure signal: a refusal only reads the counter, an admission
+      is one fetch-and-add (undone when it lands above [capacity]).  The
+      worker keeps serving and retries a refused root only after its own
+      {!release} reported a slot freed below [capacity], or after a serve
+      round found nothing to run ({!Worker.run}), so a waiting root does
+      not reread the counter on every serve step.  Spawned children are
+      forced in ({!admit_spawn}), and termination still tests the same
+      counter (DESIGN.md §8).
 
     The drain side has a symmetric knob: {!Worker.make_ctx}'s
     [~batch]/[~pop_batch] pulls a run of task ids per shared-queue round
@@ -133,6 +135,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       arrivals only. *)
   let admit_spawn t = ignore (B.fetch_and_add t.inflight 1)
 
-  (** A completed task leaves the system. *)
-  let release t = ignore (B.fetch_and_add t.inflight (-1))
+  (** A resolved task leaves the system: [true] iff the count it leaves
+      behind is below [capacity], so a refused root could now be admitted.
+      The fetch-and-add returns the old count, so the answer costs no
+      access. *)
+  let release t = B.fetch_and_add t.inflight (-1) <= t.cfg.capacity
 end

@@ -10,9 +10,11 @@
 
     + admitting new root tasks from an arrival source until the source
       returns [`Done], the one signal that stops admission (with
-      backpressure: a rejected arrival is retried after serving, never
-      busy-waited on — and with load shedding: a full task table refuses
-      admission with [`Overflow] instead of killing the worker);
+      backpressure: a refused arrival waits, never busy-waited on, and is
+      retried only after this worker's own release freed a slot below
+      capacity or a serve round found nothing to run — and with load
+      shedding: a full task table refuses admission with [`Overflow]
+      instead of killing the worker);
     + serving its own deque LIFO: every task body runs as the root
       {!Fiber} of its lease attempt, and fibers it forks (plus fibers it
       yields) land on the executing worker's deque, so the cache-hot,
@@ -55,7 +57,10 @@
     Termination is exact, not heuristic: a worker exits only when every
     arrival source has finished {e and} the in-flight counter is zero.
     Fibers cannot be stranded by that rule — an unfinished fiber keeps
-    its task unsealed, hence in flight, hence some worker serving.
+    its task unsealed, hence in flight, hence some worker serving.  Nor
+    can a refused root: its worker's source is still open, so that worker
+    keeps serving until it frees a slot or runs dry, and a dry round
+    retries the root (DESIGN.md §8 has the liveness argument).
 
     Determinism: under [Sim.Fair] with a fixed seed the whole loop —
     pops, leases, steals (victims come from a per-worker seeded stream),
@@ -196,6 +201,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     deque : Fiber.work Deque.t;  (** this worker's own deque *)
     steal_rng : Xoshiro.t;  (** victim selection; seeded for replay *)
     hooks : Fiber.hooks;  (** suspend/resume accounting (see {!hooks_of}) *)
+    mutable retry_root : bool;
+        (** since this worker's last admission attempt it released a slot
+            below capacity or found nothing to serve: the one signal on
+            which {!run} retries a refused root *)
   }
 
   let create_pool ?(robust = default_robust) ~max_tasks ~num_workers () =
@@ -295,6 +304,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         deque = pool.deques.(tid);
         steal_rng = Xoshiro.create ~seed;
         hooks = hooks_of pool;
+        retry_root = false;
       }
     in
     pool.ctxs.(tid) <- Some c;
@@ -322,16 +332,24 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       `Ok
     end
 
+  (* Give back one in-flight slot.  A slot freed below capacity re-arms
+     this worker's retry of a refused root ({!run}); a release by another
+     worker does not, so a waiting root never rereads the counter that
+     every admit, spawn and release rewrites. *)
+  let release ctx = if Submitter.release ctx.sub then ctx.retry_root <- true
+
   let shed ctx =
-    Submitter.release ctx.sub;
+    release ctx;
     ctx.w.shed <- ctx.w.shed + 1;
     Obs.incr ctx.obs c_overflow
 
   (** Root submission through admission control.  [`Backpressure] = at
-      capacity, the caller should serve the queue and retry; [`Overflow] =
-      the task table itself is full, the task was shed (a permanent
-      refusal the arrival source must absorb). *)
+      capacity, the caller should keep serving and retry once
+      [retry_root] is set; [`Overflow] = the task table itself is full,
+      the task was shed (a permanent refusal the arrival source must
+      absorb). *)
   let try_submit_root ctx ~priority body =
+    ctx.retry_root <- false;
     match Submitter.try_admit ctx.sub with
     | None ->
         ctx.w.rejected <- ctx.w.rejected + 1;
@@ -376,7 +394,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     if Task.try_complete att.task then begin
       let slot = B.fetch_and_add ctx.pool.log_next 1 in
       ctx.pool.log.(slot) <- att.task.Task.id;
-      Submitter.release ctx.sub;
+      release ctx;
       ctx.w.executed <- ctx.w.executed + 1;
       Obs.incr ctx.obs c_execute
     end
@@ -643,7 +661,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                  dead-letter record. *)
               ctx.w.timeouts <- ctx.w.timeouts + 1;
               Obs.incr ctx.obs c_timeout;
-              Submitter.release ctx.sub;
+              release ctx;
               Obs.incr ctx.obs c_dead_letter
           | Task.Not_expired -> ());
           let requeue =
@@ -684,12 +702,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let rec loop () =
       (match B.get pool.failure with Some e -> raise e | None -> ());
       if pool.supervised then B.set pool.beats.(ctx.tid) (B.time ());
-      (* 1. Admit the next due arrival, honouring backpressure. *)
+      (* 1. Admit the next due arrival, honouring backpressure: a refused
+         root waits until this worker freed a slot or ran dry. *)
       (match !pending with
-      | Some (priority, body) -> (
-          match try_submit_root ctx ~priority body with
-          | `Admitted | `Overflow -> pending := None
-          | `Backpressure -> ())
+      | Some (priority, body) ->
+          if ctx.retry_root then begin
+            match try_submit_root ctx ~priority body with
+            | `Admitted | `Overflow -> pending := None
+            | `Backpressure -> ()
+          end
       | None ->
           if not !sources_done then begin
             match arrivals () with
@@ -723,6 +744,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         else if rc.run_deadline < infinity && out_of_time pool then ()
         else begin
           incr idle;
+          ctx.retry_root <- true;
           if pool.supervised then
             supervise ctx ~rescue:(!idle >= 8 && !idle land 3 = 0);
           Backoff.once bo ~relax:B.relax_n;

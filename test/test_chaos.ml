@@ -191,7 +191,30 @@ let test_queue_case_casfail_stall () =
   in
   let c = Drive.queue_case ~seed:42 ~threads:4 ~per_thread:200 ~k:8 plan in
   no_violations c;
-  check_bool "cas fault injected" true (c.Drive.cas_fails = 1)
+  check_bool "cas fault injected" true (c.Drive.cas_fails = 1);
+  (* A queue case never runs dry, so it never spies: the stall rule is
+     drawn but never fires, and the site is not visited at all (why queue
+     cases do not draw it).  The coverage row of the publish site sums the
+     case's rule and its visits. *)
+  Alcotest.(check (list (pair string bool)))
+    "rules fired"
+    [ ("shared.push_snapshot.before", true); ("dist.spy.block", false) ]
+    c.Drive.rules;
+  check_bool "spy never visited" true
+    (List.assoc_opt "dist.spy.block" c.Drive.visits = None);
+  match
+    List.find_opt
+      (fun (r : Drive.coverage) ->
+        r.Drive.kind = "queue" && r.Drive.site = "shared.push_snapshot.before")
+      (Drive.coverage [ c ])
+  with
+  | None -> Alcotest.fail "no coverage row for the publish site"
+  | Some r ->
+      check_int "drawn" 1 r.Drive.drawn;
+      check_int "fired" 1 r.Drive.fired;
+      check_int "visits" (List.assoc "shared.push_snapshot.before" c.Drive.visits)
+        r.Drive.visits;
+      check_bool "publish visited" true (r.Drive.visits > 0)
 
 (* A fixed plan whose rule the workload never reaches is itself a
    violation: the case would otherwise pass while injecting nothing. *)

@@ -173,6 +173,105 @@ let test_backpressure_bounds_inflight () =
   if r.CL.metrics.M.rejected = 0 then
     Alcotest.fail "capacity 8 under 400 tasks never triggered backpressure"
 
+(* ---------------- admission: release-driven retries ---------------- *)
+
+let check_peak name (r : CL.result) =
+  if r.CL.peak_inflight > r.CL.config.CL.capacity then
+    Alcotest.failf "%s: peak in-flight %d exceeds capacity %d" name
+      r.CL.peak_inflight r.CL.config.CL.capacity
+
+let test_refusals_per_root () =
+  (* The sched-fibers twin's closed loop, as [bin/sched.exe --queue
+     klsm-sharded:256:4 --threads 8 --tasks 300 --fibers 3 --fanout 2
+     --depth 1 --capacity 64] runs it.  A refused root waits until its own
+     worker freed a slot or ran dry, so refusals stay a small multiple of
+     admissions; retried on every serve step it was refused 13.7 times
+     per root. *)
+  let config =
+    {
+      CL.default_config with
+      num_workers = 8;
+      roots_per_worker = 300;
+      fiber_fanout = 3;
+      spawn_fanout = 2;
+      spawn_depth = 1;
+      capacity = 64;
+    }
+  in
+  let r = run_fair ~seed:1 config (CL.Registry.klsm_sharded 256 4) in
+  check_conserving "twin" r;
+  check_peak "twin" r;
+  let m = r.CL.metrics in
+  Alcotest.(check int) "every root admitted" (8 * 300) m.M.submitted;
+  if m.M.rejected > 2 * m.M.submitted then
+    Alcotest.failf "%d refusals for %d admitted roots (%.1f per root)"
+      m.M.rejected m.M.submitted
+      (float_of_int m.M.rejected /. float_of_int m.M.submitted)
+
+let test_capacity_one_terminates () =
+  (* One slot: a release that only brings the count back to capacity
+     (spawns are forced past it) frees nothing, so most refused roots wait
+     for a dry round, and a worker that seals a task retries at once.
+     Every root must still get in and every task resolve, under the fair
+     schedule and under random preemption. *)
+  let config =
+    {
+      base_config with
+      CL.num_workers = 4;
+      roots_per_worker = 12;
+      fiber_fanout = 2;
+      spawn_fanout = 1;
+      spawn_depth = 1;
+      capacity = 1;
+    }
+  in
+  let spec = CL.Registry.Klsm 8 in
+  let check name r =
+    check_conserving name r;
+    check_peak name r;
+    Alcotest.(check int) (name ^ ": all tasks") (CL.total_tasks config)
+      r.CL.total_tasks
+  in
+  check "fair" (run_fair ~seed:3 config spec);
+  for seed = 1 to 16 do
+    Sim.configure ~seed ~policy:(Sim.Random_preempt 0.25) ();
+    check
+      (Printf.sprintf "preempt seed %d" seed)
+      (CL.run { config with CL.seed } spec)
+  done;
+  Sim.configure ~policy:Sim.Fair ()
+
+let test_dead_letters_free_waiting_roots () =
+  (* Leases shorter than a task's service: the supervising sweep of an
+     idle worker declares running tasks [Dead] and gives their slots back
+     while roots wait at capacity 2.  Every root must get in and every
+     task end [Completed] or [Dead]; the run deadline turns a waiting
+     root that is never retried into a failure instead of a hang. *)
+  let config =
+    {
+      base_config with
+      CL.num_workers = 4;
+      roots_per_worker = 10;
+      service = CL.Fixed 2_000;
+      capacity = 2;
+      robust =
+        {
+          CL.Worker.default_robust with
+          lease = 1e-6;
+          run_deadline = 1e-2;
+        };
+    }
+  in
+  let r = run_fair ~seed:5 config (CL.Registry.Klsm 8) in
+  Alcotest.(check bool) "no give-up" false r.CL.gave_up;
+  Alcotest.(check int) "lost" 0 r.CL.lost;
+  check_peak "dead letters" r;
+  Alcotest.(check int) "all tasks" (CL.total_tasks config) r.CL.total_tasks;
+  Alcotest.(check int) "completed + dead" r.CL.total_tasks
+    (Array.length r.CL.completion_order + r.CL.dead_lettered);
+  if r.CL.dead_lettered = 0 then Alcotest.fail "no task was dead-lettered";
+  if r.CL.metrics.M.rejected = 0 then Alcotest.fail "no root ever waited"
+
 (* ---------------- fibers: determinism, depth, starvation -------------- *)
 
 let test_fiber_steal_determinism_fuzzed () =
@@ -471,19 +570,22 @@ let test_submitter_admission () =
   Alcotest.(check (option int)) "admit 2" (Some 2) (Sub.try_admit sub);
   Alcotest.(check (option int)) "reject at capacity" None (Sub.try_admit sub);
   Alcotest.(check int) "inflight unchanged by rejection" 2 (Sub.inflight sub);
-  Sub.release sub;
+  Alcotest.(check bool) "release frees a slot" true (Sub.release sub);
   Alcotest.(check (option int)) "admit after release" (Some 2)
     (Sub.try_admit sub);
   (* spawned children bypass the bound but still count *)
   Sub.admit_spawn sub;
-  Alcotest.(check int) "spawn counts in-flight" 3 (Sub.inflight sub)
+  Alcotest.(check int) "spawn counts in-flight" 3 (Sub.inflight sub);
+  (* back down to capacity, not below it: no slot for a refused root *)
+  Alcotest.(check bool) "release to capacity frees none" false
+    (Sub.release sub)
 
 module SimSub = Klsm_sched.Submitter.Make (Sim)
 
 let test_refusal_writes_nothing () =
-  (* A closed-loop worker retries a refused root once per serve step, so
-     a refusal at capacity must cost one read of the shared counter and
-     no write to its line. *)
+  (* Admission contends with every release and spawn for the counter's
+     line, so a refusal at capacity must cost one read of the shared
+     counter and no write to it. *)
   let capacity = 2 in
   let inflight = Sim.make capacity in
   let sub =
@@ -568,6 +670,15 @@ let () =
             test_double_delivery_in_one_pull;
           Alcotest.test_case "run deadline gives up on a lost lease" `Quick
             test_run_deadline_gives_up;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "twin loop: few refusals per root" `Quick
+            test_refusals_per_root;
+          Alcotest.test_case "capacity 1 terminates (fair, 16 fuzzed)" `Slow
+            test_capacity_one_terminates;
+          Alcotest.test_case "dead letters free waiting roots" `Quick
+            test_dead_letters_free_waiting_roots;
         ] );
       ( "fibers",
         [
