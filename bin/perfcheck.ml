@@ -120,12 +120,14 @@ let table =
       "per_thread" (Floor 33_400.) ~traced:true
       ~show:[ "steal.attempt"; "steal.success"; "sched.reject" ];
     (* Sim tick budgets on a fixed merge/pivot workload: about 20% over
-       the counts measured when they were set.  Since find-min re-pivots a
-       dry candidate set, klsm:256 reads about 93,600 ticks (5% headroom:
-       a re-pivot charges (k+1)·B ticks of private work, while the
-       consolidations it replaced cost mostly coherence misses, which
-       ticks do not count); klsm-sharded:256:4 reads about 67,400 (7%
-       headroom: a stripe memo answer costs no ticks). *)
+       the counts measured when they were set.  klsm:256 reads about
+       95,300 ticks (4% headroom: a re-pivot charges (k+1)·B ticks of
+       private work, while the consolidations it replaced cost mostly
+       coherence misses, which ticks do not count, and the insert's
+       one-pass merge charges a comparison and a move as a tick each,
+       where a two-way merge charges one per item); klsm-sharded:256:4
+       reads about 65,700 (11% headroom: a stripe memo answer costs no
+       ticks). *)
     row "sim" "klsm:256" ~backend:Sim ~threads:4 (mix 2_000 2_000) "ticks"
       (Budget 98_700.) ~show:find_min_work;
     row "sim_sharded" "klsm-sharded:256:4" ~backend:Sim ~threads:4

@@ -13,7 +13,10 @@
 
    With --counters it instead runs one traced Real trial of each selected
    workload (the benchmark's own trial code, T = 2, seed A) and prints the
-   thread-local find-min counters per 1,000 local deletes. *)
+   thread-local find-min counters per 1,000 local deletes, and the
+   thread-local merges and block-pool acquisitions per 1,000 operations:
+   every insert that carries slots builds one block, so pool.hit +
+   pool.miss per insert reads the blocks built. *)
 
 module Bench = Klsm_bench.Bench
 module Common = Klsm_bench.Common
@@ -84,17 +87,19 @@ let twins workloads ~first ~last ~scratch =
 
 let counters workloads ~seed ~scratch =
   let p = { Common.seed; seconds = 1.; scale = 1.0; scratch } in
-  Printf.printf "%-16s %12s %16s %18s\n" "workload" "local_del" "bound_scan/1k" "stale_repeek/1k";
+  Printf.printf "%-16s %12s %16s %18s %10s %12s %14s %15s\n" "workload" "local_del"
+    "bound_scan/1k" "stale_repeek/1k" "ops" "merge/kop" "pool.hit/kop" "pool.miss/kop";
   List.fold_left
     (fun ok (w : Bench.workload) ->
       let acc = Common.create_acc () in
       let trial = w.start p acc in
       ignore (trial ~index:1 ~traced:true);
       let s = Common.sum acc in
-      let local = s "klsm.delete_local" in
-      let per_k name = if local > 0. then 1000. *. s name /. local else 0. in
-      Printf.printf "%-16s %12.0f %16.1f %18.1f\n%!" w.name local
-        (per_k "dist.bound_scan") (per_k "dist.stale_repeek");
+      let per_k denom name = if denom > 0. then 1000. *. s name /. denom else 0. in
+      let local = s "klsm.delete_local" and ops = s "ops" in
+      Printf.printf "%-16s %12.0f %16.1f %18.1f %10.0f %12.1f %14.1f %15.1f\n%!" w.name local
+        (per_k local "dist.bound_scan") (per_k local "dist.stale_repeek") ops
+        (per_k ops "dist.merge") (per_k ops "pool.hit") (per_k ops "pool.miss");
       List.iter (Printf.printf "%s VIOLATION %s\n" w.name) acc.Common.violations;
       ok && acc.Common.violations = [])
     true workloads
@@ -105,7 +110,7 @@ let () =
     [
       ("--seeds", Arg.String (fun s -> seeds := Some (parse_seeds s)), "A-B seeds to run (or one seed)");
       ("--workload", Arg.String (fun w -> names := w :: !names), "W a workload (repeatable; default all)");
-      ("--counters", Arg.Set count, " one traced Real trial per workload: find-min counters");
+      ("--counters", Arg.Set count, " one traced Real trial per workload: find-min, merge and pool counters");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;

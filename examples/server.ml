@@ -10,7 +10,10 @@
    bounds the in-flight population: a refused request waits at its
    front-end worker and is retried (backpressure), so an overloaded server
    slows its intake rather than grows an unbounded backlog.  Only a full
-   task table sheds a request.
+   task table sheds a request.  The run exits 1 on a lost or doubled job,
+   on more jobs in flight than the capacity, and when admission never
+   refused a request: the capacity is set below the run's unbounded peak
+   so that backpressure shows.
 
    Runs on the deterministic simulator so the output is reproducible; flip
    [B] to [Klsm_backend.Real] for a live multi-domain run. *)
@@ -36,8 +39,9 @@ let () =
       spawn_fanout = 1;
       (* each request spawns one follow-up task *)
       spawn_depth = 1;
-      capacity = 256;
-      (* small bound => visible backpressure under bursts *)
+      capacity = 24;
+      (* Unbounded, this run peaks at 46 jobs in flight; 24 makes bursts
+         meet refusals. *)
       batch = 8;
       dbuf = 0;
       urgency_margin = 4096;
@@ -68,4 +72,5 @@ let () =
   if
     r.CL.lost <> 0 || r.CL.double <> 0
     || r.CL.peak_inflight > config.CL.capacity
+    || m.Metrics.rejected = 0
   then exit 1

@@ -5,10 +5,12 @@
 
     - {b queue cases} drive the combined k-LSM directly with uniquely
       tagged payloads while a {!Klsm_harness.Oracle} shadows every insert
-      and delete.  After the run the survivors drain the queue and the
-      case asserts {e conservation}: every payload whose insert returned
-      comes out exactly once (a crashed thread's single in-flight payload
-      may vanish with it; payloads it never reached are not owed),
+      and delete.  Each thread ends by draining the queue under the plan,
+      spying the others once it runs dry; after the run a survivor drains
+      what is left and the case asserts {e conservation}: every payload
+      whose insert returned comes out exactly once (a crashed thread's
+      single in-flight payload may vanish with it; payloads it never
+      reached are not owed),
       nothing comes out twice, the oracle never sees a key deleted twice, and the
       structural invariants (strictly decreasing block levels, sorted
       blocks) still hold for the shared array and every surviving
@@ -105,6 +107,23 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
     | e -> if e > !max_rank_error then max_rank_error := e
     | exception Failure _ -> incr oracle_violations
   in
+  (* Delete until [h] misses 300 times in a row.  Once its own LSM and the
+     shared component run dry, a delete consolidates its LSM and spies the
+     others' (spy picks random victims, hence the miss bound, the same as
+     bin/fuzz.ml's). *)
+  let drained = ref 0 in
+  let drain h =
+    let misses = ref 0 in
+    while !misses < 300 do
+      match K.try_delete_min h with
+      | Some (dk, v) ->
+          incr drained;
+          got.(v) <- got.(v) + 1;
+          note_delete dk;
+          misses := 0
+      | None -> incr misses
+    done
+  in
   Chaos.install plan;
   (try
      Sim.parallel_run ~num_threads:threads (fun tid ->
@@ -125,7 +144,10 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
              | Some (dk, v) ->
                  got.(v) <- got.(v) + 1;
                  note_delete dk
-         done)
+         done;
+         (* Drain under the plan, so the spy and the consolidation
+            before it run with faults armed. *)
+         drain h)
    with Sim.Thread_failure (tid, e) ->
      violation "thread %d failed: %s" tid (Printexc.to_string e));
   let faults = Chaos.stats () in
@@ -160,23 +182,12 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
       | _ -> ())
     handles;
   List.iter K.flush_dbuf survivors;
-  (* Survivor drain: crashed threads' items must still be reachable
-     through spy.  The drainer retries through empty results because spy
-     picks random victims (same miss bound as bin/fuzz.ml). *)
-  let drained = ref 0 in
+  (* Survivor drain, faults off: whatever the in-plan drains left — the
+     items of a thread that crashed, or that a stall held back — must
+     still be reachable through spy. *)
   (match survivors with
   | [] -> violation "no surviving thread to drain with"
-  | h :: _ ->
-      let misses = ref 0 in
-      while !misses < 300 do
-        match K.try_delete_min h with
-        | Some (dk, v) ->
-            incr drained;
-            got.(v) <- got.(v) + 1;
-            note_delete dk;
-            misses := 0
-        | None -> incr misses
-      done);
+  | h :: _ -> drain h);
   if !oracle_violations > 0 then
     violation "oracle: %d deletes of absent keys" !oracle_violations;
   (* Conservation: every submitted payload delivered exactly once; no
@@ -555,17 +566,17 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
 (* Sweeps                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A queue case's threads insert twice per delete, so no delete finds
-   both its own LSM and the shared component empty: the spy
-   ([dist.spy.block]) and the consolidation before it
-   ([dist.consolidate.pre_size]) never run there.  Sched cases, whose
-   workers run dry, draw both. *)
+(* A queue case's threads drain the queue under the plan, so their
+   deletes run dry and spy ([dist.spy.block]) after consolidating their
+   own LSM ([dist.consolidate.pre_size]). *)
 let queue_sites =
   [
     "shared.push_snapshot.before";
     "shared.push_snapshot.after";
     "dist.insert.pre_size";
     "dist.insert.spill";
+    "dist.consolidate.pre_size";
+    "dist.spy.block";
     "block_array.consolidate";
   ]
 
@@ -641,7 +652,12 @@ let require_fired plan r =
     - two deletion-buffer cases ([~dbuf]): a kill with a nonempty buffer
       (mid-flush, the claimed remainder dies with the crasher) and a kill
       at the batch claim's publish CAS itself (the staged run is exempt
-      whichever way the CAS went). *)
+      whichever way the CAS went);
+    - two spy cases: thread 1 stalls in an insert while the others
+      drain, run dry and spy its LSM, and the first thief is killed
+      between the blocks it copies (the copies share their items with the
+      victim, so nothing may be lost or delivered twice) or stalled there
+      until the victim wakes and deletes under it. *)
 let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
   (* A storm of [n] consecutive forced failures at [site], optionally
      aimed at one thread. *)
@@ -684,6 +700,20 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
          (queue_case ~shards ~dbuf:4 ~seed:(seed0 + 5) ~threads ~per_thread ~k
             plan));
     ]
+  @ ([
+       [
+         Chaos.rule ~tid:1 ~hit:5 "dist.insert.pre_size" (Chaos.Stall 200_000);
+         Chaos.rule "dist.spy.block" Chaos.Crash;
+       ];
+       [
+         Chaos.rule ~tid:1 ~hit:5 "dist.insert.pre_size" (Chaos.Stall 50_000);
+         Chaos.rule "dist.spy.block" (Chaos.Stall 100_000);
+       ];
+     ]
+    |> List.mapi (fun i plan ->
+           require_fired plan
+             (queue_case ~shards ~seed:(seed0 + 6 + i) ~threads ~per_thread ~k
+                plan)))
 
 (** Fixed plans aimed at the shared array's consolidation
     ([block_array.consolidate]) on the paper's queue.  A find-min

@@ -7,7 +7,7 @@
     publication, with the single exception of [filled].
 
     {b Who writes [filled]}: a builder ({!singleton}, {!of_sorted_array},
-    {!copy}, {!merge}) fills its private arrays with plain
+    {!copy}, {!merge}, {!carry}) fills its private arrays with plain
     stores under a local counter and stores [filled] once, at the end.  On
     a published block only two paths ever write it, and only downwards
     past dead items: consolidation's {!shrink}, and the DistLSM owner's
@@ -33,9 +33,10 @@
     once its owner has handed its arrays back to its thread-local {!Pool}.
     Only [Private] blocks are ever retired — a published block's arrays can
     be pinned by spies and snapshot readers indefinitely, and for those we
-    keep relying on the GC exactly as §4.4's remark permits.  Merge-cascade
-    intermediates, which dominate allocation on the insert path, never get
-    published and are recycled at once.
+    keep relying on the GC exactly as §4.4's remark permits.  What gets
+    recycled is the intermediates of consolidation and shrinking, which
+    are never published; the thread-local insert builds none ({!carry}
+    merges its whole chain into the one block it publishes).
 
     Every mutating operation filters out items that are no longer [alive]
     (logically deleted, or condemned by the application's lazy-deletion
@@ -564,6 +565,117 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       t
     end
     end
+
+  (** Owner-private scratch of {!carry}, indexed by source: each source's
+      fill count (the caller's read of [filled]), read position and head
+      key, and per suffix of the sources the one the pass emits from next.
+      Ints only, so it pins no item between passes. *)
+  module Carry = struct
+    type t = {
+      fill : int array;
+      pos : int array;
+      head : int array;
+      win : int array;
+          (** one entry longer than the others: the entry past the last
+              source is [-1] and ends every suffix *)
+    }
+
+    let create n =
+      {
+        fill = Array.make n 0;
+        pos = Array.make n 0;
+        head = Array.make n 0;
+        win = Array.make (n + 1) (-1);
+      }
+  end
+
+  let source srcs s =
+    match srcs.(s) with
+    | Some b -> b
+    | None -> invalid_arg "Block.carry: no block in a source slot"
+
+  (* The boxed items of a source without the option [items] returns. *)
+  let loaded b = match b.payload with Resident a -> a | Spilled _ -> items b
+
+  (** [carry ~alive ~filter c srcs ~first ~last item] is Listing 4's
+      insert cascade in one pass.  The sources are the blocks
+      [srcs.(first) .. srcs.(last - 1)] (each [Some], levels decreasing,
+      [c.fill.(s)] holding the caller's read of each one's [filled]) and
+      [item] as source [last].  The result is the block that merging
+      [item] with [srcs.(last - 1)], that with [srcs.(last - 2)], and so on
+      with {!merge} and {!shrink} would give, ties included, but no block
+      is built per level: the pass writes each alive item once into a block
+      of the least level that fits every source item, reading each item's
+      liveness once, and shrinks it only when it dropped one.  An item
+      pays one key comparison per merge the cascade would have passed it
+      through; every comparison and item move is charged to [B.tick].  The
+      filter is the union of the sources' and [filter]. *)
+  let carry ?pool ~alive ~filter (c : Carry.t) srcs ~first ~last item =
+    let fill = c.fill and pos = c.pos and head = c.head and win = c.win in
+    let total = ref 1 and fl = ref filter in
+    for s = first to last - 1 do
+      let b = source srcs s in
+      total := !total + fill.(s);
+      fl := Bloom.union !fl b.filter;
+      pos.(s) <- 0;
+      if fill.(s) > 0 then head.(s) <- b.keys.(0)
+    done;
+    fill.(last) <- 1;
+    pos.(last) <- 0;
+    head.(last) <- Item.key item;
+    win.(last + 1) <- -1;
+    let lvl = ref 0 in
+    while capacity_of_level !lvl < !total do
+      incr lvl
+    done;
+    (* The filler is the largest block's first item rather than [item]:
+       a fresh array too large for the minor heap made with a young filler
+       forces a minor collection. *)
+    let nb = create_with_exemplar ?pool !lvl (loaded (source srcs first)).(0) in
+    nb.filter <- !fl;
+    let dst = resident_exn nb and dk = nb.keys in
+    let work = ref 0 and o = ref 0 in
+    (* [win.(d)] is the source among [d .. last] whose head comes next —
+       the largest key, ties to the lower source, as each two-way merge
+       takes its older (lower-slot) input first on a tie — or [-1] once
+       they are all exhausted.  Emitting from [s] changes it only for
+       [d <= s]. *)
+    let from = ref last and go = ref true in
+    while !go do
+      for d = !from downto first do
+        let below = win.(d + 1) in
+        if pos.(d) >= fill.(d) then win.(d) <- below
+        else if below < 0 then win.(d) <- d
+        else begin
+          incr work;
+          win.(d) <- (if head.(d) >= head.(below) then d else below)
+        end
+      done;
+      let s = win.(first) in
+      if s < 0 then go := false
+      else begin
+        let k = head.(s) and p = pos.(s) in
+        pos.(s) <- p + 1;
+        let it =
+          if s = last then item
+          else begin
+            let b = source srcs s in
+            if p + 1 < fill.(s) then head.(s) <- b.keys.(p + 1);
+            (loaded b).(p)
+          end
+        in
+        if alive it then begin
+          dst.(!o) <- it;
+          dk.(!o) <- k;
+          incr o
+        end;
+        incr work;
+        from := s
+      end
+    done;
+    B.set nb.filled !o;
+    B.tick !work;
+    if !o < !total then shrink ?pool ~alive nb else nb
 
   (** §3's merge cascade, one block at a time: push [b] onto
       [stack.(0 .. !sp - 1)], which holds strictly decreasing levels from

@@ -6,7 +6,9 @@
     Listing 4: a merged block is written into its slot {e before} [size]
     shrinks, so every item stays reachable to spies throughout (items may
     be observed twice during a merge, which is harmless because deletion is
-    a test-and-set on the item itself).
+    a test-and-set on the item itself).  Listing 4's merge loop runs as one
+    pass ({!Block.carry}): an insert builds one block, the one it
+    publishes, however many slots it consumes.
 
     Those atomics are the owner's {e publication to spies}, not its working
     state.  The owner keeps a private view of what it published — the slot
@@ -81,6 +83,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     pool : 'v Block.Pool.t;
         (** the owning thread's block pool (§4.4 reuse); may be shared with
             the same thread's other components ({!Klsm.register}) *)
+    carry : Block.Carry.t;
+        (** {!Block.carry}'s scratch: one source per slot and one for the
+            new item *)
   }
 
   let create ?(obs = Obs.null_handle) ?pool ~tid ~hasher ~alive () =
@@ -101,6 +106,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       alive;
       obs;
       pool;
+      carry = Block.Carry.create (max_levels + 1);
     }
 
   let tid t = t.tid
@@ -152,37 +158,50 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end
     else if t.runner < 0 || precedes t i t.runner then t.runner <- i
 
-  (** Listing 4's [insert], extended with the spill rule of §4.3.  The merge
-      loop walks from the back (smallest levels); old blocks stay reachable
-      until the merged block replaces them.  A cascade that consumes the
-      cached best or runner-up slot drops the find-min cache; otherwise the
-      new slot's bound takes its place among the two. *)
+  (** Listing 4's [insert], extended with the spill rule of §4.3.  The
+      carry chain is the run of trailing slots that Listing 4's loop of
+      two-way merges would consume (it merges while the next slot's level
+      is at most the merged block's), found from the slots' levels and
+      fill counts; {!Block.carry} merges it with the new item in one pass,
+      and with no chain the new item is a singleton.  Fill counts include
+      dead items, so a chain can run longer than the loop's filtering
+      merges would; the block still lands below the slot that stopped it.
+      Old blocks stay reachable until the merged block replaces them.  A
+      chain that consumes the cached best or runner-up slot drops the
+      find-min cache; otherwise the new slot's bound takes its place among
+      the two. *)
   let insert t item ~max_level ~spill =
     let alive = t.alive in
     let pool = t.pool in
-    let b = ref (Block.singleton ~pool ~filter:t.filter item) in
-    let i = ref t.len in
-    let continue_merge = ref true in
-    while !continue_merge && !i > 0 do
+    let c = t.carry in
+    let i = ref t.len and lvl = ref 0 and total = ref 1 in
+    let continue_chain = ref true in
+    while !continue_chain && !i > 0 do
       match t.slots.(!i - 1) with
-      | None -> continue_merge := false
-      | Some prev ->
-          if Block.level prev <= Block.level !b then begin
-            Obs.incr t.obs c_merge;
-            (* [merge] retires the private cascade intermediate [!b] into
-               the pool; [prev] is published and stays untouched. *)
-            b := Block.shrink ~pool ~alive (Block.merge ~pool ~alive prev !b);
-            decr i
-          end
-          else continue_merge := false
+      | Some prev when Block.level prev <= !lvl ->
+          decr i;
+          let f = Block.filled prev in
+          c.Block.Carry.fill.(!i) <- f;
+          total := !total + f;
+          while Block.capacity_of_level !lvl < !total do
+            incr lvl
+          done
+      | _ -> continue_chain := false
     done;
-    let b = !b and i = !i in
+    let i = !i in
+    let b =
+      if i = t.len then Block.singleton ~pool ~filter:t.filter item
+      else begin
+        Obs.add t.obs c_merge (t.len - i);
+        Block.carry ~pool ~alive ~filter:t.filter c t.slots ~first:i
+          ~last:t.len item
+      end
+    in
     if t.best >= i || t.runner >= i then t.cached <- false;
     let f = Block.filled b in
     if f = 0 then begin
       (* Everything merged away (all items dead): just drop the blocks we
-         consumed.  The never-published merge result goes back to the
-         pool. *)
+         consumed.  The never-published output goes back to the pool. *)
       Block.retire ~pool b;
       publish_size t i
     end

@@ -342,7 +342,23 @@ let test_builders_store_filled_once () =
   let w, c =
     sim_build (fun () -> SBlock.copy ~alive:sim_alive b1 (SBlock.level b1))
   in
-  expect "copy" w c 62
+  expect "copy" w c 62;
+  (* A carry of a 63-entry block and one new item fills a level-6 block
+     in one pass. *)
+  let b3 =
+    SBlock.of_sorted_array ~filter:Bloom.empty
+      (Array.init 63 (fun i -> SItem.make (2 * (62 - i)) ()))
+  in
+  SBlock.publish b3;
+  let scratch = SBlock.Carry.create 2 in
+  scratch.SBlock.Carry.fill.(0) <- SBlock.filled b3;
+  let w, k =
+    sim_build (fun () ->
+        SBlock.carry ~alive:sim_alive ~filter:Bloom.empty scratch
+          [| Some b3 |] ~first:0 ~last:1 (SItem.make 61 ()))
+  in
+  check_int "carry: level" 6 (SBlock.level k);
+  expect "carry" w k 64
 
 (* ---------------- lazy-deletion alive predicates ---------------- *)
 

@@ -456,6 +456,124 @@ let test_find_min_reads_flat () =
   check_int "12 levels" 12 levels12;
   check_int "reads do not grow with the levels" reads1 reads12
 
+(* ---------------- the one-pass carry ---------------- *)
+
+(* An insert whose carry chain consumes j >= 2 slots builds one block: one
+   pool acquisition ([pool.hit + pool.miss]) and, on the simulator, three
+   writes — the block's [filled], its slot and [size] — plus the pool's
+   reset of [filled] when the acquisition hits.  A cascade of two-way
+   merges builds j + 1 blocks, each with its own [filled] store. *)
+let test_carry_builds_one_block () =
+  let module Obs = Klsm_obs.Obs in
+  let prev = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled prev)
+    (fun () ->
+      let sheet = Obs.create_sheet ~num_threads:1 () in
+      let salive it = not (SItem.is_taken it) in
+      let t =
+        SDist.create ~obs:(Obs.handle sheet ~tid:0) ~tid:0 ~hasher
+          ~alive:salive ()
+      in
+      let insert key =
+        SDist.insert t (SItem.make key ()) ~max_level:max_int ~spill:no_spill
+      in
+      (* Seven items leave slots of levels 2, 1 and 0; the eighth carries
+         all three. *)
+      for key = 0 to 6 do
+        insert key
+      done;
+      check_int "three slots" 3 (SDist.size t);
+      Obs.reset sheet;
+      Sim.configure ~seed:1 ~policy:Sim.Fair ();
+      Sim.parallel_run ~num_threads:1 (fun _ -> insert 7);
+      let count name =
+        match List.assoc_opt name (Obs.snapshot sheet).Obs.counters with
+        | Some per -> Array.fold_left ( + ) 0 per
+        | None -> 0
+      in
+      check_int "one slot" 1 (SDist.size t);
+      check_int "one dist.merge per consumed slot" 3 (count "dist.merge");
+      check_int "one block built" 1 (count "pool.hit" + count "pool.miss");
+      check_int "filled, slot and size written once"
+        (3 + count "pool.hit")
+        (Sim.stats ()).Sim.writes;
+      SDist.check_invariants t)
+
+(* The two-way cascade the one-pass insert replaced, kept as the
+   reference: a singleton merged with the last slot while that slot's
+   level is at most the merged block's, each merge shrunk, and a result
+   above [max_level] spilled.  [slots] lists the last slot first. *)
+let cascade_insert ~filter slots item ~max_level ~spill =
+  let rec go b = function
+    | prev :: rest when Block.level prev <= Block.level b ->
+        go (Block.shrink ~alive (Block.merge ~alive prev b)) rest
+    | rest -> (b, rest)
+  in
+  let b, rest = go (Block.singleton ~filter item) slots in
+  if Block.level b > max_level then begin
+    spill b;
+    rest
+  end
+  else b :: rest
+
+(* With no item dead, the slots after every insert — levels, fill counts,
+   the very items in order (ties included) and filters — and every
+   spilled block equal the reference cascade's.  A narrow key range makes
+   equal keys common. *)
+let prop_carry_equals_two_way_cascade =
+  qtest "carry = two-way cascade, slot for slot" ~count:300
+    QCheck2.Gen.(
+      pair
+        (oneofl [ 0; 1; 2; 3; 5; max_int ])
+        (list_size (int_bound 300) (int_bound 20)))
+    (fun (max_level, keys) ->
+      let t = make_lsm () in
+      let filter = Klsm_primitives.Bloom.singleton ~hasher 0 in
+      let slots = ref [] in
+      let spilled = ref [] and ref_spilled = ref [] in
+      let same what a b =
+        let fa = Block.filled a in
+        if Block.level a <> Block.level b || fa <> Block.filled b then
+          Alcotest.failf "%s: level %d filled %d, reference level %d filled %d"
+            what (Block.level a) fa (Block.level b) (Block.filled b);
+        if Block.filter a <> Block.filter b then
+          Alcotest.failf "%s: filters differ" what;
+        let ia = Block.items a and ib = Block.items b in
+        for j = 0 to fa - 1 do
+          if ia.(j) != ib.(j) then
+            Alcotest.failf "%s: entry %d holds key %d, the reference key %d"
+              what j (Item.key ia.(j)) (Item.key ib.(j))
+        done
+      in
+      List.iteri
+        (fun n k ->
+          let item = Item.make k n in
+          Dist_lsm.insert t item ~max_level ~spill:(fun b ->
+              spilled := b :: !spilled);
+          slots :=
+            cascade_insert ~filter !slots item ~max_level ~spill:(fun b ->
+                ref_spilled := b :: !ref_spilled);
+          let reference = Array.of_list (List.rev !slots) in
+          if Dist_lsm.size t <> Array.length reference then
+            Alcotest.failf "insert %d: %d slots, reference %d" n
+              (Dist_lsm.size t) (Array.length reference);
+          Array.iteri
+            (fun i b ->
+              same
+                (Printf.sprintf "insert %d, slot %d" n i)
+                (Option.get (Dist_lsm.block_at t i))
+                b)
+            reference;
+          Dist_lsm.check_invariants t)
+        keys;
+      if List.length !spilled <> List.length !ref_spilled then
+        Alcotest.failf "%d spills, reference %d" (List.length !spilled)
+          (List.length !ref_spilled);
+      List.iter2 (same "spilled block") !spilled !ref_spilled;
+      true)
+
 (* The queue Figure 3's DLSM row runs: the Registry's [dlsm] instance. *)
 let prop_dlsm_single_thread_exact =
   let module R = Klsm_harness.Registry.Make (Klsm_backend.Real) in
@@ -482,6 +600,12 @@ let () =
           prop_find_min_matches_reference_scan;
           Alcotest.test_case "reads independent of depth" `Quick
             test_find_min_reads_flat;
+        ] );
+      ( "carry",
+        [
+          Alcotest.test_case "one block per carrying insert (sim)" `Quick
+            test_carry_builds_one_block;
+          prop_carry_equals_two_way_cascade;
         ] );
       ( "spill",
         [

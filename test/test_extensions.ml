@@ -376,51 +376,65 @@ let test_keyed_concurrent_delivery_bounds () =
   done;
   Sim.configure ~policy:Sim.Fair ()
 
-(* Keyed-based Dijkstra must agree with the plain lazy-deletion SSSP. *)
+(* Keyed-based Dijkstra must agree with sequential Dijkstra on every
+   schedule: 64 seeds, each under the fair scheduler and under random
+   preemption.  A lowering that lands between a delivery's priority check
+   and its claim must leave the element queued at its new priority. *)
 let test_keyed_dijkstra () =
   let module KeyedSim = Klsm_core.Keyed.Make (Sim) in
   let graph = Klsm_graph.Gen.erdos_renyi ~seed:33 ~n:120 ~p:0.1 () in
   let reference = Klsm_graph.Dijkstra.run graph ~source:0 in
   let n = Klsm_graph.Graph.num_nodes graph in
-  Sim.configure ~seed:1 ~policy:Sim.Fair ();
-  let dist = Array.init n (fun _ -> Sim.make max_int) in
-  let in_flight = Sim.make 1 in
-  let t =
-    KeyedSim.create ~k:64
-      ~on_entry_consumed:(fun _ _ -> ignore (Sim.fetch_and_add in_flight (-1)))
-      ~num_threads:4 ()
+  let solve ~seed ~policy =
+    Sim.configure ~seed ~policy ();
+    let dist = Array.init n (fun _ -> Sim.make max_int) in
+    let in_flight = Sim.make 1 in
+    let t =
+      KeyedSim.create ~k:64
+        ~on_entry_consumed:(fun _ _ -> ignore (Sim.fetch_and_add in_flight (-1)))
+        ~num_threads:4 ()
+    in
+    let elements = Array.init n (fun v -> KeyedSim.element v) in
+    Sim.set dist.(0) 0;
+    Sim.parallel_run ~num_threads:4 (fun tid ->
+        let h = KeyedSim.register t tid in
+        if tid = 0 then ignore (KeyedSim.insert h elements.(0) 0);
+        let rec loop () =
+          match KeyedSim.try_delete_min h with
+          | Some (el, d) ->
+              let u = KeyedSim.value el in
+              if d >= Sim.get dist.(u) then
+                Klsm_graph.Graph.iter_succ graph u ~f:(fun v w ->
+                    let nd = d + w in
+                    let rec relax () =
+                      let cur = Sim.get dist.(v) in
+                      if nd < cur then
+                        if Sim.compare_and_set dist.(v) cur nd then begin
+                          ignore (Sim.fetch_and_add in_flight 1);
+                          if not (KeyedSim.insert h elements.(v) nd) then
+                            ignore (Sim.fetch_and_add in_flight (-1))
+                        end
+                        else relax ()
+                    in
+                    relax ());
+              ignore (Sim.fetch_and_add in_flight (-1));
+              loop ()
+          | None -> if Sim.get in_flight > 0 then (Sim.cpu_relax (); loop ())
+        in
+        loop ());
+    Array.map Sim.get dist
   in
-  let elements = Array.init n (fun v -> KeyedSim.element v) in
-  Sim.set dist.(0) 0;
-  Sim.parallel_run ~num_threads:4 (fun tid ->
-      let h = KeyedSim.register t tid in
-      if tid = 0 then ignore (KeyedSim.insert h elements.(0) 0);
-      let rec loop () =
-        match KeyedSim.try_delete_min h with
-        | Some (el, d) ->
-            let u = KeyedSim.value el in
-            if d >= Sim.get dist.(u) then
-              Klsm_graph.Graph.iter_succ graph u ~f:(fun v w ->
-                  let nd = d + w in
-                  let rec relax () =
-                    let cur = Sim.get dist.(v) in
-                    if nd < cur then
-                      if Sim.compare_and_set dist.(v) cur nd then begin
-                        ignore (Sim.fetch_and_add in_flight 1);
-                        if not (KeyedSim.insert h elements.(v) nd) then
-                          ignore (Sim.fetch_and_add in_flight (-1))
-                      end
-                      else relax ()
-                  in
-                  relax ());
-            ignore (Sim.fetch_and_add in_flight (-1));
-            loop ()
-        | None -> if Sim.get in_flight > 0 then (Sim.cpu_relax (); loop ())
-      in
-      loop ());
-  let got = Array.map Sim.get dist in
-  check_bool "keyed dijkstra correct" true
-    (got = reference.Klsm_graph.Dijkstra.dist)
+  Fun.protect
+    ~finally:(fun () -> Sim.configure ~policy:Sim.Fair ())
+    (fun () ->
+      for seed = 1 to 64 do
+        List.iter
+          (fun (name, policy) ->
+            if solve ~seed ~policy <> reference.Klsm_graph.Dijkstra.dist then
+              Alcotest.failf "seed %d, %s: distances differ from Dijkstra's"
+                seed name)
+          [ ("fair", Sim.Fair); ("random preemption", Sim.Random_preempt 0.3) ]
+      done)
 
 let () =
   Alcotest.run "extensions"
