@@ -26,6 +26,7 @@ if [ -n "$smoke" ]; then
   fig3_right=$fig3_left
   tuning=$fig3_left
   quality=$fig3_left
+  pulls="--prefill 200 --ops 100"
   workload=$fig3_left
   nodes=40
   tasks=10
@@ -35,6 +36,7 @@ else
   fig3_right="--prefill 100000 --ops 40000"
   tuning="--prefill 8000 --ops 16000"
   quality=
+  pulls="--ops 4000"
   workload="--prefill 10000 --ops 30000"
   nodes=600
   tasks=300
@@ -65,14 +67,19 @@ batch="--impl klsm-sharded:1024:4 --impl klsm-sharded:1024:4:dbuf=2
 # Figure 3, left and right panels.
 run "$bin/throughput.exe" --threads 1,2,5,10,20,40,80 $fig3_left --reps 1
 run "$bin/throughput.exe" --threads 1,2,5,10,20,40,80 $fig3_right --reps 1
-# Figure 4, left and right panels.
-run "$bin/sssp.exe" --sweep threads --nodes $nodes --relaxation 256
-run "$bin/sssp.exe" --sweep k --threads-fixed 10 --nodes $nodes
+# Figure 4, left and right panels: graph seed 42, queue seed 1.
+run "$bin/sssp.exe" --sweep threads --nodes $nodes --relaxation 256 \
+  --seed 42 --queue-seed 1
+run "$bin/sssp.exe" --sweep k --threads-fixed 10 --nodes $nodes \
+  --seed 42 --queue-seed 1
 # docs/TUNING.md: the stripe sweep and the deletion-batch sweep.
 run "$bin/throughput.exe" --threads 1,2,4,8,16 $tuning --reps 1 $sharded
 run "$bin/quality.exe" $quality $sharded
 run "$bin/throughput.exe" --threads 1,2,4,8,16 $tuning --reps 1 $batch
 run "$bin/quality.exe" $quality $batch
+# Pulls of 8 over the stripe line-up (a pull takes up to 8 keys, an insert
+# adds one, so the operation count stays within the prefill).
+run "$bin/quality.exe" $pulls --batch 8 $sharded
 # A1: rank error against the bound rho.
 run "$bin/quality.exe" $quality
 # The queues as scheduler backbones.

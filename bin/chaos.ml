@@ -11,10 +11,11 @@
    cases on the simulator, then runs the teeth check (flips Listing 4's
    publication order and demands the suite catch the planted loss).
    Prints and records, per case kind, how often the random cases reached
-   each site their plans are drawn from.  Writes BENCH_chaos.json and
+   each site their plans are drawn from, and how many runs they claimed
+   with one publish CAS (shared.batch_claim).  Writes BENCH_chaos.json and
    exits non-zero on any violation, on a missed teeth check, when some
-   fault kind was never exercised, or when a drawn site was never
-   reached.
+   fault kind was never exercised, when a drawn site was never reached,
+   or when a scheduler kind never claimed a run.
    docs/CHAOS.md documents the plan grammar and the fault-point sites. *)
 
 module Drive = Klsm_chaos.Drive
@@ -46,13 +47,14 @@ let run ~seeds ~threads ~per_thread ~roots ~seed ~plan ~out ~no_teeth =
       in
       let cases = random @ fixed in
       let coverage = Drive.coverage random in
+      let claims = Drive.claims random in
       let teeth_caught, _teeth_cases =
         if no_teeth then (true, []) else Drive.teeth ~plans:6 ()
       in
       let cas_fails, stalls, crashes, violations = Drive.totals cases in
       List.iter
         (fun (c : Drive.case_result) ->
-          Printf.printf "%-5s seed=0x%-6x c/s/k=%d/%d/%d %s plan=%s\n"
+          Printf.printf "%-11s seed=0x%-6x c/s/k=%d/%d/%d %s plan=%s\n"
             c.Drive.label c.Drive.seed c.Drive.cas_fails c.Drive.stalls
             c.Drive.crashes
             (if c.Drive.violations = [] then "ok  " else "FAIL")
@@ -67,13 +69,18 @@ let run ~seeds ~threads ~per_thread ~roots ~seed ~plan ~out ~no_teeth =
         (if no_teeth then "skipped"
          else if teeth_caught then "caught"
          else "MISSED");
-      print_endline "kind   site                         drawn  fired  visits";
+      print_endline
+        "kind        site                         drawn  fired  visits";
       List.iter
         (fun (r : Drive.coverage) ->
-          Printf.printf "%-6s %-28s %5d  %5d  %6d\n" r.kind r.site r.drawn
+          Printf.printf "%-11s %-28s %5d  %5d  %6d\n" r.kind r.site r.drawn
             r.fired r.visits)
         coverage;
-      Report.write_json ~path:out (Drive.to_json ~teeth_caught ~coverage cases);
+      Printf.printf "run claims:%s\n"
+        (String.concat ","
+           (List.map (fun (kind, n) -> Printf.sprintf " %s %d" kind n) claims));
+      Report.write_json ~path:out
+        (Drive.to_json ~teeth_caught ~coverage ~claims cases);
       Printf.printf "wrote %s\n%!" out;
       let kind_missing = cas_fails = 0 || stalls = 0 || crashes = 0 in
       if kind_missing then
@@ -86,11 +93,22 @@ let run ~seeds ~threads ~per_thread ~roots ~seed ~plan ~out ~no_teeth =
           Printf.eprintf "FAILURE: %s cases draw %s but never reach it\n"
             r.kind r.site)
         unvisited;
+      let unclaimed =
+        List.filter
+          (fun (kind, n) -> n = 0 && String.starts_with ~prefix:"sched" kind)
+          claims
+      in
+      List.iter
+        (fun (kind, _) ->
+          Printf.eprintf "FAILURE: %s cases never claimed a run\n" kind)
+        unclaimed;
       if violations > 0 then Printf.eprintf "FAILURE: %d violations\n" violations;
       if not teeth_caught then
         Printf.eprintf
           "FAILURE: teeth check missed the planted publication-order bug\n";
-      if violations > 0 || (not teeth_caught) || kind_missing || unvisited <> []
+      if
+        violations > 0 || (not teeth_caught) || kind_missing || unvisited <> []
+        || unclaimed <> []
       then exit 1
 
 open Cmdliner

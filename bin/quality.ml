@@ -8,13 +8,19 @@
      quality                                          (DESIGN.md A1 table)
      quality --impl klsm:256 --impl klsm-sharded:256:4
      quality --threads 16 --csv quality.csv
+     quality --batch 8 --impl klsm-sharded:256:4      (pulls of 8)
+
+   With --batch N every delete is a pull of up to N keys with one
+   try_delete_min_batch (inserts stay single), and a pull's keys reach the
+   oracle when the call returns, so the measured maximum is held to
+   rho + T*N instead of rho + T.
 
    Only the simulator backend is supported: the oracle needs the
    cooperative single-domain execution to observe operations in order. *)
 
 module Report = Klsm_harness.Report
 
-let run ~threads ~prefill ~ops ~impls ~seed ~csv =
+let run ~threads ~prefill ~ops ~impls ~seed ~batch ~csv =
   let module R = Klsm_harness.Registry.Make (Klsm_backend.Sim) in
   let module Q = Klsm_harness.Quality.Make (Klsm_backend.Sim) in
   let specs =
@@ -45,7 +51,14 @@ let run ~threads ~prefill ~ops ~impls ~seed ~csv =
     List.map
       (fun spec ->
         let config =
-          { Q.default_config with num_threads = threads; prefill; ops_per_thread = ops / threads; seed }
+          {
+            Q.default_config with
+            num_threads = threads;
+            prefill;
+            ops_per_thread = ops / threads;
+            seed;
+            batch;
+          }
         in
         let r = Q.run config spec in
         Printf.eprintf "done %s\n%!" (R.spec_name spec);
@@ -66,7 +79,11 @@ let run ~threads ~prefill ~ops ~impls ~seed ~csv =
       measured
   in
   Report.section
-    (Printf.sprintf "Delete-min rank error (T=%d, prefill=%d)" threads prefill);
+    (if batch > 1 then
+       Printf.sprintf "Pull rank error (T=%d, prefill=%d, pulls of %d)" threads
+         prefill batch
+     else
+       Printf.sprintf "Delete-min rank error (T=%d, prefill=%d)" threads prefill);
   Report.table
     ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho bound" ]
     rows;
@@ -84,6 +101,7 @@ let run ~threads ~prefill ~ops ~impls ~seed ~csv =
          ("benchmark", Report.String "quality-rank-error");
          ("backend", Report.String Klsm_backend.Sim.name);
          ("threads", Report.Int threads);
+         ("batch", Report.Int batch);
          ( "results",
            Report.List
              (List.map
@@ -111,14 +129,21 @@ let prefill = Arg.(value & opt int 20_000 & info [ "prefill" ] ~doc:"Prefilled k
 let ops = Arg.(value & opt int 40_000 & info [ "ops" ] ~doc:"Total operations.")
 let impls = Arg.(value & opt_all string [] & info [ "impl" ] ~doc:"Implementations (repeatable).")
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Root seed.")
+let batch =
+  Arg.(
+    value & opt int 1
+    & info [ "batch" ]
+        ~doc:"Keys per delete: one pull of up to N (try_delete_min_batch).")
+
 let csv = Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write CSV here.")
 
 let cmd =
   let doc = "delete-min rank-error quality measurement" in
   Cmd.v (Cmd.info "quality" ~doc)
     Term.(
-      const (fun threads prefill ops impls seed csv ->
-          run ~threads ~prefill ~ops ~impls ~seed ~csv)
-      $ threads $ prefill $ ops $ impls $ seed $ csv)
+      const (fun threads prefill ops impls seed batch csv ->
+          if batch < 1 then invalid_arg "quality: --batch < 1";
+          run ~threads ~prefill ~ops ~impls ~seed ~batch ~csv)
+      $ threads $ prefill $ ops $ impls $ seed $ batch $ csv)
 
 let () = exit (Cmd.eval cmd)

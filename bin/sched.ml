@@ -257,9 +257,10 @@ let dbuf =
     & info [ "dbuf" ]
         ~doc:
           "Tasks pulled per shared-queue round trip by each worker (the \
-           delete-side counterpart of --batch; pair with a klsm-sharded \
-           queue's dbuf=B knob for single-CAS batch claims).  The head \
-           task starts inline, the rest seed the worker's deque as \
+           delete-side counterpart of --batch).  On the k-LSMs a pull \
+           claims each run of tasks from a stripe with one publish CAS at \
+           every stripe count; the queue needs no dbuf=B for that.  The \
+           head task starts inline, the rest seed the worker's deque as \
            steal-ready fibers.  0 = one task per round trip, a \
            delete-min.")
 

@@ -5,6 +5,8 @@
      sssp --sweep k --threads-fixed 10                (Figure 4 right)
      sssp --nodes 10000 --prob 0.5 --sweep threads    (paper-scale graph)
      sssp --graph grid --nodes 10000 --sweep threads  (extra workload)
+     sssp --nodes 600 --seed 42 --queue-seed 1        (graph seed 42,
+                                                      queue seed 1: Fig. 4)
 
    The k sweep always runs centralized-k, hybrid-k and k-lsm at each k,
    so it rejects --impl.  Every run is checked against sequential
@@ -24,7 +26,8 @@ let make_graph ~kind ~seed ~n ~p =
       Klsm_graph.Gen.rmat ~seed ~scale:(Klsm_primitives.Bits.ceil_log2 n) ()
   | k -> failwith ("unknown graph kind " ^ k)
 
-let run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed ~csv =
+let run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed
+    ~queue_seed ~csv =
   let module Go (B : Klsm_backend.Backend_intf.S) = struct
     module R = Klsm_harness.Registry.Make (B)
     module SB = Klsm_harness.Sssp_bench.Make (B)
@@ -69,7 +72,8 @@ let run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed ~csv =
               List.iter
                 (fun t ->
                   let r =
-                    SB.run ~seed ~graph ~source ~num_threads:t ~reference spec
+                    SB.run ~seed:queue_seed ~graph ~source ~num_threads:t
+                      ~reference spec
                   in
                   emit spec t r;
                   Printf.eprintf "done %s T=%d\n%!" (R.spec_name spec) t)
@@ -82,7 +86,8 @@ let run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls ~seed ~csv =
               List.iter
                 (fun spec ->
                   let r =
-                    SB.run ~seed ~graph ~source ~num_threads:t ~reference spec
+                    SB.run ~seed:queue_seed ~graph ~source ~num_threads:t
+                      ~reference spec
                   in
                   emit spec t r;
                   Printf.eprintf "done %s k=%d\n%!" (R.spec_name spec) k)
@@ -141,7 +146,14 @@ let impls =
     value & opt_all string []
     & info [ "impl" ] ~doc:"Override implementations (repeatable; --sweep threads only).")
 
-let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Root random seed.")
+let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Graph seed.")
+
+let queue_seed =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "queue-seed" ] ~doc:"Queue seed (default: the --seed value).")
+
 let csv = Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write CSV here.")
 
 let cmd =
@@ -149,14 +161,18 @@ let cmd =
   Cmd.v (Cmd.info "sssp" ~doc)
     Term.(
       ret
-        (const (fun mode sweep graph_kind n p k threads_fixed impls seed csv ->
+        (const
+           (fun mode sweep graph_kind n p k threads_fixed impls seed queue_seed
+                csv ->
              if sweep = `K && impls <> [] then
                `Error (true, "--impl applies to --sweep threads only")
              else
                `Ok
                  (run ~mode ~sweep ~graph_kind ~n ~p ~k ~threads_fixed ~impls
-                    ~seed ~csv))
+                    ~seed
+                    ~queue_seed:(Option.value queue_seed ~default:seed)
+                    ~csv))
         $ mode $ sweep $ graph_kind $ n $ p $ k $ threads_fixed $ impls $ seed
-        $ csv))
+        $ queue_seed $ csv))
 
 let () = exit (Cmd.eval cmd)

@@ -16,7 +16,10 @@
    thread-local find-min counters per 1,000 local deletes, and the
    thread-local merges and block-pool acquisitions per 1,000 operations:
    every insert that carries slots builds one block, so pool.hit +
-   pool.miss per insert reads the blocks built. *)
+   pool.miss per insert reads the blocks built.  For a workload whose
+   workers pull from the queue (sched-fibers), a second table reads the
+   pull path per 1,000 queue pulls (steal.fallback): run claims, shared
+   deletes, lost takes, stripe selections and publish CAS attempts. *)
 
 module Bench = Klsm_bench.Bench
 module Common = Klsm_bench.Common
@@ -85,24 +88,52 @@ let twins workloads ~first ~last ~scratch =
     workloads;
   not !failed
 
+(* The pull-path counters of the second --counters table, read per 1,000
+   queue pulls. *)
+let pull_counters =
+  [
+    "shared.batch_claim";
+    "klsm.claim_yield";
+    "klsm.delete_shared";
+    "klsm.take_race";
+    "stripe.cache_miss";
+    "shared.cas_attempt";
+  ]
+
 let counters workloads ~seed ~scratch =
   let p = { Common.seed; seconds = 1.; scale = 1.0; scratch } in
   Printf.printf "%-16s %12s %16s %18s %10s %12s %14s %15s\n" "workload" "local_del"
     "bound_scan/1k" "stale_repeek/1k" "ops" "merge/kop" "pool.hit/kop" "pool.miss/kop";
-  List.fold_left
-    (fun ok (w : Bench.workload) ->
-      let acc = Common.create_acc () in
-      let trial = w.start p acc in
-      ignore (trial ~index:1 ~traced:true);
-      let s = Common.sum acc in
-      let per_k denom name = if denom > 0. then 1000. *. s name /. denom else 0. in
-      let local = s "klsm.delete_local" and ops = s "ops" in
-      Printf.printf "%-16s %12.0f %16.1f %18.1f %10.0f %12.1f %14.1f %15.1f\n%!" w.name local
-        (per_k local "dist.bound_scan") (per_k local "dist.stale_repeek") ops
-        (per_k ops "dist.merge") (per_k ops "pool.hit") (per_k ops "pool.miss");
-      List.iter (Printf.printf "%s VIOLATION %s\n" w.name) acc.Common.violations;
-      ok && acc.Common.violations = [])
-    true workloads
+  let sums =
+    List.map
+      (fun (w : Bench.workload) ->
+        let acc = Common.create_acc () in
+        let trial = w.start p acc in
+        ignore (trial ~index:1 ~traced:true);
+        let s = Common.sum acc in
+        let per_k denom name = if denom > 0. then 1000. *. s name /. denom else 0. in
+        let local = s "klsm.delete_local" and ops = s "ops" in
+        Printf.printf "%-16s %12.0f %16.1f %18.1f %10.0f %12.1f %14.1f %15.1f\n%!" w.name local
+          (per_k local "dist.bound_scan") (per_k local "dist.stale_repeek") ops
+          (per_k ops "dist.merge") (per_k ops "pool.hit") (per_k ops "pool.miss");
+        List.iter (Printf.printf "%s VIOLATION %s\n" w.name) acc.Common.violations;
+        (w.name, s, acc.Common.violations = []))
+      workloads
+  in
+  (match List.filter (fun (_, s, _) -> s "steal.fallback" > 0.) sums with
+  | [] -> ()
+  | pulling ->
+      Printf.printf "\n%-16s %10s" "workload" "pulls";
+      List.iter (fun c -> Printf.printf " %19s" (c ^ "/kpull")) pull_counters;
+      print_newline ();
+      List.iter
+        (fun (name, s, _) ->
+          let pulls = s "steal.fallback" in
+          Printf.printf "%-16s %10.0f" name pulls;
+          List.iter (fun c -> Printf.printf " %19.1f" (1000. *. s c /. pulls)) pull_counters;
+          print_newline ())
+        pulling);
+  List.for_all (fun (_, _, ok) -> ok) sums
 
 let () =
   let seeds = ref None and names = ref [] and count = ref false in
@@ -110,7 +141,7 @@ let () =
     [
       ("--seeds", Arg.String (fun s -> seeds := Some (parse_seeds s)), "A-B seeds to run (or one seed)");
       ("--workload", Arg.String (fun w -> names := w :: !names), "W a workload (repeatable; default all)");
-      ("--counters", Arg.Set count, " one traced Real trial per workload: find-min, merge and pool counters");
+      ("--counters", Arg.Set count, " one traced Real trial per workload: find-min, merge, pool and pull-path counters");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;

@@ -70,6 +70,7 @@ let sites =
   [
     "shared.push_snapshot.before";
     "shared.push_snapshot.after";
+    "shared.batch.claimed";
     "dist.insert.pre_size";
     "dist.insert.spill";
     "dist.spy.block";

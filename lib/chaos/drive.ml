@@ -17,10 +17,14 @@
       thread-local LSM.
     - {b sched cases} run a {!Klsm_sched.Closed_loop} workload with the
       robustness knobs on (leases, retries, dead-lettering, supervision)
-      and assert that every admitted task reaches a terminal state
+      on [klsm:8] or [klsm-sharded:8:2], workers pulling 4 ids per round
+      trip, and assert that every admitted task reaches a terminal state
       ([lost = 0]), nothing completes twice (the completion log has no
       duplicate ids), and the run makes bounded virtual-time progress
-      (no give-up) — the no-deadlock half of the acceptance bar.
+      (no give-up) — the no-deadlock half of the acceptance bar.  A pull
+      claims a run of ids with one publish CAS, so a crash between that
+      CAS and the takes prunes ids whose tasks stay [Pending]: the rescue
+      sweep must recover them.
 
     A case is deterministic in (seed, plan): rerunning a reported failure
     replays it exactly (docs/CHAOS.md shows the workflow).
@@ -451,12 +455,25 @@ let chaos_robust =
     run_deadline = 2e-2;
   }
 
-let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
+(** Scheduler case on [klsm:8], or with [~sharded] on
+    [klsm-sharded:8:2].  Workers pull [pull] ids per round trip
+    ([Closed_loop.config.dbuf]; default 1, the scheduler's own default):
+    a pull of more than one whose minimum sits in a stripe claims a run
+    with one publish CAS ({!Klsm_core.Klsm.try_delete_min_batch}), a pull
+    of one takes a single item. *)
+let sched_case ?(fiber_fanout = 2) ?(sharded = false) ?(pull = 1) ~seed
+    ~threads ~roots plan =
   Sim.configure ~seed ();
+  let label = if sharded then "sched-shard" else "sched" in
   let plan_text = Chaos.plan_to_string plan in
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   Chaos.install plan;
+  (* Counters on, so the report shows the run claims the plan ran
+     against; the sheets record without synchronization, so the schedule
+     is unchanged. *)
+  let was_obs = Obs.enabled () in
+  Obs.set_enabled true;
   let result =
     try
       Ok
@@ -467,6 +484,7 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
              roots_per_worker = roots;
              service = CL.Fixed 8;
              batch = 4;
+             dbuf = pull;
              capacity = 256;
              seed;
              robust = chaos_robust;
@@ -474,16 +492,18 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
                 every root forks children its workers can steal. *)
              fiber_fanout;
            }
-           (CL.Registry.Klsm 8))
+           (if sharded then CL.Registry.klsm_sharded 8 2
+            else CL.Registry.Klsm 8))
     with e -> Error e
   in
+  Obs.set_enabled was_obs;
   let faults = Chaos.stats () in
   let visits, rules = reach plan in
   Chaos.uninstall ();
   match result with
   | Error e ->
       {
-        label = "sched";
+        label;
         seed;
         plan_text;
         cas_fails = faults.Chaos.cas_fails;
@@ -532,8 +552,13 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
           extra r.CL.metrics.Klsm_sched.Metrics.retries
           r.CL.metrics.Klsm_sched.Metrics.double_claims
           r.CL.metrics.Klsm_sched.Metrics.reenqueues;
+      let stat name =
+        match List.assoc_opt name r.CL.queue_stats.Obs.counters with
+        | Some per -> Array.fold_left ( + ) 0 per
+        | None -> 0
+      in
       {
-        label = "sched";
+        label;
         seed;
         plan_text;
         cas_fails = faults.Chaos.cas_fails;
@@ -545,6 +570,7 @@ let sched_case ?(fiber_fanout = 2) ~seed ~threads ~roots plan =
         info =
           [
             ("tasks", r.CL.total_tasks);
+            ("batch_claim", stat "shared.batch_claim");
             ("completed", Array.length r.CL.completion_order);
             ("dead_lettered", r.CL.dead_lettered);
             ("retries", r.CL.metrics.Klsm_sched.Metrics.retries);
@@ -581,15 +607,21 @@ let queue_sites =
   ]
 
 (* The striped queue with its deletion buffer on reaches every queue
-   site plus two of its own (spill publish, deletion-buffer flush). *)
-let sharded_sites = queue_sites @ [ "klsm.spill.publish"; "klsm.dbuf.flush" ]
+   site plus three of its own (spill publish, a batch claim's window
+   between its publish CAS and its takes, deletion-buffer flush). *)
+let sharded_sites =
+  queue_sites
+  @ [ "klsm.spill.publish"; "shared.batch.claimed"; "klsm.dbuf.flush" ]
 
 (* Scheduler runs have no spill tier, [sched_case]'s queue has no
    deletion buffer, and every task enters the queue through
    [insert_batch], which publishes a block to the stripe without a
    thread-local insert: the store.* fault points, klsm.dbuf.flush and
    dist.insert.spill never fire there; drawing them would only dilute
-   the sched sweep. *)
+   the sched sweep.  Half of each kind's cases pull one id per round
+   trip, which takes single items and leaves them dead in the stripe for
+   block_array.consolidate; the other half pull 4, which claims runs and
+   reaches shared.batch.claimed. *)
 let sched_sites =
   List.filter
     (fun s ->
@@ -600,13 +632,14 @@ let sched_sites =
 (** One deterministic plan per seed, alternating case kinds and cycling
     the primary fault kind (see {!Chaos.random_plan}); every third seed
     adds a second rule so multi-fault runs are covered too.  Odd indices
-    stress the hardened scheduler; even indices alternate between the
-    paper's queue (S = 1) and the striped one with its deletion buffer
-    on. *)
+    stress the hardened scheduler, alternating between [klsm:8] and
+    [klsm-sharded:8:2], and within each of those between pulls of 4 and
+    pulls of one; even indices alternate between the paper's queue
+    (S = 1) and the striped one with its deletion buffer on. *)
 let case_for ~threads ~per_thread ~roots ~k i seed =
   let rng = Xoshiro.create ~seed:(seed * 31 + 17) in
   let sched = i mod 2 = 1 in
-  let sharded = (not sched) && i mod 4 = 2 in
+  let sharded = i mod 4 >= 2 in
   let sites =
     if sched then sched_sites
     else if sharded then sharded_sites
@@ -616,7 +649,9 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
   let plan =
     Chaos.random_plan ~rng ~sites ~num_threads:threads ~rules i
   in
-  if sched then sched_case ~seed ~threads ~roots plan
+  if sched then
+    sched_case ~sharded ~pull:(if i / 4 mod 2 = 0 then 4 else 1) ~seed
+      ~threads ~roots plan
   else if sharded then
     (* A modest §17 deletion buffer so the random draw can land on the
        dbuf-flush site (and the buffered-crash exemption gets coverage);
@@ -657,7 +692,14 @@ let require_fired plan r =
       drain, run dry and spy its LSM, and the first thief is killed
       between the blocks it copies (the copies share their items with the
       victim, so nothing may be lost or delivered twice) or stalled there
-      until the victim wakes and deletes under it. *)
+      until the victim wakes and deletes under it;
+    - two thread-local consolidation cases at k = 64: a kill of thread 1,
+      and a stall of the first arrival, after a consolidation published
+      its rebuilt blocks and before it shrank [size].  At k = 8 a thread
+      that runs dry seldom holds a slot (its LSM holds at most 3 items at
+      S = 2, and a spill empties it), so it never consolidates; at k = 64
+      its LSM holds up to 31 items, spies take them, and the owner finds
+      its slots dead. *)
 let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
   (* A storm of [n] consecutive forced failures at [site], optionally
      aimed at one thread. *)
@@ -714,6 +756,14 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
            require_fired plan
              (queue_case ~shards ~seed:(seed0 + 6 + i) ~threads ~per_thread ~k
                 plan)))
+  @ ([
+       [ Chaos.rule ~tid:1 ~hit:1 "dist.consolidate.pre_size" Chaos.Crash ];
+       [ Chaos.rule ~hit:1 "dist.consolidate.pre_size" (Chaos.Stall 50_000) ];
+     ]
+    |> List.mapi (fun i plan ->
+           require_fired plan
+             (queue_case ~shards ~seed:(seed0 + 8 + i) ~threads ~per_thread
+                ~k:64 plan)))
 
 (** Fixed plans aimed at the shared array's consolidation
     ([block_array.consolidate]) on the paper's queue.  A find-min
@@ -749,16 +799,34 @@ let consolidate_targeted ~threads ~per_thread ~k ~seed0 =
       progress down mid-task;
     - a stall between steal and resume: the stolen fiber is invisible to
       everyone for 40 cost units while its task's lease keeps ticking —
-      the late-completion path must absorb the re-lease race. *)
+      the late-completion path must absorb the re-lease race;
+    - a kill {e inside a run claim}, on [klsm:8] and on
+      [klsm-sharded:8:2] with pulls of 4: worker 1 dies after its claim's
+      publish CAS pruned a run of ids from the stripe and before it took
+      them, so their tasks stay [Pending] where no stripe holds them, and
+      the rescue sweep (or a survivor's older snapshot) must bring them
+      back, exactly once.
+
+    The first three pull one id per round trip, as the scheduler does by
+    default. *)
 let sched_targeted ~threads ~roots ~seed0 =
-  [
-    [ Chaos.rule ~tid:1 ~hit:1 "sched.steal" Chaos.Crash ];
-    [ Chaos.rule ~tid:2 ~hit:2 "sched.fiber.resume" Chaos.Crash ];
-    [ Chaos.rule ~tid:1 ~hit:1 "sched.steal" (Chaos.Stall 40) ];
-  ]
+  ([
+     [ Chaos.rule ~tid:1 ~hit:1 "sched.steal" Chaos.Crash ];
+     [ Chaos.rule ~tid:2 ~hit:2 "sched.fiber.resume" Chaos.Crash ];
+     [ Chaos.rule ~tid:1 ~hit:1 "sched.steal" (Chaos.Stall 40) ];
+   ]
   |> List.mapi (fun i plan ->
          require_fired plan
-           (sched_case ~fiber_fanout:3 ~seed:(seed0 + i) ~threads ~roots plan))
+           (sched_case ~fiber_fanout:3 ~seed:(seed0 + i) ~threads ~roots plan)))
+  @ List.mapi
+      (fun i sharded ->
+        let plan =
+          [ Chaos.rule ~tid:1 ~hit:1 "shared.batch.claimed" Chaos.Crash ]
+        in
+        require_fired plan
+          (sched_case ~sharded ~pull:4 ~seed:(seed0 + 3 + i) ~threads ~roots
+             plan))
+      [ false; true ]
 
 (** Fixed spill-tier plans (the ISSUE's kill-and-restart acceptance bar),
     every one followed by a full process-death + {!Spill.recover} cycle:
@@ -810,6 +878,16 @@ type coverage = {
   visits : int;
 }
 
+(* Every case kind of the random sweep, with the sites its plans are
+   drawn from ({!case_for}). *)
+let kinds =
+  [
+    ("queue", queue_sites);
+    ("shard", sharded_sites);
+    ("sched", sched_sites);
+    ("sched-shard", sched_sites);
+  ]
+
 (** The table for [cases] (random cases, as {!sweep} returns them): one
     row per case kind and site of the list that kind's plans are drawn
     from ({!case_for}).  A row with no visits names a site the kind's
@@ -834,7 +912,22 @@ let coverage cases =
                   Option.value (List.assoc_opt site c.visits) ~default:0);
           })
         sites)
-    [ ("queue", queue_sites); ("shard", sharded_sites); ("sched", sched_sites) ]
+    kinds
+
+(** Run claims ([shared.batch_claim]) per case kind of [cases]: a kind at
+    0 never claimed a run under its plans, so no fault of theirs can have
+    landed between a claim's publish CAS and its takes. *)
+let claims cases =
+  List.map
+    (fun (kind, _) ->
+      ( kind,
+        List.fold_left
+          (fun acc c ->
+            if c.label <> kind then acc
+            else
+              acc + Option.value ~default:0 (List.assoc_opt "batch_claim" c.info))
+          0 cases ))
+    kinds
 
 (* ------------------------------------------------------------------ *)
 (* Teeth: the planted-bug check                                        *)
@@ -901,7 +994,7 @@ let coverage_to_json r =
       ("visits", Report.Int r.visits);
     ]
 
-let to_json ?teeth_caught ?(coverage = []) cases =
+let to_json ?teeth_caught ?(coverage = []) ?(claims = []) cases =
   let cas_fails, stalls, crashes, violations = totals cases in
   Report.Obj
     ([
@@ -917,6 +1010,8 @@ let to_json ?teeth_caught ?(coverage = []) cases =
       | None -> []
       | Some caught -> [ ("teeth_caught", Report.Bool caught) ])
     @ [
+        ( "claims",
+          Report.Obj (List.map (fun (kind, n) -> (kind, Report.Int n)) claims) );
         ("coverage", Report.List (List.map coverage_to_json coverage));
         ("results", Report.List (List.map case_to_json cases));
       ])

@@ -105,6 +105,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_delete_empty = Obs.counter "klsm.delete_empty"
   let c_spy_attempt = Obs.counter "klsm.spy_attempt"
   let c_spy_success = Obs.counter "klsm.spy_success"
+  let c_claim_yield = Obs.counter "klsm.claim_yield"
   let c_hint_consult = Obs.counter "stripe.hint_consult"
   let c_hint_skip = Obs.counter "stripe.hint_skip"
   let c_dbuf_hit = Obs.counter "stripe.dbuf_hit"
@@ -159,6 +160,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** stripe whose answer the last race returned (the stripe a
             deletion batch is claimed from); read only after a race that
             returned one *)
+    mutable won_cap : int;
+        (** the last race's cross-stripe cap: the smallest bound it saw on
+            the stripes it did not pick ({!race}) *)
     mutable dbuf : (int * 'v) list;
         (** deletion buffer, ascending: items claimed-deleted from a stripe
             in a batch, not yet returned to the owner.  Invisible to every
@@ -213,8 +217,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     in
     {
       stripes =
+        (* A striped queue's pulls step aside for an insert that lost its
+           CAS (DESIGN.md §17, "What claims cost the mean"); [klsm:<k>]
+           keeps its claims as they were. *)
         Array.init shards (fun _ ->
-            Shared_klsm.create ~k:kp ~local_ordering ~hasher ~alive ());
+            Shared_klsm.create ~k:kp ~local_ordering
+              ~yield_claims:(shards > 1) ~hasher ~alive ());
       dists = Array.init num_threads (fun _ -> B.make None);
       num_threads;
       num_stripes = shards;
@@ -272,6 +280,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       stripe_hs;
       home = tid mod t.num_stripes;
       won_stripe = 0;
+      won_cap = max_int;
       dbuf = [];
       dbuf_len = 0;
       dbuf_age = 0;
@@ -391,29 +400,44 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      consulted iff it has a published array: a [max_int] hint cannot tell
      an empty stripe from one holding only [max_int] keys, or from the late
      hint write of an earlier empty publish.  The returned item may be taken
-     concurrently; the delete-min loops handle that. *)
+     concurrently; the delete-min loops handle that.
+
+     The walk also leaves [won_cap], the smallest bound it saw on the
+     stripes it did not pick: a consulted stripe's answer (a superseded
+     winner's included), a skipped stripe's hint, or [max_int] for a
+     stripe found empty.  A run claimed from the winner up to that cap
+     skips, per key, at most ceil(k/S) keys in each consulted stripe and
+     none in a hint-certified one — the same case split as one delete
+     ({!claim_runs}).  At S = 1 a race the stripe wins leaves nothing
+     unpicked, and the cap is [max_int]. *)
   let race h best_known =
     let best = ref None and best_key = ref best_known in
+    let cap = ref max_int in
     let consulted = ref false in
     for d = 0 to h.t.num_stripes - 1 do
       let i = (h.home + d) mod h.t.num_stripes in
       let stripe = h.t.stripes.(i) in
       let unknown = Option.is_none !best && !best_key = max_int in
+      let hint = if unknown then max_int else Shared_klsm.min_hint stripe in
       if
         if unknown then Option.is_some (Shared_klsm.peek_shared stripe)
-        else Shared_klsm.min_hint stripe < !best_key
+        else hint < !best_key
       then begin
         consulted := true;
         if d > 0 then Obs.incr h.obs c_hint_consult;
         match Shared_klsm.find_min h.stripe_hs.(i) with
         | Some it when unknown || Item.key it < !best_key ->
+            if Option.is_some !best then cap := Int.min !cap !best_key;
             best := Some it;
             best_key := Item.key it;
             h.won_stripe <- i
-        | _ -> ()
+        | Some it -> cap := Int.min !cap (Item.key it)
+        | None -> ()
       end
+      else cap := Int.min !cap hint
     done;
     if not !consulted then Obs.incr h.obs c_hint_skip;
+    h.won_cap <- !cap;
     !best
 
   (* Spy on one random other thread (Listing 5's fallback when both
@@ -452,26 +476,33 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Buffered of int * 'v  (** the deletion-buffer head *)
     | Local of 'v Item.t  (** the thread-local minimum *)
     | Stripe of 'v Item.t * int
-        (** the striped race's answer, from [won_stripe], and the local
-            minimum's key, which caps a run claimed from that stripe *)
+        (** the striped race's answer, from [won_stripe], and the cap of a
+            run claimed from that stripe: the local minimum's key, and
+            without a deletion buffer also the race's [won_cap] *)
     | Nothing  (** every component looked empty *)
 
   (* Listing 5's race, once for every delete and peek path: the owner's
      two candidates, its thread-local minimum and its deletion-buffer head,
      against the striped race.  Ties go to the buffer (its item is already
-     deleted, so serving it costs nothing), then to the local minimum. *)
+     deleted, so serving it costs nothing), then to the local minimum.  A
+     deletion-buffer claim is capped at the local key alone: the serve rule
+     re-certifies each parked item against the live hints (DESIGN.md
+     §17). *)
   let select h =
     let local = Dist_lsm.find_min h.dist in
     let local_key = key_or_max local in
     let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
     let shared = race h (Int.min local_key dhead) in
+    let cap =
+      if h.t.dbuf_max > 0 then local_key else Int.min local_key h.won_cap
+    in
     match (h.dbuf, local, shared) with
     | (key, value) :: _, _, _ when key <= local_key && key <= key_or_max shared
       ->
         Buffered (key, value)
-    | _, Some it, Some s when Item.key s < Item.key it -> Stripe (s, local_key)
+    | _, Some it, Some s when Item.key s < Item.key it -> Stripe (s, cap)
     | _, Some it, _ -> Local it
-    | _, None, Some s -> Stripe (s, local_key)
+    | _, None, Some s -> Stripe (s, cap)
     | _, None, None -> Nothing
 
   (* Listing 5's test-and-set on a selected item; a lost one is a take
@@ -488,24 +519,23 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Batched shared delete (DESIGN.md §17): claim up to B = [dbuf_max]
      items from the stripe that won the race with ONE publish CAS
-     ({!Shared_klsm.try_pop_batch}), capped at the local minimum — the
-     run must not reach past what the owner itself holds.  No cross-stripe
-     cap is applied at claim time: stripe hints lower-bound the smallest
-     {e alive} key through logically deleted items, so they are
-     systematically stale-low and would veto nearly every claim; instead
-     the serve rule in {!select} re-certifies the buffered head against
-     the {e live} hints at every serve, which is strictly stronger than a
-     claim-time check (hints move; the serve-time one is the one that
-     matters for the rank bound).  The head is returned now; the rest
+     ({!Shared_klsm.try_pop_batch}), capped ([cap], from {!select}) at the
+     local minimum — the run must not reach past what the owner itself
+     holds.  Unlike {!claim_runs}, no cross-stripe cap is applied at claim
+     time: parked items are served later, so the serve rule in {!select}
+     re-certifies the buffered head against the {e live} hints at every
+     serve, which is strictly stronger than a claim-time check (hints
+     move; the serve-time one is the one that matters for the rank
+     bound).  The head is returned now; the rest
      lands in the owner's deletion buffer.  [dbuf_pending] records the
      tentative run before the CAS, for the chaos drive's crash accounting.
      [None] = claim lost or nothing under the cap; the caller falls back
      to the single take. *)
-  let claim_batch h ~local_key =
+  let claim_batch h ~cap =
     let run =
       Shared_klsm.try_pop_batch
         ~stage:(fun pending -> h.dbuf_pending <- pending)
-        ~limit:local_key h.stripe_hs.(h.won_stripe) h.t.dbuf_max
+        ~limit:cap h.stripe_hs.(h.won_stripe) h.t.dbuf_max
     in
     h.dbuf_pending <- [];
     match run with
@@ -540,10 +570,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           Obs.incr h.obs c_delete_shared;
           Some (key, value)
       | Local it -> take_or_retry it ~counter:c_delete_local
-      | Stripe (it, local_key) -> (
+      | Stripe (it, cap) -> (
           match
-            if h.t.dbuf_max > 0 && h.dbuf_len = 0 then
-              claim_batch h ~local_key
+            if h.t.dbuf_max > 0 && h.dbuf_len = 0 then claim_batch h ~cap
             else None
           with
           | Some kv -> Some kv
@@ -554,15 +583,19 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     in
     go ()
 
-  (* The one-stripe batch (S = 1, no deletion buffer): Listing 5's race,
-     but a stripe win claims a whole run of the stripe with one publish
-     CAS ({!Shared_klsm.try_pop_batch}) capped at the local minimum, so
-     every returned key is one [try_delete_min] could have returned at its
-     position — with a single stripe no other stripe can undercut the run.
-     Local wins are taken one at a time (they are already CAS-free), and so
-     is a stripe win when the batch is of one: publishing a new snapshot to
-     remove one item costs more than its test-and-set, so a batch of one
-     is exactly a [try_delete_min]. *)
+  (* The batch without a deletion buffer: Listing 5's race, but a stripe
+     win claims a whole run of the won stripe with one publish CAS
+     ({!Shared_klsm.try_pop_batch}) capped at min(local key, the race's
+     cross-stripe cap).  Each claimed key skips nothing in its own stripe
+     (the run is that stripe's smallest alive items), nothing in the
+     owner's LSM (it lies at or below the local key) or in a stripe the
+     hints certified, and at most ceil(k/S) keys in a consulted stripe (it
+     lies at or below that stripe's answer): DESIGN.md §12's case split,
+     item by item, with the winning stripe's term at 0.  At S = 1 the cap
+     is the local key alone.  Local wins are taken one at a time (they are
+     already CAS-free), and so is a stripe win when the batch is of one:
+     publishing a new snapshot to remove one item costs more than its
+     test-and-set, so a batch of one is exactly a [try_delete_min]. *)
   let claim_runs h n =
     let out = ref [] (* descending *) and got = ref 0 in
     let push kv =
@@ -582,9 +615,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         | Stripe (s, _) when n = 1 ->
             take_one s ~counter:c_delete_shared;
             go ()
-        | Stripe (s, local_key) ->
+        | Stripe (s, _)
+          when Shared_klsm.inserts_waiting h.t.stripes.(h.won_stripe) ->
+            (* A claim now would fail that insert's CAS again: take the
+               race's item alone, which publishes nothing. *)
+            Obs.incr h.obs c_claim_yield;
+            take_one s ~counter:c_delete_shared;
+            go ()
+        | Stripe (s, cap) ->
             (match
-               Shared_klsm.try_pop_batch h.stripe_hs.(0) ~limit:local_key
+               Shared_klsm.try_pop_batch h.stripe_hs.(h.won_stripe) ~limit:cap
                  (n - !got)
              with
             | [] ->
@@ -604,16 +644,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Batched delete-min (DESIGN.md §17; see
       {!Pq_intf.S.try_delete_min_batch}): up to [n] items in deletion
-      order; a short batch means the queue looked empty mid-run.  At
-      [S = 1] a stripe win claims a whole run with one publish CAS
+      order; a short batch means the queue looked empty mid-run.  At every
+      stripe count a stripe win claims a whole run with one publish CAS
       ({!claim_runs}, counted by [shared.batch_claim]), except in a batch
-      of one, which is a [try_delete_min].  Otherwise it is a plain
-      {!try_delete_min} loop — with deletion batching on, the first
-      iteration claims a run and the rest of the batch drains the buffer,
-      so the whole call still costs one publish CAS per up-to-B items. *)
+      of one, which is a [try_delete_min].  With deletion batching on it
+      is a plain {!try_delete_min} loop: the first iteration claims a run
+      and the rest of the batch drains the buffer, so the whole call still
+      costs one publish CAS per up-to-B items. *)
   let try_delete_min_batch h n =
     if n <= 0 then []
-    else if h.t.num_stripes = 1 && h.t.dbuf_max = 0 then claim_runs h n
+    else if h.t.dbuf_max = 0 then claim_runs h n
     else Pq_intf.pop_up_to (fun () -> try_delete_min h) n
 
   (** Relaxed peek (the paper's try_find_min interface extension, §4):

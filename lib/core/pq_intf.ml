@@ -40,10 +40,12 @@ module type S = sig
       and a short (even empty) batch is the analogue of a spurious
       [None] — callers that know items remain simply call again.  Queues
       without a bulk path run exactly that loop ({!pop_up_to}); the k-LSMs
-      specialize it so a whole run of items is claimed from the shared
-      component with a single CAS, which is how delete-side batching
-      (DESIGN.md §17) amortizes the shared hot spot the way {!insert_batch}
-      does for inserts. *)
+      specialize it so a whole run of items is claimed from one stripe of
+      the shared component with a single publish CAS, at every stripe
+      count and with no deletion buffer needed, each key of the run capped
+      so it is one [try_delete_min] could have returned (DESIGN.md §12,
+      §17).  That is how delete-side batching amortizes the shared hot
+      spot the way {!insert_batch} does for inserts. *)
 
   val insert_batch : 'v handle -> (int * 'v) array -> unit
   (** [insert_batch h pairs] inserts every [(key, value)] pair.  Semantics

@@ -63,6 +63,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             up to the write race DESIGN.md §12 describes, in which a late
             write of an empty publish leaves [max_int] over a non-empty
             array. *)
+    waiting : int B.atomic;
+        (** inserts into this array whose publish CAS lost at least once
+            and that have not landed yet; kept only with [yield_claims] *)
+    yield_claims : bool;
+        (** whether inserts announce a lost CAS in [waiting], so batch
+            claims can step aside ({!inserts_waiting}) *)
   }
 
   type 'v handle = {
@@ -82,7 +88,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             cleared by [refresh_snapshot] *)
   }
 
-  let create ?(k = 256) ?(local_ordering = true) ~hasher ~alive () =
+  let create ?(k = 256) ?(local_ordering = true) ?(yield_claims = false)
+      ~hasher ~alive () =
     if k < 0 then invalid_arg "Shared_klsm.create: k < 0";
     (* Every contended atomic sits behind a cache line of its own
        ({!Klsm_primitives.Padded}), so stripe [i]'s publish CAS traffic
@@ -97,6 +104,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       alive;
       local_ordering;
       hint = pad (B.make max_int);
+      waiting = pad (B.make 0);
+      yield_claims;
     }
 
   let get_k t = B.get t.k
@@ -126,6 +135,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** Current lower bound on the smallest alive key ([max_int] = nothing
       published). *)
   let min_hint t = B.get t.hint
+
+  (** Whether an insert into [t] lost its publish CAS and has not landed
+      yet ([false] without [yield_claims]).  A batch claim published now
+      would fail that insert's next CAS too: a run claim
+      ({!Klsm.claim_runs}) takes the race's item alone instead.  An
+      insert whose thread dies while waiting leaves the count raised, so
+      claims on [t] take single items from then on: slower, never
+      wrong. *)
+  let inserts_waiting t = t.yield_claims && B.get t.waiting > 0
 
   (* Take a fresh consistent snapshot of the shared array, carrying over
      the dead-tail bounds the previous snapshot recorded for every block
@@ -197,8 +215,18 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
        once per attempt, so it must survive every attempt — publishing it
        up front bars the merge cascade from retiring it. *)
     Block.publish block;
+    (* A lost CAS means the array moved under this insert's copy, merge
+       and re-pivot; batch claims publish often enough to make it lose
+       again and again, so announce the wait until the insert lands. *)
+    let waiting = ref false in
     let rec attempt retry =
-      if retry then Obs.incr h.obs c_insert_retry;
+      if retry then begin
+        Obs.incr h.obs c_insert_retry;
+        if h.q.yield_claims && not !waiting then begin
+          waiting := true;
+          ignore (B.fetch_and_add h.q.waiting 1)
+        end
+      end;
       refresh_snapshot h;
       let snap =
         match h.snapshot with
@@ -213,6 +241,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       if not (push_snapshot h (Some snap)) then attempt true
     in
     attempt false;
+    if !waiting then ignore (B.fetch_and_add h.q.waiting (-1));
     Obs.span_end h.obs s_insert t0
 
   (* Listing 3's selection on the handle's snapshot: return an item that
@@ -334,9 +363,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       fully-consumed one is dropped — pivots are recomputed and the result
       installed.  Only
       items with key [<= limit] are claimed, which is how callers keep
-      the run within their own relaxed budget (the k-LSM caps at its
-      local minimum and, across stripes, re-certifies each buffered item
-      at serve time).
+      the run within their own relaxed budget.  The k-LSM has two
+      callers: a pull ({!Klsm.claim_runs}) caps the run at min(local
+      key, the race's cross-stripe cap), and a deletion-buffer claim
+      ({!Klsm.claim_batch}) caps it at the local key alone and
+      re-certifies each buffered item against the live stripe hints when
+      it is served.
 
       The winning CAS is the linearization point of the whole run: from
       then on no other thread can reach the claimed items structurally, and
@@ -417,6 +449,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                   end
                 in
                 if won then begin
+                  B.fault_point "shared.batch.claimed";
                   Obs.incr h.obs c_batch_claim;
                   (* Takes arbitrate against older-snapshot readers: a take
                      that fails with the flag set was consumed by them and

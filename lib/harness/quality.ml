@@ -8,6 +8,14 @@
     within rho + slack, and the mean shows the quality/throughput trade as
     k grows.
 
+    With [batch = n > 1] a delete is a pull instead: up to [n] keys with
+    one [try_delete_min_batch], the way the scheduler's workers pull
+    tasks, while an insert still inserts one key — so the queue drains
+    about [n] times faster than it fills, and the prefill must cover the
+    run.  A pull's keys reach the oracle only when the call returns, so up
+    to [T * n] keys other threads already took may still count as
+    present: the slack is [T * n] instead of [T].
+
     Only meaningful on the [Sim] backend (the oracle is sequential and
     relies on the simulator's single-domain cooperative execution). *)
 
@@ -22,6 +30,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     ops_per_thread : int;
     key_range : int;
     seed : int;
+    batch : int;
+        (** keys per delete: 1 = [try_delete_min]; [n > 1] = one pull of
+            up to [n] ([try_delete_min_batch]) *)
   }
 
   let default_config =
@@ -31,6 +42,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       ops_per_thread = 5_000;
       key_range = 1 lsl 18;
       seed = 42;
+      batch = 1;
     }
 
   type result = {
@@ -65,17 +77,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     B.parallel_run ~num_threads:t (fun tid ->
         let h = match handles.(tid) with Some h -> h | None -> assert false in
         let rng = Xoshiro.create ~seed:(config.seed + 13 + (104729 * tid)) in
+        let note (key, _) = errors := Oracle.delete oracle key :: !errors in
         for _ = 1 to config.ops_per_thread do
           if Xoshiro.bool rng then begin
             let key = Xoshiro.int rng config.key_range in
             Oracle.insert oracle key;
             h.Registry.insert key 0
           end
-          else begin
-            match h.Registry.try_delete_min () with
-            | Some (key, _) -> errors := Oracle.delete oracle key :: !errors
-            | None -> ()
-          end
+          else if config.batch <= 1 then
+            Option.iter note (h.Registry.try_delete_min ())
+          else List.iter note (h.Registry.try_delete_min_batch config.batch)
         done);
     let errs = Array.of_list (List.rev_map float_of_int !errors) in
     if Array.length errs = 0 then

@@ -29,10 +29,11 @@
       component alone decides {e which task starts next} (so the k-LSM's
       rank bound still governs priority order); the deques only absorb the
       churn of the short-lived fibers a started task explodes into.  A
-      pull of several ids costs one shared-component CAS on the k-LSMs; the
-      most urgent starts inline and the rest are parked in the deque as
-      immediately steal-ready, lease-on-run fibers, both through the same
-      lease;
+      pull of several ids costs one publish CAS per claimed run on the
+      k-LSMs, at every stripe count and without a queue-side deletion
+      buffer; the most urgent starts inline and the rest are parked in the
+      deque as immediately steal-ready, lease-on-run fibers, both through
+      the same lease;
     + {b supervising} (robust mode): on dry rounds the worker heartbeat-
       checks its peers, declares silent ones dead, expires overdue leases
       into parked retries or, with no attempts left, the terminal [Dead]
@@ -192,9 +193,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     sub : Submitter.t;
     pop_batch : int -> (int * int) list;
         (** the queue's try_delete_min_batch, the one pull path; on the
-            k-LSMs one call claims a whole run of tasks from the shared
-            component with a single CAS (see Shared_klsm.try_pop_batch),
-            and a batch of one is a try_delete_min *)
+            k-LSMs a stripe win claims a whole run of tasks from that
+            stripe with a single publish CAS at every stripe count (see
+            Klsm.claim_runs), and a batch of one is a try_delete_min *)
     batch : int;  (** tasks pulled per shared-queue round trip *)
     w : Metrics.worker;
     obs : Obs.handle;
@@ -531,7 +532,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     Deque.push ctx.deque (Fiber.Work fib)
 
   (** Pull up to [ctx.batch] tasks from the shared queue in one round
-      trip ({!ctx.pop_batch}; a single CAS on the k-LSMs) and start them;
+      trip ({!ctx.pop_batch}; one publish CAS per claimed run on the
+      k-LSMs) and start them;
       [false] when the queue looked empty.  The most urgent starts inline
       and the rest are deferred into the deque as immediately steal-ready
       fibers.  The tail is pushed most-urgent-last so this worker's LIFO

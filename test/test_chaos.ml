@@ -264,6 +264,31 @@ let test_sched_case_crash () =
   no_violations c;
   check_int "crash injected" 1 c.Drive.crashes
 
+(* A crash between a run claim's publish CAS and its takes
+   ([shared.batch.claimed], reached only by a claim whose CAS won): the
+   claimed ids are pruned from the stripe while their tasks stay
+   [Pending], so only the rescue sweep, or a survivor whose older
+   snapshot still reaches them, can start them again. *)
+let test_sched_crash_inside_claim () =
+  List.iter
+    (fun sharded ->
+      let plan =
+        [ Chaos.rule ~tid:1 ~hit:1 "shared.batch.claimed" Chaos.Crash ]
+      in
+      let c =
+        Drive.sched_case ~sharded ~pull:4 ~seed:44 ~threads:4 ~roots:50 plan
+      in
+      no_violations c;
+      check_int "crash injected inside a claim" 1 c.Drive.crashes;
+      check_bool "the survivors claimed runs" true
+        (List.assoc "batch_claim" c.Drive.info > 0);
+      (* No lease expired, so every re-queue came from the rescue of
+         [Pending] tasks, the only way back for ids pruned unclaimed. *)
+      check_int "no lease expired" 0 (List.assoc "timeouts" c.Drive.info);
+      check_bool "the rescue re-enqueued the pruned ids" true
+        (List.assoc "reenqueues" c.Drive.info > 0))
+    [ true; false ]
+
 (* The teeth check: with Listing 4's publication order flipped, the same
    conservation oracle must detect the planted loss — the suite can catch
    the bug class it exists for. *)
@@ -307,6 +332,8 @@ let () =
           Alcotest.test_case "store kill mid-spill" `Quick
             test_store_case_kill_mid_spill;
           Alcotest.test_case "sched crash" `Quick test_sched_case_crash;
+          Alcotest.test_case "sched crash inside a run claim" `Quick
+            test_sched_crash_inside_claim;
           Alcotest.test_case "teeth" `Slow test_teeth_catch;
         ] );
     ]

@@ -9,10 +9,11 @@
    DESIGN.md §12 rank bound rho <= (T-1+S) * ceil(k/S) measured
    empirically on the simulator, and the §17 batched delete-min:
    exactness and conservation with the deletion buffer, the one-CAS run
-   claim at S = 1, batch exactness with and without the deletion buffer,
+   claim at S = 1 and S = 4, batch exactness with and without the
+   deletion buffer,
    empty/short edges, a batch+single-pop fuzz against the sequential
-   oracle, deletion-buffer aging under batch inserts, and the widened rank
-   bound under [~dbuf]. *)
+   oracle, deletion-buffer aging under batch inserts, the widened rank
+   bound under [~dbuf], and the rank bound of pulls claimed as runs. *)
 
 open Helpers
 module K = Klsm_core.Klsm.Default
@@ -635,19 +636,21 @@ let prop_klsm_batch_exact =
       done;
       !ok && !expect = [])
 
-let test_one_stripe_batch_claims_with_one_cas () =
-  (* At S = 1 a batch pop whose minimum sits in the shared component
-     claims the whole run with one publish CAS (Shared_klsm.try_pop_batch,
-     counted by shared.batch_claim) instead of popping item by item. *)
+(* A batch pop whose minimum sits in a stripe claims the whole run with one
+   publish CAS (Shared_klsm.try_pop_batch, counted by shared.batch_claim)
+   instead of popping item by item: at S = 1, and at S = 4 from a stripe
+   that is not the puller's home, capped by the race's cross-stripe cap
+   (here max_int: every other stripe is empty). *)
+let batch_claims_with_one_cas ~shards () =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.set_enabled was)
     (fun () ->
-      let q = K.create_with ~k:4 ~num_threads:1 () in
-      let h = K.register q 0 in
-      (* One sorted block of 64 goes straight to the shared component. *)
-      K.insert_batch h (Array.init 64 (fun i -> (i, ())));
+      let q = K.create_with ~k:16 ~shards ~num_threads:2 () in
+      let h0 = K.register q 0 and h1 = K.register q 1 in
+      (* One sorted block of 64 goes straight to h1's home stripe. *)
+      K.insert_batch h1 (Array.init 64 (fun i -> (i, ())));
       let stat name =
         match List.assoc_opt name (K.stats q).Obs.counters with
         | Some per -> Array.fold_left ( + ) 0 per
@@ -655,18 +658,18 @@ let test_one_stripe_batch_claims_with_one_cas () =
       in
       let cas0 = stat "shared.cas_attempt" in
       check_list_int "the 8 smallest, ascending" (List.init 8 Fun.id)
-        (List.map fst (K.try_delete_min_batch h 8));
+        (List.map fst (K.try_delete_min_batch h0 8));
       check_int "one run claim" 1 (stat "shared.batch_claim");
       check_int "with one publish CAS" 1 (stat "shared.cas_attempt" - cas0);
       check_int "all served from the shared component" 8
         (stat "klsm.delete_shared"))
 
-let test_batch_of_one_is_a_delete_min () =
-  (* A pull of one, the scheduler's default, must cost what try_delete_min
-     costs.  With the owner's local LSM empty and the stripe holding every
-     item, the stripe wins the race; a batch of one takes that item, as
-     try_delete_min does, instead of claiming a run of one by publishing a
-     new snapshot. *)
+(* A pull of one, the scheduler's default, must cost what try_delete_min
+   costs.  With the owner's local LSM empty and the stripe holding every
+   item, the stripe wins the race; a batch of one takes that item, as
+   try_delete_min does, instead of claiming a run of one by publishing a
+   new snapshot. *)
+let batch_of_one_is_a_delete_min spec () =
   let was = Obs.enabled () in
   Obs.set_enabled true;
   Fun.protect
@@ -674,7 +677,7 @@ let test_batch_of_one_is_a_delete_min () =
     (fun () ->
       let run pop =
         Sim.configure ~seed:1 ~policy:Sim.Fair ();
-        let inst = RS.make ~num_threads:1 (RS.Klsm 256) in
+        let inst = RS.make ~num_threads:1 spec in
         let got = ref None in
         Sim.parallel_run ~num_threads:1 (fun tid ->
             let h = inst.RS.register tid in
@@ -837,6 +840,79 @@ let test_rank_bound_exact_shared () =
      rho is 0: at T = 8 no delete may have a rank error above T. *)
   check_rank_bound ~threads:8 ~seed:13 ~what:"exact-shared" (RS.Klsm 0)
 
+let test_rank_bound_pulls () =
+  (* DESIGN.md §12/§17: pulls of n = 8 at T = 4 with no deletion buffer.
+     A stripe win claims a run capped at the race's cross-stripe cap, so
+     every key of the run stays within rho; a pull's keys reach the oracle
+     only when the call returns, so the slack is T * n instead of T.  Over
+     both policies, S in {2, 4}, k in {8, 32} and 16 seeds each. *)
+  let threads = 4 and n = 8 in
+  List.iter
+    (fun (policy, policy_name) ->
+      List.iter
+        (fun (k, shards) ->
+          let spec = RS.klsm_sharded k shards in
+          let bound = Option.get (RS.rank_bound ~threads spec) + (threads * n) in
+          for seed = 1 to 16 do
+            Sim.configure ~seed ~policy ();
+            let r =
+              QS.run
+                {
+                  QS.default_config with
+                  num_threads = threads;
+                  (* A pull takes up to 8 keys, an insert adds one: 250
+                     operations per thread pull about 4,000. *)
+                  prefill = 4_000;
+                  ops_per_thread = 250;
+                  seed;
+                  batch = n;
+                }
+                spec
+            in
+            if r.QS.deletes = 0 then
+              Alcotest.failf "%s, seed %d: no deletes measured"
+                (RS.spec_name spec) seed;
+            if r.QS.max_rank_error > bound then
+              Alcotest.failf "%s under %s, seed %d: max rank error %d > %d"
+                (RS.spec_name spec) policy_name seed r.QS.max_rank_error bound
+          done)
+        [ (8, 2); (8, 4); (32, 2); (32, 4) ])
+    [ (Sim.Fair, "Fair"); (Sim.Random_preempt 0.3, "Random_preempt 0.3") ]
+
+let test_pull_mean_spills () =
+  (* DESIGN.md §17, "What claims cost the mean": the cap bounds each
+     pulled key, not the mean.  At S = 2, T = 8 four threads share a
+     stripe and every claim publishes it, so a spill into it can keep
+     losing its CAS while the spiller's thread-local keys fall behind
+     every other thread's claims.  Claims that do not step aside for a
+     waiting insert read a mean of 59.3 keys here over seeds 1-3 (66.8,
+     50.1, 61.2); with the yield the mean reads 17.9. *)
+  let spec = RS.klsm_sharded 256 2 in
+  let means =
+    List.map
+      (fun seed ->
+        Sim.configure ~seed ();
+        let r =
+          QS.run
+            {
+              QS.default_config with
+              num_threads = 8;
+              prefill = 20_000;
+              ops_per_thread = 500;
+              seed;
+              batch = 8;
+            }
+            spec
+        in
+        r.QS.mean_rank_error)
+      [ 1; 2; 3 ]
+  in
+  let mean = List.fold_left ( +. ) 0. means /. 3. in
+  if mean >= 30. then
+    Alcotest.failf "%s: mean rank error of pulls %.2f >= 30 (seeds 1-3: %s)"
+      (RS.spec_name spec) mean
+      (String.concat ", " (List.map (Printf.sprintf "%.2f") means))
+
 (* Two suites: the queue's contract, each case over one stripe and four,
    then the striping mechanisms and the deletion buffer. *)
 let () =
@@ -905,9 +981,13 @@ let () =
         [
           prop_klsm_batch_exact;
           Alcotest.test_case "one-stripe batch claims with one CAS" `Quick
-            test_one_stripe_batch_claims_with_one_cas;
+            (batch_claims_with_one_cas ~shards:1);
+          Alcotest.test_case "striped batch claims with one CAS" `Quick
+            (batch_claims_with_one_cas ~shards:4);
           Alcotest.test_case "a batch of one is a delete-min" `Quick
-            test_batch_of_one_is_a_delete_min;
+            (batch_of_one_is_a_delete_min (RS.Klsm 256));
+          Alcotest.test_case "a striped batch of one is a delete-min" `Quick
+            (batch_of_one_is_a_delete_min (RS.klsm_sharded 256 4));
           prop_sharded_batch_exact;
           Alcotest.test_case "empty and short batches" `Quick test_batch_edges;
           Alcotest.test_case "fuzz batch+single pops vs oracle" `Slow
@@ -930,5 +1010,9 @@ let () =
             test_rank_bound_with_dbuf;
           Alcotest.test_case "klsm:0 within T at T = 8" `Slow
             test_rank_bound_exact_shared;
+          Alcotest.test_case "pulls of 8 within rho + T*n" `Slow
+            test_rank_bound_pulls;
+          Alcotest.test_case "pulls at S = 2 keep spills moving" `Slow
+            test_pull_mean_spills;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Concurrency stress tests: conservation (every inserted key deleted
-   exactly once), rho-relaxation bounds under concurrent deletion, and
-   schedule fuzzing with the simulator's random-preemption policy, plus
-   real-domain runs for genuine parallel races. *)
+   exactly once, by single deletes and by pulls), rho-relaxation bounds
+   under concurrent deletion, and schedule fuzzing with the simulator's
+   random-preemption policy, plus real-domain runs for genuine parallel
+   races. *)
 
 module Sim = Klsm_backend.Sim
 module Real = Klsm_backend.Real
@@ -10,36 +11,38 @@ module Real = Klsm_backend.Real
 
 (* Run a mixed workload of unique payloads on a queue spec; every payload
    must be delivered exactly once across all threads (take-exactly-once +
-   spy duplication safety). *)
+   spy duplication safety).  With [~pull:n] every delete is a pull of up
+   to [n] ([try_delete_min_batch]), the path that claims runs. *)
 module Conservation (B : Klsm_backend.Backend_intf.S) = struct
   module R = Klsm_harness.Registry.Make (B)
   module Xo = Klsm_primitives.Xoshiro
 
   (* Returns (duplicates, lost). *)
-  let run ~seed ~num_threads ~per_thread spec =
+  let run ?(pull = 1) ~seed ~num_threads ~per_thread spec =
     let inst = R.make ~seed ~num_threads spec in
     let total = num_threads * per_thread in
     let got = Array.init num_threads (fun _ -> ref []) in
     B.parallel_run ~num_threads (fun tid ->
         let h = inst.R.register tid in
+        let delete () =
+          if pull <= 1 then Option.to_list (h.R.try_delete_min ())
+          else h.R.try_delete_min_batch pull
+        in
+        let keep kvs = List.iter (fun (_, v) -> got.(tid) := v :: !(got.(tid))) kvs in
         let rng = Xo.create ~seed:(seed + (31 * tid)) in
         for i = 0 to per_thread - 1 do
           let payload = (tid * per_thread) + i in
           h.R.insert (Xo.int rng 100_000) payload;
-          if i land 1 = 1 then begin
-            match h.R.try_delete_min () with
-            | Some (_, v) -> got.(tid) := v :: !(got.(tid))
-            | None -> ()
-          end
+          if i land 1 = 1 then keep (delete ())
         done;
         (* Drain with spurious-failure retries. *)
         let misses = ref 0 in
         while !misses < 300 do
-          match h.R.try_delete_min () with
-          | Some (_, v) ->
-              got.(tid) := v :: !(got.(tid));
+          match delete () with
+          | [] -> incr misses
+          | kvs ->
+              keep kvs;
               misses := 0
-          | None -> incr misses
         done);
     let seen = Array.make total 0 in
     Array.iter
@@ -112,6 +115,31 @@ let test_conservation_real_domains () =
       Cons_real.R.Linden;
       Cons_real.R.Multiq 2;
     ]
+
+let test_conservation_pulls () =
+  (* Pulls of 8 claim runs of a stripe with one publish CAS, at every
+     stripe count: fuzzed simulator schedules, then real domains. *)
+  List.iter
+    (fun spec ->
+      for seed = 1 to 8 do
+        Sim.configure ~seed ~policy:(Sim.Random_preempt 0.25) ();
+        let dup, lost =
+          Cons_sim.run ~pull:8 ~seed ~num_threads:4 ~per_thread:200 spec
+        in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s seed %d" (Cons_sim.R.spec_name spec) seed)
+          (0, 0) (dup, lost)
+      done)
+    [ Cons_sim.R.Klsm 8; Cons_sim.R.klsm_sharded 8 2; Cons_sim.R.klsm_sharded 16 4 ];
+  Sim.configure ~policy:Sim.Fair ();
+  List.iter
+    (fun spec ->
+      let dup, lost =
+        Cons_real.run ~pull:8 ~seed:11 ~num_threads:4 ~per_thread:5_000 spec
+      in
+      Alcotest.(check (pair int int))
+        (Cons_real.R.spec_name spec) (0, 0) (dup, lost))
+    [ Cons_real.R.Klsm 64; Cons_real.R.klsm_sharded 64 4 ]
 
 (* ---------------- rho bound under concurrent deletion ---------------- *)
 
@@ -277,6 +305,7 @@ let () =
           Alcotest.test_case "sim fair (all queues)" `Slow test_conservation_sim_fair;
           Alcotest.test_case "sim fuzzed schedules" `Slow test_conservation_sim_fuzzed_schedules;
           Alcotest.test_case "real domains" `Slow test_conservation_real_domains;
+          Alcotest.test_case "pulls of 8, fuzzed and real" `Slow test_conservation_pulls;
         ] );
       ( "relaxation",
         [ Alcotest.test_case "rho bound concurrent" `Slow test_rho_bound_concurrent_deletions ] );
