@@ -57,8 +57,7 @@ chaos-check:
 # BENCH_throughput.json and fails if any gate does:
 #   - Real klsm:256 at T = 8: the block pool hits;
 #   - Real striping: klsm-sharded:256:4 >= 0.95 x klsm:256 at T = 8;
-#   - Real floors per thread: klsm-sharded:1024:4 at T = 8, the batch
-#     spec klsm-sharded:1024:4:dbuf=8 at T = 8 and T = 16, and the fiber
+#   - Real floors per thread: klsm-sharded:1024:4 at T = 8 and the fiber
 #     runtime on 8 domains;
 #   - Sim tick budgets for the fixed merge/pivot workload on klsm:256 and
 #     klsm-sharded:256:4 (deterministic: more ticks = more hot-path work);

@@ -58,11 +58,7 @@ run() {
 }
 
 sharded="--impl klsm:256 --impl klsm-sharded:256:2 --impl klsm-sharded:256:4
-  --impl klsm-sharded:1024:4 --impl klsm-sharded:1024:8
-  --impl klsm-sharded:1024:4:dbuf=8"
-batch="--impl klsm-sharded:1024:4 --impl klsm-sharded:1024:4:dbuf=2
-  --impl klsm-sharded:1024:4:dbuf=4 --impl klsm-sharded:1024:4:dbuf=8
-  --impl klsm-sharded:1024:4:dbuf=16"
+  --impl klsm-sharded:1024:4 --impl klsm-sharded:1024:8"
 
 # Figure 3, left and right panels.
 run "$bin/throughput.exe" --threads 1,2,5,10,20,40,80 $fig3_left --reps 1
@@ -72,11 +68,9 @@ run "$bin/sssp.exe" --sweep threads --nodes $nodes --relaxation 256 \
   --seed 42 --queue-seed 1
 run "$bin/sssp.exe" --sweep k --threads-fixed 10 --nodes $nodes \
   --seed 42 --queue-seed 1
-# docs/TUNING.md: the stripe sweep and the deletion-batch sweep.
+# docs/TUNING.md: the stripe sweep.
 run "$bin/throughput.exe" --threads 1,2,4,8,16 $tuning --reps 1 $sharded
 run "$bin/quality.exe" $quality $sharded
-run "$bin/throughput.exe" --threads 1,2,4,8,16 $tuning --reps 1 $batch
-run "$bin/quality.exe" $quality $batch
 # Pulls of 8 over the stripe line-up (a pull takes up to 8 keys, an insert
 # adds one, so the operation count stays within the prefill).
 run "$bin/quality.exe" $pulls --batch 8 $sharded

@@ -97,17 +97,6 @@ let table =
        figure (EXPERIMENTS.md, "Contention striping"). *)
     row "real_tuned" tuned ~threads:8 (mix 50_000 25_000) "per_thread"
       (Floor 33_400.);
-    (* dbuf=8 (DESIGN.md §17): one shared CAS claims a run of 8 items and
-       the deletion buffer serves the next 7.  At T = 8, on the light
-       workload whose dbuf-off control is the sweep's T = 8 row, it must
-       hold the pre-batch T = 8 sweep figure.  At T = 16, twice
-       oversubscribed on an 8-core box, where the pre-batch sweep
-       collapsed to about 20.7k, it must hold 24k; 8k ops per thread keep
-       the domain spawn the harness times from dominating the figure. *)
-    row "real_batch" (tuned ^ ":dbuf=8") ~threads:8 (mix 20_000 4_000)
-      "per_thread" (Floor 37_200.);
-    row "real_batch_t16" (tuned ^ ":dbuf=8") ~threads:16 (mix 20_000 8_000)
-      "per_thread" (Floor 24_000.);
     (* The fiber runtime (DESIGN.md §16): 8 workers * 1,563 roots * (1 + 7)
        = 100,032 fibers per sample on 8 domains, at the tuned floor, so
        multiplexing effect-handler fibers over the k-LSM may not cost

@@ -37,7 +37,7 @@ let parse_service s =
   | _ -> failwith ("unknown service distribution " ^ s ^ " (fixed:N | uniform:N | exp:MEAN)")
 
 let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
-    ~depth ~fibers ~batch ~dbuf ~margin ~capacity ~seed ~stats ~oversubscribe =
+    ~depth ~fibers ~batch ~pull ~margin ~capacity ~seed ~stats ~oversubscribe =
   (* Must happen before any queue is created: lib/obs latches the flag at
      sheet creation. *)
   if stats then Klsm_obs.Obs.set_enabled true;
@@ -95,7 +95,7 @@ let run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload ~fanout
         spawn_depth = depth;
         fiber_fanout = fibers;
         batch;
-        dbuf;
+        pull;
         urgency_margin = margin;
         capacity;
         seed;
@@ -251,18 +251,17 @@ let oversubscribe =
 let batch =
   Arg.(value & opt int 16 & info [ "batch" ] ~doc:"Submitter buffer size.")
 
-let dbuf =
+let pull =
   Arg.(
-    value & opt int 0
-    & info [ "dbuf" ]
+    value & opt int 1
+    & info [ "pull" ]
         ~doc:
           "Tasks pulled per shared-queue round trip by each worker (the \
-           delete-side counterpart of --batch).  On the k-LSMs a pull \
-           claims each run of tasks from a stripe with one publish CAS at \
-           every stripe count; the queue needs no dbuf=B for that.  The \
-           head task starts inline, the rest seed the worker's deque as \
-           steal-ready fibers.  0 = one task per round trip, a \
-           delete-min.")
+           delete-side counterpart of --batch), at least 1.  On the k-LSMs \
+           a pull claims each run of tasks from a stripe with one publish \
+           CAS at every stripe count.  The head task starts inline, the \
+           rest seed the worker's deque as steal-ready fibers.  1 = one \
+           task per round trip, a delete-min.")
 
 let margin =
   Arg.(
@@ -290,13 +289,13 @@ let cmd =
   Cmd.v (Cmd.info "sched" ~doc)
     Term.(
       const (fun mode queues threads tasks arrival service workload fanout
-                 depth fibers batch dbuf margin capacity seed stats
+                 depth fibers batch pull margin capacity seed stats
                  oversubscribe ->
           run ~mode ~queues ~threads ~tasks ~arrival ~service ~workload
-            ~fanout ~depth ~fibers ~batch ~dbuf ~margin ~capacity ~seed ~stats
+            ~fanout ~depth ~fibers ~batch ~pull ~margin ~capacity ~seed ~stats
             ~oversubscribe)
       $ mode $ queues $ threads $ tasks $ arrival $ service $ workload $ fanout
-      $ depth $ fibers $ batch $ dbuf $ margin $ capacity $ seed $ stats
+      $ depth $ fibers $ batch $ pull $ margin $ capacity $ seed $ stats
       $ oversubscribe)
 
 let () = exit (Cmd.eval cmd)

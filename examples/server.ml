@@ -43,7 +43,7 @@ let () =
       (* Unbounded, this run peaks at 46 jobs in flight; 24 makes bursts
          meet refusals. *)
       batch = 8;
-      dbuf = 0;
+      pull = 1;
       urgency_margin = 4096;
       seed = 7;
       robust = CL.Worker.default_robust;

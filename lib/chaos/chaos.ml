@@ -77,7 +77,6 @@ let sites =
     "dist.consolidate.pre_size";
     "block_array.consolidate";
     "klsm.spill.publish";
-    "klsm.dbuf.flush";
     "store.spill";
     "store.rehydrate";
     "store.recover";

@@ -75,13 +75,12 @@ let key_range = 1 lsl 16
 (* ------------------------------------------------------------------ *)
 
 (** Conservation case for the k-LSM ([~shards], default 1 — the paper's
-    queue; [~dbuf] switches on the DESIGN.md §17 deletion buffer).  With
-    [S > 1] the stripe-publish protocol steps sit under fault pressure
-    too — crashes mid-stripe-publish ([klsm.spill.publish],
+    queue).  With [S > 1] the stripe-publish protocol steps sit under
+    fault pressure too — crashes mid-stripe-publish ([klsm.spill.publish],
     [shared.push_snapshot.before]) must not lose already-inserted items,
     and CAS-failure storms on one stripe must only slow things down, never
     break conservation.  Structural invariants are asserted per stripe. *)
-let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
+let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
   Sim.configure ~seed ();
   let plan_text = Chaos.plan_to_string plan in
   (* Latch counters on for this queue's sheet so the report can show the
@@ -89,7 +88,7 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
      records without synchronization, so the schedule is unchanged. *)
   let was_obs = Obs.enabled () in
   Obs.set_enabled true;
-  let q = K.create_with ~seed ~k ~shards ~dbuf ~num_threads:threads () in
+  let q = K.create_with ~seed ~k ~shards ~num_threads:threads () in
   Obs.set_enabled was_obs;
   let handles = Array.make threads None in
   let total = threads * per_thread in
@@ -163,29 +162,6 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
     |> List.filteri (fun tid _ -> not (List.mem tid crashed))
     |> List.filter_map Fun.id
   in
-  (* Deletion buffers ([~dbuf]; DESIGN.md §17) live in handles, not in
-     the shared structure.  Items in a crashed thread's deletion buffer
-     (including the tail of a flush it crashed in the middle of:
-     flush_dbuf pops each item only after reinserting it) were already
-     claimed out of the stripe by the batch CAS, so the crash consumes
-     them and conservation does not owe them — and a crash {e inside} a
-     batch claim ([internal_dbuf_pending], the run staged before the
-     publish CAS) is exempt in both CAS outcomes: CAS lost means the
-     items are still in the stripe (delivered once at most), CAS won
-     means they died with the crasher; a double delivery would need two
-     winning [Item.take]s on one item, which the flag CAS forbids.
-     Survivors' buffers are flushed explicitly before the drain: the
-     drainer can spy their LSMs but cannot see their buffers. *)
-  Array.iteri
-    (fun tid h ->
-      match h with
-      | Some h when List.mem tid crashed ->
-          List.iter
-            (fun (_, payload) -> submitted.(payload) <- false)
-            (K.internal_dbuf h @ K.internal_dbuf_pending h)
-      | _ -> ())
-    handles;
-  List.iter K.flush_dbuf survivors;
   (* Survivor drain, faults off: whatever the in-plan drains left — the
      items of a thread that crashed, or that a stall held back — must
      still be reachable through spy. *)
@@ -279,8 +255,6 @@ let queue_case ?(shards = 1) ?(dbuf = 0) ~seed ~threads ~per_thread ~k plan =
         ("crashed_threads", List.length crashed);
         ("stripe_cas_fail", stat "stripe.cas_fail");
         ("batch_claim", stat "shared.batch_claim");
-        ("dbuf_hit", stat "stripe.dbuf_hit");
-        ("dbuf_flush", stat "stripe.dbuf_flush");
       ];
   }
 
@@ -457,7 +431,7 @@ let chaos_robust =
 
 (** Scheduler case on [klsm:8], or with [~sharded] on
     [klsm-sharded:8:2].  Workers pull [pull] ids per round trip
-    ([Closed_loop.config.dbuf]; default 1, the scheduler's own default):
+    ([Closed_loop.config.pull]; default 1, the scheduler's own default):
     a pull of more than one whose minimum sits in a stripe claims a run
     with one publish CAS ({!Klsm_core.Klsm.try_delete_min_batch}), a pull
     of one takes a single item. *)
@@ -484,7 +458,7 @@ let sched_case ?(fiber_fanout = 2) ?(sharded = false) ?(pull = 1) ~seed
              roots_per_worker = roots;
              service = CL.Fixed 8;
              batch = 4;
-             dbuf = pull;
+             pull;
              capacity = 256;
              seed;
              robust = chaos_robust;
@@ -606,26 +580,23 @@ let queue_sites =
     "block_array.consolidate";
   ]
 
-(* The striped queue with its deletion buffer on reaches every queue
-   site plus three of its own (spill publish, a batch claim's window
-   between its publish CAS and its takes, deletion-buffer flush). *)
-let sharded_sites =
-  queue_sites
-  @ [ "klsm.spill.publish"; "shared.batch.claimed"; "klsm.dbuf.flush" ]
+(* The striped queue reaches every queue site plus its spill publish.
+   Its cases delete one item at a time, so they claim no run; the sched
+   kinds cover a claim's window ([shared.batch.claimed]). *)
+let sharded_sites = queue_sites @ [ "klsm.spill.publish" ]
 
-(* Scheduler runs have no spill tier, [sched_case]'s queue has no
-   deletion buffer, and every task enters the queue through
-   [insert_batch], which publishes a block to the stripe without a
-   thread-local insert: the store.* fault points, klsm.dbuf.flush and
-   dist.insert.spill never fire there; drawing them would only dilute
-   the sched sweep.  Half of each kind's cases pull one id per round
-   trip, which takes single items and leaves them dead in the stripe for
+(* Scheduler runs have no spill tier, and every task enters the queue
+   through [insert_batch], which publishes a block to the stripe without
+   a thread-local insert: the store.* fault points and dist.insert.spill
+   never fire there; drawing them would only dilute the sched sweep.
+   Half of each kind's cases pull one id per round trip, which takes
+   single items and leaves them dead in the stripe for
    block_array.consolidate; the other half pull 4, which claims runs and
    reaches shared.batch.claimed. *)
 let sched_sites =
   List.filter
     (fun s ->
-      s <> "klsm.dbuf.flush" && s <> "dist.insert.spill"
+      s <> "dist.insert.spill"
       && not (String.length s > 6 && String.sub s 0 6 = "store."))
     Chaos.sites
 
@@ -635,7 +606,7 @@ let sched_sites =
     stress the hardened scheduler, alternating between [klsm:8] and
     [klsm-sharded:8:2], and within each of those between pulls of 4 and
     pulls of one; even indices alternate between the paper's queue
-    (S = 1) and the striped one with its deletion buffer on. *)
+    (S = 1) and the striped one (S = 2). *)
 let case_for ~threads ~per_thread ~roots ~k i seed =
   let rng = Xoshiro.create ~seed:(seed * 31 + 17) in
   let sched = i mod 2 = 1 in
@@ -652,12 +623,10 @@ let case_for ~threads ~per_thread ~roots ~k i seed =
   if sched then
     sched_case ~sharded ~pull:(if i / 4 mod 2 = 0 then 4 else 1) ~seed
       ~threads ~roots plan
-  else if sharded then
-    (* A modest §17 deletion buffer so the random draw can land on the
-       dbuf-flush site (and the buffered-crash exemption gets coverage);
-       kp = ceil(k/2) bounds dbuf. *)
-    queue_case ~shards:2 ~dbuf:2 ~seed ~threads ~per_thread ~k plan
-  else queue_case ~seed ~threads ~per_thread ~k plan
+  else
+    queue_case
+      ~shards:(if sharded then 2 else 1)
+      ~seed ~threads ~per_thread ~k plan
 
 (** [r], the result of a case run on the fixed [plan], with a violation
     for every rule of [plan] that never fired.  A fixed plan aims at its
@@ -684,10 +653,6 @@ let require_fired plan r =
       forced to fail, once concentrated on one thread's home stripe and
       once spread over every thread — each lost CAS is retried on the
       same stripe (Listing 3), and conservation must survive the storm;
-    - two deletion-buffer cases ([~dbuf]): a kill with a nonempty buffer
-      (mid-flush, the claimed remainder dies with the crasher) and a kill
-      at the batch claim's publish CAS itself (the staged run is exempt
-      whichever way the CAS went);
     - two spy cases: thread 1 stalls in an insert while the others
       drain, run dry and spy its LSM, and the first thief is killed
       between the blocks it copies (the copies share their items with the
@@ -719,29 +684,6 @@ let sharded_targeted ~threads ~per_thread ~k ~shards ~seed0 =
          require_fired plan
            (queue_case ~shards ~seed:(seed0 + i) ~threads ~per_thread ~k plan))
   )
-  @ [
-      (* Kill thread 1 with a nonempty deletion buffer ([~dbuf]; DESIGN.md
-         §17): the crash lands inside flush_dbuf, before the first
-         reinsert, so the whole buffered remainder — items the batch CAS
-         already claimed out of the stripe — dies with the crasher.  The
-         exemption above must absorb exactly those items; everything
-         already served from the buffer, and everything still in the
-         stripes, must survive with no duplicates. *)
-      (let plan = [ Chaos.rule ~tid:1 ~hit:1 "klsm.dbuf.flush" Chaos.Crash ] in
-       require_fired plan
-         (queue_case ~shards ~dbuf:4 ~seed:(seed0 + 4) ~threads ~per_thread ~k
-            plan));
-      (* Kill thread 2 in the middle of a batch claim, at the publish CAS
-         itself: the staged run ([internal_dbuf_pending]) is in limbo —
-         claimed if the CAS won, still queued if it lost — and the
-         either-way exemption must hold. *)
-      (let plan =
-         [ Chaos.rule ~tid:2 ~hit:4 "shared.push_snapshot.before" Chaos.Crash ]
-       in
-       require_fired plan
-         (queue_case ~shards ~dbuf:4 ~seed:(seed0 + 5) ~threads ~per_thread ~k
-            plan));
-    ]
   @ ([
        [
          Chaos.rule ~tid:1 ~hit:5 "dist.insert.pre_size" (Chaos.Stall 200_000);

@@ -16,12 +16,11 @@
     - every thread has a fixed {e home} stripe, [tid mod S], its spills go
       to (preserving the per-stripe publication ordering Listing 4 relies
       on); a lost publish CAS is retried on it at once, as in Listing 3;
-    - [find_min] races the owner's best candidate (thread-local DistLSM
-      or deletion-buffer minimum) against the stripes, walked from home:
-      a stripe is consulted only while its {!Shared_klsm.min_hint} says
-      it might hold something smaller, so when every hint sits at or
-      above the owner's candidate S atomic loads serve the common
-      local-delete path;
+    - [find_min] races the owner's thread-local DistLSM minimum against
+      the stripes, walked from home: a stripe is consulted only while its
+      {!Shared_klsm.min_hint} says it might hold something smaller, so
+      when every hint sits at or above the owner's minimum S atomic loads
+      serve the common local-delete path;
     - a consulted stripe answers from its handle's memo while it has not
       moved ({!Shared_klsm.find_min}): Listing 3's [observed] test, which
       amortizes snapshot refreshes, amortizes the selection across
@@ -32,12 +31,10 @@
     more than {!rank_bound} keys, [(T - 1 + S) * ceil(k / S)], which is the
     paper's [T * k] at [S = 1] — while items inserted and deleted by the
     same thread obey exact priority-queue semantics (local ordering).
-
-    One knob, off by default: {e deletion batching} ([~dbuf:B], B >= 1;
-    DESIGN.md §17) — a shared delete claims up to B items with one publish
-    CAS and serves the rest from a per-handle deletion buffer, widening
-    the bound by [T * (B - 1)].  Every stripe's contended atomics are
-    cache-line padded ({!Klsm_primitives.Padded}).
+    Delete-side batching is {!Make.try_delete_min_batch}: a stripe win
+    claims a whole run with one publish CAS, within the same bound
+    (DESIGN.md §17).  Every stripe's contended atomics are cache-line
+    padded ({!Klsm_primitives.Padded}).
 
     [k] is runtime-configurable through {!set_k}.  The optional
     [should_delete] predicate implements §4.5's lazy deletion: condemned
@@ -51,21 +48,17 @@ let stripe_k ~k ~shards = (k + shards - 1) / shards
 (** The structural rank bound rho (DESIGN.md §12): a delete-min by one of
     [threads] threads skips at most [ceil(k/S)] keys in each of the other
     [T - 1] thread-local LSMs (the deleter's own is exact) and in each of
-    the [S] stripes; per-handle deletion buffers ([dbuf = B > 0]; §17) add
-    [T * (B - 1)] claimed-but-unserved items.  At [S = 1] this is the
-    paper's [T * k]. *)
-let rank_bound ?(shards = 1) ?(dbuf = 0) ~threads ~k () =
-  ((threads - 1 + shards) * stripe_k ~k ~shards)
-  + if dbuf > 0 then threads * (dbuf - 1) else 0
+    the [S] stripes.  At [S = 1] this is the paper's [T * k]. *)
+let rank_bound ?(shards = 1) ~threads ~k () =
+  (threads - 1 + shards) * stripe_k ~k ~shards
 
 (** Why a configuration cannot be built, or [None]: the budget checks
     {!Make.create_with} and {!Make.set_k} enforce, shared with the
     Registry's spec parser.
     Each of the S stripes needs a budget of at least 1 — except that k = 0,
     the paper's exact-shared configuration (every insert spills), runs on
-    one stripe — and a deletion batch must fit inside the per-stripe
-    budget ceil(k/S). *)
-let config_error ~k ~shards ~dbuf =
+    one stripe. *)
+let config_error ~k ~shards =
   let err fmt = Printf.ksprintf Option.some fmt in
   if k < 0 then err "relaxation k = %d < 0" k
   else if shards < 1 then
@@ -75,14 +68,7 @@ let config_error ~k ~shards ~dbuf =
       "shard count %d exceeds the relaxation k = %d (every stripe needs a \
        budget of at least 1)"
       shards k
-  else
-    let kp = stripe_k ~k ~shards in
-    if dbuf < 0 || dbuf > kp then
-      err
-        "deletion batch %d exceeds the per-stripe budget ceil(k/S) = %d (a \
-         batch claim must fit inside one stripe's relaxation)"
-        dbuf kp
-    else None
+  else None
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   module Item = Item.Make (B)
@@ -96,9 +82,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* Observability (lib/obs; docs/METRICS.md): the klsm.* family counts
      the Listing 5 composition (claim races and the two fallback paths of
-     delete-min); the stripe.* family counts the striped race and the
-     deletion buffer ([stripe.cas_fail] and the memo's [stripe.cache_*]
-     are counted by {!Shared_klsm}). *)
+     delete-min); the stripe.* family counts the striped race
+     ([stripe.cas_fail] and the memo's [stripe.cache_*] are counted by
+     {!Shared_klsm}). *)
   let c_take_race = Obs.counter "klsm.take_race"
   let c_delete_local = Obs.counter "klsm.delete_local"
   let c_delete_shared = Obs.counter "klsm.delete_shared"
@@ -108,16 +94,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let c_claim_yield = Obs.counter "klsm.claim_yield"
   let c_hint_consult = Obs.counter "stripe.hint_consult"
   let c_hint_skip = Obs.counter "stripe.hint_skip"
-  let c_dbuf_hit = Obs.counter "stripe.dbuf_hit"
-  let c_dbuf_flush = Obs.counter "stripe.dbuf_flush"
-
-  (** Age bound of the deletion buffer, in operations of the owning
-      handle: claimed items still parked after this many further owner
-      operations are flushed back into the queue on the next one, bounding
-      how long they stay invisible to spies and other threads' races.  (The
-      rank bound never depends on this — parked items are charged as the
-      [T * (B - 1)] term — it is a quality/liveness hygiene bound.) *)
-  let buffer_age_bound = 64
 
   (** A durability hook (lib/store): applied to every block headed for the
       shared component; may replace it with a cold, store-backed twin
@@ -140,10 +116,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             sweep, and [max_int] for the standalone DLSM (§4.2), which is
             this queue with nothing ever spilled *)
     spill_policy : 'v spill_policy option;
-    dbuf_max : int;
-        (** deletion batch size B (DESIGN.md §17): shared deletes claim up
-            to B items with one publish CAS, serving B - 1 follow-ups from
-            the owner's deletion buffer; 0 = off *)
     obs : Obs.sheet;  (** per-thread internal event counters (lib/obs) *)
   }
 
@@ -157,28 +129,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     stripe_hs : 'v Shared_klsm.handle array;  (** one handle per stripe *)
     home : int;  (** home stripe, [tid mod S]: every spill goes here *)
     mutable won_stripe : int;
-        (** stripe whose answer the last race returned (the stripe a
-            deletion batch is claimed from); read only after a race that
-            returned one *)
+        (** stripe whose answer the last race returned (the stripe a run
+            is claimed from); read only after a race that returned one *)
     mutable won_cap : int;
         (** the last race's cross-stripe cap: the smallest bound it saw on
             the stripes it did not pick ({!race}) *)
-    mutable dbuf : (int * 'v) list;
-        (** deletion buffer, ascending: items claimed-deleted from a stripe
-            in a batch, not yet returned to the owner.  Invisible to every
-            other thread — charged as the T * (B - 1) term of the widened
-            rank bound (DESIGN.md §17) *)
-    mutable dbuf_len : int;
-    mutable dbuf_age : int;
-        (** owner operations since the buffer last emptied; at
-            {!buffer_age_bound} the remainder is flushed back into the
-            thread-local LSM (liveness: a handle that stops deleting must
-            not sit on claimed items) *)
-    mutable dbuf_pending : (int * 'v) list;
-        (** tentative batch claim, recorded {e before} the publish CAS and
-            cleared when the claim resolves; read only by the chaos drive's
-            crash accounting (a thread killed inside the publish holds the
-            claim here whether or not its CAS landed) *)
     rng : Xoshiro.t;
     obs : Obs.handle;
     pool : 'v Block.Pool.t;
@@ -187,13 +142,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             reuse) *)
   }
 
-  let create_with ?(seed = 1) ?(k = 256) ?(shards = 1) ?(dbuf = 0)
-      ?should_delete ?on_lazy_delete ?spill_max_level ?spill_policy
+  let create_with ?(seed = 1) ?(k = 256) ?(shards = 1) ?should_delete ?on_lazy_delete ?spill_max_level ?spill_policy
       ?(local_ordering = true) ~num_threads () =
     if num_threads < 1 then invalid_arg "Klsm.create: num_threads < 1";
     Option.iter
       (fun e -> invalid_arg ("Klsm.create: " ^ e))
-      (config_error ~k ~shards ~dbuf);
+      (config_error ~k ~shards);
     let kp = stripe_k ~k ~shards in
     let hasher = Tabular_hash.create ~seed:(seed lxor 0x5eed) in
     let alive =
@@ -232,7 +186,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       alive;
       spill_max_level;
       spill_policy;
-      dbuf_max = dbuf;
       obs = Obs.create_sheet ~now:B.time ~num_threads ();
     }
 
@@ -247,7 +200,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let set_k t k =
     Option.iter
       (fun e -> invalid_arg ("Klsm.set_k: " ^ e))
-      (config_error ~k ~shards:t.num_stripes ~dbuf:t.dbuf_max);
+      (config_error ~k ~shards:t.num_stripes);
     B.set t.k k;
     let kp = stripe_k ~k ~shards:t.num_stripes in
     Array.iter (fun s -> Shared_klsm.set_k s kp) t.stripes
@@ -281,10 +234,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       home = tid mod t.num_stripes;
       won_stripe = 0;
       won_cap = max_int;
-      dbuf = [];
-      dbuf_len = 0;
-      dbuf_age = 0;
-      dbuf_pending = [];
       rng;
       obs;
       pool;
@@ -316,53 +265,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     in
     Dist_lsm.insert h.dist item ~max_level ~spill:(fun b -> spill_to_home h b)
 
-  (** Return claimed-but-unserved deletion-buffer items to the queue: each
-      is reinserted into the thread-local LSM as a fresh item (the claimed
-      originals were consumed from their stripe and are invisible to every
-      other thread, so reinsertion is the only way back to visibility).
-      Triggered by the owner's age bound — a handle that stops deleting
-      must not sit on claimed items — and by the chaos drive on surviving
-      threads.  Items leave the buffer one by one {e after} reinsertion, so
-      a crash mid-flush leaves the not-yet-reinserted tail visible in
-      [h.dbuf] for the conservation accounting (an item caught on both
-      sides is delivered at most once — the buffered copy never leaves a
-      dead handle). *)
-  let flush_dbuf h =
-    if h.dbuf_len > 0 then begin
-      B.fault_point "klsm.dbuf.flush";
-      Obs.incr h.obs c_dbuf_flush;
-      let rec drain () =
-        match h.dbuf with
-        | [] -> h.dbuf_age <- 0
-        | (key, value) :: rest ->
-            insert_now h key value;
-            h.dbuf <- rest;
-            h.dbuf_len <- h.dbuf_len - 1;
-            drain ()
-      in
-      drain ()
-    end
-
-  (* One owner operation elapsed while deletion-buffer items wait; flush
-     the remainder once the age bound is crossed. *)
-  let dbuf_tick h =
-    if h.dbuf_len > 0 then begin
-      h.dbuf_age <- h.dbuf_age + 1;
-      if h.dbuf_age >= buffer_age_bound then flush_dbuf h
-    end
-
   (** Insert a key (§4.3). *)
   let insert h key value =
     if key < 0 then invalid_arg "Klsm.insert: negative key";
-    dbuf_tick h;
     insert_now h key value
 
   (** Bulk insertion: a whole batch becomes one sorted block published to
       the home stripe with a single CAS — the LSM's natural strength (§4.1
       reduces shared updates by batching; this exposes the mechanism to
       applications that produce keys in bursts, e.g. node expansions).
-      Linearizes once for the entire batch, and counts as one owner
-      operation towards the deletion buffer's {!buffer_age_bound}. *)
+      Linearizes once for the entire batch. *)
   let insert_batch h pairs =
     match Array.length pairs with
     | 0 -> ()
@@ -374,7 +286,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           (fun (key, _) ->
             if key < 0 then invalid_arg "Klsm.insert_batch: negative key")
           pairs;
-        dbuf_tick h;
         let items =
           Array.map (fun (key, value) -> Item.make key value) pairs
         in
@@ -388,10 +299,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (* ---- the striped find_min race ---- *)
 
   (* The shared side of Listing 5's race, against the best key the owner
-     already holds ([best_known]: its local or deletion-buffer minimum,
-     [max_int] = none).  Walk the stripes from home, [(home + d) mod S],
-     consulting one only while its min hint undercuts the best key so far,
-     and keep an answer only if it beats that key.  Every stripe is thus
+     already holds ([best_known]: its local minimum, [max_int] = none).
+     Walk the stripes from home, [(home + d) mod S], consulting one only
+     while its min hint undercuts the best key so far, and keep an answer
+     only if it beats that key.  Every stripe is thus
      either consulted (its answer within its ceil(k/S) relaxation) or
      certified by its hint to hold nothing smaller — the case split the
      DESIGN §12 rank bound sums over — and when the hints certify every
@@ -473,37 +384,26 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** What Listing 5's race picked. *)
   type 'v winner =
-    | Buffered of int * 'v  (** the deletion-buffer head *)
     | Local of 'v Item.t  (** the thread-local minimum *)
     | Stripe of 'v Item.t * int
         (** the striped race's answer, from [won_stripe], and the cap of a
-            run claimed from that stripe: the local minimum's key, and
-            without a deletion buffer also the race's [won_cap] *)
+            run claimed from that stripe: min(local key, the race's
+            [won_cap]) *)
     | Nothing  (** every component looked empty *)
 
   (* Listing 5's race, once for every delete and peek path: the owner's
-     two candidates, its thread-local minimum and its deletion-buffer head,
-     against the striped race.  Ties go to the buffer (its item is already
-     deleted, so serving it costs nothing), then to the local minimum.  A
-     deletion-buffer claim is capped at the local key alone: the serve rule
-     re-certifies each parked item against the live hints (DESIGN.md
-     §17). *)
+     thread-local minimum against the striped race.  Ties go to the local
+     minimum. *)
   let select h =
     let local = Dist_lsm.find_min h.dist in
     let local_key = key_or_max local in
-    let dhead = match h.dbuf with [] -> max_int | (key, _) :: _ -> key in
-    let shared = race h (Int.min local_key dhead) in
-    let cap =
-      if h.t.dbuf_max > 0 then local_key else Int.min local_key h.won_cap
-    in
-    match (h.dbuf, local, shared) with
-    | (key, value) :: _, _, _ when key <= local_key && key <= key_or_max shared
-      ->
-        Buffered (key, value)
-    | _, Some it, Some s when Item.key s < Item.key it -> Stripe (s, cap)
-    | _, Some it, _ -> Local it
-    | _, None, Some s -> Stripe (s, cap)
-    | _, None, None -> Nothing
+    let shared = race h local_key in
+    let cap = Int.min local_key h.won_cap in
+    match (local, shared) with
+    | Some it, Some s when Item.key s < Item.key it -> Stripe (s, cap)
+    | Some it, _ -> Local it
+    | None, Some s -> Stripe (s, cap)
+    | None, None -> Nothing
 
   (* Listing 5's test-and-set on a selected item; a lost one is a take
      race and the caller selects again. *)
@@ -517,76 +417,24 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       false
     end
 
-  (* Batched shared delete (DESIGN.md §17): claim up to B = [dbuf_max]
-     items from the stripe that won the race with ONE publish CAS
-     ({!Shared_klsm.try_pop_batch}), capped ([cap], from {!select}) at the
-     local minimum — the run must not reach past what the owner itself
-     holds.  Unlike {!claim_runs}, no cross-stripe cap is applied at claim
-     time: parked items are served later, so the serve rule in {!select}
-     re-certifies the buffered head against the {e live} hints at every
-     serve, which is strictly stronger than a claim-time check (hints
-     move; the serve-time one is the one that matters for the rank
-     bound).  The head is returned now; the rest
-     lands in the owner's deletion buffer.  [dbuf_pending] records the
-     tentative run before the CAS, for the chaos drive's crash accounting.
-     [None] = claim lost or nothing under the cap; the caller falls back
-     to the single take. *)
-  let claim_batch h ~cap =
-    let run =
-      Shared_klsm.try_pop_batch
-        ~stage:(fun pending -> h.dbuf_pending <- pending)
-        ~limit:cap h.stripe_hs.(h.won_stripe) h.t.dbuf_max
-    in
-    h.dbuf_pending <- [];
-    match run with
-    | [] -> None
-    | (key, value) :: rest ->
-        h.dbuf <- rest;
-        h.dbuf_len <- List.length rest;
-        h.dbuf_age <- 0;
-        Obs.incr h.obs c_delete_shared;
-        Some (key, value)
-
   (** Listing 5's [delete_min]: race the thread-local minimum against the
       shared component's relaxed minimum, attempt the test-and-set, retry
       on lost races, and spy on other threads' local LSMs before reporting
-      empty.  Lock-free: every retry implies another thread succeeded.
-
-      With deletion batching on ([~dbuf:B]), the deletion buffer competes
-      in the race: its head was globally minimal under the rank bound when
-      claimed, and is served — with zero CASes and zero stripe consults
-      beyond the hint loads — whenever neither the local minimum nor any
-      stripe hint undercuts it.  A stripe win with an empty buffer claims a
-      fresh run via {!claim_batch}. *)
+      empty.  Lock-free: every retry implies another thread succeeded. *)
   let try_delete_min h =
-    dbuf_tick h;
     let rec go () =
       match select h with
-      | Buffered (key, value) ->
-          h.dbuf <- List.tl h.dbuf;
-          h.dbuf_len <- h.dbuf_len - 1;
-          if h.dbuf_len = 0 then h.dbuf_age <- 0;
-          Obs.incr h.obs c_dbuf_hit;
-          Obs.incr h.obs c_delete_shared;
-          Some (key, value)
       | Local it -> take_or_retry it ~counter:c_delete_local
-      | Stripe (it, cap) -> (
-          match
-            if h.t.dbuf_max > 0 && h.dbuf_len = 0 then claim_batch h ~cap
-            else None
-          with
-          | Some kv -> Some kv
-          | None -> take_or_retry it ~counter:c_delete_shared)
+      | Stripe (it, _) -> take_or_retry it ~counter:c_delete_shared
       | Nothing -> if spy_round h then go () else None
     and take_or_retry it ~counter =
       if take h it ~counter then Some (Item.key it, Item.value it) else go ()
     in
     go ()
 
-  (* The batch without a deletion buffer: Listing 5's race, but a stripe
-     win claims a whole run of the won stripe with one publish CAS
-     ({!Shared_klsm.try_pop_batch}) capped at min(local key, the race's
-     cross-stripe cap).  Each claimed key skips nothing in its own stripe
+  (* Listing 5's race, but a stripe win claims a whole run of the won
+     stripe with one publish CAS ({!Shared_klsm.try_pop_batch}) capped at
+     min(local key, the race's cross-stripe cap).  Each claimed key skips nothing in its own stripe
      (the run is that stripe's smallest alive items), nothing in the
      owner's LSM (it lies at or below the local key) or in a stripe the
      hints certified, and at most ceil(k/S) keys in a consulted stripe (it
@@ -637,7 +485,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     push kv)
                   kvs);
             go ()
-        | Buffered _ -> assert false (* no deletion buffer here *)
     in
     go ();
     List.rev !out
@@ -647,25 +494,16 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       order; a short batch means the queue looked empty mid-run.  At every
       stripe count a stripe win claims a whole run with one publish CAS
       ({!claim_runs}, counted by [shared.batch_claim]), except in a batch
-      of one, which is a [try_delete_min].  With deletion batching on it
-      is a plain {!try_delete_min} loop: the first iteration claims a run
-      and the rest of the batch drains the buffer, so the whole call still
-      costs one publish CAS per up-to-B items. *)
-  let try_delete_min_batch h n =
-    if n <= 0 then []
-    else if h.t.dbuf_max = 0 then claim_runs h n
-    else Pq_intf.pop_up_to (fun () -> try_delete_min h) n
+      of one, which is a [try_delete_min]. *)
+  let try_delete_min_batch h n = claim_runs h n
 
   (** Relaxed peek (the paper's try_find_min interface extension, §4):
       returns a key/value among the rho+1 smallest without deleting it.
       The item may be deleted concurrently right after (or even just
       before) the return — peeking is inherently advisory on a concurrent
-      queue.  A deletion-buffer head competes like any candidate (it is
-      part of the owner's view, so hiding it would break owner
-      exactness). *)
+      queue. *)
   let try_find_min h =
     match select h with
-    | Buffered (key, value) -> Some (key, value)
     | Local it | Stripe (it, _) -> Some (Item.key it, Item.value it)
     | Nothing -> None
 
@@ -675,10 +513,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       linearizable: the caller must have exclusive access to [src] for the
       duration (concurrent operations on the destination are fine).
       Adopted blocks get the conservative all-threads Bloom filter, since
-      [src]'s filters were built with a different hash function.
-      Deletion buffers live in {e handles}, not in [src]: callers must
-      {!flush_dbuf} the source's handles first, otherwise the items they
-      claimed stay behind. *)
+      [src]'s filters were built with a different hash function. *)
   let meld h ~src =
     let adopt block =
       if not (Block.is_empty block) then begin
@@ -704,9 +539,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let consolidate_local h = Dist_lsm.consolidate h.dist
 
   (** Number of items currently held (counting not-yet-cleaned deleted
-      items); the paper allows this to be off by rho.  Items parked in
-      per-handle deletion buffers are not visible from [t]; the count may
-      under-report by at most T * (B - 1). *)
+      items); the paper allows this to be off by rho. *)
   let approximate_size t =
     let acc = ref 0 in
     Array.iter
@@ -728,8 +561,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (* Internal accessors for white-box tests and the chaos drive. *)
   let internal_stripes t = t.stripes
   let internal_dist h = h.dist
-  let internal_dbuf h = h.dbuf
-  let internal_dbuf_pending h = h.dbuf_pending
 end
 
 (** The deployment instantiation on OCaml domains. *)

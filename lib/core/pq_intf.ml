@@ -42,9 +42,8 @@ module type S = sig
       without a bulk path run exactly that loop ({!pop_up_to}); the k-LSMs
       specialize it so a whole run of items is claimed from one stripe of
       the shared component with a single publish CAS, at every stripe
-      count and with no deletion buffer needed, each key of the run capped
-      so it is one [try_delete_min] could have returned (DESIGN.md §12,
-      §17).  That is how delete-side batching amortizes the shared hot
+      count, each key of the run capped so it is one [try_delete_min]
+      could have returned (DESIGN.md §12, §17).  That is how delete-side batching amortizes the shared hot
       spot the way {!insert_batch} does for inserts. *)
 
   val insert_batch : 'v handle -> (int * 'v) array -> unit

@@ -362,13 +362,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       same-level {!Block.prefix_view} over its own arrays, a
       fully-consumed one is dropped — pivots are recomputed and the result
       installed.  Only
-      items with key [<= limit] are claimed, which is how callers keep
-      the run within their own relaxed budget.  The k-LSM has two
-      callers: a pull ({!Klsm.claim_runs}) caps the run at min(local
-      key, the race's cross-stripe cap), and a deletion-buffer claim
-      ({!Klsm.claim_batch}) caps it at the local key alone and
-      re-certifies each buffered item against the live stripe hints when
-      it is served.
+      items with key [<= limit] are claimed, which is how the caller keeps
+      the run within its relaxed budget: the k-LSM's pull
+      ({!Klsm.claim_runs}) caps the run at min(local key, the race's
+      cross-stripe cap).
 
       The winning CAS is the linearization point of the whole run: from
       then on no other thread can reach the claimed items structurally, and
@@ -376,14 +373,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       holding older snapshots — a lost take means that thread consumed the
       item first, and it is silently dropped from the result.
 
-      [stage] (when given) runs with the tentative run {e before} the CAS —
-      the chaos harness's crash-accounting window: a thread killed inside
-      the publish has the claim recorded whether or not the CAS landed.
-
       Returns the claimed [(key, value)] run in ascending key order; [[]]
       when nothing was claimable or the CAS lost twice (callers fall back
       to the single-pop path). *)
-  let try_pop_batch ?stage ?(limit = max_int) h n =
+  let try_pop_batch ?(limit = max_int) h n =
     let alive = h.q.alive in
     if n <= 0 then []
     else begin
@@ -435,10 +428,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     kept := Block.prefix_view b ~keep :: !kept
                 done;
                 let run = List.rev claimed in
-                (match stage with
-                | Some f ->
-                    f (List.map (fun it -> (Item.key it, Item.value it)) run)
-                | None -> ());
                 let arr = Array.of_list !kept in
                 let won =
                   if Array.length arr = 0 then publish_empty h

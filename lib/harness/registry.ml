@@ -29,12 +29,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let default_store_dir = Filename.concat "_store" "default"
   let default_spill_bytes = 1 lsl 20
 
-  (** Striping and deletion-batching parameters of the k-LSM
-      (lib/core/klsm.ml; DESIGN.md §12 and §17; docs/TUNING.md). *)
+  (** Striping parameters of the k-LSM (lib/core/klsm.ml; DESIGN.md §12;
+      docs/TUNING.md). *)
   type sharded_cfg = {
     k : int;  (** global relaxation budget *)
     shards : int;  (** stripe count S *)
-    dbuf : int;  (** deletion batch size B (DESIGN.md §17); 0 = off *)
   }
 
   type spec =
@@ -54,7 +53,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       [Stored] the configuration underneath — or [None] for the other
       queues. *)
   let rec klsm_cfg = function
-    | Klsm k -> Some { k; shards = 1; dbuf = 0 }
+    | Klsm k -> Some { k; shards = 1 }
     | Klsm_sharded cfg -> Some cfg
     | Stored (inner, _) -> klsm_cfg inner
     | Heap_lock | Linden | Spraylist | Multiq _ | Dlsm | Wimmer_centralized
@@ -69,15 +68,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     match (spec, klsm_cfg spec) with
     | _, Some c ->
         Some
-          (Klsm_core.Klsm.rank_bound ~shards:c.shards ~dbuf:c.dbuf ~threads
-             ~k:c.k ())
+          (Klsm_core.Klsm.rank_bound ~shards:c.shards ~threads ~k:c.k ())
     | Wimmer_hybrid k, _ -> Some (threads * k)
     | (Heap_lock | Linden | Wimmer_centralized), _ -> Some 0
     | (Spraylist | Multiq _ | Dlsm | Klsm _ | Klsm_sharded _ | Stored _), _ ->
         None
 
-  (** [klsm_sharded k shards], deletion batching defaulted off. *)
-  let klsm_sharded ?(dbuf = 0) k shards = Klsm_sharded { k; shards; dbuf }
+  (** [klsm_sharded k shards] is the spec [klsm-sharded:k:shards]. *)
+  let klsm_sharded k shards = Klsm_sharded { k; shards }
 
   let rec spec_name = function
     | Heap_lock -> "heap+lock"
@@ -85,9 +83,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Spraylist -> "spraylist"
     | Multiq c -> Printf.sprintf "multiq(%d)" c
     | Klsm k -> Printf.sprintf "klsm(%d)" k
-    | Klsm_sharded cfg ->
-        Printf.sprintf "klsm-sharded(%d,%d%s)" cfg.k cfg.shards
-          (if cfg.dbuf > 0 then Printf.sprintf ",dbuf=%d" cfg.dbuf else "")
+    | Klsm_sharded cfg -> Printf.sprintf "klsm-sharded(%d,%d)" cfg.k cfg.shards
     | Dlsm -> "dlsm"
     | Wimmer_centralized -> "centralized-k"
     | Wimmer_hybrid k -> Printf.sprintf "hybrid-k(%d)" k
@@ -104,19 +100,23 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       | Some i ->
           (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
     in
-    (* [spec ~default mk] parses the optional integer parameter; [no_arg]
-       rejects any parameter at all. *)
-    let with_arg ~what ~default mk =
-      match arg with
-      | None -> Ok (mk default)
+    (* [int_param ~what ~default a] parses an optional non-negative
+       integer parameter, [default] when absent; [with_arg] parses the
+       spec's one parameter; [no_arg] rejects any parameter at all. *)
+    let int_param ~what ~default a =
+      match a with
+      | None -> Ok default
       | Some a -> (
           match int_of_string_opt a with
-          | Some v when v >= 0 -> Ok (mk v)
+          | Some v when v >= 0 -> Ok v
           | _ ->
               Error
                 (Printf.sprintf
                    "%S: parameter %S is not a non-negative integer (%s)" s a
                    what))
+    in
+    let with_arg ~what ~default mk =
+      Result.map mk (int_param ~what ~default arg)
     in
     let no_arg spec =
       match arg with
@@ -133,78 +133,41 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | "multiq" -> with_arg ~what:"c, queues per thread" ~default:2 (fun c -> Multiq c)
     | "klsm" -> with_arg ~what:"the relaxation k" ~default:256 (fun k -> Klsm k)
     | "klsm-sharded" | "sharded" -> (
-        (* Colon-separated parameters: up to two positional integers (k,
-           then the shard count S; defaults 256 and 4), then the one keyed
-           knob "dbuf=<B>".  The budget constraints are
+        (* Up to two colon-separated integers: k, then the shard count S
+           (defaults 256 and 4).  The budget constraints are
            Klsm.config_error's, the ones create_with enforces
            (docs/TUNING.md). *)
-        let parse_int ~what a =
-          match int_of_string_opt a with
-          | Some v when v >= 0 -> Ok v
-          | _ ->
-              Error
-                (Printf.sprintf
-                   "%S: parameter %S is not a non-negative integer (%s)" s a
-                   what)
-        in
         let toks =
           match arg with None -> [] | Some a -> String.split_on_char ':' a
         in
-        let rec collect toks ~npos acc =
-          match toks with
-          | [] -> Ok acc
-          | tok :: rest -> (
-              match String.index_opt tok '=' with
-              | None -> (
-                  (* Positional: k first, then S. *)
-                  let what, set =
-                    match npos with
-                    | 0 -> ("the relaxation k", fun v -> { acc with k = v })
-                    | _ ->
-                        ( "the shard count S, stripes",
-                          fun v -> { acc with shards = v } )
-                  in
-                  if npos >= 2 then
-                    Error
-                      (Printf.sprintf
-                         "%S: unexpected third positional parameter %S (only \
-                          k and S are positional; use dbuf= for the deletion \
-                          batch)"
-                         s tok)
-                  else
-                    match parse_int ~what tok with
-                    | Error e -> Error e
-                    | Ok v -> collect rest ~npos:(npos + 1) (set v))
-              | Some i -> (
-                  let key = String.sub tok 0 i in
-                  let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-                  (* The keyed knob is a positive integer; 0 is spelled by
-                     omitting it. *)
-                  match key with
-                  | "dbuf" -> (
-                      match parse_int ~what:"the deletion batch size B" v with
-                      | Error e -> Error e
-                      | Ok 0 ->
-                          Error
-                            (Printf.sprintf
-                               "%S: the deletion batch size B must be >= 1 \
-                                (omit dbuf= to disable it)"
-                               s)
-                      | Ok b -> collect rest ~npos { acc with dbuf = b })
-                  | _ ->
-                      Error
-                        (Printf.sprintf
-                           "%S: unknown parameter %S (known: dbuf=<B>)" s key)))
+        let positional i ~what ~default =
+          int_param ~what ~default (List.nth_opt toks i)
         in
-        match collect toks ~npos:0 { k = 256; shards = 4; dbuf = 0 } with
-        | Error e -> Error e
-        | Ok cfg -> (
+        match List.find_opt (fun tok -> String.contains tok '=') toks with
+        | Some tok ->
+            Error
+              (Printf.sprintf
+                 "%S: unknown parameter %S: klsm-sharded takes K and S only \
+                  (the deletion buffer dbuf=B was removed; pull runs with \
+                  try_delete_min_batch instead)"
+                 s
+                 (String.sub tok 0 (String.index tok '=')))
+        | None when List.length toks > 2 ->
+            Error
+              (Printf.sprintf
+                 "%S: unexpected third parameter %S (klsm-sharded takes K and \
+                  S only)"
+                 s (List.nth toks 2))
+        | None -> (
             match
-              Klsm_core.Klsm.config_error ~k:cfg.k ~shards:cfg.shards
-                ~dbuf:cfg.dbuf
+              ( positional 0 ~what:"the relaxation k" ~default:256,
+                positional 1 ~what:"the shard count S, stripes" ~default:4 )
             with
-            | Some e -> Error (Printf.sprintf "%S: %s" s e)
-            | None -> Ok (Klsm_sharded cfg)))
+            | Error e, _ | _, Error e -> Error e
+            | Ok k, Ok shards -> (
+                match Klsm_core.Klsm.config_error ~k ~shards with
+                | Some e -> Error (Printf.sprintf "%S: %s" s e)
+                | None -> Ok (klsm_sharded k shards))))
     | "dlsm" -> no_arg Dlsm
     | "centralized" | "centralized-k" -> no_arg Wimmer_centralized
     | "hybrid" | "hybrid-k" ->
@@ -214,7 +177,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           (Printf.sprintf
              "unknown implementation %S; known: heap, linden, spray, \
               multiq[:C], klsm[:K], \
-              klsm-sharded[:K[:S]][:dbuf=B], \
+              klsm-sharded[:K[:S]], \
               dlsm, centralized, hybrid[:K]; klsm and klsm-sharded accept \
               +spill:<bytes> and +store:<dir> suffixes"
              s)
@@ -362,7 +325,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       ("multiq[:C]", "multiq:2");
       (* One k-LSM: klsm:K is klsm-sharded:K:1. *)
       ("klsm[:K]", "klsm:256");
-      ("klsm-sharded[:K[:S]][:dbuf=B]", "klsm-sharded:256:4:dbuf=8");
+      ("klsm-sharded[:K[:S]]", "klsm-sharded:256:4");
       ("dlsm", "dlsm");
       ("centralized-k", "centralized-k");
       ("hybrid-k[:K]", "hybrid-k:256");
@@ -472,7 +435,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               (Printf.sprintf
                  "Registry.make: %s does not support the durability tier"
                  (spec_name spec))
-        | Some { k; shards; dbuf } ->
+        | Some { k; shards } ->
             let spill =
               match spec with
               | Stored (_, cfg) ->
@@ -482,8 +445,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
               | _ -> None
             in
             let q =
-              Klsm.create_with ~seed ~k ~shards ~dbuf
-                ?should_delete ?on_lazy_delete
+              Klsm.create_with ~seed ~k ~shards ?should_delete ?on_lazy_delete
                 ?spill_policy:
                   (Option.map
                      (fun sp ~alive ~tid block ->

@@ -62,13 +62,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             odd-indexed children yielding once mid-work — the knob
             [bin/sched.exe --fibers] sets *)
     batch : int;  (** submitter buffer size *)
-    dbuf : int;
+    pull : int;
         (** tasks pulled per shared-queue round trip by each worker
-            (Worker [~batch]/[~pop_batch]): the delete-side counterpart of
-            [batch].  The head task starts inline; the rest land in the
-            worker's deque as steal-ready fibers.  0 (the default) pulls
-            one task per round trip, which on every queue is a
-            delete-min *)
+            (Worker [~batch]/[~pop_batch]), >= 1: the delete-side
+            counterpart of [batch].  The head task starts inline; the rest
+            land in the worker's deque as steal-ready fibers.  1 (the
+            default) pulls one task per round trip, which on every queue
+            is a delete-min *)
     urgency_margin : int;  (** submitter priority-inversion flush margin *)
     capacity : int;  (** admission bound on in-flight tasks *)
     seed : int;
@@ -88,7 +88,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       spawn_depth = 0;
       fiber_fanout = 0;
       batch = 16;
-      dbuf = 0;
+      pull = 1;
       urgency_margin = 512;
       capacity = 4096;
       seed = 42;
@@ -198,7 +198,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     if config.num_workers < 1 then invalid_arg "Closed_loop.run: num_workers";
     if config.roots_per_worker < 0 then
       invalid_arg "Closed_loop.run: roots_per_worker";
-    if config.dbuf < 0 then invalid_arg "Closed_loop.run: dbuf < 0";
+    if config.pull < 1 then invalid_arg "Closed_loop.run: pull < 1";
     let total = total_tasks config in
     let instance =
       Registry.make ~seed:config.seed ~num_threads:config.num_workers spec
@@ -228,7 +228,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         let obs = Obs.handle sched_obs ~tid in
         let ctx =
           Worker.make_ctx ~obs ~steal_seed:(config.seed + (6271 * tid))
-            ~batch:(max 1 config.dbuf)
+            ~batch:config.pull
             ~pop_batch:h.Registry.try_delete_min_batch ~pool ~tid ~sub
             ~pop:h.Registry.try_delete_min ~metrics:metrics.(tid) ()
         in

@@ -30,9 +30,9 @@
     The drain side has a symmetric knob: {!Worker.make_ctx}'s
     [~batch]/[~pop_batch] pulls a run of task ids per shared-queue round
     trip ([try_delete_min_batch]; one claiming CAS per run on the k-LSMs,
-    at every stripe count, without a queue-side deletion buffer), so a
-    flush published here as one block can be consumed as one batch there
-    ([Closed_loop.config.dbuf] / [sched --dbuf]). *)
+    at every stripe count), so a flush published here as one block can be
+    consumed as one batch there ([Closed_loop.config.pull] /
+    [sched --pull]). *)
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct
   type config = {

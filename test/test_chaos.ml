@@ -289,6 +289,44 @@ let test_sched_crash_inside_claim () =
         (List.assoc "reenqueues" c.Drive.info > 0))
     [ true; false ]
 
+(* A spurious failure of a claimed item's take: a Cas_fail armed at
+   [shared.batch.claimed] fails the claimer's next CAS, the first take,
+   with the item's flag still clear.  The winning publish already pruned
+   the run from the stripe, so a take that is not retried would lose that
+   item's payload.  One block of 16 goes to stripe 1 of
+   klsm-sharded:16:2 (h1's home), as in test_sharded.ml's striped claim
+   test, and h0 pulls 8. *)
+let test_claim_retries_spurious_take () =
+  let module K = Drive.K in
+  Sim.configure ~seed:1 ();
+  let q = K.create_with ~k:16 ~shards:2 ~num_threads:2 () in
+  let plan = [ Chaos.rule "shared.batch.claimed" Chaos.Cas_fail ] in
+  let pulled = ref [] and drained = ref [] in
+  Chaos.install plan;
+  Fun.protect ~finally:Chaos.uninstall (fun () ->
+      Sim.parallel_run ~num_threads:1 (fun _ ->
+          let h0 = K.register q 0 and h1 = K.register q 1 in
+          K.insert_batch h1 (Array.init 16 (fun i -> (i, 100 + i)));
+          pulled := K.try_delete_min_batch h0 8;
+          let rec drain () =
+            match K.try_delete_min h0 with
+            | Some kv ->
+                drained := kv :: !drained;
+                drain ()
+            | None -> ()
+          in
+          drain ());
+      check_int "the rule fired" 1 (Chaos.fired_count plan);
+      check_int "one CAS failed" 1 (Chaos.stats ()).Chaos.cas_fails);
+  let keys = List.map fst in
+  check_list_int "the 8 smallest, ascending" (List.init 8 Fun.id)
+    (keys !pulled);
+  check_bool "each with its payload" true
+    (List.for_all (fun (k, v) -> v = 100 + k) !pulled);
+  check_list_int "the drain returns the other 8, each once"
+    (List.init 8 (fun i -> 8 + i))
+    (List.sort compare (keys !drained))
+
 (* The teeth check: with Listing 4's publication order flipped, the same
    conservation oracle must detect the planted loss — the suite can catch
    the bug class it exists for. *)
@@ -334,6 +372,8 @@ let () =
           Alcotest.test_case "sched crash" `Quick test_sched_case_crash;
           Alcotest.test_case "sched crash inside a run claim" `Quick
             test_sched_crash_inside_claim;
+          Alcotest.test_case "a claim retries a spurious take" `Quick
+            test_claim_retries_spurious_take;
           Alcotest.test_case "teeth" `Slow test_teeth_catch;
         ] );
     ]

@@ -95,9 +95,6 @@ let test_parse_spec () =
       (* k = 0, the exact-shared configuration, runs on one stripe *)
       ("klsm:0", Some (R.Klsm 0));
       ("klsm-sharded:0:1", Some (R.klsm_sharded 0 1));
-      (* the §17 deletion-batch knob, the one keyed parameter *)
-      ("klsm-sharded:64:8:dbuf=4", Some (R.klsm_sharded ~dbuf:4 64 8));
-      ("sharded:1024:4:dbuf=8", Some (R.klsm_sharded ~dbuf:8 1024 4));
       ("nonsense", None);
     ]
   in
@@ -116,15 +113,14 @@ let test_parse_spec_rejects_bad_args () =
          (k = 0 has a budget for one stripe only) *)
       "klsm-sharded:abc"; "klsm-sharded:64:x"; "klsm-sharded:64:0";
       "klsm-sharded:4:8"; "klsm-sharded:0:2";
-      (* sticky=, buf= and adapt= name no knob, so they are unknown
-         parameters — also next to a valid dbuf= *)
+      (* klsm-sharded takes K and S only: sticky=, buf=, adapt= and the
+         removed deletion buffer's dbuf= are all unknown parameters *)
       "klsm-sharded:64:8:sticky=4"; "klsm-sharded:64:8:buf=2";
       "klsm-sharded:64:8:buf=5:dbuf=4"; "klsm-sharded:64:4:adapt=2-8";
       "klsm-sharded:64:8:wat=1"; "klsm-sharded:64:8:1";
-      (* dbuf: 0 means "omit the knob"; a batch beyond the per-stripe
-         budget ceil(k/S) = 8 cannot fit one stripe's relaxation *)
       "klsm-sharded:64:8:dbuf=0"; "klsm-sharded:64:8:dbuf=9";
-      "klsm-sharded:64:8:dbuf=x";
+      "klsm-sharded:64:8:dbuf=x"; "klsm-sharded:64:8:dbuf=4";
+      "sharded:1024:4:dbuf=8";
     ]
   in
   List.iter
@@ -137,8 +133,8 @@ let test_parse_spec_rejects_bad_args () =
             true
             (String.length msg > 0))
     bad;
-  (* sticky=, buf= and adapt= are unknown parameters: the message names
-     the parameter and lists dbuf=<B> as the only known key. *)
+  (* Keyed parameters are unknown: the message names the parameter, says
+     the deletion buffer was removed and points to batch pulls. *)
   List.iter
     (fun (key, spec) ->
       match R.parse_spec spec with
@@ -156,8 +152,10 @@ let test_parse_spec_rejects_bad_args () =
             (Printf.sprintf "%s= is unknown (%s)" key msg)
             true
             (has (Printf.sprintf "unknown parameter %S" key)
-            && has "(known: dbuf=<B>)"))
+            && has "deletion buffer dbuf=B was removed"
+            && has "try_delete_min_batch"))
     [
+      ("dbuf", "klsm-sharded:256:4:dbuf=8");
       ("sticky", "klsm-sharded:64:8:sticky=4");
       ("buf", "klsm-sharded:64:8:buf=2");
       ("adapt", "klsm-sharded:64:4:adapt=2-8");

@@ -7,13 +7,10 @@
    stripes whose max_int hint hides items),
    conservation under CAS-failure storms and the fixed home stripe, the
    DESIGN.md §12 rank bound rho <= (T-1+S) * ceil(k/S) measured
-   empirically on the simulator, and the §17 batched delete-min:
-   exactness and conservation with the deletion buffer, the one-CAS run
-   claim at S = 1 and S = 4, batch exactness with and without the
-   deletion buffer,
+   empirically on the simulator, and the §17 batched delete-min: the
+   one-CAS run claim at S = 1 and S = 4, batch exactness at S = 1 to 4,
    empty/short edges, a batch+single-pop fuzz against the sequential
-   oracle, deletion-buffer aging under batch inserts, the widened rank
-   bound under [~dbuf], and the rank bound of pulls claimed as runs. *)
+   oracle, and the rank bound of pulls claimed as runs. *)
 
 open Helpers
 module K = Klsm_core.Klsm.Default
@@ -37,7 +34,7 @@ let drain_all try_delete_min =
   in
   go [] 0
 
-(* Every knob-free case runs on one stripe (the paper's queue) and on
+(* The contract cases run on one stripe (the paper's queue) and on
    four. *)
 let stripe_counts = [ 1; 4 ]
 
@@ -64,24 +61,6 @@ let prop_single_thread_exact_striped =
     (fun (ops, k, shards) ->
       let k = max k shards in
       let q = K.create_with ~k ~shards ~num_threads:1 () in
-      let h = K.register q 0 in
-      matches_oracle
-        ~insert:(fun key -> K.insert h key ())
-        ~delete_min:(fun () -> Option.map fst (K.try_delete_min h))
-        ops)
-
-let prop_single_thread_exact_dbuf =
-  qtest "sharded+dbuf single thread = exact PQ" ~count:100
-    QCheck2.Gen.(triple ops_gen (int_bound 300) (int_range 1 4))
-    (fun (ops, k, shards) ->
-      let k = max k shards in
-      let kp = Klsm_core.Klsm.stripe_k ~k ~shards in
-      (* The deletion-buffer serve rule (serve the parked head only while
-         neither the local minimum nor any stripe undercuts it) must keep
-         the owner's view exact, whatever the batch size. *)
-      let q =
-        K.create_with ~k ~shards ~dbuf:(max 1 (min 4 kp)) ~num_threads:1 ()
-      in
       let h = K.register q 0 in
       matches_oracle
         ~insert:(fun key -> K.insert h key ())
@@ -313,29 +292,6 @@ let prop_two_stripe_conservation =
       let got = drain_all (fun () -> K.try_delete_min h0) in
       List.sort compare got = List.sort compare keys)
 
-let prop_multi_handle_conservation_dbuf =
-  qtest "two-handle conservation with dbuf" ~count:50
-    QCheck2.Gen.(list_size (int_range 1 300) (int_bound 5_000))
-    (fun keys ->
-      let q = K.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:2 () in
-      let h0 = K.register q 0 and h1 = K.register q 1 in
-      let early = ref [] in
-      List.iteri
-        (fun i k ->
-          K.insert (if i land 1 = 0 then h0 else h1) k ();
-          (* h1 deletes now and then, so its shared wins claim runs into
-             its deletion buffer. *)
-          if i mod 8 = 7 then
-            Option.iter
-              (fun (k, ()) -> early := k :: !early)
-              (K.try_delete_min h1))
-        keys;
-      (* Deletion buffers live in handles: the rest of h1's claimed run is
-         invisible to h0's drain until flushed back. *)
-      K.flush_dbuf h1;
-      let got = drain_all (fun () -> K.try_delete_min h0) in
-      List.sort compare (!early @ got) = List.sort compare keys)
-
 (* ---------------- budget partition and validation ---------------- *)
 
 let stripe_ks q =
@@ -376,18 +332,6 @@ let test_create_validation () =
   check_int "k = 0 runs on one stripe" 1 (K.num_stripes q);
   match K.set_k q (-1) with
   | () -> Alcotest.fail "negative k accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_knob_validation () =
-  (* A deletion batch beyond the per-stripe budget cannot fit one stripe's
-     relaxation: ceil(64/4) = 16. *)
-  (match K.create_with ~k:64 ~shards:4 ~dbuf:17 ~num_threads:1 () with
-  | _ -> Alcotest.fail "dbuf > ceil(k/S) accepted"
-  | exception Invalid_argument _ -> ());
-  (* set_k must not shrink the per-stripe budget under a live dbuf cap. *)
-  let q = K.create_with ~k:64 ~shards:4 ~dbuf:16 ~num_threads:1 () in
-  match K.set_k q 8 with
-  | () -> Alcotest.fail "set_k below dbuf cap accepted"
   | exception Invalid_argument _ -> ()
 
 (* ---------------- the striped race and the stripe memo ---------------- *)
@@ -450,13 +394,11 @@ let test_publish_on_other_stripe () =
         (stat q "stripe.hint_consult" - consult))
 
 (* Keys equal to max_int give a stripe the hint an empty stripe has: an
-   owner that holds nothing must still find them.  With a deletion buffer
-   a claimed max_int key waits in the buffer too, and one thread alone
-   must be served it before the queue reads empty. *)
+   owner that holds nothing must still find them. *)
 let test_max_int_keys_found () =
   List.iter
-    (fun (shards, dbuf) ->
-      let q = K.create_with ~k:4 ~shards ~dbuf ~num_threads:1 () in
+    (fun shards ->
+      let q = K.create_with ~k:4 ~shards ~num_threads:1 () in
       let h = K.register q 0 in
       for _ = 1 to 8 do
         K.insert h max_int ()
@@ -465,10 +407,9 @@ let test_max_int_keys_found () =
         match K.try_delete_min h with Some _ -> drain (n + 1) | None -> n
       in
       check_int
-        (Printf.sprintf "drained before the first None at S = %d, dbuf = %d"
-           shards dbuf)
+        (Printf.sprintf "drained before the first None at S = %d" shards)
         8 (drain 0))
-    [ (1, 0); (4, 0); (1, 2); (2, 2) ]
+    [ 1; 2; 4 ]
 
 (* A late empty-array hint: thread 0's consolidation publishes the empty
    array, and before it writes the stripe's hint back to max_int, thread
@@ -533,18 +474,7 @@ let test_cas_storms_conserve () =
   (* Every rule of the storm concentrated on thread 1 fired: its
      publishes lost 12 CASes in a row and were retried to completion. *)
   check_int "case 2 injected exactly 12 CAS failures" 12
-    (List.nth cases 2).Drive.cas_fails;
-  (* Cases 4 and 5 kill a thread holding a deletion buffer, mid-flush and
-     at the batch claim's publish CAS: both crashes landed (and
-     conservation already held above, with the crasher's claimed items
-     exempt). *)
-  List.iter
-    (fun i ->
-      check_bool
-        (Printf.sprintf "dbuf case %d crashed the target" i)
-        true
-        ((List.nth cases i).Drive.crashes >= 1))
-    [ 4; 5 ]
+    (List.nth cases 2).Drive.cas_fails
 
 (* A handle's home stripe is [tid mod S] for its whole life: 12
    consecutive forced failures of its publish CAS are retried on the same
@@ -581,33 +511,6 @@ let test_spills_stay_home_under_storm () =
   | None -> Alcotest.fail "stripe.cas_fail not counted"
 
 (* ---------------- batched delete-min (DESIGN.md §17) ---------------- *)
-
-(* Batch inserts are owner operations too: a handle that claims a run and
-   then only batch-inserts must flush its parked items within
-   [buffer_age_bound] calls, exactly as one that inserts singly. *)
-let test_batch_inserts_age_dbuf () =
-  let parked_after ~per_call insert_some =
-    let q = K.create_with ~k:4 ~dbuf:4 ~num_threads:1 () in
-    let h = K.register q 0 in
-    for i = 0 to 199 do
-      K.insert h i ()
-    done;
-    ignore (K.try_delete_min h);
-    check_int "claim parked 3 items" 3 (List.length (K.internal_dbuf h));
-    for i = 0 to 99 do
-      insert_some h (1000 + (2 * i))
-    done;
-    let parked = List.length (K.internal_dbuf h) in
-    check_int "nothing lost"
-      (199 + (100 * per_call))
-      (List.length (drain_all (fun () -> K.try_delete_min h)));
-    parked
-  in
-  check_int "single inserts flush the buffer" 0
-    (parked_after ~per_call:1 (fun h key -> K.insert h key ()));
-  check_int "two-item batch inserts flush the buffer" 0
-    (parked_after ~per_call:2 (fun h key ->
-         K.insert_batch h [| (key, ()); (key + 1, ()) |]))
 
 let prop_klsm_batch_exact =
   qtest "combined k-LSM batch pop = n smallest keys, ascending" ~count:80
@@ -714,17 +617,13 @@ let batch_of_one_is_a_delete_min spec () =
         batch_ops)
 
 let prop_sharded_batch_exact =
-  qtest "sharded+dbuf batch pop = B smallest keys, ascending" ~count:80
+  qtest "sharded batch pop = n smallest keys, ascending" ~count:80
     QCheck2.Gen.(triple keys_gen (int_range 1 8) (int_range 1 4))
     (fun (keys, b, shards) ->
-      (* With the deletion buffer on, each batch pop claims a run from one
-         stripe under the cross-stripe hint limit and serves the rest from
-         the buffer — single-threaded both must stay exact. *)
-      let k = 32 in
-      let kp = Klsm_core.Klsm.stripe_k ~k ~shards in
-      let q =
-        K.create_with ~k ~shards ~dbuf:(min b kp) ~num_threads:1 ()
-      in
+      (* Each batch pop claims runs from the stripes, each capped at the
+         race's cross-stripe cap and the local minimum — single-threaded
+         the batches must stay exact at every stripe count. *)
+      let q = K.create_with ~k:32 ~shards ~num_threads:1 () in
       let h = K.register q 0 in
       List.iter (fun key -> K.insert h key ()) keys;
       let expect = ref (List.sort compare keys) in
@@ -745,7 +644,7 @@ let prop_sharded_batch_exact =
       !ok && !expect = [])
 
 let test_batch_edges () =
-  let q = K.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:1 () in
+  let q = K.create_with ~k:16 ~shards:2 ~num_threads:1 () in
   let h = K.register q 0 in
   check_bool "empty queue: batch = []" true (K.try_delete_min_batch h 4 = []);
   K.insert h 3 ();
@@ -759,12 +658,11 @@ let test_batch_edges () =
 let test_fuzz_batch_and_single_pops () =
   (* 32 seeds of a mixed stream — inserts, single pops, batch pops of
      random sizes — against the sorted-list oracle (Seq_lsm semantics).
-     Single-threaded the sharded queue is exact even with the deletion
-     buffer on, so every pop, batched or not, must return the oracle's
-     minima in order. *)
+     Single-threaded the sharded queue is exact, so every pop, batched
+     or not, must return the oracle's minima in order. *)
   for seed = 1 to 32 do
     let rng = Xoshiro.create ~seed:(0xBA7C4 + seed) in
-    let q = K.create_with ~k:16 ~shards:2 ~dbuf:4 ~num_threads:1 () in
+    let q = K.create_with ~k:16 ~shards:2 ~num_threads:1 () in
     let h = K.register q 0 in
     let oracle = Oracle_pq.create () in
     for _ = 1 to 400 do
@@ -804,8 +702,8 @@ let test_fuzz_batch_and_single_pops () =
 (* The measured max rank error of [spec] on the simulator against its
    Klsm.rank_bound + T: the slack covers in-flight inserts the oracle has
    already counted (the same slack the twin and the quality tests use). *)
-let check_rank_bound ?(threads = 4) ~seed ~what spec =
-  Sim.configure ~seed ~policy:Sim.Fair ();
+let check_rank_bound ?(threads = 4) ?(policy = Sim.Fair) ~seed ~what spec =
+  Sim.configure ~seed ~policy ();
   let config =
     {
       QS.default_config with
@@ -828,12 +726,20 @@ let test_rank_bound_partitioned () =
   (* DESIGN.md §12: rho <= (T-1+S) * ceil(k/S). *)
   check_rank_bound ~seed:5 ~what:"partitioned" (RS.klsm_sharded 32 4)
 
-let test_rank_bound_with_dbuf () =
-  (* DESIGN.md §17: per-handle deletion buffers widen the bound by
-     T * (B-1) — every handle can hold up to B-1 claimed-but-unserved
-     items whose absence other threads cannot observe. *)
-  check_rank_bound ~seed:11 ~what:"widened dbuf"
-    (RS.klsm_sharded ~dbuf:4 32 4)
+let test_rank_bound_preempted () =
+  (* With no deletion buffer, rho = (T-1+S) * ceil(k/S) is the one bound of
+     every k-LSM spec, S = 1 included.  Random preemption parks threads
+     mid-operation, so stale stripe peeks and half-done spills stay visible
+     longer than under Fair. *)
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun seed ->
+          check_rank_bound ~policy:(Sim.Random_preempt 0.3) ~seed
+            ~what:(Printf.sprintf "preempted S = %d" shards)
+            (RS.klsm_sharded 32 shards))
+        [ 7; 8 ])
+    [ 1; 2; 4 ]
 
 let test_rank_bound_exact_shared () =
   (* klsm:0 spills every insert into an exact shared component, so its
@@ -841,8 +747,7 @@ let test_rank_bound_exact_shared () =
   check_rank_bound ~threads:8 ~seed:13 ~what:"exact-shared" (RS.Klsm 0)
 
 let test_rank_bound_pulls () =
-  (* DESIGN.md §12/§17: pulls of n = 8 at T = 4 with no deletion buffer.
-     A stripe win claims a run capped at the race's cross-stripe cap, so
+  (* DESIGN.md §12/§17: pulls of n = 8 at T = 4.  A stripe win claims a run capped at the race's cross-stripe cap, so
      every key of the run stays within rho; a pull's keys reach the oracle
      only when the call returns, so the slack is T * n instead of T.  Over
      both policies, S in {2, 4}, k in {8, 32} and 16 seeds each. *)
@@ -914,7 +819,7 @@ let test_pull_mean_spills () =
       (String.concat ", " (List.map (Printf.sprintf "%.2f") means))
 
 (* Two suites: the queue's contract, each case over one stripe and four,
-   then the striping mechanisms and the deletion buffer. *)
+   then the striping mechanisms and batched delete-min. *)
 let () =
   Alcotest.run ~and_exit:false "klsm"
     [
@@ -953,9 +858,7 @@ let () =
       ( "semantics",
         [
           prop_single_thread_exact_striped;
-          prop_single_thread_exact_dbuf;
           prop_two_stripe_conservation;
-          prop_multi_handle_conservation_dbuf;
           prop_batch_conservation;
         ] );
       ( "partition",
@@ -964,7 +867,6 @@ let () =
           Alcotest.test_case "set_k repartitions" `Quick
             test_set_k_repartitions;
           Alcotest.test_case "create validation" `Quick test_create_validation;
-          Alcotest.test_case "knob validation" `Quick test_knob_validation;
         ] );
       ( "race",
         [
@@ -992,8 +894,6 @@ let () =
           Alcotest.test_case "empty and short batches" `Quick test_batch_edges;
           Alcotest.test_case "fuzz batch+single pops vs oracle" `Slow
             test_fuzz_batch_and_single_pops;
-          Alcotest.test_case "batch inserts age the deletion buffer" `Quick
-            test_batch_inserts_age_dbuf;
         ] );
       ( "chaos",
         [
@@ -1006,8 +906,8 @@ let () =
         [
           Alcotest.test_case "partitioned rank bound" `Slow
             test_rank_bound_partitioned;
-          Alcotest.test_case "widened rank bound under dbuf" `Slow
-            test_rank_bound_with_dbuf;
+          Alcotest.test_case "partitioned bound under preemption" `Slow
+            test_rank_bound_preempted;
           Alcotest.test_case "klsm:0 within T at T = 8" `Slow
             test_rank_bound_exact_shared;
           Alcotest.test_case "pulls of 8 within rho + T*n" `Slow

@@ -153,7 +153,7 @@ let test_random_preempt () =
     [
       R_sim.Klsm 0;
       R_sim.Klsm 16;
-      R_sim.Klsm_sharded { R_sim.k = 16; shards = 2; dbuf = 2 };
+      R_sim.klsm_sharded 16 2;
     ]
   in
   Fun.protect
