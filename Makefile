@@ -27,9 +27,8 @@ doc:
 	dune build @doc
 
 # Regenerate BENCH_stats.json (internal counters of every registry queue,
-# lib/obs) and validate its schema + METRICS.md coverage.
+# lib/obs, on the simulator) and validate its schema + METRICS.md coverage.
 stats-check:
-	dune exec bench/main.exe -- stats
 	dune exec bin/statscheck.exe -- BENCH_stats.json docs/METRICS.md
 
 # Documentation-drift gate (bin/docscheck.ml): every Registry spec form
@@ -69,7 +68,8 @@ perf-check:
 # spillage enabled the descending-key workload must hold >= 90% of in-RAM
 # throughput (and must actually spill — a vacuous pass fails), and a
 # planted mid-spill-kill store must recover byte-identically with an
-# idempotent second pass.  Writes BENCH_storecheck.json.
+# idempotent second pass.  Then, report only, the spill-threshold sweep
+# and recovery scaling tables.  Writes BENCH_storecheck.json.
 store-check:
 	dune exec bin/storecheck.exe
 
@@ -87,13 +87,10 @@ torture-check:
 check: fmt build test doc stats-check docs-check chaos-check perf-check store-check torture-check
 
 # The experiment index (DESIGN.md §2, bench/experiments.sh): one bin/ CLI
-# line per figure or table at the scaled defaults, then the bench/main.exe
-# sections that no CLI runs.  `dune runtest` runs the same CLI lines at
-# tiny scale (the smoke rule in bin/dune).
+# line per figure or table at the scaled defaults.  `dune runtest` runs
+# the same lines at tiny scale (the smoke rule in bin/dune).
 bench:
-	dune build bin bench
-	sh bench/experiments.sh _build/default/bin
-	dune exec bench/main.exe
+	dune build bin && sh bench/experiments.sh _build/default/bin
 
 # The benchmark's simulator twins alone (bin/twins.ml): the six twin
 # metrics of every workload per seed, with medians and quartiles.  About

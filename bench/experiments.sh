@@ -28,6 +28,7 @@ if [ -n "$smoke" ]; then
   quality=$fig3_left
   pulls="--prefill 200 --ops 100"
   workload=$fig3_left
+  sequential="--prefill 200 --ops 400 --reps 1"
   nodes=40
   tasks=10
   size=12
@@ -38,6 +39,7 @@ else
   quality=
   pulls="--ops 4000"
   workload="--prefill 10000 --ops 30000"
+  sequential="--prefill 10000 --ops 200000 --reps 3"
   nodes=600
   tasks=300
   size=30
@@ -85,6 +87,10 @@ for w in uniform ascending descending clustered; do
   run "$bin/throughput.exe" --threads 10 $workload --reps 1 --impl heap \
     --impl multiq:2 --impl klsm:256 --impl dlsm --workload $w
 done
+# A4: sequential costs on real domains, one thread.
+run "$bin/throughput.exe" --mode real --threads 1 $sequential --impl heap \
+  --impl linden --impl spraylist --impl multiq:2 --impl klsm:0 \
+  --impl klsm:256 --impl klsm:4096 --impl dlsm
 # Branch and bound: threads at k = 64, then k at T = 10.
 run "$bin/bnb.exe" --size $size --threads 1,2,5,10,20,40 --relaxation 64
 for k in 0 4 64 1024 16384; do

@@ -31,6 +31,11 @@
      the dot of some [Obs.counter] declaration) must name a declared
      counter, so a diagnosis row citing a deleted counter fails.
 
+   - Every [dune exec DIR/NAME.exe] that README.md or a .md file in
+     METRICS_MD's directory (docs/) cites must name an existing
+     DIR/NAME.ml, DIR taken from README.md's directory, so a command
+     whose executable was deleted or renamed fails.
+
    Names are required in backticks (`like.this`) in the README and
    METRICS.md, as in statscheck, so an incidental prose mention does not
    count. *)
@@ -273,6 +278,54 @@ let check_sites chaos_md lib_dir =
   differ "vfs sites" io_sites "Chaos.io_sites" io_rows chaos_md;
   (S.cardinal sites, S.cardinal literals, S.cardinal site_rows)
 
+(* ---------------- cited executables ---------------- *)
+
+(* The word after each "dune exec " in [doc] that ends in ".exe". *)
+let exec_citations doc =
+  let token = "dune exec " in
+  let tl = String.length token and dl = String.length doc in
+  let rec from i acc =
+    if i + tl > dl then List.rev acc
+    else if String.sub doc i tl = token then begin
+      let j = i + tl in
+      let k = ref j in
+      while
+        !k < dl
+        && match doc.[!k] with
+           | ' ' | '\t' | '\n' | '\r' | '`' | '"' | '\'' | ')' -> false
+           | _ -> true
+      do
+        incr k
+      done;
+      let word = String.sub doc j (!k - j) in
+      from !k (if Filename.check_suffix word ".exe" then word :: acc else acc)
+    end
+    else from (i + 1) acc
+  in
+  from 0 []
+
+let check_exec_citations readme_path metrics_path =
+  let root = Filename.dirname readme_path in
+  let docs_dir = Filename.dirname metrics_path in
+  let docs =
+    readme_path
+    :: (Sys.readdir docs_dir |> Array.to_list |> List.sort compare
+       |> List.filter (fun f -> Filename.check_suffix f ".md")
+       |> List.map (Filename.concat docs_dir))
+  in
+  List.fold_left
+    (fun n doc ->
+      let cited = exec_citations (read_file doc) in
+      List.iter
+        (fun exe ->
+          let source = Filename.chop_suffix exe ".exe" ^ ".ml" in
+          if not (Sys.file_exists (Filename.concat root source)) then
+            complain "%s cites `dune exec %s` but there is no %s" doc exe
+              source)
+        cited;
+      n + List.length cited)
+    0 docs
+
 let () =
   let readme_path, metrics_path, lib_dir, chaos_path, tuning_path =
     match Sys.argv with
@@ -288,12 +341,13 @@ let () =
     check_spec_forms readme;
     let decls, rows, declared = check_obs_names metrics_path lib_dir in
     let sites = check_sites chaos_path lib_dir in
-    (decls, rows, sites, check_tuning tuning_path lib_dir declared)
+    let cited = check_tuning tuning_path lib_dir declared in
+    (decls, rows, sites, cited, check_exec_citations readme_path metrics_path)
   with
   | exception Sys_error msg ->
       Printf.eprintf "docscheck: %s\n" msg;
       exit 1
-  | decls, rows, (sites, literals, site_rows), cited ->
+  | decls, rows, (sites, literals, site_rows), cited, execs ->
       if !errors > 0 then begin
         Printf.eprintf "docscheck: %d problem(s)\n" !errors;
         exit 1
@@ -301,7 +355,7 @@ let () =
       Printf.printf
         "docscheck: OK (%d spec forms in %s; %d obs declarations, %d \
          counter/span rows in %s; %d Chaos.sites, %d fault_point literals, \
-         %d site rows in %s; %d counter names in %s)\n"
+         %d site rows in %s; %d counter names in %s; %d cited executables)\n"
         (List.length Registry.spec_forms)
         readme_path decls rows metrics_path sites literals site_rows chaos_path
-        cited tuning_path
+        cited tuning_path execs

@@ -326,7 +326,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       is recorded in this snapshot's [ends], never in the shared block's
       [filled] (see the type).  The item returned is the one the paper's
       shrinking reader would return for the same extents. *)
-  let find_min ?seen ?(local_ordering = true) ~alive ~rng ~my_tid ~hasher t =
+  let find_min ?seen ~alive ~rng ~my_tid ~hasher t =
     let n = size t in
     if n = 0 then None
     else begin
@@ -465,32 +465,30 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       let best_key =
         ref (match random_choice with Some it -> Item.key it | None -> max_int)
       in
-      if local_ordering then begin
-        let mine = (Bloom.singleton ~hasher my_tid :> int) in
-        for i = 0 to n - 1 do
-          let b = t.blocks.(i) in
-          let f =
-            if (Block.filter b :> int) land mine = mine then end_of t i else 0
-          in
-          if f > 0 then begin
-            let its = Block.items b in
-            let j = ref (f - 1) in
-            while !j >= 0 && not (alive its.(!j)) do
-              decr j
-            done;
-            B.tick (if !j >= 0 then f - !j else f);
-            if !j < f - 1 then t.ends.(i) <- !j + 1;
-            if !j >= 0 then begin
-              let key = b.Block.keys.(!j) in
-              if Option.is_none !best || key < !best_key then begin
-                best := Some its.(!j);
-                best_key := key;
-                best_seen := true
-              end
+      let mine = (Bloom.singleton ~hasher my_tid :> int) in
+      for i = 0 to n - 1 do
+        let b = t.blocks.(i) in
+        let f =
+          if (Block.filter b :> int) land mine = mine then end_of t i else 0
+        in
+        if f > 0 then begin
+          let its = Block.items b in
+          let j = ref (f - 1) in
+          while !j >= 0 && not (alive its.(!j)) do
+            decr j
+          done;
+          B.tick (if !j >= 0 then f - !j else f);
+          if !j < f - 1 then t.ends.(i) <- !j + 1;
+          if !j >= 0 then begin
+            let key = b.Block.keys.(!j) in
+            if Option.is_none !best || key < !best_key then begin
+              best := Some its.(!j);
+              best_key := key;
+              best_seen := true
             end
           end
-        done
-      end;
+        end
+      done;
       Option.iter (fun r -> r := !best_seen) seen;
       !best
     end

@@ -112,9 +112,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     hasher : Tabular_hash.t;
     alive : 'v Item.t -> bool;
     spill_max_level : int option;
-        (** override of the §4.3 spill threshold: the spill ablation's
-            sweep, and [max_int] for the standalone DLSM (§4.2), which is
-            this queue with nothing ever spilled *)
+        (** override of the §4.3 spill threshold: [-1] (every insert
+            spills) in the test of §4.1's batching claim, and [max_int]
+            for the standalone DLSM (§4.2), which is this queue with
+            nothing ever spilled *)
     spill_policy : 'v spill_policy option;
     obs : Obs.sheet;  (** per-thread internal event counters (lib/obs) *)
   }
@@ -143,7 +144,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   }
 
   let create_with ?(seed = 1) ?(k = 256) ?(shards = 1) ?should_delete ?on_lazy_delete ?spill_max_level ?spill_policy
-      ?(local_ordering = true) ~num_threads () =
+      ~num_threads () =
     if num_threads < 1 then invalid_arg "Klsm.create: num_threads < 1";
     Option.iter
       (fun e -> invalid_arg ("Klsm.create: " ^ e))
@@ -175,8 +176,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
            CAS (DESIGN.md §17, "What claims cost the mean"); [klsm:<k>]
            keeps its claims as they were. *)
         Array.init shards (fun _ ->
-            Shared_klsm.create ~k:kp ~local_ordering
-              ~yield_claims:(shards > 1) ~hasher ~alive ());
+            Shared_klsm.create ~k:kp ~yield_claims:(shards > 1) ~hasher
+              ~alive ());
       dists = Array.init num_threads (fun _ -> B.make None);
       num_threads;
       num_stripes = shards;

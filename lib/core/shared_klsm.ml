@@ -50,9 +50,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     k : int B.atomic;  (** runtime-configurable relaxation parameter *)
     hasher : Tabular_hash.t;  (** Bloom-filter hash (shared by all blocks) *)
     alive : 'v Item.t -> bool;
-    local_ordering : bool;
-        (** honour per-thread exact semantics via the Bloom filters (§4.1);
-            disabling is an ablation knob, not a paper configuration *)
     hint : int B.atomic;
         (** conservative lower bound on the smallest {e alive} key in the
             published array ([max_int] = empty): the stored minimum counts
@@ -88,8 +85,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             cleared by [refresh_snapshot] *)
   }
 
-  let create ?(k = 256) ?(local_ordering = true) ?(yield_claims = false)
-      ~hasher ~alive () =
+  let create ?(k = 256) ?(yield_claims = false) ~hasher ~alive () =
     if k < 0 then invalid_arg "Shared_klsm.create: k < 0";
     (* Every contended atomic sits behind a cache line of its own
        ({!Klsm_primitives.Padded}), so stripe [i]'s publish CAS traffic
@@ -102,7 +98,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       k = pad (B.make k);
       hasher;
       alive;
-      local_ordering;
       hint = pad (B.make max_int);
       waiting = pad (B.make 0);
       yield_claims;
@@ -264,8 +259,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           if Block_array.dry snap && Block_array.total_filled snap > 0 then
             repivot h snap;
           match
-            Block_array.find_min ~seen ~local_ordering:h.q.local_ordering
-              ~alive ~rng:h.rng ~my_tid:h.tid ~hasher:h.q.hasher snap
+            Block_array.find_min ~seen ~alive ~rng:h.rng ~my_tid:h.tid
+              ~hasher:h.q.hasher snap
           with
           | None ->
               (* [find_min] answers [None] only when every extent is 0, and

@@ -38,11 +38,17 @@ let table ?(out = stdout) ~header rows =
   List.iter print_row rows;
   flush out
 
-(** Write rows as CSV (no quoting needed for our numeric/identifier
-    cells). *)
+(* Queue names such as [klsm-sharded(256,4)] hold a comma. *)
 let csv ~path ~header rows =
   let oc = open_out path in
-  let line row = output_string oc (String.concat "," row ^ "\n") in
+  let field f =
+    if String.exists (function ',' | '"' | '\n' | '\r' -> true | _ -> false) f
+    then "\"" ^ String.concat "\"\"" (String.split_on_char '"' f) ^ "\""
+    else f
+  in
+  let line row =
+    output_string oc (String.concat "," (List.map field row) ^ "\n")
+  in
   line header;
   List.iter line rows;
   close_out oc

@@ -9,7 +9,9 @@ val table : ?out:out_channel -> header:string list -> string list list -> unit
     dash separator under the header. *)
 
 val csv : path:string -> header:string list -> string list list -> unit
-(** Write header + rows as comma-separated lines. *)
+(** Write header + rows as comma-separated lines (RFC 4180): a field
+    holding a comma, a double quote or a line break is quoted, with its
+    quotes doubled. *)
 
 val section : ?out:out_channel -> string -> unit
 (** Print a "== title ==" banner. *)

@@ -91,9 +91,10 @@ let summary t =
     t.recovered_bytes t.quarantined_bytes t.lost_bytes t.retries t.io_errors
     t.skipped_lines t.unreadable_files t.checkpoint_ok t.gc_ran
 
-(* JSON without a JSON library, same hand-rolled style as bench/main.ml.
-   Digests and iids are hex/alnum, reasons are our own messages; escape
-   the two characters that could break a string anyway. *)
+(* JSON without a JSON library, in the hand-rolled style of lib/harness's
+   Report emitter, which this library cannot depend on.  Digests and iids
+   are hex/alnum, reasons are our own messages; escape the two characters
+   that could break a string anyway. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

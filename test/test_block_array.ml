@@ -469,20 +469,6 @@ let prop_ends_bound_dead_tails =
         ops;
       true)
 
-let test_local_ordering_disabled () =
-  (* Sanity for the ablation knob: with local_ordering:false and the
-     minimum hidden outside the candidate window... the candidates all come
-     from pivot ranges, which are the k+1 smallest, so we simply check a
-     value is returned. *)
-  let t = array_of_key_lists [ List.init 16 (fun i -> i * 2) ] in
-  Block_array.calculate_pivots t ~k:3;
-  let rng = Xoshiro.create ~seed:1 in
-  match
-    Block_array.find_min ~local_ordering:false ~alive ~rng ~my_tid:0 ~hasher t
-  with
-  | Some it -> check_bool "candidate small" true (Item.key it <= 6)
-  | None -> Alcotest.fail "non-empty"
-
 let () =
   Alcotest.run "block_array"
     [
@@ -517,7 +503,6 @@ let () =
           prop_find_min_within_k1_smallest;
           Alcotest.test_case "fallback on taken" `Quick test_find_min_falls_back_on_taken;
           Alcotest.test_case "local ordering" `Quick test_local_ordering_returns_my_min;
-          Alcotest.test_case "local ordering off" `Quick test_local_ordering_disabled;
           Alcotest.test_case "no transient None (regression)" `Quick
             test_find_min_never_none_with_alive_items;
           Alcotest.test_case "leaves filled untouched" `Quick

@@ -91,6 +91,47 @@ let test_max_level_for_k () =
       check_bool "capacity <= k" true ((1 lsl (l + 1)) - 1 <= k))
     [ 2; 3; 4; 7; 8; 100; 256; 4096 ]
 
+(* §4.1's batching claim: spilling only blocks above the level bound
+   makes shared updates about k times rarer than publishing every insert.
+   klsm:256 at T = 4 under the paper's rule and under
+   [~spill_max_level:(-1)] (every insert spills its singleton block),
+   compared on the timed phase's CAS and CAS failures.  The fixed
+   schedule (seed 0xC0FFEE, default cost model) reads 1,962 CAS against
+   9,817 and 9 failures against 5,817. *)
+let test_spill_rule_batches_cas () =
+  let module Sim = Klsm_backend.Sim in
+  let module K = Klsm_core.Klsm.Make (Sim) in
+  let t = 4 in
+  let timed_cas ?spill_max_level () =
+    Sim.configure ~seed:0xC0FFEE ~cost:Klsm_backend.Cost_model.default
+      ~policy:Sim.Fair ();
+    let q = K.create_with ~k:256 ?spill_max_level ~num_threads:t () in
+    let handles = Array.make t None in
+    Sim.parallel_run ~num_threads:t (fun tid ->
+        let h = K.register q tid in
+        handles.(tid) <- Some h;
+        let rng = Xoshiro.create ~seed:(tid + 7) in
+        for _ = 1 to 500 do
+          K.insert h (Xoshiro.int rng 1_000_000) 0
+        done);
+    Sim.parallel_run ~num_threads:t (fun tid ->
+        let h = match handles.(tid) with Some h -> h | None -> assert false in
+        let rng = Xoshiro.create ~seed:(tid + 77) in
+        for _ = 1 to 1_000 do
+          if Xoshiro.bool rng then K.insert h (Xoshiro.int rng 1_000_000) 0
+          else ignore (K.try_delete_min h)
+        done);
+    let st = Sim.stats () in
+    (st.Sim.cas, st.Sim.cas_failures)
+  in
+  let cas, fails = timed_cas () in
+  let cas_all, fails_all = timed_cas ~spill_max_level:(-1) () in
+  if 4 * cas > cas_all then
+    Alcotest.failf "paper rule: %d CAS, not 4x fewer than %d" cas cas_all;
+  if fails >= fails_all then
+    Alcotest.failf "paper rule: %d CAS failures, not fewer than %d" fails
+      fails_all
+
 (* ---------------- consolidate ---------------- *)
 
 let test_consolidate_removes_dead () =
@@ -612,6 +653,8 @@ let () =
           Alcotest.test_case "threshold" `Quick test_spill_threshold;
           Alcotest.test_case "conservation" `Quick test_spill_conserves_items;
           Alcotest.test_case "max_level_for_k" `Quick test_max_level_for_k;
+          Alcotest.test_case "rule batches shared CAS (sim)" `Quick
+            test_spill_rule_batches_cas;
         ] );
       ( "consolidate",
         [

@@ -235,33 +235,6 @@ let test_batch_concurrent_conservation () =
     (fun v c -> if c <> 1 then Alcotest.failf "payload %d delivered %d times" v c)
     seen
 
-let test_local_ordering_off_still_conserves () =
-  (* The ablation knob must not affect safety, only the local-ordering
-     guarantee. *)
-  let module K = Klsm_core.Klsm.Make (Sim) in
-  Sim.configure ~seed:8 ~policy:Sim.Fair ();
-  let t = 4 in
-  let q = K.create_with ~k:16 ~local_ordering:false ~num_threads:t () in
-  let count = Sim.make 0 in
-  let handles = Array.make t None in
-  Sim.parallel_run ~num_threads:t (fun tid ->
-      let h = K.register q tid in
-      handles.(tid) <- Some h;
-      for i = 0 to 199 do
-        K.insert h ((tid * 1000) + i) ()
-      done);
-  Sim.parallel_run ~num_threads:t (fun tid ->
-      let h = match handles.(tid) with Some h -> h | None -> assert false in
-      let misses = ref 0 in
-      while !misses < 200 do
-        match K.try_delete_min h with
-        | Some _ ->
-            ignore (Sim.fetch_and_add count 1);
-            misses := 0
-        | None -> incr misses
-      done);
-  check_int "all delivered" (t * 200) (Sim.get count)
-
 (* ---------------- Keyed (decrease-key) ---------------- *)
 
 let test_keyed_basic () =
@@ -468,7 +441,6 @@ let () =
       ( "concurrent",
         [
           Alcotest.test_case "batch conservation (sim)" `Slow test_batch_concurrent_conservation;
-          Alcotest.test_case "local-ordering off (sim)" `Slow test_local_ordering_off_still_conserves;
         ] );
       ( "keyed",
         [

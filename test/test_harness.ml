@@ -192,7 +192,8 @@ let test_table_renders () =
 
 let test_csv_roundtrip () =
   let path = Filename.temp_file "klsm_csv" ".csv" in
-  Report.csv ~path ~header:[ "x"; "y" ] [ [ "1"; "2" ]; [ "3"; "4" ] ];
+  Report.csv ~path ~header:[ "x"; "y" ]
+    [ [ "1"; "2" ]; [ "3"; "4" ]; [ "klsm-sharded(256,4)"; "5" ] ];
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -202,7 +203,8 @@ let test_csv_roundtrip () =
    with End_of_file -> ());
   close_in ic;
   Sys.remove path;
-  Alcotest.(check (list string)) "content" [ "x,y"; "1,2"; "3,4" ]
+  Alcotest.(check (list string)) "content"
+    [ "x,y"; "1,2"; "3,4"; "\"klsm-sharded(256,4)\",5" ]
     (List.rev !lines)
 
 let test_human_float () =

@@ -303,6 +303,58 @@ let test_real_clock_monotonic () =
   check_bool (Printf.sprintf "a 2 ms sleep reads as %.6f s" dt) true
     (dt >= 0.001 && dt < 1.0)
 
+(* ---------------- cost-model sensitivity ---------------- *)
+
+(* Which Figure 3 rankings survive when coherence is nearly free: a slice
+   of the line-up at T = 8 under the default and the uniform cost model.
+   Under both, the DLSM ranks first and every relaxed queue (dlsm,
+   multiq:2, klsm:256) beats both strict ones (heap+lock, linden).  The
+   default model reads 9.42M, 2.22M and 1.72M ops/thread/s against 600k
+   and 539k; the uniform one 66.6M, 16.0M and 15.7M against 2.57M and
+   4.89M.  [Sim.configure] is process-global, so the default model is
+   restored whatever happens. *)
+let test_rankings_under_both_cost_models () =
+  let module R = Klsm_harness.Registry.Make (Sim) in
+  let module T = Klsm_harness.Throughput.Make (Sim) in
+  let config =
+    {
+      T.default_config with
+      num_threads = 8;
+      prefill = 4_000;
+      ops_per_thread = 1_000;
+    }
+  in
+  let relaxed = [ R.Dlsm; R.Multiq 2; R.Klsm 256 ]
+  and strict = [ R.Heap_lock; R.Linden ] in
+  let check_model (name, cost) =
+    Sim.configure ~seed:0xC0FFEE ~cost ~policy:Sim.Fair ();
+    let rate spec = (spec, (T.run config spec).T.throughput_per_thread) in
+    let rates = List.map rate (relaxed @ strict) in
+    let name_of spec = name ^ ": " ^ R.spec_name spec in
+    let dlsm = List.assoc R.Dlsm rates in
+    List.iter
+      (fun (spec, r) ->
+        if spec <> R.Dlsm && r >= dlsm then
+          Alcotest.failf "%s (%.0f) is not below dlsm (%.0f)" (name_of spec) r
+            dlsm)
+      rates;
+    List.iter
+      (fun fast ->
+        List.iter
+          (fun slow ->
+            let f = List.assoc fast rates and s = List.assoc slow rates in
+            if f <= s then
+              Alcotest.failf "%s (%.0f) does not beat %s (%.0f)"
+                (name_of fast) f (R.spec_name slow) s)
+          strict)
+      relaxed
+  in
+  Fun.protect
+    ~finally:(fun () -> Sim.configure ~cost:Cost_model.default ())
+    (fun () ->
+      List.iter check_model
+        [ ("default", Cost_model.default); ("uniform", Cost_model.uniform) ])
+
 let () =
   Alcotest.run "sim"
     [
@@ -347,5 +399,10 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "nested rejected" `Quick test_nested_run_rejected;
           Alcotest.test_case "voluntary yield" `Quick test_yield_voluntary;
+        ] );
+      ( "cost-model",
+        [
+          Alcotest.test_case "fig3 slice ranks under both models" `Quick
+            test_rankings_under_both_cost_models;
         ] );
     ]
