@@ -187,7 +187,7 @@ let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
       try
         match Shared.peek_shared stripe with
         | None -> ()
-        | Some arr -> Block_array.check_invariants arr
+        | Some arr -> Block_array.check_invariants ~published:true arr
       with Failure msg -> violation "stripe[%d] invariant: %s" i msg)
     (K.internal_stripes q);
   List.iter

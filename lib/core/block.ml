@@ -50,7 +50,7 @@
     items are either [Resident] (an in-RAM array, the default) or [Spilled]
     (on disk in the content-addressed store, rehydrated on first selection
     and memoized).  The [keys] mirror is {e always} resident, which is what
-    lets every decision path — pivots, min hints, merge ordering — run
+    lets every decision path — pivots, min bounds, merge ordering — run
     identically on spilled blocks; see {!items}. *)
 
 module Make (B : Klsm_backend.Backend_intf.S) = struct

@@ -44,6 +44,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     mutable ends : int array;
         (** same length as [blocks]: this snapshot's dead-tail bounds, plain
             ints written by [find_min]; [max_int] = use [filled] *)
+    mutable least : int;
+        (** on a published array, a lower bound on every key it stores,
+            set to {!min_key} before the CAS that publishes it
+            ({!Shared_klsm.push_snapshot}); stale on a private snapshot *)
   }
 
   (** Reusable per-thread buffers for [normalize]/[calculate_pivots].
@@ -62,7 +66,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let create () = { stack = [||]; cursor = [||] }
   end
 
-  let empty () = { blocks = [||]; pivots = [||]; ends = [||] }
+  let empty () = { blocks = [||]; pivots = [||]; ends = [||]; least = max_int }
   let size t = Array.length t.blocks
   let is_empty t = Array.length t.blocks = 0
   let blocks t = t.blocks
@@ -89,6 +93,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       blocks = Array.copy t.blocks;
       pivots = Array.copy t.pivots;
       ends = Array.copy t.ends;
+      least = t.least;
     }
 
   (** [carry_ends ~from t] hands the dead-tail bounds [from] recorded on to
@@ -194,7 +199,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       decreasing order, so each block contributes [keys.(filled - 1)] in
       O(1).  Because deletion is flag-based, this is a {e lower bound} on
       the smallest alive key — the monotone-under-deletion property the
-      k-LSM's per-stripe min hints rely on ({!Klsm}). *)
+      published bound [least] relies on. *)
   let min_key t =
     let n = size t in
     let best = ref max_int in
@@ -494,11 +499,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end
 
   (** Invariant checks for tests: strictly decreasing levels, per-block
-      invariants, pivot ranges within bounds, and no item left untaken at
-      or past its block's recorded end [ends.(i)].  Cold blocks hold only
-      alive items, so none may have an end below [filled]; checking that
-      reads no payload. *)
-  let check_invariants t =
+      invariants, pivot ranges within bounds, no item left untaken at or
+      past its block's recorded end [ends.(i)], and on a [published] array
+      [least] at or below every block's stored minimum.  Cold blocks hold
+      only alive items, so none may have an end below [filled]; checking
+      that reads no payload. *)
+  let check_invariants ?(published = false) t =
     let n = size t in
     if Array.length t.pivots <> n then failwith "Block_array: pivots length";
     if Array.length t.ends <> n then failwith "Block_array: ends length";
@@ -511,6 +517,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       if t.pivots.(i) < 0 || t.pivots.(i) > Block.filled b then
         failwith "Block_array: pivot out of range";
       let e = t.ends.(i) and f = Block.filled b in
+      if published && t.least > b.Block.keys.(f - 1) then
+        failwith "Block_array: least above a stored key";
       if e < 0 then failwith "Block_array: end out of range";
       if e < f then begin
         if Block.is_cold b then failwith "Block_array: end on a cold block";

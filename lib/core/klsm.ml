@@ -18,9 +18,9 @@
       on); a lost publish CAS is retried on it at once, as in Listing 3;
     - [find_min] races the owner's thread-local DistLSM minimum against
       the stripes, walked from home: a stripe is consulted only while its
-      {!Shared_klsm.min_hint} says it might hold something smaller, so
-      when every hint sits at or above the owner's minimum S atomic loads
-      serve the common local-delete path;
+      published array's bound ({!Shared_klsm.bound}) undercuts the best
+      key, so when every bound sits at or above the owner's minimum S
+      atomic loads serve the common local-delete path;
     - a consulted stripe answers from its handle's memo while it has not
       moved ({!Shared_klsm.find_min}): Listing 3's [observed] test, which
       amortizes snapshot refreshes, amortizes the selection across
@@ -301,25 +301,25 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (* The shared side of Listing 5's race, against the best key the owner
      already holds ([best_known]: its local minimum, [max_int] = none).
-     Walk the stripes from home, [(home + d) mod S], consulting one only
-     while its min hint undercuts the best key so far, and keep an answer
-     only if it beats that key.  Every stripe is thus
-     either consulted (its answer within its ceil(k/S) relaxation) or
-     certified by its hint to hold nothing smaller — the case split the
-     DESIGN §12 rank bound sums over — and when the hints certify every
-     stripe, S atomic loads serve the serve-locally path §4.3's design
-     argument is about.  While no candidate is known at all, a stripe is
-     consulted iff it has a published array: a [max_int] hint cannot tell
-     an empty stripe from one holding only [max_int] keys, or from the late
-     hint write of an earlier empty publish.  The returned item may be taken
+     Walk the stripes from home, [(home + d) mod S], reading each stripe's
+     [shared] once, and consult the array read only while its bound
+     undercuts the best key so far; keep an answer only if it beats that
+     key.  Every stripe is thus either consulted (its answer within its
+     ceil(k/S) relaxation) or certified by its bound to hold nothing
+     smaller — the case split the DESIGN §12 rank bound sums over — and
+     when the bounds certify every stripe, S atomic loads serve the
+     serve-locally path §4.3's design argument is about.  While no
+     candidate is known at all, a stripe is consulted iff an array is
+     published: a [max_int] bound cannot tell an empty stripe from one
+     holding only [max_int] keys.  The returned item may be taken
      concurrently; the delete-min loops handle that.
 
      The walk also leaves [won_cap], the smallest bound it saw on the
      stripes it did not pick: a consulted stripe's answer (a superseded
-     winner's included), a skipped stripe's hint, or [max_int] for a
+     winner's included), a skipped stripe's bound, or [max_int] for a
      stripe found empty.  A run claimed from the winner up to that cap
      skips, per key, at most ceil(k/S) keys in each consulted stripe and
-     none in a hint-certified one — the same case split as one delete
+     none in a bound-certified one — the same case split as one delete
      ({!claim_runs}).  At S = 1 a race the stripe wins leaves nothing
      unpicked, and the cap is [max_int]. *)
   let race h best_known =
@@ -328,16 +328,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let consulted = ref false in
     for d = 0 to h.t.num_stripes - 1 do
       let i = (h.home + d) mod h.t.num_stripes in
-      let stripe = h.t.stripes.(i) in
+      let current = Shared_klsm.peek_shared h.t.stripes.(i) in
+      let bound = Shared_klsm.bound current in
       let unknown = Option.is_none !best && !best_key = max_int in
-      let hint = if unknown then max_int else Shared_klsm.min_hint stripe in
-      if
-        if unknown then Option.is_some (Shared_klsm.peek_shared stripe)
-        else hint < !best_key
-      then begin
+      if Option.is_some current && (unknown || bound < !best_key) then begin
         consulted := true;
         if d > 0 then Obs.incr h.obs c_hint_consult;
-        match Shared_klsm.find_min h.stripe_hs.(i) with
+        match Shared_klsm.find_min_in h.stripe_hs.(i) current with
         | Some it when unknown || Item.key it < !best_key ->
             if Option.is_some !best then cap := Int.min !cap !best_key;
             best := Some it;
@@ -346,7 +343,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         | Some it -> cap := Int.min !cap (Item.key it)
         | None -> ()
       end
-      else cap := Int.min !cap hint
+      else cap := Int.min !cap bound
     done;
     if not !consulted then Obs.incr h.obs c_hint_skip;
     h.won_cap <- !cap;
@@ -438,7 +435,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      min(local key, the race's cross-stripe cap).  Each claimed key skips nothing in its own stripe
      (the run is that stripe's smallest alive items), nothing in the
      owner's LSM (it lies at or below the local key) or in a stripe the
-     hints certified, and at most ceil(k/S) keys in a consulted stripe (it
+     bounds certified, and at most ceil(k/S) keys in a consulted stripe (it
      lies at or below that stripe's answer): DESIGN.md §12's case split,
      item by item, with the winning stripe's term at 0.  At S = 1 the cap
      is the local key alone.  Local wins are taken one at a time (they are

@@ -50,16 +50,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     k : int B.atomic;  (** runtime-configurable relaxation parameter *)
     hasher : Tabular_hash.t;  (** Bloom-filter hash (shared by all blocks) *)
     alive : 'v Item.t -> bool;
-    hint : int B.atomic;
-        (** conservative lower bound on the smallest {e alive} key in the
-            published array ([max_int] = empty): the stored minimum counts
-            logically deleted items, and deletion only ever raises the true
-            minimum.  Lowered before a publish attempt, set exactly after a
-            successful one, so readers that skip this stripe on
-            [hint >= candidate] skip only stripes with nothing smaller —
-            up to the write race DESIGN.md §12 describes, in which a late
-            write of an empty publish leaves [max_int] over a non-empty
-            array. *)
     waiting : int B.atomic;
         (** inserts into this array whose publish CAS lost at least once
             and that have not landed yet; kept only with [yield_claims] *)
@@ -89,7 +79,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     if k < 0 then invalid_arg "Shared_klsm.create: k < 0";
     (* Every contended atomic sits behind a cache line of its own
        ({!Klsm_primitives.Padded}), so stripe [i]'s publish CAS traffic
-       stops evicting stripe [i+1]'s hint: the atomics of S stripes
+       stops evicting stripe [i+1]'s pointer: the atomics of S stripes
        created in one loop are otherwise adjacent minor-heap
        neighbours. *)
     let pad = Klsm_primitives.Padded.copy_as_padded in
@@ -98,7 +88,6 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       k = pad (B.make k);
       hasher;
       alive;
-      hint = pad (B.make max_int);
       waiting = pad (B.make 0);
       yield_claims;
     }
@@ -127,9 +116,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       memo = None;
     }
 
-  (** Current lower bound on the smallest alive key ([max_int] = nothing
-      published). *)
-  let min_hint t = B.get t.hint
+  (** The lower bound a value of [shared] carries on every key it stores:
+      the array's [least], or [max_int] when nothing is published. *)
+  let bound = function None -> max_int | Some arr -> arr.Block_array.least
+
+  (** The current bound: one read of [shared]. *)
+  let min_hint t = bound (B.get t.shared)
 
   (** Whether an insert into [t] lost its publish CAS and has not landed
       yet ([false] without [yield_claims]).  A batch claim published now
@@ -140,14 +132,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       wrong. *)
   let inserts_waiting t = t.yield_claims && B.get t.waiting > 0
 
-  (* Take a fresh consistent snapshot of the shared array, carrying over
-     the dead-tail bounds the previous snapshot recorded for every block
-     the two still share ({!Block_array.carry_ends}): find-min keeps them
-     in the snapshot rather than in the shared blocks, so without the
-     carry-over every refresh would rescan each dead tail.  The memo
-     belongs to the old snapshot and goes with it. *)
-  let refresh_snapshot h =
-    let observed = B.get h.q.shared in
+  (* Take a fresh snapshot of [observed], a value just read from
+     [shared], carrying over the dead-tail bounds the previous snapshot
+     recorded for every block the two still share
+     ({!Block_array.carry_ends}): find-min keeps them in the snapshot
+     rather than in the shared blocks, so without the carry-over every
+     refresh would rescan each dead tail.  The memo goes with the old
+     snapshot. *)
+  let refresh_snapshot h observed =
     h.observed <- observed;
     h.memo <- None;
     let next = Option.map Block_array.copy observed in
@@ -157,33 +149,23 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     h.snapshot <- next
 
   (* Install the (modified) snapshot; fails iff [shared] moved since the
-     snapshot was taken — i.e. iff someone else made progress.  Every block
-     of the candidate is marked published BEFORE the CAS: the moment the
-     CAS may succeed, another thread can reach them, so they must already
-     be barred from recycling.  On failure they stay published — a missed
-     recycle, never an aliased one. *)
+     snapshot was taken — i.e. iff someone else made progress.  The
+     candidate is settled BEFORE the CAS: the moment it may succeed,
+     another thread can reach it, so its blocks must already be barred
+     from recycling, and its [least] must already bound its keys.  On
+     failure the blocks stay published — a missed recycle, never an
+     aliased one. *)
   let push_snapshot h next =
     (match next with
-    | Some arr -> Array.iter Block.publish (Block_array.blocks arr)
+    | Some arr ->
+        Array.iter Block.publish (Block_array.blocks arr);
+        arr.Block_array.least <- Block_array.min_key arr
     | None -> ());
-    (* Hint maintenance: pre-lower the hint so the window between a
-       winning CAS and its exact hint write never shows a too-high bound to
-       concurrent readers; a failed attempt leaves the hint conservatively
-       low until the next publish fixes it. *)
-    let next_min =
-      match next with
-      | None -> max_int
-      | Some arr ->
-          let m = Block_array.min_key arr in
-          if m < B.get h.q.hint then B.set h.q.hint m;
-          m
-    in
     Obs.incr h.obs c_cas;
     B.fault_point "shared.push_snapshot.before";
     let ok = B.compare_and_set h.q.shared h.observed next in
     B.fault_point "shared.push_snapshot.after";
-    if ok then B.set h.q.hint next_min
-    else begin
+    if not ok then begin
       Obs.incr h.obs c_cas_fail;
       Obs.incr h.obs c_stripe_cas_fail
     end;
@@ -222,7 +204,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           ignore (B.fetch_and_add h.q.waiting 1)
         end
       end;
-      refresh_snapshot h;
+      refresh_snapshot h (B.get h.q.shared);
       let snap =
         match h.snapshot with
         | Some s -> s
@@ -271,7 +253,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                 if Block_array.total_filled snap <> 0 then
                   failwith "Shared_klsm.select: an extent grew after find-min";
                 ignore (publish_empty h);
-                refresh_snapshot h
+                refresh_snapshot h (B.get h.q.shared)
               end;
               if Option.is_none h.snapshot then None else retry ()
           | Some item ->
@@ -298,7 +280,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                     (* Whether or not our CAS wins, someone published a
                        newer state; re-snapshot either way. *)
                     ignore (publish_empty h);
-                    refresh_snapshot h
+                    refresh_snapshot h (B.get h.q.shared)
                   end
                   else begin
                     repivot h snap;
@@ -307,33 +289,35 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                          shared from now on, so leave [observed] stale and
                          let the next iteration re-copy. *)
                       ignore (push_snapshot h (Some snap));
-                      refresh_snapshot h
+                      refresh_snapshot h (B.get h.q.shared)
                     end
                   end
                 end;
                 retry ()
               end)
     and retry () =
-      if B.get h.q.shared != h.observed then refresh_snapshot h;
+      let current = B.get h.q.shared in
+      if current != h.observed then refresh_snapshot h current;
       loop ()
     in
     loop ()
 
-  (** Listing 3's [find_min]: return an item that was alive in the calling
-      thread's consistent snapshot, or [None] if the queue (as observed) is
-      empty.  While [shared] still equals [observed] — Listing 3's own test
-      for a snapshot that is still current — and the item the last call
-      returned is still alive, that item is the answer again
-      ([stripe.cache_hit]): with no publish since, the stripe holds no item
-      it did not hold then, and deletions only shrink the set of keys below
-      it, so it is still within the relaxation and still beats every block
-      of the caller's own.  Otherwise the snapshot is refreshed if it moved
-      and an answer selected afresh ([stripe.cache_miss]).  The returned
-      item may have been taken concurrently — the combined queue's
-      delete-min loop handles that. *)
-  let find_min h =
+  (** Listing 3's [find_min] on [current], a value the caller just read
+      from [shared] ({!Klsm.race} hands in the array it tested): return an
+      item that was alive in the calling thread's consistent snapshot, or
+      [None] if the queue (as observed) is empty.  While [current] still
+      equals [observed] — Listing 3's own test for a snapshot that is still
+      current — and the item the last call returned is still alive, that
+      item is the answer again ([stripe.cache_hit]): with no publish since,
+      the stripe holds no item it did not hold then, and deletions only
+      shrink the set of keys below it, so it is still within the
+      relaxation and still beats every block of the caller's own.
+      Otherwise the snapshot is refreshed if it moved and an answer
+      selected afresh ([stripe.cache_miss]).  The returned item may have
+      been taken concurrently — the delete-min loop handles that. *)
+  let find_min_in h current =
     let t0 = Obs.span_begin h.obs in
-    if B.get h.q.shared != h.observed then refresh_snapshot h;
+    if current != h.observed then refresh_snapshot h current;
     let r =
       match h.memo with
       | Some it when h.q.alive it ->
@@ -347,6 +331,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     in
     Obs.span_end h.obs s_find_min t0;
     r
+
+  (** {!find_min_in} on the value [shared] holds now. *)
+  let find_min h = find_min_in h (B.get h.q.shared)
 
   (** Batched delete (DESIGN.md §17): claim up to [n] smallest alive items
       of the shared array with a {e single} publish CAS.  The bounded
@@ -376,7 +363,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     if n <= 0 then []
     else begin
       let rec attempt tries =
-        refresh_snapshot h;
+        refresh_snapshot h (B.get h.q.shared);
         match h.snapshot with
         | None -> []
         | Some snap ->
@@ -470,11 +457,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   let peek_shared t = B.get t.shared
 
-  (** Detach and return every block of the shared array, leaving it empty.
-      NOT linearizable — callers must have exclusive access to [t] (used by
-      {!Klsm.meld}, which the paper's §4.5 leaves non-linearizable). *)
+  (** Detach and return every block of the shared array, leaving it (and
+      so its bound) empty.  NOT linearizable — callers must have exclusive
+      access to [t] (used by {!Klsm.meld}, which the paper's §4.5 leaves
+      non-linearizable). *)
   let steal_all t =
-    B.set t.hint max_int;
     match B.exchange t.shared None with
     | None -> []
     | Some arr -> Array.to_list (Block_array.blocks arr)

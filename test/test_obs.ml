@@ -148,7 +148,7 @@ let test_spill_arithmetic () =
   check_int "klsm.spy_success" 0 (ctotal "klsm.spy_success" s2);
   check_int "dist.consolidate" 0 (ctotal "dist.consolidate" s2);
   (* The one stripe's race: the local LSM stays empty and the stripe holds
-     a published array, so all five deletes consult it (no hint skip).
+     a published array, so all five deletes consult it (no bound skip).
      Nothing publishes between them, but each of the four successes takes
      the very item the stripe's memo holds, so every consult selects
      afresh; the fifth finds only dead items and publishes the empty
@@ -227,9 +227,9 @@ let test_spy_counters () =
   check_int "served locally after the spy" 1 (ctotal "klsm.delete_local" s);
   check_int "spy work charged to tid 1" 2 (cper "dist.spy_blocks" 1 s);
   (* Two lookups and no consult: before the spy thread 1 holds nothing,
-     and the never-published stripe (hint max_int, no array) certifies
-     itself empty; after it the spied 10 sits below that hint.  So both
-     lookups are hint skips, and the stripe's find_min never runs. *)
+     and the never-published stripe (bound max_int, no array) certifies
+     itself empty; after it the spied 10 sits below that bound.  So both
+     lookups are bound skips, and the stripe's find_min never runs. *)
   check_int "stripe.cache_hit" 0 (ctotal "stripe.cache_hit" s);
   check_int "stripe.cache_miss" 0 (ctotal "stripe.cache_miss" s);
   check_int "stripe.hint_skip" 2 (ctotal "stripe.hint_skip" s)

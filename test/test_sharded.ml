@@ -3,8 +3,9 @@
    conservation across handles (spy paths), the single-thread rho window,
    runtime k, lazy deletion, validation and edge cases, the ceil(k/S)
    relaxation-budget partition, the striped find-min race and the stripe
-   memo it consults (a repeat peek, a publish on another stripe, and
-   stripes whose max_int hint hides items),
+   memo it consults (a repeat peek, a publish on another stripe, a
+   stripe holding only max_int keys, and the bound of a spill that lands
+   right behind an empty publish),
    conservation under CAS-failure storms and the fixed home stripe, the
    DESIGN.md §12 rank bound rho <= (T-1+S) * ceil(k/S) measured
    empirically on the simulator, and the §17 batched delete-min: the
@@ -367,7 +368,7 @@ let test_memo_serves_repeat_peek () =
    then publishes 10 and 20 on stripe 1, below that winner.  The next peek
    must return stripe 1's key; stripe 0, which did not move, answers from
    its memo (one stripe.cache_hit), and stripe 1, consulted because its
-   hint undercuts 50, selects afresh (one stripe.cache_miss). *)
+   bound undercuts 50, selects afresh (one stripe.cache_miss). *)
 let test_publish_on_other_stripe () =
   let was = Obs.enabled () in
   Obs.set_enabled true;
@@ -390,10 +391,10 @@ let test_publish_on_other_stripe () =
       check_int "stripe 0 from its memo" 1 (stat q "stripe.cache_hit" - hit);
       check_int "stripe 1 selected afresh" 1
         (stat q "stripe.cache_miss" - miss);
-      check_int "stripe 1 consulted on its hint" 1
+      check_int "stripe 1 consulted on its bound" 1
         (stat q "stripe.hint_consult" - consult))
 
-(* Keys equal to max_int give a stripe the hint an empty stripe has: an
+(* Keys equal to max_int give a stripe the bound an empty stripe has: an
    owner that holds nothing must still find them. *)
 let test_max_int_keys_found () =
   List.iter
@@ -411,13 +412,16 @@ let test_max_int_keys_found () =
         8 (drain 0))
     [ 1; 2; 4 ]
 
-(* A late empty-array hint: thread 0's consolidation publishes the empty
-   array, and before it writes the stripe's hint back to max_int, thread
-   1's spill publishes 10..40 and writes their hint.  Scripted on one
-   simulated fiber through the fault point between the publish CAS and
-   the hint write.  The stripe then holds items under a max_int hint, and
-   thread 0, holding nothing, must still drain them. *)
-let test_late_empty_hint () =
+(* A spill that lands right behind an empty publish: thread 0's
+   consolidation publishes the empty array, and before its publish call
+   returns, thread 1's spill publishes 10..40.  Scripted on one simulated
+   fiber through the fault point just after the publish CAS.  The bound
+   rides in the published array, so no write after the CAS can leave a
+   stale one: at every step of thread 0's drain the stripe's bound is at
+   most the smallest key its array stores, and max_int only over an empty
+   stripe (or one holding only max_int keys), and thread 0, holding
+   nothing, drains thread 1's spill. *)
+let test_late_spill_bound () =
   let module SK = Drive.K in
   Sim.configure ~seed:1 ();
   let q = SK.create_with ~k:4 ~num_threads:2 () in
@@ -443,13 +447,23 @@ let test_late_empty_hint () =
           done;
           (spill :=
              fun () -> List.iter (fun k -> SK.insert h1 k ()) [ 10; 20; 30; 40 ]);
+          let check_bound () =
+            let bound = SK.Shared_klsm.min_hint stripe in
+            let stored =
+              match SK.Shared_klsm.peek_shared stripe with
+              | Some arr -> SK.Block_array.min_key arr
+              | None -> max_int
+            in
+            check_bool
+              (Printf.sprintf "bound %d <= stored minimum %d" bound stored)
+              true (bound <= stored);
+            check_bool "max_int bound only over nothing smaller" true
+              (bound < max_int || stored = max_int)
+          in
           let rec drain () =
+            check_bound ();
             match SK.try_delete_min h0 with
             | Some (k, ()) ->
-                if !got = [] then
-                  check_bool "items under a max_int hint" true
-                    (SK.Shared_klsm.min_hint stripe = max_int
-                    && SK.Shared_klsm.approximate_size stripe > 0);
                 got := k :: !got;
                 drain ()
             | None -> ()
@@ -876,8 +890,8 @@ let () =
             test_publish_on_other_stripe;
           Alcotest.test_case "max_int keys found" `Quick
             test_max_int_keys_found;
-          Alcotest.test_case "late empty-array hint" `Quick
-            test_late_empty_hint;
+          Alcotest.test_case "late spill keeps its bound" `Quick
+            test_late_spill_bound;
         ] );
       ( "batch",
         [

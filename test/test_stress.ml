@@ -275,6 +275,9 @@ let test_skiplist_concurrent_inserts () =
 
 (* ---------------- invariant checks under concurrency ---------------- *)
 
+(* A run of two inserts per delete, which ends with items in every
+   component: each thread's local LSM, and the shared array, whose
+   published bound must sit at or below every block's stored minimum. *)
 let test_dist_invariants_after_concurrent_run () =
   let module K = Klsm_core.Klsm.Make (Sim) in
   let module Xo = Klsm_primitives.Xoshiro in
@@ -287,7 +290,7 @@ let test_dist_invariants_after_concurrent_run () =
       handles.(tid) <- Some h;
       let rng = Xo.create ~seed:tid in
       for _ = 1 to 1_000 do
-        if Xo.bool rng then K.insert h (Xo.int rng 10_000) ()
+        if Xo.int rng 3 > 0 then K.insert h (Xo.int rng 10_000) ()
         else ignore (K.try_delete_min h)
       done);
   Array.iter
@@ -295,7 +298,13 @@ let test_dist_invariants_after_concurrent_run () =
       match slot with
       | Some h -> K.Dist_lsm.check_invariants (K.internal_dist h)
       | None -> ())
-    handles
+    handles;
+  Array.iter
+    (fun stripe ->
+      match K.Shared_klsm.peek_shared stripe with
+      | Some arr -> K.Block_array.check_invariants ~published:true arr
+      | None -> Alcotest.fail "the shared component ended empty")
+    (K.internal_stripes q)
 
 let () =
   Alcotest.run "stress"
