@@ -1,8 +1,11 @@
 (* CLI for the rank-error quality experiment (DESIGN.md ablation A1):
    empirical delete-min rank errors per implementation and k, next to the
    worst-case bound ([Registry.rank_bound]; for the k-LSMs the paper's
-   rho = T*k at one stripe).  Every run also writes its rows, as raw
-   numbers, to BENCH_quality.json in the working directory.
+   rho = T*k at one stripe) and the simulated ops/thread/s of the same
+   run, so one run gives both axes of the quality/throughput trade.  The
+   run is [Throughput.run] with a rank oracle, over keys uniform below the
+   oracle's universe.  Every run also writes its rows, as raw numbers, to
+   BENCH_quality.json in the working directory.
 
    Examples:
      quality                                          (DESIGN.md A1 table)
@@ -11,18 +14,22 @@
      quality --batch 8 --impl klsm-sharded:256:4      (pulls of 8)
 
    With --batch N every delete is a pull of up to N keys with one
-   try_delete_min_batch (inserts stay single), and a pull's keys reach the
-   oracle when the call returns, so the measured maximum is held to
-   rho + T*N instead of rho + T.
+   try_delete_min_batch (inserts stay single; a pull counts as one
+   operation in ops/thread/s), and a pull's keys reach the oracle when the
+   call returns, so the measured maximum is held to rho + T*N instead of
+   rho + T.
 
    Only the simulator backend is supported: the oracle needs the
    cooperative single-domain execution to observe operations in order. *)
 
 module Report = Klsm_harness.Report
 
+(* The oracle's key universe: keys are drawn uniformly below it. *)
+let universe = 1 lsl 18
+
 let run ~threads ~prefill ~ops ~impls ~seed ~batch ~csv =
   let module R = Klsm_harness.Registry.Make (Klsm_backend.Sim) in
-  let module Q = Klsm_harness.Quality.Make (Klsm_backend.Sim) in
+  let module T = Klsm_harness.Throughput.Make (Klsm_backend.Sim) in
   let specs =
     match impls with
     | [] ->
@@ -52,29 +59,31 @@ let run ~threads ~prefill ~ops ~impls ~seed ~batch ~csv =
       (fun spec ->
         let config =
           {
-            Q.default_config with
-            num_threads = threads;
+            T.num_threads = threads;
             prefill;
             ops_per_thread = ops / threads;
             seed;
+            workload = Klsm_harness.Workload.Uniform universe;
             batch;
           }
         in
-        let r = Q.run config spec in
+        let oracle = Klsm_harness.Oracle.create ~universe in
+        let r = T.run ~oracle config spec in
         Printf.eprintf "done %s\n%!" (R.spec_name spec);
-        (spec, r, R.rank_bound ~threads spec))
+        (spec, r, Option.get r.T.rank_error, R.rank_bound ~threads spec))
       specs
   in
   let rows =
     List.map
-      (fun (spec, r, rho) ->
+      (fun (spec, r, e, rho) ->
         [
           R.spec_name spec;
-          string_of_int r.Q.deletes;
-          Printf.sprintf "%.2f" r.Q.mean_rank_error;
-          Printf.sprintf "%.0f" r.Q.p99_rank_error;
-          string_of_int r.Q.max_rank_error;
+          string_of_int e.T.deletes;
+          Printf.sprintf "%.2f" e.T.mean_rank_error;
+          Printf.sprintf "%.0f" e.T.p99_rank_error;
+          string_of_int e.T.max_rank_error;
           (match rho with Some rho -> string_of_int rho | None -> "unbounded");
+          Printf.sprintf "%.0f" r.T.throughput_per_thread;
         ])
       measured
   in
@@ -85,12 +94,17 @@ let run ~threads ~prefill ~ops ~impls ~seed ~batch ~csv =
      else
        Printf.sprintf "Delete-min rank error (T=%d, prefill=%d)" threads prefill);
   Report.table
-    ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho bound" ]
+    ~header:
+      [ "impl"; "deletes"; "mean"; "p99"; "max"; "rho bound"; "ops/thread/s" ]
     rows;
   (match csv with
   | Some path ->
       Report.csv ~path
-        ~header:[ "impl"; "deletes"; "mean"; "p99"; "max"; "rho" ]
+        ~header:
+          [
+            "impl"; "deletes"; "mean"; "p99"; "max"; "rho";
+            "throughput_per_thread";
+          ]
         rows;
       Printf.printf "wrote %s\n" path
   | None -> ());
@@ -105,18 +119,20 @@ let run ~threads ~prefill ~ops ~impls ~seed ~batch ~csv =
          ( "results",
            Report.List
              (List.map
-                (fun (spec, r, rho) ->
+                (fun (spec, r, e, rho) ->
                   Report.Obj
                     [
                       ("impl", Report.String (R.spec_name spec));
-                      ("deletes", Report.Int r.Q.deletes);
-                      ("mean_rank_error", Report.Float r.Q.mean_rank_error);
-                      ("p99_rank_error", Report.Float r.Q.p99_rank_error);
-                      ("max_rank_error", Report.Int r.Q.max_rank_error);
+                      ("deletes", Report.Int e.T.deletes);
+                      ("mean_rank_error", Report.Float e.T.mean_rank_error);
+                      ("p99_rank_error", Report.Float e.T.p99_rank_error);
+                      ("max_rank_error", Report.Int e.T.max_rank_error);
                       ( "rho",
                         match rho with
                         | Some rho -> Report.Int rho
                         | None -> Report.Null );
+                      ( "throughput_per_thread",
+                        Report.Float r.T.throughput_per_thread );
                     ])
                 measured) );
        ]);

@@ -95,7 +95,8 @@ let throughput_section ~root =
   in
   let config =
     {
-      T.num_threads = threads;
+      T.default_config with
+      num_threads = threads;
       prefill = 50_000;
       ops_per_thread = 200_000 / threads;
       seed = 42;
@@ -328,7 +329,8 @@ let sweep_section ~root =
   let module R = Klsm_harness.Registry.Make (Real) in
   let config =
     {
-      T.num_threads = 1;
+      T.default_config with
+      num_threads = 1;
       prefill = 50_000;
       ops_per_thread = 200_000;
       seed = 42;

@@ -30,7 +30,8 @@ let run ~mode ~threads ~prefill ~ops ~impls ~reps ~seed ~csv ~workload =
             (fun t ->
               let config =
                 {
-                  T.num_threads = t;
+                  T.default_config with
+                  num_threads = t;
                   prefill;
                   ops_per_thread = ops / t;
                   seed;

@@ -1,15 +1,18 @@
-(* Discrete-event simulation of an M/M/1 queue on the sequential LSM
-   priority queue (paper §3) as the event list.
+(* Discrete-event simulation of an M/M/1 queue with the k-LSM as the
+   event list.
 
    Run with:  dune exec examples/des.exe
 
    Event lists are the original priority-queue workload: near-monotone
    timestamps, one delete-min per insert — exactly the access pattern the
-   LSM's sorted blocks digest well.  We simulate an M/M/1 queue and check
-   the measured averages against the analytic steady-state results
+   LSM's sorted blocks digest well.  One thread drives the queue, and
+   local ordering (a thread's own items come back in exact priority
+   order) makes the k-LSM the paper's §3 sequential LSM: every delete-min
+   returns the earliest pending event.  We simulate an M/M/1 queue and
+   check the measured averages against the analytic steady-state results
    (utilization rho, mean number in system rho/(1-rho), Little's law). *)
 
-module Seq_lsm = Klsm_core.Seq_lsm
+module Klsm = Klsm_core.Klsm.Default
 module Xoshiro = Klsm_primitives.Xoshiro
 
 type event = Arrival | Departure
@@ -24,8 +27,8 @@ let () =
   let scale = 1e6 in
   let key_of_time t = int_of_float (t *. scale) in
 
-  let events = Seq_lsm.create () in
-  Seq_lsm.insert events (key_of_time (exp_sample lambda)) Arrival;
+  let events = Klsm.register (Klsm.create_with ~num_threads:1 ()) 0 in
+  Klsm.insert events (key_of_time (exp_sample lambda)) Arrival;
 
   let in_system = ref 0 in
   let served = ref 0 in
@@ -37,7 +40,7 @@ let () =
 
   let continue_sim = ref true in
   while !continue_sim do
-    match Seq_lsm.delete_min events with
+    match Klsm.try_delete_min events with
     | None -> continue_sim := false
     | Some (key, ev) ->
         let now = float_of_int key /. scale in
@@ -52,16 +55,16 @@ let () =
               Queue.push now arrivals_fifo;
               incr in_system;
               (* Next arrival. *)
-              Seq_lsm.insert events (key_of_time (now +. exp_sample lambda)) Arrival;
+              Klsm.insert events (key_of_time (now +. exp_sample lambda)) Arrival;
               (* If the server was idle, start service. *)
               if !in_system = 1 then
-                Seq_lsm.insert events (key_of_time (now +. exp_sample mu)) Departure
+                Klsm.insert events (key_of_time (now +. exp_sample mu)) Departure
           | Departure ->
               decr in_system;
               incr served;
               total_delay := !total_delay +. (now -. Queue.pop arrivals_fifo);
               if !in_system > 0 then
-                Seq_lsm.insert events (key_of_time (now +. exp_sample mu)) Departure
+                Klsm.insert events (key_of_time (now +. exp_sample mu)) Departure
         end
   done;
 

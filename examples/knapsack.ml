@@ -8,115 +8,24 @@
    expanding the (rho+1)-best node instead of the best costs a little extra
    search, never correctness, because pruning uses the shared incumbent.
 
-   Keys must be small-is-urgent ints, so a node with optimistic profit
-   bound B is inserted with key (BIG - B). *)
+   The search is lib/bnb's engine, which minimizes: [Klsm_bnb.Knapsack]
+   keys a node by the profit its fractional bound says it cannot reach
+   (total profit minus the bound), so small keys are the most promising
+   nodes.  The engine's workers stop when no node is left anywhere, and
+   the answer is checked against the exact dynamic program. *)
 
-module B = Klsm_backend.Real
-module Klsm = Klsm_core.Klsm.Make (B)
-module Xoshiro = Klsm_primitives.Xoshiro
-
-type item = { weight : int; profit : int }
-
-(* Fractional-relaxation upper bound for items [idx..), given remaining
-   capacity.  Items must be sorted by profit/weight ratio descending. *)
-let upper_bound items idx capacity profit =
-  let n = Array.length items in
-  let rec go i cap acc =
-    if i >= n || cap = 0 then acc
-    else begin
-      let it = items.(i) in
-      if it.weight <= cap then go (i + 1) (cap - it.weight) (acc + it.profit)
-      else acc + (it.profit * cap / it.weight)
-    end
-  in
-  go idx capacity profit
-
-(* Search node: next item index, remaining capacity, profit so far.
-   Encoded in the payload; the key encodes the bound. *)
-type node = { idx : int; capacity : int; profit : int }
-
-let big = 1 lsl 40
+module Engine = Klsm_bnb.Engine.Make (Klsm_backend.Real)
+module Knapsack = Klsm_bnb.Knapsack
 
 let () =
-  let num_threads = 4 in
-  let rng = Xoshiro.create ~seed:11 in
-  let n_items = 26 in
-  let items =
-    Array.init n_items (fun _ ->
-        {
-          weight = Xoshiro.int_in rng ~lo:5 ~hi:60;
-          profit = Xoshiro.int_in rng ~lo:5 ~hi:100;
-        })
-  in
-  (* Sort by density for the bound function. *)
-  Array.sort
-    (fun (a : item) (b : item) ->
-      compare (b.profit * a.weight) (a.profit * b.weight))
-    items;
-  let capacity = 3 * Array.fold_left (fun s i -> s + i.weight) 0 items / 10 in
-
-  (* Exact reference by plain DP over capacity. *)
-  let dp = Array.make (capacity + 1) 0 in
-  Array.iter
-    (fun it ->
-      for c = capacity downto it.weight do
-        dp.(c) <- max dp.(c) (dp.(c - it.weight) + it.profit)
-      done)
-    items;
-  let exact = dp.(capacity) in
-
-  (* Parallel branch and bound. *)
-  let q = Klsm.create_with ~k:64 ~num_threads () in
-  let incumbent = Atomic.make 0 in
-  let expanded = Atomic.make 0 in
-  let in_flight = Atomic.make 1 in
-  let root = { idx = 0; capacity; profit = 0 } in
-  B.parallel_run ~num_threads (fun tid ->
-      let h = Klsm.register q tid in
-      if tid = 0 then
-        Klsm.insert h (big - upper_bound items 0 capacity 0) root;
-      let push node =
-        let bound = upper_bound items node.idx node.capacity node.profit in
-        if bound > Atomic.get incumbent then begin
-          Atomic.incr in_flight;
-          Klsm.insert h (big - bound) node
-        end
-      in
-      let rec improve_incumbent p =
-        let cur = Atomic.get incumbent in
-        if p > cur && not (Atomic.compare_and_set incumbent cur p) then
-          improve_incumbent p
-      in
-      let rec loop () =
-        match Klsm.try_delete_min h with
-        | Some (key, node) ->
-            let bound = big - key in
-            if bound > Atomic.get incumbent then begin
-              Atomic.incr expanded;
-              if node.idx >= n_items then improve_incumbent node.profit
-              else begin
-                improve_incumbent node.profit;
-                let it = items.(node.idx) in
-                (* Branch: skip item, take item (if it fits). *)
-                push { node with idx = node.idx + 1 };
-                if it.weight <= node.capacity then
-                  push
-                    {
-                      idx = node.idx + 1;
-                      capacity = node.capacity - it.weight;
-                      profit = node.profit + it.profit;
-                    }
-              end
-            end;
-            Atomic.decr in_flight;
-            loop ()
-        | None -> if Atomic.get in_flight > 0 then (Domain.cpu_relax (); loop ())
-      in
-      loop ());
-  Printf.printf "items=%d capacity=%d\n" n_items capacity;
-  Printf.printf "branch-and-bound optimum: %d (exact DP: %d) %s\n"
-    (Atomic.get incumbent) exact
-    (if Atomic.get incumbent = exact then "OK" else "MISMATCH");
-  Printf.printf "nodes expanded: %d (by %d threads)\n" (Atomic.get expanded)
-    num_threads;
-  if Atomic.get incumbent <> exact then exit 1
+  let num_threads = 4 and n_items = 26 in
+  let inst = Knapsack.random ~seed:11 ~n:n_items () in
+  let exact = Knapsack.dp_optimum inst in
+  let stats = Engine.solve ~k:64 ~num_threads (Knapsack.problem inst) in
+  let best = Knapsack.profit_of_best inst stats.Engine.best in
+  Printf.printf "items=%d capacity=%d\n" n_items inst.Knapsack.capacity;
+  Printf.printf "branch-and-bound optimum: %d (exact DP: %d) %s\n" best exact
+    (if best = exact then "OK" else "MISMATCH");
+  Printf.printf "nodes expanded: %d, pruned: %d (by %d threads)\n"
+    stats.Engine.expanded stats.Engine.pruned num_threads;
+  if best <> exact then exit 1

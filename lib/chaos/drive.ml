@@ -137,7 +137,8 @@ let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
            let payload = (tid * per_thread) + i in
            let key = Xoshiro.int rng key_range in
            (* Oracle first: the item becomes visible to other threads
-              part-way through the insert (same pattern as Quality). *)
+              part-way through the insert (same pattern as Throughput's
+              rank oracle). *)
            Oracle.insert oracle key;
            K.insert h key payload;
            submitted.(payload) <- true;

@@ -291,21 +291,20 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | None -> fresh ()
     | Some p -> ( match pool_acquire p level with Some b -> b | None -> fresh ())
 
-  (** [spilled ~level ~keys ~ident ...] is a cold block over a store object:
-      [keys] (descending, exactly the serialized keys) is the resident
-      mirror, [fetch] loads the items on first selection.  Built by the
-      spill policy and by recovery (lib/store), never by the queue
-      itself. *)
-  let spilled ~level ~keys ~ident ~note_memo ~fetch =
+  (** [spilled ~level ~keys ~filter ~ident ...] is a cold block over a
+      store object: [keys] (descending, exactly the serialized keys) is the
+      resident mirror, [fetch] loads the items on first selection.
+      [filter] is the spilled block's, so local ordering keeps seeing its
+      contributors' items.  Built by the spill policy and by recovery
+      (lib/store), never by the queue itself. *)
+  let spilled ~level ~keys ~filter ~ident ~note_memo ~fetch =
     {
       level;
       payload =
         Spilled { fetch; note_memo; claim = B.make false; memo = B.make None; ident };
       keys;
       filled = B.make (Array.length keys);
-      (* Cold blocks opt out of local-ordering peeks: an empty filter keeps
-         find_min's Bloom loop from faulting the payload in. *)
-      filter = Bloom.empty;
+      filter;
       state = Private;
     }
 

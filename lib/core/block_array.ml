@@ -420,8 +420,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
                          candidate range, recording the dead tail on the
                          way in [ends] (as the local-ordering peeks below
                          do).  This matters most for rehydrated spilled
-                         blocks, whose empty Bloom filter keeps them off
-                         that path: without the bound every delete-min
+                         blocks of other threads, whose filters keep them
+                         off that path: without the bound every delete-min
                          against such a block re-selects its taken minimum
                          and pays a full consolidation.  The scan must not
                          leave [pivots.(i)..filled-1]: the pivots bound the
@@ -462,14 +462,19 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       (* Local ordering: consider the minimal alive item of every block
          that may hold one of my own items, scanned up from the block's
          extent; a dead tail on the way is recorded in [ends], so this
-         thread skips it from now on.  My filter bits are hashed once, not
-         once per block ([Bloom.may_contain] is exactly this test).  The
-         running best's key is tracked as a raw int so the loop never
-         compares options structurally. *)
+         thread skips it from now on.  A cold block holds no dead item, so
+         its minimum is the resident [keys.(f - 1)]; its payload is
+         fetched only if it holds the final answer ([cold]), so the loop
+         reads from disk nothing it does not return.  My filter bits are
+         hashed once, not once per block ([Bloom.may_contain] is exactly
+         this test).  The running best's key is tracked as a raw int so
+         the loop never compares options structurally. *)
       let best = ref random_choice in
       let best_key =
         ref (match random_choice with Some it -> Item.key it | None -> max_int)
       in
+      let found = ref (Option.is_some random_choice) in
+      let cold = ref None in
       let mine = (Bloom.singleton ~hasher my_tid :> int) in
       for i = 0 to n - 1 do
         let b = t.blocks.(i) in
@@ -477,23 +482,41 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           if (Block.filter b :> int) land mine = mine then end_of t i else 0
         in
         if f > 0 then begin
-          let its = Block.items b in
-          let j = ref (f - 1) in
-          while !j >= 0 && not (alive its.(!j)) do
-            decr j
-          done;
-          B.tick (if !j >= 0 then f - !j else f);
-          if !j < f - 1 then t.ends.(i) <- !j + 1;
-          if !j >= 0 then begin
-            let key = b.Block.keys.(!j) in
-            if Option.is_none !best || key < !best_key then begin
-              best := Some its.(!j);
+          if Block.is_cold b then begin
+            B.tick 1;
+            let key = b.Block.keys.(f - 1) in
+            if (not !found) || key < !best_key then begin
+              cold := Some (b, f - 1);
               best_key := key;
-              best_seen := true
+              found := true
+            end
+          end
+          else begin
+            let its = Block.items b in
+            let j = ref (f - 1) in
+            while !j >= 0 && not (alive its.(!j)) do
+              decr j
+            done;
+            B.tick (if !j >= 0 then f - !j else f);
+            if !j < f - 1 then t.ends.(i) <- !j + 1;
+            if !j >= 0 then begin
+              let key = b.Block.keys.(!j) in
+              if (not !found) || key < !best_key then begin
+                best := Some its.(!j);
+                best_key := key;
+                found := true;
+                cold := None;
+                best_seen := true
+              end
             end
           end
         end
       done;
+      (match !cold with
+      | Some (b, j) ->
+          best := Some (Block.items b).(j);
+          best_seen := true
+      | None -> ());
       Option.iter (fun r -> r := !best_seen) seen;
       !best
     end

@@ -1,6 +1,6 @@
 (** Replayable open/closed-loop workload driver for the scheduler — the
     experiment harness entry of lib/sched, sitting next to
-    {!Klsm_harness.Throughput} and {!Klsm_harness.Quality}.
+    {!Klsm_harness.Throughput}.
 
     Workers are clients and servers at once: each of the [num_workers]
     threads generates its share of root tasks (priorities drawn from a

@@ -15,8 +15,8 @@
       started immediately before (globally).  A relaxed queue serving
       out of order produces positive slack; the mean/p99 of this series is
       an oracle-free lower bound on rank error that works on the real
-      backend too (the exact rank-error experiment lives in
-      {!Klsm_harness.Quality}). *)
+      backend too (the exact rank-error experiment is
+      {!Klsm_harness.Throughput}'s run with an oracle, on Sim). *)
 
 module Stats = Klsm_primitives.Stats
 

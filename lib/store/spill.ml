@@ -159,7 +159,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      re-hashing tens of kilobytes would double the spill cycle's CPU
      cost), while blocks adopted across a crash boundary always verify —
      the disk had the whole outage to rot them. *)
-  let cold_block p ~obs ~verify ~iid ~digest ~level ~keys =
+  let cold_block p ~obs ~verify ~iid ~digest ~level ~keys ~filter =
     let n = Array.length keys in
     let fetch () =
       B.fault_point "store.rehydrate";
@@ -190,7 +190,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       Obs.span_end obs sp_rehydrate t0;
       items
     in
-    Block.spilled ~level ~keys ~ident:digest
+    Block.spilled ~level ~keys ~filter ~ident:digest
       ~note_memo:(fun () -> Obs.incr obs c_rehydrate_memo)
       ~fetch
 
@@ -247,6 +247,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           let cold =
             cold_block p ~obs ~verify:false ~iid ~digest
               ~level:(Block.level block) ~keys:(Array.sub ks 0 !n)
+              ~filter:(Block.filter block)
           in
           Obs.span_end obs sp_spill t0;
           cold
@@ -420,9 +421,12 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         match !c with
         | `Recovered (level, keys) -> (
             Store.incr_ref p.store li.Journal.digest;
+            (* No thread of this process inserted these items, so no
+               thread's local ordering covers them: the empty filter. *)
             let b =
               cold_block p ~obs ~verify:true ~iid:li.Journal.iid
                 ~digest:li.Journal.digest ~level ~keys
+                ~filter:Klsm_primitives.Bloom.empty
             in
             match with_retries (fun () -> link b) with
             | Ok () ->

@@ -61,3 +61,37 @@ let matches_oracle ~insert ~delete_min ops =
         got = want
       end)
     ops
+
+(* Remove [root] and everything under it. *)
+let rm_rf root =
+  let rec go p =
+    if Sys.is_directory p then begin
+      Array.iter (fun n -> go (Filename.concat p n)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  if Sys.file_exists root then go root
+
+(* Run [f] on a fresh temporary directory (a store root), removed with
+   its contents afterwards. *)
+let with_root f =
+  let root = Filename.temp_dir "klsm-store-test" "" in
+  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
+
+(* Rank errors of one Fig. 3 mix on the simulator: [Throughput.run] with
+   an oracle, its keys uniform below the oracle's universe as quality.exe
+   draws them. *)
+module Sim_mix = Klsm_harness.Throughput.Make (Klsm_backend.Sim)
+
+let rank_universe = 1 lsl 18
+
+let rank_error config spec =
+  let config =
+    {
+      config with
+      Sim_mix.workload = Klsm_harness.Workload.Uniform rank_universe;
+    }
+  in
+  let oracle = Klsm_harness.Oracle.create ~universe:rank_universe in
+  Option.get (Sim_mix.run ~oracle config spec).Sim_mix.rank_error

@@ -126,6 +126,10 @@ let all_specs =
     R.Dlsm;
     R.Wimmer_centralized;
     R.Wimmer_hybrid 16;
+    R.klsm_sharded 16 4;
+    (* Small enough that every block reaching the shared component is
+       spilled to the store: local ordering must cover cold blocks. *)
+    R.Stored (R.Klsm 64, { R.spill_bytes = 256; store_dir = "" });
   ]
 
 let oracle_test spec =
@@ -133,6 +137,15 @@ let oracle_test spec =
     (Printf.sprintf "%s single thread = exact PQ" (R.spec_name spec))
     ~count:60 ops_gen
     (fun ops ->
+      (* A [+spill] spec runs on a fresh store root per case. *)
+      let with_spec f =
+        match spec with
+        | R.Stored (inner, cfg) ->
+            with_root (fun root ->
+                f (R.Stored (inner, { cfg with R.store_dir = root })))
+        | spec -> f spec
+      in
+      with_spec @@ fun spec ->
       let inst = R.make ~seed:1 ~num_threads:1 spec in
       let h = inst.R.register 0 in
       matches_oracle

@@ -1,78 +1,10 @@
-(* Tests for the paper's §3 sequential LSM and the §4.5 extensions:
-   try_find_min, meld, and the decrease-key (Keyed) wrapper. *)
+(* Tests for the paper's §4.5 extensions: try_find_min, meld, and the
+   decrease-key (Keyed) wrapper. *)
 
 open Helpers
-module Seq_lsm = Klsm_core.Seq_lsm
 module Klsm = Klsm_core.Klsm.Default
 module Keyed = Klsm_core.Keyed.Default
 module Sim = Klsm_backend.Sim
-
-(* ---------------- Seq_lsm (§3) ---------------- *)
-
-let prop_seq_lsm_is_exact =
-  qtest "Seq_lsm = exact PQ" ~count:150 ops_gen (fun ops ->
-      let t = Seq_lsm.create () in
-      matches_oracle
-        ~insert:(fun k -> Seq_lsm.insert t k ())
-        ~delete_min:(fun () -> Option.map fst (Seq_lsm.delete_min t))
-        ops)
-
-let prop_seq_lsm_invariants =
-  qtest "Seq_lsm structural invariants hold" ~count:150 ops_gen (fun ops ->
-      let t = Seq_lsm.create () in
-      List.iter
-        (fun (is_insert, k) ->
-          if is_insert then Seq_lsm.insert t k ()
-          else ignore (Seq_lsm.delete_min t);
-          Seq_lsm.check_invariants t)
-        ops;
-      true)
-
-let prop_seq_lsm_drain_sorted =
-  qtest "Seq_lsm drains sorted" keys_gen (fun keys ->
-      let t = Seq_lsm.create () in
-      List.iter (fun k -> Seq_lsm.insert t k ()) keys;
-      check_int "size" (List.length keys) (Seq_lsm.size t);
-      List.map fst (Seq_lsm.drain t) = List.sort compare keys)
-
-let test_seq_lsm_find_min () =
-  let t = Seq_lsm.create () in
-  check_bool "empty" true (Seq_lsm.find_min t = None);
-  Seq_lsm.insert t 5 "five";
-  Seq_lsm.insert t 3 "three";
-  Seq_lsm.insert t 9 "nine";
-  check_bool "min" true (Seq_lsm.find_min t = Some (3, "three"));
-  check_int "size unchanged" 3 (Seq_lsm.size t)
-
-let test_seq_lsm_block_discipline () =
-  (* After 2^n inserts the LSM should hold very few blocks. *)
-  let t = Seq_lsm.create () in
-  for i = 1 to 1024 do
-    Seq_lsm.insert t i ()
-  done;
-  Seq_lsm.check_invariants t;
-  (* 1024 items need at most ~11 blocks (one per level). *)
-  check_bool "logarithmic blocks" true (List.length t.Seq_lsm.blocks <= 11)
-
-let prop_seq_lsm_equals_seq_heap =
-  (* Differential: the two sequential foundations agree operation-for-
-     operation on any program. *)
-  qtest "Seq_lsm = Seq_heap (differential)" ~count:100 ops_gen (fun ops ->
-      let module Heap = Klsm_baselines.Seq_heap.Make (Klsm_backend.Real) in
-      let lsm = Seq_lsm.create () in
-      let heap = Heap.create () in
-      List.for_all
-        (fun (is_insert, k) ->
-          if is_insert then begin
-            Seq_lsm.insert lsm k ();
-            Heap.insert heap k ();
-            true
-          end
-          else
-            Option.map fst (Seq_lsm.delete_min lsm)
-            = Option.map fst (Heap.pop_min heap))
-        ops
-      && Seq_lsm.size lsm = Heap.size heap)
 
 (* ---------------- try_find_min ---------------- *)
 
@@ -412,15 +344,6 @@ let test_keyed_dijkstra () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "seq_lsm",
-        [
-          prop_seq_lsm_is_exact;
-          prop_seq_lsm_invariants;
-          prop_seq_lsm_drain_sorted;
-          Alcotest.test_case "find_min" `Quick test_seq_lsm_find_min;
-          Alcotest.test_case "block discipline" `Quick test_seq_lsm_block_discipline;
-          prop_seq_lsm_equals_seq_heap;
-        ] );
       ( "try_find_min",
         [
           Alcotest.test_case "peek" `Quick test_try_find_min;

@@ -1,6 +1,7 @@
 (* Tests for the experiment harness: the Fenwick rank oracle, the spec
-   parser, report formatting, and smoke runs of the throughput / quality /
-   SSSP drivers on tiny configurations. *)
+   parser, report formatting, key distributions, and smoke runs of the
+   throughput driver, with and without its rank oracle, on tiny
+   configurations. *)
 
 open Helpers
 module Oracle = Klsm_harness.Oracle
@@ -8,7 +9,6 @@ module Report = Klsm_harness.Report
 module Sim = Klsm_backend.Sim
 module R = Klsm_harness.Registry.Make (Sim)
 module T = Klsm_harness.Throughput.Make (Sim)
-module Q = Klsm_harness.Quality.Make (Sim)
 
 (* ---------------- oracle (Fenwick rank multiset) ---------------- *)
 
@@ -312,20 +312,20 @@ let test_quality_driver_bounds () =
   Sim.configure ~seed:1 ~policy:Sim.Fair ();
   let config =
     {
-      Q.default_config with
+      T.default_config with
       num_threads = 4;
       prefill = 2_000;
       ops_per_thread = 1_000;
     }
   in
   (* The exact queue must have (near-)zero rank error... *)
-  let exact = Q.run config R.Heap_lock in
-  check_bool "heap+lock exact" true (exact.Q.max_rank_error = 0);
+  let exact = rank_error config R.Heap_lock in
+  check_bool "heap+lock exact" true (exact.T.max_rank_error = 0);
   (* ...and the k-LSM must respect rho = T*k (+ slack T for in-flight). *)
-  let relaxed = Q.run config (R.Klsm 16) in
+  let relaxed = rank_error config (R.Klsm 16) in
   check_bool "klsm bounded" true
-    (relaxed.Q.max_rank_error <= (4 * 16) + 4);
-  check_bool "some deletes measured" true (relaxed.Q.deletes > 0)
+    (relaxed.T.max_rank_error <= (4 * 16) + 4);
+  check_bool "some deletes measured" true (relaxed.T.deletes > 0)
 
 let test_quality_grows_with_k () =
   (* The mean rank error must grow (weakly) with k — the quality/throughput
@@ -333,15 +333,48 @@ let test_quality_grows_with_k () =
   Sim.configure ~seed:2 ~policy:Sim.Fair ();
   let config =
     {
-      Q.default_config with
+      T.default_config with
       num_threads = 8;
       prefill = 8_000;
       ops_per_thread = 2_000;
     }
   in
-  let mean k = (Q.run config (R.Klsm k)).Q.mean_rank_error in
+  let mean k = (rank_error config (R.Klsm k)).T.mean_rank_error in
   let m0 = mean 0 and m4096 = mean 4096 in
   check_bool "relaxation costs quality" true (m4096 > m0)
+
+let test_oracle_costs_no_time () =
+  (* The oracle touches no simulated atomic, so a run with it keeps the
+     schedule of the run without it: the same throughput and the same
+     failed deletes, for single deletes and for pulls.  perf-check's tick
+     rows and the rank errors beside them rest on this. *)
+  List.iter
+    (fun batch ->
+      let config =
+        {
+          T.default_config with
+          num_threads = 4;
+          prefill = 8_000;
+          ops_per_thread = 500;
+          workload = W.Uniform rank_universe;
+          batch;
+        }
+      in
+      let run oracle =
+        Sim.configure ~seed:3 ~policy:(Sim.Random_preempt 0.3) ();
+        T.run ?oracle config (R.klsm_sharded 16 2)
+      in
+      let plain = run None in
+      let measured = run (Some (Oracle.create ~universe:rank_universe)) in
+      let what = Printf.sprintf "batch %d" batch in
+      Alcotest.(check (float 0.))
+        (what ^ ": throughput") plain.T.throughput_per_thread
+        measured.T.throughput_per_thread;
+      check_int (what ^ ": failed deletes") plain.T.failed_deletes
+        measured.T.failed_deletes;
+      check_bool (what ^ ": keys noted") true
+        ((Option.get measured.T.rank_error).T.deletes > 0))
+    [ 1; 8 ]
 
 let () =
   Alcotest.run "harness"
@@ -382,5 +415,7 @@ let () =
           Alcotest.test_case "reps" `Quick test_throughput_reps_vary_seed;
           Alcotest.test_case "quality bounds" `Slow test_quality_driver_bounds;
           Alcotest.test_case "quality grows with k" `Slow test_quality_grows_with_k;
+          Alcotest.test_case "oracle costs no simulated time" `Quick
+            test_oracle_costs_no_time;
         ] );
     ]

@@ -20,20 +20,6 @@ module Oracle = Klsm_harness.Oracle
 module Obs = Klsm_obs.Obs
 module Bloom = Klsm_primitives.Bloom
 
-let rm_rf root =
-  let rec go p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> go (Filename.concat p n)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists root then go root
-
-let with_root f =
-  let root = Filename.temp_dir "klsm-store-test" "" in
-  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
-
 (* ---------------- sha256 ---------------- *)
 
 let test_sha256_vectors () =
