@@ -127,6 +127,30 @@ let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
       | None -> incr misses
     done
   in
+  (* Structural invariants of every stripe's published array (blocks,
+     pivots, ends and the array's bound; Block.check_invariants also
+     asserts the SoA keys mirror and that no Retired block is reachable)
+     and of the thread-local LSMs of [hs].  A published array's checks
+     hold while other threads run, so a thread may make them mid-run; an
+     LSM's hold between its owner's operations, so mid-run only its owner
+     may check it. *)
+  let check_structures ~phase hs =
+    Array.iteri
+      (fun i stripe ->
+        try
+          match Shared.peek_shared stripe with
+          | None -> ()
+          | Some arr -> Block_array.check_invariants ~published:true arr
+        with Failure msg ->
+          violation "%s: stripe[%d] invariant: %s" phase i msg)
+      (K.internal_stripes q);
+    List.iter
+      (fun h ->
+        try K.Dist_lsm.check_invariants (K.internal_dist h)
+        with Failure msg ->
+          violation "%s: dist[%d] invariant: %s" phase h.K.tid msg)
+      hs
+  in
   Chaos.install plan;
   (try
      Sim.parallel_run ~num_threads:threads (fun tid ->
@@ -149,6 +173,9 @@ let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
                  got.(v) <- got.(v) + 1;
                  note_delete dk
          done;
+         (* Before its drain empties them, the thread checks the arrays
+            the stripes publish and its own LSM. *)
+         check_structures ~phase:"before drain" [ h ];
          (* Drain under the plan, so the spy and the consolidation
             before it run with faults armed. *)
          drain h)
@@ -180,28 +207,13 @@ let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
   done;
   if !lost > 0 then violation "%d payloads lost" !lost;
   if !dup > 0 then violation "%d payloads delivered twice" !dup;
-  (* Structural invariants of everything the survivors can still reach
-     (Block.check_invariants also asserts the SoA keys mirror and that no
-     Retired block is reachable), per stripe. *)
-  Array.iteri
-    (fun i stripe ->
-      try
-        match Shared.peek_shared stripe with
-        | None -> ()
-        | Some arr -> Block_array.check_invariants ~published:true arr
-      with Failure msg -> violation "stripe[%d] invariant: %s" i msg)
-    (K.internal_stripes q);
-  List.iter
-    (fun h ->
-      try K.Dist_lsm.check_invariants (K.internal_dist h)
-      with Failure msg ->
-        violation "dist[%d] invariant: %s" h.K.tid msg)
-    survivors;
+  check_structures ~phase:"after drain" survivors;
   (* Pool-reuse safety (paper §4.4 adapted; DESIGN.md §11): a recycled
-     block must never be aliased by a published structure.  Collect every
-     block physically reachable from the stripe snapshots and the
-     surviving thread-local LSMs, and assert it is disjoint (physical
-     equality) from every surviving thread's freelist. *)
+     array must never belong to a block a published structure reaches.
+     Collect every block physically reachable from the stripe snapshots
+     and the surviving thread-local LSMs, and assert that no array pair in
+     a surviving thread's freelist is one of theirs (physical
+     equality of either array). *)
   let reachable = ref [] in
   Array.iter
     (fun stripe ->
@@ -220,14 +232,21 @@ let queue_case ?(shards = 1) ~seed ~threads ~per_thread ~k plan =
         | None -> ()
       done)
     survivors;
+  let owns (rb : _ K.Block.t) (items, keys) =
+    rb.K.Block.keys == keys
+    ||
+    match rb.K.Block.payload with
+    | K.Block.Resident a -> a == items
+    | K.Block.Spilled _ -> false
+  in
   List.iter
     (fun h ->
       Array.iteri
         (fun lvl free ->
           List.iter
-            (fun pb ->
-              if List.exists (fun rb -> rb == pb) !reachable then
-                violation "pool[%d] level-%d block aliased by a live structure"
+            (fun pair ->
+              if List.exists (fun rb -> owns rb pair) !reachable then
+                violation "pool[%d] level-%d arrays aliased by a live structure"
                   h.K.tid lvl)
             free)
         h.K.pool.K.Block.Pool.slots)

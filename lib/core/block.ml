@@ -6,18 +6,19 @@
     written only by the thread that creates them and become immutable upon
     publication, with the single exception of [filled].
 
-    {b Who writes [filled]}: a builder ({!singleton}, {!of_sorted_array},
-    {!copy}, {!merge}, {!carry}) fills its private arrays with plain
-    stores under a local counter and stores [filled] once, at the end.  On
-    a published block only two paths ever write it, and only downwards
-    past dead items: consolidation's {!shrink}, and the DistLSM owner's
-    {!peek_min} on its own thread-local blocks.  The paper lets any reader
-    shrink [filled] as a benign race (§4.1); here the shared k-LSM's
-    find-min never writes it — a reader records a dead tail it found in its
-    private snapshot instead ({!Block_array}), so the [filled] lines of
-    shared blocks stay clean in every other core's cache.  A stale, larger
-    [filled] merely makes a reader inspect items that are already
-    logically deleted.
+    {b Who writes [filled]}: no builder, and on a built block only
+    consolidation's {!shrink}, downwards past dead items.  A builder
+    ({!singleton}, {!of_sorted_array}, {!copy}, {!merge}, {!carry}) fills
+    its arrays with plain stores under a local counter and only then makes
+    the record, whose [filled] cell is born holding that count.  The paper
+    lets any reader shrink [filled] as a benign race (§4.1); here no reader
+    does.  The shared k-LSM's find-min records a dead tail it found in its
+    private snapshot instead ({!Block_array}), and the DistLSM owner keeps
+    a private fill count per slot that its own peek lowers ({!Dist_lsm},
+    through {!alive_end}).  So the [filled] lines stay clean in every other
+    core's cache, and a stale, larger [filled] merely makes a reader (a
+    spy, a snapshot reader) inspect items that are already logically
+    deleted.
 
     {b Structure of arrays}: alongside the boxed [items], every block keeps
     a contiguous unboxed [keys] array with [keys.(i) = Item.key items.(i)]
@@ -28,15 +29,18 @@
     are safe to read without synchronization even while [filled] shrinks.
 
     {b Memory reuse} (paper §4.4, adapted to OCaml): a block is [Private]
-    while under construction, [Published] once any other thread may reach
-    it (a DistLSM slot, a shared snapshot, a CAS attempt), and [Retired]
-    once its owner has handed its arrays back to its thread-local {!Pool}.
-    Only [Private] blocks are ever retired — a published block's arrays can
-    be pinned by spies and snapshot readers indefinitely, and for those we
-    keep relying on the GC exactly as §4.4's remark permits.  What gets
-    recycled is the intermediates of consolidation and shrinking, which
-    are never published; the thread-local insert builds none ({!carry}
-    merges its whole chain into the one block it publishes).
+    while only the thread that built it can reach it, [Published] once any
+    other thread may reach it (a DistLSM slot, a shared snapshot, a CAS
+    attempt), and [Retired] once its owner has handed its arrays back to
+    its thread-local {!Pool}, which keeps arrays, not blocks: a builder
+    takes an [(items, keys)] pair from it and makes a fresh record around
+    it.  Only [Private] blocks are ever retired — a published block's
+    arrays can be pinned by spies and snapshot readers indefinitely, and
+    for those we keep relying on the GC exactly as §4.4's remark permits.
+    What gets recycled is the intermediates of consolidation and
+    shrinking, which are never published; the thread-local insert builds
+    none ({!carry} merges its whole chain into the one block it
+    publishes).
 
     Every mutating operation filters out items that are no longer [alive]
     (logically deleted, or condemned by the application's lazy-deletion
@@ -101,6 +105,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   }
 
   let capacity_of_level level = 1 lsl level
+
+  (* The least level whose capacity is at least [n]. *)
+  let level_for n =
+    let l = ref 0 in
+    while capacity_of_level !l < n do
+      incr l
+    done;
+    !l
 
   let level t = t.level
   let filled t = B.get t.filled
@@ -177,21 +189,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         B.yield ();
         items t
 
-  (* Writes under construction only ever target resident blocks. *)
-  let resident_exn t =
-    match t.payload with
-    | Resident a -> a
-    | Spilled _ -> invalid_arg "Block: write into a spilled block"
-
-  (** Per-thread freelist of retired blocks, binned by level (paper §4.4's
-      reuse scheme).  Strictly single-owner: only the owning thread ever
-      acquires from or retires into its pool, so no synchronization is
+  (** Per-thread freelist of the arrays of retired blocks, binned by level
+      (paper §4.4's reuse scheme): each entry is an [(items, keys)] pair
+      of capacity [2^level].  Strictly single-owner: only the owning thread
+      ever acquires from or retires into its pool, so no synchronization is
       needed and the Sim backend schedule is unperturbed. *)
   module Pool = struct
-    type 'v block = 'v t
-
     type 'v t = {
-      slots : 'v block list array;  (** freelist per level *)
+      slots : ('v Item.t array * int array) list array;
+          (** freelist per level *)
       counts : int array;
       obs : Obs.handle;
     }
@@ -214,33 +220,18 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
      pointer array, [2^level] words each. *)
   let bytes_per_slot = 2 * (Sys.word_size / 8)
 
-  let pool_acquire (p : 'v Pool.t) lvl : 'v t option =
-    if lvl <= Pool.max_level then begin
-      match p.Pool.slots.(lvl) with
-      | b :: rest ->
-          p.Pool.slots.(lvl) <- rest;
-          p.Pool.counts.(lvl) <- p.Pool.counts.(lvl) - 1;
-          Obs.incr p.Pool.obs c_pool_hit;
-          Obs.add p.Pool.obs c_pool_bytes (Array.length b.keys * bytes_per_slot);
-          b.state <- Private;
-          B.set b.filled 0;
-          b.filter <- Bloom.empty;
-          Some b
-      | [] ->
-          Obs.incr p.Pool.obs c_pool_miss;
-          None
-    end
-    else begin
-      Obs.incr p.Pool.obs c_pool_miss;
-      None
+  (* Hand a level-[l] array pair to [p], if it has room for one more. *)
+  let recycle (p : 'v Pool.t) l pair =
+    if l <= Pool.max_level && p.Pool.counts.(l) < Pool.max_per_level then begin
+      p.Pool.slots.(l) <- pair :: p.Pool.slots.(l);
+      p.Pool.counts.(l) <- p.Pool.counts.(l) + 1
     end
 
   (** Hand a block's arrays back to the owning thread's pool.  A no-op on
       [Published] blocks (spies/snapshots may still hold them — §4.4's GC
       fallback) and without a pool; callers therefore never need to track
       ownership at the call site.  Spilled blocks are marked dead but never
-      pooled: their [keys] array has payload length, not [2^level], and
-      their payload state must not leak into a recycled block. *)
+      pooled: their [keys] array has payload length, not [2^level]. *)
   let retire ?pool t =
     match pool with
     | None -> ()
@@ -251,15 +242,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
             t.state <- Retired;
             match t.payload with
             | Spilled _ -> ()
-            | Resident _ ->
-                let l = t.level in
-                if
-                  l <= Pool.max_level
-                  && p.Pool.counts.(l) < Pool.max_per_level
-                then begin
-                  p.Pool.slots.(l) <- t :: p.Pool.slots.(l);
-                  p.Pool.counts.(l) <- p.Pool.counts.(l) + 1
-                end))
+            | Resident items -> recycle p t.level (items, t.keys)))
 
   (** Mark a block reachable by other threads.  Must run before the
       publishing write (slot store / snapshot CAS): from then on the block
@@ -271,25 +254,42 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     | Published -> ()
     | Retired -> failwith "Block.publish: retired block resurfaced"
 
-  (* Blocks are always created from at least one source item, which doubles
-     as the array filler for the unfilled tail (never read: readers stop at
-     [filled]).  A pooled block keeps its previous tail contents instead —
-     equally unread. *)
-  let create_with_exemplar ?pool level exemplar =
+  (* The arrays a builder of a level-[level] block fills: a pair from the
+     pool, or fresh ones.  Blocks are always built from at least one
+     source item, which doubles as the filler of a fresh array's unfilled
+     tail (never read: readers stop at [filled]); a pooled pair keeps its
+     previous tail contents instead — equally unread. *)
+  let arrays ?pool level exemplar =
     let fresh () =
       let cap = capacity_of_level level in
-      {
-        level;
-        payload = Resident (Array.make cap exemplar);
-        keys = Array.make cap 0;
-        filled = B.make 0;
-        filter = Bloom.empty;
-        state = Private;
-      }
+      (Array.make cap exemplar, Array.make cap 0)
     in
     match pool with
     | None -> fresh ()
-    | Some p -> ( match pool_acquire p level with Some b -> b | None -> fresh ())
+    | Some (p : 'v Pool.t) -> (
+        match if level <= Pool.max_level then p.Pool.slots.(level) else [] with
+        | ((_, keys) as pair) :: rest ->
+            p.Pool.slots.(level) <- rest;
+            p.Pool.counts.(level) <- p.Pool.counts.(level) - 1;
+            Obs.incr p.Pool.obs c_pool_hit;
+            Obs.add p.Pool.obs c_pool_bytes
+              (Array.length keys * bytes_per_slot);
+            pair
+        | [] ->
+            Obs.incr p.Pool.obs c_pool_miss;
+            fresh ())
+
+  (* The record a builder makes once its arrays hold [n] items: its
+     [filled] cell is born holding [n], so the build stores no [filled]. *)
+  let built level items keys n filter =
+    {
+      level;
+      payload = Resident items;
+      keys;
+      filled = B.make n;
+      filter;
+      state = Private;
+    }
 
   (** [spilled ~level ~keys ~filter ~ident ...] is a cold block over a
       store object: [keys] (descending, exactly the serialized keys) is the
@@ -310,12 +310,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** [singleton ~filter item] is the level-0 block of one item. *)
   let singleton ?pool ~filter item =
-    let b = create_with_exemplar ?pool 0 item in
-    (resident_exn b).(0) <- item;
-    b.keys.(0) <- Item.key item;
-    B.set b.filled 1;
-    b.filter <- filter;
-    b
+    let dst, dk = arrays ?pool 0 item in
+    dst.(0) <- item;
+    dk.(0) <- Item.key item;
+    built 0 dst dk 1 filter
 
   (** [of_sorted_array ?alive ~filter items] is a block holding [items] —
       or, given [alive], those of them that are alive — whose keys must
@@ -328,12 +326,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   let of_sorted_array ?pool ?alive ~filter items =
     let n = Array.length items in
     if n = 0 then invalid_arg "Block.of_sorted_array: empty";
-    let lvl = ref 0 in
-    while capacity_of_level !lvl < n do
-      incr lvl
-    done;
-    let b = create_with_exemplar ?pool !lvl items.(0) in
-    let dst = resident_exn b and dk = b.keys in
+    let lvl = level_for n in
+    let dst, dk = arrays ?pool lvl items.(0) in
     let prev = ref max_int and o = ref 0 in
     for i = 0 to n - 1 do
       let it = items.(i) in
@@ -347,9 +341,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         incr o
       end
     done;
-    B.set b.filled !o;
-    b.filter <- filter;
-    b
+    built lvl dst dk !o filter
 
   (** Minimal key of the block in O(1): the last logically-held item.
       May be a deleted item; callers handle that (find-min falls back and
@@ -358,34 +350,29 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let f = filled t in
     if f = 0 then None else Some (items t).(f - 1)
 
-  (** First alive item scanning from the minimum upward; [None] if the whole
-      block is dead.  DistLSM-only: the owner of a thread-local block
-      publishes the shortened [filled] so the dead tail is skipped only
-      once — the same benign race as [shrink], since writes only ever
-      shrink past items that are already dead and a stale larger value
-      merely re-exposes dead items (paper §4.1), and spies are the only
-      other readers.  The shared k-LSM's find-min does not call this: it
+  (** [alive_end ~alive t f] is where the alive part of [t]'s first [f]
+      entries ends: [i + 1] for the alive entry [i < f] nearest the
+      minimum, or [0] when all [f] are dead.  It scans from the minimum
+      upward and writes nothing.  DistLSM-only: the owner of a thread-local
+      block keeps the result as its private fill count of the block, so
+      each dead tail is scanned once, and [filled] stays what the build
+      made it; spies, its only other readers, filter the dead items it
+      still covers.  The shared k-LSM's find-min does not call this: it
       keeps the dead tails it finds in its own snapshot
       ({!Block_array.find_min}). *)
-  let peek_min ~alive t =
-    let f = filled t in
-    let its = if f = 0 then [||] else items t in
-    let rec scan i =
-      if i < 0 then begin
-        if f > 0 then B.set t.filled 0;
-        None
-      end
-      else begin
-        B.tick 1;
-        let it = its.(i) in
-        if alive it then begin
-          if i < f - 1 then B.set t.filled (i + 1);
-          Some it
+  let alive_end ~alive t f =
+    if f = 0 then 0
+    else begin
+      let its = items t in
+      let rec scan i =
+        if i < 0 then 0
+        else begin
+          B.tick 1;
+          if alive its.(i) then i + 1 else scan (i - 1)
         end
-        else scan (i - 1)
-      end
-    in
-    scan (f - 1)
+      in
+      scan (f - 1)
+    end
 
   let iter ~f t =
     let fl = filled t in
@@ -410,16 +397,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** [copy ~alive t lvl] copies the alive items of [t] into a fresh block
       of level [lvl] (capacity must suffice, which callers guarantee since
-      filtering only shrinks).  Like every builder, it fills the private
-      arrays with plain stores and writes [filled] once, at the end. *)
+      filtering only shrinks).  Like every builder, it fills its arrays
+      with plain stores and makes the record last. *)
   let copy ?pool ~alive t lvl =
     let f = filled t in
     let its = items t in
-    let nb =
-      create_with_exemplar ?pool lvl its.(if f = 0 then 0 else f - 1)
-    in
-    nb.filter <- t.filter;
-    let dst = resident_exn nb and dk = nb.keys and sk = t.keys in
+    let dst, dk = arrays ?pool lvl its.(if f = 0 then 0 else f - 1) in
+    let sk = t.keys in
     let o = ref 0 in
     for i = 0 to f - 1 do
       let it = its.(i) in
@@ -429,9 +413,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         incr o
       end
     done;
-    B.set nb.filled !o;
     B.tick f;
-    nb
+    built lvl dst dk !o t.filter
 
   (** [prefix_view t ~keep] is a view of the first [keep] entries of a
       [Published] block [t] (its {e largest} keys — entries
@@ -481,11 +464,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       else if f2 > 0 then i2.(0)
       else invalid_arg "Block.merge: both blocks empty"
     in
-    let nb = create_with_exemplar ?pool lvl exemplar in
-    nb.filter <- Bloom.union b1.filter b2.filter;
+    let dst, dk = arrays ?pool lvl exemplar in
     (* Inputs are descending; emit descending.  Compares stream the flat
        key arrays; the boxed item is only read to copy it over. *)
-    let dst = resident_exn nb and dk = nb.keys in
     let k1 = b1.keys and k2 = b2.keys in
     let i = ref 0 and j = ref 0 and o = ref 0 in
     while !i < f1 && !j < f2 do
@@ -527,8 +508,8 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       end;
       incr j
     done;
-    B.set nb.filled !o;
     B.tick (f1 + f2);
+    let nb = built lvl dst dk !o (Bloom.union b1.filter b2.filter) in
     retire ?pool b1;
     retire ?pool b2;
     nb
@@ -566,9 +547,10 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end
 
   (** Owner-private scratch of {!carry}, indexed by source: each source's
-      fill count (the caller's read of [filled]), read position and head
-      key, and per suffix of the sources the one the pass emits from next.
-      Ints only, so it pins no item between passes. *)
+      fill count (the caller's count of its entries), read position and
+      head key, and per suffix of the sources the one the pass emits from
+      next; and the count of the block the last pass built.  Ints only, so
+      it pins no item between passes. *)
   module Carry = struct
     type t = {
       fill : int array;
@@ -577,6 +559,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       win : int array;
           (** one entry longer than the others: the entry past the last
               source is [-1] and ends every suffix *)
+      mutable count : int;  (** the built block's item count *)
     }
 
     let create n =
@@ -585,6 +568,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         pos = Array.make n 0;
         head = Array.make n 0;
         win = Array.make (n + 1) (-1);
+        count = 0;
       }
   end
 
@@ -599,16 +583,19 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** [carry ~alive ~filter c srcs ~first ~last item] is Listing 4's
       insert cascade in one pass.  The sources are the blocks
       [srcs.(first) .. srcs.(last - 1)] (each [Some], levels decreasing,
-      [c.fill.(s)] holding the caller's read of each one's [filled]) and
-      [item] as source [last].  The result is the block that merging
+      [c.fill.(s)] holding the caller's count of each one's entries: the
+      DistLSM owner's private fill counts, which cover every alive item)
+      and [item] as source [last].  The result is the block that merging
       [item] with [srcs.(last - 1)], that with [srcs.(last - 2)], and so on
       with {!merge} and {!shrink} would give, ties included, but no block
-      is built per level: the pass writes each alive item once into a block
+      is built per level: the pass writes each alive item once into arrays
       of the least level that fits every source item, reading each item's
-      liveness once, and shrinks it only when it dropped one.  An item
-      pays one key comparison per merge the cascade would have passed it
-      through; every comparison and item move is charged to [B.tick].  The
-      filter is the union of the sources' and [filter]. *)
+      liveness once, and when it dropped one moves them down to the least
+      level that fits what it kept.  An item pays one key comparison per
+      merge the cascade would have passed it through; every comparison and
+      item move is charged to [B.tick].  The filter is the union of the
+      sources' and [filter].  The block's count is left in [c.count], so
+      the caller need not read [filled]. *)
   let carry ?pool ~alive ~filter (c : Carry.t) srcs ~first ~last item =
     let fill = c.fill and pos = c.pos and head = c.head and win = c.win in
     let total = ref 1 and fl = ref filter in
@@ -623,16 +610,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     pos.(last) <- 0;
     head.(last) <- Item.key item;
     win.(last + 1) <- -1;
-    let lvl = ref 0 in
-    while capacity_of_level !lvl < !total do
-      incr lvl
-    done;
+    let lvl = level_for !total in
     (* The filler is the largest block's first item rather than [item]:
        a fresh array too large for the minor heap made with a young filler
        forces a minor collection. *)
-    let nb = create_with_exemplar ?pool !lvl (loaded (source srcs first)).(0) in
-    nb.filter <- !fl;
-    let dst = resident_exn nb and dk = nb.keys in
+    let dst, dk = arrays ?pool lvl (loaded (source srcs first)).(0) in
     let work = ref 0 and o = ref 0 in
     (* [win.(d)] is the source among [d .. last] whose head comes next —
        the largest key, ties to the lower source, as each two-way merge
@@ -672,9 +654,22 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         from := s
       end
     done;
-    B.set nb.filled !o;
     B.tick !work;
-    if !o < !total then shrink ?pool ~alive nb else nb
+    let o = !o in
+    c.count <- o;
+    let fit = level_for o in
+    if fit = lvl then built lvl dst dk o !fl
+    else begin
+      (* Where {!shrink} would copy the block down, the kept items move to
+         the least level that fits them; an item taken since the pass read
+         it stays, a dead item like those any block may hold. *)
+      let fd, fk = arrays ?pool fit dst.(0) in
+      Array.blit dst 0 fd 0 o;
+      Array.blit dk 0 fk 0 o;
+      B.tick o;
+      Option.iter (fun p -> recycle p lvl (dst, dk)) pool;
+      built fit fd fk o !fl
+    end
 
   (** §3's merge cascade, one block at a time: push [b] onto
       [stack.(0 .. !sp - 1)], which holds strictly decreasing levels from

@@ -522,9 +522,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     end
 
   (** Invariant checks for tests: strictly decreasing levels, per-block
-      invariants, pivot ranges within bounds, no item left untaken at or
-      past its block's recorded end [ends.(i)], and on a [published] array
-      [least] at or below every block's stored minimum.  Cold blocks hold
+      invariants, non-empty blocks, pivot ranges within bounds, no item
+      left untaken at or past its block's recorded end [ends.(i)], and on
+      a [published] array [least] at or below every block's stored
+      minimum.  A [published] array's blocks are shared with every later
+      snapshot, whose consolidations trim dead tails in place
+      ({!Block.shrink}, also when their CAS then loses): there a block may
+      have been trimmed empty and a pivot may exceed [filled] (DESIGN.md
+      §7 pitfall 2), so pivots are bounded by the capacity instead.  Each
+      of these checks holds while other threads run.  Cold blocks hold
       only alive items, so none may have an end below [filled]; checking
       that reads no payload. *)
   let check_invariants ?(published = false) t =
@@ -534,13 +540,15 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     for i = 0 to n - 1 do
       let b = t.blocks.(i) in
       Block.check_invariants b;
-      if Block.is_empty b then failwith "Block_array: empty block";
+      let f = Block.filled b in
+      if f = 0 && not published then failwith "Block_array: empty block";
       if i > 0 && Block.level t.blocks.(i - 1) <= Block.level b then
         failwith "Block_array: levels not strictly decreasing";
-      if t.pivots.(i) < 0 || t.pivots.(i) > Block.filled b then
+      let top = if published then Block.capacity b else f in
+      if t.pivots.(i) < 0 || t.pivots.(i) > top then
         failwith "Block_array: pivot out of range";
-      let e = t.ends.(i) and f = Block.filled b in
-      if published && t.least > b.Block.keys.(f - 1) then
+      let e = t.ends.(i) in
+      if published && f > 0 && t.least > b.Block.keys.(f - 1) then
         failwith "Block_array: least above a stored key";
       if e < 0 then failwith "Block_array: end out of range";
       if e < f then begin

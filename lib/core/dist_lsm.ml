@@ -13,9 +13,14 @@
     Those atomics are the owner's {e publication to spies}, not its working
     state.  The owner keeps a private view of what it published — the slot
     count and the slot blocks, each copy written right after its atomic, so
-    the two agree at every fault point — plus, per slot, a lower bound on
-    the block's smallest alive key and the two slots whose bounds are
-    smallest.  [find_min] answers from that view with a peek of one block
+    the two agree at every fault point — plus, per slot, its own count of
+    the block's entries, a lower bound on the block's smallest alive key,
+    and the two slots whose bounds are smallest.  The count is the one the
+    build reported, lowered by the owner's peeks past dead items, so an
+    insert, a find-min or a local delete never reads or writes a slot
+    block's atomic [filled]: that cell keeps the count the block was built
+    with, which spies read and which overstates only by dead items they
+    filter.  [find_min] answers from that view with a peek of one block
     instead of a walk over every level (see {!find_min}).
 
     The [max_level] bound implements §4.3's spill rule: a merged block whose
@@ -65,6 +70,11 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
         (** the owner's copy of [blocks]: each entry is the very value the
             owner last stored into the matching atomic *)
     mutable len : int;  (** the owner's copy of [size] *)
+    fills : int array;
+        (** per slot, the owner's count of the block's entries: the count
+            its build reported, lowered by every peek past dead items; at
+            most the block's [filled], and no untaken item sits at or past
+            it *)
     bounds : int array;
         (** per slot, a lower bound on the block's smallest alive key:
             exact when the block is built, raised by every peek (to
@@ -97,6 +107,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       size = B.make 0;
       slots = Array.make max_levels None;
       len = 0;
+      fills = Array.make max_levels 0;
       bounds = Array.make max_levels max_int;
       cached = false;
       best = -1;
@@ -138,6 +149,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     let slot = Some b in
     B.set t.blocks.(i) slot;
     t.slots.(i) <- slot;
+    t.fills.(i) <- f;
     t.bounds.(i) <- b.Block.keys.(f - 1)
 
   let publish_size t n =
@@ -161,11 +173,13 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
   (** Listing 4's [insert], extended with the spill rule of §4.3.  The
       carry chain is the run of trailing slots that Listing 4's loop of
       two-way merges would consume (it merges while the next slot's level
-      is at most the merged block's), found from the slots' levels and
-      fill counts; {!Block.carry} merges it with the new item in one pass,
-      and with no chain the new item is a singleton.  Fill counts include
-      dead items, so a chain can run longer than the loop's filtering
-      merges would; the block still lands below the slot that stopped it.
+      is at most the merged block's), found from the slots' levels and the
+      owner's fill counts; {!Block.carry} merges it with the new item in
+      one pass, and with no chain the new item is a singleton.  Fill
+      counts can include dead items, so a chain can run longer than the
+      loop's filtering merges would; the block still lands below the slot
+      that stopped it.  The new block's count is the one the build
+      reports, so the insert's only writes are the slot and [size].
       Old blocks stay reachable until the merged block replaces them.  A
       chain that consumes the cached best or runner-up slot drops the
       find-min cache; otherwise the new slot's bound takes its place among
@@ -180,7 +194,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       match t.slots.(!i - 1) with
       | Some prev when Block.level prev <= !lvl ->
           decr i;
-          let f = Block.filled prev in
+          let f = t.fills.(!i) in
           c.Block.Carry.fill.(!i) <- f;
           total := !total + f;
           while Block.capacity_of_level !lvl < !total do
@@ -198,7 +212,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       end
     in
     if t.best >= i || t.runner >= i then t.cached <- false;
-    let f = Block.filled b in
+    let f = if i = t.len then 1 else c.Block.Carry.count in
     if f = 0 then begin
       (* Everything merged away (all items dead): just drop the blocks we
          consumed.  The never-published output goes back to the pool. *)
@@ -248,16 +262,22 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
     done;
     t.cached <- true
 
-  (* Peek slot [i]'s block (skipping, and trimming, its dead tail) and
-     raise its bound to what the peek found. *)
+  (* Peek slot [i]'s block: skip its dead tail, lower the owner's fill
+     count past it, and raise the slot's bound to what the peek found. *)
   let peek t i =
     match t.slots.(i) with
     | None -> None
     | Some b ->
-        let found = Block.peek_min ~alive:t.alive b in
-        t.bounds.(i) <-
-          (match found with Some it -> Item.key it | None -> max_int);
-        found
+        let f = Block.alive_end ~alive:t.alive b t.fills.(i) in
+        t.fills.(i) <- f;
+        if f = 0 then begin
+          t.bounds.(i) <- max_int;
+          None
+        end
+        else begin
+          t.bounds.(i) <- b.Block.keys.(f - 1);
+          Some (Block.items b).(f - 1)
+        end
 
   (** Minimal alive item across the thread-local blocks, ties to the lower
       slot — the item a walk peeking every block would return — or [None]
@@ -269,7 +289,7 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
       [max_int] cannot tell a dead block from one holding only [max_int]
       keys, so when the smallest bound is [max_int] the blocks are peeked
       in slot order.  A block found dead stays dead (items are never
-      revived and [filled] only shrinks), so once every block is found
+      revived and fill counts only shrink), so once every block is found
       dead the answer is [None] without a peek until the slots change. *)
   let find_min t =
     let rec go () =
@@ -422,10 +442,14 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
 
   (** Invariants for tests and the chaos oracles: strictly decreasing
       levels among live slots; the owner's view equals what it published;
-      and every slot's bound is at most the key of every item of its block
-      not yet taken — which includes every alive one, and holds because a
-      bound is set from the alive items a merge or copy kept or from a
-      peek that stopped at the block's smallest alive item. *)
+      every slot's fill count is at most its block's [filled], with no
+      untaken item at or past it (a peek lowers the count only past items
+      [alive] rejects, and it rejects only taken ones: lazy deletion takes
+      what it condemns); and every slot's bound is at most the
+      key of every item of its block not yet taken — which includes every
+      alive one, and holds because a bound is set from the alive items a
+      merge or copy kept or from a peek that stopped at the block's
+      smallest alive item. *)
   let check_invariants t =
     let n = B.get t.size in
     if t.len <> n then failwith "Dist_lsm: owner's length differs from size";
@@ -441,8 +465,18 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           if Block.level b >= !last_level then
             failwith "Dist_lsm: levels not strictly decreasing";
           last_level := Block.level b;
-          Block.iter b ~f:(fun it ->
-              if (not (Item.is_taken it)) && Item.key it < t.bounds.(i) then
-                failwith "Dist_lsm: bound above an alive key")
+          let fill = t.fills.(i) in
+          if fill < 0 || fill > Block.filled b then
+            failwith "Dist_lsm: owner's fill count above filled";
+          let its = Block.items b in
+          for j = 0 to Block.filled b - 1 do
+            let it = its.(j) in
+            if not (Item.is_taken it) then begin
+              if j >= fill then
+                failwith "Dist_lsm: untaken item past the owner's fill count";
+              if Item.key it < t.bounds.(i) then
+                failwith "Dist_lsm: bound above an alive key"
+            end
+          done
     done
 end

@@ -246,9 +246,9 @@ module Make (B : Klsm_backend.Backend_intf.S) = struct
           with
           | None ->
               (* [find_min] answers [None] only when every extent is 0, and
-                 extents only shrink ([filled] under [shrink] and
-                 [peek_min], [ends] under [find_min]), so this re-read must
-                 find the snapshot empty too. *)
+                 extents only shrink ([filled] under [shrink], [ends] under
+                 [find_min]), so this re-read must find the snapshot empty
+                 too. *)
               if Option.is_some h.observed then begin
                 if Block_array.total_filled snap <> 0 then
                   failwith "Shared_klsm.select: an extent grew after find-min";

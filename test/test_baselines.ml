@@ -132,25 +132,165 @@ let all_specs =
     R.Stored (R.Klsm 64, { R.spill_bytes = 256; store_dir = "" });
   ]
 
+(* One step of a single-thread sequence: an insert, a batch insert, a
+   delete-min, a pull of up to [n] keys, and on the k-LSMs through [Klsm]
+   a relaxed peek or a change of the relaxation [k]. *)
+type op =
+  | Insert of int
+  | Insert_batch of int list
+  | Delete_min
+  | Delete_batch of int
+  | Find_min
+  | Set_k of int
+
+let show_op = function
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Insert_batch ks ->
+      Printf.sprintf "insert_batch [%s]"
+        (String.concat "; " (List.map string_of_int ks))
+  | Delete_min -> "delete_min"
+  | Delete_batch n -> Printf.sprintf "delete_batch %d" n
+  | Find_min -> "find_min"
+  | Set_k k -> Printf.sprintf "set_k %d" k
+
+let seq_ops_gen ~peeks =
+  let open QCheck2.Gen in
+  let key = int_bound 10_000 in
+  list_size (int_bound 300)
+    (frequency
+       ([
+          (8, map (fun k -> Insert k) key);
+          (2, map (fun ks -> Insert_batch ks) (list_size (int_bound 8) key));
+          (5, pure Delete_min);
+          (2, map (fun n -> Delete_batch n) (int_bound 12));
+        ]
+       @
+       if peeks then
+         [ (2, pure Find_min); (1, map (fun k -> Set_k k) (int_bound 300)) ]
+       else []))
+
+(* Run [ops] against a queue (through closures) and the sorted-list
+   oracle: a delete-min returns the smallest key, a pull of [n] the
+   [min n size] smallest in ascending order, and a peek the smallest key
+   without removing it.  Fails with the first step that differs. *)
+let exact_pq ~insert ~insert_batch ~delete_min ~delete_batch ?find_min ?set_k
+    ops =
+  let oracle = Oracle_pq.create () in
+  let show = function
+    | None -> "none"
+    | Some k -> string_of_int k
+  in
+  let show_list l = String.concat "; " (List.map string_of_int l) in
+  List.iteri
+    (fun i op ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun s -> Alcotest.failf "step %d (%s): %s" i (show_op op) s)
+          fmt
+      in
+      match op with
+      | Insert k ->
+          insert k;
+          Oracle_pq.insert oracle k
+      | Insert_batch ks ->
+          insert_batch ks;
+          List.iter (Oracle_pq.insert oracle) ks
+      | Delete_min ->
+          let got = delete_min () and want = Oracle_pq.delete_min oracle in
+          if got <> want then fail "got %s, want %s" (show got) (show want)
+      | Delete_batch n ->
+          let got = delete_batch n in
+          let rec take n =
+            if n = 0 then []
+            else
+              match Oracle_pq.delete_min oracle with
+              | Some k -> k :: take (n - 1)
+              | None -> []
+          in
+          let want = take n in
+          if got <> want then
+            fail "got [%s], want [%s]" (show_list got) (show_list want)
+      | Find_min -> (
+          match find_min with
+          | Some peek ->
+              let got = peek ()
+              and want =
+                match Oracle_pq.to_list oracle with [] -> None | k :: _ -> Some k
+              in
+              if got <> want then fail "got %s, want %s" (show got) (show want)
+          | None -> fail "no peek on this queue")
+      | Set_k k -> (
+          match set_k with
+          | Some set -> set k
+          | None -> fail "no set_k on this queue"))
+    ops;
+  true
+
+(* A [+spill] spec runs on a fresh store root per case. *)
+let with_spec spec f =
+  match spec with
+  | R.Stored (inner, cfg) ->
+      with_root (fun root -> f (R.Stored (inner, { cfg with R.store_dir = root })))
+  | spec -> f spec
+
 let oracle_test spec =
   qtest
     (Printf.sprintf "%s single thread = exact PQ" (R.spec_name spec))
-    ~count:60 ops_gen
+    ~count:100 (seq_ops_gen ~peeks:false)
     (fun ops ->
-      (* A [+spill] spec runs on a fresh store root per case. *)
-      let with_spec f =
-        match spec with
-        | R.Stored (inner, cfg) ->
-            with_root (fun root ->
-                f (R.Stored (inner, { cfg with R.store_dir = root })))
-        | spec -> f spec
-      in
-      with_spec @@ fun spec ->
+      with_spec spec @@ fun spec ->
       let inst = R.make ~seed:1 ~num_threads:1 spec in
       let h = inst.R.register 0 in
-      matches_oracle
+      exact_pq
         ~insert:(fun k -> h.R.insert k 0)
+        ~insert_batch:(fun ks ->
+          h.R.insert_batch (Array.of_list (List.map (fun k -> (k, 0)) ks)))
         ~delete_min:(fun () -> Option.map fst (h.R.try_delete_min ()))
+        ~delete_batch:(fun n -> List.map fst (h.R.try_delete_min_batch n))
+        ops)
+
+(* The k-LSM specs of [all_specs] built through [Klsm] itself, as
+   [Registry.make] builds them, so the handle also peeks and retunes. *)
+let klsm_specs =
+  List.filter (fun s -> s = R.Dlsm || R.klsm_cfg s <> None) all_specs
+
+let klsm_queue spec =
+  let make ?spill_max_level ?spill_policy (c : R.sharded_cfg) =
+    R.Klsm.create_with ~seed:1 ~k:c.R.k ~shards:c.R.shards ?spill_max_level
+      ?spill_policy ~num_threads:1 ()
+  in
+  match (spec, R.klsm_cfg spec) with
+  | R.Dlsm, _ -> make ~spill_max_level:max_int { R.k = 256; shards = 1 }
+  | R.Stored (_, cfg), Some c ->
+      let sp =
+        R.Spill.create ~threshold:cfg.R.spill_bytes ~num_threads:1
+          ~root:cfg.R.store_dir ()
+      in
+      make c ~spill_policy:(fun ~alive ~tid b -> R.Spill.policy sp ~alive ~tid b)
+  | _, Some c -> make c
+  | _, None -> invalid_arg "klsm_queue: not a k-LSM spec"
+
+let klsm_oracle_test spec =
+  qtest
+    (Printf.sprintf "%s peek and set_k = exact PQ" (R.spec_name spec))
+    ~count:100 (seq_ops_gen ~peeks:true)
+    (fun ops ->
+      with_spec spec @@ fun spec ->
+      let q = klsm_queue spec in
+      let h = R.Klsm.register q 0 in
+      let shards = R.Klsm.num_stripes q in
+      exact_pq
+        ~insert:(fun k -> R.Klsm.insert h k 0)
+        ~insert_batch:(fun ks ->
+          let pairs = Array.of_list (List.map (fun k -> (k, 0)) ks) in
+          (* The DLSM's batch insert is a loop of inserts (the Registry's
+             override): it has no shared component to publish to. *)
+          if spec = R.Dlsm then Array.iter (fun (k, v) -> R.Klsm.insert h k v) pairs
+          else R.Klsm.insert_batch h pairs)
+        ~delete_min:(fun () -> Option.map fst (R.Klsm.try_delete_min h))
+        ~delete_batch:(fun n -> List.map fst (R.Klsm.try_delete_min_batch h n))
+        ~find_min:(fun () -> Option.map fst (R.Klsm.try_find_min h))
+        ~set_k:(fun k -> R.Klsm.set_k q (max k shards))
         ops)
 
 (* ---------------- Linden ---------------- *)
@@ -323,7 +463,9 @@ let () =
           Alcotest.test_case "unlink" `Quick test_skiplist_unlink_via_search;
           Alcotest.test_case "duplicates" `Quick test_skiplist_duplicate_keys;
         ] );
-      ("oracle", List.map oracle_test all_specs);
+      ( "oracle",
+        List.map oracle_test all_specs @ List.map klsm_oracle_test klsm_specs
+      );
       ( "linden",
         [ Alcotest.test_case "interleaved drain" `Quick test_linden_interleaved_drain ] );
       ( "spraylist",

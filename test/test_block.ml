@@ -1,6 +1,6 @@
 (* Unit and property tests for Item and Block (paper Listing 1): logical
    deletion, building/copy/merge/shrink, level sizing, Bloom filters, and
-   the one [filled] store per built block. *)
+   builds that store no [filled]. *)
 
 open Helpers
 module B = Klsm_backend.Real
@@ -59,24 +59,26 @@ let test_last_item_is_min () =
   | Some it -> check_int "min" 2 (Item.key it)
   | None -> Alcotest.fail "expected min"
 
-(* ---------------- peek_min ---------------- *)
+(* ---------------- the owner's peek ---------------- *)
 
 let test_peek_min_skips_taken () =
   let b = block_of_keys [ 10; 8; 6; 4; 2 ] in
   (* Take the two smallest. *)
   Block.iter b ~f:(fun it ->
       if Item.key it <= 4 then ignore (Item.take it));
-  (match Block.peek_min ~alive b with
-  | Some it -> check_int "first alive" 6 (Item.key it)
-  | None -> Alcotest.fail "expected alive item");
-  (* peek_min publishes the shortened filled (benign cleanup). *)
-  check_int "tail cleaned" 3 (Block.filled b)
+  let e = Block.alive_end ~alive b (Block.filled b) in
+  check_int "the alive part ends at key 6" 3 e;
+  check_int "first alive" 6 (Item.key (Block.items b).(e - 1));
+  (* The peek writes nothing: the DistLSM owner keeps the end privately. *)
+  check_int "filled untouched" 5 (Block.filled b);
+  check_int "a shorter count scans from there" 2
+    (Block.alive_end ~alive b 2)
 
 let test_peek_min_all_dead () =
   let b = block_of_keys [ 5; 1 ] in
   Block.iter b ~f:(fun it -> ignore (Item.take it));
-  check_bool "none" true (Block.peek_min ~alive b = None);
-  check_int "emptied" 0 (Block.filled b)
+  check_int "none alive" 0 (Block.alive_end ~alive b (Block.filled b));
+  check_int "filled untouched" 2 (Block.filled b)
 
 (* ---------------- copy ---------------- *)
 
@@ -257,9 +259,13 @@ let test_pool_physically_reuses_retired_block () =
   let b = Block.singleton ~filter:Bloom.empty (Item.make 7 ()) in
   Block.retire ~pool b;
   let c = Block.singleton ~pool ~filter:Bloom.empty (Item.make 42 ()) in
-  check_bool "same record recycled" true (b == c);
-  check_bool "reacquired as private" true (Block.state c = Block.Private);
-  check_int "reset and refilled" 1 (Block.filled c);
+  check_bool "same arrays recycled" true
+    (Block.items b == Block.items c && b.Block.keys == c.Block.keys);
+  check_bool "in a new record" true (not (b == c));
+  check_bool "the old record stays retired" true
+    (Block.state b = Block.Retired);
+  check_bool "the new one is private" true (Block.state c = Block.Private);
+  check_int "filled" 1 (Block.filled c);
   check_list_int "new content" [ 42 ] (keys_of_block c);
   check_bool "mirror in sync after reuse" true (mirror_in_sync c)
 
@@ -270,7 +276,8 @@ let test_pool_never_recycles_published () =
   Block.retire ~pool b (* must be a no-op *);
   check_bool "still published" true (Block.state b = Block.Published);
   let c = Block.singleton ~pool ~filter:Bloom.empty (Item.make 8 ()) in
-  check_bool "fresh allocation, not the published block" true (not (b == c))
+  check_bool "fresh arrays, not the published block's" true
+    (not (Block.items b == Block.items c || b.Block.keys == c.Block.keys))
 
 let test_pool_retired_block_fails_invariants () =
   let pool = Block.Pool.create () in
@@ -292,12 +299,12 @@ let test_pool_publish_after_retire_fails () =
        false
      with Failure _ -> true)
 
-(* ---------------- one [filled] store per built block ---------------- *)
+(* ---------------- no [filled] store on a build ---------------- *)
 
-(* A builder fills its private block with plain stores and writes [filled]
-   once, so building costs the simulated machine at most two writes: the
-   final store, plus the pool's reset when the block is recycled — never
-   one per entry. *)
+(* A builder fills its arrays with plain stores and makes the record last,
+   its [filled] cell born holding the count, so a build costs the
+   simulated machine no write at all, whether its arrays are fresh or
+   recycled. *)
 module Sim = Klsm_backend.Sim
 module SItem = Klsm_core.Item.Make (Sim)
 module SBlock = Klsm_core.Block.Make (Sim)
@@ -323,22 +330,33 @@ let sim_build build =
   Sim.parallel_run ~num_threads:1 (fun _ -> out := Some (build ()));
   ((Sim.stats ()).Sim.writes, Option.get !out)
 
-let test_builders_store_filled_once () =
+let test_builds_store_no_filled () =
   let b1 = sim_block ~offset:0 and b2 = sim_block ~offset:1 in
   let pool = SBlock.Pool.create () in
   (* Leave a level-7 block in the pool so the pooled merge recycles it. *)
   let recycled = SBlock.merge ~alive:sim_alive b1 b2 in
   SBlock.retire ~pool recycled;
   let expect name writes b filled =
-    check_bool (name ^ ": at most 2 writes") true (writes <= 2);
+    check_int (name ^ ": writes") 0 writes;
     check_int (name ^ ": filled") filled (SBlock.filled b);
     SBlock.check_invariants b
   in
   let w, m = sim_build (fun () -> SBlock.merge ~alive:sim_alive b1 b2) in
   expect "merge" w m 124;
   let w, m = sim_build (fun () -> SBlock.merge ~pool ~alive:sim_alive b1 b2) in
-  check_bool "pooled merge recycled" true (m == recycled);
+  check_bool "pooled merge recycled" true
+    (SBlock.items m == SBlock.items recycled);
   expect "pooled merge" w m 124;
+  let w, s =
+    sim_build (fun () -> SBlock.singleton ~filter:Bloom.empty (SItem.make 1 ()))
+  in
+  expect "singleton" w s 1;
+  let w, o =
+    sim_build (fun () ->
+        SBlock.of_sorted_array ~filter:Bloom.empty
+          (Array.init 5 (fun i -> SItem.make (5 - i) ())))
+  in
+  expect "of_sorted_array" w o 5;
   let w, c =
     sim_build (fun () -> SBlock.copy ~alive:sim_alive b1 (SBlock.level b1))
   in
@@ -358,7 +376,39 @@ let test_builders_store_filled_once () =
           [| Some b3 |] ~first:0 ~last:1 (SItem.make 61 ()))
   in
   check_int "carry: level" 6 (SBlock.level k);
-  expect "carry" w k 64
+  expect "carry" w k 64;
+  check_int "carry: reported count" 64 scratch.SBlock.Carry.count;
+  (* With two of the block's items dead the carry keeps 62 of 64, and
+     still builds at level 6: no [filled] store either way. *)
+  SBlock.iter b3 ~f:(fun it ->
+      if SItem.key it < 4 then ignore (SItem.take it));
+  let w, k =
+    sim_build (fun () ->
+        SBlock.carry ~alive:sim_alive ~filter:Bloom.empty scratch
+          [| Some b3 |] ~first:0 ~last:1 (SItem.make 61 ()))
+  in
+  expect "carry past dead items" w k 62;
+  check_int "carry past dead items: reported count" 62
+    scratch.SBlock.Carry.count;
+  (* With 35 dead the 29 kept fit level 5: the carry moves them there
+     itself and hands its level-6 arrays to the pool, still storing no
+     [filled]. *)
+  SBlock.iter b3 ~f:(fun it ->
+      if SItem.key it < 70 then ignore (SItem.take it));
+  let w, k =
+    sim_build (fun () ->
+        SBlock.carry ~pool ~alive:sim_alive ~filter:Bloom.empty scratch
+          [| Some b3 |] ~first:0 ~last:1 (SItem.make 61 ()))
+  in
+  check_int "carry to a smaller level: level" 5 (SBlock.level k);
+  expect "carry to a smaller level" w k 29;
+  check_int "carry to a smaller level: reported count" 29
+    scratch.SBlock.Carry.count;
+  check_list_int "carry to a smaller level: keys"
+    (List.init 28 (fun i -> 124 - (2 * i)) @ [ 61 ])
+    (List.map SItem.key (SBlock.to_list k));
+  check_int "the level-6 arrays went to the pool" 1
+    pool.SBlock.Pool.counts.(6)
 
 (* ---------------- lazy-deletion alive predicates ---------------- *)
 
@@ -426,7 +476,7 @@ let () =
       );
       ( "build",
         [
-          Alcotest.test_case "one filled store per block" `Quick
-            test_builders_store_filled_once;
+          Alcotest.test_case "no filled store on a build" `Quick
+            test_builds_store_no_filled;
         ] );
     ]

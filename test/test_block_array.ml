@@ -144,13 +144,18 @@ let prop_pooled_insert_equivalent =
           Block_array.insert ~pool ~scratch ~alive pooled (block_of_keys keys))
         lists;
       Block_array.check_invariants pooled;
-      (* No block reachable from the array may sit in the pool's freelists. *)
+      (* No array of a block reachable from the array may sit in the
+         pool's freelists. *)
       Array.iter
         (fun live ->
           Array.iter
             (fun free ->
-              if List.exists (fun pb -> pb == live) free then
-                Alcotest.fail "pooled block aliased by the live array")
+              if
+                List.exists
+                  (fun (items, keys) ->
+                    keys == live.Block.keys || items == Block.items live)
+                  free
+              then Alcotest.fail "pooled arrays aliased by the live array")
             pool.Block.Pool.slots)
         (Block_array.blocks pooled);
       List.sort compare (all_keys pooled) = List.sort compare (all_keys plain))
@@ -336,14 +341,13 @@ let test_find_min_never_none_with_alive_items () =
      disconnect live items). *)
   let t = array_of_key_lists [ List.init 16 (fun i -> i) ] in
   Block_array.calculate_pivots t ~k:3;
-  (* Take the 8 smallest and let peek_min publish the shrunken filled —
-     now filled (8) < pivot (12). *)
+  (* Take the 8 smallest and lower [filled] past them, as another
+     thread's consolidation trims a dead tail in place — now filled (8) <
+     pivot (12). *)
   Array.iter
     (fun b ->
-      Block.iter b ~f:(fun it -> if Item.key it < 8 then ignore (Item.take it)))
-    (Block_array.blocks t);
-  Array.iter
-    (fun b -> ignore (Block.peek_min ~alive b))
+      Block.iter b ~f:(fun it -> if Item.key it < 8 then ignore (Item.take it));
+      B.set b.Block.filled (Block.alive_end ~alive b (Block.filled b)))
     (Block_array.blocks t);
   check_bool "pivot now exceeds filled" true
     (t.Block_array.pivots.(0) > Block.filled (Block_array.blocks t).(0));
@@ -353,6 +357,31 @@ let test_find_min_never_none_with_alive_items () =
     | Some it -> check_bool "alive item findable" true (Item.key it >= 8)
     | None -> Alcotest.fail "transient None on non-empty array (regression)"
   done
+
+(* A published array shares its blocks with later snapshots, whose
+   consolidations trim dead tails in place: a pivot may then exceed
+   [filled], and a level-0 block may be trimmed empty.  The published
+   checks accept both; a private array's checks do not. *)
+let test_published_invariants_after_trims () =
+  let t = array_of_key_lists [ List.init 16 (fun i -> i); [ 99 ] ] in
+  Block_array.calculate_pivots t ~k:3;
+  t.Block_array.least <- Block_array.min_key t;
+  Array.iter
+    (fun b ->
+      Block.iter b ~f:(fun it ->
+          if Item.key it < 8 || Item.key it = 99 then ignore (Item.take it));
+      B.set b.Block.filled (Block.alive_end ~alive b (Block.filled b)))
+    (Block_array.blocks t);
+  check_bool "a pivot now exceeds filled" true
+    (t.Block_array.pivots.(0) > Block.filled (Block_array.blocks t).(0));
+  check_int "the level-0 block is empty" 0
+    (Block.filled (Block_array.blocks t).(1));
+  Block_array.check_invariants ~published:true t;
+  check_bool "a private array fails" true
+    (try
+       Block_array.check_invariants t;
+       false
+     with Failure _ -> true)
 
 let test_find_min_leaves_filled () =
   (* Three published blocks, all attributed to my tid, each with a dead
@@ -507,6 +536,8 @@ let () =
             test_find_min_never_none_with_alive_items;
           Alcotest.test_case "leaves filled untouched" `Quick
             test_find_min_leaves_filled;
+          Alcotest.test_case "published arrays after trims" `Quick
+            test_published_invariants_after_trims;
           prop_ends_bound_dead_tails;
         ] );
     ]

@@ -500,10 +500,10 @@ let test_find_min_reads_flat () =
 (* ---------------- the one-pass carry ---------------- *)
 
 (* An insert whose carry chain consumes j >= 2 slots builds one block: one
-   pool acquisition ([pool.hit + pool.miss]) and, on the simulator, three
-   writes — the block's [filled], its slot and [size] — plus the pool's
-   reset of [filled] when the acquisition hits.  A cascade of two-way
-   merges builds j + 1 blocks, each with its own [filled] store. *)
+   pool acquisition ([pool.hit + pool.miss]) and, on the simulator, two
+   writes — its slot and [size].  The block is born with its count, which
+   the build reports to the owner, so no [filled] is stored or read.  A
+   cascade of two-way merges built j + 1 blocks. *)
 let test_carry_builds_one_block () =
   let module Obs = Klsm_obs.Obs in
   let prev = Obs.enabled () in
@@ -537,9 +537,7 @@ let test_carry_builds_one_block () =
       check_int "one slot" 1 (SDist.size t);
       check_int "one dist.merge per consumed slot" 3 (count "dist.merge");
       check_int "one block built" 1 (count "pool.hit" + count "pool.miss");
-      check_int "filled, slot and size written once"
-        (3 + count "pool.hit")
-        (Sim.stats ()).Sim.writes;
+      check_int "slot and size written once" 2 (Sim.stats ()).Sim.writes;
       SDist.check_invariants t)
 
 (* The two-way cascade the one-pass insert replaced, kept as the
